@@ -94,44 +94,66 @@ def test_kernel_gmres_solve(benchmark, poisson_bench_problem):
     benchmark.extra_info["iterations"] = result.iterations
 
 
+class _AlwaysArmed:
+    """Forwards to an injector but has no ``armed``: consulted on every step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def corrupt_scalar(self, site, value, **context):
+        return self.inner.corrupt_scalar(site, value, **context)
+
+    def corrupt_vector(self, site, vec, **context):
+        return self.inner.corrupt_vector(site, vec, **context)
+
+
 def test_kernel_gmres_nohook_fast_path(benchmark, poisson_bench_problem):
-    """The zero-overhead Arnoldi branch vs the hooked branch.
+    """The zero-overhead Arnoldi branch vs the hooked branch and an idle injector.
 
     The hooked reference runs the identical arithmetic through the
-    injection/detection plumbing with a real (never-firing) injector — the
-    per-coefficient cost every faulted campaign trial pays in all but one
-    iteration.  The recorded ``speedup_vs_hooked`` is the failure-free
-    dividend of the fast path.
+    injection/detection plumbing with a never-firing injector that has no
+    ``armed`` method, so every step consults it — what every step of a
+    faulted trial cost before arm-at-step.  The idle run attaches the same
+    never-firing ``FaultInjector`` as is: it is never armed, so its steps
+    take the fast path.  ``speedup_vs_hooked`` is the fast path's dividend,
+    ``idle_overhead`` what an attached but idle injector still costs.
     """
     p = poisson_bench_problem
     schedule = InjectionSchedule(site="hessenberg", aggregate_inner_iteration=-1,
                                  mgs_position="first")
 
-    def hooked():
-        return gmres(p.A, p.b, tol=1e-8, maxiter=300,
-                     injector=FaultInjector(PAPER_FAULT_CLASSES["large"], schedule))
+    def idle_injector():
+        return FaultInjector(PAPER_FAULT_CLASSES["large"], schedule)
 
-    hooked_seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        hooked_result = hooked()
-        hooked_seconds = min(hooked_seconds, time.perf_counter() - start)
+    def best_of_three(injector_factory):
+        seconds = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            result = gmres(p.A, p.b, tol=1e-8, maxiter=300, injector=injector_factory())
+            seconds = min(seconds, time.perf_counter() - start)
+        return seconds, result
+
+    hooked_seconds, hooked_result = best_of_three(lambda: _AlwaysArmed(idle_injector()))
+    idle_seconds, idle_result = best_of_three(idle_injector)
 
     fast_result = benchmark.pedantic(lambda: gmres(p.A, p.b, tol=1e-8, maxiter=300),
                                      rounds=3, iterations=1)
 
-    # The fast path must not change the solve at all.
-    assert fast_result.iterations == hooked_result.iterations
-    assert np.array_equal(fast_result.x, hooked_result.x)
+    # Neither the fast path nor an idle injector may change the solve at all.
+    for other in (hooked_result, idle_result):
+        assert fast_result.iterations == other.iterations
+        assert np.array_equal(fast_result.x, other.x)
 
     fast_seconds = benchmark.stats.stats.min
     speedup = hooked_seconds / fast_seconds if fast_seconds > 0 else float("inf")
     benchmark.extra_info["iterations"] = fast_result.iterations
     benchmark.extra_info["hooked_seconds"] = round(hooked_seconds, 4)
+    benchmark.extra_info["idle_seconds"] = round(idle_seconds, 4)
     benchmark.extra_info["fast_seconds"] = round(fast_seconds, 4)
     benchmark.extra_info["speedup_vs_hooked"] = round(speedup, 3)
+    benchmark.extra_info["idle_overhead"] = round(idle_seconds / fast_seconds - 1.0, 3)
     print(f"\nno-hook fast path: {fast_seconds:.4f}s vs hooked {hooked_seconds:.4f}s "
-          f"-> {speedup:.2f}x")
+          f"-> {speedup:.2f}x; idle injector {idle_seconds:.4f}s")
 
 
 def test_kernel_cg_solve(benchmark, poisson_bench_problem):

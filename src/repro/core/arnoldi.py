@@ -30,6 +30,11 @@ Every site receives the full iteration context (outer iteration, inner-solve
 index, local and aggregate inner iteration, MGS position where applicable),
 so schedules address any site with the same coordinates the paper's sweep
 figures use.
+
+Arm-at-step: each step first asks the injector (:meth:`ArnoldiContext.arm`)
+whether any of its sites can fire.  An unarmed step makes no injector
+consults and runs the BLAS orthogonalization loop; a paper trial's single
+fault arms one step out of the whole nested solve.
 """
 
 from __future__ import annotations
@@ -62,11 +67,14 @@ class ArnoldiContext:
     injector : object or None
         A fault injector implementing ``corrupt_scalar(site, value, **ctx)``
         and ``corrupt_vector(site, vec, **ctx)`` (see
-        :class:`repro.faults.injector.FaultInjector`).  ``None`` disables
+        :class:`repro.faults.injector.FaultInjector`), and optionally
+        ``armed(**step_ctx)`` (see :meth:`arm`).  ``None`` disables
         injection.
     detector : Detector or None
         Invariant checker applied to every Hessenberg coefficient.  ``None``
-        disables detection.
+        disables detection.  A ``vectorized`` detector screens an unarmed
+        step (spmv norm, coefficients, subdiagonal) in one
+        :meth:`~repro.core.detectors.Detector.flag_values` call.
     detector_response : str
         What to do when the detector flags a value:
 
@@ -96,6 +104,10 @@ class ArnoldiContext:
         (maintained by :func:`arnoldi_step`).  Lets code *called from inside*
         a step — preconditioner closures, bound operator wrappers — report
         real iteration context to the injector instead of a placeholder.
+    armed : bool
+        Whether the injector may fire during the current step (maintained
+        by :meth:`arm`).  Code called from inside a step consults the
+        injector only when it is set.
     """
 
     injector: object | None = None
@@ -107,6 +119,7 @@ class ArnoldiContext:
     iteration_offset: int = 0
     matvecs: int = 0
     current_iteration: int = -1
+    armed: bool = False
 
     def __post_init__(self) -> None:
         if self.detector_response not in VALID_RESPONSES:
@@ -126,6 +139,27 @@ class ArnoldiContext:
             "aggregate_inner_iteration": self.iteration_offset + iteration,
             "mgs_index": mgs_index,
         }
+
+    def arm(self, iteration: int) -> bool:
+        """Enter step ``iteration`` and decide once whether it can fault.
+
+        Sets :attr:`current_iteration` and :attr:`armed`.  The injector's
+        optional ``armed(outer_iteration=..., inner_solve_index=...,
+        inner_iteration=..., aggregate_inner_iteration=...)`` decides; an
+        injector without it counts as always armed.
+        """
+        self.current_iteration = iteration
+        probe = getattr(self.injector, "armed", None)
+        if probe is None:
+            self.armed = self.injector is not None
+        else:
+            self.armed = bool(probe(
+                outer_iteration=self.outer_iteration,
+                inner_solve_index=self.inner_solve_index,
+                inner_iteration=iteration,
+                aggregate_inner_iteration=self.iteration_offset + iteration,
+            ))
+        return self.armed
 
     def current_context(self) -> dict:
         """The live injection context of the step currently executing.
@@ -169,6 +203,22 @@ class ArnoldiContext:
             )
             return corrupted
         return vec
+
+    def inject_givens(self, c: float, s: float) -> tuple[float, float]:
+        """The ``givens`` site of the current step: offer both coefficients."""
+        it = self.current_iteration
+        c = self.inject_scalar("givens", c, iteration=it, mgs_index=0, mgs_length=2)
+        s = self.inject_scalar("givens", s, iteration=it, mgs_index=1, mgs_length=2)
+        return c, s
+
+    @property
+    def givens_hook(self):
+        """The current step's ``givens_hook`` for the Givens QR update.
+
+        :meth:`inject_givens` on an armed step, ``None`` (no hook, identical
+        arithmetic) otherwise.
+        """
+        return self.inject_givens if self.armed else None
 
     def screen_scalar(self, site: str, value: float, iteration: int, mgs_index: int,
                       recompute) -> float:
@@ -243,6 +293,11 @@ def arnoldi_step(
         once instead of paying one ``np.empty_like`` per step; contents are
         clobbered.  Ignored by the hooked and CGS paths.
 
+    Faulted data legitimately turn non-finite (NaN/Inf propagation is the
+    documented contract), so the solvers run their steps under
+    ``np.errstate(invalid="ignore", over="ignore")``: once per solve, not
+    once per step.  Standalone callers set the error state they want.
+
     Returns
     -------
     h_col : numpy.ndarray
@@ -257,16 +312,16 @@ def arnoldi_step(
         raise ValueError(
             f"orthogonalization must be 'mgs', 'cgs' or 'cgs2', got {orthogonalization!r}"
         )
-    # Zero-overhead fast path: with no injector and no detector attached
-    # (failure-free solves, and the reliable outer iteration of faulted
-    # trials — faulted *inner* solves keep their injector attached even on
-    # iterations where it never fires) the per-coefficient hook plumbing is
-    # pure overhead, so it is skipped entirely.  Both branches perform the
-    # identical sequence of floating-point operations — the fast path is
-    # bit-for-bit identical to the hooked path with a null context
-    # (asserted in the test suite).
-    fast = ctx.injector is None and ctx.detector is None
-    ctx.current_iteration = j
+    # Arm-at-step: the injector decides once whether this step can fault.
+    # An unarmed step makes no injector consults and runs the BLAS loop; a
+    # vectorized detector then screens every value of the step in one call.
+    # Anything flagged, an armed step, or a stateful detector takes the
+    # hooked path, which replays the step from the untouched post-spmv
+    # vector ``v``.  Both paths perform the identical sequence of
+    # floating-point operations (asserted bit for bit in the test suite), so
+    # a replay's responses and events are exactly the hooked path's.
+    armed = ctx.arm(j)
+    detector = ctx.detector
 
     q_j = basis[:, j]
     if apply_operator is None:
@@ -274,10 +329,50 @@ def arnoldi_step(
     else:
         v = np.asarray(apply_operator(q_j), dtype=np.float64)
     ctx.matvecs += 1
-    if not fast:
-        v = ctx.inject_vector("spmv", v, iteration=j)
-        if ctx.detector is not None:
-            verdict = ctx.detector.check_vector(v, site="spmv")
+
+    Q = basis[:, : j + 1]
+    passes = 2 if orthogonalization == "cgs2" else 1
+    hooked = armed or (detector is not None and not detector.vectorized)
+    if not hooked:
+        # The column shares its buffer with one more screened value: the
+        # norm of ``v``, which the hooked path checks first.
+        screen = np.zeros(j + 3, dtype=np.float64)
+        h_col = screen[: j + 2]
+        w = v.copy()
+        if orthogonalization == "mgs":
+            # The dot products and updates go straight to BLAS; a reused
+            # scratch buffer avoids one temporary allocation per
+            # coefficient (and, with a per-solve workspace, per step).
+            scratch = workspace if workspace is not None else np.empty_like(w)
+            for i in range(j + 1):
+                q_i = Q[:, i]
+                h = np.dot(q_i, w)
+                h_col[i] = h
+                np.multiply(q_i, h, out=scratch)
+                np.subtract(w, scratch, out=w)
+        else:
+            coeff_passes = []
+            for _ in range(passes):
+                coeffs = Q.T @ w
+                w = w - Q @ coeffs
+                h_col[: j + 1] += coeffs
+                coeff_passes.append(coeffs)
+        norm_v = float(np.linalg.norm(w))
+        h_col[j + 1] = norm_v
+        if detector is not None:
+            # Everything the hooked path checks one value at a time: the
+            # spmv vector (by its norm), each pass's coefficients and the
+            # subdiagonal norm.
+            screen[j + 2] = np.linalg.norm(v)
+            if passes == 2:
+                screen = np.concatenate((*coeff_passes, screen[j + 1:]))
+            hooked = bool(detector.flag_values(screen).any())
+
+    if hooked:
+        if armed:
+            v = ctx.inject_vector("spmv", v, iteration=j)
+        if detector is not None:
+            verdict = detector.check_vector(v, site="spmv")
             if verdict.flagged:
                 ctx.events.record(
                     "fault_detected", where="spmv", outer_iteration=ctx.outer_iteration,
@@ -286,67 +381,45 @@ def arnoldi_step(
                 )
                 if ctx.detector_response == "raise":
                     raise FaultDetectedError(verdict)
-
-    h_col = np.zeros(j + 2, dtype=np.float64)
-    Q = basis[:, : j + 1]
-
-    if fast:
-        v = v.copy()
+        h_col = np.zeros(j + 2, dtype=np.float64)
+        w = v.copy()
         if orthogonalization == "mgs":
-            # The dot products and updates go straight to BLAS; a reused
-            # scratch buffer avoids one temporary allocation per coefficient
-            # (and, when the caller supplies a per-solve workspace, per step).
-            scratch = workspace if workspace is not None else np.empty_like(v)
             for i in range(j + 1):
                 q_i = Q[:, i]
-                h = np.dot(q_i, v)
-                h_col[i] = h
-                np.multiply(q_i, h, out=scratch)
-                np.subtract(v, scratch, out=v)
-        else:
-            passes = 2 if orthogonalization == "cgs2" else 1
-            for _ in range(passes):
-                coeffs = Q.T @ v
-                v = v - Q @ coeffs
-                h_col[: j + 1] += coeffs
-        norm_v = float(np.linalg.norm(v))
-    elif orthogonalization == "mgs":
-        v = v.copy()
-        for i in range(j + 1):
-            q_i = Q[:, i]
-            h = float(np.dot(q_i, v))
-            h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i, mgs_length=j + 1)
-            h = ctx.screen_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                  recompute=lambda q_i=q_i, v=v: np.dot(q_i, v))
-            h_col[i] = h
-            v = v - h * q_i
-    else:
-        # Classical Gram-Schmidt: all coefficients from the original vector.
-        passes = 2 if orthogonalization == "cgs2" else 1
-        v = v.copy()
-        for _ in range(passes):
-            coeffs = Q.T @ v
-            for i in range(j + 1):
-                h = float(coeffs[i])
-                h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                      mgs_length=j + 1)
+                h = float(np.dot(q_i, w))
+                if armed:
+                    h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
+                                          mgs_length=j + 1)
                 h = ctx.screen_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                      recompute=lambda i=i: np.dot(Q[:, i], v))
-                coeffs[i] = h
-            v = v - Q @ coeffs
-            h_col[: j + 1] += coeffs
-
-    if not fast:
-        # The orthogonalized-but-unnormalized vector is its own site: a fault
-        # here lands *after* the coefficients were computed cleanly, which is
+                                      recompute=lambda q_i=q_i, w=w: np.dot(q_i, w))
+                h_col[i] = h
+                w = w - h * q_i
+        else:
+            # Classical Gram-Schmidt: all coefficients from the original vector.
+            for _ in range(passes):
+                coeffs = Q.T @ w
+                for i in range(j + 1):
+                    h = float(coeffs[i])
+                    if armed:
+                        h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
+                                              mgs_length=j + 1)
+                    h = ctx.screen_scalar("hessenberg", h, iteration=j, mgs_index=i,
+                                          recompute=lambda i=i: np.dot(Q[:, i], w))
+                    coeffs[i] = h
+                w = w - Q @ coeffs
+                h_col[: j + 1] += coeffs
+        # The orthogonalized-but-unnormalized vector is its own site: a
+        # fault here lands *after* the coefficients were computed cleanly,
         # a different propagation path than spmv or hessenberg corruption.
-        v = ctx.inject_vector("orth", v, iteration=j)
-        norm_v = float(np.linalg.norm(v))
-        norm_v = ctx.inject_scalar("subdiag", norm_v, iteration=j, mgs_index=j + 1,
-                                   mgs_length=j + 1)
+        if armed:
+            w = ctx.inject_vector("orth", w, iteration=j)
+        norm_v = float(np.linalg.norm(w))
+        if armed:
+            norm_v = ctx.inject_scalar("subdiag", norm_v, iteration=j, mgs_index=j + 1,
+                                       mgs_length=j + 1)
         norm_v = ctx.screen_scalar("subdiag", norm_v, iteration=j, mgs_index=j + 1,
-                                   recompute=lambda: np.linalg.norm(v))
-    h_col[j + 1] = norm_v
+                                   recompute=lambda: np.linalg.norm(w))
+        h_col[j + 1] = norm_v
 
     scale = max(np.abs(h_col[: j + 1]).max() if j + 1 > 0 else 0.0, 1.0)
     if not np.isfinite(norm_v) or norm_v <= HAPPY_BREAKDOWN_TOL * scale:
@@ -357,12 +430,13 @@ def arnoldi_step(
             return h_col, None, True
         # A non-finite norm is not a breakdown; return the poisoned vector so
         # the caller's NaN handling (or the detector) deals with it.
-        q_next = np.full_like(v, np.nan)
+        q_next = np.full_like(w, np.nan)
         basis[:, j + 1] = q_next
         return h_col, q_next, False
 
-    q_next = v / norm_v
-    q_next = ctx.inject_vector("basis", q_next, iteration=j)
+    q_next = w / norm_v
+    if armed:
+        q_next = ctx.inject_vector("basis", q_next, iteration=j)
     basis[:, j + 1] = q_next
     return h_col, q_next, False
 
@@ -404,11 +478,12 @@ def arnoldi_process(
     H = np.zeros((m + 1, m), dtype=np.float64)
     breakdown = False
     k = 0
-    for j in range(m):
-        h_col, q_next, breakdown = arnoldi_step(op, basis, j, ctx,
-                                                orthogonalization=orthogonalization)
-        H[: j + 2, j] = h_col
-        k = j + 1
-        if breakdown or q_next is None:
-            break
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(m):
+            h_col, q_next, breakdown = arnoldi_step(op, basis, j, ctx,
+                                                    orthogonalization=orthogonalization)
+            H[: j + 2, j] = h_col
+            k = j + 1
+            if breakdown or q_next is None:
+                break
     return basis[:, : k + 1], H[: k + 1, : k], breakdown

@@ -469,19 +469,15 @@ def _resolve_block_preconditioner(precond, n: int):
 
 
 def _detector_flags(det: HessenbergBoundDetector, values: np.ndarray) -> np.ndarray:
-    """Conservative vectorized prefilter for ``HessenbergBoundDetector``.
+    """One lockstep screen: the detector's conservative vector predicate.
 
-    Deliberately *wider* than the scalar predicate (a relative guard band
-    below the bound): every value the prefilter passes goes through the real
-    ``check_scalar``/``check_vector``, whose verdict is authoritative, so
-    widening only costs a scalar re-check — whereas a prefilter that rounds
-    the other way at the bound cusp would silently miss a detection the
-    serial engine records.
+    The same :meth:`~repro.core.detectors.Detector.flag_values` the serial
+    Arnoldi step screens with; every lane it flags goes through the real
+    ``check_scalar``/``check_vector``, whose verdict is authoritative.  The
+    engine's single screening entry point, which ``perfbench``'s tracer
+    times as the batched ``detect`` layer.
     """
-    flagged = np.abs(values) > det.effective_bound * (1.0 - 1e-12)
-    if det.check_nonfinite:
-        flagged |= ~np.isfinite(values)
-    return flagged
+    return det.flag_values(values)
 
 
 def _clone_result(result: SolverResult) -> SolverResult:

@@ -81,13 +81,38 @@ class Detector:
     ``check_vector`` has a default implementation that checks the vector's
     2-norm, which is the right quantity for the Arnoldi vectors (the bound
     of Eq. (2) is on ``||A q_j||_2``).
+
+    Stateless detectors also provide a *vector predicate*,
+    :meth:`flag_values`, and set ``vectorized = True``: the solvers then
+    screen a whole Arnoldi step in one call and fall back to per-value
+    :meth:`check_scalar`/:meth:`check_vector` only when something is
+    flagged.  The predicate must flag every value :meth:`check_scalar`
+    flags, and the 2-norm of every vector :meth:`check_vector` flags; a
+    subclass that changes either check keeps that true or sets
+    ``vectorized = False``.
     """
 
     name = "detector"
 
+    #: Whether :meth:`flag_values` is a stateless vector predicate.  Stateful
+    #: detectors (a running reference, say) must see every value in order,
+    #: so the solvers keep screening them one coefficient at a time.
+    vectorized = False
+
     def check_scalar(self, value: float, site: str = "") -> DetectionResult:
         """Return a verdict on a single floating-point value."""
         raise NotImplementedError
+
+    def flag_values(self, values: np.ndarray) -> np.ndarray:
+        """Conservative screen of many values at once: a boolean mask.
+
+        The mask is True at least wherever :meth:`check_scalar` would flag
+        the value (and at the norm of any vector :meth:`check_vector` would
+        flag); it may be wider (a guard band at a bound), since every
+        flagged value is re-checked one at a time, and that verdict is
+        authoritative.  The default flags everything.
+        """
+        return np.ones(np.shape(values), dtype=bool)
 
     def check_vector(self, vec: np.ndarray, site: str = "") -> DetectionResult:
         """Return a verdict on a vector (default: check its 2-norm)."""
@@ -114,9 +139,13 @@ class NullDetector(Detector):
     """A detector that never flags anything (the "no detection" baseline)."""
 
     name = "null"
+    vectorized = True
 
     def check_scalar(self, value: float, site: str = "") -> DetectionResult:
         return _NOT_FLAGGED
+
+    def flag_values(self, values: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(values), dtype=bool)
 
 
 class NonFiniteDetector(Detector):
@@ -128,12 +157,16 @@ class NonFiniteDetector(Detector):
     """
 
     name = "nonfinite"
+    vectorized = True
 
     def check_scalar(self, value: float, site: str = "") -> DetectionResult:
         if not np.isfinite(value):
             return DetectionResult(True, self.name, f"non-finite value at {site or 'unknown site'}",
                                    float(value))
         return _NOT_FLAGGED
+
+    def flag_values(self, values: np.ndarray) -> np.ndarray:
+        return ~np.isfinite(values)
 
     def check_vector(self, vec: np.ndarray, site: str = "") -> DetectionResult:
         vec = np.asarray(vec, dtype=np.float64)
@@ -165,6 +198,7 @@ class HessenbergBoundDetector(Detector):
     """
 
     name = "hessenberg_bound"
+    vectorized = True
 
     def __init__(self, bound: float, slack: float = 1.0, check_nonfinite: bool = True):
         bound = float(bound)
@@ -203,6 +237,17 @@ class HessenbergBoundDetector(Detector):
                 self.effective_bound,
             )
         return DetectionResult(False, self.name, "", v, self.effective_bound)
+
+    def flag_values(self, values: np.ndarray) -> np.ndarray:
+        """The bound test with a relative guard band just below the bound.
+
+        A mask that rounded the other way at the bound cusp would silently
+        miss a detection :meth:`check_scalar` records; the band only costs
+        a scalar re-check of values within ~1e-12 of the bound.  NaN fails
+        the ``<=`` test, so non-finite values are flagged too (even with
+        ``check_nonfinite=False``, which is merely conservative).
+        """
+        return ~(np.abs(values) <= self.effective_bound * (1.0 - 1e-12))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HessenbergBoundDetector(bound={self.bound:.6e}, slack={self.slack})"
@@ -279,6 +324,16 @@ class CompositeDetector(Detector):
             if result.flagged:
                 return result
         return _NOT_FLAGGED
+
+    @property
+    def vectorized(self) -> bool:
+        return all(det.vectorized for det in self.detectors)
+
+    def flag_values(self, values: np.ndarray) -> np.ndarray:
+        flagged = self.detectors[0].flag_values(values)
+        for det in self.detectors[1:]:
+            flagged = flagged | det.flag_values(values)
+        return flagged
 
     def reset(self) -> None:
         for det in self.detectors:

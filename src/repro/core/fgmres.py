@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.arnoldi import ArnoldiContext
 from repro.core.detectors import Detector
 from repro.core.hessenberg import HessenbergMatrix
 from repro.core.least_squares import LeastSquaresPolicy
@@ -58,6 +59,9 @@ class FGMRESParameters:
         return replace(self, **changes)
 
 
+# Faulted inner results and outer fault studies propagate NaN/Inf by
+# contract; see the error-state note on repro.core.gmres.gmres.
+@np.errstate(invalid="ignore", over="ignore")
 def fgmres(
     A,
     b,
@@ -155,41 +159,13 @@ def fgmres(
     events = EventLog.ensure(events)
     history = ConvergenceHistory()
 
-    # Outer-iteration injection helpers.  The outer iteration j doubles as
-    # the aggregate coordinate: a standalone FGMRES solve has no inner
-    # iterations, so schedules addressed in aggregate terms fire at outer
-    # step j.  Both helpers are None on the fault-free path, which performs
-    # the identical floating-point operations with no hook overhead.
-    _inj_scalar = _inj_vector = None
-    if injector is not None:
-        def _inj_scalar(site, value, j, mgs_index=-1, mgs_length=0):
-            corrupted = injector.corrupt_scalar(
-                site, value, outer_iteration=j, inner_solve_index=-1,
-                inner_iteration=j, aggregate_inner_iteration=j,
-                mgs_index=mgs_index, mgs_length=mgs_length,
-            )
-            if corrupted != value and not (np.isnan(corrupted) and np.isnan(value)):
-                events.record(
-                    "fault_injected", where=site, outer_iteration=j,
-                    inner_iteration=j, original=float(value),
-                    corrupted=float(corrupted), mgs_index=mgs_index,
-                    aggregate_inner_iteration=j,
-                )
-            return float(corrupted)
-
-        def _inj_vector(site, vec, j):
-            corrupted = injector.corrupt_vector(
-                site, vec, outer_iteration=j, inner_solve_index=-1,
-                inner_iteration=j, aggregate_inner_iteration=j,
-                mgs_index=-1, mgs_length=0,
-            )
-            if corrupted is not vec and not np.array_equal(corrupted, vec, equal_nan=True):
-                events.record(
-                    "fault_injected", where=site, outer_iteration=j,
-                    inner_iteration=j, aggregate_inner_iteration=j,
-                )
-                return corrupted
-            return vec
+    # Outer-iteration injection goes through the same ArnoldiContext plumbing
+    # as the inner solves.  The outer iteration j doubles as the aggregate
+    # coordinate: a standalone FGMRES solve has no inner iterations, so
+    # schedules addressed in aggregate terms fire at outer step j.  Unarmed
+    # steps (always, without an injector) make no consults and perform the
+    # identical floating-point operations.
+    ctx = ArnoldiContext(injector=injector, events=events)
 
     norm_b = float(np.linalg.norm(b))
     target = tol * norm_b if norm_b > 0.0 else tol
@@ -234,60 +210,55 @@ def fgmres(
             inner_callback(j, q_j, z_j)
 
         # ----- reliable operator application and orthogonalization ---------
+        ctx.outer_iteration = j
+        armed = ctx.arm(j)
         v = op.matvec(z_j)
         matvecs += 1
-        if _inj_vector is not None:
-            v = _inj_vector("spmv", v, j)
+        if armed:
+            v = ctx.inject_vector("spmv", v, iteration=j)
         z_norm = float(np.linalg.norm(z_j))
         h_col = np.zeros(j + 2, dtype=np.float64)
-        # With no detector or injector attached the per-coefficient hooks are
-        # pure overhead (they return the value unchanged), so the common
-        # failure-free configuration skips them entirely — mirroring the
-        # no-hook Arnoldi branch.  Both branches perform the identical
-        # floating-point operations (asserted bit-for-bit in the tests).
+        # With no detector attached and the step unarmed the per-coefficient
+        # hooks are pure overhead (they return the value unchanged), so the
+        # common configuration skips them entirely — mirroring the no-hook
+        # Arnoldi branch.  Both branches perform the identical floating-point
+        # operations (asserted bit-for-bit in the tests).
+        hooked = armed or detector is not None
         if orthogonalization == "mgs":
             w = v.copy()
-            if detector is None and injector is None:
-                for i in range(j + 1):
-                    h = float(np.dot(Q[:, i], w))
-                    h_col[i] = h
-                    w -= h * Q[:, i]
-            else:
-                for i in range(j + 1):
-                    h = float(np.dot(Q[:, i], w))
-                    if _inj_scalar is not None:
-                        h = _inj_scalar("hessenberg", h, j, mgs_index=i, mgs_length=j + 1)
+            for i in range(j + 1):
+                h = float(np.dot(Q[:, i], w))
+                if hooked:
+                    if armed:
+                        h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
+                                              mgs_length=j + 1)
                     h = _screen_outer(h, z_norm, detector, detector_response, events, j, i)
-                    h_col[i] = h
-                    w -= h * Q[:, i]
+                h_col[i] = h
+                w -= h * Q[:, i]
         else:
             passes = 2 if orthogonalization == "cgs2" else 1
             w = v.copy()
             for _ in range(passes):
                 coeffs = Q[:, : j + 1].T @ w
-                if detector is not None or injector is not None:
+                if hooked:
                     for i in range(j + 1):
                         h = float(coeffs[i])
-                        if _inj_scalar is not None:
-                            h = _inj_scalar("hessenberg", h, j, mgs_index=i, mgs_length=j + 1)
+                        if armed:
+                            h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
+                                                  mgs_length=j + 1)
                         coeffs[i] = _screen_outer(h, z_norm, detector,
                                                   detector_response, events, j, i)
                 w = w - Q[:, : j + 1] @ coeffs
                 h_col[: j + 1] += coeffs
 
-        if _inj_vector is not None:
-            w = _inj_vector("orth", w, j)
+        if armed:
+            w = ctx.inject_vector("orth", w, iteration=j)
         h_sub = float(np.linalg.norm(w))
-        if _inj_scalar is not None:
-            h_sub = _inj_scalar("subdiag", h_sub, j, mgs_index=j + 1, mgs_length=j + 2)
+        if armed:
+            h_sub = ctx.inject_scalar("subdiag", h_sub, iteration=j, mgs_index=j + 1,
+                                      mgs_length=j + 2)
         h_col[j + 1] = h_sub
-        givens_hook = None
-        if _inj_scalar is not None:
-            def givens_hook(c, s, _j=j):
-                c = _inj_scalar("givens", c, _j, mgs_index=0, mgs_length=2)
-                s = _inj_scalar("givens", s, _j, mgs_index=1, mgs_length=2)
-                return c, s
-        resid_est = hess.add_column(h_col, givens_hook=givens_hook)
+        resid_est = hess.add_column(h_col, givens_hook=ctx.givens_hook)
         k = j + 1
         history.append(resid_est)
 

@@ -11,7 +11,9 @@ A :class:`FaultInjector` combines
 
 The solver-facing protocol is two methods, ``corrupt_scalar`` and
 ``corrupt_vector``; both receive the full injection context as keyword
-arguments and return the (possibly corrupted) value.
+arguments and return the (possibly corrupted) value.  An optional third,
+``armed(**step_context)``, lets the solvers skip every consult of a step
+that cannot fire; an injector without it is consulted on every step.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ class FaultInjector:
         self.enabled = bool(enabled)
         self._rng = as_generator(rng)
         self.records: list[InjectionRecord] = []
-        self._eligible_calls_seen = 0
         # Persistence windows are tracked per site, so a sticky fault at one
         # site (say spmv) never consumes the window of another (precond) —
         # the "per-site persistence" contract of rate schedules.  Single-site
@@ -102,7 +103,6 @@ class FaultInjector:
     def reset(self) -> None:
         """Forget all prior corruptions so the injector can be reused."""
         self.records.clear()
-        self._eligible_calls_seen = 0
         self._sticky_started.clear()
         self._sticky_remaining.clear()
         self._fired_points.clear()
@@ -115,6 +115,21 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # firing logic
     # ------------------------------------------------------------------ #
+    def armed(self, **context) -> bool:
+        """Whether any consult of one solver step with this context may fire.
+
+        ``context`` carries the step coordinates (outer iteration, inner
+        iteration, aggregate inner iteration).  False is exact: every
+        ``corrupt_*`` call of such a step would return its input and leave
+        the injector untouched, because :meth:`_may_fire` rejects it through
+        the schedule or the spent cap before any side effect.  The solvers
+        skip all consults of an unarmed step.
+        """
+        cap = self.schedule.max_injections
+        if cap is not None and self.injections_performed >= cap:
+            return False
+        return self.schedule.can_match_step(**context)
+
     def _may_fire(self, site: str, context: dict) -> bool:
         if not self.enabled:
             return False
@@ -200,6 +215,10 @@ class NullInjector:
 
     def attach_sandbox(self, sandbox) -> None:  # pragma: no cover - trivial
         """Accepted for interface compatibility; has no effect."""
+
+    def armed(self, **context) -> bool:
+        """Never armed: the solvers skip every consult."""
+        return False
 
     def corrupt_scalar(self, site: str, value: float, **context) -> float:
         return value

@@ -116,22 +116,39 @@ class InjectionSchedule:
         """True if the schedule targets the given site."""
         return "*" in self._sites or site in self._sites
 
-    def matches(self, site: str, *, outer_iteration: int = -1, inner_solve_index: int = -1,
-                inner_iteration: int = -1, aggregate_inner_iteration: int = -1,
-                mgs_index: int = -1, mgs_length: int = 0, **_ignored) -> bool:
-        """True if a call with this context is eligible for corruption.
+    def can_match_step(self, *, outer_iteration: int = -1, inner_iteration: int = -1,
+                       aggregate_inner_iteration: int = -1, **_ignored) -> bool:
+        """True if some call of a solver step with this context may match.
 
-        The extra ``**_ignored`` keyword sink keeps the schedule forward
-        compatible with additional context the solvers may provide.
+        A conservative superset of :meth:`matches` over every site and MGS
+        position of one step: it checks only the coordinates that stay fixed
+        for a whole step, so ``matches(site, **ctx)`` implies
+        ``can_match_step(**ctx)``.  The solvers skip every injector consult
+        of a step for which this is False.  A subclass that narrows
+        :meth:`matches` by other step coordinates narrows this method too.
         """
-        if not self.matches_site(site):
-            return False
         if (self.aggregate_inner_iteration is not None
                 and aggregate_inner_iteration != self.aggregate_inner_iteration):
             return False
         if self.outer_iteration is not None and outer_iteration != self.outer_iteration:
             return False
         if self.inner_iteration is not None and inner_iteration != self.inner_iteration:
+            return False
+        return True
+
+    def matches(self, site: str, *, mgs_index: int = -1, mgs_length: int = 0,
+                **context) -> bool:
+        """True if a call with this context is eligible for corruption.
+
+        ``context`` holds the step coordinates checked by
+        :meth:`can_match_step` (``outer_iteration``, ``inner_iteration``,
+        ``aggregate_inner_iteration``, ...); unknown keys are ignored, which
+        keeps the schedule forward compatible with additional context the
+        solvers may provide.
+        """
+        if not self.matches_site(site):
+            return False
+        if not self.can_match_step(**context):
             return False
         if self.mgs_position is not None and mgs_index >= 0:
             if self.mgs_position == "first" and mgs_index != 0:
@@ -209,19 +226,19 @@ class FaultRateSchedule(InjectionSchedule):
             cap = min(cap, explicit_cap)
         self.max_injections = cap
 
-    def matches(self, site: str, *, aggregate_inner_iteration: int = -1,
-                **context) -> bool:
+    def can_match_step(self, *, aggregate_inner_iteration: int = -1,
+                       **context) -> bool:
         """Eligible only at the scheduled cadence points."""
         if aggregate_inner_iteration < self.start:
             return False
         if (aggregate_inner_iteration - self.start) % self.interval != 0:
             return False
         # The cadence is the location anchor; the base class keeps the
-        # site/outer/inner/MGS predicates (its own aggregate anchor stays
-        # None unless a caller narrows the cadence to one point on purpose).
-        return super().matches(site,
-                               aggregate_inner_iteration=aggregate_inner_iteration,
-                               **context)
+        # outer/inner predicates (its own aggregate anchor stays None unless
+        # a caller narrows the cadence to one point on purpose), and
+        # ``matches`` adds the site and MGS predicates.
+        return super().can_match_step(
+            aggregate_inner_iteration=aggregate_inner_iteration, **context)
 
     def describe(self) -> str:
         base = super().describe()

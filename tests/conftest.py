@@ -17,6 +17,42 @@ from repro.gallery.random_sparse import diagonally_dominant, tridiagonal
 from repro.sparse.csr import CSRMatrix
 
 
+class AlwaysArmedInjector:
+    """Forwards to an injector (or to none) but has no ``armed`` method.
+
+    The solvers count such an injector as armed on every step, so it forces
+    the hooked Arnoldi path with every per-coefficient consult: the
+    reference the arm-at-step fast path must reproduce bit for bit.
+    ``consults`` counts the calls that reached it.
+    """
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.consults = 0
+
+    def attach_sandbox(self, sandbox) -> None:
+        if self.inner is not None:
+            self.inner.attach_sandbox(sandbox)
+
+    def corrupt_scalar(self, site, value, **context):
+        self.consults += 1
+        if self.inner is None:
+            return value
+        return self.inner.corrupt_scalar(site, value, **context)
+
+    def corrupt_vector(self, site, vec, **context):
+        self.consults += 1
+        if self.inner is None:
+            return vec
+        return self.inner.corrupt_vector(site, vec, **context)
+
+
+@pytest.fixture
+def always_armed():
+    """The :class:`AlwaysArmedInjector` class (call it to wrap an injector)."""
+    return AlwaysArmedInjector
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for tests."""

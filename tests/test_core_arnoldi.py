@@ -220,31 +220,30 @@ class TestArnoldiStepEdgeCases:
 class TestNoHookFastPath:
     """The zero-overhead branch must be bit-identical to the hooked branch.
 
-    ``arnoldi_step`` skips the injection/detection plumbing entirely when no
-    injector and no detector are attached; these tests pin down that the
-    fast branch performs the exact same floating-point operations as the
-    hooked branch driven with a null context.
+    ``arnoldi_step`` skips the injection/detection plumbing entirely on a
+    step no injector can fire on and no detector flags; these tests pin
+    down that the fast branch performs the exact same floating-point
+    operations as the hooked branch, forced here with an injector that
+    never fires and has no ``armed`` method (so every step is consulted).
     """
 
     @pytest.mark.parametrize("orth", ["mgs", "cgs", "cgs2"])
-    def test_bit_identical_to_null_context(self, rng, poisson_medium, orth):
-        from repro.faults.injector import NullInjector
-
+    def test_bit_identical_to_null_context(self, rng, poisson_medium, orth, always_armed):
         n = poisson_medium.shape[0]
         v0 = rng.standard_normal(n)
         fast_ctx = ArnoldiContext()  # injector=None, detector=None -> fast path
-        hooked_ctx = ArnoldiContext(injector=NullInjector())  # forces hooked path
+        reference = always_armed()
+        hooked_ctx = ArnoldiContext(injector=reference)  # forces hooked path
         Q_fast, H_fast, bd_fast = arnoldi_process(
             poisson_medium, v0, 15, orthogonalization=orth, ctx=fast_ctx)
         Q_hook, H_hook, bd_hook = arnoldi_process(
             poisson_medium, v0, 15, orthogonalization=orth, ctx=hooked_ctx)
+        assert reference.consults > 0
         assert bd_fast == bd_hook
         assert np.array_equal(H_fast, H_hook), "h_col values must match bit-for-bit"
         assert np.array_equal(Q_fast, Q_hook), "q_next values must match bit-for-bit"
 
-    def test_single_step_h_col_and_q_next(self, rng, poisson_small):
-        from repro.faults.injector import NullInjector
-
+    def test_single_step_h_col_and_q_next(self, rng, poisson_small, always_armed):
         op = aslinearoperator(poisson_small)
         n = op.shape[0]
         v0 = rng.standard_normal(n)
@@ -254,21 +253,45 @@ class TestNoHookFastPath:
         basis_fast[:, 0] = basis_hook[:, 0] = q0
         h_fast, q_fast, _ = arnoldi_step(op, basis_fast, 0, ArnoldiContext())
         h_hook, q_hook, _ = arnoldi_step(op, basis_hook, 0,
-                                         ArnoldiContext(injector=NullInjector()))
+                                         ArnoldiContext(injector=always_armed()))
         assert np.array_equal(h_fast, h_hook)
         assert np.array_equal(q_fast, q_hook)
 
-    def test_gmres_identical_with_and_without_hooks(self, poisson_problem_tiny):
+    def test_gmres_identical_with_and_without_hooks(self, poisson_problem_tiny, always_armed):
         """End-to-end: the whole solve is unchanged by the fast path."""
         from repro.core.gmres import gmres
-        from repro.faults.injector import NullInjector
 
         p = poisson_problem_tiny
+        reference = always_armed()
         fast = gmres(p.A, p.b, tol=1e-10, maxiter=80)
-        hooked = gmres(p.A, p.b, tol=1e-10, maxiter=80, injector=NullInjector())
+        hooked = gmres(p.A, p.b, tol=1e-10, maxiter=80, injector=reference)
+        assert reference.consults > 0
         assert fast.iterations == hooked.iterations
         assert fast.residual_norm == hooked.residual_norm
         assert np.array_equal(fast.x, hooked.x)
+
+    def test_null_injector_is_never_armed(self, poisson_problem_tiny):
+        """An idle injector costs nothing: NullInjector is consulted nowhere."""
+        from repro.core.gmres import gmres
+        from repro.faults.injector import NullInjector
+
+        class CountingNull(NullInjector):
+            consults = 0
+
+            def corrupt_scalar(self, site, value, **context):
+                self.consults += 1
+                return value
+
+            def corrupt_vector(self, site, vec, **context):
+                self.consults += 1
+                return vec
+
+        p = poisson_problem_tiny
+        idle = CountingNull()
+        fast = gmres(p.A, p.b, tol=1e-10, maxiter=80)
+        with_idle = gmres(p.A, p.b, tol=1e-10, maxiter=80, injector=idle)
+        assert idle.consults == 0
+        assert np.array_equal(fast.x, with_idle.x)
 
     def test_fast_path_skips_event_plumbing(self, rng, poisson_small):
         """No events, no matvec miscounts on the fast path."""

@@ -280,12 +280,18 @@ class TestGMRESSites:
         assert injector.injections_performed == 1
         assert injector.records[0].site == "orth"
 
-    def test_fault_free_paths_bit_identical_with_site_injector(self, tiny_problem):
-        """An injector whose schedule never fires must not perturb a bit."""
+    def test_fault_free_paths_bit_identical_with_site_injector(self, tiny_problem,
+                                                              always_armed):
+        """An injector whose schedule never fires must not perturb a bit.
+
+        Wrapped so it is consulted on every step: the hooked path runs.
+        """
         injector = _site_injector("givens", aggregate_inner_iteration=10 ** 9)
+        reference = always_armed(injector)
         clean = gmres(tiny_problem.A, tiny_problem.b, tol=1e-10, maxiter=30)
         hooked = gmres(tiny_problem.A, tiny_problem.b, tol=1e-10, maxiter=30,
-                       injector=injector)
+                       injector=reference)
+        assert reference.consults > 0
         assert injector.injections_performed == 0
         np.testing.assert_array_equal(hooked.x, clean.x)
         assert hooked.residual_norm == clean.residual_norm
@@ -307,17 +313,18 @@ class TestFGMRESSites:
         assert injector.records[0].site == site
         assert result.events.count("fault_injected") == 1
 
-    def test_no_injector_runs_fast_path(self, tiny_problem):
+    def test_no_injector_runs_fast_path(self, tiny_problem, always_armed):
         clean = fgmres(tiny_problem.A, tiny_problem.b,
                        inner_solver=lambda q, j: q.copy(),
                        tol=1e-10, max_outer=8)
-        idle = FaultInjector(ScalingFault(2.0),
-                             InjectionSchedule(site="spmv",
-                                               aggregate_inner_iteration=10 ** 9,
-                                               mgs_position=None))
+        idle = always_armed(FaultInjector(
+            ScalingFault(2.0),
+            InjectionSchedule(site="spmv", aggregate_inner_iteration=10 ** 9,
+                              mgs_position=None)))
         hooked = fgmres(tiny_problem.A, tiny_problem.b,
                         inner_solver=lambda q, j: q.copy(),
                         tol=1e-10, max_outer=8, injector=idle)
+        assert idle.consults > 0
         np.testing.assert_array_equal(hooked.x, clean.x)
         assert hooked.residual_norm == clean.residual_norm
 
