@@ -10,8 +10,8 @@ GMRES:
   and the robust projected least-squares policies (:mod:`repro.core`);
 * a fault-injection framework implementing the paper's single-transient-SDC
   methodology and its generalizations (:mod:`repro.faults`);
-* a parallel campaign execution engine with serial/thread/process backends
-  and deterministic result ordering (:mod:`repro.exec`);
+* a campaign execution engine with serial/thread/process/batched/sharded
+  backends and deterministic result ordering (:mod:`repro.exec`);
 * experiment drivers that regenerate every table and figure of the paper's
   evaluation (:mod:`repro.experiments`);
 * a config-first public API: typed JSON-round-trippable specs
@@ -34,9 +34,6 @@ from repro.core import (
     gmres,
     fgmres,
     ft_gmres,
-    GMRESParameters,
-    FGMRESParameters,
-    FTGMRESParameters,
     SolverStatus,
     SolverResult,
     NestedSolverResult,
@@ -76,7 +73,7 @@ from repro.faults import (
     FaultCampaign,
     sweep_injection_locations,
 )
-from repro.exec import CampaignExecutor, ProblemFactory, TrialSpec
+from repro.exec import CampaignExecutor, TrialSpec
 from repro.precond import (
     IdentityPreconditioner,
     JacobiPreconditioner,
@@ -103,9 +100,6 @@ __all__ = [
     "fgmres",
     "ft_gmres",
     "cg",
-    "GMRESParameters",
-    "FGMRESParameters",
-    "FTGMRESParameters",
     "SolverStatus",
     "SolverResult",
     "NestedSolverResult",
@@ -147,7 +141,6 @@ __all__ = [
     "sweep_injection_locations",
     # parallel execution engine
     "CampaignExecutor",
-    "ProblemFactory",
     "TrialSpec",
     # config-first public API
     "api",

@@ -17,10 +17,12 @@ return results sharing the common ``to_dict()``/``summary()`` schema
 :class:`~repro.faults.campaign.TrialRecord`,
 :class:`~repro.faults.campaign.CampaignResult`).
 
-The facades are thin by design: they delegate to the same legacy entry
-points (``gmres``/``fgmres``/``ft_gmres``/``FaultCampaign``) users have
-always called, so a spec-driven solve is bit-identical to the equivalent
-keyword call (asserted in the equivalence suite).
+The facades are thin by design: they hand the spec to the same functions a
+direct call uses (``gmres``/``fgmres`` through
+:meth:`~repro.specs.SolveSpec.gmres_kwargs`/:meth:`~repro.specs.SolveSpec.fgmres_kwargs`,
+``ft_gmres(spec=...)``, ``FaultCampaign(solver=...)``), so a spec-driven
+solve is bit-identical to the equivalent direct call (asserted in the
+equivalence suite).
 
 >>> from repro import api
 >>> from repro.gallery.problems import poisson_problem

@@ -34,9 +34,9 @@ from repro.core.detectors import (
     CompositeDetector,
     NullDetector,
 )
-from repro.core.gmres import gmres, GMRESParameters
-from repro.core.fgmres import fgmres, FGMRESParameters
-from repro.core.ftgmres import ft_gmres, FTGMRESParameters
+from repro.core.gmres import gmres
+from repro.core.fgmres import fgmres
+from repro.core.ftgmres import ft_gmres
 from repro.core.batched import (
     BatchedArnoldi,
     BatchedGivensQR,
@@ -68,11 +68,8 @@ __all__ = [
     "CompositeDetector",
     "NullDetector",
     "gmres",
-    "GMRESParameters",
     "fgmres",
-    "FGMRESParameters",
     "ft_gmres",
-    "FTGMRESParameters",
     "BatchedArnoldi",
     "BatchedGivensQR",
     "BatchedTrialSetup",

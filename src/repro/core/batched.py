@@ -50,7 +50,6 @@ from repro.core.arnoldi import HAPPY_BREAKDOWN_TOL, VALID_RESPONSES
 from repro.core.detectors import HessenbergBoundDetector
 from repro.core.exceptions import FaultDetectedError
 from repro.core.fgmres import BREAKDOWN_TOL
-from repro.core.ftgmres import FTGMRESParameters
 from repro.core.least_squares import LeastSquaresPolicy, solve_projected_lsq
 from repro.core.status import (
     ConvergenceHistory,
@@ -60,6 +59,7 @@ from repro.core.status import (
 )
 from repro.precond.base import Preconditioner
 from repro.sparse.linear_operator import LinearOperator, aslinearoperator
+from repro.specs import SolveSpec
 from repro.utils.events import EventLog
 
 __all__ = [
@@ -406,8 +406,7 @@ class BatchedTrialSetup:
 BATCHED_SITES = ("hessenberg", "spmv")
 
 
-def batched_support_reason(params: FTGMRESParameters, site: str = "hessenberg"
-                           ) -> str | None:
+def batched_support_reason(spec: SolveSpec, site: str = "hessenberg") -> str | None:
     """Why a campaign configuration cannot run on the lockstep engine.
 
     Returns ``None`` when the configuration is supported, otherwise a
@@ -423,28 +422,27 @@ def batched_support_reason(params: FTGMRESParameters, site: str = "hessenberg"
     if bad or not sites:
         return (f"injection site {site!r} is not lockstep-vectorizable "
                 f"(only {list(BATCHED_SITES)} are)")
-    inner, outer = params.inner, params.outer
-    if inner.orthogonalization != "mgs":
-        return f"inner orthogonalization {inner.orthogonalization!r} (only 'mgs')"
-    if outer.orthogonalization != "mgs":
-        return f"outer orthogonalization {outer.orthogonalization!r} (only 'mgs')"
-    if outer.detector is not None:
+    inner, outer = spec.gmres_kwargs(), spec.fgmres_kwargs()
+    if inner["orthogonalization"] != "mgs":
+        return f"inner orthogonalization {inner['orthogonalization']!r} (only 'mgs')"
+    if outer["orthogonalization"] != "mgs":
+        return f"outer orthogonalization {outer['orthogonalization']!r} (only 'mgs')"
+    if outer["detector"] is not None:
         return "outer detectors are not supported by the batched engine"
-    det = inner.detector
+    det = inner["detector"]
     if det is not None:
         if isinstance(det, str):
             return "string detector specs must be resolved before batching"
         if not isinstance(det, HessenbergBoundDetector):
             return (f"inner detector {type(det).__name__} is not vectorizable "
                     "(only HessenbergBoundDetector)")
-        if inner.detector_response == "raise":
+        if inner["detector_response"] == "raise":
             return "detector_response='raise' aborts mid-batch; use the serial backend"
-        if inner.detector_response not in VALID_RESPONSES:
-            return f"unknown detector_response {inner.detector_response!r}"
-    if inner.preconditioner is not None and not (
-            isinstance(inner.preconditioner, Preconditioner)
-            or callable(inner.preconditioner)
-            or hasattr(inner.preconditioner, "shape")):
+        if inner["detector_response"] not in VALID_RESPONSES:
+            return f"unknown detector_response {inner['detector_response']!r}"
+    precond = inner["preconditioner"]
+    if precond is not None and not (isinstance(precond, Preconditioner) or callable(precond)
+                                    or hasattr(precond, "shape")):
         return "inner preconditioner is not block-applicable"
     return None
 
@@ -521,7 +519,7 @@ class _Trial:
 class _BatchedNestedSolve:
     """One lockstep execution of B nested FT-GMRES trials."""
 
-    def __init__(self, A, b, x0, params: FTGMRESParameters,
+    def __init__(self, A, b, x0, spec: SolveSpec,
                  setups: list[BatchedTrialSetup]):
         self.op: LinearOperator = aslinearoperator(A)
         n = self.op.shape[0]
@@ -537,22 +535,20 @@ class _BatchedNestedSolve:
         # cancellation would amplify reduction-order noise past the
         # equivalence contract (see CHAOS_FACTOR).
         self._chaos_threshold = CHAOS_FACTOR * max(1.0, float(np.linalg.norm(self.b)))
-        self.params = params
         self.trials = [_Trial(setup, lane) for lane, setup in enumerate(setups)]
         self.B = len(self.trials)
-        self.inner_budget = params.inner_iterations
-        inner = params.inner
-        self.inner_tol = float(inner.tol)
-        self.inner_policy = LeastSquaresPolicy.coerce(inner.lsq_policy)
-        self.inner_lsq_tol = inner.lsq_tol
-        self.detector: HessenbergBoundDetector | None = inner.detector
-        self.response = inner.detector_response
-        self.precond_block = _resolve_block_preconditioner(inner.preconditioner, n)
-        outer = params.outer
-        self.outer_tol = float(outer.tol)
-        self.max_outer = min(int(outer.max_outer), n)
-        self.outer_policy = LeastSquaresPolicy.coerce(outer.lsq_policy)
-        self.outer_lsq_tol = outer.lsq_tol
+        inner, outer = spec.gmres_kwargs(), spec.fgmres_kwargs()
+        self.inner_budget = inner["maxiter"]
+        self.inner_tol = float(inner["tol"])
+        self.inner_policy = LeastSquaresPolicy.coerce(inner["lsq_policy"])
+        self.inner_lsq_tol = inner["lsq_tol"]
+        self.detector: HessenbergBoundDetector | None = inner["detector"]
+        self.response = inner["detector_response"]
+        self.precond_block = _resolve_block_preconditioner(inner["preconditioner"], n)
+        self.outer_tol = float(outer["tol"])
+        self.max_outer = min(int(outer["max_outer"]), n)
+        self.outer_policy = LeastSquaresPolicy.coerce(outer["lsq_policy"])
+        self.outer_lsq_tol = outer["lsq_tol"]
 
     # ------------------------------------------------------------------ #
     def _matvec_rows(self, X: np.ndarray, lanes=None) -> np.ndarray:
@@ -1059,7 +1055,7 @@ class _BatchedNestedSolve:
                 raise FaultDetectedError(verdict)
 
 
-def batched_ft_gmres(A, b, x0, params: FTGMRESParameters,
+def batched_ft_gmres(A, b, x0, spec: SolveSpec,
                      setups: list[BatchedTrialSetup]
                      ) -> list[NestedSolverResult | None]:
     """Run a batch of independent nested FT-GMRES trials in lockstep.
@@ -1068,10 +1064,10 @@ def batched_ft_gmres(A, b, x0, params: FTGMRESParameters,
     ----------
     A, b, x0 : system
         Shared by every trial (a fault campaign solves one fixed system).
-    params : FTGMRESParameters
-        The nested-solver configuration, shared by every trial.  Must be
-        supported by the lockstep engine — check with
-        :func:`batched_support_reason` first.
+    spec : SolveSpec
+        The nested-solver configuration (a ``method="ft_gmres"`` spec with
+        resolved components), shared by every trial.  Must be supported by
+        the lockstep engine — check with :func:`batched_support_reason` first.
     setups : list of BatchedTrialSetup
         Per-trial injector wiring; the batch width ``B`` is ``len(setups)``.
 
@@ -1084,4 +1080,4 @@ def batched_ft_gmres(A, b, x0, params: FTGMRESParameters,
     """
     if not setups:
         return []
-    return _BatchedNestedSolve(A, b, x0, params, setups).run()
+    return _BatchedNestedSolve(A, b, x0, spec, setups).run()

@@ -15,7 +15,6 @@ GMRES matter for fault tolerance and are implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,33 +29,10 @@ from repro.sparse.linear_operator import LinearOperator, aslinearoperator
 from repro.utils.events import EventLog
 from repro.utils.validation import as_dense_vector, check_square
 
-__all__ = ["FGMRESParameters", "fgmres"]
+__all__ = ["fgmres"]
 
 #: Relative threshold below which ``h_{j+1,j}`` triggers the breakdown logic.
 BREAKDOWN_TOL = 1e-12
-
-
-@dataclass
-class FGMRESParameters:
-    """Bundled options for the outer FGMRES iteration.
-
-    Attributes mirror the keyword arguments of :func:`fgmres`.
-    """
-
-    tol: float = 1e-8
-    max_outer: int = 50
-    orthogonalization: str = "mgs"
-    lsq_policy: LeastSquaresPolicy | str = LeastSquaresPolicy.RANK_REVEALING
-    lsq_tol: float | None = None
-    rank_tol: float | None = None
-    detector: Detector | str | None = None
-    detector_response: str = "flag"
-    bound_method: str = "frobenius"
-    injector: object | None = None
-
-    def replace(self, **changes) -> "FGMRESParameters":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
 
 
 # Faulted inner results and outer fault studies propagate NaN/Inf by

@@ -13,41 +13,20 @@ of the paper are produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.core.fgmres import FGMRESParameters, fgmres
-from repro.core.gmres import GMRESParameters, gmres
-from repro.core.status import NestedSolverResult, SolverResult, SolverStatus
-from repro.sparse.linear_operator import aslinearoperator
+from repro.core.fgmres import fgmres
+from repro.core.gmres import gmres
+from repro.core.status import NestedSolverResult, SolverResult
+from repro.registry import resolve_detector, resolve_preconditioner
+from repro.specs import SolveSpec
 from repro.utils.events import EventLog
 
-__all__ = ["FTGMRESParameters", "ft_gmres"]
+__all__ = ["ft_gmres"]
 
-
-@dataclass
-class FTGMRESParameters:
-    """Configuration of the nested FT-GMRES solver.
-
-    Attributes
-    ----------
-    outer : FGMRESParameters
-        Options for the reliable outer FGMRES iteration.
-    inner : GMRESParameters
-        Options for the unreliable inner GMRES solves.  The paper runs every
-        inner solve for a fixed 25 iterations regardless of progress, which
-        corresponds to ``tol=0.0, maxiter=25`` (the default here).
-    """
-
-    outer: FGMRESParameters = field(default_factory=lambda: FGMRESParameters(tol=1e-8,
-                                                                             max_outer=100))
-    inner: GMRESParameters = field(default_factory=lambda: GMRESParameters(tol=0.0, maxiter=25))
-
-    @property
-    def inner_iterations(self) -> int:
-        """The per-inner-solve iteration budget."""
-        return self.inner.maxiter if self.inner.maxiter is not None else 25
+#: The paper's configuration: outer tol 1e-8 and 100 iterations around
+#: fixed 25-iteration inner solves.
+_PAPER_SPEC = SolveSpec(method="ft_gmres")
 
 
 def ft_gmres(
@@ -55,7 +34,7 @@ def ft_gmres(
     b,
     x0=None,
     *,
-    params: FTGMRESParameters | None = None,
+    spec: SolveSpec | None = None,
     outer_tol: float | None = None,
     max_outer: int | None = None,
     inner_iterations: int | None = None,
@@ -74,9 +53,13 @@ def ft_gmres(
         Right-hand side.
     x0 : array_like, optional
         Initial guess for the outer iteration.
-    params : FTGMRESParameters, optional
-        Full configuration.  The convenience keywords below override the
-        corresponding fields when given.
+    spec : SolveSpec, optional
+        The nested solver's configuration, a ``method="ft_gmres"`` spec
+        whose ``inner`` configures the inner GMRES (default: the paper's
+        setup, see :meth:`~repro.specs.SolveSpec.gmres_kwargs`).  String and
+        dict components resolve against ``A`` once per call.  The
+        convenience keywords below override the corresponding fields when
+        given.
     outer_tol : float, optional
         Outer relative convergence tolerance.
     max_outer : int, optional
@@ -104,15 +87,26 @@ def ft_gmres(
     -------
     NestedSolverResult
     """
-    params = params or FTGMRESParameters()
+    spec = spec if spec is not None else _PAPER_SPEC
+    if spec.method != "ft_gmres":
+        raise ValueError(f"ft_gmres needs a method='ft_gmres' spec, got {spec.method!r}")
+    inner_kwargs = spec.gmres_kwargs()
+    outer_kwargs = spec.fgmres_kwargs()
     if outer_tol is not None:
-        params = FTGMRESParameters(outer=params.outer.replace(tol=outer_tol), inner=params.inner)
+        outer_kwargs["tol"] = outer_tol
     if max_outer is not None:
-        params = FTGMRESParameters(outer=params.outer.replace(max_outer=max_outer),
-                                   inner=params.inner)
+        outer_kwargs["max_outer"] = max_outer
     if inner_iterations is not None:
-        params = FTGMRESParameters(outer=params.outer,
-                                   inner=params.inner.replace(maxiter=inner_iterations))
+        inner_kwargs["maxiter"] = inner_kwargs["restart"] = inner_iterations
+    # Resolve component specs against A once, up front: the inner GMRES runs
+    # up to max_outer times per nested solve, and a string spec left in place
+    # would recompute the detector bound (or re-factor the preconditioner) on
+    # every one of them.
+    for kwargs in (inner_kwargs, outer_kwargs):
+        kwargs["detector"] = resolve_detector(kwargs["detector"], A=A,
+                                              bound_method=kwargs["bound_method"])
+    inner_kwargs["preconditioner"] = resolve_preconditioner(inner_kwargs["preconditioner"],
+                                                            A=A)
 
     if sandbox is None and injector is not None:
         from repro.faults.sandbox import Sandbox
@@ -122,17 +116,8 @@ def ft_gmres(
         injector.attach_sandbox(sandbox)
 
     events = EventLog.ensure(events)
-    op = aslinearoperator(A)
-    n = op.shape[0]
-    inner_budget = params.inner_iterations
+    inner_budget = inner_kwargs["maxiter"]
     inner_results: list[SolverResult] = []
-
-    inner_kwargs = params.inner.as_kwargs()
-    inner_kwargs["tol"] = params.inner.tol
-    inner_kwargs["maxiter"] = inner_budget
-    # The paper's inner solves never restart: one Arnoldi cycle of
-    # `inner_iterations` steps per invocation.
-    inner_kwargs["restart"] = inner_budget
 
     def inner_solver(q_j: np.ndarray, outer_iteration: int) -> np.ndarray:
         """One unreliable inner solve: approximately solve ``A z = q_j``."""
@@ -161,28 +146,8 @@ def ft_gmres(
         events.extend(inner_events)
         return result.x
 
-    outer = params.outer
-    outer_result = fgmres(
-        A,
-        b,
-        inner_solver=inner_solver,
-        x0=x0,
-        tol=outer.tol,
-        max_outer=outer.max_outer,
-        orthogonalization=outer.orthogonalization,
-        lsq_policy=outer.lsq_policy,
-        lsq_tol=outer.lsq_tol,
-        rank_tol=outer.rank_tol,
-        detector=outer.detector,
-        detector_response=outer.detector_response,
-        bound_method=outer.bound_method,
-        # The nested solver's injector goes to the *inner* solves only; the
-        # outer iteration is the reliable phase.  An injector attached to the
-        # outer parameters themselves is an explicit opt-in to corrupt the
-        # (normally reliable) outer iteration.
-        injector=getattr(outer, "injector", None),
-        events=events,
-    )
+    outer_result = fgmres(A, b, inner_solver=inner_solver, x0=x0, events=events,
+                          **outer_kwargs)
 
     total_inner = sum(r.iterations for r in inner_results)
     return NestedSolverResult(

@@ -15,7 +15,6 @@ Gram–Schmidt), extended with:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from time import perf_counter as _perf_counter
 
 import numpy as np
@@ -30,46 +29,7 @@ from repro.sparse.linear_operator import LinearOperator, aslinearoperator
 from repro.utils.events import EventLog
 from repro.utils.validation import as_dense_vector, check_square
 
-__all__ = ["GMRESParameters", "gmres"]
-
-
-@dataclass
-class GMRESParameters:
-    """Bundled GMRES options (used to configure the inner solver of FT-GMRES).
-
-    Every field mirrors the keyword argument of :func:`gmres` with the same
-    name; see that function for semantics.
-    """
-
-    tol: float = 1e-8
-    maxiter: int | None = None
-    restart: int | None = None
-    preconditioner: object | None = None
-    orthogonalization: str = "mgs"
-    lsq_policy: LeastSquaresPolicy | str = LeastSquaresPolicy.STANDARD
-    lsq_tol: float | None = None
-    detector: Detector | str | None = None
-    detector_response: str = "flag"
-    bound_method: str = "frobenius"
-
-    def replace(self, **changes) -> "GMRESParameters":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_kwargs(self) -> dict:
-        """The parameters as a keyword dictionary for :func:`gmres`."""
-        return {
-            "tol": self.tol,
-            "maxiter": self.maxiter,
-            "restart": self.restart,
-            "preconditioner": self.preconditioner,
-            "orthogonalization": self.orthogonalization,
-            "lsq_policy": self.lsq_policy,
-            "lsq_tol": self.lsq_tol,
-            "detector": self.detector,
-            "detector_response": self.detector_response,
-            "bound_method": self.bound_method,
-        }
+__all__ = ["gmres"]
 
 
 # NaN/Inf propagation through faulted data is the documented contract, not

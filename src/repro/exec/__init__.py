@@ -1,8 +1,8 @@
 """Parallel execution engine for fault campaigns.
 
 The paper's headline artifacts are sweeps of *independent* nested solves;
-this package schedules them over serial/thread/process backends with
-per-worker problem construction and deterministic result ordering.  See
+this package schedules them over serial/thread/process/batched/sharded
+backends with one campaign per worker and deterministic result ordering.  See
 :class:`repro.exec.executor.CampaignExecutor`.
 """
 
@@ -15,7 +15,7 @@ from repro.exec.executor import (
     resolve_workers,
     validate_backend_knobs,
 )
-from repro.exec.spec import CampaignConfig, ProblemFactory, TrialSpec
+from repro.exec.spec import TrialSpec
 from repro.exec.supervisor import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_MAX_RETRIES,
@@ -33,8 +33,6 @@ __all__ = [
     "DEFAULT_MAX_RETRIES",
     "EXIT_DRAINED",
     "CampaignExecutor",
-    "CampaignConfig",
-    "ProblemFactory",
     "ShardedSupervisor",
     "SupervisorDrained",
     "TrialSpec",

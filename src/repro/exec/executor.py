@@ -24,18 +24,20 @@ schedules them over pluggable backends:
 
 Design invariants:
 
-* **Per-worker problem construction.**  The campaign configuration (matrix,
-  detector bound, fault models) crosses the pool boundary exactly once per
-  worker, through the pool initializer; each task then carries only a chunk
-  of tiny :class:`~repro.exec.spec.TrialSpec` values.
+* **One campaign per worker.**  The campaign itself (matrix, detector
+  bound, fault models) crosses the pool boundary exactly once per worker,
+  through the pool initializer (inherited through fork, or pickled once);
+  each thread worker runs a private deep copy.  Each task then carries only
+  a chunk of tiny :class:`~repro.exec.spec.TrialSpec` values.
 * **Deterministic result ordering.**  Every spec carries its position in the
   canonical serial order and results are reassembled by that index, so a
   parallel campaign is trial-for-trial identical to a serial one regardless
   of completion order (asserted in the test suite).  The guarantee covers
   stateless detectors and deterministic fault models — the paper's
   configuration; components that accumulate state *across* trials (e.g.
-  ``NormGrowthDetector``) see per-worker history under parallel backends
-  and should be swept serially.
+  ``NormGrowthDetector``) see per-worker history under parallel backends —
+  each worker starts from the parent campaign's state — and should be
+  swept serially.
 * **Chunked dispatch.**  Specs are dispatched in chunks to amortize
   inter-process messaging over many ~25 ms solves.
 * **Streaming completion.**  :meth:`CampaignExecutor.iter_records` yields
@@ -48,11 +50,12 @@ Design invariants:
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
 
-from repro.exec.spec import CampaignConfig, TrialSpec
+from repro.exec.spec import TrialSpec
 
 __all__ = ["BACKENDS", "BACKEND_KNOBS", "BackendKnobError", "DEFAULT_BATCH_SIZE",
            "CampaignExecutor", "resolve_workers", "resolve_backend",
@@ -207,10 +210,10 @@ _PROCESS_CAMPAIGN = None
 _THREAD_STATE = threading.local()
 
 
-def _process_init(config: CampaignConfig) -> None:
-    """Process-pool initializer: build the campaign once per worker process."""
+def _process_init(campaign) -> None:
+    """Process-pool initializer: the campaign arrives once per worker process."""
     global _PROCESS_CAMPAIGN
-    _PROCESS_CAMPAIGN = config.build_campaign()
+    _PROCESS_CAMPAIGN = campaign
 
 
 def _process_chunk(chunk: list[TrialSpec]) -> list[tuple[int, object]]:
@@ -224,13 +227,14 @@ def _process_chunk(chunk: list[TrialSpec]) -> list[tuple[int, object]]:
     return [(spec.index, campaign.run_spec_safe(spec)) for spec in chunk]
 
 
-def _thread_init(config: CampaignConfig) -> None:
-    """Thread-pool initializer: one campaign per worker thread.
+def _thread_init(campaign) -> None:
+    """Thread-pool initializer: a private copy of the campaign per thread.
 
-    Detectors may carry running state (e.g. ``NormGrowthDetector``), so
-    threads never share a campaign instance.
+    Detectors and fault models may carry running state (e.g.
+    ``NormGrowthDetector``), so threads never share them; the read-only
+    problem is shared.
     """
-    _THREAD_STATE.campaign = config.build_campaign()
+    _THREAD_STATE.campaign = copy.deepcopy(campaign, {id(campaign.problem): campaign.problem})
 
 
 def _thread_chunk(chunk: list[TrialSpec]) -> list[tuple[int, object]]:
@@ -246,9 +250,8 @@ class CampaignExecutor:
 
     Parameters
     ----------
-    config : CampaignConfig or FaultCampaign
-        What each worker needs to run trials.  A campaign instance is
-        snapshotted via :meth:`FaultCampaign.to_config`.
+    campaign : FaultCampaign
+        The campaign whose trials run; it is also what each worker receives.
     backend : {"serial", "thread", "process", "batched", "sharded"} or None
         ``None`` auto-selects: ``process`` when ``workers > 1``.  The
         ``"batched"`` backend advances trials in lockstep through shared
@@ -289,23 +292,17 @@ class CampaignExecutor:
         persists it into the manifest).
     """
 
-    def __init__(self, config, *, backend: str | None = None, workers: int | None = None,
+    def __init__(self, campaign, *, backend: str | None = None, workers: int | None = None,
                  chunksize: int | None = None, batch_size: int | None = None,
                  shards: int | None = None, max_retries: int | None = None,
                  heartbeat_interval: float | None = None,
                  run_dir: str | None = None, chaos=None,
                  on_supervisor_state=None):
-        self._local_campaign = None
-        if not isinstance(config, CampaignConfig):
-            to_config = getattr(config, "to_config", None)
-            if to_config is None:
-                raise TypeError(
-                    "config must be a CampaignConfig or a FaultCampaign, "
-                    f"got {type(config).__name__}"
-                )
-            self._local_campaign = config
-            config = to_config()
-        self.config = config
+        from repro.faults.campaign import FaultCampaign
+
+        if not isinstance(campaign, FaultCampaign):
+            raise TypeError(f"campaign must be a FaultCampaign, got {type(campaign).__name__}")
+        self.campaign = campaign
         if chunksize is not None and chunksize <= 0:
             raise ValueError(f"chunksize must be positive, got {chunksize}")
         if batch_size is not None and batch_size <= 0:
@@ -410,9 +407,8 @@ class CampaignExecutor:
             shards = self.shards if self.shards is not None else self.workers
             yield from self._iter_supervised(specs, shards=shards)
         elif self.backend == "batched":
-            yield from self._campaign().iter_specs_batched(
-                specs, batch_size=self.batch_size)
-        elif self.backend == "process" and self.config.trial_timeout is not None:
+            yield from self.campaign.iter_specs_batched(specs, batch_size=self.batch_size)
+        elif self.backend == "process" and self.campaign.trial_timeout is not None:
             # Hard trial_timeout enforcement: the plain process pool cannot
             # interrupt a trial stuck inside a kernel, so a timeout-carrying
             # process campaign routes through the supervisor (which SIGKILLs
@@ -420,29 +416,21 @@ class CampaignExecutor:
             # thread keep the soft after-the-fact check.
             yield from self._iter_supervised(specs, shards=self.workers)
         elif self.backend == "serial" or self.workers <= 1 or total == 1:
-            campaign = self._campaign()
             for spec in specs:
-                yield spec.index, campaign.run_spec_safe(spec)
+                yield spec.index, self.campaign.run_spec_safe(spec)
         else:
             yield from self._iter_pool(specs)
 
     # ------------------------------------------------------------------ #
-    def _campaign(self):
-        if self._local_campaign is None:
-            self._local_campaign = self.config.build_campaign()
-        return self._local_campaign
-
     def _iter_supervised(self, specs, *, shards: int):
         from repro.exec.supervisor import ShardedSupervisor
 
-        provenance = (dict(self._local_campaign.provenance)
-                      if self._local_campaign is not None else None)
         supervisor = ShardedSupervisor(
-            self.config, shards=max(1, shards),
+            self.campaign, shards=max(1, shards),
             max_retries=self.max_retries,
             heartbeat_interval=self.heartbeat_interval,
             run_dir=self.run_dir, chaos=self.chaos,
-            provenance=provenance, on_state=self.on_supervisor_state)
+            on_state=self.on_supervisor_state)
         self.supervisor = supervisor
         try:
             yield from supervisor.iter_records(specs)
@@ -458,7 +446,7 @@ class CampaignExecutor:
             pool_cls, init, run_chunk = ThreadPoolExecutor, _thread_init, _thread_chunk
 
         pool = pool_cls(max_workers=workers, initializer=init,
-                        initargs=(self.config,))
+                        initargs=(self.campaign,))
         try:
             # Windowed submission: keep every worker busy without queueing
             # the entire campaign's pending futures at once.

@@ -1,25 +1,19 @@
-"""Picklable descriptions of campaign work: trial specs and campaign configs.
+"""The unit of campaign work: a picklable trial spec.
 
-The execution engine ships work to worker threads/processes in two pieces:
-
-* a :class:`CampaignConfig` — everything needed to (re)construct a
-  :class:`~repro.faults.campaign.FaultCampaign`, sent **once per worker**
-  (via the pool initializer) so the test matrix and detector bounds are
-  built once per worker, not once per trial;
-* a stream of tiny :class:`TrialSpec` values — one per faulted solve —
-  batched into chunks.
-
-Both are plain picklable dataclasses, so they cross process boundaries with
-any multiprocessing start method (fork or spawn).
+The execution engine hands each worker the
+:class:`~repro.faults.campaign.FaultCampaign` itself **once** (inherited
+through fork, or pickled once per worker), so the test matrix, detector
+bound and preconditioner factors reach a worker once, not once per trial.
+The work itself is a stream of tiny :class:`TrialSpec` values — one per
+faulted solve — batched into chunks.  A trial spec is a plain frozen
+dataclass, so it crosses process boundaries with any start method.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
-__all__ = ["TrialSpec", "ProblemFactory", "CampaignConfig"]
+__all__ = ["TrialSpec"]
 
 
 @dataclass(frozen=True)
@@ -41,104 +35,3 @@ class TrialSpec:
     index: int
     fault_class: str
     aggregate_inner_iteration: int
-
-
-@dataclass(frozen=True)
-class ProblemFactory:
-    """A deferred, picklable recipe for building a test problem in a worker.
-
-    Shipping a factory instead of a built problem keeps the per-worker
-    payload tiny (a function reference plus scalar arguments) and lets each
-    worker build the matrix locally — useful when the matrix is large or when
-    the pool uses the ``spawn`` start method.
-
-    Attributes
-    ----------
-    func : callable
-        A module-level callable returning a
-        :class:`~repro.gallery.problems.TestProblem`
-        (e.g. :func:`repro.gallery.problems.poisson_problem`).
-    args, kwargs :
-        Positional and keyword arguments for ``func``.
-    """
-
-    func: Callable
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-
-    def build(self):
-        """Build the problem."""
-        return self.func(*self.args, **self.kwargs)
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """A picklable snapshot of a :class:`~repro.faults.campaign.FaultCampaign`.
-
-    Exactly one of ``problem`` / ``problem_factory`` is set.  ``detector``
-    carries the *specification* the campaign was constructed with (``None``,
-    ``"bound"``, or a detector instance), so workers that rebuild the problem
-    also rebuild the matching detector bound.
-    """
-
-    problem: object | None
-    problem_factory: ProblemFactory | None
-    inner_iterations: int
-    max_outer: int
-    outer_tol: float
-    fault_classes: dict
-    mgs_position: str
-    detector: object | None
-    detector_response: str
-    site: str
-    inner_params: object | None = None
-    outer_params: object | None = None
-    kernels: str | None = None
-    fault_rate: int | None = None
-    fault_persistence: str | None = None
-    trial_timeout: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.problem is None) == (self.problem_factory is None):
-            raise ValueError("exactly one of problem/problem_factory must be given")
-
-    def build_problem(self):
-        """The campaign's test problem (built locally when deferred)."""
-        if self.problem is not None:
-            return self.problem
-        return self.problem_factory.build()
-
-    def build_campaign(self):
-        """Construct an equivalent, *independent* :class:`FaultCampaign`.
-
-        The detector and fault models are deep-copied so campaigns built for
-        different worker threads/processes never share mutable state (e.g. a
-        ``NormGrowthDetector``'s running reference or a random
-        ``BitFlipFault``'s generator).
-
-        Note on determinism: for the paper's configuration — stateless
-        detectors and deterministic fault models — parallel execution is
-        trial-for-trial identical to serial execution.  Components that
-        *accumulate state across trials* see per-worker rather than global
-        sequential history, so sweeps using them should run on the
-        ``"serial"`` backend.
-        """
-        from repro.faults.campaign import FaultCampaign
-
-        return FaultCampaign(
-            self.build_problem(),
-            inner_iterations=self.inner_iterations,
-            max_outer=self.max_outer,
-            outer_tol=self.outer_tol,
-            fault_classes=copy.deepcopy(self.fault_classes),
-            mgs_position=self.mgs_position,
-            detector=copy.deepcopy(self.detector),
-            detector_response=self.detector_response,
-            site=self.site,
-            inner_params=copy.deepcopy(self.inner_params),
-            outer_params=copy.deepcopy(self.outer_params),
-            kernels=self.kernels,
-            fault_rate=self.fault_rate,
-            fault_persistence=self.fault_persistence,
-            trial_timeout=self.trial_timeout,
-        )

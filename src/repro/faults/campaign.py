@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.detectors import Detector
-from repro.core.ftgmres import FTGMRESParameters, ft_gmres
-from repro.core.gmres import GMRESParameters
-from repro.core.fgmres import FGMRESParameters
+from repro.core.ftgmres import ft_gmres
 from repro.core.status import NestedSolverResult
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultModel, PAPER_FAULT_CLASSES
@@ -32,7 +30,7 @@ from repro.registry import (
 )
 from repro.results.events import Event, ensure_sink
 from repro.results.query import TrialQuery
-from repro.specs import CampaignSpec
+from repro.specs import CampaignSpec, SolveSpec, SpecError
 from repro.utils.timer import Timer
 
 __all__ = ["TrialRecord", "CampaignResult", "CampaignPlan", "FaultCampaign",
@@ -271,21 +269,43 @@ class CampaignPlan:
     specs: list
 
 
-def _merged_budget(solver_field: str, solver_value, campaign_field: str,
-                   campaign_value, campaign_default, error_cls):
-    """Merge a solver-spec budget with its campaign-level counterpart.
+#: The campaign fields with a twin inside the nested-solver spec, as
+#: (campaign field, solver-spec field path) pairs.
+_SOLVER_TWINS = (("outer_tol", "tol"), ("max_outer", "max_outer"),
+                 ("inner_iterations", "inner.maxiter"), ("detector", "inner.detector"),
+                 ("detector_response", "inner.detector_response"))
 
-    The solver value wins when set; a campaign value that was *also* set
-    (differs from the default) and disagrees is a configuration error rather
-    than something to clobber silently.
+
+def _merged_solver(solver: SolveSpec | None, **campaign) -> SolveSpec:
+    """The campaign's nested-solver spec with its campaign-level twins merged in.
+
+    ``campaign`` holds the five twin fields of :data:`_SOLVER_TWINS`.  A
+    solver value that is set (differs from the :class:`SolveSpec` default)
+    takes effect; a campaign value that was *also* set (differs from the
+    :class:`CampaignSpec` default) and disagrees is a configuration error
+    naming the solver field, rather than something to clobber silently.
     """
-    if solver_value is None:
-        return campaign_value
-    if campaign_value != campaign_default and campaign_value != solver_value:
-        raise error_cls(solver_field,
-                        f"conflicts with {campaign_field}={campaign_value}; "
-                        f"set only one of them")
-    return solver_value
+    if solver is None:
+        solver = SolveSpec(method="ft_gmres")
+    elif solver.method != "ft_gmres":
+        raise SpecError("solver.method", "campaigns run the nested FT-GMRES solver; "
+                                         f"got {solver.method!r}")
+    unset = SolveSpec()
+    inner = solver.inner if solver.inner is not None else unset
+    for name, path in _SOLVER_TWINS:
+        field_name = path.rpartition(".")[2]
+        value = getattr(inner if path.startswith("inner.") else solver, field_name)
+        if value == getattr(unset, field_name):
+            continue
+        if campaign[name] != getattr(_DEFAULTS, name) and campaign[name] != value:
+            raise SpecError(f"solver.{path}",
+                            f"conflicts with {name}={campaign[name]!r}; set only one of them")
+        campaign[name] = value
+    return solver.replace(
+        tol=campaign["outer_tol"], max_outer=campaign["max_outer"],
+        inner=solver.inner_spec.replace(maxiter=campaign["inner_iterations"],
+                                        detector=campaign["detector"],
+                                        detector_response=campaign["detector_response"]))
 
 
 class FaultCampaign:
@@ -314,8 +334,15 @@ class FaultCampaign:
     detector_response : str
         Response policy when the detector fires (default ``"zero"``:
         filter the impossible value, as the paper advocates).
-    inner_params, outer_params : optional
-        Overrides for the nested-solver configuration.
+    solver : SolveSpec, optional
+        The nested solver's configuration (a ``method="ft_gmres"`` spec, the
+        same field as :attr:`CampaignSpec.solver`).  Its ``tol``,
+        ``max_outer``, ``inner.maxiter``, ``inner.detector`` and
+        ``inner.detector_response`` are twins of the campaign-level
+        arguments above: a solver value that is set takes effect, and
+        setting both twins to different values raises
+        :class:`~repro.specs.SpecError`.  The resolved, merged spec is kept
+        as :attr:`solver`.
     site : str
         Injection site (default ``"hessenberg"``); a comma-separated list
         (``"spmv,precond"``) or ``"*"`` targets several sites at once.
@@ -351,8 +378,7 @@ class FaultCampaign:
         mgs_position: str | None = None,
         detector: Detector | str | dict | None = None,
         detector_response: str | None = None,
-        inner_params: GMRESParameters | None = None,
-        outer_params: FGMRESParameters | None = None,
+        solver: SolveSpec | None = None,
         site: str | None = None,
         fault_rate: int | None = None,
         fault_persistence: str | None = None,
@@ -361,17 +387,11 @@ class FaultCampaign:
     ):
         from repro.sparse.kernels import effective_kernels
 
-        # ``None`` sentinels defer to the CampaignSpec field defaults — the
-        # one place the paper's 25/100/1e-8 configuration is written down.
         self.kernels = effective_kernels(kernels)
         if (hasattr(problem, "with_engine")
                 and getattr(problem.A, "engine_name", self.kernels) != self.kernels):
             problem = problem.with_engine(self.kernels)
         self.problem = problem
-        self.inner_iterations = int(inner_iterations if inner_iterations is not None
-                                    else _DEFAULTS.inner_iterations)
-        self.max_outer = int(max_outer if max_outer is not None else _DEFAULTS.max_outer)
-        self.outer_tol = float(outer_tol if outer_tol is not None else _DEFAULTS.outer_tol)
         self.fault_classes = resolve_fault_classes(
             fault_classes if fault_classes is not None else dict(PAPER_FAULT_CLASSES))
         mgs_position = mgs_position if mgs_position is not None else _DEFAULTS.mgs_position
@@ -387,31 +407,32 @@ class FaultCampaign:
         if trial_timeout is not None and float(trial_timeout) <= 0:
             raise ValueError(f"trial_timeout must be positive, got {trial_timeout}")
         self.trial_timeout = float(trial_timeout) if trial_timeout is not None else None
-        self.detector_response = (detector_response if detector_response is not None
-                                  else _DEFAULTS.detector_response)
-        # Keep the constructor *specifications* so worker processes can
-        # rebuild an equivalent campaign (see to_config).
-        self._detector_spec = detector
-        self._inner_params_spec = inner_params
-        self._outer_params_spec = outer_params
 
-        self.detector = resolve_detector(detector, A=problem.A)
-
-        inner = inner_params or GMRESParameters(tol=0.0, maxiter=self.inner_iterations)
-        inner = inner.replace(
-            maxiter=self.inner_iterations,
-            detector=self.detector,
-            detector_response=self.detector_response,
-        )
-        if isinstance(inner.preconditioner, (str, dict)):
-            inner = inner.replace(preconditioner=resolve_preconditioner(
-                inner.preconditioner, A=problem.A))
-        outer = outer_params or FGMRESParameters(tol=self.outer_tol, max_outer=self.max_outer)
-        outer = outer.replace(tol=self.outer_tol, max_outer=self.max_outer)
-        if isinstance(outer.detector, (str, dict)):
-            outer = outer.replace(detector=resolve_detector(
-                outer.detector, A=problem.A, bound_method=outer.bound_method))
-        self.params = FTGMRESParameters(outer=outer, inner=inner)
+        # ``None`` sentinels defer to the CampaignSpec field defaults — the
+        # one place the paper's 25/100/1e-8 configuration is written down.
+        solver = _merged_solver(
+            solver,
+            inner_iterations=int(inner_iterations if inner_iterations is not None
+                                 else _DEFAULTS.inner_iterations),
+            max_outer=int(max_outer if max_outer is not None else _DEFAULTS.max_outer),
+            outer_tol=float(outer_tol if outer_tol is not None else _DEFAULTS.outer_tol),
+            detector=detector,
+            detector_response=(detector_response if detector_response is not None
+                               else _DEFAULTS.detector_response))
+        inner = solver.inner
+        self.inner_iterations = int(inner.maxiter)
+        self.max_outer = int(solver.max_outer)
+        self.outer_tol = float(solver.tol)
+        self.detector_response = inner.detector_response
+        self.detector = resolve_detector(inner.detector, A=problem.A)
+        #: The nested solver's spec: the merged configuration with its
+        #: components resolved against the problem, so no trial re-resolves.
+        self.solver = solver.replace(
+            detector=resolve_detector(solver.detector, A=problem.A,
+                                      bound_method=solver.bound_method),
+            inner=inner.replace(detector=self.detector,
+                                preconditioner=resolve_preconditioner(inner.preconditioner,
+                                                                      A=problem.A)))
         #: Provenance stamped onto every record this campaign produces.
         #: ``spec_hash`` stays ``None`` for keyword-constructed campaigns and
         #: is filled by :meth:`from_spec` (only a spec has a hashable form).
@@ -437,8 +458,6 @@ class FaultCampaign:
             ``spec.problem`` (a gallery registry spec like ``"poisson:30"``)
             must be given.
         """
-        from repro.specs import SpecError
-
         spec = CampaignSpec.coerce(spec)
         if (problem is None) == (spec.problem is None):
             raise ValueError(
@@ -448,45 +467,16 @@ class FaultCampaign:
                 "to a gallery spec (e.g. 'poisson:30')")
         if problem is None:
             problem = resolve_problem(spec.problem)
-        inner_params = outer_params = None
-        inner_iterations, max_outer = spec.inner_iterations, spec.max_outer
-        detector, detector_response = spec.detector, spec.detector_response
-        if spec.solver is not None:
-            solver_params = spec.solver.to_ftgmres_parameters()
-            inner_params, outer_params = solver_params.inner, solver_params.outer
-            inner_spec = spec.solver.inner
-            # The solver spec's explicit inner settings take effect (so e.g.
-            # `--set solver.inner.maxiter=12` or an inner detector do what
-            # they say); they may not contradict a campaign-level setting
-            # that was also given — the campaign constructor would otherwise
-            # clobber them silently.
-            inner_iterations = _merged_budget(
-                "solver.inner.maxiter",
-                inner_spec.maxiter if inner_spec is not None else None,
-                "inner_iterations", spec.inner_iterations,
-                _DEFAULTS.inner_iterations, SpecError)
-            max_outer = _merged_budget(
-                "solver.max_outer", spec.solver.max_outer,
-                "max_outer", spec.max_outer, _DEFAULTS.max_outer, SpecError)
-            if inner_spec is not None and inner_spec.detector is not None:
-                if detector is not None and detector != inner_spec.detector:
-                    raise SpecError("solver.inner.detector",
-                                    f"conflicts with detector={detector!r}; "
-                                    f"set only one of them")
-                detector = inner_spec.detector
-                if inner_spec.detector_response is not None:
-                    detector_response = inner_spec.detector_response
         campaign = cls(
             problem,
-            inner_iterations=inner_iterations,
-            max_outer=max_outer,
+            inner_iterations=spec.inner_iterations,
+            max_outer=spec.max_outer,
             outer_tol=spec.outer_tol,
             fault_classes=spec.fault_classes,
             mgs_position=spec.mgs_position,
-            detector=detector,
-            detector_response=detector_response,
-            inner_params=inner_params,
-            outer_params=outer_params,
+            detector=spec.detector,
+            detector_response=spec.detector_response,
+            solver=spec.solver,
             site=spec.site,
             fault_rate=spec.fault_rate,
             fault_persistence=spec.fault_persistence,
@@ -500,7 +490,7 @@ class FaultCampaign:
 
     def run_failure_free(self) -> NestedSolverResult:
         """Run the nested solver without any fault injection."""
-        return ft_gmres(self.problem.A, self.problem.b, self.problem.x0, params=self.params)
+        return ft_gmres(self.problem.A, self.problem.b, self.problem.x0, spec=self.solver)
 
     def _trial_schedule(self, aggregate_inner_iteration: int) -> InjectionSchedule:
         """The injection schedule of one campaign trial.
@@ -558,7 +548,7 @@ class FaultCampaign:
         timer = Timer()
         with timer:
             result = ft_gmres(self.problem.A, self.problem.b, self.problem.x0,
-                              params=self.params, injector=injector)
+                              spec=self.solver, injector=injector)
         return TrialRecord(
             fault_class=fault_class,
             fault_description=model.describe(),
@@ -580,12 +570,15 @@ class FaultCampaign:
         return self.run_single(spec.fault_class, self._model_for(spec.fault_class),
                                spec.aggregate_inner_iteration)
 
-    def _error_record(self, spec, message: str, elapsed: float) -> TrialRecord:
+    def error_record(self, spec, message: str, *, elapsed: float = 0.0,
+                     retries: int = 0) -> TrialRecord:
         """A ``status="error"`` record for a crashed or quarantined trial.
 
         The payload fields are sentinels (``-1`` iterations, NaN residual):
         an error record marks a casualty to be re-run, not a measurement —
-        the run store's resume logic treats its index as missing.
+        the run store's resume logic treats its index as missing.  The
+        sharded supervisor builds its hard-timeout and poison records here
+        too, after the worker that ran the trial has died.
         """
         model = self.fault_classes.get(spec.fault_class)
         return TrialRecord(
@@ -604,6 +597,7 @@ class FaultCampaign:
             detector_enabled=self.detector is not None,
             elapsed=float(elapsed),
             error=str(message),
+            retries=int(retries),
         )
 
     def run_spec_safe(self, spec) -> TrialRecord:
@@ -622,8 +616,8 @@ class FaultCampaign:
             with timer:
                 record = self.run_spec(spec)
         except Exception as exc:  # noqa: BLE001 - the whole point is isolation
-            return self._error_record(
-                spec, f"{type(exc).__name__}: {exc}", timer.elapsed)
+            return self.error_record(
+                spec, f"{type(exc).__name__}: {exc}", elapsed=timer.elapsed)
         if self.trial_timeout is not None and record.elapsed > self.trial_timeout:
             return dataclasses.replace(
                 record,
@@ -660,7 +654,7 @@ class FaultCampaign:
         """
         from repro.core.batched import batched_support_reason
 
-        return batched_support_reason(self.params, self.site)
+        return batched_support_reason(self.solver, self.site)
 
     def iter_specs_batched(self, specs, *, batch_size: int | None = None):
         """Stream ``(index, record)`` pairs from the lockstep batched engine.
@@ -715,7 +709,7 @@ class FaultCampaign:
             try:
                 with timer:
                     results = batched_ft_gmres(self.problem.A, self.problem.b,
-                                               self.problem.x0, self.params, setups)
+                                               self.problem.x0, self.solver, setups)
             except Exception:
                 # A crash in the shared block kernels cannot be attributed to
                 # one lane; peel the whole batch to the serial path, where
@@ -771,36 +765,6 @@ class FaultCampaign:
     # ------------------------------------------------------------------ #
     # execution-engine integration
     # ------------------------------------------------------------------ #
-    def to_config(self, problem_factory=None):
-        """Snapshot this campaign as a picklable executor configuration.
-
-        Parameters
-        ----------
-        problem_factory : ProblemFactory, optional
-            When given, workers rebuild the problem from the factory instead
-            of unpickling the matrix (see :class:`repro.exec.spec.ProblemFactory`).
-        """
-        from repro.exec.spec import CampaignConfig
-
-        return CampaignConfig(
-            problem=None if problem_factory is not None else self.problem,
-            problem_factory=problem_factory,
-            inner_iterations=self.inner_iterations,
-            max_outer=self.max_outer,
-            outer_tol=self.outer_tol,
-            fault_classes=dict(self.fault_classes),
-            mgs_position=self.mgs_position,
-            detector=self._detector_spec,
-            detector_response=self.detector_response,
-            site=self.site,
-            inner_params=self._inner_params_spec,
-            outer_params=self._outer_params_spec,
-            kernels=self.kernels,
-            fault_rate=self.fault_rate,
-            fault_persistence=self.fault_persistence,
-            trial_timeout=self.trial_timeout,
-        )
-
     def trial_specs(self, locations) -> list:
         """The campaign's work list in canonical (serial) order."""
         from repro.exec.spec import TrialSpec

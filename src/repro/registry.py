@@ -6,7 +6,7 @@ here under a short name, so a *spec* like ``"ilu0"``,
 ``{"name": "ssor", "omega": 1.2}`` or ``"bound:two_norm"`` resolves to a
 built component uniformly everywhere: in :func:`repro.api.solve`, in the
 campaign layer, in the experiment runner's ``--config``/``--set`` interface,
-and in the legacy keyword entry points (``gmres(..., detector="bound")``).
+and in the solvers' keyword arguments (``gmres(..., detector="bound")``).
 
 Spec grammar
 ------------
@@ -19,7 +19,7 @@ A spec is one of:
 * a **dict** ``{"name": "ssor", "omega": 1.2}`` — every other key is a
   keyword argument of the factory;
 * an already-built **instance** of the namespace's base type — passed
-  through untouched (this is what keeps the legacy call signatures working).
+  through untouched (so in-code callers can hand over built components).
 
 Factories receive a :class:`ResolveContext` (carrying the system matrix
 ``A`` and friends) as their first argument, so components that depend on the
@@ -623,8 +623,8 @@ def _build_circuit_problem(ctx, n_nodes=25187, seed=20140519,
 
 # ----------------------------- solvers -------------------------------- #
 # Solver entries are thin adapters used by :func:`repro.api.solve`; they
-# receive the spec-resolved call plan and forward to the legacy entry points,
-# so the facade and the legacy API share one execution path (bit-identical).
+# forward the spec to the solver functions, so the facade and a direct call
+# share one execution path (bit-identical).
 @register("solver", "gmres")
 def _run_gmres(ctx, *, A, b, x0, spec, injector=None, events=None):
     from repro.core.gmres import gmres
@@ -647,23 +647,7 @@ def _run_fgmres(ctx, *, A, b, x0, spec, injector=None, events=None):
 def _run_ft_gmres(ctx, *, A, b, x0, spec, injector=None, events=None):
     from repro.core.ftgmres import ft_gmres
 
-    params = spec.to_ftgmres_parameters()
-    # Resolve the inner solve's component specs against A once, up front:
-    # the inner GMRES runs up to max_outer times per nested solve, and a
-    # string spec left in place would recompute the detector bound (or
-    # re-factor the preconditioner) on every one of them.
-    inner, outer = params.inner, params.outer
-    if isinstance(inner.detector, (str, dict)):
-        inner = inner.replace(detector=resolve_detector(
-            inner.detector, A=A, bound_method=inner.bound_method))
-    if isinstance(inner.preconditioner, (str, dict)):
-        inner = inner.replace(preconditioner=resolve_preconditioner(
-            inner.preconditioner, A=A))
-    if isinstance(outer.detector, (str, dict)):
-        outer = outer.replace(detector=resolve_detector(
-            outer.detector, A=A, bound_method=outer.bound_method))
-    params = type(params)(outer=outer, inner=inner)
-    return ft_gmres(A, b, x0, params=params, injector=injector, events=events)
+    return ft_gmres(A, b, x0, spec=spec, injector=injector, events=events)
 
 
 @register("solver", "cg")

@@ -8,11 +8,11 @@ fault campaign is described by plain data — :class:`SolveSpec`,
 :mod:`repro.registry` only at execution time.  The imperative half lives in
 :mod:`repro.api` (``solve``/``run_campaign``).
 
-The specs *subsume* the legacy parameter bundles: :meth:`SolveSpec.to_ftgmres_parameters`
-and friends produce exactly the ``GMRESParameters``/``FGMRESParameters``/
-``FTGMRESParameters`` the solvers have always consumed, so the spec-driven
-path and the legacy keyword path execute identically (asserted bit-for-bit
-in the equivalence suite).
+:class:`SolveSpec` is the only solver configuration: the solvers take its
+:meth:`~SolveSpec.gmres_kwargs`/:meth:`~SolveSpec.fgmres_kwargs` (which hold
+the per-method defaults), :func:`repro.core.ftgmres.ft_gmres` takes the spec
+itself, and a :class:`~repro.faults.campaign.FaultCampaign` keeps its merged
+nested-solver spec as ``campaign.solver``.
 
 Validation errors are :class:`SpecError` (a ``ValueError``) and always name
 the offending field, including its dotted path inside nested specs
@@ -293,6 +293,10 @@ class SolveSpec(_SpecBase):
                     raise SpecError("inner.method",
                                     "the FT-GMRES inner solver is GMRES; "
                                     f"got {self.inner.method!r}")
+                if self.inner.restart is not None:
+                    raise SpecError("inner.restart",
+                                    "the FT-GMRES inner solves never restart "
+                                    "(one cycle of maxiter steps each)")
         elif self.method == "cg":
             self._forbid("restart", "max_outer", "rank_tol", "inner",
                          "lsq_policy", "lsq_tol", "detector", "orthogonalization",
@@ -338,11 +342,27 @@ class SolveSpec(_SpecBase):
         out["method"] = self.method
         return out
 
+    @property
+    def inner_spec(self) -> "SolveSpec":
+        """The ``ft_gmres`` inner solve: ``inner``, or the paper's fixed
+        25-iteration unconverged GMRES when unset."""
+        return self.inner if self.inner is not None else _PAPER_INNER
+
     # ------------------------------------------------------------------ #
-    # conversions onto the legacy parameter bundles (the execution layer)
+    # solver keyword arguments (the one place the method defaults live)
     # ------------------------------------------------------------------ #
     def gmres_kwargs(self) -> dict[str, Any]:
-        """Keyword arguments for :func:`repro.core.gmres.gmres`."""
+        """Keyword arguments for :func:`repro.core.gmres.gmres`.
+
+        On an ``ft_gmres`` spec these are the inner solves' arguments: the
+        ``inner`` spec (default: the paper's fixed 25-iteration GMRES), run
+        as one unrestarted cycle of ``maxiter`` steps (``None`` means 25).
+        """
+        if self.method == "ft_gmres":
+            kwargs = self.inner_spec.gmres_kwargs()
+            budget = kwargs["maxiter"] if kwargs["maxiter"] is not None else 25
+            kwargs["maxiter"] = kwargs["restart"] = budget
+            return kwargs
         assert self.method == "gmres", self.method
         return {
             "tol": self.tol,
@@ -359,11 +379,17 @@ class SolveSpec(_SpecBase):
         }
 
     def fgmres_kwargs(self) -> dict[str, Any]:
-        """Keyword arguments for :func:`repro.core.fgmres.fgmres`."""
+        """Keyword arguments for :func:`repro.core.fgmres.fgmres`.
+
+        On an ``ft_gmres`` spec these are the outer iteration's arguments.
+        An unset ``max_outer`` means 50 for ``fgmres`` and 100 for
+        ``ft_gmres``.
+        """
         assert self.method in ("fgmres", "ft_gmres"), self.method
+        default_outer = 100 if self.method == "ft_gmres" else 50
         return {
             "tol": self.tol,
-            "max_outer": self.max_outer if self.max_outer is not None else _FGMRES_MAX_OUTER,
+            "max_outer": self.max_outer if self.max_outer is not None else default_outer,
             "orthogonalization": self.orthogonalization,
             "lsq_policy": (self.lsq_policy if self.lsq_policy is not None
                            else "rank_revealing"),
@@ -381,41 +407,7 @@ class SolveSpec(_SpecBase):
         return {"tol": self.tol, "maxiter": self.maxiter,
                 "preconditioner": self.preconditioner}
 
-    def to_gmres_parameters(self):
-        """The equivalent legacy :class:`~repro.core.gmres.GMRESParameters`."""
-        from repro.core.gmres import GMRESParameters
 
-        kwargs = self.gmres_kwargs()
-        return GMRESParameters(**kwargs)
-
-    def to_fgmres_parameters(self):
-        """The equivalent legacy :class:`~repro.core.fgmres.FGMRESParameters`.
-
-        When ``max_outer`` is unset the default depends on the method, just
-        like the legacy bundles: a plain ``fgmres`` spec gets the
-        ``FGMRESParameters`` default (50); an ``ft_gmres`` spec's outer
-        iteration gets the ``FTGMRESParameters`` default (100).
-        """
-        from repro.core.fgmres import FGMRESParameters
-
-        kwargs = self.fgmres_kwargs()
-        if self.max_outer is None and self.method == "ft_gmres":
-            kwargs["max_outer"] = _FTGMRES_MAX_OUTER
-        return FGMRESParameters(**kwargs)
-
-    def to_ftgmres_parameters(self):
-        """The equivalent legacy :class:`~repro.core.ftgmres.FTGMRESParameters`."""
-        from repro.core.ftgmres import FTGMRESParameters
-
-        assert self.method == "ft_gmres", self.method
-        inner_spec = self.inner if self.inner is not None else _PAPER_INNER
-        return FTGMRESParameters(outer=self.to_fgmres_parameters(),
-                                 inner=inner_spec.to_gmres_parameters())
-
-
-#: Method-specific fallback defaults mirrored from the legacy dataclasses.
-_FGMRES_MAX_OUTER = 50    # FGMRESParameters.max_outer default
-_FTGMRES_MAX_OUTER = 100  # FTGMRESParameters' outer default
 #: The paper's inner solve: fixed 25 GMRES iterations, no convergence test.
 _PAPER_INNER = SolveSpec(method="gmres", tol=0.0, maxiter=25)
 
@@ -531,12 +523,15 @@ class CampaignSpec(_SpecBase):
 
     ``problem`` is a gallery spec (``"poisson:30"``,
     ``{"name": "circuit", "n_nodes": 800}``) or ``None`` when the problem
-    object is supplied in code.  ``solver`` optionally overrides the nested
-    solver's base configuration (a :class:`SolveSpec` of method
-    ``"ft_gmres"``); the campaign-level fields (``inner_iterations``,
-    ``max_outer``, ``outer_tol``, ``detector``, ``detector_response``)
-    always win over it, exactly like the legacy
-    ``inner_params``/``outer_params`` arguments they generalize.
+    object is supplied in code.  ``solver`` optionally configures the nested
+    solver (a :class:`SolveSpec` of method ``"ft_gmres"``).  Five campaign
+    fields have a twin inside it: ``outer_tol`` (``solver.tol``),
+    ``max_outer`` (``solver.max_outer``), ``inner_iterations``
+    (``solver.inner.maxiter``), ``detector`` and ``detector_response``
+    (``solver.inner.detector``/``solver.inner.detector_response``).  A
+    solver value that is set takes effect; setting both twins to different
+    values is a :class:`SpecError` naming the solver field (raised when the
+    campaign is built).
     """
 
     problem: Any = None

@@ -2,16 +2,17 @@
 
 The acceptance contract of the config-first redesign:
 
-* legacy entry points (``gmres``/``fgmres``/``ft_gmres``/``FaultCampaign.run``/
+* the direct entry points (``gmres``/``fgmres``/``ft_gmres``/``FaultCampaign.run``/
   ``sweep_injection_locations``/``run_fault_sweep``) produce **bit-identical**
   results to the spec-driven :func:`repro.api.solve`/:func:`repro.api.run_campaign`
   paths (they share one execution path; this suite asserts it stays that way);
 * a campaign defined purely as a JSON spec file runs through
   ``repro.api.run_campaign`` on all four backends with trial-for-trial
   identical results;
-* the public names exported from ``repro.api``/``repro.specs``/``repro.registry``
-  match the committed manifest (``tests/data/api_surface.json``), so the API
-  surface cannot drift silently.
+* the public names exported from ``repro``/``repro.api``/``repro.core``/
+  ``repro.exec``/``repro.specs``/``repro.registry`` match the committed
+  manifest (``tests/data/api_surface.json``), so the API surface cannot
+  drift silently.
 """
 
 from __future__ import annotations
@@ -106,17 +107,13 @@ class TestSolveEquivalence:
         assert_solver_results_identical(legacy, spec)
 
     def test_ft_gmres_with_fault_and_detector(self, poisson):
-        from repro.core.gmres import GMRESParameters
-        from repro.core.ftgmres import FTGMRESParameters
-
-        params = FTGMRESParameters(inner=GMRESParameters(
-            tol=0.0, maxiter=8, detector="bound", detector_response="zero"))
-        legacy = ft_gmres(poisson.A, poisson.b, params=params, max_outer=40,
-                          injector=make_injector())
+        inner = {"method": "gmres", "tol": 0.0, "maxiter": 8,
+                 "detector": "bound", "detector_response": "zero"}
+        legacy = ft_gmres(poisson.A, poisson.b,
+                          spec=SolveSpec.coerce("ft_gmres", inner=inner),
+                          max_outer=40, injector=make_injector())
         spec = api.solve(poisson.A, poisson.b, "ft_gmres", max_outer=40,
-                         inner={"method": "gmres", "tol": 0.0, "maxiter": 8,
-                                "detector": "bound", "detector_response": "zero"},
-                         injector=make_injector())
+                         inner=inner, injector=make_injector())
         assert legacy.faults_detected == spec.faults_detected
         assert_solver_results_identical(legacy, spec)
 
@@ -195,7 +192,7 @@ class TestCampaignEquivalence:
                                {"solver.inner.maxiter": 7})
         campaign = FaultCampaign.from_spec(spec, problem=poisson)
         assert campaign.inner_iterations == 7
-        assert campaign.params.inner.maxiter == 7
+        assert campaign.solver.inner.maxiter == 7
         legacy = FaultCampaign(poisson, inner_iterations=7, max_outer=30)
         assert campaign.run(stride=9).trials == legacy.run(stride=9).trials
 
@@ -203,7 +200,25 @@ class TestCampaignEquivalence:
         spec = CampaignSpec(solver=SolveSpec(method="ft_gmres", max_outer=20))
         campaign = FaultCampaign.from_spec(spec, problem=poisson)
         assert campaign.max_outer == 20
-        assert campaign.params.outer.max_outer == 20
+        assert campaign.solver.fgmres_kwargs()["max_outer"] == 20
+
+    def test_solver_outer_tol_takes_effect(self, poisson):
+        """`solver.tol` is the outer tolerance, like `solver.max_outer` is the
+        outer budget; a conflicting `outer_tol` is rejected, not ignored."""
+        from repro.specs import SpecError
+
+        spec = CampaignSpec.from_dict({"inner_iterations": 3,
+                                       "solver": {"method": "ft_gmres", "tol": 1e-3}})
+        campaign = FaultCampaign.from_spec(spec, problem=poisson)
+        assert campaign.outer_tol == 1e-3
+        assert campaign.solver.fgmres_kwargs()["tol"] == 1e-3
+        loose = campaign.run_failure_free()
+        tight = FaultCampaign(poisson, inner_iterations=3).run_failure_free()
+        assert loose.outer_iterations < tight.outer_iterations
+        conflicting = CampaignSpec(outer_tol=1e-6,
+                                   solver=SolveSpec(method="ft_gmres", tol=1e-7))
+        with pytest.raises(SpecError, match="solver.tol"):
+            FaultCampaign.from_spec(conflicting, problem=poisson)
 
     def test_conflicting_budgets_rejected(self, poisson):
         from repro.specs import SpecError
@@ -213,6 +228,19 @@ class TestCampaignEquivalence:
                                              inner=SolveSpec(method="gmres",
                                                              maxiter=7)))
         with pytest.raises(SpecError, match="solver.inner.maxiter"):
+            FaultCampaign.from_spec(spec, problem=poisson)
+
+    def test_conflicting_detector_responses_rejected(self, poisson):
+        """An explicit campaign detector_response is not silently overridden
+        by the solver spec's inner one."""
+        from repro.specs import SpecError
+
+        spec = CampaignSpec.from_dict({
+            "detector": "bound", "detector_response": "clamp",
+            "solver": {"method": "ft_gmres",
+                       "inner": {"method": "gmres", "detector": "bound",
+                                 "detector_response": "flag"}}})
+        with pytest.raises(SpecError, match="solver.inner.detector_response"):
             FaultCampaign.from_spec(spec, problem=poisson)
 
     def test_solver_inner_detector_takes_effect(self, poisson):
@@ -249,6 +277,13 @@ class TestCampaignEquivalence:
                                detector="bound", detector_response="flag")
         assert (campaign.run(locations=[1]).trials
                 == legacy.run(locations=[1]).trials)
+        # The same holds when the detector itself is set campaign-level.
+        split = CampaignSpec(
+            inner_iterations=5, max_outer=25, detector="bound",
+            solver=SolveSpec(method="ft_gmres",
+                             inner=SolveSpec(method="gmres", tol=0.0,
+                                             detector_response="flag")))
+        assert FaultCampaign.from_spec(split, problem=poisson).detector_response == "flag"
 
     def test_run_fault_sweep_rejects_conflicting_problem_spec(self, poisson):
         from repro.experiments.figure34 import run_fault_sweep
@@ -278,8 +313,8 @@ class TestCampaignEquivalence:
         assert_solver_results_identical(legacy, by_spec)
 
     def test_fgmres_parameter_defaults_per_method(self):
-        assert SolveSpec(method="fgmres").to_fgmres_parameters().max_outer == 50
-        assert SolveSpec(method="ft_gmres").to_ftgmres_parameters().outer.max_outer == 100
+        assert SolveSpec(method="fgmres").fgmres_kwargs()["max_outer"] == 50
+        assert SolveSpec(method="ft_gmres").fgmres_kwargs()["max_outer"] == 100
 
     def test_inner_detector_resolved_once(self, poisson, monkeypatch):
         """String detector specs on the inner solve resolve once per nested
@@ -287,20 +322,16 @@ class TestCampaignEquivalence:
         import repro.registry as registry_mod
 
         calls = {"n": 0}
-        original = registry_mod.resolve_detector
+        original = registry_mod.resolve
 
-        def counting(spec, **kwargs):
-            if isinstance(spec, (str, dict)):
+        def counting(namespace, spec, ctx=None):
+            if namespace == "detector":
                 calls["n"] += 1
-            return original(spec, **kwargs)
+            return original(namespace, spec, ctx)
 
-        import sys
-
-        monkeypatch.setattr(registry_mod, "resolve_detector", counting)
-        # repro.core.gmres the *module* (the package attribute is shadowed
-        # by the function of the same name).
-        monkeypatch.setattr(sys.modules["repro.core.gmres"],
-                            "resolve_detector", counting)
+        # Every string/dict detector spec, wherever it is resolved, builds
+        # through the registry's resolve().
+        monkeypatch.setattr(registry_mod, "resolve", counting)
         api.solve(poisson.A, poisson.b, "ft_gmres", max_outer=30,
                   inner={"method": "gmres", "tol": 0.0, "maxiter": 5,
                          "detector": "bound", "detector_response": "zero"})
@@ -407,7 +438,8 @@ class TestResultSchema:
 # API-surface snapshot
 # ====================================================================== #
 class TestAPISurface:
-    MODULES = ("repro.api", "repro.specs", "repro.registry")
+    MODULES = ("repro", "repro.api", "repro.core", "repro.exec", "repro.specs",
+               "repro.registry")
 
     def surface(self) -> dict:
         import importlib

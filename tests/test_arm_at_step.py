@@ -34,13 +34,13 @@ from repro.core.detectors import (
 )
 from repro.core.fgmres import fgmres
 from repro.core.ftgmres import ft_gmres
-from repro.core.gmres import GMRESParameters
 from repro.faults.campaign import FaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ScalingFault
 from repro.faults.schedule import KNOWN_SITES, FaultRateSchedule, InjectionSchedule
 from repro.gallery.problems import poisson_problem
 from repro.sparse.linear_operator import aslinearoperator
+from repro.specs import SolveSpec
 
 
 # --------------------------------------------------------------------------- #
@@ -200,7 +200,7 @@ def test_paper_trial_consults_only_its_armed_step(location):
     model = campaign.fault_classes["large"]
     spy = SpyInjector(model, campaign._trial_schedule(location))
     result = ft_gmres(campaign.problem.A, campaign.problem.b, campaign.problem.x0,
-                      params=campaign.params, injector=spy)
+                      spec=campaign.solver, injector=spy)
     assert result.total_inner_iterations > 100
     assert spy.injections_performed == 1
     assert set(spy.consulted) == {location}
@@ -271,9 +271,11 @@ def test_arm_at_step_matches_always_armed(grid_problem, detector, orth, always_a
             campaign = FaultCampaign(
                 grid_problem, inner_iterations=6, max_outer=20, detector=spec,
                 detector_response=response, site=site,
-                inner_params=GMRESParameters(tol=0.0, maxiter=6, orthogonalization=orth),
+                solver=SolveSpec(method="ft_gmres",
+                                 inner=SolveSpec(method="gmres", tol=0.0, maxiter=6,
+                                                 orthogonalization=orth)),
                 **schedule)
-            det = campaign.params.inner.detector
+            det = campaign.detector
             for location, (fault_class, model) in zip((4, 9, 15),
                                                       campaign.fault_classes.items()):
                 outcomes = []
@@ -282,7 +284,7 @@ def test_arm_at_step_matches_always_armed(grid_problem, detector, orth, always_a
                         det.reset()  # norm_growth carries state between solves
                     injector = campaign._trial_injector(model, location)
                     result = ft_gmres(grid_problem.A, grid_problem.b, grid_problem.x0,
-                                      params=campaign.params, injector=wrap(injector))
+                                      spec=campaign.solver, injector=wrap(injector))
                     outcomes.append(_outcome(result, injector))
                 assert outcomes[0] == outcomes[1], (site, schedule, fault_class)
 

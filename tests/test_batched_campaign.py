@@ -23,7 +23,6 @@ from repro.core.batched import (
     batched_support_reason,
 )
 from repro.core.ftgmres import ft_gmres
-from repro.core.gmres import GMRESParameters
 from repro.core.least_squares import IncrementalGivensQR, givens_rotation
 from repro.exec.executor import CampaignExecutor
 from repro.faults.campaign import FaultCampaign
@@ -37,6 +36,7 @@ from repro.faults.models import (
 from repro.faults.schedule import InjectionSchedule
 from repro.gallery.problems import TestProblem, circuit_problem, poisson_problem
 from repro.sparse.csr import CSRMatrix
+from repro.specs import SolveSpec
 
 
 # --------------------------------------------------------------------------- #
@@ -252,11 +252,11 @@ class TestEventStreams:
             return FaultInjector(model, schedule)
 
         serial = ft_gmres(problem.A, problem.b, problem.x0,
-                          params=campaign.params, injector=make_injector())
+                          spec=campaign.solver, injector=make_injector())
         setups = [BatchedTrialSetup(injector=make_injector(),
                                     hessenberg_target=location)]
         results = batched_ft_gmres(problem.A, problem.b, problem.x0,
-                                   campaign.params, setups)
+                                   campaign.solver, setups)
         return serial, results[0]
 
     def test_event_streams_identical(self, detector_campaign):
@@ -296,8 +296,9 @@ class TestGating:
     def test_non_mgs_inner_rejected(self, tiny_problem):
         campaign = FaultCampaign(
             tiny_problem, inner_iterations=10, max_outer=30,
-            inner_params=GMRESParameters(tol=0.0, maxiter=10,
-                                         orthogonalization="cgs2"))
+            solver=SolveSpec(method="ft_gmres",
+                             inner=SolveSpec(method="gmres", tol=0.0,
+                                             orthogonalization="cgs2")))
         assert campaign.batched_unsupported_reason() is not None
         with pytest.raises(ValueError, match="not supported by the batched"):
             campaign.run(stride=11, backend="batched")
@@ -331,8 +332,8 @@ class TestGating:
         assert "NormGrowthDetector" in campaign.batched_unsupported_reason()
 
     def test_support_reason_helper(self, detector_campaign):
-        assert batched_support_reason(detector_campaign.params, "hessenberg") is None
-        assert batched_support_reason(detector_campaign.params, "subdiag") is not None
+        assert batched_support_reason(detector_campaign.solver, "hessenberg") is None
+        assert batched_support_reason(detector_campaign.solver, "subdiag") is not None
 
 
 class TestExecutorIntegration:

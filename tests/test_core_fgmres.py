@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.fgmres import FGMRESParameters, fgmres
+from repro.core.fgmres import fgmres
 from repro.core.gmres import gmres
 from repro.core.status import SolverStatus
 from repro.precond.jacobi import JacobiPreconditioner
 from repro.precond.ilu import ILU0Preconditioner
+from repro.specs import SolveSpec
 
 
 class TestBasicBehaviour:
@@ -136,10 +137,11 @@ class TestTrichotomy:
 
 class TestParameters:
     def test_replace(self):
-        params = FGMRESParameters(tol=1e-4, max_outer=10)
+        params = SolveSpec(method="fgmres", tol=1e-4, max_outer=10)
         new = params.replace(max_outer=77)
         assert new.max_outer == 77 and new.tol == 1e-4
         assert params.max_outer == 10
+        assert new.fgmres_kwargs()["max_outer"] == 77
 
     @pytest.mark.parametrize("policy", ["standard", "hybrid", "rank_revealing"])
     def test_lsq_policies(self, poisson_medium, rng, policy):

@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.ftgmres import FTGMRESParameters, ft_gmres
-from repro.core.gmres import GMRESParameters
-from repro.core.fgmres import FGMRESParameters
+from repro.core.ftgmres import ft_gmres
 from repro.core.detectors import HessenbergBoundDetector
 from repro.core.status import SolverStatus
 from repro.faults.injector import FaultInjector
@@ -15,6 +13,7 @@ from repro.faults.models import ScalingFault
 from repro.faults.schedule import InjectionSchedule
 from repro.faults.sandbox import Sandbox
 from repro.sparse.norms import frobenius_norm
+from repro.specs import SolveSpec
 
 
 class TestFailureFree:
@@ -52,18 +51,18 @@ class TestFailureFree:
 
     def test_params_override_precedence(self, poisson_problem_tiny):
         p = poisson_problem_tiny
-        params = FTGMRESParameters(
-            outer=FGMRESParameters(tol=1e-4, max_outer=5),
-            inner=GMRESParameters(tol=0.0, maxiter=3),
-        )
-        result = ft_gmres(p.A, p.b, params=params, inner_iterations=6, max_outer=30,
+        spec = SolveSpec(method="ft_gmres", tol=1e-4, max_outer=5,
+                         inner=SolveSpec(method="gmres", tol=0.0, maxiter=3))
+        result = ft_gmres(p.A, p.b, spec=spec, inner_iterations=6, max_outer=30,
                           outer_tol=1e-8)
         # keyword overrides win
         assert all(r.iterations == 6 for r in result.inner_results)
         assert result.converged
 
     def test_default_inner_budget_is_25(self):
-        assert FTGMRESParameters().inner_iterations == 25
+        assert SolveSpec(method="ft_gmres").gmres_kwargs()["maxiter"] == 25
+        unset = SolveSpec(method="ft_gmres", inner=SolveSpec(method="gmres"))
+        assert unset.gmres_kwargs()["maxiter"] == 25
 
 
 class TestWithFaults:
@@ -133,11 +132,11 @@ class TestWithFaults:
             unprotected = ft_gmres(
                 p.A, p.b, inner_iterations=10, max_outer=60,
                 injector=self._injector(1e150, loc))
-            params = FTGMRESParameters(
-                inner=GMRESParameters(tol=0.0, maxiter=10, detector=detector,
-                                      detector_response="zero"))
+            spec = SolveSpec(method="ft_gmres",
+                             inner=SolveSpec(method="gmres", tol=0.0, maxiter=10,
+                                             detector=detector, detector_response="zero"))
             protected = ft_gmres(p.A, p.b, inner_iterations=10, max_outer=60,
-                                 params=params, injector=self._injector(1e150, loc))
+                                 spec=spec, injector=self._injector(1e150, loc))
             assert protected.converged
             worst_with = max(worst_with, protected.outer_iterations)
             worst_without = max(worst_without, unprotected.outer_iterations)
@@ -146,10 +145,10 @@ class TestWithFaults:
     def test_detection_events_propagate_to_nested_result(self, poisson_problem_tiny):
         p = poisson_problem_tiny
         detector = HessenbergBoundDetector(frobenius_norm(p.A))
-        params = FTGMRESParameters(
-            inner=GMRESParameters(tol=0.0, maxiter=10, detector=detector,
-                                  detector_response="zero"))
-        result = ft_gmres(p.A, p.b, params=params, max_outer=60,
+        spec = SolveSpec(method="ft_gmres",
+                         inner=SolveSpec(method="gmres", tol=0.0, maxiter=10,
+                                         detector=detector, detector_response="zero"))
+        result = ft_gmres(p.A, p.b, spec=spec, max_outer=60,
                           injector=self._injector(1e150, 4))
         assert result.faults_detected >= 1
         assert result.faults_injected == 1

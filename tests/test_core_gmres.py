@@ -8,13 +8,14 @@ import pytest
 from repro.baselines.scipy_wrappers import scipy_gmres
 from repro.core.detectors import HessenbergBoundDetector
 from repro.core.exceptions import FaultDetectedError
-from repro.core.gmres import GMRESParameters, gmres
+from repro.core.gmres import gmres
 from repro.core.status import SolverStatus
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ScalingFault
 from repro.faults.schedule import InjectionSchedule
 from repro.precond.jacobi import JacobiPreconditioner
 from repro.sparse.norms import frobenius_norm
+from repro.specs import SolveSpec
 
 
 class TestBasicConvergence:
@@ -155,13 +156,13 @@ class TestInputValidation:
 
 class TestParametersBundle:
     def test_as_kwargs_roundtrip(self, poisson_small, rng):
-        params = GMRESParameters(tol=1e-9, maxiter=50, orthogonalization="cgs2")
+        params = SolveSpec(tol=1e-9, maxiter=50, orthogonalization="cgs2")
         b = rng.standard_normal(poisson_small.shape[0])
-        result = gmres(poisson_small, b, **params.as_kwargs())
+        result = gmres(poisson_small, b, **params.gmres_kwargs())
         assert result.converged
 
     def test_replace(self):
-        params = GMRESParameters(tol=1e-6)
+        params = SolveSpec(tol=1e-6)
         new = params.replace(maxiter=10)
         assert new.maxiter == 10
         assert new.tol == 1e-6

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exec.executor import CampaignExecutor, resolve_backend, resolve_workers
-from repro.exec.spec import CampaignConfig, ProblemFactory, TrialSpec
+from repro.exec.spec import TrialSpec
 from repro.faults.campaign import FaultCampaign
 from repro.gallery.problems import poisson_problem
 
@@ -60,39 +60,30 @@ class TestWorkerResolution:
 
 
 class TestCampaignConfig:
+    """The campaign itself is the worker payload: its configuration must
+    survive the thread workers' deep copy and a pickle round trip."""
+
     def test_round_trip(self, campaign):
-        config = campaign.to_config()
-        rebuilt = config.build_campaign()
+        from repro.exec.executor import _thread_init, _THREAD_STATE
+
+        _thread_init(campaign)
+        rebuilt = _THREAD_STATE.campaign
         assert rebuilt.inner_iterations == campaign.inner_iterations
         assert rebuilt.mgs_position == campaign.mgs_position
-        assert rebuilt.detector is not None  # "bound" spec re-resolved
+        assert rebuilt.solver.fgmres_kwargs() == campaign.solver.fgmres_kwargs()
+        assert rebuilt.solver.inner.maxiter == campaign.inner_iterations
+        assert rebuilt.detector is not None
         assert sorted(rebuilt.fault_classes) == sorted(campaign.fault_classes)
-
-    def test_exactly_one_problem_source(self, tiny_problem):
-        with pytest.raises(ValueError):
-            CampaignConfig(problem=None, problem_factory=None, inner_iterations=10,
-                           max_outer=50, outer_tol=1e-8, fault_classes={},
-                           mgs_position="first", detector=None,
-                           detector_response="zero", site="hessenberg")
-        with pytest.raises(ValueError):
-            CampaignConfig(problem=tiny_problem,
-                           problem_factory=ProblemFactory(poisson_problem, (8,)),
-                           inner_iterations=10, max_outer=50, outer_tol=1e-8,
-                           fault_classes={}, mgs_position="first", detector=None,
-                           detector_response="zero", site="hessenberg")
-
-    def test_problem_factory_build(self):
-        factory = ProblemFactory(poisson_problem, kwargs={"grid_n": 8})
-        config_problem = factory.build()
-        assert config_problem.A.shape == (64, 64)
 
     def test_picklable(self, campaign):
         import pickle
 
-        config = campaign.to_config()
-        clone = pickle.loads(pickle.dumps(config))
-        assert clone.inner_iterations == config.inner_iterations
-        assert clone.build_campaign().problem.name == campaign.problem.name
+        clone = pickle.loads(pickle.dumps(campaign))
+        assert clone.inner_iterations == campaign.inner_iterations
+        assert clone.problem.name == campaign.problem.name
+        assert clone.provenance == campaign.provenance
+        specs = campaign.trial_specs([1, 26])
+        assert [clone.run_spec(s) for s in specs] == [campaign.run_spec(s) for s in specs]
 
 
 class TestDeterministicParallelism:
@@ -113,14 +104,6 @@ class TestDeterministicParallelism:
     def test_workers_env_knob_respected(self, campaign, serial_result, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         parallel = campaign.run(stride=11, backend="thread")
-        assert parallel.trials == serial_result.trials
-
-    def test_problem_factory_workers_match_serial(self, campaign, serial_result):
-        """Workers that rebuild the problem locally must agree with serial."""
-        config = campaign.to_config(
-            problem_factory=ProblemFactory(poisson_problem, kwargs={"grid_n": 8}))
-        executor = CampaignExecutor(config, backend="process", workers=2)
-        parallel = campaign.run(stride=11, executor=executor)
         assert parallel.trials == serial_result.trials
 
 
@@ -211,26 +194,43 @@ class TestExecutorMechanics:
 
 class TestWorkerIsolation:
     def test_built_campaigns_share_no_mutable_state(self, campaign):
-        """Each worker's campaign gets its own detector and fault models."""
-        config = campaign.to_config()
-        one = config.build_campaign()
-        two = config.build_campaign()
+        """Each thread worker's campaign gets its own detector and fault
+        models; the read-only problem is shared."""
+        import threading
+
+        from repro.exec.executor import _thread_init, _THREAD_STATE
+
+        copies = []
+
+        def worker():
+            _thread_init(campaign)
+            copies.append(_THREAD_STATE.campaign)
+
+        for _ in range(2):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+        one, two = copies
         assert one.detector is not two.detector
+        assert one.detector is not campaign.detector
+        assert one.solver.inner.detector is one.detector
         for cls in one.fault_classes:
             assert one.fault_classes[cls] is not two.fault_classes[cls]
+        assert one.problem is campaign.problem
 
     def test_custom_solver_params_survive_rebuild(self, tiny_problem):
-        """inner_params/outer_params must reach worker-rebuilt campaigns."""
-        from repro.core.gmres import GMRESParameters
+        """A custom solver spec must reach the worker campaigns."""
+        from repro.specs import SolveSpec
 
         custom = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=50,
-                               inner_params=GMRESParameters(tol=0.0, maxiter=10,
-                                                            orthogonalization="cgs2"))
-        rebuilt = custom.to_config().build_campaign()
-        assert rebuilt.params.inner.orthogonalization == "cgs2"
+                               solver=SolveSpec(method="ft_gmres",
+                                                inner=SolveSpec(method="gmres", tol=0.0,
+                                                                orthogonalization="cgs2")))
+        assert custom.solver.inner.orthogonalization == "cgs2"
         serial = custom.run(stride=13)
-        parallel = custom.run(stride=13, backend="process", workers=2)
-        assert parallel.trials == serial.trials
+        for backend in ("thread", "process"):
+            parallel = custom.run(stride=13, backend=backend, workers=2)
+            assert parallel.trials == serial.trials
 
     def test_trial_specs_accepts_iterator(self, campaign):
         """A generator of locations must sweep every fault class."""

@@ -13,6 +13,7 @@ Covers the robustness additions as one surface:
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from repro.faults.targets import FaultyOperator, FaultyPreconditioner
 from repro.gallery.problems import poisson_problem
 from repro.precond.jacobi import JacobiPreconditioner
 from repro.registry import resolve_fault_model
-from repro.specs import CampaignSpec, ExecutionSpec, SpecError
+from repro.specs import CampaignSpec, ExecutionSpec, SolveSpec, SpecError
 
 
 @pytest.fixture(scope="module")
@@ -406,14 +407,12 @@ class TestSiteCampaignsAcrossBackends:
 
     @pytest.fixture(scope="class")
     def precond_campaign(self):
-        from repro.core.gmres import GMRESParameters
-
         problem = poisson_problem(grid_n=8, seed=7)
         return FaultCampaign(
             problem, inner_iterations=10, max_outer=30, site="precond",
-            inner_params=GMRESParameters(
-                tol=0.0, maxiter=10,
-                preconditioner=JacobiPreconditioner(problem.A)))
+            solver=SolveSpec(method="ft_gmres", inner=SolveSpec(
+                method="gmres", tol=0.0,
+                preconditioner=JacobiPreconditioner(problem.A))))
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_precond_site_matches_serial(self, precond_campaign, backend):
@@ -690,7 +689,7 @@ class TestSpecPlumbing:
         campaign = FaultCampaign(tiny_problem, inner_iterations=10,
                                  max_outer=30, site="spmv", fault_rate=2,
                                  fault_persistence="sticky", trial_timeout=60.0)
-        rebuilt = campaign.to_config().build_campaign()
+        rebuilt = pickle.loads(pickle.dumps(campaign))
         assert rebuilt.site == campaign.site
         assert rebuilt.fault_rate == campaign.fault_rate
         assert rebuilt.fault_persistence == campaign.fault_persistence

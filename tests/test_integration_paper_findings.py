@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.detectors import HessenbergBoundDetector
-from repro.core.ftgmres import FTGMRESParameters, ft_gmres
-from repro.core.gmres import GMRESParameters, gmres
+from repro.core.ftgmres import ft_gmres
+from repro.core.gmres import gmres
 from repro.core.least_squares import LeastSquaresPolicy
 from repro.faults.campaign import FaultCampaign
 from repro.faults.injector import FaultInjector
@@ -20,6 +20,7 @@ from repro.faults.models import PAPER_FAULT_CLASSES, BitFlipFault, ScalingFault
 from repro.faults.schedule import InjectionSchedule
 from repro.gallery.problems import circuit_problem, poisson_problem
 from repro.sparse.norms import frobenius_norm
+from repro.specs import SolveSpec
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +104,10 @@ class TestClaimDetection:
     def test_no_false_positives_on_clean_runs(self, poisson, circuit):
         for problem in (poisson, circuit):
             detector = HessenbergBoundDetector(frobenius_norm(problem.A))
-            params = FTGMRESParameters(
-                inner=GMRESParameters(tol=0.0, maxiter=INNER, detector=detector,
-                                      detector_response="raise"))
-            result = ft_gmres(problem.A, problem.b, params=params, max_outer=120)
+            spec = SolveSpec(method="ft_gmres",
+                             inner=SolveSpec(method="gmres", tol=0.0, maxiter=INNER,
+                                             detector=detector, detector_response="raise"))
+            result = ft_gmres(problem.A, problem.b, spec=spec, max_outer=120)
             assert result.faults_detected == 0
             assert result.converged
 

@@ -301,6 +301,16 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="inner.method"):
             SolveSpec(method="ft_gmres", inner=SolveSpec(method="fgmres"))
 
+    def test_ft_gmres_inner_restart_rejected(self):
+        """The inner solves run one unrestarted cycle; a restart would be ignored."""
+        with pytest.raises(SpecError) as excinfo:
+            SolveSpec(method="ft_gmres", inner=SolveSpec(method="gmres", restart=3))
+        assert excinfo.value.field == "inner.restart"
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict({"solver": {"method": "ft_gmres",
+                                               "inner": {"method": "gmres", "restart": 3}}})
+        assert excinfo.value.field == "solver.inner.restart"
+
     def test_campaign_bad_values(self):
         with pytest.raises(SpecError, match="mgs_position"):
             CampaignSpec(mgs_position="middle")
@@ -550,10 +560,8 @@ class TestDefaultsSingleSource:
         assert campaign.site == defaults.site
 
     def test_ftgmres_parameters_agree_with_campaign_defaults(self):
-        from repro.core.ftgmres import FTGMRESParameters
-
-        params = FTGMRESParameters()
+        params = SolveSpec(method="ft_gmres")
         defaults = CampaignSpec()
-        assert params.inner_iterations == defaults.inner_iterations
-        assert params.outer.max_outer == defaults.max_outer
-        assert params.outer.tol == defaults.outer_tol
+        assert params.gmres_kwargs()["maxiter"] == defaults.inner_iterations
+        assert params.fgmres_kwargs()["max_outer"] == defaults.max_outer
+        assert params.fgmres_kwargs()["tol"] == defaults.outer_tol

@@ -216,7 +216,7 @@ class TestQuarantine:
     def test_default_max_retries(self):
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
                                  max_outer=30)
-        supervisor = ShardedSupervisor(campaign.to_config(), shards=2)
+        supervisor = ShardedSupervisor(campaign, shards=2)
         assert supervisor.max_retries == DEFAULT_MAX_RETRIES
 
 
@@ -264,9 +264,10 @@ class TestDrain:
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
                                  max_outer=30)
         plan = campaign.plan(stride=6)
-        supervisor = ShardedSupervisor(campaign.to_config(), shards=2,
-                                       run_dir=str(tmp_path),
-                                       provenance=dict(campaign.provenance))
+        # Each shard (indices 0-10 and 11-20) stalls on its fourth trial, so
+        # the drain lands mid-campaign however fast the solves are.
+        supervisor = ShardedSupervisor(campaign, shards=2, run_dir=str(tmp_path),
+                                       chaos=ChaosPolicy(hang_before={3: 1.0, 14: 1.0}))
         yielded = []
         with pytest.raises(SupervisorDrained):
             for index, _ in supervisor.iter_records(plan.specs):
