@@ -8,7 +8,7 @@ result is equivalent to the serial one (identical per-trial iteration counts
 and classification, residual norms within 1e-10) and that the batched
 backend actually delivers its speedup.
 
-Single-CPU framing: unlike the process backend — whose recorded "speedups"
+Single-CPU framing: unlike the sharded backend — whose recorded "speedups"
 on a single-core host are pure dispatch overhead (see
 ``bench_campaign_scaling.py``) — batching amortizes interpreter and kernel
 dispatch overhead *inside one process*, so its win must and does show up on

@@ -1,7 +1,7 @@
 """Benchmark ``scaling``: parallel campaign execution vs the serial baseline.
 
 Runs the Figure-3(a) sweep (Poisson, SDC on the first MGS coefficient) once
-serially and once per configured worker count through the process backend of
+serially and once per configured worker count through the sharded backend of
 :class:`repro.exec.CampaignExecutor`, asserting that the parallel result is
 trial-for-trial identical to the serial one and recording the wall-time
 speedup in ``benchmark.extra_info`` so the BENCH_*.json trajectory captures
@@ -60,12 +60,12 @@ def test_campaign_scaling_serial(benchmark, serial_reference, poisson_bench_prob
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_campaign_scaling_process_workers(benchmark, poisson_bench_problem, stride,
+def test_campaign_scaling_sharded_workers(benchmark, poisson_bench_problem, stride,
                                           scale, serial_reference, workers):
     serial_campaign, serial_seconds = serial_reference
 
     parallel_campaign = benchmark.pedantic(
-        lambda: _sweep(poisson_bench_problem, stride, backend="process",
+        lambda: _sweep(poisson_bench_problem, stride, backend="sharded",
                        workers=workers),
         rounds=1, iterations=1)
 
@@ -82,7 +82,7 @@ def test_campaign_scaling_process_workers(benchmark, poisson_bench_problem, stri
     benchmark.extra_info["parallel_seconds"] = round(parallel_seconds, 4)
     benchmark.extra_info["speedup_vs_serial"] = round(speedup, 3)
     benchmark.extra_info["trials"] = len(parallel_campaign.trials)
-    print(f"\n{workers} process workers ({cpus} CPUs): {parallel_seconds:.2f}s "
+    print(f"\n{workers} shard workers ({cpus} CPUs): {parallel_seconds:.2f}s "
           f"vs serial {serial_seconds:.2f}s -> speedup {speedup:.2f}x")
 
     # Wall-time scaling is only a hard requirement when explicitly requested

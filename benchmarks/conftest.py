@@ -11,10 +11,11 @@ variables:
 * ``REPRO_BENCH_STRIDE`` — subsampling of the injection locations for the
   Figure 3/4 sweeps (default 5 at ``small`` scale, 1 reproduces the paper's
   exhaustive sweep).
-* ``REPRO_WORKERS``      — parallel workers for the sweep campaigns
-  (default 1 = serial; 0 = one per CPU).  The execution engine guarantees
-  parallel output is trial-for-trial identical to serial output, so the
-  recorded ``extra_info`` numbers are invariant under this knob.
+* ``REPRO_WORKERS``      — shard workers for the sweep campaigns; above 1
+  they run on the sharded backend (default 1 = serial; 0 = one per CPU).
+  The execution engine guarantees sharded output is trial-for-trial
+  identical to serial output, so the recorded ``extra_info`` numbers are
+  invariant under this knob.
 
 Each benchmark stores its headline numbers in ``benchmark.extra_info`` so
 ``pytest benchmarks/ --benchmark-only --benchmark-json=out.json`` leaves a

@@ -10,8 +10,8 @@ GMRES:
   and the robust projected least-squares policies (:mod:`repro.core`);
 * a fault-injection framework implementing the paper's single-transient-SDC
   methodology and its generalizations (:mod:`repro.faults`);
-* a campaign execution engine with serial/thread/process/batched/sharded
-  backends and deterministic result ordering (:mod:`repro.exec`);
+* a campaign execution engine with serial/batched/sharded backends and
+  deterministic result ordering (:mod:`repro.exec`);
 * experiment drivers that regenerate every table and figure of the paper's
   evaluation (:mod:`repro.experiments`);
 * a config-first public API: typed JSON-round-trippable specs

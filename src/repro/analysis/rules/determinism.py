@@ -1,7 +1,7 @@
 """RPR002 — determinism in trial-identity modules.
 
-The cross-backend identity contract — serial, thread, process, batched,
-and sharded execution must produce bit-identical trial records — holds
+The cross-backend identity contract — serial, batched and sharded
+execution must produce bit-identical trial records — holds
 only while everything feeding a trial's outcome is a pure function of the
 campaign seed and the trial index.  This rule patrols the modules on that
 path (``repro/core/``, ``repro/faults/``, ``repro/exec/``) and flags:

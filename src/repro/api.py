@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.core.status import NestedSolverResult, SolverResult
+from repro.exec.executor import resolve_backend
 from repro.faults.campaign import CampaignResult, FaultCampaign, TrialRecord
 from repro.registry import ResolveContext, registry, resolve_problem, resolve_sink
 from repro.results.events import ensure_sink
@@ -145,11 +146,10 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
         zero new solves.  ``resume=True`` on a run that does not exist yet
         simply starts it.
     chaos : ChaosPolicy, optional
-        Infrastructure fault injection for the supervised backends
-        (``"sharded"``, and ``"process"`` with a ``trial_timeout``) — test
+        Infrastructure fault injection for the ``"sharded"`` backend — test
         and CI instrumentation that kills/hangs shard workers and tears
         store appends (see :mod:`repro.faults.chaos`).  Ignored by the
-        unsupervised backends.
+        in-process backends.
 
     Returns
     -------
@@ -192,10 +192,10 @@ def iter_trials(problem: Any = None, spec: Any = None,
     """Stream a campaign's trial records as the backends complete them.
 
     A lazy generator over the serial backend (each record is yielded before
-    the next trial starts); windowed over the thread/process/batched
-    backends (records arrive per completed chunk/batch, in completion
-    order).  Each record is provenance-stamped.  Closing the generator early
-    shuts the execution backend down cleanly.
+    the next trial starts); per completed batch on the batched backend, and
+    as shard records land on the sharded backend (in completion order).
+    Each record is provenance-stamped.  Closing the generator early shuts
+    the execution backend down cleanly.
 
     Arguments are as for :func:`run_campaign` (minus the store/observer
     machinery — for persistent streaming, use ``run_campaign(store=...)``;
@@ -300,9 +300,7 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
     done_indices = {index for index, _ in completed}
     remaining = [s for s in plan.specs if s.index not in done_indices]
 
-    sharded = (spec.exec.backend == "sharded" or
-               (spec.exec.backend is None and spec.exec.shards is not None))
-    if remaining and sharded:
+    if remaining and resolve_backend(**spec.exec.executor_kwargs()) == "sharded":
         # Supervised execution: the shard workers persist their own records
         # durably (crash-survivably) into <run>/shard-<k>/ — a flat writer
         # here would double-store every trial.  The manifest still goes

@@ -1,8 +1,8 @@
 """Parallel execution engine for fault campaigns.
 
 The paper's headline artifacts are sweeps of *independent* nested solves;
-this package schedules them over serial/thread/process/batched/sharded
-backends with one campaign per worker and deterministic result ordering.  See
+this package schedules them over serial/batched/sharded backends with one
+campaign per worker and deterministic result ordering.  See
 :class:`repro.exec.executor.CampaignExecutor`.
 """
 
@@ -13,7 +13,6 @@ from repro.exec.executor import (
     CampaignExecutor,
     resolve_backend,
     resolve_workers,
-    validate_backend_knobs,
 )
 from repro.exec.spec import TrialSpec
 from repro.exec.supervisor import (
@@ -39,5 +38,4 @@ __all__ = [
     "partition_shards",
     "resolve_backend",
     "resolve_workers",
-    "validate_backend_knobs",
 ]

@@ -5,7 +5,7 @@ The execution engine hands each worker the
 through fork, or pickled once per worker), so the test matrix, detector
 bound and preconditioner factors reach a worker once, not once per trial.
 The work itself is a stream of tiny :class:`TrialSpec` values — one per
-faulted solve — batched into chunks.  A trial spec is a plain frozen
+faulted solve — partitioned into shards.  A trial spec is a plain frozen
 dataclass, so it crosses process boundaries with any start method.
 """
 

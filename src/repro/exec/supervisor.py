@@ -1,10 +1,10 @@
 """Crash-supervised sharded campaign execution.
 
-The pool backends in :mod:`repro.exec.executor` assume cooperative workers:
-a worker that segfaults, is OOM-killed, or wedges inside a sparse kernel
-takes the whole campaign down with it, and ``trial_timeout`` can only be
-checked *after* a trial finishes.  This module supervises instead of
-trusting:
+This is the ``"sharded"`` backend of :mod:`repro.exec.executor`, its only
+multi-process path.  A worker that segfaults, is OOM-killed, or wedges
+inside a sparse kernel must not take the whole campaign down with it, and
+``trial_timeout`` must hold even when a trial never finishes, so this
+module supervises instead of trusting:
 
 * the trial list is partitioned into ``shards`` contiguous blocks
   (:func:`partition_shards`), each run by a dedicated worker **process**;

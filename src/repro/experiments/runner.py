@@ -67,12 +67,13 @@ from repro.experiments.report import format_table
 from repro.experiments.summary import detector_comparison, summarize_campaign
 from repro.experiments.table1 import table1_rows
 from repro.gallery.problems import paper_problems
-from repro.exec.executor import BackendKnobError
+from repro.exec.executor import BACKENDS, BackendKnobError
 from repro.registry import RegistryError
 from repro.registry import names as registry_names
 from repro.registry import resolve_problem, resolve_sink
 from repro.results.events import MultiSink
 from repro.results.store import RunStore, RunStoreError
+from repro.sparse.kernels import KERNEL_CHOICES
 from repro.specs import CampaignSpec, SpecError, apply_overrides, parse_override_value
 
 __all__ = ["main", "build_parser", "run_experiment", "build_campaign_spec"]
@@ -113,7 +114,6 @@ SPEC_FLAG_DESTS = {
     "backend": "exec.backend",
     "workers": "exec.workers",
     "batch_size": "exec.batch_size",
-    "shards": "exec.shards",
     "max_retries": "exec.max_retries",
     "heartbeat_interval": "exec.heartbeat_interval",
 }
@@ -166,27 +166,25 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="trial_timeout", metavar="SECONDS",
                         help="per-trial time budget: hard-enforced (stuck "
                              "worker SIGKILL-ed, trial recorded as an error, "
-                             "re-run by --resume) on the sharded and process "
-                             "backends, checked after the fact on the others")
+                             "re-run by --resume) on the sharded backend, "
+                             "checked after the fact on serial and batched")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers for the sweeps (default: REPRO_WORKERS "
-                             "or 1; 0 = one per CPU)")
-    parser.add_argument("--backend", default=None,
-                        choices=["serial", "thread", "process", "batched", "sharded"],
-                        help="campaign execution backend (default: process when "
-                             "workers > 1, else serial).  'process' wins when spare "
-                             "CPU cores are available; 'batched' advances trials in "
-                             "lockstep through shared block kernels and is the right "
-                             "choice on single-CPU hosts, where process dispatch is "
-                             "pure overhead; 'sharded' supervises crash-isolated "
-                             "shard workers (heartbeats, hard timeouts, retries, "
-                             "poison quarantine)")
+                        help="shard worker processes for the sweeps; more than "
+                             "1 selects the sharded backend (default: "
+                             "REPRO_WORKERS or 1; 0 = one per CPU)")
+    parser.add_argument("--backend", default=None, choices=list(BACKENDS),
+                        help="campaign execution backend (default: batched when "
+                             "--batch-size is given, sharded when workers > 1, "
+                             "else serial).  'batched' advances trials in "
+                             "lockstep through shared block kernels in one "
+                             "process and is the right choice on single-CPU "
+                             "hosts; 'sharded' spreads trials over supervised, "
+                             "crash-isolated worker processes (heartbeats, hard "
+                             "timeouts, retries, poison quarantine) and wins "
+                             "when spare CPU cores are available")
     parser.add_argument("--batch-size", type=int, default=None, dest="batch_size",
                         help="trials advanced in lockstep per batch "
                              "(batched backend only; default 32)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard worker processes for the supervised "
-                             "backend (implies --backend sharded)")
     parser.add_argument("--max-retries", type=int, default=None,
                         dest="max_retries",
                         help="worker crashes one trial may cause before it "
@@ -197,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="supervisor liveness poll cadence (sharded "
                              "backend; default 0.1)")
     parser.add_argument("--kernels", default=None,
-                        choices=["auto", "numpy", "scipy", "numba"],
+                        choices=list(KERNEL_CHOICES),
                         help="sparse kernel tier for every solve (default: "
                              "REPRO_KERNELS or numpy; 'auto' picks the best "
                              "available compiled tier).  Strongest selector: "

@@ -361,7 +361,7 @@ class FaultCampaign:
         being reported as a measurement (``None`` disables the check).
     kernels : str or None
         Sparse kernel tier for every trial's hot kernels (``"numpy"``/
-        ``"scipy"``/``"numba"``/``"auto"``); ``None`` defers to the
+        ``"scipy"``/``"auto"``); ``None`` defers to the
         ``REPRO_KERNELS`` environment variable, else ``"numpy"``.  The
         problem's matrix is rebound to the tier *before* detectors and
         preconditioners are resolved, so their factors solve on it too.
@@ -424,7 +424,8 @@ class FaultCampaign:
         self.max_outer = int(solver.max_outer)
         self.outer_tol = float(solver.tol)
         self.detector_response = inner.detector_response
-        self.detector = resolve_detector(inner.detector, A=problem.A)
+        self.detector = resolve_detector(inner.detector, A=problem.A,
+                                         bound_method=inner.bound_method)
         #: The nested solver's spec: the merged configuration with its
         #: components resolved against the problem, so no trial re-resolves.
         self.solver = solver.replace(
@@ -526,9 +527,9 @@ class FaultCampaign:
         Vector-site corruption (``spmv``/``precond``/``orth``/``basis``)
         picks the corrupted element from the injector's rng.  Seeding that
         rng from the campaign seed and the trial's sweep location makes
-        vector-site campaigns trial-identical across the serial, thread,
-        process, and batched backends — and across reruns, which is what the
-        store's resume contract requires.
+        vector-site campaigns trial-identical across the serial, batched and
+        sharded backends — and across reruns, which is what the store's
+        resume contract requires.
         """
         seed = self.provenance.get("seed")
         entropy = (0 if seed is None else int(seed) & 0xFFFFFFFF,
@@ -540,9 +541,9 @@ class FaultCampaign:
                    aggregate_inner_iteration: int) -> TrialRecord:
         """Run one faulted nested solve and summarize it as a TrialRecord.
 
-        The trial's wall time is measured here — inside the worker, for the
-        pool backends — so ``TrialRecord.elapsed`` means the same thing on
-        every backend.
+        The trial's wall time is measured here — inside the shard worker, on
+        the sharded backend — so ``TrialRecord.elapsed`` means the same thing
+        on every backend.
         """
         injector = self._trial_injector(model, aggregate_inner_iteration)
         timer = Timer()
@@ -605,8 +606,8 @@ class FaultCampaign:
 
         A trial whose solve raises — a ``raise``-response detector, a fault
         model that explodes, a kernel bug — becomes a ``status="error"``
-        record instead of killing the whole campaign (and, on the pool
-        backends, every other trial sharing its worker).  A trial that
+        record instead of killing the whole campaign (and, on the sharded
+        backend, the shard worker running it).  A trial that
         finishes but blew the campaign's ``trial_timeout`` is quarantined
         the same way.  The execution backends all route through here, so
         error semantics are backend-independent.
@@ -680,7 +681,7 @@ class FaultCampaign:
         if reason is not None:
             raise ValueError(
                 f"campaign configuration not supported by the batched backend "
-                f"({reason}); use backend='serial' (or 'process')")
+                f"({reason}); use backend='serial' (or 'sharded')")
         specs = list(specs)
         if batch_size is None:
             from repro.exec.executor import DEFAULT_BATCH_SIZE
@@ -822,10 +823,8 @@ class FaultCampaign:
         return dataclasses.replace(record, **self.provenance)
 
     def run_plan(self, plan: "CampaignPlan", *, specs=None, progress=None,
-                 sink=None, backend: str | None = None,
-                 workers: int | None = None, chunksize: int | None = None,
-                 batch_size: int | None = None, executor=None,
-                 on_record=None, completed=(), event_data: dict | None = None,
+                 sink=None, executor=None, on_record=None, completed=(),
+                 event_data: dict | None = None,
                  **executor_kwargs) -> CampaignResult:
         """Execute (the remainder of) a plan and assemble the result.
 
@@ -847,6 +846,9 @@ class FaultCampaign:
         event_data : dict, optional
             Extra payload merged into the ``campaign_started`` and
             ``campaign_completed`` events (e.g. the store ``run_id``).
+        **executor_kwargs
+            :class:`~repro.exec.executor.CampaignExecutor` knobs (ignored
+            when ``executor`` is given).
         """
         sink = ensure_sink(sink)
         result = self.result_scaffold(plan)
@@ -864,10 +866,8 @@ class FaultCampaign:
                       "failure_free_residual": plan.failure_free_residual}))
         todo = list(plan.specs) if specs is None else list(specs)
         if todo:
-            for index, record in self.iter_records(
-                    todo, executor=executor, backend=backend, workers=workers,
-                    chunksize=chunksize, batch_size=batch_size,
-                    **executor_kwargs):
+            for index, record in self.iter_records(todo, executor=executor,
+                                                   **executor_kwargs):
                 if on_record is not None:
                     on_record(index, record)
                 pairs.append((index, record))
@@ -885,30 +885,26 @@ class FaultCampaign:
                             data={"total_trials": total, **extra}))
         return result
 
-    def iter_records(self, specs, *, executor=None, backend: str | None = None,
-                     workers: int | None = None, chunksize: int | None = None,
-                     batch_size: int | None = None, **executor_kwargs):
+    def iter_records(self, specs, *, executor=None, **executor_kwargs):
         """Stream provenance-stamped ``(index, record)`` pairs as trials finish.
 
-        Completion order (lazy over serial, windowed over the pool and
-        batched backends); the caller reassembles canonical order by index.
-        This is the one execution path under :meth:`run`,
+        Completion order (lazy over serial, per batch on batched, as shard
+        records land on sharded); the caller reassembles canonical order by
+        index.  This is the one execution path under :meth:`run`,
         :func:`repro.api.iter_trials`, and the run store's incremental
         checkpointing.
         """
         from repro.exec.executor import CampaignExecutor
 
         if executor is None:
-            executor = CampaignExecutor(self, backend=backend, workers=workers,
-                                        chunksize=chunksize, batch_size=batch_size,
-                                        **executor_kwargs)
+            executor = CampaignExecutor(self, **executor_kwargs)
         for index, record in executor.iter_records(specs):
             yield index, self.stamp(record)
 
     def run(self, locations=None, stride: int = 1, progress=None, *,
             backend: str | None = None, workers: int | None = None,
-            chunksize: int | None = None, batch_size: int | None = None,
-            executor=None, sink=None, **executor_kwargs) -> CampaignResult:
+            batch_size: int | None = None, executor=None, sink=None,
+            **executor_kwargs) -> CampaignResult:
         """Run the full campaign.
 
         Parameters
@@ -925,23 +921,22 @@ class FaultCampaign:
             ``progress(done, total)`` callback (a thin adapter over the
             event bus: equivalent to a ``sink`` observing only
             ``trial_completed`` events).
-        backend : {"serial", "thread", "process", "batched", "sharded"}, optional
-            Execution backend; ``None`` auto-selects ``process`` when the
-            resolved worker count exceeds 1.  ``"batched"`` advances trials
-            in lockstep through shared block kernels in this process — the
-            right choice on single-CPU hosts, where process dispatch is pure
-            overhead.  ``"sharded"`` runs crash-supervised worker processes
-            (see :class:`repro.exec.supervisor.ShardedSupervisor`).
+        backend : {"serial", "batched", "sharded"}, optional
+            Execution backend; ``None`` auto-selects ``"batched"`` when
+            ``batch_size`` is given and ``"sharded"`` when the resolved
+            worker count exceeds 1.  ``"batched"`` advances trials in
+            lockstep through shared block kernels in this process — the
+            right choice on single-CPU hosts.  ``"sharded"`` runs
+            crash-supervised worker processes (see
+            :class:`repro.exec.supervisor.ShardedSupervisor`).
         workers : int, optional
-            Worker count (default: the ``REPRO_WORKERS`` environment
+            Shard worker count (default: the ``REPRO_WORKERS`` environment
             variable, then 1; ``0`` means one per CPU).
-        chunksize : int, optional
-            Trials per dispatched task (parallel backends only).
         batch_size : int, optional
             Trials advanced in lockstep per batch (batched backend only).
         executor : CampaignExecutor, optional
             A pre-built executor; overrides ``backend``/``workers``/
-            ``chunksize``/``batch_size``.
+            ``batch_size``.
         sink : EventSink, callable, or registered sink spec, optional
             Receives campaign lifecycle events (``campaign_started``,
             ``baseline_completed``, ``trial_completed`` with the record
@@ -955,16 +950,16 @@ class FaultCampaign:
             deterministic fault models (the paper's configuration) a
             parallel run is trial-for-trial identical to a serial one;
             components that accumulate state across trials (random bit
-            flips, :class:`NormGrowthDetector`) see per-worker history under
-            parallel backends and should be swept with ``backend="serial"``.
+            flips, :class:`NormGrowthDetector`) see per-shard history under
+            the sharded backend and should be swept with ``backend="serial"``.
         """
         from repro.registry import resolve_sink
 
         return self.run_plan(self.plan(locations=locations, stride=stride),
                              progress=progress, sink=resolve_sink(sink),
                              backend=backend, workers=workers,
-                             chunksize=chunksize, batch_size=batch_size,
-                             executor=executor, **executor_kwargs)
+                             batch_size=batch_size, executor=executor,
+                             **executor_kwargs)
 
 
 def sweep_injection_locations(
@@ -980,7 +975,6 @@ def sweep_injection_locations(
     locations=None,
     backend: str | None = None,
     workers: int | None = None,
-    chunksize: int | None = None,
     batch_size: int | None = None,
     sink=None,
 ) -> CampaignResult:
@@ -1003,5 +997,5 @@ def sweep_injection_locations(
     )
     return campaign.run(locations=locations,
                         stride=stride if stride is not None else _DEFAULTS.stride,
-                        backend=backend, workers=workers, chunksize=chunksize,
+                        backend=backend, workers=workers,
                         batch_size=batch_size, sink=sink)

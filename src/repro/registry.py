@@ -53,7 +53,6 @@ __all__ = [
     "resolve_fault_classes",
     "resolve_problem",
     "resolve_sink",
-    "backend_knobs",
     "resolve_kernels",
 ]
 
@@ -666,27 +665,23 @@ def _run_cg(ctx, *, A, b, x0, spec, injector=None, events=None):
 
 
 # ----------------------------- backends ------------------------------- #
-# Backend entries carry the knob-compatibility metadata enforced by
-# :func:`repro.exec.executor.validate_backend_knobs`; the factory returns
-# the metadata (backends are dispatch strategies, not built objects).
-def _register_backend(name: str, *, parallel: bool,
-                      knobs: tuple[str, ...]) -> None:
-    @register("backend", name, parallel=parallel, knobs=knobs)
-    def _backend_info(ctx, _name=name, _parallel=parallel, _knobs=knobs):
-        return {"name": _name, "parallel": _parallel, "knobs": _knobs}
+# One entry per row of :data:`repro.exec.executor.BACKEND_KNOBS`, carrying
+# the knobs :func:`repro.exec.executor.resolve_backend` lets it take; the
+# factory returns the metadata (backends are dispatch strategies, not built
+# objects).
+def _register_backends() -> None:
+    from repro.exec.executor import BACKEND_KNOBS
+
+    for name, knob_set in BACKEND_KNOBS.items():
+        knobs = tuple(sorted(knob_set))
+        parallel = "workers" in knobs
+
+        @register("backend", name, parallel=parallel, knobs=knobs)
+        def _backend_info(ctx, _name=name, _parallel=parallel, _knobs=knobs):
+            return {"name": _name, "parallel": _parallel, "knobs": _knobs}
 
 
-_register_backend("serial", parallel=False, knobs=())
-_register_backend("thread", parallel=True, knobs=("workers", "chunksize"))
-_register_backend("process", parallel=True, knobs=("workers", "chunksize"))
-_register_backend("batched", parallel=False, knobs=("batch_size",))
-_register_backend("sharded", parallel=True,
-                  knobs=("shards", "max_retries", "heartbeat_interval"))
-
-
-def backend_knobs(name: str) -> tuple[str, ...]:
-    """The execution knobs a backend accepts (registry metadata)."""
-    return tuple(registry.metadata("backend", name)["knobs"])
+_register_backends()
 
 
 # ------------------------------- sinks -------------------------------- #
@@ -760,11 +755,8 @@ _register_kernel_tier(
     "scipy", compiled=True,
     description="scipy.sparse compiled C kernels over zero-copy views")
 _register_kernel_tier(
-    "numba", compiled=True,
-    description="numba JIT fused kernels (install the [accel] extra)")
-_register_kernel_tier(
     "auto", compiled=True,
-    description="best available tier: numba, else scipy, else numpy")
+    description="best available tier: scipy, else numpy")
 
 
 def resolve_kernels(spec: Any, **ctx_kwargs: Any) -> Any:

@@ -7,8 +7,8 @@ implements SpMV with vectorized NumPy reductions (``np.add.reduceat`` over
 the row pointer), which is the fastest pure-NumPy formulation for matrices
 whose rows are short and uniform — exactly the finite-difference and
 circuit matrices in the paper's evaluation — and stays the bit-exact
-reference; the ``scipy``/``numba`` tiers swap in compiled kernels over the
-same arrays (see :mod:`repro.sparse.kernels`).
+reference; the ``scipy`` tier swaps in compiled kernels over the same
+arrays (see :mod:`repro.sparse.kernels`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class CSRMatrix:
         Stored values, length ``nnz``.
     engine : str, KernelEngine or None
         The kernel tier computing this matrix's products: a tier name
-        (``"numpy"``/``"scipy"``/``"numba"``/``"auto"``), a built engine, or
+        (``"numpy"``/``"scipy"``/``"auto"``), a built engine, or
         ``None`` for the ambient default (``$REPRO_KERNELS``, else
         ``"numpy"``).  See :mod:`repro.sparse.kernels`.
 
@@ -94,7 +94,7 @@ class CSRMatrix:
 
     @property
     def engine_name(self) -> str:
-        """The kernel tier name (``"numpy"``, ``"scipy"`` or ``"numba"``)."""
+        """The kernel tier name (``"numpy"`` or ``"scipy"``)."""
         return self._engine.name
 
     def with_engine(self, engine) -> "CSRMatrix":

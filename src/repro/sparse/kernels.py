@@ -1,9 +1,9 @@
-"""Pluggable sparse kernel engines: numpy / scipy / numba tiers.
+"""Pluggable sparse kernel engines: numpy / scipy tiers.
 
 Every sparse hot kernel of the library — CSR ``matvec``/``rmatvec``/
 ``matmat``/``rmatmat`` and the level-scheduled triangular solves behind the
 stationary preconditioners — dispatches through a :class:`KernelEngine`.
-Three tiers are provided:
+Two tiers are provided:
 
 ``numpy``
     The original pure-NumPy kernels, moved here verbatim from
@@ -21,14 +21,9 @@ Three tiers are provided:
     per-call preparation (triangle assembly, transposition, diagonal
     scaling, index casting) hoisted to a once-per-factor setup.
 
-``numba``
-    JIT-compiled fused kernels, auto-detected: the tier registers only when
-    :mod:`numba` is importable (install with the ``[accel]`` extra) and is
-    cleanly absent otherwise.
-
 Equivalence contract (mirrors the PR 2/3 batched-engine contract): kernels
 whose floating-point accumulation order matches the reference — ``rmatvec``/
-``rmatmat`` (scatter-add), and the numba loops — are *bit-identical* to the
+``rmatmat`` (scatter-add) — are *bit-identical* to the
 ``numpy`` tier; kernels backed by independently-ordered compiled reductions
 (``scipy`` matvec/matmat/trisolve) agree to a stated ``<= 1e-14`` relative
 tolerance.  The cross-tier suite in ``tests/test_kernel_engines.py`` asserts
@@ -37,7 +32,7 @@ matrices.
 
 Selection
 ---------
-``resolve_engine`` accepts a tier name, ``"auto"`` (numba → scipy → numpy),
+``resolve_engine`` accepts a tier name, ``"auto"`` (scipy → numpy),
 ``None`` (the ambient default: the ``REPRO_KERNELS`` environment variable,
 else ``"numpy"``), or a built engine.  The campaign stack threads a spec
 value through :func:`effective_kernels` with precedence
@@ -55,7 +50,6 @@ __all__ = [
     "KernelEngine",
     "NumpyEngine",
     "ScipyEngine",
-    "NumbaEngine",
     "KERNEL_TIERS",
     "KERNEL_CHOICES",
     "KERNELS_ENV_VAR",
@@ -65,7 +59,6 @@ __all__ = [
     "get_engine",
     "resolve_engine",
     "have_scipy",
-    "have_numba",
     "as_kernel_vector",
     "as_kernel_block",
 ]
@@ -74,13 +67,10 @@ __all__ = [
 KERNELS_ENV_VAR = "REPRO_KERNELS"
 
 #: The kernel tiers, in reference-first order.
-KERNEL_TIERS = ("numpy", "scipy", "numba")
+KERNEL_TIERS = ("numpy", "scipy")
 
 #: Valid values for ``ExecutionSpec.kernels`` / ``--kernels`` / the env var.
 KERNEL_CHOICES = ("auto",) + KERNEL_TIERS
-
-#: ``"auto"`` preference order: best available compiled tier first.
-_AUTO_ORDER = ("numba", "scipy", "numpy")
 
 
 # ---------------------------------------------------------------------- #
@@ -101,25 +91,11 @@ def have_scipy() -> bool:
     return _AVAILABILITY["scipy"]
 
 
-def have_numba() -> bool:
-    """True when :mod:`numba` is importable (cached probe)."""
-    if "numba" not in _AVAILABILITY:
-        try:
-            import numba  # noqa: F401
-
-            _AVAILABILITY["numba"] = True
-        except ImportError:
-            _AVAILABILITY["numba"] = False
-    return _AVAILABILITY["numba"]
-
-
 def available_kernels() -> tuple[str, ...]:
     """The kernel tiers usable in this environment, reference first."""
     tiers = ["numpy"]
     if have_scipy():
         tiers.append("scipy")
-    if have_numba():
-        tiers.append("numba")
     return tuple(tiers)
 
 
@@ -492,137 +468,6 @@ _UNSET = object()
 
 
 # ---------------------------------------------------------------------- #
-# numba tier: JIT-compiled fused kernels (present only when numba is)
-# ---------------------------------------------------------------------- #
-class NumbaEngine(KernelEngine):
-    """JIT-compiled fused CSR/trisolve kernels (requires :mod:`numba`).
-
-    The loops accumulate strictly left-to-right per row — the same order as
-    ``np.add.reduceat`` over sorted CSR entries — so this tier is expected
-    bit-identical to the reference; the cross-tier suite asserts at least
-    the ``<= 1e-14`` contract wherever numba is installed.  Constructing the
-    engine without numba raises immediately (``resolve_engine`` turns that
-    into a helpful error naming the ``[accel]`` extra).
-    """
-
-    name = "numba"
-    compiled = True
-
-    def __init__(self):
-        if not have_numba():
-            raise ImportError(
-                "the 'numba' kernel tier requires numba; install the "
-                "[accel] extra (pip install repro-ftgmres-sdc[accel])")
-        self._k = _build_numba_kernels()
-
-    def matvec(self, A, x: np.ndarray) -> np.ndarray:
-        y = np.empty(A.shape[0], dtype=np.float64)
-        self._k["matvec"](A.indptr, A.indices, A.data, x, y)
-        return y
-
-    def rmatvec(self, A, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(A.shape[1], dtype=np.float64)
-        self._k["rmatvec"](A.indptr, A.indices, A.data, x, y)
-        return y
-
-    def matmat(self, A, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X)
-        Y = np.empty((A.shape[0], X.shape[1]), dtype=np.float64)
-        self._k["matmat"](A.indptr, A.indices, A.data, X, Y)
-        return Y
-
-    def rmatmat(self, A, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X)
-        Y = np.zeros((A.shape[1], X.shape[1]), dtype=np.float64)
-        self._k["rmatmat"](A.indptr, A.indices, A.data, X, Y)
-        return Y
-
-    def trisolve(self, F, b: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(b, dtype=np.float64).copy() \
-            if not (b.flags.c_contiguous and b.dtype == np.float64) else b.copy()
-        diag = F.diag if not F.unit_diagonal else np.empty(0, dtype=np.float64)
-        if x.ndim == 2:
-            self._k["trisolve_block"](F.indptr, F.indices, F.data, diag,
-                                      F.unit_diagonal, F.lower, x)
-        else:
-            self._k["trisolve"](F.indptr, F.indices, F.data, diag,
-                                F.unit_diagonal, F.lower, x)
-        return x
-
-
-def _build_numba_kernels() -> dict:
-    """Compile the fused kernels (called once, only when numba exists)."""
-    import numba
-
-    jit = numba.njit(cache=True, fastmath=False)
-
-    @jit
-    def _matvec(indptr, indices, data, x, y):
-        for i in range(y.shape[0]):
-            acc = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                acc += data[p] * x[indices[p]]
-            y[i] = acc
-
-    @jit
-    def _rmatvec(indptr, indices, data, x, y):
-        for i in range(indptr.shape[0] - 1):
-            xi = x[i]
-            for p in range(indptr[i], indptr[i + 1]):
-                y[indices[p]] += data[p] * xi
-
-    @jit
-    def _matmat(indptr, indices, data, X, Y):
-        ncols = X.shape[1]
-        for i in range(Y.shape[0]):
-            for c in range(ncols):
-                Y[i, c] = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                a = data[p]
-                col = indices[p]
-                for c in range(ncols):
-                    Y[i, c] += a * X[col, c]
-
-    @jit
-    def _rmatmat(indptr, indices, data, X, Y):
-        ncols = X.shape[1]
-        for i in range(indptr.shape[0] - 1):
-            for p in range(indptr[i], indptr[i + 1]):
-                a = data[p]
-                row = indices[p]
-                for c in range(ncols):
-                    Y[row, c] += a * X[i, c]
-
-    @jit
-    def _trisolve(indptr, indices, data, diag, unit, lower, x):
-        n = x.shape[0]
-        rng = range(n) if lower else range(n - 1, -1, -1)
-        for i in rng:
-            acc = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                acc += data[p] * x[indices[p]]
-            val = x[i] - acc
-            x[i] = val if unit else val / diag[i]
-
-    @jit
-    def _trisolve_block(indptr, indices, data, diag, unit, lower, x):
-        n = x.shape[0]
-        ncols = x.shape[1]
-        rng = range(n) if lower else range(n - 1, -1, -1)
-        for i in rng:
-            for c in range(ncols):
-                acc = 0.0
-                for p in range(indptr[i], indptr[i + 1]):
-                    acc += data[p] * x[indices[p], c]
-                val = x[i, c] - acc
-                x[i, c] = val if unit else val / diag[i]
-
-    return {"matvec": _matvec, "rmatvec": _rmatvec, "matmat": _matmat,
-            "rmatmat": _rmatmat, "trisolve": _trisolve,
-            "trisolve_block": _trisolve_block}
-
-
-# ---------------------------------------------------------------------- #
 # resolution
 # ---------------------------------------------------------------------- #
 #: The reference engine, shared by fallbacks and delegation.
@@ -644,14 +489,6 @@ def get_engine(name: str) -> KernelEngine:
                 "importable in this environment; available tiers: "
                 f"{list(available_kernels())}")
         engine = ScipyEngine()
-    elif name == "numba":
-        if not have_numba():
-            raise ValueError(
-                "the 'numba' kernel tier requires numba, which is not "
-                "installed; install the [accel] extra (pip install "
-                f"repro-ftgmres-sdc[accel]); available tiers: "
-                f"{list(available_kernels())}")
-        engine = NumbaEngine()
     else:
         raise ValueError(
             f"unknown kernel tier {name!r}; expected one of {list(KERNEL_CHOICES)}")
@@ -665,11 +502,8 @@ def default_kernels() -> str:
 
 
 def _resolve_auto() -> str:
-    for name in _AUTO_ORDER:
-        if name == "numpy" or (name == "scipy" and have_scipy()) \
-                or (name == "numba" and have_numba()):
-            return name
-    return "numpy"  # pragma: no cover - numpy always terminates the chain
+    """``"auto"``: the compiled scipy tier when available, else numpy."""
+    return "scipy" if have_scipy() else "numpy"
 
 
 def effective_kernels(spec_value: str | None = None,
@@ -680,7 +514,7 @@ def effective_kernels(spec_value: str | None = None,
     (``None`` means unset), the environment variable ``REPRO_KERNELS``
     overrides it, and an explicit ``flag`` (e.g. the CLI ``--kernels``)
     overrides both.  ``"auto"`` resolves to the best available tier
-    (numba → scipy → numpy).  The returned name is validated and available.
+    (scipy → numpy).  The returned name is validated and available.
     """
     value = flag or os.environ.get(KERNELS_ENV_VAR) or spec_value or "numpy"
     if value not in KERNEL_CHOICES:

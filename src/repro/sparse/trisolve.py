@@ -304,7 +304,7 @@ class TriangularFactor:
 
     @property
     def engine_name(self) -> str:
-        """The kernel tier name (``"numpy"``, ``"scipy"`` or ``"numba"``)."""
+        """The kernel tier name (``"numpy"`` or ``"scipy"``)."""
         return self._engine.name
 
     def with_engine(self, engine) -> "TriangularFactor":

@@ -419,40 +419,34 @@ _PAPER_INNER = SolveSpec(method="gmres", tol=0.0, maxiter=25)
 class ExecutionSpec(_SpecBase):
     """How a campaign's independent trials are scheduled.
 
-    ``backend=None`` auto-selects (``"batched"`` when ``batch_size`` is set,
-    ``"sharded"`` when ``shards`` is set, ``"process"`` when ``workers > 1``,
-    else ``"serial"``).  Knob/backend combinations are validated *up front*
-    — ``batch_size`` only applies to the batched backend, ``workers``/
-    ``chunksize`` only to the pool backends, ``shards``/``max_retries``/
-    ``heartbeat_interval`` only to the sharded supervisor — with errors that
-    say which knob to drop or which backend to pick (see
-    :func:`repro.exec.executor.validate_backend_knobs`).
+    ``backend`` is ``"serial"``, ``"batched"`` or ``"sharded"``; ``None``
+    auto-selects (``"batched"`` when ``batch_size`` is set, ``"sharded"``
+    when the worker count exceeds 1, else ``"serial"``).  ``workers`` is the
+    sharded backend's worker-process count; left unset it comes from
+    ``REPRO_WORKERS`` when the campaign runs.  Knob/backend combinations are
+    validated *up front* — ``batch_size`` only applies to the batched
+    backend, ``workers``/``max_retries``/``heartbeat_interval`` only to the
+    sharded one — with errors that say which knob to drop or which backend
+    to pick (see :func:`repro.exec.executor.resolve_backend`).
 
     ``kernels`` selects the sparse kernel tier (``"numpy"``/``"scipy"``/
-    ``"numba"``/``"auto"``; see :mod:`repro.sparse.kernels`).  Like every
-    other execution knob it is excluded from the campaign fingerprint —
-    runs checkpoint/resume across tiers — and it sits at the bottom of the
-    selection precedence ``spec < REPRO_KERNELS < explicit flag``.
+    ``"auto"``; see :mod:`repro.sparse.kernels`).  Like every other
+    execution knob it is excluded from the campaign fingerprint — runs
+    checkpoint/resume across backends and tiers — and it sits at the bottom
+    of the selection precedence ``spec < REPRO_KERNELS < explicit flag``.
     """
 
     backend: str | None = None
     workers: int | None = None
-    chunksize: int | None = None
     batch_size: int | None = None
     kernels: str | None = None
     #: Per-trial time budget in seconds.  Enforcement depends on the backend:
-    #: the ``sharded`` supervisor (and the ``process`` backend, which routes
-    #: through it whenever a timeout is set) *hard*-enforces the budget —
-    #: a worker whose current trial exceeds it is SIGKILL-ed and the trial
-    #: recorded as ``status="error"`` — while ``serial``/``thread``/
-    #: ``batched`` only apply the soft after-the-fact check from PR 7 (the
-    #: solve is never interrupted mid-flight, so a stuck kernel still wedges
-    #: those backends).  Like every execution knob it is excluded from the
-    #: campaign fingerprint.
+    #: the ``sharded`` supervisor *hard*-enforces the budget — a worker whose
+    #: current trial exceeds it is SIGKILL-ed and the trial recorded as
+    #: ``status="error"`` — while ``serial``/``batched`` only apply the soft
+    #: after-the-fact check (the solve is never interrupted mid-flight, so a
+    #: stuck kernel still wedges those backends).
     trial_timeout: float | None = None
-    #: Shard (worker-process) count for the ``sharded`` backend.  Setting it
-    #: with ``backend=None`` auto-selects ``"sharded"``.
-    shards: int | None = None
     #: How many times a trial may crash its sharded worker before it is
     #: quarantined as a poison ``"error"`` record (sharded backend only).
     max_retries: int | None = None
@@ -461,34 +455,29 @@ class ExecutionSpec(_SpecBase):
     heartbeat_interval: float | None = None
 
     def __post_init__(self) -> None:
-        from repro.exec.executor import BACKENDS, validate_backend_knobs
+        from repro.exec.executor import BACKENDS, BackendKnobError, resolve_backend
         from repro.sparse.kernels import KERNEL_CHOICES
 
         _check_choice("backend", self.backend, BACKENDS, allow_none=True)
         _check_int("workers", self.workers, minimum=0, allow_none=True)
-        _check_int("chunksize", self.chunksize, minimum=1, allow_none=True)
         _check_int("batch_size", self.batch_size, minimum=1, allow_none=True)
         _check_choice("kernels", self.kernels, KERNEL_CHOICES, allow_none=True)
         _check_float("trial_timeout", self.trial_timeout, minimum=0.0, allow_none=True)
         if self.trial_timeout is not None and self.trial_timeout <= 0.0:
             raise SpecError("trial_timeout", f"must be > 0, got {self.trial_timeout}")
-        _check_int("shards", self.shards, minimum=1, allow_none=True)
         _check_int("max_retries", self.max_retries, minimum=1, allow_none=True)
         _check_float("heartbeat_interval", self.heartbeat_interval,
                      minimum=0.0, allow_none=True)
         if self.heartbeat_interval is not None and self.heartbeat_interval <= 0.0:
             raise SpecError("heartbeat_interval",
                             f"must be > 0, got {self.heartbeat_interval}")
+        # Validity never depends on REPRO_WORKERS: an unset worker count
+        # validates as 1, the environment's fallback.
+        knobs = dict(self.executor_kwargs(),
+                     workers=1 if self.workers is None else self.workers)
         try:
-            validate_backend_knobs(self.backend, workers=self.workers,
-                                   chunksize=self.chunksize,
-                                   batch_size=self.batch_size,
-                                   shards=self.shards,
-                                   max_retries=self.max_retries,
-                                   heartbeat_interval=self.heartbeat_interval)
-        except ValueError as exc:
-            if isinstance(exc, SpecError):
-                raise
+            resolve_backend(**knobs)
+        except BackendKnobError as exc:
             raise SpecError("backend", str(exc)) from None
 
     @classmethod
@@ -504,8 +493,7 @@ class ExecutionSpec(_SpecBase):
     def executor_kwargs(self) -> dict[str, Any]:
         """Keyword arguments for :class:`repro.exec.executor.CampaignExecutor`."""
         return {"backend": self.backend, "workers": self.workers,
-                "chunksize": self.chunksize, "batch_size": self.batch_size,
-                "shards": self.shards, "max_retries": self.max_retries,
+                "batch_size": self.batch_size, "max_retries": self.max_retries,
                 "heartbeat_interval": self.heartbeat_interval}
 
 
@@ -793,7 +781,9 @@ def _apply_one(spec: Any, segments: list[str], full_path: str,
     if len(segments) == 1:
         if isinstance(value, list):
             value = tuple(value)
-        return spec.replace(**{name: value})
+        # Name the full dotted path in errors: "exec.backend", not "backend".
+        return _construct_with_prefix(spec.replace, {name: value},
+                                      full_path[: -len(name)])
     child = getattr(spec, name)
     if child is None:
         factory = _NESTED_DEFAULTS.get((type(spec).__name__, name))

@@ -285,6 +285,24 @@ class TestCampaignEquivalence:
                                              detector_response="flag")))
         assert FaultCampaign.from_spec(split, problem=poisson).detector_response == "flag"
 
+    def test_solver_inner_bound_method_honored(self):
+        """solver.inner.bound_method must reach a string detector spec: the
+        campaign's 'bound' detector then uses the two-norm bound, exactly as
+        the explicit 'bound:two_norm' spec does — not the Frobenius default."""
+        from repro.sparse.norms import hessenberg_bound
+
+        problem = poisson_problem(10)
+        inner = SolveSpec(method="gmres", tol=0.0, maxiter=25,
+                          bound_method="two_norm")
+        campaign = FaultCampaign(problem, detector="bound",
+                                 solver=SolveSpec(method="ft_gmres", inner=inner))
+        explicit = FaultCampaign(problem, detector="bound:two_norm")
+        assert campaign.detector.bound == explicit.detector.bound
+        assert campaign.detector.bound == hessenberg_bound(problem.A,
+                                                           method="two_norm")
+        assert campaign.detector.bound < hessenberg_bound(problem.A,
+                                                          method="frobenius")
+
     def test_run_fault_sweep_rejects_conflicting_problem_spec(self, poisson):
         from repro.experiments.figure34 import run_fault_sweep
         from repro.specs import SpecError
@@ -356,8 +374,8 @@ class TestJSONCampaignOnAllBackends:
 
     @pytest.mark.parametrize("backend,knobs", [
         ("serial", {}),
-        ("thread", {"workers": 2, "chunksize": 2}),
-        ("process", {"workers": 2}),
+        ("sharded", {"workers": 2}),
+        (None, {"workers": 2}),  # a worker count alone selects sharded
         ("batched", {"batch_size": 4}),
     ])
     def test_backend_trial_identical(self, spec_file, reference, backend, knobs):

@@ -1,18 +1,21 @@
-"""Tests for the parallel campaign execution engine (:mod:`repro.exec`).
+"""Tests for the campaign execution engine (:mod:`repro.exec`).
 
-The engine's central promise: a parallel campaign run is trial-for-trial
+The engine's central promise: a sharded campaign run is trial-for-trial
 identical to a serial one — same :class:`TrialRecord` values, same order —
-for every backend, worker count, and chunking choice.
+for every worker count and shard layout.  :func:`resolve_backend` is the one
+place the execution knobs become a backend; its table is pinned here.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exec.executor import CampaignExecutor, resolve_backend, resolve_workers
+from repro.exec.executor import (BackendKnobError, CampaignExecutor,
+                                 resolve_backend, resolve_workers)
 from repro.exec.spec import TrialSpec
 from repro.faults.campaign import FaultCampaign
 from repro.gallery.problems import poisson_problem
+from repro.specs import CampaignSpec, ExecutionSpec, SpecError, apply_overrides
 
 
 @pytest.fixture(scope="module")
@@ -52,22 +55,72 @@ class TestWorkerResolution:
             resolve_workers(-1)
 
     def test_backend_auto_selection(self):
-        assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend(None, 4) == "process"
-        assert resolve_backend("thread", 4) == "thread"
+        assert resolve_backend(None, workers=1) == "serial"
+        assert resolve_backend(None, workers=4) == "sharded"
+        assert resolve_backend("batched") == "batched"
         with pytest.raises(ValueError):
-            resolve_backend("gpu", 4)
+            resolve_backend("gpu", workers=4)
+
+
+class TestResolveBackend:
+    """The resolution table: ``batch_size`` gives batched, a resolved worker
+    count above 1 (explicit, else ``REPRO_WORKERS``) gives sharded, anything
+    else gives serial; the executor and the spec layer agree with it."""
+
+    @pytest.mark.parametrize("knobs, env, expected", [
+        ({"batch_size": 8}, None, "batched"),
+        ({"batch_size": 8}, "2", "batched"),
+        ({"workers": 2}, None, "sharded"),
+        ({"workers": 2}, "1", "sharded"),
+        ({}, "2", "sharded"),
+        ({}, None, "serial"),
+        ({}, "1", "serial"),
+        ({"workers": 1}, "2", "serial"),
+        ({"backend": "sharded"}, None, "sharded"),
+        ({"backend": "serial"}, "2", "serial"),
+    ])
+    def test_resolution_table(self, campaign, monkeypatch, knobs, env, expected):
+        if env is None:
+            monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", env)
+        assert resolve_backend(**knobs) == expected
+        assert CampaignExecutor(campaign, **knobs).backend == expected
+        ExecutionSpec(**knobs)  # the spec layer accepts every row
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_removed_backends_rejected(self, campaign, backend):
+        with pytest.raises(SpecError) as info:
+            ExecutionSpec(backend=backend)
+        assert info.value.field == "backend"
+        with pytest.raises(SpecError) as info:
+            CampaignSpec.from_dict({"exec": {"backend": backend}})
+        assert info.value.field == "exec.backend"
+        with pytest.raises(SpecError) as info:
+            apply_overrides(CampaignSpec(), {"exec.backend": backend})
+        assert info.value.field == "exec.backend"
+        with pytest.raises(BackendKnobError, match="backend must be one of"):
+            CampaignExecutor(campaign, backend=backend, workers=2)
+
+    @pytest.mark.parametrize("key", ["chunksize", "shards"])
+    def test_removed_knobs_rejected(self, key):
+        with pytest.raises(SpecError) as info:
+            CampaignSpec.from_dict({"exec": {key: 2}})
+        assert info.value.field == f"exec.{key}"
+        with pytest.raises(SpecError) as info:
+            apply_overrides(CampaignSpec(), {f"exec.{key}": 2})
+        assert info.value.field == f"exec.{key}"
 
 
 class TestCampaignConfig:
-    """The campaign itself is the worker payload: its configuration must
-    survive the thread workers' deep copy and a pickle round trip."""
+    """The campaign itself is the worker payload: shard workers inherit it
+    through fork, and where fork is unavailable it is pickled once per
+    worker, so its configuration must survive a pickle round trip."""
 
     def test_round_trip(self, campaign):
-        from repro.exec.executor import _thread_init, _THREAD_STATE
+        import pickle
 
-        _thread_init(campaign)
-        rebuilt = _THREAD_STATE.campaign
+        rebuilt = pickle.loads(pickle.dumps(campaign))
         assert rebuilt.inner_iterations == campaign.inner_iterations
         assert rebuilt.mgs_position == campaign.mgs_position
         assert rebuilt.solver.fgmres_kwargs() == campaign.solver.fgmres_kwargs()
@@ -89,28 +142,33 @@ class TestCampaignConfig:
 class TestDeterministicParallelism:
     """The headline guarantee: parallel output == serial output, in order."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["sharded"])
     def test_backend_matches_serial(self, campaign, serial_result, backend):
         parallel = campaign.run(stride=11, backend=backend, workers=2)
         assert parallel.trials == serial_result.trials
         assert parallel.failure_free_outer == serial_result.failure_free_outer
         assert parallel.failure_free_residual == serial_result.failure_free_residual
 
-    def test_single_trial_chunks_match_serial(self, campaign, serial_result):
-        """chunksize=1 maximizes reordering opportunities; order must survive."""
-        parallel = campaign.run(stride=11, backend="thread", workers=4, chunksize=1)
-        assert parallel.trials == serial_result.trials
+    def test_single_trial_chunks_match_serial(self, campaign):
+        """One trial per shard maximizes completion reordering; the
+        canonical order must survive it."""
+        serial = campaign.run(locations=[1, 12])
+        parallel = campaign.run(locations=[1, 12], backend="sharded",
+                                workers=len(serial.trials))
+        assert parallel.trials == serial.trials
 
     def test_workers_env_knob_respected(self, campaign, serial_result, monkeypatch):
+        """REPRO_WORKERS alone selects the sharded backend."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        parallel = campaign.run(stride=11, backend="thread")
+        assert CampaignExecutor(campaign).backend == "sharded"
+        parallel = campaign.run(stride=11)
         assert parallel.trials == serial_result.trials
 
 
 class TestExecutorMechanics:
     def test_progress_reaches_total(self, campaign):
         calls = []
-        campaign.run(stride=17, backend="thread", workers=2,
+        campaign.run(stride=17, backend="sharded", workers=2,
                      progress=lambda done, total: calls.append((done, total)))
         assert calls, "progress callback never fired"
         dones = [d for d, _ in calls]
@@ -132,20 +190,21 @@ class TestExecutorMechanics:
             campaign.run_spec(TrialSpec(0, "no-such-class", 1))
 
     def test_invalid_chunksize(self, campaign):
-        with pytest.raises(ValueError):
+        """chunksize is no longer an executor knob at all."""
+        with pytest.raises(TypeError, match="chunksize"):
             CampaignExecutor(campaign, chunksize=0)
 
     def test_batch_size_with_pool_backend_rejected(self, campaign):
         """Knobs the backend would silently ignore are errors up front."""
         with pytest.raises(ValueError, match="batch_size"):
-            CampaignExecutor(campaign, backend="process", batch_size=8)
+            CampaignExecutor(campaign, backend="sharded", batch_size=8)
 
     def test_parallel_workers_with_serial_rejected(self, campaign):
         with pytest.raises(ValueError, match="workers"):
             CampaignExecutor(campaign, backend="serial", workers=4)
 
     def test_chunksize_with_batched_rejected(self, campaign):
-        with pytest.raises(ValueError, match="chunksize"):
+        with pytest.raises(TypeError, match="chunksize"):
             CampaignExecutor(campaign, backend="batched", chunksize=2)
 
     def test_workers_one_accepted_everywhere(self, campaign):
@@ -160,6 +219,8 @@ class TestExecutorMechanics:
     def test_ambiguous_auto_backend_rejected(self, campaign):
         with pytest.raises(ValueError, match="batch_size"):
             CampaignExecutor(campaign, workers=4, batch_size=4)
+        with pytest.raises(BackendKnobError, match="mutually exclusive"):
+            resolve_backend(batch_size=8, workers=2)
 
     def test_env_workers_do_not_trip_serial_validation(self, campaign, monkeypatch):
         """REPRO_WORKERS is a default, not an explicit knob; serial ignores it."""
@@ -177,7 +238,7 @@ class TestExecutorMechanics:
         """workers=0 must stay accepted even when it resolves to 1 CPU."""
         executor = CampaignExecutor(campaign, workers=0)
         assert executor.workers >= 1
-        assert executor.backend in ("serial", "process")
+        assert executor.backend == ("sharded" if executor.workers > 1 else "serial")
 
     def test_non_campaign_config_rejected(self):
         with pytest.raises(TypeError):
@@ -193,30 +254,22 @@ class TestExecutorMechanics:
 
 
 class TestWorkerIsolation:
-    def test_built_campaigns_share_no_mutable_state(self, campaign):
-        """Each thread worker's campaign gets its own detector and fault
-        models; the read-only problem is shared."""
-        import threading
+    def test_built_campaigns_share_no_mutable_state(self, tiny_problem):
+        """Shard workers run private (forked) copies of the campaign: a
+        stateful detector in the parent is untouched by a sharded run,
+        while the serial loop updates it in place."""
+        from repro.core.detectors import NormGrowthDetector
 
-        from repro.exec.executor import _thread_init, _THREAD_STATE
-
-        copies = []
-
-        def worker():
-            _thread_init(campaign)
-            copies.append(_THREAD_STATE.campaign)
-
-        for _ in range(2):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        one, two = copies
-        assert one.detector is not two.detector
-        assert one.detector is not campaign.detector
-        assert one.solver.inner.detector is one.detector
-        for cls in one.fault_classes:
-            assert one.fault_classes[cls] is not two.fault_classes[cls]
-        assert one.problem is campaign.problem
+        references = {}
+        for backend, knobs in (("sharded", {"workers": 2}), ("serial", {})):
+            campaign = FaultCampaign(tiny_problem, inner_iterations=10,
+                                     max_outer=50,
+                                     detector=NormGrowthDetector(factor=1e6))
+            executor = CampaignExecutor(campaign, backend=backend, **knobs)
+            executor.run(campaign.trial_specs([1, 12]))
+            references[backend] = campaign.detector._reference
+        assert references["sharded"] == 0.0
+        assert references["serial"] > 0.0
 
     def test_custom_solver_params_survive_rebuild(self, tiny_problem):
         """A custom solver spec must reach the worker campaigns."""
@@ -228,9 +281,8 @@ class TestWorkerIsolation:
                                                                 orthogonalization="cgs2")))
         assert custom.solver.inner.orthogonalization == "cgs2"
         serial = custom.run(stride=13)
-        for backend in ("thread", "process"):
-            parallel = custom.run(stride=13, backend=backend, workers=2)
-            assert parallel.trials == serial.trials
+        parallel = custom.run(stride=13, backend="sharded", workers=2)
+        assert parallel.trials == serial.trials
 
     def test_trial_specs_accepts_iterator(self, campaign):
         """A generator of locations must sweep every fault class."""

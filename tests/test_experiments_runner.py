@@ -146,10 +146,24 @@ class TestSpecDrivenCLI:
 
     def test_invalid_knob_combination_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["fig3", "--scale", "tiny", "--backend", "process",
+            main(["fig3", "--scale", "tiny", "--backend", "sharded",
                   "--set", "exec.batch_size=8"])
         assert excinfo.value.code == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--set", "exec.backend=process"], "exec.backend"),
+        (["--set", "exec.backend=thread"], "exec.backend"),
+        (["--set", "exec.shards=2"], "exec.shards"),
+        (["--backend", "process"], "--backend"),
+        (["--shards", "2"], "--shards"),
+    ])
+    def test_removed_backends_and_knobs_are_clean_cli_errors(self, capsys,
+                                                             argv, named):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--scale", "tiny"] + argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_unknown_detector_is_a_clean_cli_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

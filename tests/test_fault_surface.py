@@ -395,15 +395,10 @@ class TestSiteCampaignsAcrossBackends:
         assert site_campaign.run(stride=11).trials == \
             site_campaign.run(stride=11).trials
 
-    def test_thread_matches_serial(self, site_campaign):
+    def test_sharded_matches_serial(self, site_campaign):
         serial = site_campaign.run(stride=11)
-        thread = site_campaign.run(stride=11, backend="thread", workers=2)
-        assert thread.trials == serial.trials
-
-    def test_process_matches_serial(self, site_campaign):
-        serial = site_campaign.run(stride=17)
-        process = site_campaign.run(stride=17, backend="process", workers=2)
-        assert process.trials == serial.trials
+        sharded = site_campaign.run(stride=11, backend="sharded", workers=2)
+        assert sharded.trials == serial.trials
 
     @pytest.fixture(scope="class")
     def precond_campaign(self):
@@ -414,7 +409,7 @@ class TestSiteCampaignsAcrossBackends:
                 method="gmres", tol=0.0,
                 preconditioner=JacobiPreconditioner(problem.A))))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["sharded"])
     def test_precond_site_matches_serial(self, precond_campaign, backend):
         serial = precond_campaign.run(stride=17)
         assert all(t.faults_injected >= 1 for t in serial.trials)
@@ -508,11 +503,11 @@ class TestCrashIsolation:
             {k: v for k, v in record.to_dict().items() if k != "kind"})
         assert again.is_error and again.error == record.error
 
-    def test_thread_backend_isolates_crashes(self, tiny_problem):
+    def test_sharded_backend_isolates_crashes(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
                                  fault_classes={"boom": ExplodingFault(),
                                                 "ok": ScalingFault(1e-300)})
-        result = campaign.run(stride=17, backend="thread", workers=2)
+        result = campaign.run(stride=17, backend="sharded", workers=2)
         by_class = {}
         for t in result.trials:
             by_class.setdefault(t.fault_class, []).append(t)

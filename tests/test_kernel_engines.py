@@ -10,9 +10,6 @@ The contract under test (see :mod:`repro.sparse.kernels`):
 * campaign runs are trial-identical across tiers: statuses and iteration
   counts match exactly, residual norms to 1e-6 relative (restarted
   iteration amplifies the per-kernel rounding differences).
-
-The ``numba`` tier is exercised only where numba is importable; its tests
-vanish as clean skips otherwise.
 """
 
 from __future__ import annotations
@@ -41,18 +38,16 @@ from repro.sparse.kernels import (
     default_kernels,
     effective_kernels,
     get_engine,
-    have_numba,
     have_scipy,
     resolve_engine,
 )
 from repro.sparse.trisolve import TriangularFactor
-from repro.specs import CampaignSpec, ExecutionSpec
+from repro.specs import CampaignSpec, ExecutionSpec, SpecError
 
 needs_scipy = pytest.mark.skipif(not have_scipy(), reason="scipy not installed")
-needs_numba = pytest.mark.skipif(not have_numba(), reason="numba not installed")
 
 #: The compiled tiers present in this environment (empty → tests skip).
-COMPILED_TIERS = [t for t in ("scipy", "numba") if t in available_kernels()]
+COMPILED_TIERS = [t for t in ("scipy",) if t in available_kernels()]
 
 #: Bit-identical kernels across every tier.
 EXACT_KERNELS = ("rmatvec", "rmatmat")
@@ -147,9 +142,6 @@ class TestTierSelection:
     def test_scipy_available_here(self):
         assert "scipy" in available_kernels()
 
-    def test_numba_availability_is_consistent(self):
-        assert ("numba" in available_kernels()) == have_numba()
-
     def test_get_engine_rejects_auto_and_unknown(self):
         with pytest.raises(ValueError, match="unknown kernel tier"):
             get_engine("auto")
@@ -162,9 +154,8 @@ class TestTierSelection:
 
     @needs_scipy
     def test_auto_resolves_to_best_available(self):
-        expected = "numba" if have_numba() else "scipy"
-        assert resolve_engine("auto").name == expected
-        assert effective_kernels("auto") == expected
+        assert resolve_engine("auto").name == "scipy"
+        assert effective_kernels("auto") == "scipy"
 
     def test_resolve_engine_passthrough_and_errors(self):
         eng = get_engine("numpy")
@@ -187,21 +178,10 @@ class TestTierSelection:
         with pytest.raises(ValueError, match="unknown kernel tier"):
             effective_kernels("cuda")
 
-    def test_graceful_numba_detection(self, monkeypatch):
-        """Without numba the tier is cleanly absent with an install hint."""
-        if have_numba():
-            pytest.skip("numba installed: absence path not reachable")
-        monkeypatch.delenv(kernels_mod.KERNELS_ENV_VAR, raising=False)
-        assert "numba" not in available_kernels()
-        with pytest.raises(ValueError, match=r"\[accel\]"):
-            get_engine("numba")
-        with pytest.raises(ValueError, match=r"\[accel\]"):
-            effective_kernels("numba")
-
 
 class TestRegistryNamespace:
     def test_tiers_registered(self):
-        assert {"numpy", "scipy", "numba", "auto"} <= set(names("kernels"))
+        assert set(names("kernels")) == set(KERNEL_CHOICES) == {"numpy", "scipy", "auto"}
 
     def test_resolve_kernels_returns_engine(self):
         eng = resolve_kernels("numpy")
@@ -219,10 +199,13 @@ class TestRegistryNamespace:
         assert resolve_kernels(None).name == "numpy"
 
     def test_missing_tier_raises_registry_error(self):
-        if have_numba():
-            pytest.skip("numba installed: absence path not reachable")
-        with pytest.raises(RegistryError, match=r"\[accel\]"):
+        """The deleted numba tier is an unknown name at every boundary."""
+        with pytest.raises(RegistryError, match="numba"):
             resolve_kernels("numba")
+        with pytest.raises(ValueError, match="unknown kernel tier"):
+            effective_kernels(flag="numba")
+        with pytest.raises(SpecError, match="kernels"):
+            ExecutionSpec(kernels="numba")
 
 
 class TestSpecIntegration:
@@ -625,21 +608,3 @@ class TestKernelProfile:
         assert a.lsq_calls == 2
         with pytest.raises(ValueError, match="unknown phase"):
             a.add("fft", 1.0)
-
-
-# ----------------------------------------------------------------------------
-# numba tier specifics (skipped cleanly when numba is absent)
-# ----------------------------------------------------------------------------
-
-@needs_numba
-class TestNumbaTier:
-    def test_registered_and_compiled(self):
-        eng = get_engine("numba")
-        assert eng.name == "numba"
-        assert eng.compiled
-
-    def test_bit_identical_products(self, small_csr):
-        eng = get_engine("numba")
-        x = np.linspace(-1.0, 1.0, small_csr.shape[1])
-        np.testing.assert_array_equal(eng.matvec(small_csr, x),
-                                      small_csr.matvec(x))

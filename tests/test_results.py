@@ -312,8 +312,8 @@ class TestProvenanceAndTiming:
 
     @pytest.mark.parametrize("backend,knobs", [
         ("serial", {}),
-        ("thread", {"workers": 2}),
-        ("process", {"workers": 2}),
+        ("sharded", {"workers": 2}),
+        (None, {"workers": 2}),  # a worker count alone selects sharded
         ("batched", {"batch_size": 2}),
     ])
     def test_all_backends_record_wall_time(self, campaign, backend, knobs):
@@ -450,10 +450,11 @@ class TestIterTrials:
         stream.close()  # closing early must not raise
 
     def test_early_close_over_pool_backend(self, problem):
-        """Closing a pool-backed stream cancels the unstarted chunks."""
+        """Closing a stream over the multi-process backend stops its shard
+        workers instead of running the campaign out."""
         spec = dict(inner_iterations=5, max_outer=20,
                     locations=[0, 1, 2, 3, 4, 5],
-                    exec={"backend": "thread", "workers": 2, "chunksize": 1})
+                    exec={"backend": "sharded", "workers": 2})
         stream = iter_trials(problem, spec)
         next(stream)
         stream.close()  # must neither hang nor raise

@@ -3,8 +3,8 @@
 The contract under test (the PR's acceptance criterion): a campaign
 interrupted at *any* trial boundary and resumed via
 ``run_campaign(..., store=..., resume=True)`` yields a ``CampaignResult``
-trial-identical to an uninterrupted run, on all four execution backends —
-exactly for serial/thread/process, and per the batched engine's documented
+trial-identical to an uninterrupted run, on all three execution backends —
+exactly for serial/sharded, and per the batched engine's documented
 1e-10 residual contract (a resumed batched run re-batches the remaining
 trials, so reduction orders may legally differ at that level).  Includes the
 corrupted-last-line JSONL recovery case and the zero-solve regeneration of
@@ -34,8 +34,7 @@ SPEC = dict(inner_iterations=5, max_outer=25, locations=[0, 2, 5, 9])
 #: Execution-backend grid (knobs per backend, as the executor demands).
 BACKENDS = [
     ("serial", {}),
-    ("thread", {"workers": 2}),
-    ("process", {"workers": 2, "chunksize": 1}),
+    ("sharded", {"workers": 2}),
     ("batched", {"batch_size": 3}),
 ]
 
@@ -106,7 +105,7 @@ class TestCrashResumeDeterminism:
             run_campaign(problem, dict(spec), store=store, run_id="r",
                          sink=_Bomb(kill_after))
         persisted = store.completed_indices("r")
-        # at least the observed trials are on disk; the pool/batched
+        # at least the observed trials are on disk; the sharded/batched
         # backends may have persisted more (writes precede observation)
         assert len(persisted) >= kill_after
         assert store.manifest("r").status == "running"
@@ -166,7 +165,7 @@ class TestCrashResumeDeterminism:
         entry: backend/worker knobs are excluded from the fingerprint."""
         store = RunStore(tmp_path)
         with pytest.raises(_InterruptAfter):
-            run_campaign(problem, _spec_with("thread", {"workers": 2}),
+            run_campaign(problem, _spec_with("sharded", {"workers": 2}),
                          store=store, sink=_Bomb(2))
         run_ids = store.run_ids()
         assert len(run_ids) == 1
@@ -175,6 +174,24 @@ class TestCrashResumeDeterminism:
         resumed = run_campaign(problem, dict(SPEC), store=store, resume=True)
         assert store.run_ids() == run_ids
         assert resumed.trials == reference.trials
+
+    def test_repro_workers_alone_shards_a_stored_run(self, problem, reference,
+                                                     tmp_path, monkeypatch):
+        """REPRO_WORKERS=2 with no exec knobs selects the sharded backend on
+        the stored path too: an interrupted run leaves its shard stores
+        under its run directory, and the resume completes it identically."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        store = RunStore(tmp_path)
+        with pytest.raises(_InterruptAfter):
+            run_campaign(problem, dict(SPEC), store=store, run_id="r",
+                         sink=_Bomb(2))
+        assert store.shard_ids("r")
+        assert len(store.completed_indices("r")) >= 2
+        resumed = run_campaign(problem, dict(SPEC), store=store, run_id="r",
+                               resume=True)
+        assert resumed.trials == reference.trials
+        assert store.shard_ids("r") == []  # compacted once complete
+        assert store.load_result("r").trials == reference.trials
 
     def test_resume_rejects_a_different_spec(self, problem, tmp_path):
         store = RunStore(tmp_path)

@@ -136,7 +136,7 @@ class TestJobFingerprint:
     def test_exec_knobs_do_not_change_identity(self):
         a = CampaignSpec.coerce(BASE)
         b = CampaignSpec.coerce(dict(BASE, exec={"workers": 4,
-                                                 "backend": "process"}))
+                                                 "backend": "sharded"}))
         assert job_fingerprint(a) == job_fingerprint(b)
 
     def test_problem_is_part_of_identity(self):

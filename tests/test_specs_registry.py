@@ -28,14 +28,13 @@ from repro.core.detectors import (
     NormGrowthDetector,
     NullDetector,
 )
-from repro.exec.executor import BACKEND_KNOBS, BACKENDS, validate_backend_knobs
+from repro.exec.executor import BACKEND_KNOBS, BACKENDS, resolve_backend
 from repro.faults.models import FaultModel, PAPER_FAULT_CLASSES
 from repro.gallery.problems import TestProblem, poisson_problem
 from repro.precond.base import Preconditioner
 from repro.registry import (
     RegistryError,
     ResolveContext,
-    backend_knobs,
     names,
     parse_spec,
     registry,
@@ -163,7 +162,8 @@ class TestRegistryResolution:
     def test_every_backend_name_resolves_with_knob_metadata(self):
         assert tuple(sorted(names("backend"))) == tuple(sorted(BACKENDS))
         for name in names("backend"):
-            assert frozenset(backend_knobs(name)) == BACKEND_KNOBS[name]
+            knobs = registry.metadata("backend", name)["knobs"]
+            assert frozenset(knobs) == BACKEND_KNOBS[name]
 
     def test_every_solver_name_registered(self):
         assert set(names("solver")) == set(SOLVER_METHODS)
@@ -335,17 +335,18 @@ class TestSpecValidation:
 
 
 class TestExecutionSpecKnobs:
-    def test_batch_size_with_process_rejected(self):
+    def test_batch_size_with_sharded_rejected(self):
         with pytest.raises(SpecError, match="batch_size"):
-            ExecutionSpec(backend="process", batch_size=8)
+            ExecutionSpec(backend="sharded", batch_size=8)
 
     def test_workers_with_serial_rejected(self):
         with pytest.raises(SpecError, match="workers"):
             ExecutionSpec(backend="serial", workers=4)
 
     def test_chunksize_with_batched_rejected(self):
+        """chunksize is no longer an ExecutionSpec field on any backend."""
         with pytest.raises(SpecError, match="chunksize"):
-            ExecutionSpec(backend="batched", chunksize=2)
+            ExecutionSpec.from_dict({"backend": "batched", "chunksize": 2})
 
     def test_workers_one_is_always_consistent(self):
         assert ExecutionSpec(backend="serial", workers=1).workers == 1
@@ -356,18 +357,26 @@ class TestExecutionSpecKnobs:
             ExecutionSpec(workers=4, batch_size=8)
 
     def test_valid_combinations_accepted(self):
-        ExecutionSpec(backend="process", workers=4, chunksize=2)
-        ExecutionSpec(backend="thread", workers=2)
+        ExecutionSpec(backend="sharded", workers=4, max_retries=2)
+        ExecutionSpec(workers=2, heartbeat_interval=0.5)
         ExecutionSpec(backend="batched", batch_size=16)
         ExecutionSpec()
 
-    def test_validate_backend_knobs_direct(self):
-        validate_backend_knobs(None, workers=4)
-        validate_backend_knobs("batched", batch_size=4)
+    def test_validity_never_depends_on_repro_workers(self, monkeypatch):
+        """max_retries needs a spec-level selector of the sharded backend."""
+        for env in ("1", "4"):
+            monkeypatch.setenv("REPRO_WORKERS", env)
+            with pytest.raises(SpecError, match="max_retries"):
+                ExecutionSpec(max_retries=2)
+            assert ExecutionSpec(workers=2, max_retries=2).max_retries == 2
+
+    def test_resolve_backend_direct(self):
+        assert resolve_backend(workers=4) == "sharded"
+        assert resolve_backend("batched", batch_size=4) == "batched"
         with pytest.raises(ValueError, match="batch_size"):
-            validate_backend_knobs("thread", batch_size=4)
+            resolve_backend("sharded", batch_size=4)
         with pytest.raises(ValueError, match="backend"):
-            validate_backend_knobs("gpu")
+            resolve_backend("gpu")
 
 
 # ====================================================================== #
@@ -426,13 +435,10 @@ def solve_specs(draw):
 def execution_specs(draw):
     backend = draw(st.sampled_from([None, *BACKENDS]))
     fields = {"backend": backend}
-    allowed = BACKEND_KNOBS[backend] if backend is not None else {"workers", "chunksize"}
+    allowed = BACKEND_KNOBS[backend] if backend is not None else {"workers"}
     if "workers" in allowed:
         fields["workers"] = draw(st.one_of(st.none(),
                                            st.integers(min_value=1, max_value=8)))
-    if "chunksize" in allowed:
-        fields["chunksize"] = draw(st.one_of(st.none(),
-                                             st.integers(min_value=1, max_value=16)))
     if "batch_size" in allowed:
         fields["batch_size"] = draw(st.one_of(st.none(),
                                               st.integers(min_value=1, max_value=64)))
@@ -536,7 +542,7 @@ class TestOverrides:
 
     def test_overridden_spec_revalidates(self):
         with pytest.raises(SpecError, match="batch_size"):
-            apply_overrides(CampaignSpec(), {"exec.backend": "process",
+            apply_overrides(CampaignSpec(), {"exec.backend": "sharded",
                                              "exec.batch_size": 8})
 
     def test_cannot_descend_into_scalar(self):

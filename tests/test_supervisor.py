@@ -139,7 +139,7 @@ class TestChaosKillPoints:
     def test_merged_result_is_trial_identical(self, case, serial_reference,
                                               tmp_path):
         store = RunStore(tmp_path)
-        result = run_campaign(spec=spec_with(shards=2), store=store,
+        result = run_campaign(spec=spec_with(workers=2), store=store,
                               run_id="chaos", chaos=CHAOS_CASES[case])
         assert result.trials == serial_reference.trials  # zero lost, zero dup
         assert [t.status for t in result.trials] == \
@@ -153,7 +153,7 @@ class TestChaosKillPoints:
         assert loaded.trials == serial_reference.trials
 
     def test_kill_before_counts_a_retry(self, serial_reference, tmp_path):
-        result = run_campaign(spec=spec_with(shards=2),
+        result = run_campaign(spec=spec_with(workers=2),
                               store=RunStore(tmp_path), run_id="r",
                               chaos=ChaosPolicy(kill_before={MID: 1}))
         assert result.trials == serial_reference.trials
@@ -164,7 +164,7 @@ class TestChaosKillPoints:
     def test_kill_after_durable_append_never_duplicates(self, serial_reference,
                                                         tmp_path):
         """A kill after the append landed blames nobody and re-runs nothing."""
-        result = run_campaign(spec=spec_with(shards=2),
+        result = run_campaign(spec=spec_with(workers=2),
                               store=RunStore(tmp_path), run_id="r",
                               chaos=ChaosPolicy(kill_after_append={MID: 1}))
         assert result.trials == serial_reference.trials
@@ -172,7 +172,7 @@ class TestChaosKillPoints:
 
     def test_storeless_sharded_campaign(self, serial_reference):
         """Without a store the shard files live in an ephemeral temp dir."""
-        result = run_campaign(spec=spec_with(shards=2),
+        result = run_campaign(spec=spec_with(workers=2),
                               chaos=ChaosPolicy(kill_before={MID: 1}))
         assert result.trials == serial_reference.trials
 
@@ -185,7 +185,7 @@ class TestQuarantine:
             self, serial_reference, tmp_path):
         store = RunStore(tmp_path)
         # kill trial MID's worker more times than max_retries allows
-        result = run_campaign(spec=spec_with(shards=2, max_retries=2),
+        result = run_campaign(spec=spec_with(workers=2, max_retries=2),
                               store=store, run_id="p",
                               chaos=ChaosPolicy(kill_before={MID: 5}))
         poison = [t for t in result.trials if t.status == "error"]
@@ -206,9 +206,9 @@ class TestQuarantine:
     def test_chaos_free_resume_heals_the_poison_trial(self, serial_reference,
                                                       tmp_path):
         store = RunStore(tmp_path)
-        run_campaign(spec=spec_with(shards=2, max_retries=2), store=store,
+        run_campaign(spec=spec_with(workers=2, max_retries=2), store=store,
                      run_id="p", chaos=ChaosPolicy(kill_before={MID: 5}))
-        healed = run_campaign(spec=spec_with(shards=2, max_retries=2),
+        healed = run_campaign(spec=spec_with(workers=2, max_retries=2),
                               store=store, run_id="p", resume=True)
         assert healed.trials == serial_reference.trials
         assert store.shard_ids("p") == []  # compacted after completion
@@ -228,21 +228,22 @@ class TestHardTimeout:
                                                 tmp_path):
         store = RunStore(tmp_path)
         result = run_campaign(
-            spec=spec_with(shards=2, trial_timeout=0.5), store=store,
-            run_id="h", chaos=ChaosPolicy(hang_before={MID: 60.0}))
+            spec=spec_with(backend="sharded", workers=2, trial_timeout=0.5),
+            store=store, run_id="h", chaos=ChaosPolicy(hang_before={MID: 60.0}))
         (timed_out,) = [t for t in result.trials if t.status == "error"]
         assert timed_out.error.startswith("hard timeout")
         assert len(result.trials) == len(serial_reference.trials)
         # resume (the hang is one-shot chaos) heals the casualty
-        healed = run_campaign(spec=spec_with(shards=2, trial_timeout=0.5),
+        healed = run_campaign(spec=spec_with(workers=2, trial_timeout=0.5),
                               store=store, run_id="h", resume=True)
         assert healed.trials == serial_reference.trials
 
-    def test_process_backend_hard_enforces_trial_timeout(self,
-                                                         serial_reference):
-        """Satellite 1: process + trial_timeout routes through the supervisor."""
+    def test_auto_selected_sharded_hard_enforces_trial_timeout(
+            self, serial_reference):
+        """A worker count alone selects the supervisor, so the budget is
+        hard-enforced without naming a backend."""
         result = run_campaign(
-            spec=spec_with(backend="process", workers=2, trial_timeout=0.5),
+            spec=spec_with(workers=2, trial_timeout=0.5),
             chaos=ChaosPolicy(hang_before={MID: 60.0}))
         (timed_out,) = [t for t in result.trials if t.status == "error"]
         assert timed_out.error.startswith("hard timeout")
@@ -292,7 +293,7 @@ import os, signal, sys
 from repro.api import run_campaign
 store_dir = sys.argv[1]
 spec = {"problem": "poisson:8", "inner_iterations": 10, "max_outer": 30,
-        "stride": 2, "exec": {"shards": 2}}
+        "stride": 2, "exec": {"workers": 2}}
 
 def progress(done, total):
     if done == 5:  # mid-campaign: ask for a graceful drain
@@ -315,7 +316,7 @@ run_campaign(spec=spec, store=store_dir, run_id="drain", progress=progress)
                                         exec={"backend": "serial"}))
         assert checkpointed < len(serial.trials)  # ... but not everything
         resumed = run_campaign(spec=dict(BASE, stride=2,
-                                         exec={"shards": 2}),
+                                         exec={"workers": 2}),
                                store=store, run_id="drain", resume=True)
         assert resumed.trials == serial.trials
         assert store.manifest("drain").status == "complete"
@@ -476,29 +477,30 @@ class TestQueryReliability:
 # ---------------------------------------------------------------------- #
 class TestPlumbing:
     def test_execution_spec_round_trip(self):
-        spec = ExecutionSpec(backend="sharded", shards=4, max_retries=2,
+        spec = ExecutionSpec(backend="sharded", workers=4, max_retries=2,
                              heartbeat_interval=0.05)
         assert ExecutionSpec.from_dict(spec.to_dict()) == spec
         kwargs = spec.executor_kwargs()
-        assert kwargs["shards"] == 4
+        assert kwargs["workers"] == 4
         assert kwargs["max_retries"] == 2
         assert kwargs["heartbeat_interval"] == 0.05
 
     def test_shards_auto_selects_sharded_backend(self):
+        """The shard count is ``workers``: more than one selects sharded."""
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
                                  max_outer=30)
-        executor = CampaignExecutor(campaign, shards=2)
+        executor = CampaignExecutor(campaign, workers=2)
         assert executor.backend == "sharded"
+        assert executor.workers == 2
 
-    def test_knob_conflicts_rejected(self):
+    def test_knob_conflicts_rejected(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
                                  max_outer=30)
         with pytest.raises(BackendKnobError, match="mutually exclusive"):
-            CampaignExecutor(campaign, shards=2, batch_size=4)
-        with pytest.raises(BackendKnobError, match="mutually exclusive"):
-            CampaignExecutor(campaign, shards=2, workers=4)
+            CampaignExecutor(campaign, workers=2, batch_size=4)
         with pytest.raises(BackendKnobError, match="sharded"):
-            CampaignExecutor(campaign, backend="process", shards=2)
+            CampaignExecutor(campaign, backend="batched", workers=2)
         with pytest.raises(BackendKnobError, match="sharded"):
             CampaignExecutor(campaign, max_retries=3)
         with pytest.raises(BackendKnobError, match="sharded"):
@@ -506,33 +508,33 @@ class TestPlumbing:
 
     def test_spec_layer_rejects_conflicts_too(self):
         with pytest.raises(SpecError):
-            ExecutionSpec(backend="batched", shards=2)
+            ExecutionSpec(backend="batched", workers=2)
         with pytest.raises(SpecError):
-            ExecutionSpec(shards=0)
+            ExecutionSpec(workers=-1)
         with pytest.raises(SpecError):
             ExecutionSpec(backend="sharded", heartbeat_interval=0.0)
 
     def test_registry_metadata(self):
-        from repro.registry import backend_knobs
+        from repro.registry import registry
 
-        assert backend_knobs("sharded") == ("shards", "max_retries",
-                                            "heartbeat_interval")
+        assert registry.metadata("backend", "sharded")["knobs"] == (
+            "heartbeat_interval", "max_retries", "workers")
 
     def test_runner_flags_map_to_exec_spec(self):
         from repro.experiments.runner import build_parser, build_campaign_spec
 
         parser = build_parser()
         args = parser.parse_args(
-            ["fig3", "--shards", "3", "--max-retries", "2",
+            ["fig3", "--workers", "3", "--max-retries", "2",
              "--heartbeat-interval", "0.2", "--backend", "sharded"])
         spec = build_campaign_spec(args)
         assert spec.exec.backend == "sharded"
-        assert spec.exec.shards == 3
+        assert spec.exec.workers == 3
         assert spec.exec.max_retries == 2
         assert spec.exec.heartbeat_interval == 0.2
 
     def test_campaign_spec_accepts_supervisor_knobs(self):
-        spec = CampaignSpec.coerce(dict(BASE, exec={"shards": 2,
+        spec = CampaignSpec.coerce(dict(BASE, exec={"workers": 2,
                                                     "max_retries": 5}))
-        assert spec.exec.shards == 2
+        assert spec.exec.workers == 2
         assert spec.exec.max_retries == 5
