@@ -40,7 +40,6 @@ from repro.core.ftgmres import ft_gmres
 from repro.core.batched import (
     BatchedArnoldi,
     BatchedGivensQR,
-    BatchedTrialSetup,
     batched_ft_gmres,
     batched_support_reason,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ft_gmres",
     "BatchedArnoldi",
     "BatchedGivensQR",
-    "BatchedTrialSetup",
     "batched_ft_gmres",
     "batched_support_reason",
 ]

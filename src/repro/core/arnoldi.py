@@ -7,6 +7,11 @@ Hessenberg column — while giving a fault injector the chance to corrupt the
 intermediate quantities at named sites and giving a detector the chance to
 check each orthogonalization coefficient against the paper's bound.
 
+:class:`ArnoldiContext` is the library's one injection-and-screen path:
+every fault is offered, recorded, screened and answered through it, by the
+inner GMRES, by FGMRES's outer step and by each lane of the batched engine
+(:mod:`repro.core.batched`), so their event payloads cannot drift apart.
+
 Injection sites (strings used by :mod:`repro.faults`):
 
 ========== ==============================================================
@@ -27,9 +32,10 @@ site        quantity
 ========== ==============================================================
 
 Every site receives the full iteration context (outer iteration, inner-solve
-index, local and aggregate inner iteration, MGS position where applicable),
-so schedules address any site with the same coordinates the paper's sweep
-figures use.
+index, local and aggregate inner iteration), so schedules address any site
+with the same coordinates the paper's sweep figures use.  Only the
+``hessenberg`` coefficients and the two ``givens`` coefficients carry an MGS
+position; the subdiagonal, like the vector sites, is one value per step.
 
 Arm-at-step: each step first asks the injector (:meth:`ArnoldiContext.arm`)
 whether any of its sites can fire.  An unarmed step makes no injector
@@ -60,7 +66,15 @@ VALID_RESPONSES = ("flag", "zero", "clamp", "recompute", "raise")
 
 @dataclass
 class ArnoldiContext:
-    """Shared state threaded through Arnoldi steps.
+    """Shared state threaded through Arnoldi steps: the one place a fault
+    is offered (:meth:`inject_scalar`, :meth:`inject_vector`), recorded as a
+    ``fault_injected`` event, screened (:meth:`screen_scalar`,
+    :meth:`screen_vector`), recorded as a ``fault_detected`` event and
+    answered by the response policy.
+
+    One context serves one solve: an inner GMRES, the outer step of FGMRES
+    (whose screen passes ``scale=||z_j||``), or one lane of one batched
+    inner solve, whose engine asks each lane's :meth:`arm` per step.
 
     Attributes
     ----------
@@ -88,6 +102,9 @@ class ArnoldiContext:
           (valid under the transient-SDC model, where inputs are untainted);
         * ``"raise"``     — raise :class:`FaultDetectedError` (halt the
           solve and report loudly).
+
+        A flagged vector (:meth:`screen_vector`) is recorded under every
+        policy and answered only by ``"raise"``.
     events : EventLog
         Structured event sink.
     outer_iteration : int
@@ -101,9 +118,9 @@ class ArnoldiContext:
         Running count of operator applications.
     current_iteration : int
         The local iteration of the Arnoldi step currently executing
-        (maintained by :func:`arnoldi_step`).  Lets code *called from inside*
-        a step — preconditioner closures, bound operator wrappers — report
-        real iteration context to the injector instead of a placeholder.
+        (maintained by :meth:`arm`).  Lets code *called from inside* a
+        step — the preconditioner closure, the Givens hook — report real
+        iteration context to the injector instead of a placeholder.
     armed : bool
         Whether the injector may fire during the current step (maintained
         by :meth:`arm`).  Code called from inside a step consults the
@@ -161,17 +178,6 @@ class ArnoldiContext:
             ))
         return self.armed
 
-    def current_context(self) -> dict:
-        """The live injection context of the step currently executing.
-
-        Used by black-box wrappers (:mod:`repro.faults.targets`) bound to a
-        running solver so their injector consults see real iteration
-        coordinates rather than raw call counts.
-        """
-        kwargs = self._ctx_kwargs(self.current_iteration, -1)
-        kwargs["mgs_length"] = 0
-        return kwargs
-
     def inject_scalar(self, site: str, value: float, iteration: int, mgs_index: int = -1,
                       mgs_length: int = 0) -> float:
         """Offer ``value`` to the injector; record an event if it was corrupted."""
@@ -221,18 +227,25 @@ class ArnoldiContext:
         return self.inject_givens if self.armed else None
 
     def screen_scalar(self, site: str, value: float, iteration: int, mgs_index: int,
-                      recompute) -> float:
+                      recompute=None, scale: float = 1.0) -> float:
         """Run the detector on ``value`` and apply the response policy.
 
         Parameters
         ----------
-        recompute : callable
+        recompute : callable, optional
             Zero-argument callable returning a freshly computed value; used
-            by the ``"recompute"`` response.
+            by the ``"recompute"`` response.  ``None`` keeps ``value`` (the
+            FGMRES outer step has nothing to recompute reliably).
+        scale : float
+            The detector checks ``value / scale`` (``value`` itself when
+            ``scale`` is not positive), and ``"clamp"`` answers with
+            ``sign(value) * bound * scale``.  FGMRES passes ``||z_j||``: its
+            outer coefficients satisfy ``|h_ij| <= ||A||_2 ||z_j||``.
         """
         if self.detector is None:
             return value
-        verdict = self.detector.check_scalar(value, site=site)
+        verdict = self.detector.check_scalar(value / scale if scale > 0.0 else value,
+                                             site=site)
         if not verdict.flagged:
             return value
         self.events.record(
@@ -247,11 +260,30 @@ class ArnoldiContext:
         if self.detector_response == "zero":
             return 0.0
         if self.detector_response == "clamp":
-            bound = verdict.bound if np.isfinite(verdict.bound) else 0.0
+            bound = verdict.bound * scale if np.isfinite(verdict.bound) else 0.0
             return float(np.sign(value) * bound) if np.isfinite(value) else 0.0
         if self.detector_response == "recompute":
-            return float(recompute())
+            return value if recompute is None else float(recompute())
         raise FaultDetectedError(verdict)
+
+    def screen_vector(self, site: str, vec: np.ndarray, iteration: int) -> None:
+        """Run the detector on a vector (by its 2-norm) and record a detection.
+
+        A flagged vector is recorded under every response policy; only
+        ``"raise"`` answers it (by raising :class:`FaultDetectedError`).
+        """
+        if self.detector is None:
+            return
+        verdict = self.detector.check_vector(vec, site=site)
+        if not verdict.flagged:
+            return
+        self.events.record(
+            "fault_detected", where=site, outer_iteration=self.outer_iteration,
+            inner_iteration=iteration, reason=verdict.reason, detector=verdict.detector,
+            response=self.detector_response,
+        )
+        if self.detector_response == "raise":
+            raise FaultDetectedError(verdict)
 
 
 # ---------------------------------------------------------------------- #
@@ -371,16 +403,7 @@ def arnoldi_step(
     if hooked:
         if armed:
             v = ctx.inject_vector("spmv", v, iteration=j)
-        if detector is not None:
-            verdict = detector.check_vector(v, site="spmv")
-            if verdict.flagged:
-                ctx.events.record(
-                    "fault_detected", where="spmv", outer_iteration=ctx.outer_iteration,
-                    inner_iteration=j, reason=verdict.reason, detector=verdict.detector,
-                    response=ctx.detector_response,
-                )
-                if ctx.detector_response == "raise":
-                    raise FaultDetectedError(verdict)
+        ctx.screen_vector("spmv", v, iteration=j)
         h_col = np.zeros(j + 2, dtype=np.float64)
         w = v.copy()
         if orthogonalization == "mgs":
@@ -415,8 +438,7 @@ def arnoldi_step(
             w = ctx.inject_vector("orth", w, iteration=j)
         norm_v = float(np.linalg.norm(w))
         if armed:
-            norm_v = ctx.inject_scalar("subdiag", norm_v, iteration=j, mgs_index=j + 1,
-                                       mgs_length=j + 1)
+            norm_v = ctx.inject_scalar("subdiag", norm_v, iteration=j)
         norm_v = ctx.screen_scalar("subdiag", norm_v, iteration=j, mgs_index=j + 1,
                                    recompute=lambda: np.linalg.norm(w))
         h_col[j + 1] = norm_v

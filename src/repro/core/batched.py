@@ -17,13 +17,16 @@ one right-hand side.  This module advances ``B`` trials side by side through
   (``Preconditioner.apply_block``), paying the sparse index traffic once per
   level instead of once per level per trial.
 
-Fault injection stays *per trial*: at the one aggregate inner iteration where
-a trial's schedule can fire, the real :class:`~repro.faults.injector.FaultInjector`
-is consulted for that trial's coefficient only, so injection records and event
-streams are produced by the same code path as the serial engine.  Detector
-screening is vectorized with an exact mirror of the
-:class:`~repro.core.detectors.HessenbergBoundDetector` predicate; the (rare)
-flagged coefficients take the scalar detector path so event payloads match.
+Fault injection stays *per trial*: each compute lane of an inner solve owns
+an :class:`~repro.core.arnoldi.ArnoldiContext` carrying its trial's
+:class:`~repro.faults.injector.FaultInjector`, and at every lockstep step the
+lanes whose context arms are the ones offered to their injectors, through the
+same ``inject_scalar``/``inject_vector`` the serial engine calls.  Detector
+screening is one vectorized
+:meth:`~repro.core.detectors.Detector.flag_values` screen per value row (the
+conservative predicate the serial Arnoldi step screens with); the (rare)
+flagged lanes go through their context's ``screen_scalar``/``screen_vector``,
+so injection records, event payloads and responses come from one code path.
 
 Equivalence contract (asserted by the test suite and the campaign benchmark):
 per-trial iteration counts, statuses and event streams are identical to the
@@ -42,13 +45,10 @@ rare paths: the fallback *is* the reference code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.arnoldi import HAPPY_BREAKDOWN_TOL, VALID_RESPONSES
+from repro.core.arnoldi import HAPPY_BREAKDOWN_TOL, VALID_RESPONSES, ArnoldiContext
 from repro.core.detectors import HessenbergBoundDetector
-from repro.core.exceptions import FaultDetectedError
 from repro.core.fgmres import BREAKDOWN_TOL
 from repro.core.least_squares import LeastSquaresPolicy, solve_projected_lsq
 from repro.core.status import (
@@ -65,7 +65,6 @@ from repro.utils.events import EventLog
 __all__ = [
     "BatchedGivensQR",
     "BatchedArnoldi",
-    "BatchedTrialSetup",
     "BATCHED_SITES",
     "batched_support_reason",
     "batched_ft_gmres",
@@ -244,10 +243,12 @@ class BatchedArnoldi:
     row: the per-lane SpMVs read and write contiguous memory and the
     lockstep Modified Gram–Schmidt reduces along the fast axis.
     :meth:`step` applies the operator to every active lane and
-    orthogonalizes the results together.  A per-coefficient hook lets the
-    campaign driver inject faults into individual lanes and screen
-    coefficients with a detector — the batched counterparts of the named
-    injection sites of :func:`repro.core.arnoldi.arnoldi_step`.
+    orthogonalizes the results together.  Two hooks, one on the raw
+    operator product and one per row of coefficients, let the campaign
+    driver offer individual lanes to their
+    :class:`~repro.core.arnoldi.ArnoldiContext` — the ``spmv``,
+    ``hessenberg`` and ``subdiag`` points of
+    :func:`repro.core.arnoldi.arnoldi_step`, in the same order.
 
     Parameters
     ----------
@@ -289,9 +290,10 @@ class BatchedArnoldi:
         j : int
             Step index (0-based); orthogonalizes ``A @ basis[j]``.
         coefficient_hook : callable, optional
-            ``hook(kind, index, values)`` called once per orthogonalization
-            coefficient row with ``kind="hessenberg"``/``index=i`` and once
-            for the subdiagonal norms with ``kind="subdiag"``/``index=j+1``.
+            ``hook(j, kind, index, values)`` called once per
+            orthogonalization coefficient row with ``kind="hessenberg"``/
+            ``index=i`` and once for the subdiagonal norms with
+            ``kind="subdiag"``/``index=j+1``.
             Receives the freshly computed per-lane values (a ``(B,)`` array
             it may modify in place, e.g. to inject a fault into one lane or
             zero a detector-flagged lane) and returns the values to use.
@@ -333,13 +335,13 @@ class BatchedArnoldi:
                 q_i = self.basis[i]
                 h = np.einsum("bn,bn->b", q_i, W)
                 if coefficient_hook is not None:
-                    h = coefficient_hook("hessenberg", i, h)
+                    h = coefficient_hook(j, "hessenberg", i, h)
                 h_block[i] = h
                 np.multiply(q_i, h[:, None], out=scratch)
                 np.subtract(W, scratch, out=W)
             norm_v = np.sqrt(np.einsum("bn,bn->b", W, W))
             if coefficient_hook is not None:
-                norm_v = coefficient_hook("subdiag", j + 1, norm_v)
+                norm_v = coefficient_hook(j, "subdiag", j + 1, norm_v)
             h_block[j + 1] = norm_v
             # New basis block: lanes with a non-finite norm get the serial
             # engine's poisoned NaN column (arnoldi_step's "not a breakdown"
@@ -376,33 +378,11 @@ class BatchedArnoldi:
 # ---------------------------------------------------------------------- #
 # campaign-facing driver
 # ---------------------------------------------------------------------- #
-@dataclass
-class BatchedTrialSetup:
-    """Per-trial wiring for a batched nested solve.
-
-    Attributes
-    ----------
-    injector : object
-        The trial's :class:`~repro.faults.injector.FaultInjector` (or any
-        object with ``corrupt_scalar``).  Consulted through the same
-        protocol the serial solvers use, so its records are authoritative.
-    hessenberg_target : int or None
-        The aggregate inner iteration at which the injector's schedule can
-        fire, or ``None`` when the schedule has no aggregate pin (the
-        injector is then consulted at every lockstep-supported site of every
-        iteration, exactly like the serial hooked path).  Named for the
-        original (``hessenberg``-only) engine; it anchors prefix-sharing
-        divergence for the ``spmv`` site the same way.
-    """
-
-    injector: object
-    hessenberg_target: int | None = None
-
-
 #: Sites the lockstep engine injects lane-exactly: per-coefficient scalars
-#: (``hessenberg``) and the per-lane operator product (``spmv``).  The other
-#: sites — ``precond`` (block apply has no lane-exact serial twin),
-#: ``givens``/``orth``/``subdiag``/``basis`` — peel to the serial engine.
+#: (``hessenberg``) and the per-lane operator product (``spmv``).  A campaign
+#: on any other site — ``precond`` (block apply has no lane-exact serial
+#: twin), ``givens``/``orth``/``subdiag``/``basis`` — is rejected by
+#: :func:`batched_support_reason` and belongs on the serial backend.
 BATCHED_SITES = ("hessenberg", "spmv")
 
 
@@ -470,10 +450,10 @@ def _detector_flags(det: HessenbergBoundDetector, values: np.ndarray) -> np.ndar
     """One lockstep screen: the detector's conservative vector predicate.
 
     The same :meth:`~repro.core.detectors.Detector.flag_values` the serial
-    Arnoldi step screens with; every lane it flags goes through the real
-    ``check_scalar``/``check_vector``, whose verdict is authoritative.  The
-    engine's single screening entry point, which ``perfbench``'s tracer
-    times as the batched ``detect`` layer.
+    Arnoldi step screens with; every lane it flags goes through its
+    context's ``screen_scalar``/``screen_vector``, whose verdict is
+    authoritative.  The engine's single vectorized screening entry point,
+    which ``perfbench``'s tracer times as the batched ``detect`` layer.
     """
     return det.flag_values(values)
 
@@ -502,11 +482,11 @@ def _clone_result(result: SolverResult) -> SolverResult:
 class _Trial:
     """Mutable per-trial bookkeeping inside one batched run."""
 
-    __slots__ = ("setup", "lane", "events", "inner_results", "history",
+    __slots__ = ("injector", "lane", "events", "inner_results", "history",
                  "peeled", "finished", "result")
 
-    def __init__(self, setup: BatchedTrialSetup, lane: int):
-        self.setup = setup
+    def __init__(self, injector, lane: int):
+        self.injector = injector
         self.lane = lane
         self.events = EventLog()
         self.inner_results: list[SolverResult] = []
@@ -520,7 +500,7 @@ class _BatchedNestedSolve:
     """One lockstep execution of B nested FT-GMRES trials."""
 
     def __init__(self, A, b, x0, spec: SolveSpec,
-                 setups: list[BatchedTrialSetup]):
+                 injectors: list):
         self.op: LinearOperator = aslinearoperator(A)
         n = self.op.shape[0]
         if self.op.shape[0] != self.op.shape[1]:
@@ -535,7 +515,7 @@ class _BatchedNestedSolve:
         # cancellation would amplify reduction-order noise past the
         # equivalence contract (see CHAOS_FACTOR).
         self._chaos_threshold = CHAOS_FACTOR * max(1.0, float(np.linalg.norm(self.b)))
-        self.trials = [_Trial(setup, lane) for lane, setup in enumerate(setups)]
+        self.trials = [_Trial(injector, lane) for lane, injector in enumerate(injectors)]
         self.B = len(self.trials)
         inner, outer = spec.gmres_kwargs(), spec.fgmres_kwargs()
         self.inner_budget = inner["maxiter"]
@@ -603,12 +583,13 @@ class _BatchedNestedSolve:
         # lane-independent and deterministic), so all still-virgin lanes ride
         # one shared representative column through the inner solves and only
         # diverged lanes pay for their own Krylov iterations.  A lane
-        # diverges in the outer round whose inner solve spans its scheduled
-        # aggregate iteration; lanes with no aggregate pin diverge at once.
+        # diverges in the outer round whose inner solve spans the first
+        # aggregate step its schedule can fire on; a lane whose schedule
+        # does not bound that step diverges at once.
         targets = np.full(B, -1, dtype=np.int64)
         for trial in self.trials:
-            hess_target = trial.setup.hessenberg_target
-            targets[trial.lane] = -1 if hess_target is None else int(hess_target)
+            first = trial.injector.schedule.first_step()
+            targets[trial.lane] = -1 if first is None else int(first)
         diverged = targets < 0
 
         for j in range(max_outer):
@@ -801,8 +782,6 @@ class _BatchedNestedSolve:
         tol = self.inner_tol
         offset = o * m
         lanes, n = rhs_block.shape
-        trials = [self.trials[lane] for lane in act_idx]
-        inner_events = [EventLog() for _ in trials]
         detector, response = self.detector, self.response
 
         peel = np.zeros(lanes, dtype=bool)
@@ -827,139 +806,77 @@ class _BatchedNestedSolve:
         arnoldi = BatchedArnoldi(self.op.matvec, rhs_block, beta, m,
                                  precond_block=self.precond_block)
 
-        # Injection candidates per local iteration: trials whose schedule is
-        # pinned to an aggregate iteration inside this inner solve, plus
-        # trials with no aggregate pin (consulted at every coefficient, like
-        # the serial hooked path).
-        by_iteration: dict[int, list[int]] = {}
-        always: list[int] = []
-        for pos, trial in enumerate(trials):
-            hess_target = trial.setup.hessenberg_target
-            if hess_target is None:
-                always.append(pos)
-            elif offset <= hess_target < offset + m:
-                by_iteration.setdefault(hess_target - offset, []).append(pos)
-
+        # One ArnoldiContext per compute lane, positioned on the aggregate
+        # axis exactly as the serial inner GMRES of outer iteration ``o``:
+        # every injection, screen, event and response of the lane goes
+        # through it.
+        ctxs = [ArnoldiContext(injector=self.trials[lane].injector, detector=detector,
+                               detector_response=response, outer_iteration=o,
+                               inner_solve_index=o, iteration_offset=offset)
+                for lane in act_idx]
         chaos_threshold = self._chaos_threshold
-
         need_pre = detector is not None and response == "recompute"
+        armed: list[int] = []   # the lanes whose context armed this step
 
-        def hook_factory(j: int, candidates: list[int]):
-            def hook(kind: str, index: int, values: np.ndarray) -> np.ndarray:
-                pre = values.copy() if need_pre else None
-                if kind == "hessenberg":
-                    for pos in candidates:
-                        if not alive[pos]:
-                            continue
-                        value = float(values[pos])
-                        corrupted = trials[pos].setup.injector.corrupt_scalar(
-                            "hessenberg", value,
-                            outer_iteration=o, inner_solve_index=o,
-                            inner_iteration=j,
-                            aggregate_inner_iteration=offset + j,
-                            mgs_index=index, mgs_length=j + 1)
-                        if corrupted != value and not (np.isnan(corrupted)
-                                                       and np.isnan(value)):
-                            inner_events[pos].record(
-                                "fault_injected", where="hessenberg",
-                                outer_iteration=o, inner_iteration=j,
-                                original=value, corrupted=float(corrupted),
-                                mgs_index=index,
-                                aggregate_inner_iteration=offset + j)
-                        values[pos] = corrupted
-                if detector is not None and (flagged := _detector_flags(detector, values)).any():
-                    site = "hessenberg" if kind == "hessenberg" else "subdiag"
-                    for pos in np.flatnonzero(flagged & alive):
-                        value = float(values[pos])
-                        verdict = detector.check_scalar(value, site=site)
-                        if not verdict.flagged:
-                            continue  # inside the prefilter band, below the bound
-                        inner_events[pos].record(
-                            "fault_detected", where=site,
-                            outer_iteration=o, inner_iteration=j,
-                            mgs_index=index, response=response,
-                            aggregate_inner_iteration=offset + j,
-                            **{**verdict.event_data(), "value": value})
-                        if response == "zero":
-                            values[pos] = 0.0
-                        elif response == "clamp":
-                            bound = verdict.bound if np.isfinite(verdict.bound) else 0.0
-                            values[pos] = (float(np.sign(value) * bound)
-                                           if np.isfinite(value) else 0.0)
-                            if np.isfinite(value) and abs(value) > chaos_threshold:
-                                # Clamping a huge fault leaves a bound-scale
-                                # coefficient whose downstream cancellation
-                                # still amplifies reduction-order noise past
-                                # the equivalence contract — peel the lane.
-                                chaotic[pos] = True
-                        elif response == "recompute":
-                            values[pos] = pre[pos]
-                        elif response == "raise":
-                            raise FaultDetectedError(verdict)
-                        # "flag": keep the value.
-                if kind == "hessenberg":
-                    # Chaos gate: a surviving injected coefficient this far
-                    # above the benign scale makes the lane's trajectory
-                    # hypersensitive to reduction order — peel it to the
-                    # serial reference instead of shipping ~1e-10-violating
-                    # results.  (Filtering responses never reach here with a
-                    # huge value; NaN/Inf propagate order-independently and
-                    # stay in the batch.)
-                    for pos in candidates:
-                        if alive[pos]:
-                            value = values[pos]
-                            if np.isfinite(value) and abs(value) > chaos_threshold:
-                                chaotic[pos] = True
-                return values
-            return hook
-
-        def spmv_hook_factory(candidates: list[int]):
-            # Lane-exact spmv injection: each candidate lane's raw operator
+        def spmv_hook(j: int, V: np.ndarray) -> None:
+            # Lane-exact spmv injection: each armed lane's raw operator
             # product (one contiguous row, computed by the exact serial
-            # kernel) is offered to its own injector with the exact serial
-            # context, *before* the detector screen — the same order as the
-            # serial hooked Arnoldi step.  Schedules on other sites simply
-            # decline, so consulting every candidate is safe.
-            if not candidates and detector is None:
-                return None
+            # kernel) is offered to its injector *before* the detector
+            # screen, the same order as the serial hooked Arnoldi step.
+            for pos in armed:
+                lane_v = V[pos]
+                corrupted = ctxs[pos].inject_vector("spmv", lane_v, iteration=j)
+                if corrupted is not lane_v:
+                    V[pos] = corrupted
+                    # Same chaos gate as huge injected coefficients: the
+                    # cancellation of a huge vector component amplifies
+                    # reduction-order noise past the equivalence contract.
+                    if chaos_threshold < float(np.max(np.abs(corrupted))) < np.inf:
+                        chaotic[pos] = True
+            if detector is not None:
+                flagged = _detector_flags(detector, _row_norms(V)) & alive
+                for pos in np.flatnonzero(flagged):
+                    ctxs[pos].screen_vector("spmv", V[pos], iteration=j)
 
-            def spmv_hook(j: int, V: np.ndarray) -> None:
-                for pos in candidates:
-                    if not alive[pos]:
-                        continue
-                    lane_v = V[pos]
-                    corrupted = trials[pos].setup.injector.corrupt_vector(
-                        "spmv", lane_v,
-                        outer_iteration=o, inner_solve_index=o,
-                        inner_iteration=j,
-                        aggregate_inner_iteration=offset + j,
-                        mgs_index=-1, mgs_length=0)
-                    if corrupted is not lane_v and not np.array_equal(
-                            corrupted, lane_v, equal_nan=True):
-                        inner_events[pos].record(
-                            "fault_injected", where="spmv",
-                            outer_iteration=o, inner_iteration=j,
-                            aggregate_inner_iteration=offset + j)
-                        V[pos] = corrupted
-                        with np.errstate(**_ERRSTATE):
-                            peak = float(np.max(np.abs(corrupted)))
-                        if np.isfinite(peak) and peak > chaos_threshold:
-                            # Same chaos gate as huge injected coefficients:
-                            # the cancellation of a huge vector component
-                            # amplifies reduction-order noise past the
-                            # equivalence contract — peel to serial.
-                            chaotic[pos] = True
-                if detector is not None:
-                    self._screen_spmv(V, alive, inner_events, o, j)
-
-            return spmv_hook
+        def coefficient_hook(j: int, kind: str, index: int,
+                             values: np.ndarray) -> np.ndarray:
+            pre = values.copy() if need_pre else None
+            if kind == "hessenberg":
+                for pos in armed:
+                    values[pos] = ctxs[pos].inject_scalar(
+                        "hessenberg", float(values[pos]), iteration=j,
+                        mgs_index=index, mgs_length=j + 1)
+            if detector is not None and (flagged := _detector_flags(detector, values)).any():
+                for pos in np.flatnonzero(flagged & alive):
+                    value = float(values[pos])
+                    values[pos] = ctxs[pos].screen_scalar(
+                        kind, value, iteration=j, mgs_index=index,
+                        recompute=lambda pos=pos: pre[pos])
+                    if response == "clamp" and values[pos] != value and \
+                            chaos_threshold < abs(value) < np.inf:
+                        # Clamping a huge fault leaves a bound-scale
+                        # coefficient whose downstream cancellation still
+                        # amplifies reduction-order noise past the
+                        # equivalence contract — peel the lane.
+                        chaotic[pos] = True
+            if kind == "hessenberg":
+                # Chaos gate: a surviving injected coefficient this far
+                # above the benign scale makes the lane's trajectory
+                # hypersensitive to reduction order — peel it to the
+                # serial reference instead of shipping ~1e-10-violating
+                # results.  (Filtering responses never reach here with a
+                # huge value; NaN/Inf propagate order-independently and
+                # stay in the batch.)
+                for pos in armed:
+                    if chaos_threshold < abs(values[pos]) < np.inf:
+                        chaotic[pos] = True
+            return values
 
         for j in range(m):
-            candidates = always + by_iteration.get(j, [])
-            hook = (hook_factory(j, candidates)
-                    if candidates or detector is not None else None)
-            h_block = arnoldi.step(j, coefficient_hook=hook,
-                                   spmv_hook=spmv_hook_factory(candidates),
+            armed = [pos for pos in np.flatnonzero(alive) if ctxs[pos].arm(j)]
+            hooked = bool(armed) or detector is not None
+            h_block = arnoldi.step(j, coefficient_hook=coefficient_hook if hooked else None,
+                                   spmv_hook=spmv_hook if hooked else None,
                                    active=alive)
             if H_arr is not None:
                 H_arr[: j + 2, j] = h_block
@@ -1003,11 +920,11 @@ class _BatchedNestedSolve:
                 finite_y[pos] = bool(info.get("finite", True))
         for pos in np.flatnonzero(alive):
             if fallback[pos]:
-                inner_events[pos].record("lsq_fallback", where="least_squares",
-                                         outer_iteration=o, inner_iteration=m)
+                ctxs[pos].events.record("lsq_fallback", where="least_squares",
+                                        outer_iteration=o, inner_iteration=m)
             if not finite_y[pos]:
-                inner_events[pos].record("lsq_nonfinite", where="least_squares",
-                                         outer_iteration=o, inner_iteration=m)
+                ctxs[pos].events.record("lsq_nonfinite", where="least_squares",
+                                        outer_iteration=o, inner_iteration=m)
 
         update = arnoldi.update_block(Y)
         if self.precond_block is not None:
@@ -1031,33 +948,14 @@ class _BatchedNestedSolve:
                 iterations=m,
                 residual_norm=float(residual_final[pos]),
                 history=history,
-                events=inner_events[pos],
+                events=ctxs[pos].events,
                 matvecs=m + 2,
             )
         return X, peel, results
 
-    # ------------------------------------------------------------------ #
-    def _screen_spmv(self, spmv: np.ndarray, alive: np.ndarray,
-                     inner_events: list[EventLog], o: int, j: int) -> None:
-        """Mirror the hooked Arnoldi step's detector check on ``A q_j``."""
-        detector = self.detector
-        norms = _row_norms(spmv)
-        flagged = _detector_flags(detector, norms) & alive
-        for pos in np.flatnonzero(flagged):
-            verdict = detector.check_vector(spmv[pos], site="spmv")
-            if not verdict.flagged:
-                continue  # inside the prefilter band, below the bound
-            inner_events[pos].record(
-                "fault_detected", where="spmv", outer_iteration=o,
-                inner_iteration=j, reason=verdict.reason,
-                detector=verdict.detector, response=self.response)
-            if self.response == "raise":
-                raise FaultDetectedError(verdict)
-
 
 def batched_ft_gmres(A, b, x0, spec: SolveSpec,
-                     setups: list[BatchedTrialSetup]
-                     ) -> list[NestedSolverResult | None]:
+                     injectors: list) -> list[NestedSolverResult | None]:
     """Run a batch of independent nested FT-GMRES trials in lockstep.
 
     Parameters
@@ -1068,8 +966,12 @@ def batched_ft_gmres(A, b, x0, spec: SolveSpec,
         The nested-solver configuration (a ``method="ft_gmres"`` spec with
         resolved components), shared by every trial.  Must be supported by
         the lockstep engine — check with :func:`batched_support_reason` first.
-    setups : list of BatchedTrialSetup
-        Per-trial injector wiring; the batch width ``B`` is ``len(setups)``.
+    injectors : list of FaultInjector
+        One per trial; the batch width ``B`` is ``len(injectors)``.  Each
+        lane consults its injector through an
+        :class:`~repro.core.arnoldi.ArnoldiContext` on the steps it arms,
+        and leaves the shared failure-free prefix at its schedule's
+        :meth:`~repro.faults.schedule.InjectionSchedule.first_step`.
 
     Returns
     -------
@@ -1078,6 +980,6 @@ def batched_ft_gmres(A, b, x0, spec: SolveSpec,
         left the lockstep common path (breakdown, early inner convergence);
         the caller must rerun it through the serial reference engine.
     """
-    if not setups:
+    if not injectors:
         return []
-    return _BatchedNestedSolve(A, b, x0, spec, setups).run()
+    return _BatchedNestedSolve(A, b, x0, spec, injectors).run()

@@ -59,10 +59,10 @@ class DetectionResult:
     def event_data(self) -> dict:
         """The verdict as ``fault_detected`` event payload fields.
 
-        One schema for every recording site (scalar screening in the Arnoldi
-        step, outer-coefficient screening in FGMRES, the vectorized mirror in
-        the batched engine), so event consumers never special-case the
-        producer.
+        Its one producer is :meth:`~repro.core.arnoldi.ArnoldiContext.screen_scalar`,
+        which screens for the inner Arnoldi step, FGMRES's outer step and
+        each lane of the batched engine alike, so event consumers never
+        special-case the engine.
         """
         return {
             "value": self.value,

@@ -95,7 +95,11 @@ def fgmres(
         ``z_j`` is not a unit vector; when a detector is supplied here it is
         applied to ``h_ij / ||z_j||`` so the paper's bound still applies.
     detector_response : str
-        Response policy for outer detections (same vocabulary as GMRES).
+        Response policy for outer detections (same vocabulary as GMRES; an
+        unknown name raises ``ValueError``).  The outer check is on
+        ``h_ij / ||z_j||``: ``"clamp"`` answers with
+        ``sign(h_ij) * bound * ||z_j||``, and ``"recompute"`` keeps ``h_ij``
+        (the outer phase is reliable, so there is nothing to recompute).
     bound_method : {"frobenius", "two_norm", "exact"}
         Norm used when ``detector`` is a spec that computes a bound from ``A``.
     injector : FaultInjector, optional
@@ -135,13 +139,15 @@ def fgmres(
     events = EventLog.ensure(events)
     history = ConvergenceHistory()
 
-    # Outer-iteration injection goes through the same ArnoldiContext plumbing
-    # as the inner solves.  The outer iteration j doubles as the aggregate
+    # Outer-iteration injection and screening go through the same
+    # ArnoldiContext as the inner solves (raising ValueError for an unknown
+    # detector_response).  The outer iteration j doubles as the aggregate
     # coordinate: a standalone FGMRES solve has no inner iterations, so
     # schedules addressed in aggregate terms fire at outer step j.  Unarmed
     # steps (always, without an injector) make no consults and perform the
     # identical floating-point operations.
-    ctx = ArnoldiContext(injector=injector, events=events)
+    ctx = ArnoldiContext(injector=injector, detector=detector,
+                         detector_response=detector_response, events=events)
 
     norm_b = float(np.linalg.norm(b))
     target = tol * norm_b if norm_b > 0.0 else tol
@@ -208,7 +214,8 @@ def fgmres(
                     if armed:
                         h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
                                               mgs_length=j + 1)
-                    h = _screen_outer(h, z_norm, detector, detector_response, events, j, i)
+                    h = ctx.screen_scalar("outer_hessenberg", h, iteration=j, mgs_index=i,
+                                          scale=z_norm)
                 h_col[i] = h
                 w -= h * Q[:, i]
         else:
@@ -222,8 +229,8 @@ def fgmres(
                         if armed:
                             h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
                                                   mgs_length=j + 1)
-                        coeffs[i] = _screen_outer(h, z_norm, detector,
-                                                  detector_response, events, j, i)
+                        coeffs[i] = ctx.screen_scalar("outer_hessenberg", h, iteration=j,
+                                                      mgs_index=i, scale=z_norm)
                 w = w - Q[:, : j + 1] @ coeffs
                 h_col[: j + 1] += coeffs
 
@@ -231,8 +238,7 @@ def fgmres(
             w = ctx.inject_vector("orth", w, iteration=j)
         h_sub = float(np.linalg.norm(w))
         if armed:
-            h_sub = ctx.inject_scalar("subdiag", h_sub, iteration=j, mgs_index=j + 1,
-                                      mgs_length=j + 2)
+            h_sub = ctx.inject_scalar("subdiag", h_sub, iteration=j)
         h_col[j + 1] = h_sub
         resid_est = hess.add_column(h_col, givens_hook=ctx.givens_hook)
         k = j + 1
@@ -281,32 +287,3 @@ def fgmres(
         events=events,
         matvecs=matvecs,
     )
-
-
-def _screen_outer(h: float, z_norm: float, detector: Detector | None, response: str,
-                  events: EventLog, outer_iteration: int, mgs_index: int) -> float:
-    """Apply the (optional) detector to an outer Hessenberg coefficient.
-
-    The outer coefficients satisfy ``|h_ij| <= ||A z_j||_2 <= ||A||_2 ||z_j||``,
-    so the paper's unit-vector bound applies to ``h / ||z_j||``.
-    """
-    if detector is None:
-        return h
-    scaled = h / z_norm if z_norm > 0.0 else h
-    verdict = detector.check_scalar(scaled, site="outer_hessenberg")
-    if not verdict.flagged:
-        return h
-    events.record("fault_detected", where="outer_hessenberg", outer_iteration=outer_iteration,
-                  mgs_index=mgs_index, response=response,
-                  **{**verdict.event_data(), "value": h})
-    if response == "zero":
-        return 0.0
-    if response == "clamp":
-        bound = verdict.bound * z_norm if np.isfinite(verdict.bound) else 0.0
-        return float(np.sign(h) * bound) if np.isfinite(h) else 0.0
-    if response == "raise":
-        from repro.core.exceptions import FaultDetectedError
-
-        raise FaultDetectedError(verdict)
-    # "flag" and "recompute" (nothing to recompute reliably here) keep the value.
-    return h

@@ -158,15 +158,6 @@ def gmres(
     # vector) and "givens" (rotation coefficients, ``ctx.givens_hook``)
     # sites with the live iteration context; unarmed steps skip both and
     # perform the identical floating-point operations.
-    # Black-box wrappers (repro.faults.targets) are recognized and routed
-    # through the live context: their injectors then see real iteration
-    # coordinates instead of raw call counts (which non-Arnoldi matvecs —
-    # initial/true residuals — would silently shift).
-    mv_in_context = getattr(op, "matvec_in_context", None)
-    apply_in_context = getattr(preconditioner, "apply_in_context", None)
-    if apply_in_context is not None:
-        def apply_precond(q, _mi=apply_in_context, _ctx=ctx):
-            return _mi(q, _ctx.current_context())
     precond_apply = apply_precond
     if apply_precond is not None and injector is not None:
         def precond_apply(q, _mi=apply_precond, _ctx=ctx):
@@ -175,30 +166,17 @@ def gmres(
                 return z
             return _ctx.inject_vector("precond", z, iteration=_ctx.current_iteration)
 
-    if mv_in_context is not None:
-        # Arnoldi matvecs go through the wrapper with live coordinates;
-        # residual matvecs (host-side, reliable in the sandbox model) use
-        # the wrapped clean operator.
-        def base_matvec(q, _mv=mv_in_context, _ctx=ctx):
-            return _mv(q, _ctx.current_context())
-        residual_matvec = op.operator.matvec
-    else:
-        base_matvec = op.matvec
-        residual_matvec = op.matvec
-
     if profile is None:
-        if precond_apply is None and mv_in_context is None:
+        if precond_apply is None:
             operator_apply = None  # arnoldi_step will call op.matvec directly
-        elif precond_apply is None:
-            operator_apply = base_matvec
         else:
-            def operator_apply(q, _op=base_matvec, _mi=precond_apply):
+            def operator_apply(q, _op=op.matvec, _mi=precond_apply):
                 return _op(_mi(q))
     else:
         # Timed closures pass values through unchanged (conforming float64
         # vectors survive arnoldi_step's asarray untouched), so profiling
         # never perturbs the arithmetic.
-        timed_matvec = profile.timed("spmv", base_matvec)
+        timed_matvec = profile.timed("spmv", op.matvec)
         if precond_apply is None:
             operator_apply = timed_matvec
         else:
@@ -214,7 +192,7 @@ def gmres(
     mgs_scratch = np.empty(n, dtype=np.float64)
 
     # Initial residual (reliable).
-    r = b - residual_matvec(x)
+    r = b - op.matvec(x)
     ctx.matvecs += 1
     residual_norm = float(np.linalg.norm(r))
     history.append(residual_norm)
@@ -282,7 +260,7 @@ def gmres(
             x = x + update
 
         # True residual for the next cycle / convergence confirmation.
-        r = b - residual_matvec(x)
+        r = b - op.matvec(x)
         ctx.matvecs += 1
         residual_norm = float(np.linalg.norm(r))
 

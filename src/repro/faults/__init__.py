@@ -11,9 +11,8 @@ a chosen class.  This package generalizes that methodology:
 * :mod:`repro.faults.schedule`  — when and where the corruption strikes
   (site, aggregate inner iteration, MGS position, transient/sticky/persistent);
 * :mod:`repro.faults.injector`  — the object solvers consult at every
-  injection site;
-* :mod:`repro.faults.targets`   — operator/preconditioner wrappers for
-  black-box (kernel-output) injection;
+  injection site (kernel outputs included: the ``spmv`` and ``precond``
+  sites corrupt the operator and preconditioner products);
 * :mod:`repro.faults.sandbox`   — the sandbox reliability model: injectors
   attached to a sandbox only act while the sandbox is active;
 * :mod:`repro.faults.bitflip`   — IEEE-754 bit manipulation helpers;
@@ -46,7 +45,6 @@ from repro.faults.schedule import (
 )
 from repro.faults.injector import FaultInjector, NullInjector
 from repro.faults.sandbox import Sandbox, reliable_region
-from repro.faults.targets import FaultyOperator, FaultyPreconditioner
 from repro.faults.campaign import (
     CampaignResult,
     FaultCampaign,
@@ -79,8 +77,6 @@ __all__ = [
     "NullInjector",
     "Sandbox",
     "reliable_region",
-    "FaultyOperator",
-    "FaultyPreconditioner",
     "CampaignResult",
     "ChaosError",
     "ChaosPolicy",

@@ -649,9 +649,9 @@ class FaultCampaign:
 
         ``None`` means the configuration is supported.  The supported space
         is the paper's experiment space (MGS inside and out, ``hessenberg``
-        injection site, no detector or the Hessenberg-bound detector with a
-        non-raising response); exotic configurations belong on the serial
-        backend.
+        and/or ``spmv`` injection sites, no detector or the Hessenberg-bound
+        detector with a non-raising response); exotic configurations belong
+        on the serial backend.
         """
         from repro.core.batched import batched_support_reason
 
@@ -675,7 +675,7 @@ class FaultCampaign:
         count — lockstep lanes have no individual wall clock by
         construction); peeled trials report their true serial time.
         """
-        from repro.core.batched import BatchedTrialSetup, batched_ft_gmres
+        from repro.core.batched import batched_ft_gmres
 
         reason = self.batched_unsupported_reason()
         if reason is not None:
@@ -698,26 +698,21 @@ class FaultCampaign:
         num_batches = -(-len(specs) // batch_size) if specs else 0
         for start in range(num_batches):
             chunk = specs[start::num_batches]
-            setups = []
-            for spec in chunk:
-                model = self._model_for(spec.fault_class)
-                injector = self._trial_injector(model, spec.aggregate_inner_iteration)
-                setups.append(BatchedTrialSetup(
-                    injector=injector,
-                    hessenberg_target=injector.schedule.aggregate_inner_iteration,
-                ))
+            injectors = [self._trial_injector(self._model_for(spec.fault_class),
+                                              spec.aggregate_inner_iteration)
+                         for spec in chunk]
             timer = Timer()
             try:
                 with timer:
                     results = batched_ft_gmres(self.problem.A, self.problem.b,
-                                               self.problem.x0, self.solver, setups)
+                                               self.problem.x0, self.solver, injectors)
             except Exception:
                 # A crash in the shared block kernels cannot be attributed to
                 # one lane; peel the whole batch to the serial path, where
                 # run_spec_safe isolates the actual casualty per trial.
                 results = [None] * len(chunk)
             lane_elapsed = timer.elapsed / len(chunk)
-            for spec, setup, result in zip(chunk, setups, results):
+            for spec, injector, result in zip(chunk, injectors, results):
                 if result is None:
                     # Off the lockstep common path: the serial reference
                     # engine is the fallback, so rare paths never rely on
@@ -735,7 +730,7 @@ class FaultCampaign:
                         converged=result.converged,
                         status=result.status.value,
                         residual_norm=result.residual_norm,
-                        faults_injected=setup.injector.injections_performed,
+                        faults_injected=injector.injections_performed,
                         faults_detected=result.faults_detected,
                         detector_enabled=self.detector is not None,
                         elapsed=lane_elapsed,

@@ -136,6 +136,16 @@ class InjectionSchedule:
             return False
         return True
 
+    def first_step(self) -> int | None:
+        """The first aggregate inner iteration :meth:`can_match_step` allows.
+
+        A lower bound: no step before it can fire.  ``None`` when the
+        schedule does not bound it.  The batched engine keeps a trial on
+        the shared failure-free prefix until the inner solve that spans
+        this step.
+        """
+        return self.aggregate_inner_iteration
+
     def matches(self, site: str, *, mgs_index: int = -1, mgs_length: int = 0,
                 **context) -> bool:
         """True if a call with this context is eligible for corruption.
@@ -239,6 +249,10 @@ class FaultRateSchedule(InjectionSchedule):
         # ``matches`` adds the site and MGS predicates.
         return super().can_match_step(
             aggregate_inner_iteration=aggregate_inner_iteration, **context)
+
+    def first_step(self) -> int | None:
+        """The cadence starts at ``start``."""
+        return self.start
 
     def describe(self) -> str:
         base = super().describe()

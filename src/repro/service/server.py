@@ -68,6 +68,10 @@ DAEMON_FILE = "daemon.json"
 
 _JOB_PATH_RE = re.compile(r"^/jobs/([A-Za-z0-9._-]+)(/events|/result)?$")
 
+#: Largest ``POST /jobs`` body the daemon reads (a CampaignSpec is a few
+#: KB).  A longer declared ``Content-Length`` gets 413 without a read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ServiceStartupError(RuntimeError):
     """The daemon cannot start (another daemon owns the store, bind failed)."""
@@ -317,10 +321,23 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such endpoint: POST {self.path}")
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            declared = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._error(400, f"invalid Content-Length {declared!r}")
+                return
+            if length > MAX_BODY_BYTES:
+                self._error(413, f"request body of {length} bytes exceeds the "
+                                 f"{MAX_BODY_BYTES}-byte limit")
+                return
             try:
                 data = json.loads(self.rfile.read(length) or b"null")
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and undecodable bytes;
+                # RecursionError is nesting deeper than the parser allows.
                 self._error(400, f"request body is not valid JSON: {exc}")
                 return
             if not isinstance(data, dict):

@@ -5,7 +5,11 @@ subpackage rebuilds the pieces the algorithms actually need, from scratch:
 
 * :class:`~repro.sparse.coo.COOMatrix` — coordinate-format builder.
 * :class:`~repro.sparse.csr.CSRMatrix` — compressed-sparse-row storage with a
-  vectorized sparse matrix–vector product (the dominant kernel of GMRES).
+  vectorized sparse matrix–vector product (the dominant kernel of GMRES);
+  callers use its methods (``matvec``, ``rmatvec``, ``matmat``, ``add``,
+  ``scale``, ``diagonal``) directly.
+* :mod:`~repro.sparse.kernels` — the pluggable kernel tiers (``numpy``,
+  ``scipy``) those methods and the triangular solves dispatch through.
 * :class:`~repro.sparse.linear_operator.LinearOperator` — the abstraction the
   Krylov solvers are written against, so dense arrays, our CSR matrices,
   ``scipy.sparse`` matrices, and matrix-free callables are all accepted.
@@ -27,7 +31,6 @@ from repro.sparse.norms import (
     two_norm_estimate,
     hessenberg_bound,
 )
-from repro.sparse.ops import spmv, spmv_transpose, sparse_add, sparse_scale, extract_diagonal
 from repro.sparse.trisolve import TriangularFactor, split_triangle
 from repro.sparse.mmio import read_matrix_market, write_matrix_market
 
@@ -44,11 +47,6 @@ __all__ = [
     "inf_norm",
     "two_norm_estimate",
     "hessenberg_bound",
-    "spmv",
-    "spmv_transpose",
-    "sparse_add",
-    "sparse_scale",
-    "extract_diagonal",
     "read_matrix_market",
     "write_matrix_market",
 ]

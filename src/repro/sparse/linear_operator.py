@@ -8,9 +8,9 @@ solvers against :class:`LinearOperator` lets users pass:
 * any ``scipy.sparse`` matrix,
 * an arbitrary matrix-free callable (:class:`MatrixFreeOperator`).
 
-The fault-injection machinery also wraps operators (see
-:class:`repro.faults.targets.FaultyOperator`) so SDC can be injected into the
-SpMV result without touching solver code.
+Fault injection into the SpMV result needs no wrapper: the solvers offer
+every operator product to their injector at the ``spmv`` site (see
+:mod:`repro.core.arnoldi`).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.batched import (
     BatchedGivensQR,
-    BatchedTrialSetup,
     _batched_givens,
     batched_ft_gmres,
     batched_support_reason,
@@ -28,6 +27,7 @@ from repro.exec.executor import CampaignExecutor
 from repro.faults.campaign import FaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.faults.models import (
+    AbsoluteFault,
     InfFault,
     NaNFault,
     PAPER_FAULT_CLASSES,
@@ -183,6 +183,17 @@ class TestCampaignEquivalence:
         assert_records_equivalent(campaign.run(stride=17),
                                   campaign.run(stride=17, backend="batched"))
 
+    @pytest.mark.parametrize("site", ["hessenberg", "spmv"])
+    def test_rate_schedule_campaign(self, tiny_problem, site):
+        """Rate-schedule lanes ride the shared prefix up to their cadence
+        ``start`` (``InjectionSchedule.first_step``), then fault twice."""
+        campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
+                                 detector="bound", detector_response="zero",
+                                 site=site, fault_rate=2)
+        serial = campaign.run(stride=11)
+        assert any(t.faults_injected == 2 for t in serial.trials)
+        assert_records_equivalent(serial, campaign.run(stride=11, backend="batched"))
+
     @pytest.mark.parametrize("response", ["flag", "clamp", "recompute"])
     def test_detector_responses(self, tiny_problem, response):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
@@ -238,26 +249,47 @@ class TestCommonPathExits:
         assert batched.trials == serial.trials  # exact, not just equivalent
 
 
+def _serial_and_batched(problem, solver, make_injector):
+    """One trial through ft_gmres and through batched_ft_gmres.
+
+    Returns ``(serial, batched, serial_injector, batched_injector)``; the
+    two injectors are built identically by ``make_injector``.
+    """
+    serial_injector, batched_injector = make_injector(), make_injector()
+    serial = ft_gmres(problem.A, problem.b, problem.x0, spec=solver,
+                      injector=serial_injector)
+    (batched,) = batched_ft_gmres(problem.A, problem.b, problem.x0, solver,
+                                  [batched_injector])
+    return serial, batched, serial_injector, batched_injector
+
+
+def _record_payload(record):
+    """Everything of an InjectionRecord but the (rounding-sensitive) values."""
+    return {field: value for field, value in vars(record).items()
+            if field not in ("original", "corrupted")}
+
+
+def _event_payload(event):
+    """Kind, where, coordinates, data keys and the non-float data values."""
+    return (event.kind, event.where, event.outer_iteration, event.inner_iteration,
+            sorted(event.data),
+            {key: value for key, value in event.data.items()
+             if not isinstance(value, float)})
+
+
 class TestEventStreams:
     def _nested_results(self, campaign, location):
-        """The same trial through ft_gmres and through batched_ft_gmres."""
-        problem = campaign.problem
-        model = campaign.fault_classes["large"]
-
+        """The same ``large`` hessenberg fault serially and batched."""
         def make_injector():
             schedule = InjectionSchedule(site="hessenberg",
                                          aggregate_inner_iteration=location,
                                          mgs_position="first",
                                          persistence="transient")
-            return FaultInjector(model, schedule)
+            return FaultInjector(campaign.fault_classes["large"], schedule)
 
-        serial = ft_gmres(problem.A, problem.b, problem.x0,
-                          spec=campaign.solver, injector=make_injector())
-        setups = [BatchedTrialSetup(injector=make_injector(),
-                                    hessenberg_target=location)]
-        results = batched_ft_gmres(problem.A, problem.b, problem.x0,
-                                   campaign.solver, setups)
-        return serial, results[0]
+        serial, batched, _, _ = _serial_and_batched(campaign.problem, campaign.solver,
+                                                    make_injector)
+        return serial, batched
 
     def test_event_streams_identical(self, detector_campaign):
         serial, batched = self._nested_results(detector_campaign, location=12)
@@ -284,6 +316,44 @@ class TestEventStreams:
             scale = max(1.0, float(expected[0]))
             np.testing.assert_allclose(b_inner.history.as_array(), expected,
                                        rtol=0.0, atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("response", ["flag", "zero", "clamp", "recompute"])
+    @pytest.mark.parametrize("site", ["hessenberg", "spmv"])
+    def test_payloads_match_serial(self, tiny_problem, site, response):
+        """Both engines inject, record, screen and respond on one path.
+
+        An overwrite to 1e3 is past the detector's bound (so every response
+        fires) and far below the chaos gate (so the lane stays in lockstep).
+        Injection records and events must agree exactly on everything but
+        the float values.
+        """
+        campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
+                                 detector="bound", detector_response=response)
+
+        def make_injector():
+            return FaultInjector(
+                AbsoluteFault(1e3),
+                InjectionSchedule(site=site, aggregate_inner_iteration=12,
+                                  mgs_position="last"),
+                rng=np.random.default_rng(5))
+
+        serial, batched, s_inj, b_inj = _serial_and_batched(
+            tiny_problem, campaign.solver, make_injector)
+        if (site, response) == ("spmv", "zero"):
+            # Zeroing the flagged coefficients of a corrupted ``A q_j``
+            # leaves the fault in the orthogonalized vector, so the
+            # subdiagonal is flagged and zeroed too: a breakdown, which the
+            # serial engine owns.
+            assert batched is None
+            assert serial.events.count("happy_breakdown") >= 1
+            return
+        assert batched is not None, "trial unexpectedly left the lockstep path"
+        assert s_inj.injections_performed == 1
+        assert [_record_payload(r) for r in b_inj.records] == \
+            [_record_payload(r) for r in s_inj.records]
+        assert serial.events.count("fault_detected") >= 1
+        assert [_event_payload(e) for e in batched.events] == \
+            [_event_payload(e) for e in serial.events]
 
 
 # --------------------------------------------------------------------------- #

@@ -188,3 +188,77 @@ class TestNoDetectorFastPath:
         result = fgmres(poisson_medium, b, tol=1e-9, max_outer=5,
                         detector=HessenbergBoundDetector(1e-30), detector_response="flag")
         assert result.events.of_kind("fault_detected")
+
+
+class TestOuterDetector:
+    """An outer bound detector answering an outer ``hessenberg`` fault.
+
+    The outer coefficients satisfy ``|h_ij| <= ||A||_2 ||z_j||``, so the
+    check is on ``h_ij / ||z_j||``.  A Jacobi inner solve makes ``z_j``
+    non-unit, so the scaling matters.
+    """
+
+    STEP = 2
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        from repro.gallery.problems import poisson_problem
+
+        return poisson_problem(grid_n=8, seed=7)
+
+    def _solve(self, problem, model, detector=None, response="flag"):
+        from repro.faults.injector import FaultInjector
+        from repro.faults.schedule import InjectionSchedule
+
+        injector = FaultInjector(model, InjectionSchedule(
+            site="hessenberg", aggregate_inner_iteration=self.STEP,
+            mgs_position="last"))
+        jacobi = JacobiPreconditioner(problem.A)
+        z_norms = {}
+        result = fgmres(problem.A, problem.b, inner_solver=lambda q, j: jacobi.apply(q),
+                        tol=1e-10, max_outer=30, detector=detector,
+                        detector_response=response, injector=injector,
+                        inner_callback=lambda j, q, z: z_norms.setdefault(
+                            j, float(np.linalg.norm(z))))
+        return result, z_norms
+
+    @pytest.mark.parametrize("response", ["flag", "zero", "clamp", "recompute", "raise"])
+    def test_every_response(self, problem, response):
+        from repro.core.detectors import HessenbergBoundDetector
+        from repro.core.exceptions import FaultDetectedError
+        from repro.faults.models import AbsoluteFault, ZeroFault
+        from repro.sparse.norms import frobenius_norm
+
+        detector = HessenbergBoundDetector(frobenius_norm(problem.A))
+        # Below the bound, but past it once scaled by 1 / ||z_j||.
+        fault = AbsoluteFault(20.0)
+        if response == "raise":
+            with pytest.raises(FaultDetectedError):
+                self._solve(problem, fault, detector, response)
+            return
+        result, z_norms = self._solve(problem, fault, detector, response)
+        (event,) = result.events.of_kind("fault_detected")
+        assert (event.where, event.outer_iteration, event.inner_iteration) == \
+            ("outer_hessenberg", self.STEP, self.STEP)
+        assert event.data == {
+            "mgs_index": self.STEP, "response": response,
+            "aggregate_inner_iteration": self.STEP, "value": 20.0,
+            "bound": detector.effective_bound, "detector": detector.name,
+            "reason": event.data["reason"],
+        }
+        assert 20.0 / z_norms[self.STEP] > detector.effective_bound > 20.0
+
+        # Each response equals an undetected run whose fault leaves the
+        # value the response chose: flag and recompute keep h, zero writes
+        # 0, clamp writes sign(h) * bound * ||z_j||.
+        kept = {"flag": fault, "recompute": fault, "zero": ZeroFault(),
+                "clamp": AbsoluteFault(detector.effective_bound * z_norms[self.STEP])}
+        reference, _ = self._solve(problem, kept[response])
+        np.testing.assert_array_equal(result.x, reference.x)
+        np.testing.assert_array_equal(result.history.as_array(),
+                                      reference.history.as_array())
+
+    def test_unknown_response_rejected(self, problem):
+        with pytest.raises(ValueError, match="detector_response"):
+            fgmres(problem.A, problem.b, max_outer=3, detector="bound",
+                   detector_response="zeroo")

@@ -41,7 +41,6 @@ from repro.faults.models import (
     ZeroFault,
 )
 from repro.faults.schedule import KNOWN_SITES, FaultRateSchedule, InjectionSchedule
-from repro.faults.targets import FaultyOperator, FaultyPreconditioner
 from repro.gallery.problems import poisson_problem
 from repro.precond.jacobi import JacobiPreconditioner
 from repro.registry import resolve_fault_model
@@ -51,11 +50,6 @@ from repro.specs import CampaignSpec, ExecutionSpec, SolveSpec, SpecError
 @pytest.fixture(scope="module")
 def tiny_problem():
     return poisson_problem(grid_n=8, seed=7)
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(11)
 
 
 # --------------------------------------------------------------------------- #
@@ -198,6 +192,16 @@ class TestFaultRateSchedule:
         assert hits == [2, 12, 22, 32]  # cadence; the *count* cap is the
         assert sched.max_injections == 3  # injector's job, enforced below
 
+    def test_first_step_bounds_every_armed_step(self):
+        schedules = [InjectionSchedule(aggregate_inner_iteration=4),
+                     FaultRateSchedule(faults_per_solve=2, start=7, interval=10),
+                     InjectionSchedule(outer_iteration=1)]
+        assert [s.first_step() for s in schedules] == [4, 7, None]
+        for sched in schedules[:2]:
+            assert not any(sched.can_match_step(aggregate_inner_iteration=k)
+                           for k in range(sched.first_step()))
+            assert sched.can_match_step(aggregate_inner_iteration=sched.first_step())
+
     def test_injector_honors_faults_per_solve(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
                                  site="hessenberg", fault_rate=3)
@@ -259,6 +263,16 @@ class TestGMRESSites:
         assert injector.injections_performed == 1
         assert injector.records[0].site == "precond"
         assert injector.records[0].inner_iteration == 2
+        assert result.events.count("fault_injected") == 1
+
+    def test_spmv_site_fires_at_the_arnoldi_step(self, tiny_problem):
+        """The initial-residual matvec is not an Arnoldi step: a schedule
+        pinned to step 2 corrupts the operator product of step 2."""
+        injector = _site_injector("spmv", aggregate_inner_iteration=2)
+        result = gmres(tiny_problem.A, tiny_problem.b, tol=0.0, maxiter=6,
+                       restart=6, injector=injector)
+        (record,) = injector.records
+        assert (record.site, record.inner_iteration, record.vector_index) == ("spmv", 2, 3)
         assert result.events.count("fault_injected") == 1
 
     def test_givens_site_fires_on_rotation_coefficients(self, tiny_problem):
@@ -331,54 +345,29 @@ class TestFGMRESSites:
 
 
 # --------------------------------------------------------------------------- #
-# wrapper context routing (satellite: FaultyOperator/FaultyPreconditioner)
+# every site injects under either MGS position
 # --------------------------------------------------------------------------- #
-class TestWrapperContextRouting:
-    def test_standalone_matvec_keeps_call_count_coordinates(self, tiny_problem,
-                                                            rng):
-        """The legacy black-box contract, bit for bit: call N is iteration N."""
-        x = rng.standard_normal(tiny_problem.A.shape[0])
-        injector = _site_injector("spmv", aggregate_inner_iteration=1)
-        faulty = FaultyOperator(tiny_problem.A, injector)
-        clean = tiny_problem.A.matvec(x)
-        np.testing.assert_array_equal(faulty.matvec(x), clean)
-        assert not np.array_equal(faulty.matvec(x), clean)
-        rec = injector.records[0]
-        assert (rec.outer_iteration, rec.inner_iteration) == (-1, 1)
+class TestEverySiteInjects:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return poisson_problem(grid_n=8, seed=7)
 
-    def test_in_solver_wrapper_sees_real_iterations(self, tiny_problem):
-        """Inside gmres the wrapper must inject by Arnoldi step, not call count.
-
-        gmres performs a non-Arnoldi matvec for the initial residual; with
-        raw call counts a schedule pinned to iteration 2 would fire during
-        Arnoldi step 1.  Context routing must report the real step.
-        """
-        injector = _site_injector("spmv", aggregate_inner_iteration=2)
-        faulty = FaultyOperator(tiny_problem.A, injector)
-        gmres(faulty, tiny_problem.b, tol=0.0, maxiter=6, restart=6)
-        assert injector.injections_performed == 1
-        assert injector.records[0].inner_iteration == 2
-
-    def test_wrapper_matches_native_spmv_site(self, tiny_problem):
-        """Wrapped and native spmv injection are the same experiment."""
-        native = _site_injector("spmv", aggregate_inner_iteration=2)
-        wrapped = _site_injector("spmv", aggregate_inner_iteration=2)
-        res_native = gmres(tiny_problem.A, tiny_problem.b, tol=0.0, maxiter=6,
-                           restart=6, injector=native)
-        res_wrapped = gmres(FaultyOperator(tiny_problem.A, wrapped),
-                            tiny_problem.b, tol=0.0, maxiter=6, restart=6)
-        np.testing.assert_array_equal(res_wrapped.x, res_native.x)
-        assert res_wrapped.residual_norm == res_native.residual_norm
-
-    def test_in_solver_preconditioner_wrapper_sees_real_iterations(
-            self, tiny_problem):
-        injector = _site_injector("precond", aggregate_inner_iteration=3)
-        faulty = FaultyPreconditioner(JacobiPreconditioner(tiny_problem.A),
-                                      injector)
-        gmres(tiny_problem.A, tiny_problem.b, tol=0.0, maxiter=6, restart=6,
-              preconditioner=faulty)
-        assert injector.injections_performed == 1
-        assert injector.records[0].inner_iteration == 3
+    @pytest.mark.parametrize("mgs_position", ["first", "last"])
+    @pytest.mark.parametrize("site", KNOWN_SITES)
+    def test_every_trial_injects_once(self, problem, site, mgs_position):
+        """``mgs_position`` picks among the MGS (and Givens) coefficients;
+        the subdiagonal, like the vector sites, is one value per step, so
+        every site fires under either position.  The Jacobi inner
+        preconditioner gives the ``precond`` site a value to corrupt."""
+        campaign = FaultCampaign(
+            problem, inner_iterations=10, max_outer=30, site=site,
+            mgs_position=mgs_position,
+            solver=SolveSpec(method="ft_gmres", inner=SolveSpec(
+                method="gmres", tol=0.0,
+                preconditioner=JacobiPreconditioner(problem.A))))
+        trials = campaign.run(stride=13).trials
+        assert trials
+        assert [t.faults_injected for t in trials] == [1] * len(trials)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Unit tests for injection schedules, the injector, sandbox, and wrappers."""
+"""Unit tests for injection schedules, the injector and the sandbox."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from repro.faults.injector import FaultInjector, NullInjector
 from repro.faults.models import ScalingFault, ZeroFault
 from repro.faults.sandbox import Sandbox, reliable_region
 from repro.faults.schedule import InjectionSchedule, Persistence
-from repro.faults.targets import FaultyOperator, FaultyPreconditioner
-from repro.precond.jacobi import JacobiPreconditioner
 
 
 def ctx(**overrides):
@@ -214,51 +212,3 @@ class TestSandbox:
             s.tick()
         s.reset()
         assert s.entries == 0 and s.operations == 0
-
-
-class TestTargets:
-    def test_faulty_operator_single_fault(self, poisson_small, rng):
-        x = rng.standard_normal(poisson_small.shape[0])
-        injector = FaultInjector(ScalingFault(100.0),
-                                 InjectionSchedule(site="spmv", aggregate_inner_iteration=1,
-                                                   mgs_position=None),
-                                 vector_index=0)
-        faulty = FaultyOperator(poisson_small, injector)
-        clean = poisson_small.matvec(x)
-        np.testing.assert_array_equal(faulty.matvec(x), clean)      # call 0: no fault
-        corrupted = faulty.matvec(x)                                 # call 1: fault
-        assert corrupted[0] == pytest.approx(clean[0] * 100.0)
-        np.testing.assert_array_equal(corrupted[1:], clean[1:])
-        np.testing.assert_array_equal(faulty.matvec(x), clean)      # transient: done
-
-    def test_faulty_operator_rmatvec_clean(self, poisson_small, rng):
-        x = rng.standard_normal(poisson_small.shape[0])
-        injector = FaultInjector(ScalingFault(100.0),
-                                 InjectionSchedule(site="spmv", mgs_position=None))
-        faulty = FaultyOperator(poisson_small, injector)
-        np.testing.assert_array_equal(faulty.rmatvec(x), poisson_small.rmatvec(x))
-
-    def test_faulty_preconditioner(self, poisson_small, rng):
-        r = rng.standard_normal(poisson_small.shape[0])
-        jac = JacobiPreconditioner(poisson_small)
-        injector = FaultInjector(ZeroFault(),
-                                 InjectionSchedule(site="precond", aggregate_inner_iteration=0,
-                                                   mgs_position=None),
-                                 vector_index=1)
-        faulty = FaultyPreconditioner(jac, injector)
-        out = faulty.apply(r)
-        clean = jac.apply(r)
-        assert out[1] == 0.0
-        np.testing.assert_array_equal(np.delete(out, 1), np.delete(clean, 1))
-
-    def test_faulty_preconditioner_from_callable(self, rng):
-        injector = FaultInjector(ZeroFault(), InjectionSchedule(site="precond",
-                                                                mgs_position=None))
-        faulty = FaultyPreconditioner(lambda r: 2.0 * r, injector)
-        out = faulty.apply(np.ones(4))
-        assert np.count_nonzero(out == 0.0) == 1
-
-    def test_faulty_preconditioner_type_checked(self):
-        injector = FaultInjector(ZeroFault(), InjectionSchedule(site="precond"))
-        with pytest.raises(TypeError):
-            FaultyPreconditioner(42, injector)

@@ -75,6 +75,21 @@ def _start_daemon(store_dir, *, max_jobs=2, drain_grace=3.0):
     raise AssertionError("daemon never wrote daemon.json")
 
 
+def _raw_post_jobs(url: str, content_length: str, body: bytes = b"") -> int:
+    """``POST /jobs`` with hand-written framing; the reply's status code."""
+    import socket
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    head = (f"POST /jobs HTTP/1.1\r\nHost: {parts.hostname}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n").encode("ascii")
+    with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+        sock.sendall(head + body)
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
 def _stop_daemon(proc) -> None:
     if proc.poll() is None:
         proc.terminate()
@@ -602,6 +617,17 @@ class TestServiceHTTP:
             with pytest.raises(urllib.error.HTTPError) as raw:
                 urllib.request.urlopen(request, timeout=30)
             assert raw.value.code == 400
+
+            # Malformed framing is answered, never dropped or left hanging;
+            # an oversize body is refused before it is read.
+            from repro.service.server import MAX_BODY_BYTES
+
+            assert _raw_post_jobs(client.url, "abc") == 400
+            assert _raw_post_jobs(client.url, "-1") == 400
+            nested = b"[" * 200_000
+            assert _raw_post_jobs(client.url, str(len(nested)), nested) == 400
+            assert _raw_post_jobs(client.url, str(MAX_BODY_BYTES + 1)) == 413
+            assert client.health()["status"] == "ok"
 
             with pytest.raises(ServiceError) as err:
                 client.job("feedfeedfeedfeed")

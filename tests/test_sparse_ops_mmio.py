@@ -1,4 +1,4 @@
-"""Unit tests for the functional sparse kernels and Matrix-Market I/O."""
+"""Unit tests for Matrix-Market I/O."""
 
 from __future__ import annotations
 
@@ -7,35 +7,6 @@ import pytest
 
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.mmio import read_matrix_market, write_matrix_market
-from repro.sparse.ops import (
-    extract_diagonal,
-    sparse_add,
-    sparse_scale,
-    spmv,
-    spmv_transpose,
-)
-
-
-class TestOps:
-    def test_spmv(self, poisson_small, rng):
-        x = rng.standard_normal(poisson_small.shape[1])
-        np.testing.assert_allclose(spmv(poisson_small, x), poisson_small.matvec(x))
-
-    def test_spmv_transpose(self, nonsym_small, rng):
-        x = rng.standard_normal(nonsym_small.shape[0])
-        np.testing.assert_allclose(spmv_transpose(nonsym_small, x), nonsym_small.rmatvec(x))
-
-    def test_sparse_add(self, poisson_small):
-        doubled = sparse_add(poisson_small, poisson_small)
-        np.testing.assert_allclose(doubled.todense(), 2.0 * poisson_small.todense())
-
-    def test_sparse_scale(self, poisson_small):
-        np.testing.assert_allclose(sparse_scale(poisson_small, -0.5).todense(),
-                                   -0.5 * poisson_small.todense())
-
-    def test_extract_diagonal(self, poisson_small):
-        np.testing.assert_allclose(extract_diagonal(poisson_small),
-                                   np.full(poisson_small.shape[0], 4.0))
 
 
 class TestMatrixMarket:
