@@ -43,8 +43,8 @@ def test_ablation_lsq_policies_under_subdiag_sdc(benchmark, poisson_bench_proble
                 "residual_norm": result.residual_norm,
                 "solution_norm": float(np.linalg.norm(result.x)),
                 "finite": bool(np.all(np.isfinite(result.x))),
-                "fallback_events": result.events.count("lsq_fallback"),
-                "nonfinite_events": result.events.count("lsq_nonfinite"),
+                "fallback_events": sum(e.kind == "lsq_fallback" for e in result.events),
+                "nonfinite_events": sum(e.kind == "lsq_nonfinite" for e in result.events),
             }
         return results
 

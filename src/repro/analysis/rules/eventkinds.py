@@ -6,7 +6,9 @@ event table, the sinks, and stream consumers rely on.  The rule collects
 literal kinds from the three emission shapes in use:
 
 * ``Event("kind", ...)`` / ``Event(kind="kind", ...)`` constructions;
-* ``<event log>.record("kind", ...)`` calls (the solver-level helper);
+* ``<context>.record("kind", ...)`` calls
+  (:meth:`~repro.core.arnoldi.ArnoldiContext.record`, the solver-level
+  helper);
 * ``_stream_line({"kind": "...", ...})`` service-stream payloads.
 
 A literal kind missing from the table is an error wherever it appears

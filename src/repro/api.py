@@ -35,7 +35,7 @@ True
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.core.status import NestedSolverResult, SolverResult
 from repro.exec.executor import resolve_backend
@@ -86,8 +86,10 @@ def solve(A: Any, b: Any, spec: Any = None, *, x0: Any = None,
         Initial guess.
     injector : FaultInjector, optional
         Fault injector (``gmres`` and the ``ft_gmres`` inner solves only).
-    events : EventLog, optional
-        Event sink shared with the caller.
+    events : EventSink, callable, or list of them, optional
+        Receives every event of the solve the moment it is recorded
+        (anything :func:`~repro.results.events.ensure_sink` accepts).  The
+        result's ``events`` list holds the same events in the same order.
     **overrides
         Individual :class:`SolveSpec` fields overriding ``spec``, e.g.
         ``solve(A, b, "ft_gmres", tol=1e-10, detector="bound")``.
@@ -105,7 +107,6 @@ def solve(A: Any, b: Any, spec: Any = None, *, x0: Any = None,
 
 
 def run_campaign(problem: Any = None, spec: Any = None, *,
-                 progress: Callable[[int, int], None] | None = None,
                  sink: Any = None, store: Any = None,
                  run_id: str | None = None, resume: bool = False,
                  chaos: Any = None, **overrides: Any) -> CampaignResult:
@@ -121,12 +122,11 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
         ``run_campaign(spec=CampaignSpec.load(path))``.
     spec : CampaignSpec or dict, optional
         The campaign configuration (defaults: the paper's).
-    progress : callable, optional
-        ``progress(done, total)`` callback (thin adapter over the event bus).
     sink : EventSink, callable, or registered sink spec, optional
         Receives campaign lifecycle events as the campaign runs
         (``"jsonl:runs/"``, ``"console"``, a
-        :class:`~repro.results.events.CollectingSink`, ...).
+        :class:`~repro.results.events.CollectingSink`, ...); progress is
+        its ``trial_completed`` events (``data["done"]``/``data["total"]``).
     store : RunStore or path, optional
         Persist the run: every completed trial is appended to
         ``<store>/<run_id>/trials.jsonl`` (flushed per trial), under a
@@ -174,14 +174,13 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
                 locations=(list(spec.locations) if spec.locations is not None
                            else None),
                 stride=spec.stride,
-                progress=progress,
                 sink=sink,
                 chaos=chaos,
                 **spec.exec.executor_kwargs(),
             )
         return _run_stored_campaign(campaign, spec, RunStore.coerce(store),
                                     run_id=run_id, resume=resume,
-                                    progress=progress, sink=sink, chaos=chaos)
+                                    sink=sink, chaos=chaos)
     finally:
         if owns_sink and sink is not None:
             sink.close()
@@ -242,7 +241,6 @@ def serve(store: Any, spec: Any = None, **overrides: Any) -> int:
 # ---------------------------------------------------------------------- #
 def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
                          store: RunStore, *, run_id: str | None, resume: bool,
-                         progress: Callable[[int, int], None] | None,
                          sink: Any, chaos: Any = None) -> CampaignResult:
     """Execute a campaign with trial-granularity checkpointing in a store."""
     fingerprint = campaign.provenance["spec_hash"]
@@ -307,7 +305,7 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
         # down first so an interrupted run can identify itself on resume.
         store.write_manifest(manifest, resume=bool(completed) or resume)
         result = campaign.run_plan(
-            plan, specs=remaining, progress=progress, sink=sink,
+            plan, specs=remaining, sink=sink,
             completed=completed, event_data={"run_id": run_id},
             run_dir=store.run_path(run_id), chaos=chaos,
             on_supervisor_state=lambda state: store.update_manifest_extra(
@@ -317,7 +315,7 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
         writer = store.create_run(manifest, resume=bool(completed) or resume)
         try:
             result = campaign.run_plan(
-                plan, specs=remaining, progress=progress, sink=sink,
+                plan, specs=remaining, sink=sink,
                 # Persist first, observe second (run_plan's contract): an
                 # interrupt raised by a sink never loses a completed trial.
                 on_record=writer.append, completed=completed,
@@ -329,8 +327,7 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
         if not store.exists(run_id):
             # A zero-trial campaign still persists its manifest.
             store.create_run(manifest, resume=resume).close()
-        result = campaign.run_plan(plan, specs=(), progress=progress,
-                                   sink=sink, completed=completed,
+        result = campaign.run_plan(plan, specs=(), sink=sink, completed=completed,
                                    event_data={"run_id": run_id})
     store.finalize(run_id)
     # Compact shard directories into the flat layout now that the run is

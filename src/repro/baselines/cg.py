@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.status import ConvergenceHistory, SolverResult, SolverStatus
+from repro.results.events import CollectingSink, Event, MultiSink
 from repro.sparse.linear_operator import aslinearoperator
-from repro.utils.events import EventLog
 from repro.utils.validation import as_dense_vector, check_square
 
 __all__ = ["cg"]
@@ -27,7 +27,7 @@ def cg(
     tol: float = 1e-8,
     maxiter: int | None = None,
     preconditioner=None,
-    events: EventLog | None = None,
+    events=None,
 ) -> SolverResult:
     """Solve ``A x = b`` with (preconditioned) Conjugate Gradient.
 
@@ -48,8 +48,10 @@ def cg(
         Iteration budget (default ``n``).
     preconditioner : Preconditioner, callable, matrix, or None
         SPD preconditioner ``M^{-1}``.
-    events : EventLog, optional
-        Event sink.
+    events : EventSink, callable, or list of them, optional
+        Receives every event the moment it is recorded (anything
+        :func:`~repro.results.events.ensure_sink` accepts).  The result's
+        ``events`` list holds the same events in the same order.
 
     Returns
     -------
@@ -73,7 +75,8 @@ def cg(
     else:
         apply_m = aslinearoperator(preconditioner).matvec
 
-    events = EventLog.ensure(events)
+    collected = CollectingSink()
+    stream = collected if events is None else MultiSink([collected, events])
     history = ConvergenceHistory()
 
     norm_b = float(np.linalg.norm(b))
@@ -84,7 +87,8 @@ def cg(
     residual_norm = float(np.linalg.norm(r))
     history.append(residual_norm)
     if residual_norm <= target:
-        return SolverResult(x, SolverStatus.CONVERGED, 0, residual_norm, history, events, matvecs)
+        return SolverResult(x, SolverStatus.CONVERGED, 0, residual_norm, history,
+                            collected.events, matvecs)
 
     z = apply_m(r) if apply_m is not None else r
     p = z.copy()
@@ -97,7 +101,8 @@ def cg(
         matvecs += 1
         pAp = float(np.dot(p, Ap))
         if pAp == 0.0 or not np.isfinite(pAp):
-            events.record("breakdown", where="cg", inner_iteration=k, value=pAp)
+            stream.emit(Event("breakdown", where="cg", inner_iteration=k,
+                              data={"value": pAp}))
             status = SolverStatus.STAGNATED
             break
         alpha = rz / pAp
@@ -115,4 +120,5 @@ def cg(
         p = z + beta * p
         rz = rz_new
 
-    return SolverResult(x, status, iterations, residual_norm, history, events, matvecs)
+    return SolverResult(x, status, iterations, residual_norm, history, collected.events,
+                        matvecs)

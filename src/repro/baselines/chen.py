@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.core.gmres import gmres
 from repro.core.status import SolverResult, SolverStatus
+from repro.results.events import CollectingSink, Event, MultiSink
 from repro.sparse.linear_operator import aslinearoperator
-from repro.utils.events import EventLog
 from repro.utils.validation import as_dense_vector, check_square
 
 __all__ = ["RollbackResult", "gmres_with_rollback"]
@@ -81,7 +81,7 @@ def gmres_with_rollback(
     invariant_tol: float = 1e-6,
     max_rollbacks: int = 10,
     injector=None,
-    events: EventLog | None = None,
+    events=None,
     **gmres_options,
 ) -> RollbackResult:
     """GMRES protected by periodic residual verification and rollback.
@@ -103,8 +103,11 @@ def gmres_with_rollback(
         Give up (status ``FAULT_DETECTED``) after this many rollbacks.
     injector : FaultInjector, optional
         Fault injector threaded through to the underlying GMRES segments.
-    events : EventLog, optional
-        Event sink.
+    events : EventSink, callable, or list of them, optional
+        Receives every event the moment it is recorded, the GMRES
+        segments' included (anything
+        :func:`~repro.results.events.ensure_sink` accepts).  The final
+        result's ``events`` list holds the same events in the same order.
     **gmres_options
         Forwarded to :func:`repro.core.gmres.gmres` (orthogonalization,
         least-squares policy, preconditioner, ...).
@@ -120,7 +123,8 @@ def gmres_with_rollback(
     b = as_dense_vector(b, n, "b")
     x_checkpoint = as_dense_vector(x0, n, "x0") if x0 is not None else np.zeros(n)
 
-    events = EventLog.ensure(events)
+    collected = CollectingSink()
+    stream = collected if events is None else MultiSink([collected, events])
     norm_b = float(np.linalg.norm(b))
     target = tol * norm_b if norm_b > 0.0 else tol
 
@@ -136,7 +140,7 @@ def gmres_with_rollback(
         segment = gmres(
             A, b, x_checkpoint,
             tol=tol, maxiter=budget, restart=budget,
-            injector=injector, events=events, **gmres_options,
+            injector=injector, events=stream, **gmres_options,
         )
         iterations_used += max(segment.iterations, 1)
         last_result = segment
@@ -155,9 +159,10 @@ def gmres_with_rollback(
 
         if not invariant_ok:
             detections += 1
-            events.record("rollback_detection", where="chen_verify",
-                          inner_iteration=iterations_used,
-                          true_residual=true_residual, reported=reported, mismatch=mismatch)
+            stream.emit(Event("rollback_detection", where="chen_verify",
+                              inner_iteration=iterations_used,
+                              data={"true_residual": true_residual, "reported": reported,
+                                    "mismatch": mismatch}))
             rollbacks += 1
             if rollbacks > max_rollbacks:
                 final = SolverResult(
@@ -166,7 +171,7 @@ def gmres_with_rollback(
                     iterations=iterations_used,
                     residual_norm=float(np.linalg.norm(b - op.matvec(x_checkpoint))),
                     history=segment.history,
-                    events=events,
+                    events=collected.events,
                     matvecs=segment.matvecs,
                 )
                 return RollbackResult(final, verifications, detections, rollbacks, extra_matvecs)
@@ -182,7 +187,7 @@ def gmres_with_rollback(
                 iterations=iterations_used,
                 residual_norm=true_residual,
                 history=segment.history,
-                events=events,
+                events=collected.events,
                 matvecs=segment.matvecs,
             )
             return RollbackResult(final, verifications, detections, rollbacks, extra_matvecs)
@@ -194,7 +199,7 @@ def gmres_with_rollback(
         iterations=iterations_used,
         residual_norm=final_residual,
         history=last_result.history if last_result is not None else None,
-        events=events,
+        events=collected.events,
         matvecs=last_result.matvecs if last_result is not None else 0,
     )
     if final.history is None:

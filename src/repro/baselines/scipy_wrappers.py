@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.core.status import ConvergenceHistory, SolverResult, SolverStatus
 from repro.sparse.csr import CSRMatrix
-from repro.utils.events import EventLog
 
 __all__ = ["scipy_gmres"]
 
@@ -47,6 +46,5 @@ def scipy_gmres(A, b, x0=None, *, tol: float = 1e-8, maxiter: int | None = None,
         iterations=iterations,
         residual_norm=residual,
         history=history,
-        events=EventLog(),
         matvecs=iterations,
     )

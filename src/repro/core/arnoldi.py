@@ -51,8 +51,8 @@ import numpy as np
 
 from repro.core.detectors import Detector
 from repro.core.exceptions import FaultDetectedError
+from repro.results.events import Event, EventSink, ensure_sink
 from repro.sparse.linear_operator import LinearOperator
-from repro.utils.events import EventLog
 
 __all__ = ["ArnoldiContext", "arnoldi_step", "arnoldi_process", "HAPPY_BREAKDOWN_TOL"]
 
@@ -105,8 +105,12 @@ class ArnoldiContext:
 
         A flagged vector (:meth:`screen_vector`) is recorded under every
         policy and answered only by ``"raise"``.
-    events : EventLog
-        Structured event sink.
+    events : list of Event
+        Every event this solve recorded, in order (see :meth:`record`).
+    sink : EventSink, callable, list, or None
+        Where each recorded event is also emitted, the moment it is
+        recorded; anything :func:`~repro.results.events.ensure_sink`
+        accepts.  ``None`` keeps the events on :attr:`events` only.
     outer_iteration : int
         Index of the enclosing outer (FGMRES) iteration, or -1.
     inner_solve_index : int
@@ -130,7 +134,8 @@ class ArnoldiContext:
     injector: object | None = None
     detector: Detector | None = None
     detector_response: str = "flag"
-    events: EventLog = field(default_factory=EventLog)
+    events: list[Event] = field(default_factory=list)
+    sink: EventSink | None = None
     outer_iteration: int = -1
     inner_solve_index: int = -1
     iteration_offset: int = 0
@@ -144,6 +149,16 @@ class ArnoldiContext:
                 f"detector_response must be one of {VALID_RESPONSES}, "
                 f"got {self.detector_response!r}"
             )
+        self.sink = ensure_sink(self.sink)
+
+    def record(self, kind: str, where: str = "", outer_iteration: int = -1,
+               inner_iteration: int = -1, **data) -> None:
+        """Append an event to :attr:`events`, then emit it to :attr:`sink`."""
+        event = Event(kind, where=where, outer_iteration=outer_iteration,
+                      inner_iteration=inner_iteration, data=data)
+        self.events.append(event)
+        if self.sink is not None:
+            self.sink.emit(event)
 
     # ------------------------------------------------------------------ #
     # injection / detection plumbing
@@ -187,7 +202,7 @@ class ArnoldiContext:
         kwargs["mgs_length"] = mgs_length
         corrupted = self.injector.corrupt_scalar(site, value, **kwargs)
         if corrupted != value and not (np.isnan(corrupted) and np.isnan(value)):
-            self.events.record(
+            self.record(
                 "fault_injected", where=site,
                 outer_iteration=self.outer_iteration, inner_iteration=iteration,
                 original=float(value), corrupted=float(corrupted), mgs_index=mgs_index,
@@ -202,7 +217,7 @@ class ArnoldiContext:
         kwargs = self._ctx_kwargs(iteration, -1)
         corrupted = self.injector.corrupt_vector(site, vec, **kwargs)
         if corrupted is not vec and not np.array_equal(corrupted, vec, equal_nan=True):
-            self.events.record(
+            self.record(
                 "fault_injected", where=site,
                 outer_iteration=self.outer_iteration, inner_iteration=iteration,
                 aggregate_inner_iteration=kwargs["aggregate_inner_iteration"],
@@ -248,7 +263,7 @@ class ArnoldiContext:
                                              site=site)
         if not verdict.flagged:
             return value
-        self.events.record(
+        self.record(
             "fault_detected", where=site,
             outer_iteration=self.outer_iteration, inner_iteration=iteration,
             mgs_index=mgs_index, response=self.detector_response,
@@ -277,7 +292,7 @@ class ArnoldiContext:
         verdict = self.detector.check_vector(vec, site=site)
         if not verdict.flagged:
             return
-        self.events.record(
+        self.record(
             "fault_detected", where=site, outer_iteration=self.outer_iteration,
             inner_iteration=iteration, reason=verdict.reason, detector=verdict.detector,
             response=self.detector_response,
@@ -446,9 +461,9 @@ def arnoldi_step(
     scale = max(np.abs(h_col[: j + 1]).max() if j + 1 > 0 else 0.0, 1.0)
     if not np.isfinite(norm_v) or norm_v <= HAPPY_BREAKDOWN_TOL * scale:
         if np.isfinite(norm_v):
-            ctx.events.record("happy_breakdown", where="subdiag",
-                              outer_iteration=ctx.outer_iteration, inner_iteration=j,
-                              value=norm_v)
+            ctx.record("happy_breakdown", where="subdiag",
+                       outer_iteration=ctx.outer_iteration, inner_iteration=j,
+                       value=norm_v)
             return h_col, None, True
         # A non-finite norm is not a breakdown; return the poisoned vector so
         # the caller's NaN handling (or the detector) deals with it.

@@ -58,9 +58,9 @@ from repro.core.status import (
     SolverStatus,
 )
 from repro.precond.base import Preconditioner
+from repro.results.events import Event
 from repro.sparse.linear_operator import LinearOperator, aslinearoperator
 from repro.specs import SolveSpec
-from repro.utils.events import EventLog
 
 __all__ = [
     "BatchedGivensQR",
@@ -466,15 +466,13 @@ def _clone_result(result: SolverResult) -> SolverResult:
     """
     history = ConvergenceHistory()
     history.residual_norms = list(result.history.residual_norms)
-    events = EventLog()
-    events.extend(result.events)
     return SolverResult(
         x=result.x.copy(),
         status=result.status,
         iterations=result.iterations,
         residual_norm=result.residual_norm,
         history=history,
-        events=events,
+        events=list(result.events),
         matvecs=result.matvecs,
     )
 
@@ -488,7 +486,7 @@ class _Trial:
     def __init__(self, injector, lane: int):
         self.injector = injector
         self.lane = lane
-        self.events = EventLog()
+        self.events: list[Event] = []
         self.inner_results: list[SolverResult] = []
         self.history: list[float] = []
         self.peeled = False
@@ -708,18 +706,19 @@ class _BatchedNestedSolve:
                        z_col: np.ndarray, j: int) -> np.ndarray:
         """Record one inner-solve result exactly as the serial drivers do.
 
-        Mirrors ``ft_gmres``'s inner-solver bookkeeping (append the result,
-        merge its events) followed by ``fgmres``'s reliable screening of the
-        returned vector.  Returns the (screened) flexible-basis column.
+        Mirrors ``ft_gmres``'s inner-solver bookkeeping (append the result;
+        its events precede the outer ones, as on the serial stream) followed
+        by ``fgmres``'s reliable screening of the returned vector.  Returns
+        the (screened) flexible-basis column.
         """
         trial.inner_results.append(result)
         trial.events.extend(result.events)
         if not np.all(np.isfinite(z_col)):
-            trial.events.record("inner_result_nonfinite", where="inner_solve",
-                                outer_iteration=j)
+            trial.events.append(Event("inner_result_nonfinite", where="inner_solve",
+                                      outer_iteration=j))
             z_col = np.nan_to_num(z_col, nan=0.0, posinf=0.0, neginf=0.0)
-        trial.events.record("inner_solve_complete", where="inner_solve",
-                            outer_iteration=j)
+        trial.events.append(Event("inner_solve_complete", where="inner_solve",
+                                  outer_iteration=j))
         return z_col
 
     # ------------------------------------------------------------------ #
@@ -738,7 +737,8 @@ class _BatchedNestedSolve:
             qr.lane_R(lane, k), qr.lane_g(lane, k), policy=self.outer_policy,
             tol=self.outer_lsq_tol, H=H, beta=beta)
         if lsq_info.get("fallback"):
-            trial.events.record("lsq_fallback", where="least_squares", outer_iteration=k)
+            trial.events.append(Event("lsq_fallback", where="least_squares",
+                                      outer_iteration=k))
         Zt = np.empty((self.n, k), dtype=np.float64, order="F")
         for jj in range(k):
             Zt[:, jj] = Z[jj][lane]
@@ -920,11 +920,11 @@ class _BatchedNestedSolve:
                 finite_y[pos] = bool(info.get("finite", True))
         for pos in np.flatnonzero(alive):
             if fallback[pos]:
-                ctxs[pos].events.record("lsq_fallback", where="least_squares",
-                                        outer_iteration=o, inner_iteration=m)
+                ctxs[pos].record("lsq_fallback", where="least_squares",
+                                 outer_iteration=o, inner_iteration=m)
             if not finite_y[pos]:
-                ctxs[pos].events.record("lsq_nonfinite", where="least_squares",
-                                        outer_iteration=o, inner_iteration=m)
+                ctxs[pos].record("lsq_nonfinite", where="least_squares",
+                                 outer_iteration=o, inner_iteration=m)
 
         update = arnoldi.update_block(Y)
         if self.precond_block is not None:

@@ -26,7 +26,6 @@ from repro.core.least_squares import LeastSquaresPolicy
 from repro.core.status import ConvergenceHistory, SolverResult, SolverStatus
 from repro.registry import resolve_detector
 from repro.sparse.linear_operator import LinearOperator, aslinearoperator
-from repro.utils.events import EventLog
 from repro.utils.validation import as_dense_vector, check_square
 
 __all__ = ["fgmres"]
@@ -54,8 +53,7 @@ def fgmres(
     detector_response: str = "flag",
     bound_method: str = "frobenius",
     injector=None,
-    events: EventLog | None = None,
-    inner_callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    events=None,
 ) -> SolverResult:
     """Solve ``A x = b`` with Flexible GMRES.
 
@@ -69,7 +67,8 @@ def fgmres(
         The per-iteration preconditioner: ``inner_solver(q_j, j)`` returns
         ``z_j ≈ A^{-1} q_j``.  It may be a full iterative solve (FT-GMRES),
         a stationary preconditioner's ``apply``, or ``None`` (identity, in
-        which case FGMRES reduces to plain GMRES).
+        which case FGMRES reduces to plain GMRES).  To watch each inner
+        result, wrap the callable.
     x0 : array_like, optional
         Initial guess.
     tol : float
@@ -112,12 +111,10 @@ def fgmres(
         FT-GMRES deliberately does **not** pass its injector here — its outer
         solver is the reliable phase — so this is for standalone FGMRES
         fault studies.  ``None`` (the default) keeps the hook-free fast path.
-    events : EventLog, EventSink, or callable, optional
-        Event destination (any :class:`~repro.results.events.EventSink`
-        streams the events as they are recorded).
-    inner_callback : callable, optional
-        ``inner_callback(j, q_j, z_j)`` invoked after every inner solve;
-        used by FT-GMRES to harvest inner results.
+    events : EventSink, callable, or list of them, optional
+        Receives every event the moment it is recorded (anything
+        :func:`~repro.results.events.ensure_sink` accepts).  The result's
+        ``events`` list holds the same events in the same order.
 
     Returns
     -------
@@ -136,18 +133,17 @@ def fgmres(
         raise ValueError(f"unknown orthogonalization {orthogonalization!r}")
     detector = resolve_detector(detector, A=A, bound_method=bound_method)
 
-    events = EventLog.ensure(events)
     history = ConvergenceHistory()
 
-    # Outer-iteration injection and screening go through the same
-    # ArnoldiContext as the inner solves (raising ValueError for an unknown
-    # detector_response).  The outer iteration j doubles as the aggregate
-    # coordinate: a standalone FGMRES solve has no inner iterations, so
-    # schedules addressed in aggregate terms fire at outer step j.  Unarmed
-    # steps (always, without an injector) make no consults and perform the
-    # identical floating-point operations.
+    # Outer-iteration injection, screening and every outer event go through
+    # the same ArnoldiContext as the inner solves (raising ValueError for an
+    # unknown detector_response).  The outer iteration j doubles as the
+    # aggregate coordinate: a standalone FGMRES solve has no inner
+    # iterations, so schedules addressed in aggregate terms fire at outer
+    # step j.  Unarmed steps (always, without an injector) make no consults
+    # and perform the identical floating-point operations.
     ctx = ArnoldiContext(injector=injector, detector=detector,
-                         detector_response=detector_response, events=events)
+                         detector_response=detector_response, sink=events)
 
     norm_b = float(np.linalg.norm(b))
     target = tol * norm_b if norm_b > 0.0 else tol
@@ -157,7 +153,7 @@ def fgmres(
     beta = float(np.linalg.norm(r))
     history.append(beta)
     if beta <= target:
-        return SolverResult(x, SolverStatus.CONVERGED, 0, beta, history, events, matvecs)
+        return SolverResult(x, SolverStatus.CONVERGED, 0, beta, history, ctx.events, matvecs)
 
     # Fortran order: basis columns are the unit of access in the
     # orthogonalization and update kernels, so keep them contiguous.
@@ -184,12 +180,10 @@ def fgmres(
         # phase, so the outer solver screens it (this is "computing the
         # residual reliably" in sandbox terms).
         if not np.all(np.isfinite(z_j)):
-            events.record("inner_result_nonfinite", where="inner_solve", outer_iteration=j)
+            ctx.record("inner_result_nonfinite", where="inner_solve", outer_iteration=j)
             z_j = np.nan_to_num(z_j, nan=0.0, posinf=0.0, neginf=0.0)
         Z[:, j] = z_j
-        events.record("inner_solve_complete", where="inner_solve", outer_iteration=j)
-        if inner_callback is not None:
-            inner_callback(j, q_j, z_j)
+        ctx.record("inner_solve_complete", where="inner_solve", outer_iteration=j)
 
         # ----- reliable operator application and orthogonalization ---------
         ctx.outer_iteration = j
@@ -248,11 +242,11 @@ def fgmres(
         scale = max(float(np.abs(h_col[: j + 1]).max()) if j + 1 > 0 else 0.0, 1.0)
         if h_sub <= BREAKDOWN_TOL * scale:
             if hess.is_rank_deficient(tol=rank_tol):
-                events.record("rank_deficient", where="hessenberg", outer_iteration=j,
-                              smallest_singular_value=hess.smallest_singular_value())
+                ctx.record("rank_deficient", where="hessenberg", outer_iteration=j,
+                           smallest_singular_value=hess.smallest_singular_value())
                 status = SolverStatus.RANK_DEFICIENT
             else:
-                events.record("happy_breakdown", where="hessenberg", outer_iteration=j)
+                ctx.record("happy_breakdown", where="hessenberg", outer_iteration=j)
                 status = SolverStatus.HAPPY_BREAKDOWN
             break
 
@@ -266,7 +260,7 @@ def fgmres(
     if k > 0:
         y, lsq_info = hess.solve_y(policy=policy, tol=lsq_tol)
         if lsq_info.get("fallback"):
-            events.record("lsq_fallback", where="least_squares", outer_iteration=k)
+            ctx.record("lsq_fallback", where="least_squares", outer_iteration=k)
         x = x + Z[:, :k] @ y
 
     r = b - op.matvec(x)
@@ -276,7 +270,7 @@ def fgmres(
     if status is SolverStatus.MAX_ITERATIONS and residual_norm <= target:
         status = SolverStatus.CONVERGED
     if status is SolverStatus.RANK_DEFICIENT:
-        events.record("failure_reported", where="fgmres", outer_iteration=k)
+        ctx.record("failure_reported", where="fgmres", outer_iteration=k)
 
     return SolverResult(
         x=x,
@@ -284,6 +278,6 @@ def fgmres(
         iterations=k,
         residual_norm=residual_norm,
         history=history,
-        events=events,
+        events=ctx.events,
         matvecs=matvecs,
     )

@@ -19,8 +19,8 @@ from repro.core.fgmres import fgmres
 from repro.core.gmres import gmres
 from repro.core.status import NestedSolverResult, SolverResult
 from repro.registry import resolve_detector, resolve_preconditioner
+from repro.results.events import CollectingSink, MultiSink
 from repro.specs import SolveSpec
-from repro.utils.events import EventLog
 
 __all__ = ["ft_gmres"]
 
@@ -40,7 +40,7 @@ def ft_gmres(
     inner_iterations: int | None = None,
     injector=None,
     sandbox=None,
-    events: EventLog | None = None,
+    events=None,
     profile=None,
 ) -> NestedSolverResult:
     """Solve ``A x = b`` with the fault-tolerant nested FT-GMRES iteration.
@@ -73,10 +73,13 @@ def ft_gmres(
         Explicit sandbox marking the unreliable region.  When omitted but an
         injector is supplied, a fresh sandbox is created; the injector is
         activated only while an inner solve is running inside it.
-    events : EventLog, EventSink, or callable, optional
-        Merged event destination for the whole nested solve (any
-        :class:`~repro.results.events.EventSink` streams the events: outer
-        events as they happen, each inner solve's events when it completes).
+    events : EventSink, callable, or list of them, optional
+        Receives every event of the whole nested solve the moment it is
+        recorded (anything :func:`~repro.results.events.ensure_sink`
+        accepts): the outer FGMRES and every inner GMRES emit into one
+        stream, so an inner ``fault_detected`` reaches the sink before a
+        ``"raise"`` response propagates.  The result's ``events`` list holds
+        the same events in the same order.
     profile : KernelProfile, optional
         Accumulate per-phase kernel time (spmv/precond/orth/lsq) of every
         *inner* solve into this :class:`~repro.utils.profile.KernelProfile`.
@@ -115,13 +118,16 @@ def ft_gmres(
     if sandbox is not None and injector is not None and hasattr(injector, "attach_sandbox"):
         injector.attach_sandbox(sandbox)
 
-    events = EventLog.ensure(events)
+    # One stream for the outer solve and every inner solve: fgmres is
+    # blocked inside an inner solve while that solve records, so events
+    # arrive in the order they happen.
+    collected = CollectingSink()
+    stream = collected if events is None else MultiSink([collected, events])
     inner_budget = inner_kwargs["maxiter"]
     inner_results: list[SolverResult] = []
 
     def inner_solver(q_j: np.ndarray, outer_iteration: int) -> np.ndarray:
         """One unreliable inner solve: approximately solve ``A z = q_j``."""
-        inner_events = EventLog()
         offset = outer_iteration * inner_budget
 
         def run() -> SolverResult:
@@ -129,7 +135,7 @@ def ft_gmres(
                 A,
                 q_j,
                 injector=injector,
-                events=inner_events,
+                events=stream,
                 profile=profile,
                 outer_iteration=outer_iteration,
                 inner_solve_index=outer_iteration,
@@ -143,10 +149,9 @@ def ft_gmres(
         else:
             result = run()
         inner_results.append(result)
-        events.extend(inner_events)
         return result.x
 
-    outer_result = fgmres(A, b, inner_solver=inner_solver, x0=x0, events=events,
+    outer_result = fgmres(A, b, inner_solver=inner_solver, x0=x0, events=stream,
                           **outer_kwargs)
 
     total_inner = sum(r.iterations for r in inner_results)
@@ -158,6 +163,6 @@ def ft_gmres(
         residual_norm=outer_result.residual_norm,
         history=outer_result.history,
         inner_results=inner_results,
-        events=events,
+        events=collected.events,
         profile=profile,
     )

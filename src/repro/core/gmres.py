@@ -26,7 +26,6 @@ from repro.core.least_squares import LeastSquaresPolicy
 from repro.core.status import ConvergenceHistory, SolverResult, SolverStatus
 from repro.registry import resolve_detector, resolve_preconditioner_apply
 from repro.sparse.linear_operator import LinearOperator, aslinearoperator
-from repro.utils.events import EventLog
 from repro.utils.validation import as_dense_vector, check_square
 
 __all__ = ["gmres"]
@@ -52,7 +51,7 @@ def gmres(
     detector_response: str = "flag",
     bound_method: str = "frobenius",
     injector=None,
-    events: EventLog | None = None,
+    events=None,
     profile=None,
     outer_iteration: int = -1,
     inner_solve_index: int = -1,
@@ -100,12 +99,11 @@ def gmres(
     injector : FaultInjector, optional
         Fault injector with access to the named sites (see
         :mod:`repro.core.arnoldi`).
-    events : EventLog, EventSink, or callable, optional
-        Event destination.  An :class:`EventLog` is used directly; any other
-        :class:`~repro.results.events.EventSink` (or bare callable) receives
-        every event as it is recorded, streamed through a fresh log.  A new
-        log is created when omitted; the log ends up on the result either
-        way.
+    events : EventSink, callable, or list of them, optional
+        Receives every event the moment it is recorded (anything
+        :func:`~repro.results.events.ensure_sink` accepts).  The result's
+        ``events`` list holds the same events in the same order, sink or
+        not.
     profile : KernelProfile, optional
         Accumulate per-phase wall time (spmv/precond/orth/lsq) into this
         :class:`~repro.utils.profile.KernelProfile`.  ``None`` (the default)
@@ -139,13 +137,12 @@ def gmres(
     det = resolve_detector(detector, A=A, bound_method=bound_method)
     apply_precond = resolve_preconditioner_apply(preconditioner, n=n, A=A)
 
-    events = EventLog.ensure(events)
     history = ConvergenceHistory()
     ctx = ArnoldiContext(
         injector=injector,
         detector=det,
         detector_response=detector_response,
-        events=events,
+        sink=events,
         outer_iteration=outer_iteration,
         inner_solve_index=inner_solve_index,
         iteration_offset=iteration_offset,
@@ -197,8 +194,8 @@ def gmres(
     residual_norm = float(np.linalg.norm(r))
     history.append(residual_norm)
     if residual_norm <= target:
-        return SolverResult(x, SolverStatus.CONVERGED, 0, residual_norm, history, events,
-                            ctx.matvecs, profile=profile)
+        return SolverResult(x, SolverStatus.CONVERGED, 0, residual_norm, history,
+                            ctx.events, ctx.matvecs, profile=profile)
 
     while total_iterations < maxiter:
         beta = float(np.linalg.norm(r))
@@ -249,11 +246,11 @@ def gmres(
             if profile is not None:
                 profile.add("lsq", _perf_counter() - lsq_start)
             if lsq_info.get("fallback"):
-                events.record("lsq_fallback", where="least_squares",
-                              outer_iteration=outer_iteration, inner_iteration=total_iterations)
+                ctx.record("lsq_fallback", where="least_squares",
+                           outer_iteration=outer_iteration, inner_iteration=total_iterations)
             if not lsq_info.get("finite", True):
-                events.record("lsq_nonfinite", where="least_squares",
-                              outer_iteration=outer_iteration, inner_iteration=total_iterations)
+                ctx.record("lsq_nonfinite", where="least_squares",
+                           outer_iteration=outer_iteration, inner_iteration=total_iterations)
             update = basis[:, :k] @ y
             if apply_precond is not None:
                 update = apply_precond(update)
@@ -275,10 +272,10 @@ def gmres(
             if residual_norm <= breakdown_target:
                 status = SolverStatus.HAPPY_BREAKDOWN
                 break
-            events.record("spurious_breakdown", where="gmres",
-                          outer_iteration=outer_iteration,
-                          inner_iteration=total_iterations,
-                          residual_norm=residual_norm)
+            ctx.record("spurious_breakdown", where="gmres",
+                       outer_iteration=outer_iteration,
+                       inner_iteration=total_iterations,
+                       residual_norm=residual_norm)
             if total_iterations >= maxiter:
                 status = SolverStatus.STAGNATED
                 break
@@ -298,17 +295,17 @@ def gmres(
             break
 
     if profile is not None:
-        events.record("kernel_profile", where="gmres",
-                      outer_iteration=outer_iteration,
-                      inner_iteration=total_iterations,
-                      profile=profile.to_dict())
+        ctx.record("kernel_profile", where="gmres",
+                   outer_iteration=outer_iteration,
+                   inner_iteration=total_iterations,
+                   profile=profile.to_dict())
     return SolverResult(
         x=x,
         status=status,
         iterations=total_iterations,
         residual_norm=residual_norm,
         history=history,
-        events=events,
+        events=ctx.events,
         matvecs=ctx.matvecs,
         profile=profile,
     )

@@ -9,12 +9,13 @@ detector configured to abort on SDC.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from repro.utils.events import EventLog
+from repro.results.events import Event
 
 __all__ = ["SolverStatus", "ConvergenceHistory", "SolverResult", "NestedSolverResult"]
 
@@ -109,8 +110,9 @@ class SolverResult:
         Final (preconditioned, for preconditioned solves) residual norm.
     history : ConvergenceHistory
         Residual norm after every iteration.
-    events : EventLog
-        Structured events (faults injected/detected, breakdowns, ...).
+    events : list of Event
+        Structured events (faults injected/detected, breakdowns, ...), in
+        the order the solve recorded them.
     matvecs : int
         Number of operator applications (the dominant cost).
     profile : KernelProfile or None
@@ -123,7 +125,7 @@ class SolverResult:
     iterations: int
     residual_norm: float
     history: ConvergenceHistory = field(default_factory=ConvergenceHistory)
-    events: EventLog = field(default_factory=EventLog)
+    events: list[Event] = field(default_factory=list)
     matvecs: int = 0
     profile: object | None = None
 
@@ -154,8 +156,8 @@ class SolverResult:
         """
         out = self.summary()
         out["history"] = [float(v) for v in self.history.as_array()]
-        out["events"] = {kind: self.events.count(kind)
-                         for kind in sorted({e.kind for e in self.events})}
+        counts = Counter(e.kind for e in self.events)
+        out["events"] = {kind: counts[kind] for kind in sorted(counts)}
         if include_solution:
             out["x"] = [float(v) for v in np.asarray(self.x).ravel()]
         return out
@@ -187,8 +189,9 @@ class NestedSolverResult:
         Outer residual history.
     inner_results : list of SolverResult
         One entry per inner solve, in order.
-    events : EventLog
-        Merged event log (outer events plus every inner solve's events).
+    events : list of Event
+        The whole nested solve's events in the order they were recorded:
+        each inner solve's events, then the outer events that follow it.
     profile : KernelProfile or None
         Per-phase kernel timings accumulated across all inner solves
         (see :mod:`repro.utils.profile`); ``None`` unless profiling was on.
@@ -201,7 +204,7 @@ class NestedSolverResult:
     residual_norm: float
     history: ConvergenceHistory = field(default_factory=ConvergenceHistory)
     inner_results: list[SolverResult] = field(default_factory=list)
-    events: EventLog = field(default_factory=EventLog)
+    events: list[Event] = field(default_factory=list)
     profile: object | None = None
 
     @property
@@ -212,12 +215,12 @@ class NestedSolverResult:
     @property
     def faults_injected(self) -> int:
         """Total number of fault-injection events across the whole solve."""
-        return self.events.count("fault_injected")
+        return sum(e.kind == "fault_injected" for e in self.events)
 
     @property
     def faults_detected(self) -> int:
         """Total number of detector hits across the whole solve."""
-        return self.events.count("fault_detected")
+        return sum(e.kind == "fault_detected" for e in self.events)
 
     def summary(self) -> dict:
         """The headline fields (common result schema, ``kind="nested_solver"``)."""

@@ -30,17 +30,19 @@ Design invariants:
 * **Deterministic result ordering.**  Every spec carries its position in the
   canonical serial order and results are reassembled by that index, so a
   sharded campaign is trial-for-trial identical to a serial one regardless
-  of completion order (asserted in the test suite).  The guarantee covers
-  stateless detectors and deterministic fault models — the paper's
-  configuration; components that accumulate state *across* trials (e.g.
-  ``NormGrowthDetector``) see per-shard history — each worker starts from
-  the parent campaign's state — and should be swept serially.
+  of completion order (asserted in the test suite).  Every trial starts
+  from reset detectors, so stateful ones (e.g. ``NormGrowthDetector``) are
+  covered too.  A fault model that keeps its own random state *across*
+  trials still accumulates it — each worker starts from the parent
+  campaign's state and sees per-shard history — and should be swept
+  serially.
 * **Streaming completion.**  :meth:`CampaignExecutor.iter_records` yields
   ``(index, record)`` pairs as trials complete on every backend (lazily on
   serial, per completed batch on batched, as shard records land on
   sharded) — the primitive under ``run()``, the ``iter_trials()`` facade,
-  and the run store's incremental checkpointing.  ``progress(done, total)``
-  callbacks fire per completed trial.
+  and the run store's incremental checkpointing.  Progress reaches
+  observers only as ``trial_completed`` events on a campaign's sink (see
+  :meth:`~repro.faults.campaign.FaultCampaign.run_plan`).
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ class CampaignExecutor:
         self.supervisor = None
 
     # ------------------------------------------------------------------ #
-    def run(self, specs, progress=None) -> list:
+    def run(self, specs) -> list:
         """Execute all trial specs; return records in canonical spec order.
 
         Parameters
@@ -230,8 +232,6 @@ class CampaignExecutor:
         specs : sequence of TrialSpec
             The work list.  ``spec.index`` values must be unique; they define
             the output order.
-        progress : callable, optional
-            ``progress(done, total)`` callback, fired per completed trial.
 
         Returns
         -------
@@ -239,14 +239,7 @@ class CampaignExecutor:
             One record per spec, ordered by ``spec.index`` — identical to
             what a serial loop over the same specs would produce.
         """
-        specs = list(specs)
-        total = len(specs)
-        records: list[tuple[int, object]] = []
-        for index, record in self.iter_records(specs):
-            records.append((index, record))
-            if progress is not None:
-                progress(len(records), total)
-        records.sort(key=lambda pair: pair[0])
+        records = sorted(self.iter_records(specs), key=lambda pair: pair[0])
         return [record for _, record in records]
 
     def iter_records(self, specs):

@@ -43,7 +43,6 @@ def run_fault_sweep(
     outer_tol: float | None = None,
     stride: int | None = None,
     locations=None,
-    progress=None,
     backend: str | None = None,
     workers: int | None = None,
     batch_size: int | None = None,
@@ -66,10 +65,10 @@ def run_fault_sweep(
     trial-batched backend).
 
     ``sink``/``store``/``run_id``/``resume`` are forwarded to
-    :func:`repro.api.run_campaign`: the sweep streams lifecycle events to the
-    sink, checkpoints each trial into the store, and resumes an interrupted
-    sweep from it; :func:`load_fault_sweep` rebuilds a completed sweep with
-    zero new solves.
+    :func:`repro.api.run_campaign`: the sweep streams lifecycle events (its
+    only progress report) to the sink, checkpoints each trial into the
+    store, and resumes an interrupted sweep from it; :func:`load_fault_sweep`
+    rebuilds a completed sweep with zero new solves.
     """
     spec = CampaignSpec.coerce(spec)
     if spec.problem is not None:
@@ -99,8 +98,8 @@ def run_fault_sweep(
         overrides["exec"] = spec.exec.replace(**exec_overrides)
     if overrides:
         spec = spec.replace(**overrides)
-    return run_campaign(problem, spec, progress=progress, sink=sink,
-                        store=store, run_id=run_id, resume=resume)
+    return run_campaign(problem, spec, sink=sink, store=store, run_id=run_id,
+                        resume=resume)
 
 
 def sweep_run_id(spec: "CampaignSpec", problem_name: str, label: str) -> str:

@@ -491,7 +491,21 @@ class FaultCampaign:
 
     def run_failure_free(self) -> NestedSolverResult:
         """Run the nested solver without any fault injection."""
-        return ft_gmres(self.problem.A, self.problem.b, self.problem.x0, spec=self.solver)
+        return self._solve(None)
+
+    def _solve(self, injector: FaultInjector | None) -> NestedSolverResult:
+        """One nested solve, from freshly reset inner and outer detectors.
+
+        A stateful detector (``NormGrowthDetector``, or a composite holding
+        one) would otherwise carry its running reference from the baseline
+        and every earlier trial into this one, so a trial's record would
+        depend on what ran before it in the same process.
+        """
+        for detector in (self.detector, self.solver.detector):
+            if detector is not None:
+                detector.reset()
+        return ft_gmres(self.problem.A, self.problem.b, self.problem.x0,
+                        spec=self.solver, injector=injector)
 
     def _trial_schedule(self, aggregate_inner_iteration: int) -> InjectionSchedule:
         """The injection schedule of one campaign trial.
@@ -548,8 +562,7 @@ class FaultCampaign:
         injector = self._trial_injector(model, aggregate_inner_iteration)
         timer = Timer()
         with timer:
-            result = ft_gmres(self.problem.A, self.problem.b, self.problem.x0,
-                              spec=self.solver, injector=injector)
+            result = self._solve(injector)
         return TrialRecord(
             fault_class=fault_class,
             fault_description=model.describe(),
@@ -737,27 +750,6 @@ class FaultCampaign:
                     )
                 yield spec.index, record
 
-    def run_specs_batched(self, specs, *, batch_size: int | None = None,
-                          progress=None, progress_offset: int = 0,
-                          progress_total: int | None = None) -> list[TrialRecord]:
-        """Run trial specs through the lockstep batched engine.
-
-        The list-returning wrapper around :meth:`iter_specs_batched`:
-        records come back ordered by ``spec.index`` (the canonical order),
-        with ``progress(done, total)`` fired as trials complete.
-        """
-        specs = list(specs)
-        total = progress_total if progress_total is not None else len(specs)
-        done = progress_offset
-        records: list[tuple[int, TrialRecord]] = []
-        for index, record in self.iter_specs_batched(specs, batch_size=batch_size):
-            records.append((index, record))
-            done += 1
-            if progress is not None:
-                progress(done, total)
-        records.sort(key=lambda pair: pair[0])
-        return [record for _, record in records]
-
     # ------------------------------------------------------------------ #
     # execution-engine integration
     # ------------------------------------------------------------------ #
@@ -817,7 +809,7 @@ class FaultCampaign:
         """The record with this campaign's provenance fields set."""
         return dataclasses.replace(record, **self.provenance)
 
-    def run_plan(self, plan: "CampaignPlan", *, specs=None, progress=None,
+    def run_plan(self, plan: "CampaignPlan", *, specs=None,
                  sink=None, executor=None, on_record=None, completed=(),
                  event_data: dict | None = None,
                  **executor_kwargs) -> CampaignResult:
@@ -832,6 +824,11 @@ class FaultCampaign:
         specs : sequence of TrialSpec, optional
             The trials to actually execute (default: all of ``plan.specs``;
             a resume passes only the missing ones).
+        sink : EventSink, callable, or list of them, optional
+            Receives the lifecycle events; progress is the
+            ``trial_completed`` events, whose ``data["done"]`` counts
+            ``completed`` trials too and reaches ``data["total"]``
+            (``len(plan.specs)``) on the last one.
         on_record : callable, optional
             ``on_record(index, record)`` invoked for each completed trial
             *before* any observer sees it — the store's persistence hook, so
@@ -866,8 +863,6 @@ class FaultCampaign:
                 if on_record is not None:
                     on_record(index, record)
                 pairs.append((index, record))
-                if progress is not None:
-                    progress(len(pairs), total)
                 if sink is not None:
                     sink.emit(Event("trial_completed", where="campaign",
                                     trial_index=index,
@@ -896,7 +891,7 @@ class FaultCampaign:
         for index, record in executor.iter_records(specs):
             yield index, self.stamp(record)
 
-    def run(self, locations=None, stride: int = 1, progress=None, *,
+    def run(self, locations=None, stride: int = 1, *,
             backend: str | None = None, workers: int | None = None,
             batch_size: int | None = None, executor=None, sink=None,
             **executor_kwargs) -> CampaignResult:
@@ -912,10 +907,6 @@ class FaultCampaign:
         stride : int
             Keep every ``stride``-th default location (used by the fast
             benchmark configurations; ``stride=1`` reproduces the paper).
-        progress : callable, optional
-            ``progress(done, total)`` callback (a thin adapter over the
-            event bus: equivalent to a ``sink`` observing only
-            ``trial_completed`` events).
         backend : {"serial", "batched", "sharded"}, optional
             Execution backend; ``None`` auto-selects ``"batched"`` when
             ``batch_size`` is given and ``"sharded"`` when the resolved
@@ -935,23 +926,26 @@ class FaultCampaign:
         sink : EventSink, callable, or registered sink spec, optional
             Receives campaign lifecycle events (``campaign_started``,
             ``baseline_completed``, ``trial_completed`` with the record
-            payload, ``campaign_completed``) as the campaign runs.
+            payload, ``campaign_completed``) as the campaign runs.  It is
+            the only progress report: each ``trial_completed`` event carries
+            ``data["done"]`` and ``data["total"]``.
 
         Returns
         -------
         CampaignResult
             Trials appear in the canonical (fault class, location) order
-            regardless of backend.  For stateless detectors and
-            deterministic fault models (the paper's configuration) a
-            parallel run is trial-for-trial identical to a serial one;
-            components that accumulate state across trials (random bit
-            flips, :class:`NormGrowthDetector`) see per-shard history under
-            the sharded backend and should be swept with ``backend="serial"``.
+            regardless of backend.  Every trial (and the baseline) starts
+            from reset detectors, so a stateful detector such as
+            :class:`NormGrowthDetector` gives each trial the record a fresh
+            campaign would, on every backend.  A fault model that keeps its
+            own random state across trials still accumulates it, and sees
+            per-shard history under the sharded backend; sweep such models
+            with ``backend="serial"``.
         """
         from repro.registry import resolve_sink
 
         return self.run_plan(self.plan(locations=locations, stride=stride),
-                             progress=progress, sink=resolve_sink(sink),
+                             sink=resolve_sink(sink),
                              backend=backend, workers=workers,
                              batch_size=batch_size, executor=executor,
                              **executor_kwargs)

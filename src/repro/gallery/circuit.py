@@ -16,9 +16,9 @@ same *qualitative* profile from a modified-nodal-analysis (MNA) model:
 * a strictly positive diagonal (every node has a path to ground), which
   gives structural full rank.
 
-If the real matrix is available as a Matrix-Market file, pass its path to
-the experiment harness instead (``repro.experiments.figure34`` accepts any
-:class:`~repro.gallery.problems.TestProblem`).
+If the real matrix is available, wrap it in a
+:class:`~repro.gallery.problems.TestProblem` and pass that to the experiment
+harness instead (``repro.experiments.figure34`` accepts any problem).
 """
 
 from __future__ import annotations

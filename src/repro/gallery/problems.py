@@ -3,7 +3,7 @@
 The experiment drivers (Table I, Figures 3 and 4) operate on
 :class:`TestProblem` instances so the same code runs on the paper's two
 problems at full size, on reduced sizes for fast benchmarking, or on a
-user-supplied Matrix-Market file.
+user-supplied matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class TestProblem:
         Free-form provenance notes.
     seed : int or None
         The RNG seed the problem was generated from (``None`` for problems
-        without one, e.g. loaded from a Matrix-Market file).  Stamped into
+        without one, e.g. a user-supplied matrix).  Stamped into
         campaign results as provenance.
     """
 

@@ -24,7 +24,6 @@ from repro.results.events import (
     JsonlEventSink,
     MultiSink,
     NullSink,
-    ProgressSink,
     ensure_sink,
 )
 from repro.results.query import TrialQuery
@@ -46,7 +45,6 @@ __all__ = [
     "JsonlEventSink",
     "MultiSink",
     "NullSink",
-    "ProgressSink",
     "ensure_sink",
     "TrialQuery",
     "RunManifest",

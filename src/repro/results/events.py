@@ -8,12 +8,12 @@ it runs — solver-level events (``fault_injected``, ``fault_detected``,
 consumers choose the sink: collect in memory, stream to a JSONL file, drive a
 progress bar, or fan out to several sinks at once.
 
-This replaces the previously divergent conventions — per-solver
-``EventLog``-only recording, ``progress(done, total)`` callbacks, and the
-``inner_callback`` hook — with one schema and one delivery protocol.  The
-legacy surfaces remain as thin adapters: :class:`repro.utils.events.EventLog`
-is itself a sink (and can forward to others), and ``progress`` callbacks are
-wrapped by :class:`ProgressSink`.
+A sink is the only way to observe a run.  Every solver records its events
+into a plain ``list[Event]`` that its result carries (``result.events``),
+and emits each one to the caller's ``events=`` sink the moment it is
+recorded, so the stream a caller watches is exactly the list the result's
+counts come from.  Campaigns report progress only as ``trial_completed``
+events on their ``sink=``.
 
 Event kinds
 -----------
@@ -61,7 +61,6 @@ __all__ = [
     "NullSink",
     "JsonlEventSink",
     "ConsoleSink",
-    "ProgressSink",
     "ensure_sink",
     "EVENT_KINDS",
     "SOLVER_EVENT_KINDS",
@@ -305,20 +304,6 @@ class ConsoleSink(EventSink):
             detail = " ".join(f"{k}={v}" for k, v in sorted(event.data.items())
                               if not isinstance(v, dict))
             print(f"[repro] {event.kind} {detail}".rstrip(), file=self.stream)
-
-
-class ProgressSink(EventSink):
-    """Adapts the legacy ``progress(done, total)`` callback to the bus."""
-
-    def __init__(self, progress: Callable[[int, int], None]):
-        if not callable(progress):
-            raise TypeError(
-                f"ProgressSink needs a callable, got {type(progress).__name__}")
-        self.progress = progress
-
-    def emit(self, event: Event) -> None:
-        if event.kind == "trial_completed":
-            self.progress(event.data["done"], event.data["total"])
 
 
 def ensure_sink(obj) -> EventSink | None:

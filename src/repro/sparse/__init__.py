@@ -17,8 +17,6 @@ subpackage rebuilds the pieces the algorithms actually need, from scratch:
   triangular solves (the kernel behind the stationary/ILU preconditioners).
 * Norm computations (:mod:`repro.sparse.norms`) used by the SDC detector
   bound ``|h_ij| <= ||A||_2 <= ||A||_F``.
-* Matrix-Market I/O (:mod:`repro.sparse.mmio`) so external matrices (e.g. the
-  real ``mult_dcop_03``) can be dropped in when available.
 """
 
 from repro.sparse.coo import COOMatrix
@@ -32,7 +30,6 @@ from repro.sparse.norms import (
     hessenberg_bound,
 )
 from repro.sparse.trisolve import TriangularFactor, split_triangle
-from repro.sparse.mmio import read_matrix_market, write_matrix_market
 
 __all__ = [
     "COOMatrix",
@@ -47,6 +44,4 @@ __all__ = [
     "inf_norm",
     "two_norm_estimate",
     "hessenberg_bound",
-    "read_matrix_market",
-    "write_matrix_market",
 ]

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, RNG handling, timing, and event logging.
+"""Shared utilities: validation, RNG handling and timing.
 
 These helpers are deliberately dependency-free (NumPy only) so that every
 other subpackage can use them without circular imports.
@@ -13,7 +13,6 @@ from repro.utils.validation import (
 )
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timer import Timer
-from repro.utils.events import EventLog, SolverEvent
 
 __all__ = [
     "as_dense_vector",
@@ -24,6 +23,4 @@ __all__ = [
     "as_generator",
     "spawn_generators",
     "Timer",
-    "EventLog",
-    "SolverEvent",
 ]

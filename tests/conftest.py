@@ -54,6 +54,19 @@ def always_armed():
 
 
 @pytest.fixture
+def count_kind():
+    """``count_kind(events, kind)``: how many events of ``kind`` a list holds.
+
+    Results and Arnoldi contexts carry a plain ``list[Event]``, whose own
+    ``count("kind")`` compares whole events and silently returns 0.
+    """
+    def count(events, kind: str) -> int:
+        return sum(event.kind == kind for event in events)
+
+    return count
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for tests."""
     return np.random.default_rng(12345)

@@ -82,7 +82,7 @@ class TestSolveEquivalence:
             preconditioner="ilu0", orthogonalization="cgs2"))
         assert_solver_results_identical(legacy, spec)
 
-    def test_gmres_with_detector_and_injector(self, poisson):
+    def test_gmres_with_detector_and_injector(self, poisson, count_kind):
         legacy = gmres(poisson.A, poisson.b, tol=1e-10, maxiter=200,
                        detector="bound", detector_response="zero",
                        injector=make_injector())
@@ -91,7 +91,8 @@ class TestSolveEquivalence:
                           "detector": "bound", "detector_response": "zero"},
                          injector=make_injector())
         assert_solver_results_identical(legacy, spec)
-        assert legacy.events.count("fault_detected") == spec.events.count("fault_detected")
+        assert count_kind(legacy.events, "fault_detected") == \
+            count_kind(spec.events, "fault_detected")
 
     def test_fgmres(self, poisson):
         legacy = fgmres(poisson.A, poisson.b, tol=1e-10, max_outer=40)

@@ -61,7 +61,7 @@ class TestBasicBehaviour:
         assert result.converged
         assert result.iterations == 0
 
-    def test_nonfinite_inner_result_sanitized(self, poisson_small, rng):
+    def test_nonfinite_inner_result_sanitized(self, poisson_small, rng, count_kind):
         b = rng.standard_normal(poisson_small.shape[0])
 
         def broken(q, j):
@@ -71,16 +71,8 @@ class TestBasicBehaviour:
             return z
 
         result = fgmres(poisson_small, b, inner_solver=broken, tol=1e-8, max_outer=80)
-        assert result.events.count("inner_result_nonfinite") == 1
+        assert count_kind(result.events, "inner_result_nonfinite") == 1
         assert result.converged
-
-    def test_inner_callback_invoked(self, poisson_small, rng):
-        b = rng.standard_normal(poisson_small.shape[0])
-        seen = []
-        fgmres(poisson_small, b, inner_solver=None, tol=1e-10, max_outer=20,
-               inner_callback=lambda j, q, z: seen.append(j))
-        assert seen == list(range(len(seen)))
-        assert len(seen) >= 1
 
     def test_wrong_inner_length_rejected(self, poisson_small, rng):
         b = rng.standard_normal(poisson_small.shape[0])
@@ -126,7 +118,7 @@ class TestTrichotomy:
         result = fgmres(A, b, inner_solver=lambda q, j: np.zeros_like(q), max_outer=3)
         assert result.status is SolverStatus.RANK_DEFICIENT
         assert result.status.is_loud_failure
-        assert result.events.has("rank_deficient")
+        assert any(e.kind == "rank_deficient" for e in result.events)
 
     def test_max_iterations_branch(self, poisson_medium, rng):
         b = rng.standard_normal(poisson_medium.shape[0])
@@ -187,7 +179,7 @@ class TestNoDetectorFastPath:
         # An absurdly small bound flags every coefficient.
         result = fgmres(poisson_medium, b, tol=1e-9, max_outer=5,
                         detector=HessenbergBoundDetector(1e-30), detector_response="flag")
-        assert result.events.of_kind("fault_detected")
+        assert any(e.kind == "fault_detected" for e in result.events)
 
 
 class TestOuterDetector:
@@ -215,11 +207,15 @@ class TestOuterDetector:
             mgs_position="last"))
         jacobi = JacobiPreconditioner(problem.A)
         z_norms = {}
-        result = fgmres(problem.A, problem.b, inner_solver=lambda q, j: jacobi.apply(q),
+
+        def inner_solver(q, j):
+            z = jacobi.apply(q)
+            z_norms.setdefault(j, float(np.linalg.norm(z)))
+            return z
+
+        result = fgmres(problem.A, problem.b, inner_solver=inner_solver,
                         tol=1e-10, max_outer=30, detector=detector,
-                        detector_response=response, injector=injector,
-                        inner_callback=lambda j, q, z: z_norms.setdefault(
-                            j, float(np.linalg.norm(z))))
+                        detector_response=response, injector=injector)
         return result, z_norms
 
     @pytest.mark.parametrize("response", ["flag", "zero", "clamp", "recompute", "raise"])
@@ -237,7 +233,7 @@ class TestOuterDetector:
                 self._solve(problem, fault, detector, response)
             return
         result, z_norms = self._solve(problem, fault, detector, response)
-        (event,) = result.events.of_kind("fault_detected")
+        (event,) = [e for e in result.events if e.kind == "fault_detected"]
         assert (event.where, event.outer_iteration, event.inner_iteration) == \
             ("outer_hessenberg", self.STEP, self.STEP)
         assert event.data == {

@@ -183,13 +183,13 @@ class TestFaultsAndDetection:
         assert faulty.converged
         assert faulty.iterations >= clean.iterations
 
-    def test_large_fault_detected_with_bound_detector(self, poisson_medium, rng):
+    def test_large_fault_detected_with_bound_detector(self, poisson_medium, rng, count_kind):
         b = rng.standard_normal(poisson_medium.shape[0])
         result = gmres(poisson_medium, b, tol=1e-10, maxiter=400,
                        detector="bound", detector_response="zero",
                        injector=self._injector(1e150, 2))
-        assert result.events.count("fault_injected") == 1
-        assert result.events.count("fault_detected") >= 1
+        assert count_kind(result.events, "fault_injected") == 1
+        assert count_kind(result.events, "fault_detected") >= 1
         assert result.converged
 
     def test_detector_raise_aborts(self, poisson_medium, rng):
@@ -199,12 +199,12 @@ class TestFaultsAndDetection:
                   detector="bound", detector_response="raise",
                   injector=self._injector(1e150, 2))
 
-    def test_detector_never_fires_without_faults(self, poisson_medium, rng):
+    def test_detector_never_fires_without_faults(self, poisson_medium, rng, count_kind):
         b = rng.standard_normal(poisson_medium.shape[0])
         result = gmres(poisson_medium, b, tol=1e-10, maxiter=400,
                        detector="bound", detector_response="raise")
         assert result.converged
-        assert result.events.count("fault_detected") == 0
+        assert count_kind(result.events, "fault_detected") == 0
 
     def test_explicit_detector_instance(self, poisson_medium, rng):
         b = rng.standard_normal(poisson_medium.shape[0])

@@ -10,7 +10,7 @@ from repro.core.status import (
     SolverResult,
     SolverStatus,
 )
-from repro.utils.events import EventLog
+from repro.results.events import Event
 
 
 class TestSolverStatus:
@@ -78,10 +78,9 @@ class TestSolverResult:
 
 class TestNestedSolverResult:
     def _nested(self):
-        events = EventLog()
-        events.record("fault_injected", where="hessenberg")
-        events.record("fault_detected", where="hessenberg")
-        events.record("fault_detected", where="hessenberg")
+        events = [Event("fault_injected", where="hessenberg"),
+                  Event("fault_detected", where="hessenberg"),
+                  Event("fault_detected", where="hessenberg")]
         return NestedSolverResult(
             x=np.zeros(4), status=SolverStatus.CONVERGED, outer_iterations=9,
             total_inner_iterations=225, residual_norm=1e-10, events=events)

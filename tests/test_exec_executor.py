@@ -15,6 +15,7 @@ from repro.exec.executor import (BackendKnobError, CampaignExecutor,
 from repro.exec.spec import TrialSpec
 from repro.faults.campaign import FaultCampaign
 from repro.gallery.problems import poisson_problem
+from repro.results.events import CollectingSink
 from repro.specs import CampaignSpec, ExecutionSpec, SpecError, apply_overrides
 
 
@@ -149,6 +150,23 @@ class TestDeterministicParallelism:
         assert parallel.failure_free_outer == serial_result.failure_free_outer
         assert parallel.failure_free_residual == serial_result.failure_free_residual
 
+    def test_stateful_detector_resets_per_trial(self, tiny_problem):
+        """A ``norm_growth`` detector keeps a running reference, reset before
+        every solve: each record equals a fresh campaign's run of that trial,
+        so serial and sharded runs agree too."""
+        def fresh():
+            return FaultCampaign(tiny_problem, inner_iterations=10, max_outer=50,
+                                 detector="norm_growth", detector_response="flag")
+
+        campaign = fresh()
+        serial = campaign.run(stride=11)
+        locations = range(0, serial.failure_free_outer * 10, 11)
+        specs = campaign.trial_specs(locations)
+        assert [fresh().run_spec(spec) for spec in specs] == serial.trials
+        assert any(t.faults_detected for t in serial.trials)
+        parallel = campaign.run(stride=11, backend="sharded", workers=2)
+        assert parallel.trials == serial.trials
+
     def test_single_trial_chunks_match_serial(self, campaign):
         """One trial per shard maximizes completion reordering; the
         canonical order must survive it."""
@@ -167,13 +185,12 @@ class TestDeterministicParallelism:
 
 class TestExecutorMechanics:
     def test_progress_reaches_total(self, campaign):
-        calls = []
-        campaign.run(stride=17, backend="sharded", workers=2,
-                     progress=lambda done, total: calls.append((done, total)))
-        assert calls, "progress callback never fired"
-        dones = [d for d, _ in calls]
-        assert dones == sorted(dones)
-        assert calls[-1][0] == calls[-1][1]
+        sink = CollectingSink()
+        result = campaign.run(stride=17, backend="sharded", workers=2, sink=sink)
+        progress = [(e.data["done"], e.data["total"])
+                    for e in sink.of_kind("trial_completed")]
+        assert [done for done, _ in progress] == list(range(1, len(result.trials) + 1))
+        assert {total for _, total in progress} == {len(result.trials)}
 
     def test_empty_spec_list(self, campaign):
         executor = CampaignExecutor(campaign)

@@ -8,6 +8,7 @@ import pytest
 from repro.faults.campaign import FaultCampaign, sweep_injection_locations
 from repro.faults.models import ScalingFault
 from repro.gallery.problems import poisson_problem
+from repro.results.events import CollectingSink
 
 
 @pytest.fixture(scope="module")
@@ -117,9 +118,10 @@ class TestCampaignRun:
     def test_progress_callback(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=6, max_outer=30,
                                  fault_classes={"large": ScalingFault(1e150)})
-        calls = []
-        campaign.run(locations=[0, 5], progress=lambda done, total: calls.append((done, total)))
-        assert calls == [(1, 2), (2, 2)]
+        sink = CollectingSink()
+        campaign.run(locations=[0, 5], sink=sink)
+        assert [(e.data["done"], e.data["total"])
+                for e in sink.of_kind("trial_completed")] == [(1, 2), (2, 2)]
 
     def test_functional_wrapper(self, tiny_problem):
         res = sweep_injection_locations(tiny_problem, inner_iterations=6, max_outer=30,

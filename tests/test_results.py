@@ -1,7 +1,8 @@
 """The streaming results subsystem: event bus, query API, run store.
 
-Covers the unified Event schema and sink protocol (including bit-identity of
-solves observed through a sink), the TrialQuery filter/group/aggregate
+Covers the unified Event schema and sink protocol (including the streaming
+contract: a sink passed to any solver receives exactly ``result.events``,
+bit-identically to an unobserved solve), the TrialQuery filter/group/aggregate
 helpers against the legacy CampaignResult methods they reimplement, the
 RunStore layout (manifest round trip, torn-tail recovery, artifacts), and
 the provenance/timing satellite guarantees.
@@ -17,9 +18,16 @@ import numpy as np
 import pytest
 
 from repro.api import iter_trials, run_campaign
+from repro.baselines.cg import cg
+from repro.baselines.chen import gmres_with_rollback
+from repro.core.exceptions import FaultDetectedError
+from repro.core.fgmres import fgmres
 from repro.core.gmres import gmres
 from repro.core.ftgmres import ft_gmres
 from repro.faults.campaign import FaultCampaign, TrialRecord, CampaignResult
+from repro.faults.injector import FaultInjector
+from repro.faults.models import ScalingFault
+from repro.faults.schedule import InjectionSchedule
 from repro.gallery.problems import poisson_problem
 from repro.registry import RegistryError, resolve_sink
 from repro.results.events import (
@@ -29,7 +37,6 @@ from repro.results.events import (
     JsonlEventSink,
     MultiSink,
     NullSink,
-    ProgressSink,
     ensure_sink,
 )
 from repro.results.query import TrialQuery
@@ -39,8 +46,7 @@ from repro.results.store import (
     RunStoreError,
     campaign_fingerprint,
 )
-from repro.specs import CampaignSpec, spec_hash
-from repro.utils.events import EventLog, SolverEvent
+from repro.specs import CampaignSpec, SolveSpec, spec_hash
 
 
 @pytest.fixture
@@ -62,9 +68,6 @@ def result(campaign):
 # Event schema + sinks
 # ====================================================================== #
 class TestEventSchema:
-    def test_solver_event_is_the_unified_event(self):
-        assert SolverEvent is Event
-
     def test_round_trip(self):
         event = Event("fault_detected", where="hessenberg", outer_iteration=3,
                       inner_iteration=7, trial_index=12,
@@ -96,13 +99,6 @@ class TestEventSchema:
         with pytest.raises(TypeError):
             ensure_sink(42)
 
-    def test_progress_sink_adapts_legacy_callback(self):
-        calls = []
-        sink = ProgressSink(lambda done, total: calls.append((done, total)))
-        sink.emit(Event("trial_completed", data={"done": 2, "total": 5}))
-        sink.emit(Event("fault_injected"))  # ignored
-        assert calls == [(2, 5)]
-
     def test_jsonl_sink_appends_readable_lines(self, tmp_path):
         sink = JsonlEventSink(str(tmp_path / "sub") + os.sep)  # directory form
         sink.emit(Event("a", data={"v": 1}))
@@ -112,37 +108,64 @@ class TestEventSchema:
         assert [Event.from_dict(json.loads(l)).kind for l in lines] == ["a", "b"]
 
 
-class TestEventLogAdapter:
-    def test_eventlog_forwards_to_downstream_sink(self):
-        downstream = CollectingSink()
-        log = EventLog(forward_to=downstream)
-        log.record("one", where="here", payload=1)
-        other = EventLog()
-        other.record("two")
-        log.extend(other)
-        assert [e.kind for e in downstream] == ["one", "two"]
-        assert len(log) == 2
+def _injector(aggregate_inner_iteration=3):
+    """A single 1e150 scaling of the first MGS coefficient of one step."""
+    return FaultInjector(ScalingFault(1e150), InjectionSchedule(
+        aggregate_inner_iteration=aggregate_inner_iteration, mgs_position="first"))
 
-    def test_eventlog_ensure(self):
-        log = EventLog()
-        assert EventLog.ensure(log) is log
-        assert isinstance(EventLog.ensure(None), EventLog)
-        sink = CollectingSink()
-        wrapped = EventLog.ensure(sink)
-        wrapped.record("k")
-        assert sink.events[0].kind == "k"
 
-    def test_gmres_streams_events_bit_identically(self, problem):
+def _nested_spec(response):
+    inner = SolveSpec(method="gmres", tol=0.0, maxiter=5, detector="bound",
+                      detector_response=response)
+    return SolveSpec(method="ft_gmres", tol=1e-10, max_outer=20, inner=inner)
+
+
+#: One solve per solver, each recording events: ``case(problem, events)``.
+STREAM_CASES = {
+    "gmres": lambda p, events: gmres(
+        p.A, p.b, tol=1e-10, maxiter=30, detector="bound", detector_response="zero",
+        injector=_injector(), events=events),
+    "fgmres": lambda p, events: fgmres(
+        p.A, p.b, tol=1e-10, max_outer=30, detector="bound", detector_response="zero",
+        injector=_injector(), events=events),
+    "ft_gmres": lambda p, events: ft_gmres(
+        p.A, p.b, spec=_nested_spec("zero"), injector=_injector(), events=events),
+    # p^T A p = 0 on the first step: CG records a breakdown.
+    "cg": lambda p, events: cg(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]),
+                               events=events),
+    "gmres_with_rollback": lambda p, events: gmres_with_rollback(
+        p.A, p.b, tol=1e-10, maxiter=200, check_interval=10, injector=_injector(),
+        events=events).result,
+}
+
+
+class TestStreamingContract:
+    """The streaming contract: a sink passed to any solver receives exactly
+    ``result.events``, in order, each event as it is recorded."""
+
+    @pytest.mark.parametrize("solve", list(STREAM_CASES.values()), ids=list(STREAM_CASES))
+    def test_gmres_streams_events_bit_identically(self, problem, solve):
         """Observing a solve through a sink changes nothing numerically."""
-        plain = gmres(problem.A, problem.b, tol=1e-10, maxiter=30)
+        plain = solve(problem, None)
         sink = CollectingSink()
-        observed = gmres(problem.A, problem.b, tol=1e-10, maxiter=30,
-                         events=sink)
+        observed = solve(problem, sink)
+        assert observed.events, "each case must record events"
         assert np.array_equal(plain.x, observed.x)
-        assert plain.iterations == observed.iterations
         assert plain.residual_norm == observed.residual_norm
-        # the sink saw exactly the events on the result's log
-        assert sink.events == list(observed.events)
+        assert observed.events == plain.events
+        # the sink saw exactly the events on the result
+        assert sink.events == observed.events
+
+    def test_ft_gmres_streams_inner_events_before_raise(self, problem):
+        """An inner fault and its detection reach the sink before a
+        ``"raise"`` response propagates out of the nested solve."""
+        sink = CollectingSink()
+        with pytest.raises(FaultDetectedError):
+            ft_gmres(problem.A, problem.b, spec=_nested_spec("raise"),
+                     injector=_injector(aggregate_inner_iteration=7), events=sink)
+        assert [e.kind for e in sink] == ["inner_solve_complete", "fault_injected",
+                                          "fault_detected"]
+        assert sink.events[-1].data["response"] == "raise"
 
     def test_ft_gmres_streams_merged_events(self, problem):
         sink = CollectingSink()

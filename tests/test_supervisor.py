@@ -295,11 +295,12 @@ store_dir = sys.argv[1]
 spec = {"problem": "poisson:8", "inner_iterations": 10, "max_outer": 30,
         "stride": 2, "exec": {"workers": 2}}
 
-def progress(done, total):
-    if done == 5:  # mid-campaign: ask for a graceful drain
+def on_event(event):
+    # mid-campaign: ask for a graceful drain
+    if event.kind == "trial_completed" and event.data["done"] == 5:
         os.kill(os.getpid(), signal.SIGTERM)
 
-run_campaign(spec=spec, store=store_dir, run_id="drain", progress=progress)
+run_campaign(spec=spec, store=store_dir, run_id="drain", sink=on_event)
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

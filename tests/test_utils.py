@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils (validation, RNG, timer, events)."""
+"""Unit tests for repro.utils (validation, RNG, timer)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.events import EventLog, SolverEvent
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timer import Timer
 from repro.utils.validation import (
@@ -126,52 +125,3 @@ class TestTimer:
         assert t.calls == 0
         assert t.elapsed == 0.0
         assert t.mean == 0.0
-
-
-class TestEventLog:
-    def test_record_and_query(self):
-        log = EventLog()
-        log.record("fault_injected", where="hessenberg", inner_iteration=3, original=1.0)
-        log.record("fault_detected", where="hessenberg", inner_iteration=3)
-        log.record("fault_injected", where="spmv")
-        assert len(log) == 3
-        assert log.count("fault_injected") == 2
-        assert log.has("fault_detected")
-        assert not log.has("happy_breakdown")
-        assert all(isinstance(e, SolverEvent) for e in log)
-
-    def test_of_kind_filters(self):
-        log = EventLog()
-        log.record("a")
-        log.record("b")
-        log.record("a", where="x")
-        kinds = log.of_kind("a")
-        assert len(kinds) == 2
-        assert kinds[1].where == "x"
-
-    def test_extend_merges(self):
-        log1, log2 = EventLog(), EventLog()
-        log1.record("a")
-        log2.record("b")
-        log1.extend(log2)
-        assert len(log1) == 2
-        assert log1.has("b")
-
-    def test_event_payload(self):
-        log = EventLog()
-        e = log.record("fault_injected", original=2.0, corrupted=3.0)
-        assert e.data["original"] == 2.0
-        assert e.data["corrupted"] == 3.0
-
-    def test_clear(self):
-        log = EventLog()
-        log.record("a")
-        log.clear()
-        assert len(log) == 0
-
-    def test_getitem(self):
-        log = EventLog()
-        log.record("first")
-        log.record("second")
-        assert log[0].kind == "first"
-        assert log[-1].kind == "second"
