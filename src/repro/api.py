@@ -143,8 +143,9 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
         returns the merged result — trial-identical to an uninterrupted run
         (the batched backend per its documented 1e-10 residual contract).
         A resumed run that is already complete returns immediately with
-        zero new solves.  ``resume=True`` on a run that does not exist yet
-        simply starts it.
+        zero new solves; one with trials left solves the failure-free
+        baseline once, for the outer state those trials start from.
+        ``resume=True`` on a run that does not exist yet simply starts it.
     chaos : ChaosPolicy, optional
         Infrastructure fault injection for the ``"sharded"`` backend — test
         and CI instrumentation that kills/hangs shard workers and tears

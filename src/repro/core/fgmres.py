@@ -15,6 +15,7 @@ GMRES matter for fault tolerance and are implemented here:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -25,13 +26,67 @@ from repro.core.hessenberg import HessenbergMatrix
 from repro.core.least_squares import LeastSquaresPolicy
 from repro.core.status import ConvergenceHistory, SolverResult, SolverStatus
 from repro.registry import resolve_detector
+from repro.results.events import Event
 from repro.sparse.linear_operator import LinearOperator, aslinearoperator
 from repro.utils.validation import as_dense_vector, check_square
 
-__all__ = ["fgmres"]
+__all__ = ["fgmres", "OuterState"]
 
 #: Relative threshold below which ``h_{j+1,j}`` triggers the breakdown logic.
 BREAKDOWN_TOL = 1e-12
+
+
+@dataclass
+class OuterState:
+    """The outer FGMRES loop's state: bases, Hessenberg matrix, history, events.
+
+    Outer iteration ``j`` only appends to it: ``Z[:, j]``, ``Q[:, j + 1]``,
+    Hessenberg column ``j``, one history entry and the events it records.
+    So the state a solve ends with holds the state at the start of every
+    earlier iteration as a prefix, and :meth:`prefix` copies one out.
+    :func:`fgmres` fills an empty ``OuterState()`` and resumes from a
+    non-empty one.
+    """
+
+    #: Outer basis (``n x (room + 1)``) and flexible basis (``n x room``);
+    #: ``None`` until a solve allocates them.
+    Q: np.ndarray | None = None
+    Z: np.ndarray | None = None
+    hess: HessenbergMatrix | None = None
+    history: ConvergenceHistory = field(default_factory=ConvergenceHistory)
+    events: list[Event] = field(default_factory=list)
+    #: ``len(events)`` at the start of each outer iteration, and once more
+    #: when the loop ends (so a finished solve's post-loop events are cut).
+    marks: list[int] = field(default_factory=list)
+    #: One result per outer iteration for a caller that keeps them (FT-GMRES
+    #: keeps its inner solves' here); :func:`fgmres` leaves it alone.
+    inner_results: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """Completed outer iterations."""
+        return 0 if self.hess is None else self.hess.k
+
+    def prefix(self, k: int, max_outer: int | None = None) -> "OuterState":
+        """Copies of the state as it stood at the start of outer iteration ``k``.
+
+        The copies have room for ``max_outer`` iterations; the default,
+        ``k``, keeps only what resuming at ``k`` or earlier needs.
+        """
+        if self.hess is None or not 0 <= k <= self.iterations:
+            raise ValueError(f"no state at outer iteration {k}: it holds "
+                             f"{self.iterations} iterations")
+        room = k if max_outer is None else max_outer
+        hess = self.hess.prefix(k, room)
+        Q = np.zeros((self.Q.shape[0], room + 1), dtype=np.float64, order="F")
+        Z = np.zeros((self.Q.shape[0], room), dtype=np.float64, order="F")
+        Q[:, : k + 1] = self.Q[:, : k + 1]
+        Z[:, :k] = self.Z[:, :k]
+        history = ConvergenceHistory()
+        history.residual_norms = self.history.residual_norms[: k + 1]
+        cut = self.marks[k] if k < len(self.marks) else len(self.events)
+        return OuterState(Q, Z, hess, history, self.events[:cut], self.marks[:k],
+                          self.inner_results[:k])
 
 
 # Faulted inner results and outer fault studies propagate NaN/Inf by
@@ -54,6 +109,7 @@ def fgmres(
     bound_method: str = "frobenius",
     injector=None,
     events=None,
+    state: OuterState | None = None,
 ) -> SolverResult:
     """Solve ``A x = b`` with Flexible GMRES.
 
@@ -115,6 +171,16 @@ def fgmres(
         Receives every event the moment it is recorded (anything
         :func:`~repro.results.events.ensure_sink` accepts).  The result's
         ``events`` list holds the same events in the same order.
+    state : OuterState, optional
+        Where the outer loop keeps its bases, Hessenberg matrix, history and
+        events, and leaves them when it returns.  An empty ``OuterState()``
+        starts afresh.  A state holding ``k`` iterations (an
+        :meth:`OuterState.prefix` of an earlier solve of the same system,
+        ``x0`` and configuration, with room for ``max_outer``) resumes that
+        solve at outer iteration ``k``: the result is the one the whole
+        solve would give, provided the first ``k`` iterations would repeat
+        bit for bit.  The copied events head the result's ``events`` list
+        but are not emitted to ``events`` again.
 
     Returns
     -------
@@ -133,7 +199,8 @@ def fgmres(
         raise ValueError(f"unknown orthogonalization {orthogonalization!r}")
     detector = resolve_detector(detector, A=A, bound_method=bound_method)
 
-    history = ConvergenceHistory()
+    if state is None:
+        state = OuterState()
 
     # Outer-iteration injection, screening and every outer event go through
     # the same ArnoldiContext as the inner solves (raising ValueError for an
@@ -143,28 +210,36 @@ def fgmres(
     # step j.  Unarmed steps (always, without an injector) make no consults
     # and perform the identical floating-point operations.
     ctx = ArnoldiContext(injector=injector, detector=detector,
-                         detector_response=detector_response, sink=events)
+                         detector_response=detector_response, events=state.events,
+                         sink=events)
 
     norm_b = float(np.linalg.norm(b))
     target = tol * norm_b if norm_b > 0.0 else tol
 
-    r = b - op.matvec(x)
-    matvecs = 1
-    beta = float(np.linalg.norm(r))
-    history.append(beta)
-    if beta <= target:
-        return SolverResult(x, SolverStatus.CONVERGED, 0, beta, history, ctx.events, matvecs)
-
-    # Fortran order: basis columns are the unit of access in the
-    # orthogonalization and update kernels, so keep them contiguous.
-    Q = np.zeros((n, max_outer + 1), dtype=np.float64, order="F")
-    Z = np.zeros((n, max_outer), dtype=np.float64, order="F")
-    Q[:, 0] = r / beta
-    hess = HessenbergMatrix(max_outer, beta)
+    start = state.iterations
+    if state.hess is None:
+        r = b - op.matvec(x)
+        beta = float(np.linalg.norm(r))
+        state.history.append(beta)
+        if beta <= target:
+            return SolverResult(x, SolverStatus.CONVERGED, 0, beta, state.history,
+                                ctx.events, 1)
+        # Fortran order: basis columns are the unit of access in the
+        # orthogonalization and update kernels, so keep them contiguous.
+        state.Q = np.zeros((n, max_outer + 1), dtype=np.float64, order="F")
+        state.Z = np.zeros((n, max_outer), dtype=np.float64, order="F")
+        state.Q[:, 0] = r / beta
+        state.hess = HessenbergMatrix(max_outer, beta)
+    elif start > max_outer or state.hess.max_columns < max_outer:
+        raise ValueError(f"state holds {start} outer iterations with room for "
+                         f"{state.hess.max_columns}; max_outer is {max_outer}")
+    Q, Z, hess, history = state.Q, state.Z, state.hess, state.history
+    matvecs = 1 + start  # the initial residual, then one per outer iteration
 
     status = SolverStatus.MAX_ITERATIONS
-    k = 0
-    for j in range(max_outer):
+    k = start
+    for j in range(start, max_outer):
+        state.marks.append(len(ctx.events))
         q_j = Q[:, j]
         # ----- inner solve (the "apply current preconditioner" step) -------
         if inner_solver is None:
@@ -255,6 +330,7 @@ def fgmres(
         if np.isfinite(resid_est) and resid_est <= target:
             status = SolverStatus.CONVERGED
             break
+    state.marks.append(len(ctx.events))
 
     # ----- solution update from the flexible basis Z ------------------------
     if k > 0:

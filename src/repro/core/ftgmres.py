@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fgmres import fgmres
+from repro.core.fgmres import OuterState, fgmres
 from repro.core.gmres import gmres
-from repro.core.status import NestedSolverResult, SolverResult
+from repro.core.status import NestedSolverResult
 from repro.registry import resolve_detector, resolve_preconditioner
-from repro.results.events import CollectingSink, MultiSink
+from repro.results.events import ensure_sink
 from repro.specs import SolveSpec
 
 __all__ = ["ft_gmres"]
@@ -42,6 +42,7 @@ def ft_gmres(
     sandbox=None,
     events=None,
     profile=None,
+    state: OuterState | None = None,
 ) -> NestedSolverResult:
     """Solve ``A x = b`` with the fault-tolerant nested FT-GMRES iteration.
 
@@ -85,6 +86,17 @@ def ft_gmres(
         *inner* solve into this :class:`~repro.utils.profile.KernelProfile`.
         ``None`` (default) performs no timing; profiled runs are bit-identical
         to unprofiled ones (see :func:`repro.core.gmres.gmres`).
+    state : OuterState, optional
+        The outer FGMRES state, as for :func:`~repro.core.fgmres.fgmres`,
+        with each inner solve's result in ``state.inner_results``: an empty
+        ``OuterState()`` keeps this solve's final state, and a prefix of an
+        earlier solve of the same system and spec resumes it at that outer
+        iteration.  The copied inner results and events head the result's
+        lists (the events are not emitted to ``events`` again).  The resumed
+        result is the whole solve's only when nothing before the resume
+        point can differ: ``injector`` cannot fire there and every detector
+        is stateless (``vectorized``).  ``profile`` then times only the
+        inner solves actually run.
 
     Returns
     -------
@@ -118,13 +130,15 @@ def ft_gmres(
     if sandbox is not None and injector is not None and hasattr(injector, "attach_sandbox"):
         injector.attach_sandbox(sandbox)
 
-    # One stream for the outer solve and every inner solve: fgmres is
-    # blocked inside an inner solve while that solve records, so events
-    # arrive in the order they happen.
-    collected = CollectingSink()
-    stream = collected if events is None else MultiSink([collected, events])
+    # One event list for the outer solve and every inner solve: fgmres
+    # records into state.events and each inner solve appends there too
+    # (fgmres is blocked inside an inner solve while that solve records),
+    # so events arrive in the order they happen.
+    state = state if state is not None else OuterState()
+    inner_sink = ensure_sink(state.events.append if events is None
+                             else [state.events.append, events])
     inner_budget = inner_kwargs["maxiter"]
-    inner_results: list[SolverResult] = []
+    inner_results = state.inner_results
 
     def inner_solver(q_j: np.ndarray, outer_iteration: int) -> np.ndarray:
         """One unreliable inner solve: approximately solve ``A z = q_j``."""
@@ -135,7 +149,7 @@ def ft_gmres(
                 A,
                 q_j,
                 injector=injector,
-                events=stream,
+                events=inner_sink,
                 profile=profile,
                 outer_iteration=outer_iteration,
                 inner_solve_index=outer_iteration,
@@ -151,8 +165,8 @@ def ft_gmres(
         inner_results.append(result)
         return result.x
 
-    outer_result = fgmres(A, b, inner_solver=inner_solver, x0=x0, events=stream,
-                          **outer_kwargs)
+    outer_result = fgmres(A, b, inner_solver=inner_solver, x0=x0, events=events,
+                          state=state, **outer_kwargs)
 
     total_inner = sum(r.iterations for r in inner_results)
     return NestedSolverResult(
@@ -163,6 +177,6 @@ def ft_gmres(
         residual_norm=outer_result.residual_norm,
         history=outer_result.history,
         inner_results=inner_results,
-        events=collected.events,
+        events=state.events,
         profile=profile,
     )

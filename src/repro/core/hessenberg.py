@@ -89,6 +89,17 @@ class HessenbergMatrix:
         self._H[: j + 2, j] = column
         return self._qr.add_column(column, givens_hook=givens_hook)
 
+    def prefix(self, k: int, max_columns: int) -> "HessenbergMatrix":
+        """A copy of the matrix and its QR as they stood after the first ``k`` columns.
+
+        ``max_columns`` sizes the copy's storage, so a solver can keep
+        appending to it (see :class:`repro.core.fgmres.OuterState`).
+        """
+        out = HessenbergMatrix(max_columns, self.beta)
+        out._qr = self._qr.prefix(k, max_columns)
+        out._H[: k + 1, :k] = self._H[: k + 1, :k]
+        return out
+
     #: Retained for backwards compatibility; the canonical implementation is
     #: :func:`repro.core.least_squares.givens_rotation`.
     _givens = staticmethod(givens_rotation)

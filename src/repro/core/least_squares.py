@@ -118,6 +118,9 @@ class IncrementalGivensQR:
         # none of the NumPy scalar-indexing overhead in the hot loop).
         self._cs: list[float] = [0.0] * m
         self._sn: list[float] = [0.0] * m
+        # g[j] as it stood before column j rotated it: all that
+        # :meth:`prefix` cannot read back from the final state.
+        self._g_pre: list[float] = [0.0] * m
         self.beta = float(beta)
 
     # ------------------------------------------------------------------ #
@@ -188,12 +191,30 @@ class IncrementalGivensQR:
         self._R[: j + 2, j] = r
 
         # Apply the new rotation to the right-hand side g.
-        g_j = float(self._g[j])
+        g_j = self._g_pre[j] = float(self._g[j])
         self._g[j] = c * g_j
         self._g[j + 1] = -s * g_j
 
         self.k = j + 1
         return abs(float(self._g[j + 1]))
+
+    def prefix(self, k: int, max_columns: int) -> "IncrementalGivensQR":
+        """A copy of the factorization as it stood after its first ``k`` columns.
+
+        Columns of ``R``, rotations and ``g[:k]`` are final once written, so
+        they copy as they are; ``g[k]`` is restored from the value recorded
+        before column ``k`` rotated it.  ``max_columns`` sizes the copy's
+        storage.
+        """
+        if not 0 <= k <= min(self.k, max_columns):
+            raise ValueError(f"prefix of {k} columns outside 0..{min(self.k, max_columns)}")
+        out = IncrementalGivensQR(max_columns, self.beta)
+        out._R[: k + 1, :k] = self._R[: k + 1, :k]
+        out._g[:k] = self._g[:k]
+        out._g[k] = self._g_pre[k] if k < self.k else self._g[k]
+        out._cs[:k], out._sn[:k], out._g_pre[:k] = self._cs[:k], self._sn[:k], self._g_pre[:k]
+        out.k = k
+        return out
 
     # ------------------------------------------------------------------ #
     def solve(self, policy=LeastSquaresPolicy.STANDARD, tol: float | None = None,

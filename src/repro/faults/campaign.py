@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.detectors import Detector
+from repro.core.fgmres import OuterState
 from repro.core.ftgmres import ft_gmres
 from repro.core.status import NestedSolverResult
 from repro.faults.injector import FaultInjector
@@ -74,6 +75,8 @@ class TrialRecord:
     detector_enabled: bool
     #: Wall-clock seconds for this trial (batched lanes: their amortized
     #: share of the batch, see :meth:`FaultCampaign.iter_specs_batched`).
+    #: A trial that resumes from the failure-free baseline's outer state
+    #: (see :meth:`FaultCampaign.run_spec`) counts only the part it solves.
     elapsed: float = field(default=0.0, compare=False)
     #: Crash isolation: when a trial's solve raised (or blew its soft
     #: timeout), ``status`` is ``"error"`` and this carries the message.
@@ -260,7 +263,8 @@ class CampaignPlan:
     Carries the failure-free baseline numbers, the resolved injection
     locations, and the canonical-order trial specs — exactly what the run
     store persists in a manifest, so an interrupted campaign can be resumed
-    from the same plan without re-solving the baseline.
+    from the same plan (:meth:`FaultCampaign.run_plan` solves the baseline
+    once more only for the outer state the remaining trials start from).
     """
 
     locations: tuple[int, ...]
@@ -442,6 +446,9 @@ class FaultCampaign:
             "seed": getattr(problem, "seed", None),
             "spec_hash": None,
         }
+        #: The failure-free solve's outer state, which prefix-shared trials
+        #: resume from (see :meth:`_resume_state`); ``None`` until solved.
+        self._baseline: OuterState | None = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -493,19 +500,58 @@ class FaultCampaign:
         """Run the nested solver without any fault injection."""
         return self._solve(None)
 
-    def _solve(self, injector: FaultInjector | None) -> NestedSolverResult:
+    def _solve(self, injector: FaultInjector | None,
+               state: OuterState | None = None) -> NestedSolverResult:
         """One nested solve, from freshly reset inner and outer detectors.
 
         A stateful detector (``NormGrowthDetector``, or a composite holding
         one) would otherwise carry its running reference from the baseline
         and every earlier trial into this one, so a trial's record would
-        depend on what ran before it in the same process.
+        depend on what ran before it in the same process.  ``state`` is
+        passed to :func:`ft_gmres`: empty to keep the solve's outer state,
+        or a prefix of the baseline's to resume from it.
         """
         for detector in (self.detector, self.solver.detector):
             if detector is not None:
                 detector.reset()
         return ft_gmres(self.problem.A, self.problem.b, self.problem.x0,
-                        spec=self.solver, injector=injector)
+                        spec=self.solver, injector=injector, state=state)
+
+    def _solve_baseline(self) -> NestedSolverResult:
+        """The failure-free solve, keeping its outer state for the trials.
+
+        Only the iterations it ran are kept (``K + 1`` basis columns for
+        ``K`` outer iterations, not the ``max_outer + 1`` it allocated).
+        """
+        state = OuterState()
+        result = self._solve(None, state)
+        self._baseline = state.prefix(state.iterations) if state.iterations else state
+        return result
+
+    def _resume_state(self, injector: FaultInjector) -> OuterState | None:
+        """The outer state a trial starts from, or ``None`` for a full solve.
+
+        Until its fault can first fire, a trial repeats the failure-free
+        solve bit for bit, so it starts at the outer iteration whose inner
+        solve spans its schedule's
+        :meth:`~repro.faults.schedule.InjectionSchedule.first_step` (at the
+        latest the baseline's last one) from a copy of the baseline's state
+        there.  That needs the state (kept by :meth:`plan` or
+        :meth:`run_plan`), stateless detectors (:attr:`_prefix_shared`) and
+        a schedule that bounds its first step.
+        """
+        first = injector.schedule.first_step()
+        if (first is None or self._baseline is None or not self._baseline.iterations
+                or not self._prefix_shared):
+            return None
+        outer = min(first // self.inner_iterations, self._baseline.iterations - 1)
+        return self._baseline.prefix(outer, self.max_outer)
+
+    @property
+    def _prefix_shared(self) -> bool:
+        """Whether every detector is stateless (``vectorized``), so a trial
+        sees the same values before its fault as the baseline did."""
+        return all(d is None or d.vectorized for d in (self.detector, self.solver.detector))
 
     def _trial_schedule(self, aggregate_inner_iteration: int) -> InjectionSchedule:
         """The injection schedule of one campaign trial.
@@ -553,16 +599,27 @@ class FaultCampaign:
 
     def run_single(self, fault_class: str, model: FaultModel,
                    aggregate_inner_iteration: int) -> TrialRecord:
-        """Run one faulted nested solve and summarize it as a TrialRecord.
+        """Run one faulted nested solve from a fresh start as a TrialRecord.
+
+        The reference the campaign's prefix-shared trials (:meth:`run_spec`)
+        must equal.
+        """
+        return self._trial(fault_class, model, aggregate_inner_iteration, resume=False)
+
+    def _trial(self, fault_class: str, model: FaultModel, aggregate_inner_iteration: int,
+               *, resume: bool) -> TrialRecord:
+        """One trial, resumed from the baseline's outer state if ``resume``
+        and the trial allows it (see :meth:`_resume_state`).
 
         The trial's wall time is measured here — inside the shard worker, on
         the sharded backend — so ``TrialRecord.elapsed`` means the same thing
         on every backend.
         """
         injector = self._trial_injector(model, aggregate_inner_iteration)
+        state = self._resume_state(injector) if resume else None
         timer = Timer()
         with timer:
-            result = self._solve(injector)
+            result = self._solve(injector, state)
         return TrialRecord(
             fault_class=fault_class,
             fault_description=model.describe(),
@@ -580,9 +637,14 @@ class FaultCampaign:
         )
 
     def run_spec(self, spec) -> TrialRecord:
-        """Run the trial described by a :class:`~repro.exec.spec.TrialSpec`."""
-        return self.run_single(spec.fault_class, self._model_for(spec.fault_class),
-                               spec.aggregate_inner_iteration)
+        """Run the trial described by a :class:`~repro.exec.spec.TrialSpec`.
+
+        The trial starts from the failure-free baseline's outer state where
+        it shares that prefix (see :meth:`_resume_state`), and gives the
+        record :meth:`run_single` would.
+        """
+        return self._trial(spec.fault_class, self._model_for(spec.fault_class),
+                           spec.aggregate_inner_iteration, resume=True)
 
     def error_record(self, spec, message: str, *, elapsed: float = 0.0,
                      retries: int = 0) -> TrialRecord:
@@ -774,12 +836,14 @@ class FaultCampaign:
 
         ``baseline`` short-circuits the failure-free reference solve with
         known ``(failure_free_outer, failure_free_residual)`` numbers — the
-        run store uses this on resume, so resuming never re-solves anything.
+        run store uses this on resume, so resuming a complete run solves
+        nothing (:meth:`run_plan` solves the baseline once if trials are
+        left that can resume from its outer state).
         """
         if stride <= 0:
             raise ValueError(f"stride must be positive, got {stride}")
         if baseline is None:
-            reference = self.run_failure_free()
+            reference = self._solve_baseline()
             baseline = (reference.outer_iterations, reference.residual_norm)
         failure_free_outer, failure_free_residual = baseline
         if locations is None:
@@ -857,6 +921,11 @@ class FaultCampaign:
                 data={"failure_free_outer": plan.failure_free_outer,
                       "failure_free_residual": plan.failure_free_residual}))
         todo = list(plan.specs) if specs is None else list(specs)
+        if todo and self._baseline is None and self._prefix_shared:
+            # A plan from stored baseline numbers solved nothing: solve the
+            # baseline once, here, so the trials (even sharded workers, which
+            # inherit it through fork) resume from its outer state.
+            self._solve_baseline()
         if todo:
             for index, record in self.iter_records(todo, executor=executor,
                                                    **executor_kwargs):

@@ -60,11 +60,12 @@ def assert_contract(kind: str, ref: np.ndarray, got: np.ndarray,
                     bound: np.ndarray | None = None) -> None:
     """Assert one kernel's half of the equivalence contract.
 
-    ``bound`` is the componentwise magnitude sum ``|A| @ |x|`` — the natural
-    scale of each row's reduction.  Rows that cancel catastrophically have
-    ``ref`` near zero while the reduction error scales with ``bound``, so the
-    relative contract is stated against the reduction magnitude, not the
-    (possibly vanishing) result.
+    ``bound`` is the componentwise scale of the kernel's rounding error: for
+    a product, the magnitude sum ``|A| @ |x|`` of each row's reduction (see
+    :func:`trisolve_bound` for a triangular solve).  Rows that cancel
+    catastrophically have ``ref`` near zero while the reduction error scales
+    with ``bound``, so the relative contract is stated against the reduction
+    magnitude, not the (possibly vanishing) result.
     """
     if kind in EXACT_KERNELS:
         np.testing.assert_array_equal(got, ref)
@@ -74,6 +75,26 @@ def assert_contract(kind: str, ref: np.ndarray, got: np.ndarray,
             f"{kind}: max err {err.max():.3e} exceeds contract"
     else:
         np.testing.assert_allclose(got, ref, rtol=CONTRACT_RTOL, atol=0.0)
+
+
+def trisolve_bound(F: TriangularFactor, x: np.ndarray) -> np.ndarray:
+    """``M(T)^-1 |T| |x|``: the componentwise scale of the forward error of a
+    triangular solve ``T x = b`` in any summation order.
+
+    ``M(T) = |D| - |strict part|`` is the comparison matrix; a computed
+    solution satisfies ``(T + dT) x = b`` with ``|dT| <= gamma_n |T|``, so it
+    is within ``gamma_n M(T)^-1 |T| |x|`` of the exact one.  Formed densely
+    (the factors here have at most 12 rows) and solved by substitution,
+    whose terms are all nonnegative, so the bound is too.
+    """
+    strict = np.zeros((F.n, F.n))
+    strict[np.repeat(np.arange(F.n), np.diff(F.indptr)), F.indices] = np.abs(F.data)
+    diag = np.abs(np.ones(F.n) if F.unit_diagonal else F.diag)
+    rhs = diag.reshape((-1,) + (1,) * (x.ndim - 1)) * np.abs(x) + strict @ np.abs(x)
+    bound = np.zeros_like(rhs)
+    for i in range(F.n) if F.lower else reversed(range(F.n)):
+        bound[i] = (rhs[i] + strict[i] @ bound) / diag[i]
+    return bound
 
 
 # ----------------------------------------------------------------------------
@@ -354,7 +375,7 @@ class TestCrossTierTrisolve:
         b = np.linspace(-1.0, 1.0, F.n)
         ref = F.solve(b, mode="level")
         got = eng.trisolve(F, b)
-        np.testing.assert_allclose(got, ref, rtol=CONTRACT_RTOL, atol=1e-15)
+        assert_contract("trisolve", ref, got, bound=trisolve_bound(F, ref))
 
     @given(F=triangular_factors(), B=st.integers(min_value=1, max_value=4))
     @settings(max_examples=25, deadline=None)
@@ -363,7 +384,7 @@ class TestCrossTierTrisolve:
         b = np.linspace(-1.0, 1.0, F.n * B).reshape(F.n, B)
         ref = F.solve(b, mode="level")
         got = eng.trisolve(F, b)
-        np.testing.assert_allclose(got, ref, rtol=CONTRACT_RTOL, atol=1e-15)
+        assert_contract("trisolve", ref, got, bound=trisolve_bound(F, ref))
 
     def test_sequential_fallback_levels(self, tier):
         """A dense chain factor (one row per level) hits the sequential

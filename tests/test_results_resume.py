@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.api import run_campaign
+from repro.core import batched as batched_mod
 from repro.experiments import runner as runner_mod
-from repro.faults.campaign import FaultCampaign
+from repro.faults import campaign as campaign_mod
 from repro.gallery.problems import poisson_problem
 from repro.results.store import RunStore, RunStoreError
 from repro.specs import CampaignSpec
@@ -30,6 +31,22 @@ from repro.specs import CampaignSpec
 
 #: Small but non-trivial campaign: 3 fault classes x 4 locations = 12 trials.
 SPEC = dict(inner_iterations=5, max_outer=25, locations=[0, 2, 5, 9])
+
+
+class _ForbiddenSolve(BaseException):
+    """Raised by a forbidden solve; not an ``Exception``, so the campaign's
+    crash isolation cannot turn it into an error record."""
+
+
+def _forbid_solves(monkeypatch, message):
+    """Make every nested solve a campaign can start fail: the serial solver
+    behind the baseline and each trial, and the batched engine."""
+    def forbidden(*args, **kwargs):  # pragma: no cover - guard
+        raise _ForbiddenSolve(message)
+
+    monkeypatch.setattr(campaign_mod, "ft_gmres", forbidden)
+    monkeypatch.setattr(batched_mod, "batched_ft_gmres", forbidden)
+
 
 #: Execution-backend grid (knobs per backend, as the executor demands).
 BACKENDS = [
@@ -150,14 +167,33 @@ class TestCrashResumeDeterminism:
         store = RunStore(tmp_path)
         run_campaign(problem, dict(SPEC), store=store, run_id="r")
 
-        def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("resume of a complete run must not solve")
-
-        monkeypatch.setattr(FaultCampaign, "run_failure_free", forbidden)
-        monkeypatch.setattr(FaultCampaign, "run_single", forbidden)
+        _forbid_solves(monkeypatch, "resume of a complete run must not solve")
         resumed = run_campaign(problem, dict(SPEC), store=store, run_id="r",
                                resume=True)
         assert resumed.trials == reference.trials
+
+    def test_resume_with_trials_left_solves_the_baseline_once(self, problem, reference,
+                                                              tmp_path, monkeypatch):
+        store, spec = RunStore(tmp_path), _spec_with("serial", {})
+        with pytest.raises(_InterruptAfter):
+            run_campaign(problem, spec, store=store, run_id="r", sink=_Bomb(5))
+        solve = campaign_mod.ft_gmres
+        calls = []
+
+        def counting(*args, injector=None, state=None, **kwargs):
+            calls.append((injector, state.iterations if state else None))
+            return solve(*args, injector=injector, state=state, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "ft_gmres", counting)
+        resumed = run_campaign(problem, spec, store=store, run_id="r", resume=True)
+        assert resumed.trials == reference.trials
+        # One baseline solve keeping its state, then the 7 trials left, each
+        # started from that state at the outer iteration its location is in.
+        last = reference.failure_free_outer - 1
+        assert calls[0] == (None, 0)
+        assert None not in [injector for injector, _ in calls[1:]]
+        assert [start for _, start in calls[1:]] == [
+            min(loc // SPEC["inner_iterations"], last) for loc in (SPEC["locations"] * 3)[5:]]
 
     def test_execution_knobs_do_not_change_run_identity(self, problem,
                                                         reference, tmp_path):
@@ -232,13 +268,7 @@ class TestRunnerStoreIntegration:
         assert runner_mod.main(self.ARGS + store_args) == 0
         live = capsys.readouterr().out
 
-        # zero new solves: forbid the solver layer entirely
-        def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("--from-store must not solve")
-
-        monkeypatch.setattr(FaultCampaign, "run_failure_free", forbidden)
-        monkeypatch.setattr(FaultCampaign, "run_single", forbidden)
-        monkeypatch.setattr(FaultCampaign, "iter_specs_batched", forbidden)
+        _forbid_solves(monkeypatch, "--from-store must not solve")
         assert runner_mod.main(self.ARGS + store_args + ["--from-store"]) == 0
         regenerated = capsys.readouterr().out
         assert regenerated == live
