@@ -16,13 +16,14 @@ one CPU.  The speedup floor below is therefore asserted unconditionally, not
 gated on ``cpu_count``.
 
 Scale framing: the amortization is largest where per-trial Python/BLAS-1
-dispatch dominates (the tiny/small matrices).  At the medium/paper matrix
-sizes both backends are memory-bandwidth-bound in the same sparse kernels
-and the remaining win comes from shared-prefix elimination (~2x measured);
-the floor reflects that honestly rather than pretending dispatch overhead
-still dominates.  Serial trials now skip the shared failure-free prefix too
-(they resume from the baseline's outer state), so the tiny/small floor is
-the 1.5x margin below which the batched engine no longer earns its place.
+dispatch dominates (the tiny/small matrices).  Serial trials and batched
+lanes skip the shared failure-free prefix the same way (both resume from
+the baseline's outer state), so the tiny/small floor is the 1.5x margin
+below which the batched engine no longer earns its place.  At the
+medium/paper matrix sizes both backends are memory-bandwidth-bound in the
+same sparse kernels and dispatch amortization is all that is left: the
+medium floor dates from when only the batched engine shared the prefix,
+and batched now runs below 1x there (see ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from repro.experiments.figure34 import run_fault_sweep
 #: Asserted lower bound on the batched-vs-serial wall-time ratio per scale.
 #: tiny/small: interpreter-overhead domain -> the 1.5x keep-or-delete margin
 #: of the batched engine over prefix-shared serial trials.
-#: medium/paper: memory-bound domain -> the prefix-sharing win (~2x measured
-#: at medium); asserted with slack for noisy shared runners.
+#: medium/paper: memory-bound domain; set for the batched-only prefix-sharing
+#: win (~2x measured at medium then), which serial trials now share too.
 SPEEDUP_FLOORS = {"tiny": 1.5, "small": 1.5, "medium": 1.4, "paper": 1.1}
 
 #: Batch width used by the benchmark (wider than the default 32: the sweep

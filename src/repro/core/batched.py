@@ -2,13 +2,15 @@
 
 A fault campaign is hundreds of *independent* nested FT-GMRES solves over the
 same ``(A, b, x0)`` that differ only in where a single SDC event strikes.
-Running them one at a time spends most of its wall time in per-trial Python
-and BLAS-1 dispatch overhead: every Arnoldi coefficient is one ``np.dot`` on
-one vector, every triangular-solve level touches the sparse index arrays for
-one right-hand side.  This module advances ``B`` trials side by side through
-*block* kernels instead:
+Solving their inner systems one at a time spends most of its wall time in
+per-trial Python and BLAS-1 dispatch overhead: every Arnoldi coefficient is
+one ``np.dot`` on one vector, every triangular-solve level touches the sparse
+index arrays for one right-hand side.  This module solves the inner systems
+of ``B`` trials (the *lanes* of a batch) side by side through *block*
+kernels instead:
 
-* the SpMV becomes one :meth:`CSRMatrix.matmat` over an ``(n, B)`` slab,
+* each lane's SpMV runs the exact serial kernel on one contiguous row of a
+  lanes-major ``(B, n)`` slab,
 * each Modified Gram–Schmidt coefficient becomes one ``einsum`` producing all
   ``B`` coefficients at once,
 * the incremental Givens QR keeps ``B`` rotation sequences in lockstep
@@ -17,11 +19,19 @@ one right-hand side.  This module advances ``B`` trials side by side through
   (``Preconditioner.apply_block``), paying the sparse index traffic once per
   level instead of once per level per trial.
 
-Fault injection stays *per trial*: each compute lane of an inner solve owns
-an :class:`~repro.core.arnoldi.ArnoldiContext` carrying its trial's
-:class:`~repro.faults.injector.FaultInjector`, and at every lockstep step the
-lanes whose context arms are the ones offered to their injectors, through the
-same ``inject_scalar``/``inject_vector`` the serial engine calls.  Detector
+The outer FGMRES loop is the serial code: each lane runs
+:func:`repro.core.fgmres.fgmres_steps` from its own
+:class:`~repro.core.fgmres.OuterState` (a campaign's failure-free baseline
+prefix, as for a serial trial), and one *round* solves the ``q_j`` of every
+lane still running, whatever outer iteration each is at, in one lockstep
+inner solve.
+
+Fault injection stays *per trial*: each lane of an inner solve owns an
+:class:`~repro.core.arnoldi.ArnoldiContext` carrying its trial's
+:class:`~repro.faults.injector.FaultInjector` and its own outer iteration
+and aggregate offset, and at every lockstep step the lanes whose context
+arms are the ones offered to their injectors, through the same
+``inject_scalar``/``inject_vector`` the serial engine calls.  Detector
 screening is one vectorized
 :meth:`~repro.core.detectors.Detector.flag_values` screen per value row (the
 conservative predicate the serial Arnoldi step screens with); the (rare)
@@ -32,15 +42,16 @@ Equivalence contract (asserted by the test suite and the campaign benchmark):
 per-trial iteration counts, statuses and event streams are identical to the
 serial backend, and residual histories agree to ~1e-10 (bit-identical where
 the reduction order matches — the sparse and triangular block kernels reduce
-in exactly the serial order; the batched MGS dot products and norms reduce in
-a different but equally valid order).
+in exactly the serial order; the batched MGS dot products and norms of the
+inner solves reduce in a different but equally valid order).
 
-Trials whose control flow leaves the lockstep common path — happy breakdown,
-early convergence inside an inner solve, the outer breakdown trichotomy —
-are *peeled* out of the batch and reported as unsolved; the campaign layer
-reruns exactly those trials through the serial reference implementation.
-Correctness therefore never depends on the batched engine reproducing the
-rare paths: the fallback *is* the reference code.
+Trials whose control flow leaves the lockstep common path — happy breakdown
+or early convergence inside an inner solve, the outer breakdown trichotomy,
+a residual on the convergence-decision cusp — are *peeled* out of the batch
+and reported as unsolved; the campaign layer reruns exactly those trials
+through the serial reference implementation.  Correctness therefore never
+depends on the batched engine reproducing the rare paths: the fallback *is*
+the reference code.
 """
 
 from __future__ import annotations
@@ -48,8 +59,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.arnoldi import HAPPY_BREAKDOWN_TOL, VALID_RESPONSES, ArnoldiContext
-from repro.core.detectors import HessenbergBoundDetector
-from repro.core.fgmres import BREAKDOWN_TOL
+from repro.core.detectors import Detector, HessenbergBoundDetector
+from repro.core.fgmres import OuterState, fgmres_steps
+from repro.core.ftgmres import nested_result
 from repro.core.least_squares import LeastSquaresPolicy, solve_projected_lsq
 from repro.core.status import (
     ConvergenceHistory,
@@ -58,7 +70,6 @@ from repro.core.status import (
     SolverStatus,
 )
 from repro.precond.base import Preconditioner
-from repro.results.events import Event
 from repro.sparse.linear_operator import LinearOperator, aslinearoperator
 from repro.specs import SolveSpec
 
@@ -169,7 +180,6 @@ class BatchedGivensQR:
         self._g[0] = beta
         self._cs = np.zeros((m, lanes), dtype=np.float64)
         self._sn = np.zeros((m, lanes), dtype=np.float64)
-        self.beta = beta.copy()
 
     def add_column(self, column: np.ndarray) -> np.ndarray:
         """Rotate a new ``(k+2, B)`` Hessenberg column block into all lanes.
@@ -204,19 +214,13 @@ class BatchedGivensQR:
         return np.abs(self._g[j + 1])
 
     # ------------------------------------------------------------------ #
-    def lane_R(self, lane: int, k: int | None = None) -> np.ndarray:
+    def lane_R(self, lane: int) -> np.ndarray:
         """The ``k x k`` triangular factor of one lane (a copy-free view)."""
-        k = self.k if k is None else k
-        return self._R[:k, :k, lane]
+        return self._R[: self.k, : self.k, lane]
 
-    def lane_g(self, lane: int, k: int | None = None) -> np.ndarray:
+    def lane_g(self, lane: int) -> np.ndarray:
         """The rotated right-hand side of one lane, length ``k+1``."""
-        k = self.k if k is None else k
-        return self._g[: k + 1, lane]
-
-    def residual_estimates(self) -> np.ndarray:
-        """Per-lane ``|g_{k+1}|`` — the monotone GMRES residual estimates."""
-        return np.abs(self._g[self.k])
+        return self._g[: self.k + 1, lane]
 
     def solve_standard(self) -> np.ndarray:
         """Back-substitute ``R y = g`` in every lane simultaneously.
@@ -390,12 +394,14 @@ def batched_support_reason(spec: SolveSpec, site: str = "hessenberg") -> str | N
     """Why a campaign configuration cannot run on the lockstep engine.
 
     Returns ``None`` when the configuration is supported, otherwise a
-    human-readable reason.  The supported space is the paper's experiment
-    space: MGS orthogonalization inside and out, injection on the
-    ``hessenberg`` and/or ``spmv`` sites, an inner detector that is either
-    absent or the paper's :class:`HessenbergBoundDetector` (any response
-    except ``raise``), and no outer detector.  Anything else belongs on the
-    serial backend.
+    human-readable reason.  The lockstep inner solves cover the paper's
+    experiment space: MGS orthogonalization, injection on the
+    ``hessenberg`` and/or ``spmv`` sites, and an inner detector that is
+    either absent or the paper's :class:`HessenbergBoundDetector` (any
+    response except ``raise``).  The outer loop is the serial code, so any
+    outer configuration runs except a stateful outer detector: every lane
+    shares the one detector object, which must therefore be ``vectorized``.
+    Anything else belongs on the serial backend.
     """
     sites = tuple(part.strip() for part in str(site).split(",") if part.strip())
     bad = [name for name in sites if name not in BATCHED_SITES]
@@ -405,14 +411,14 @@ def batched_support_reason(spec: SolveSpec, site: str = "hessenberg") -> str | N
     inner, outer = spec.gmres_kwargs(), spec.fgmres_kwargs()
     if inner["orthogonalization"] != "mgs":
         return f"inner orthogonalization {inner['orthogonalization']!r} (only 'mgs')"
-    if outer["orthogonalization"] != "mgs":
-        return f"outer orthogonalization {outer['orthogonalization']!r} (only 'mgs')"
-    if outer["detector"] is not None:
-        return "outer detectors are not supported by the batched engine"
+    if any(d is not None and not isinstance(d, Detector)
+           for d in (inner["detector"], outer["detector"])):
+        return "detector specs must be resolved before batching"
+    if outer["detector"] is not None and not outer["detector"].vectorized:
+        return (f"outer detector {type(outer['detector']).__name__} is stateful, "
+                "and every lane would share it")
     det = inner["detector"]
     if det is not None:
-        if isinstance(det, str):
-            return "string detector specs must be resolved before batching"
         if not isinstance(det, HessenbergBoundDetector):
             return (f"inner detector {type(det).__name__} is not vectorizable "
                     "(only HessenbergBoundDetector)")
@@ -458,64 +464,25 @@ def _detector_flags(det: HessenbergBoundDetector, values: np.ndarray) -> np.ndar
     return det.flag_values(values)
 
 
-def _clone_result(result: SolverResult) -> SolverResult:
-    """An independent copy of a shared-prefix inner result for one lane.
-
-    Serial campaigns build one result object per trial; virgin lanes riding
-    the shared prefix column must not alias each other's mutable pieces.
-    """
-    history = ConvergenceHistory()
-    history.residual_norms = list(result.history.residual_norms)
-    return SolverResult(
-        x=result.x.copy(),
-        status=result.status,
-        iterations=result.iterations,
-        residual_norm=result.residual_norm,
-        history=history,
-        events=list(result.events),
-        matvecs=result.matvecs,
-    )
-
-
-class _Trial:
-    """Mutable per-trial bookkeeping inside one batched run."""
-
-    __slots__ = ("injector", "lane", "events", "inner_results", "history",
-                 "peeled", "finished", "result")
-
-    def __init__(self, injector, lane: int):
-        self.injector = injector
-        self.lane = lane
-        self.events: list[Event] = []
-        self.inner_results: list[SolverResult] = []
-        self.history: list[float] = []
-        self.peeled = False
-        self.finished = False
-        self.result: NestedSolverResult | None = None
-
-
 class _BatchedNestedSolve:
     """One lockstep execution of B nested FT-GMRES trials."""
 
-    def __init__(self, A, b, x0, spec: SolveSpec,
-                 injectors: list):
+    def __init__(self, A, b, x0, spec: SolveSpec, injectors: list):
+        self.A, self.b, self.x0 = A, b, x0
         self.op: LinearOperator = aslinearoperator(A)
         n = self.op.shape[0]
         if self.op.shape[0] != self.op.shape[1]:
             raise ValueError(f"batched solves require a square operator, got {self.op.shape}")
-        self.n = n
-        self.b = np.asarray(b, dtype=np.float64).ravel()
-        self.x0 = (np.asarray(x0, dtype=np.float64).ravel() if x0 is not None
-                   else np.zeros(n, dtype=np.float64))
         # Benign Arnoldi coefficients are bounded by ||A||_2, for which the
         # norm of the manufactured right-hand side is a same-order proxy;
         # anything CHAOS_FACTOR above it can only be an injected fault whose
         # cancellation would amplify reduction-order noise past the
         # equivalence contract (see CHAOS_FACTOR).
-        self._chaos_threshold = CHAOS_FACTOR * max(1.0, float(np.linalg.norm(self.b)))
-        self.trials = [_Trial(injector, lane) for lane, injector in enumerate(injectors)]
-        self.B = len(self.trials)
-        inner, outer = spec.gmres_kwargs(), spec.fgmres_kwargs()
+        self.norm_b = float(np.linalg.norm(np.asarray(b, dtype=np.float64).ravel()))
+        self._chaos_threshold = CHAOS_FACTOR * max(1.0, self.norm_b)
+        self.injectors = injectors
+        inner = spec.gmres_kwargs()
+        self.outer = spec.fgmres_kwargs()
         self.inner_budget = inner["maxiter"]
         self.inner_tol = float(inner["tol"])
         self.inner_policy = LeastSquaresPolicy.coerce(inner["lsq_policy"])
@@ -523,13 +490,9 @@ class _BatchedNestedSolve:
         self.detector: HessenbergBoundDetector | None = inner["detector"]
         self.response = inner["detector_response"]
         self.precond_block = _resolve_block_preconditioner(inner["preconditioner"], n)
-        self.outer_tol = float(outer["tol"])
-        self.max_outer = min(int(outer["max_outer"]), n)
-        self.outer_policy = LeastSquaresPolicy.coerce(outer["lsq_policy"])
-        self.outer_lsq_tol = outer["lsq_tol"]
 
     # ------------------------------------------------------------------ #
-    def _matvec_rows(self, X: np.ndarray, lanes=None) -> np.ndarray:
+    def _matvec_rows(self, X: np.ndarray, lanes) -> np.ndarray:
         """Apply the operator to the given lanes of a lanes-major block.
 
         Each lane goes through the exact serial ``matvec`` kernel on its
@@ -537,250 +500,86 @@ class _BatchedNestedSolve:
         solve; lanes not listed stay zero.
         """
         Y = np.zeros_like(X)
-        rows = range(X.shape[0]) if lanes is None else lanes
-        for b in rows:
+        for b in lanes:
             Y[b] = self.op.matvec(X[b])
         return Y
 
-    def _peel(self, trial: _Trial) -> None:
-        trial.peeled = True
-        trial.result = None
-
     # ------------------------------------------------------------------ #
-    def run(self) -> list[NestedSolverResult | None]:
-        """Execute all trials; ``None`` entries mark peeled trials."""
-        op, b, x0 = self.op, self.b, self.x0
-        n, B = self.n, self.B
+    def run(self, states: list[OuterState]) -> list[NestedSolverResult | None]:
+        """Run every lane's outer loop from its state; ``None`` marks a peeled lane.
 
-        norm_b = float(np.linalg.norm(b))
-        target = self.outer_tol * norm_b if norm_b > 0.0 else self.outer_tol
-
-        r = b - op.matvec(x0)
-        beta = float(np.linalg.norm(r))
-        for trial in self.trials:
-            trial.history.append(beta)
-        if beta <= target or not np.isfinite(beta):
-            # Degenerate: the failure-free answer is the initial guess (or
-            # the residual is poisoned).  The serial engine handles every
-            # trial identically in O(1); let it.
-            for trial in self.trials:
-                self._peel(trial)
-            return [trial.result for trial in self.trials]
-
-        max_outer = self.max_outer
-        m = self.inner_budget
-        # Outer basis/flexible-basis blocks, one lanes-major (B, n) slab per
-        # iteration; grown lazily so memory tracks the iterations used.
-        Q: list[np.ndarray] = [np.repeat((r / beta)[None, :], B, axis=0)]
-        Z: list[np.ndarray] = []
-        h_cols: list[np.ndarray] = []
-        qr = BatchedGivensQR(max_outer, np.full(B, beta))
-        alive = np.ones(B, dtype=bool)
-        # Prefix sharing: until a trial's fault fires, its trajectory is
-        # *bit-identical* to the failure-free one (every lockstep kernel is
-        # lane-independent and deterministic), so all still-virgin lanes ride
-        # one shared representative column through the inner solves and only
-        # diverged lanes pay for their own Krylov iterations.  A lane
-        # diverges in the outer round whose inner solve spans the first
-        # aggregate step its schedule can fire on; a lane whose schedule
-        # does not bound that step diverges at once.
-        targets = np.full(B, -1, dtype=np.int64)
-        for trial in self.trials:
-            first = trial.injector.schedule.first_step()
-            targets[trial.lane] = -1 if first is None else int(first)
-        diverged = targets < 0
-
-        for j in range(max_outer):
-            if not alive.any():
-                break
-            offset = j * m
-            diverged |= alive & (targets < offset + m)
-            virgin = alive & ~diverged
-            compute_idx = np.flatnonzero(alive & diverged)
-            rep = -1
-            if virgin.any():
-                rep = int(np.flatnonzero(virgin)[0])
-                compute_idx = np.append(compute_idx, rep)
-            # ----- lockstep inner solves (the heavy step) ----------------
-            rhs_block = Q[j][compute_idx]
-            X_inner, inner_peel, inner_solver_results = self._inner_solve(
-                rhs_block, compute_idx, j)
-
-            Zj = np.zeros((B, n), dtype=np.float64)
-            for pos, lane in enumerate(compute_idx):
-                if lane == rep:
-                    continue  # delivered with the virgin group below
-                trial = self.trials[lane]
-                if inner_peel[pos]:
-                    self._peel(trial)
-                    alive[lane] = False
-                    continue
-                Zj[lane] = self._deliver_inner(
-                    trial, inner_solver_results[pos], X_inner[pos], j)
-            if rep >= 0:
-                pos_rep = compute_idx.shape[0] - 1
-                virgin_lanes = np.flatnonzero(virgin)
-                if inner_peel[pos_rep]:
-                    # The shared trajectory left the common path; every
-                    # virgin lane would do exactly the same.
-                    for lane in virgin_lanes:
-                        self._peel(self.trials[lane])
-                        alive[lane] = False
-                else:
-                    shared = inner_solver_results[pos_rep]
-                    z_rep = X_inner[pos_rep]
-                    for lane in virgin_lanes:
-                        result = shared if lane == rep else _clone_result(shared)
-                        Zj[lane] = self._deliver_inner(
-                            self.trials[lane], result, z_rep, j)
-            Z.append(Zj)
-            if not alive.any():
-                break
-
-            # ----- reliable operator application + lockstep MGS ----------
-            # Compacted to the alive lanes: late outer rounds typically
-            # carry only the few stagnating faulted trials, and the basis
-            # gathers over the alive subset cost one extra pass while
-            # shrinking every kernel to the lanes that still matter.
-            act = np.flatnonzero(alive)
-            with np.errstate(**_ERRSTATE):
-                V = self._matvec_rows(Zj[act])
-                W = V
-                h_act = np.zeros((j + 2, act.size), dtype=np.float64)
-                for i in range(j + 1):
-                    q_i = Q[i][act]
-                    h = np.einsum("bn,bn->b", q_i, W)
-                    h_act[i] = h
-                    W = W - q_i * h[:, None]
-                norm_act = _row_norms(W)
-            h_act[j + 1] = norm_act
-            h_block = np.zeros((j + 2, B), dtype=np.float64)
-            h_block[:, act] = h_act
-            h_cols.append(h_block)
-            resid_est = qr.add_column(h_block)
-            k = j + 1
-            for lane in act:
-                self.trials[lane].history.append(float(resid_est[lane]))
-
-            # ----- breakdown trichotomy (peel) and convergence (finish) --
-            scale = np.maximum(np.max(np.abs(h_act[: j + 1]), axis=0), 1.0)
-            breakdown = np.zeros(B, dtype=bool)
-            breakdown[act] = norm_act <= BREAKDOWN_TOL * scale
-            for lane in np.flatnonzero(breakdown):
-                # Serial fgmres now runs the rank test and reports HAPPY_
-                # BREAKDOWN or RANK_DEFICIENT; both are rare — peel.
-                self._peel(self.trials[lane])
-                alive[lane] = False
-            finite_est = np.isfinite(resid_est)
-            near_cusp = finite_est & alive & \
-                (np.abs(resid_est - target) <= TARGET_GUARD_BAND * target)
-            for lane in np.flatnonzero(near_cusp):
-                # On the convergence-decision cusp, reduction-order noise
-                # could flip this round's verdict vs serial — peel.
-                self._peel(self.trials[lane])
-                alive[lane] = False
-            converged = finite_est & (resid_est <= target) & alive
-            for lane in np.flatnonzero(converged):
-                self._finish(self.trials[lane], k, SolverStatus.CONVERGED,
-                             qr, Z, h_cols, beta, target)
-                alive[lane] = False
-
-            if j + 1 < max_outer and alive.any():
-                q_next = np.zeros((B, n), dtype=np.float64)
-                with np.errstate(**_ERRSTATE):
-                    q_next[act] = W / norm_act[:, None]
-                still = alive[act]
-                if not still.all():
-                    q_next[act[~still], :] = 0.0
-                Q.append(q_next)
-
-        # Budget exhausted: remaining trials end like serial MAX_ITERATIONS.
-        for trial in self.trials:
-            if not trial.peeled and not trial.finished:
-                self._finish(trial, max_outer, SolverStatus.MAX_ITERATIONS,
-                             qr, Z, h_cols, beta, target)
-        return [trial.result for trial in self.trials]
-
-    # ------------------------------------------------------------------ #
-    def _deliver_inner(self, trial: _Trial, result: SolverResult,
-                       z_col: np.ndarray, j: int) -> np.ndarray:
-        """Record one inner-solve result exactly as the serial drivers do.
-
-        Mirrors ``ft_gmres``'s inner-solver bookkeeping (append the result;
-        its events precede the outer ones, as on the serial stream) followed
-        by ``fgmres``'s reliable screening of the returned vector.  Returns
-        the (screened) flexible-basis column.
+        Each lane's :func:`~repro.core.fgmres.fgmres_steps` pauses at its
+        inner solves, and every round answers all paused lanes with one
+        lockstep :meth:`_inner_solve`.
         """
-        trial.inner_results.append(result)
-        trial.events.extend(result.events)
-        if not np.all(np.isfinite(z_col)):
-            trial.events.append(Event("inner_result_nonfinite", where="inner_solve",
-                                      outer_iteration=j))
-            z_col = np.nan_to_num(z_col, nan=0.0, posinf=0.0, neginf=0.0)
-        trial.events.append(Event("inner_solve_complete", where="inner_solve",
-                                  outer_iteration=j))
-        return z_col
+        tol = float(self.outer["tol"])
+        target = tol * self.norm_b if self.norm_b > 0.0 else tol
+        band = TARGET_GUARD_BAND * target
+
+        def on_cusp(value: float) -> bool:
+            # Reduction-order noise in the inner solves could flip the
+            # convergence verdict of a value this close to the target.
+            return bool(np.isfinite(value)) and abs(value - target) <= band
+
+        def keeps(outer: SolverResult, estimate: float) -> bool:
+            # A breakdown's rank test is the serial engine's; a solve whose
+            # last estimate did not converge takes its status from the final
+            # residual.
+            if on_cusp(estimate) or outer.status in (SolverStatus.HAPPY_BREAKDOWN,
+                                                     SolverStatus.RANK_DEFICIENT):
+                return False
+            return estimate <= target or not on_cusp(outer.residual_norm)
+
+        results: list[NestedSolverResult | None] = [None] * len(states)
+        paused: dict[int, tuple] = {}  # lane -> (steps, j, q_j)
+        # The outer loops run under fgmres's errstate (see fgmres_steps).
+        with np.errstate(invalid="ignore", over="ignore"):
+            for lane, state in enumerate(states):
+                steps = fgmres_steps(self.A, self.b, self.x0, state=state, **self.outer)
+                try:
+                    j, q_j = next(steps)
+                except StopIteration:
+                    # Converged at the initial guess: the serial engine
+                    # handles that in O(1); let it.
+                    continue
+                if np.isfinite(state.history[0]):  # else a poisoned residual: peel
+                    paused[lane] = (steps, j, q_j)
+            while paused:
+                lanes = list(paused)
+                X, peel, inner = self._inner_solve(
+                    np.stack([paused[lane][2] for lane in lanes]),
+                    [self.injectors[lane] for lane in lanes],
+                    [paused[lane][1] for lane in lanes])
+                for pos, lane in enumerate(lanes):
+                    steps = paused.pop(lane)[0]
+                    if peel[pos]:
+                        continue
+                    state = states[lane]
+                    state.inner_results.append(inner[pos])
+                    state.events.extend(inner[pos].events)
+                    try:
+                        j, q_j = steps.send(X[pos])
+                    except StopIteration as stop:
+                        if keeps(stop.value, state.history[-1]):
+                            results[lane] = nested_result(stop.value, state)
+                        continue
+                    if not on_cusp(state.history[-1]):
+                        paused[lane] = (steps, j, q_j)
+        return results
 
     # ------------------------------------------------------------------ #
-    def _finish(self, trial: _Trial, k: int, status: SolverStatus,
-                qr: BatchedGivensQR, Z: list[np.ndarray], h_cols: list[np.ndarray],
-                beta: float, target: float) -> None:
-        """Form one trial's outer solution exactly as serial fgmres does."""
-        lane = trial.lane
-        if self.outer_policy is LeastSquaresPolicy.STANDARD:
-            H = None
-        else:
-            H = np.zeros((k + 1, k), dtype=np.float64)
-            for jj in range(k):
-                H[: jj + 2, jj] = h_cols[jj][:, lane]
-        y, lsq_info = solve_projected_lsq(
-            qr.lane_R(lane, k), qr.lane_g(lane, k), policy=self.outer_policy,
-            tol=self.outer_lsq_tol, H=H, beta=beta)
-        if lsq_info.get("fallback"):
-            trial.events.append(Event("lsq_fallback", where="least_squares",
-                                      outer_iteration=k))
-        Zt = np.empty((self.n, k), dtype=np.float64, order="F")
-        for jj in range(k):
-            Zt[:, jj] = Z[jj][lane]
-        x = self.x0 + Zt @ y
-        r = self.b - self.op.matvec(x)
-        residual_norm = float(np.linalg.norm(r))
-        if status is SolverStatus.MAX_ITERATIONS:
-            if np.isfinite(residual_norm) and \
-                    abs(residual_norm - target) <= TARGET_GUARD_BAND * target:
-                # Final-residual decision cusp: serial could classify this
-                # trial the other way — peel instead of guessing.
-                self._peel(trial)
-                return
-            if residual_norm <= target:
-                status = SolverStatus.CONVERGED
-        history = ConvergenceHistory()
-        history.residual_norms = list(trial.history)
-        trial.result = NestedSolverResult(
-            x=x,
-            status=status,
-            outer_iterations=k,
-            total_inner_iterations=sum(res.iterations for res in trial.inner_results),
-            residual_norm=residual_norm,
-            history=history,
-            inner_results=trial.inner_results,
-            events=trial.events,
-        )
-        trial.finished = True
+    def _inner_solve(self, rhs_block: np.ndarray, injectors: list, outer: list[int]):
+        """One lockstep batch of inner GMRES solves, one per lane.
 
-    # ------------------------------------------------------------------ #
-    def _inner_solve(self, rhs_block: np.ndarray, act_idx: np.ndarray, o: int):
-        """One lockstep batch of inner GMRES solves (outer iteration ``o``).
-
-        ``rhs_block`` is lanes-major ``(B, n)``.  Returns ``(X, peel,
-        results)`` where ``X`` holds the per-lane solutions (lanes-major),
-        ``peel`` marks lanes that left the common path, and ``results``
-        holds per-lane :class:`SolverResult` (entries of peeled lanes are
-        ``None``).
+        ``rhs_block`` is lanes-major ``(B, n)``; lane ``t`` is the inner
+        solve of outer iteration ``outer[t]`` of the trial whose injector is
+        ``injectors[t]``.  Returns ``(X, peel, results)`` where ``X`` holds
+        the per-lane solutions (lanes-major), ``peel`` marks lanes that left
+        the common path, and ``results`` holds per-lane
+        :class:`SolverResult` (entries of peeled lanes are ``None``).
         """
         m = self.inner_budget
         tol = self.inner_tol
-        offset = o * m
         lanes, n = rhs_block.shape
         detector, response = self.detector, self.response
 
@@ -806,14 +605,14 @@ class _BatchedNestedSolve:
         arnoldi = BatchedArnoldi(self.op.matvec, rhs_block, beta, m,
                                  precond_block=self.precond_block)
 
-        # One ArnoldiContext per compute lane, positioned on the aggregate
-        # axis exactly as the serial inner GMRES of outer iteration ``o``:
+        # One ArnoldiContext per lane, positioned on the aggregate axis
+        # exactly as the serial inner GMRES of the lane's outer iteration:
         # every injection, screen, event and response of the lane goes
         # through it.
-        ctxs = [ArnoldiContext(injector=self.trials[lane].injector, detector=detector,
+        ctxs = [ArnoldiContext(injector=injector, detector=detector,
                                detector_response=response, outer_iteration=o,
-                               inner_solve_index=o, iteration_offset=offset)
-                for lane in act_idx]
+                               inner_solve_index=o, iteration_offset=o * m)
+                for injector, o in zip(injectors, outer)]
         chaos_threshold = self._chaos_threshold
         need_pre = detector is not None and response == "recompute"
         armed: list[int] = []   # the lanes whose context armed this step
@@ -843,6 +642,11 @@ class _BatchedNestedSolve:
             pre = values.copy() if need_pre else None
             if kind == "hessenberg":
                 for pos in armed:
+                    # A coefficient that cancels to exactly zero in the
+                    # lockstep order may be rounding noise in the serial
+                    # one, which a scaling fault would blow up there and
+                    # leave at zero here: peel the lane.
+                    chaotic[pos] |= values[pos] == 0.0
                     values[pos] = ctxs[pos].inject_scalar(
                         "hessenberg", float(values[pos]), iteration=j,
                         mgs_index=index, mgs_length=j + 1)
@@ -921,10 +725,10 @@ class _BatchedNestedSolve:
         for pos in np.flatnonzero(alive):
             if fallback[pos]:
                 ctxs[pos].record("lsq_fallback", where="least_squares",
-                                 outer_iteration=o, inner_iteration=m)
+                                 outer_iteration=outer[pos], inner_iteration=m)
             if not finite_y[pos]:
                 ctxs[pos].record("lsq_nonfinite", where="least_squares",
-                                 outer_iteration=o, inner_iteration=m)
+                                 outer_iteration=outer[pos], inner_iteration=m)
 
         update = arnoldi.update_block(Y)
         if self.precond_block is not None:
@@ -954,8 +758,8 @@ class _BatchedNestedSolve:
         return X, peel, results
 
 
-def batched_ft_gmres(A, b, x0, spec: SolveSpec,
-                     injectors: list) -> list[NestedSolverResult | None]:
+def batched_ft_gmres(A, b, x0, spec: SolveSpec, injectors: list,
+                     states: list | None = None) -> list[NestedSolverResult | None]:
     """Run a batch of independent nested FT-GMRES trials in lockstep.
 
     Parameters
@@ -969,17 +773,22 @@ def batched_ft_gmres(A, b, x0, spec: SolveSpec,
     injectors : list of FaultInjector
         One per trial; the batch width ``B`` is ``len(injectors)``.  Each
         lane consults its injector through an
-        :class:`~repro.core.arnoldi.ArnoldiContext` on the steps it arms,
-        and leaves the shared failure-free prefix at its schedule's
-        :meth:`~repro.faults.schedule.InjectionSchedule.first_step`.
+        :class:`~repro.core.arnoldi.ArnoldiContext` on the steps it arms.
+    states : list of OuterState or None, optional
+        Each lane's outer state, as :func:`~repro.core.ftgmres.ft_gmres`'s
+        ``state``: a prefix of the failure-free solve's resumes it there,
+        and ``None`` (or ``states=None``) starts afresh.
 
     Returns
     -------
     list of NestedSolverResult or None
         One entry per trial, in input order.  ``None`` marks a trial that
-        left the lockstep common path (breakdown, early inner convergence);
-        the caller must rerun it through the serial reference engine.
+        left the lockstep common path (breakdown, early inner convergence, a
+        residual on the convergence cusp); the caller must rerun it through
+        the serial reference engine.
     """
     if not injectors:
         return []
-    return _BatchedNestedSolve(A, b, x0, spec, injectors).run()
+    states = [OuterState() if state is None else state
+              for state in (states or [None] * len(injectors))]
+    return _BatchedNestedSolve(A, b, x0, spec, injectors).run(states)

@@ -16,7 +16,7 @@ GMRES matter for fault tolerance and are implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.results.events import Event
 from repro.sparse.linear_operator import LinearOperator, aslinearoperator
 from repro.utils.validation import as_dense_vector, check_square
 
-__all__ = ["fgmres", "OuterState"]
+__all__ = ["fgmres", "fgmres_steps", "OuterState"]
 
 #: Relative threshold below which ``h_{j+1,j}`` triggers the breakdown logic.
 BREAKDOWN_TOL = 1e-12
@@ -45,7 +45,9 @@ class OuterState:
     So the state a solve ends with holds the state at the start of every
     earlier iteration as a prefix, and :meth:`prefix` copies one out.
     :func:`fgmres` fills an empty ``OuterState()`` and resumes from a
-    non-empty one.
+    non-empty one.  ``Q`` and ``Z`` are allocated uninitialized (every
+    column is written before it is read), so their columns past the
+    written ones are undefined.
     """
 
     #: Outer basis (``n x (room + 1)``) and flexible basis (``n x room``);
@@ -78,8 +80,8 @@ class OuterState:
                              f"{self.iterations} iterations")
         room = k if max_outer is None else max_outer
         hess = self.hess.prefix(k, room)
-        Q = np.zeros((self.Q.shape[0], room + 1), dtype=np.float64, order="F")
-        Z = np.zeros((self.Q.shape[0], room), dtype=np.float64, order="F")
+        Q = np.empty((self.Q.shape[0], room + 1), dtype=np.float64, order="F")
+        Z = np.empty((self.Q.shape[0], room), dtype=np.float64, order="F")
         Q[:, : k + 1] = self.Q[:, : k + 1]
         Z[:, :k] = self.Z[:, :k]
         history = ConvergenceHistory()
@@ -89,9 +91,6 @@ class OuterState:
                           self.inner_results[:k])
 
 
-# Faulted inner results and outer fault studies propagate NaN/Inf by
-# contract; see the error-state note on repro.core.gmres.gmres.
-@np.errstate(invalid="ignore", over="ignore")
 def fgmres(
     A,
     b,
@@ -111,7 +110,7 @@ def fgmres(
     events=None,
     state: OuterState | None = None,
 ) -> SolverResult:
-    """Solve ``A x = b`` with Flexible GMRES.
+    """Solve ``A x = b`` with Flexible GMRES (by running :func:`fgmres_steps`).
 
     Parameters
     ----------
@@ -187,6 +186,54 @@ def fgmres(
     SolverResult
         ``iterations`` counts outer iterations.
     """
+    steps = fgmres_steps(A, b, x0, tol=tol, max_outer=max_outer,
+                         orthogonalization=orthogonalization, lsq_policy=lsq_policy,
+                         lsq_tol=lsq_tol, rank_tol=rank_tol, detector=detector,
+                         detector_response=detector_response, bound_method=bound_method,
+                         injector=injector, events=events, state=state)
+    # Faulted inner results and outer fault studies propagate NaN/Inf by
+    # contract; see the error-state note on repro.core.gmres.gmres.  The
+    # generator body runs under this errstate, and so do the inner solves.
+    with np.errstate(invalid="ignore", over="ignore"):
+        z_j = None  # the first send starts the generator
+        while True:
+            try:
+                j, q_j = steps.send(z_j)
+            except StopIteration as stop:
+                return stop.value
+            z_j = q_j.copy() if inner_solver is None else inner_solver(q_j, j)
+
+
+def fgmres_steps(
+    A,
+    b,
+    x0=None,
+    *,
+    tol: float = 1e-8,
+    max_outer: int = 50,
+    orthogonalization: str = "mgs",
+    lsq_policy=LeastSquaresPolicy.RANK_REVEALING,
+    lsq_tol: float | None = None,
+    rank_tol: float | None = None,
+    detector: Detector | str | None = None,
+    detector_response: str = "flag",
+    bound_method: str = "frobenius",
+    injector=None,
+    events=None,
+    state: OuterState | None = None,
+) -> Generator[tuple[int, np.ndarray], np.ndarray, SolverResult]:
+    """The outer FGMRES loop of :func:`fgmres`, paused at every inner solve.
+
+    Yields ``(j, q_j)`` where outer iteration ``j`` applies its
+    preconditioner, takes ``z_j ≈ A^{-1} q_j`` back through ``send``, and
+    returns the :class:`SolverResult` (the ``StopIteration`` value).  The
+    arguments are :func:`fgmres`'s less ``inner_solver``; invalid ones raise
+    on the first ``next``.  :func:`fgmres` answers with its
+    ``inner_solver``; the batched engine (:mod:`repro.core.batched`) solves
+    the ``q_j`` of many generators in one lockstep batch.  The body runs
+    under the caller's :class:`numpy.errstate`, so a caller silences
+    ``invalid`` and ``over`` around its loop, as :func:`fgmres` does.
+    """
     op: LinearOperator = aslinearoperator(A)
     n = check_square(op.shape, "A")
     b = as_dense_vector(b, n, "b")
@@ -226,8 +273,10 @@ def fgmres(
                                 ctx.events, 1)
         # Fortran order: basis columns are the unit of access in the
         # orthogonalization and update kernels, so keep them contiguous.
-        state.Q = np.zeros((n, max_outer + 1), dtype=np.float64, order="F")
-        state.Z = np.zeros((n, max_outer), dtype=np.float64, order="F")
+        # Uninitialized: every column is written before it is read, and the
+        # pages of columns never reached cost no memory.
+        state.Q = np.empty((n, max_outer + 1), dtype=np.float64, order="F")
+        state.Z = np.empty((n, max_outer), dtype=np.float64, order="F")
         state.Q[:, 0] = r / beta
         state.hess = HessenbergMatrix(max_outer, beta)
     elif start > max_outer or state.hess.max_columns < max_outer:
@@ -240,16 +289,12 @@ def fgmres(
     k = start
     for j in range(start, max_outer):
         state.marks.append(len(ctx.events))
-        q_j = Q[:, j]
         # ----- inner solve (the "apply current preconditioner" step) -------
-        if inner_solver is None:
-            z_j = q_j.copy()
-        else:
-            z_j = np.asarray(inner_solver(q_j, j), dtype=np.float64).ravel()
-            if z_j.shape[0] != n:
-                raise ValueError(
-                    f"inner solver returned a vector of length {z_j.shape[0]}, expected {n}"
-                )
+        z_j = np.asarray((yield j, Q[:, j]), dtype=np.float64).ravel()
+        if z_j.shape[0] != n:
+            raise ValueError(
+                f"inner solver returned a vector of length {z_j.shape[0]}, expected {n}"
+            )
         # The sandbox model promises only that the inner solve returns
         # *something*; a non-finite result would poison the reliable outer
         # phase, so the outer solver screens it (this is "computing the

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.fgmres import OuterState, fgmres
 from repro.core.gmres import gmres
-from repro.core.status import NestedSolverResult
+from repro.core.status import NestedSolverResult, SolverResult
 from repro.registry import resolve_detector, resolve_preconditioner
 from repro.results.events import ensure_sink
 from repro.specs import SolveSpec
@@ -167,16 +167,25 @@ def ft_gmres(
 
     outer_result = fgmres(A, b, inner_solver=inner_solver, x0=x0, events=events,
                           state=state, **outer_kwargs)
+    return nested_result(outer_result, state, profile)
 
-    total_inner = sum(r.iterations for r in inner_results)
+
+def nested_result(outer: SolverResult, state: OuterState,
+                  profile=None) -> NestedSolverResult:
+    """The nested solve's result from its outer result and outer state.
+
+    ``state`` holds every inner solve's result and the whole solve's events;
+    shared by :func:`ft_gmres` and the batched engine's lanes
+    (:func:`repro.core.batched.batched_ft_gmres`).
+    """
     return NestedSolverResult(
-        x=outer_result.x,
-        status=outer_result.status,
-        outer_iterations=outer_result.iterations,
-        total_inner_iterations=total_inner,
-        residual_norm=outer_result.residual_norm,
-        history=outer_result.history,
-        inner_results=inner_results,
+        x=outer.x,
+        status=outer.status,
+        outer_iterations=outer.iterations,
+        total_inner_iterations=sum(r.iterations for r in state.inner_results),
+        residual_norm=outer.residual_norm,
+        history=outer.history,
+        inner_results=state.inner_results,
         events=state.events,
         profile=profile,
     )

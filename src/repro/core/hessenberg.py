@@ -15,11 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.least_squares import (
-    IncrementalGivensQR,
-    LeastSquaresPolicy,
-    givens_rotation,
-)
+from repro.core.least_squares import IncrementalGivensQR, LeastSquaresPolicy
 
 __all__ = ["HessenbergMatrix"]
 
@@ -99,10 +95,6 @@ class HessenbergMatrix:
         out._qr = self._qr.prefix(k, max_columns)
         out._H[: k + 1, :k] = self._H[: k + 1, :k]
         return out
-
-    #: Retained for backwards compatibility; the canonical implementation is
-    #: :func:`repro.core.least_squares.givens_rotation`.
-    _givens = staticmethod(givens_rotation)
 
     # ------------------------------------------------------------------ #
     # views

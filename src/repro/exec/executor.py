@@ -6,10 +6,10 @@ schedules them over three backends:
 
 * ``"serial"``  — the plain loop (reference semantics, zero overhead);
 * ``"batched"`` — the trial-batched lockstep engine (:mod:`repro.core.batched`):
-  ``batch_size`` trials advance together through shared block kernels in
-  this process, amortizing sparse index traffic and interpreter overhead
-  across the batch.  It needs no extra CPUs — it is the backend that wins
-  on a single-core host.
+  the inner solves of ``batch_size`` trials advance together through shared
+  block kernels in this process, amortizing sparse index traffic and
+  interpreter overhead across the batch.  It needs no extra CPUs — it is
+  the backend that wins on a single-core host.
 * ``"sharded"`` — the multi-process engine (:mod:`repro.exec.supervisor`):
   the trial range is partitioned into ``workers`` contiguous shards, each
   run by a dedicated worker process writing its own durable shard store;

@@ -620,9 +620,21 @@ class FaultCampaign:
         timer = Timer()
         with timer:
             result = self._solve(injector, state)
-        return TrialRecord(
+        return self._record(fault_class, aggregate_inner_iteration, injector, result,
+                            timer.elapsed)
+
+    def _record(self, fault_class: str, aggregate_inner_iteration: int,
+                injector: FaultInjector, result: NestedSolverResult,
+                elapsed: float) -> TrialRecord:
+        """The record of one solved trial, on every backend.
+
+        A trial that took longer than the soft ``trial_timeout`` is
+        quarantined as a ``status="error"`` record instead of reported as a
+        measurement; a batched lane is held to its amortized ``elapsed``.
+        """
+        record = TrialRecord(
             fault_class=fault_class,
-            fault_description=model.describe(),
+            fault_description=injector.model.describe(),
             aggregate_inner_iteration=int(aggregate_inner_iteration),
             mgs_position=self.mgs_position,
             outer_iterations=result.outer_iterations,
@@ -633,8 +645,14 @@ class FaultCampaign:
             faults_injected=injector.injections_performed,
             faults_detected=result.faults_detected,
             detector_enabled=self.detector is not None,
-            elapsed=timer.elapsed,
+            elapsed=elapsed,
         )
+        if self.trial_timeout is None or elapsed <= self.trial_timeout:
+            return record
+        return dataclasses.replace(
+            record, outer_iterations=-1, total_inner_iterations=-1, converged=False,
+            status="error", residual_norm=float("nan"),
+            error=f"soft timeout: trial took {elapsed:.3f}s (budget {self.trial_timeout:.3f}s)")
 
     def run_spec(self, spec) -> TrialRecord:
         """Run the trial described by a :class:`~repro.exec.spec.TrialSpec`.
@@ -677,35 +695,22 @@ class FaultCampaign:
         )
 
     def run_spec_safe(self, spec) -> TrialRecord:
-        """Run one trial with crash isolation and the soft timeout.
+        """Run one trial with crash isolation.
 
         A trial whose solve raises — a ``raise``-response detector, a fault
         model that explodes, a kernel bug — becomes a ``status="error"``
         record instead of killing the whole campaign (and, on the sharded
-        backend, the shard worker running it).  A trial that
-        finishes but blew the campaign's ``trial_timeout`` is quarantined
-        the same way.  The execution backends all route through here, so
+        backend, the shard worker running it).  Every backend's records come
+        from here or :meth:`_record` (which applies the soft timeout), so
         error semantics are backend-independent.
         """
         timer = Timer()
         try:
             with timer:
-                record = self.run_spec(spec)
+                return self.run_spec(spec)
         except Exception as exc:  # noqa: BLE001 - the whole point is isolation
             return self.error_record(
                 spec, f"{type(exc).__name__}: {exc}", elapsed=timer.elapsed)
-        if self.trial_timeout is not None and record.elapsed > self.trial_timeout:
-            return dataclasses.replace(
-                record,
-                outer_iterations=-1,
-                total_inner_iterations=-1,
-                converged=False,
-                status="error",
-                residual_norm=float("nan"),
-                error=(f"soft timeout: trial took {record.elapsed:.3f}s "
-                       f"(budget {self.trial_timeout:.3f}s)"),
-            )
-        return record
 
     def _model_for(self, fault_class: str) -> FaultModel:
         try:
@@ -720,14 +725,9 @@ class FaultCampaign:
     # trial-batched lockstep execution
     # ------------------------------------------------------------------ #
     def batched_unsupported_reason(self) -> str | None:
-        """Why this campaign cannot run on the lockstep batched engine.
-
-        ``None`` means the configuration is supported.  The supported space
-        is the paper's experiment space (MGS inside and out, ``hessenberg``
-        and/or ``spmv`` injection sites, no detector or the Hessenberg-bound
-        detector with a non-raising response); exotic configurations belong
-        on the serial backend.
-        """
+        """Why this campaign cannot run on the lockstep batched engine
+        (:func:`repro.core.batched.batched_support_reason`); ``None`` means
+        it can."""
         from repro.core.batched import batched_support_reason
 
         return batched_support_reason(self.solver, self.site)
@@ -735,12 +735,14 @@ class FaultCampaign:
     def iter_specs_batched(self, specs, *, batch_size: int | None = None):
         """Stream ``(index, record)`` pairs from the lockstep batched engine.
 
-        Trials advance ``batch_size`` at a time through shared block kernels
-        (see :mod:`repro.core.batched`); each batch's records are yielded as
-        the batch completes, which is what lets the run store checkpoint a
-        batched campaign at trial granularity.  Trials that leave the
-        lockstep common path — happy breakdown, early inner convergence, the
-        outer breakdown trichotomy — are transparently rerun through the
+        Trials advance ``batch_size`` at a time (see
+        :mod:`repro.core.batched`): each lane runs the serial outer loop from
+        the outer state :meth:`run_spec` would start it from
+        (:meth:`_resume_state`), and each round solves the inner systems of
+        every running lane in one lockstep batch.  Each batch's records are
+        yielded as the batch completes, which is what lets the run store
+        checkpoint a batched campaign at trial granularity.  Trials that
+        leave the lockstep common path are transparently rerun through the
         serial reference implementation, so the output is equivalent to
         :meth:`run_spec` on every spec: identical iteration counts, statuses
         and event streams, residual norms to ~1e-10.
@@ -748,7 +750,8 @@ class FaultCampaign:
         Per-trial wall time: lanes that stay in lockstep report their
         amortized share of the batch (batch wall time divided by its lane
         count — lockstep lanes have no individual wall clock by
-        construction); peeled trials report their true serial time.
+        construction), and the soft ``trial_timeout`` applies to that share;
+        peeled trials report their true serial time.
         """
         from repro.core.batched import batched_ft_gmres
 
@@ -765,22 +768,23 @@ class FaultCampaign:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         # Strided batch composition: batch i takes specs[i::num_batches], so
-        # every batch spans the whole injection-location range instead of a
-        # narrow consecutive window.  Lanes then fork off the shared
-        # failure-free prefix spread across the sweep, which is what makes
-        # the prefix sharing in the lockstep engine pay (results are
-        # reassembled by spec.index, so composition is free).
+        # every batch spans the whole injection-location range.  A lane's
+        # residual bits depend on its batch-mates (the lockstep reductions
+        # block by batch shape), so this composition is part of the output;
+        # results are reassembled by spec.index.
         num_batches = -(-len(specs) // batch_size) if specs else 0
         for start in range(num_batches):
             chunk = specs[start::num_batches]
             injectors = [self._trial_injector(self._model_for(spec.fault_class),
                                               spec.aggregate_inner_iteration)
                          for spec in chunk]
+            states = [self._resume_state(injector) for injector in injectors]
             timer = Timer()
             try:
                 with timer:
                     results = batched_ft_gmres(self.problem.A, self.problem.b,
-                                               self.problem.x0, self.solver, injectors)
+                                               self.problem.x0, self.solver, injectors,
+                                               states)
             except Exception:
                 # A crash in the shared block kernels cannot be attributed to
                 # one lane; peel the whole batch to the serial path, where
@@ -794,22 +798,8 @@ class FaultCampaign:
                     # the batched reproduction of them.
                     record = self.run_spec_safe(spec)
                 else:
-                    model = self._model_for(spec.fault_class)
-                    record = TrialRecord(
-                        fault_class=spec.fault_class,
-                        fault_description=model.describe(),
-                        aggregate_inner_iteration=int(spec.aggregate_inner_iteration),
-                        mgs_position=self.mgs_position,
-                        outer_iterations=result.outer_iterations,
-                        total_inner_iterations=result.total_inner_iterations,
-                        converged=result.converged,
-                        status=result.status.value,
-                        residual_norm=result.residual_norm,
-                        faults_injected=injector.injections_performed,
-                        faults_detected=result.faults_detected,
-                        detector_enabled=self.detector is not None,
-                        elapsed=lane_elapsed,
-                    )
+                    record = self._record(spec.fault_class, spec.aggregate_inner_iteration,
+                                          injector, result, lane_elapsed)
                 yield spec.index, record
 
     # ------------------------------------------------------------------ #

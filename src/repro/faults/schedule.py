@@ -140,9 +140,9 @@ class InjectionSchedule:
         """The first aggregate inner iteration :meth:`can_match_step` allows.
 
         A lower bound: no step before it can fire.  ``None`` when the
-        schedule does not bound it.  The batched engine keeps a trial on
-        the shared failure-free prefix until the inner solve that spans
-        this step.
+        schedule does not bound it.  A campaign starts a trial from the
+        failure-free baseline's outer state at the inner solve that spans
+        this step (:meth:`repro.faults.campaign.FaultCampaign.run_spec`).
         """
         return self.aggregate_inner_iteration
 

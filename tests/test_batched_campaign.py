@@ -186,8 +186,9 @@ class TestCampaignEquivalence:
 
     @pytest.mark.parametrize("site", ["hessenberg", "spmv"])
     def test_rate_schedule_campaign(self, tiny_problem, site):
-        """Rate-schedule lanes ride the shared prefix up to their cadence
-        ``start`` (``InjectionSchedule.first_step``), then fault twice."""
+        """Rate-schedule lanes resume from the baseline's outer state at
+        their cadence ``start`` (``InjectionSchedule.first_step``), then
+        fault twice."""
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
                                  detector="bound", detector_response="zero",
                                  site=site, fault_rate=2)
@@ -238,6 +239,19 @@ class TestCommonPathExits:
             batched = campaign.run(stride=9, backend="batched")
         assert not [t for t in serial.trials + batched.trials if t.is_error]
         assert_records_equivalent(serial, batched)
+
+    def test_fault_on_an_exactly_cancelled_coefficient_is_peeled(self):
+        """On the numpy kernel tier, the first MGS coefficient at location
+        46 cancels to exactly zero in the lockstep order but is rounding
+        noise (-1.1e-14) serially, where the 1e150 fault fires: the lane
+        must be peeled, not left with a fault that scaled zero to zero."""
+        inner = SolveSpec(method="gmres", tol=0.0, maxiter=10, lsq_policy="standard")
+        campaign = FaultCampaign(poisson_problem(grid_n=10), inner_iterations=10,
+                                 max_outer=60, detector="bound", detector_response="flag",
+                                 solver=SolveSpec(method="ft_gmres", inner=inner))
+        serial = campaign.run(locations=[46])
+        assert serial.trials[0].faults_detected > 0
+        assert_records_equivalent(serial, campaign.run(locations=[46], backend="batched"))
 
     def test_chaotic_large_fault_is_serial_exact(self, tiny_problem):
         """Huge (1e150-scale) faults without a filtering detector are peeled
@@ -357,6 +371,115 @@ class TestEventStreams:
             [_event_payload(e) for e in serial.events]
 
 
+def _one_batch(campaign, locations, monkeypatch, fault_class="large"):
+    """Run ``locations`` as one batch through the campaign's batched path.
+
+    Returns ``(lanes, serial, lane_solves)``: per lane its injector, the
+    outer iteration its state started at and its nested result; the serial
+    :meth:`FaultCampaign.run_spec` nested result and injector of the same
+    trial; and how many lane inner solves the lockstep engine ran.
+    """
+    from repro.core import batched as batched_mod
+
+    lanes, lane_solves = [], []
+    engine = batched_mod.batched_ft_gmres
+    inner_solve = batched_mod._BatchedNestedSolve._inner_solve
+
+    def spy(A, b, x0, spec, injectors, states):
+        starts = [state.iterations if state is not None else 0 for state in states]
+        results = engine(A, b, x0, spec, injectors, states)
+        lanes.extend(zip(injectors, starts, results))
+        return results
+
+    def counting(self, rhs_block, *args):
+        lane_solves.append(rhs_block.shape[0])
+        return inner_solve(self, rhs_block, *args)
+
+    monkeypatch.setattr(batched_mod, "batched_ft_gmres", spy)
+    monkeypatch.setattr(batched_mod._BatchedNestedSolve, "_inner_solve", counting)
+    campaign.plan(locations=())  # the baseline the lanes resume from
+    specs = [spec for spec in campaign.trial_specs(locations)
+             if spec.fault_class == fault_class]
+    records = dict(campaign.iter_specs_batched(specs, batch_size=len(specs)))
+    assert len(records) == len(lanes) == len(specs)
+    serial = []
+    for spec in specs:
+        injector = campaign._trial_injector(campaign.fault_classes[fault_class],
+                                            spec.aggregate_inner_iteration)
+        serial.append((campaign._solve(injector, campaign._resume_state(injector)),
+                       injector))
+    return lanes, serial, sum(lane_solves)
+
+
+def _fault_coordinates(events):
+    return [(e.kind, e.where, e.outer_iteration, e.inner_iteration,
+             e.data.get("aggregate_inner_iteration"))
+            for e in events if e.kind in ("fault_injected", "fault_detected")]
+
+
+class TestResumedLanes:
+    """Lanes resume from the baseline's outer state at their own outer
+    iterations and still share every lockstep round."""
+
+    @pytest.fixture
+    def locations(self, detector_campaign):
+        outer = detector_campaign.plan(locations=()).failure_free_outer
+        m = detector_campaign.inner_iterations
+        # The first, a middle and the last baseline iteration, and past it.
+        return [1, (outer // 2) * m + 3, (outer - 1) * m + 5, outer * m + 3]
+
+    def test_lanes_at_different_outer_iterations_match_serial(
+            self, detector_campaign, locations, monkeypatch):
+        lanes, serial, _ = _one_batch(detector_campaign, locations, monkeypatch)
+        outer = detector_campaign._baseline.iterations
+        assert [start for _, start, _ in lanes] == [0, outer // 2, outer - 1, outer - 1]
+        m = detector_campaign.inner_iterations
+        for location, (injector, _, batched), (reference, reference_injector) in zip(
+                locations, lanes, serial, strict=True):
+            assert batched is not None, f"lane {location} left the lockstep path"
+            assert (batched.outer_iterations, batched.total_inner_iterations,
+                    batched.status) == (reference.outer_iterations,
+                                        reference.total_inner_iterations,
+                                        reference.status)
+            assert injector.injections_performed == reference_injector.injections_performed
+            assert event_signature(batched.events) == event_signature(reference.events)
+            np.testing.assert_allclose(batched.history.as_array(),
+                                       reference.history.as_array(),
+                                       rtol=1e-10, atol=1e-12)
+            coordinates = _fault_coordinates(batched.events)
+            assert coordinates == _fault_coordinates(reference.events)
+            if location < outer * m:  # the fault fires, and is caught
+                assert [c[0] for c in coordinates] == ["fault_injected", "fault_detected"]
+                assert {(c[2], c[4]) for c in coordinates} == {(location // m, location)}
+
+    def test_lanes_keep_the_baseline_prefix_and_solve_only_the_rest(
+            self, detector_campaign, locations, monkeypatch):
+        lanes, serial, lane_solves = _one_batch(detector_campaign, locations, monkeypatch)
+        baseline = detector_campaign._baseline.inner_results
+        for _, start, batched in lanes:
+            assert all(a is b for a, b in
+                       zip(batched.inner_results[:start], baseline[:start], strict=True))
+        assert lane_solves == sum(len(reference.inner_results) - start for
+                                  (_, start, _), (reference, _) in zip(lanes, serial))
+
+    def test_outer_cgs2_and_bound_detector_run_batched(self, tiny_problem):
+        campaign = FaultCampaign(
+            tiny_problem, inner_iterations=10, max_outer=50, detector="bound",
+            detector_response="zero",
+            solver=SolveSpec(method="ft_gmres", orthogonalization="cgs2",
+                             detector="bound", detector_response="clamp"))
+        assert campaign.batched_unsupported_reason() is None
+        assert_records_equivalent(campaign.run(stride=7),
+                                  campaign.run(stride=7, backend="batched"))
+
+    def test_stateful_outer_detector_rejected(self, tiny_problem):
+        campaign = FaultCampaign(
+            tiny_problem, inner_iterations=10, max_outer=30,
+            solver=SolveSpec(method="ft_gmres",
+                             detector={"name": "norm_growth", "factor": 1e4}))
+        assert "NormGrowthDetector" in campaign.batched_unsupported_reason()
+
+
 # --------------------------------------------------------------------------- #
 # configuration gating and executor integration
 # --------------------------------------------------------------------------- #
@@ -443,6 +566,18 @@ class TestExecutorIntegration:
 
     def test_empty_specs(self, detector_campaign):
         assert list(detector_campaign.iter_specs_batched([])) == []
+
+    def test_soft_timeout_gives_serial_error_records(self):
+        """The soft ``trial_timeout`` holds lockstep lanes to their
+        amortized share, so both backends quarantine every trial alike."""
+        campaign = FaultCampaign(poisson_problem(grid_n=8), inner_iterations=10,
+                                 max_outer=30, trial_timeout=1e-9)
+        serial = campaign.run(stride=6)
+        batched = campaign.run(stride=6, backend="batched")
+        assert len(serial.trials) == 21
+        assert all(t.is_error and t.error.startswith("soft timeout")
+                   for t in serial.trials + batched.trials)
+        assert_records_equivalent(serial, batched)
 
     def test_unknown_fault_class(self, detector_campaign):
         from repro.exec.spec import TrialSpec

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.fgmres import fgmres
+from repro.core.fgmres import fgmres, fgmres_steps
 from repro.core.gmres import gmres
 from repro.core.status import SolverStatus
 from repro.precond.jacobi import JacobiPreconditioner
@@ -87,6 +87,34 @@ class TestBasicBehaviour:
         with pytest.raises(ValueError):
             fgmres(poisson_small, np.ones(poisson_small.shape[0]),
                    orthogonalization="qr")
+
+
+class TestSteps:
+    """``fgmres`` runs the ``fgmres_steps`` generator; so can any caller."""
+
+    def test_running_the_steps_by_hand_is_fgmres(self, poisson_medium, rng):
+        b = rng.standard_normal(poisson_medium.shape[0])
+        jac = JacobiPreconditioner(poisson_medium)
+        full = fgmres(poisson_medium, b, inner_solver=lambda q, j: jac.apply(q),
+                      tol=1e-10, max_outer=100)
+        steps = fgmres_steps(poisson_medium, b, tol=1e-10, max_outer=100)
+        asked = []
+        try:
+            j, q_j = next(steps)
+            while True:
+                asked.append(j)
+                j, q_j = steps.send(jac.apply(q_j))
+        except StopIteration as stop:
+            result = stop.value
+        assert asked == list(range(full.iterations))
+        assert result.x.tobytes() == full.x.tobytes()
+        assert result.history.residual_norms == full.history.residual_norms
+        assert (result.status, result.matvecs) == (full.status, full.matvecs)
+
+    def test_invalid_arguments_raise_on_the_first_step(self, poisson_small):
+        steps = fgmres_steps(poisson_small, np.ones(poisson_small.shape[0]), max_outer=0)
+        with pytest.raises(ValueError, match="max_outer"):
+            next(steps)
 
 
 class TestTrichotomy:
