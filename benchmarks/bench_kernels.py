@@ -25,7 +25,6 @@ from repro.core.gmres import gmres
 from repro.faults.injector import FaultInjector
 from repro.faults.models import PAPER_FAULT_CLASSES
 from repro.faults.schedule import InjectionSchedule
-from repro.sparse.kernels import available_kernels
 from repro.sparse.norms import frobenius_norm, two_norm_estimate
 
 
@@ -172,144 +171,3 @@ def test_kernel_ftgmres_nested_solve(benchmark, poisson_bench_problem):
     assert result.converged
     benchmark.extra_info["outer_iterations"] = result.outer_iterations
     benchmark.extra_info["total_inner_iterations"] = result.total_inner_iterations
-
-
-# --------------------------------------------------------------------------
-# kernel-tier comparisons (PR 6): the compiled scipy tier vs the numpy
-# reference, per kernel and end to end.  Each benchmark times the compiled
-# tier through pytest-benchmark, times the in-process numpy reference with
-# the same best-of-N discipline, and asserts the speedup floor directly —
-# BENCH_PR6_kernels.json therefore certifies the floors it records.
-# --------------------------------------------------------------------------
-
-#: Microbenchmark floors (ISSUE: scipy >= 1.5x on medium matvec+trisolve).
-TIER_MICRO_FLOOR = 1.5
-#: End-to-end campaign floor: the solve also contains orthogonalization and
-#: least-squares work the kernel tier cannot touch, so the honest floor is
-#: "measurably faster", not the microbenchmark multiple (measured ~1.15-1.2x
-#: at medium scale).
-TIER_CAMPAIGN_FLOOR = 1.05
-
-needs_scipy_tier = pytest.mark.skipif("scipy" not in available_kernels(),
-                                      reason="scipy kernel tier unavailable")
-
-
-def _best_of(func, rounds=10):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _record_speedup(benchmark, ref_seconds, floor, *, assert_floor=True):
-    tier_seconds = benchmark.stats.stats.min
-    speedup = ref_seconds / tier_seconds if tier_seconds > 0 else float("inf")
-    benchmark.extra_info["numpy_seconds"] = round(ref_seconds, 6)
-    benchmark.extra_info["scipy_seconds"] = round(tier_seconds, 6)
-    benchmark.extra_info["speedup_vs_numpy"] = round(speedup, 3)
-    benchmark.extra_info["floor"] = floor
-    if assert_floor:
-        assert speedup >= floor, \
-            f"scipy tier speedup {speedup:.2f}x below the {floor}x floor"
-    return speedup
-
-
-@needs_scipy_tier
-def test_kernel_tier_matvec(benchmark, poisson_bench_problem, rng, scale):
-    from repro.sparse.kernels import get_engine
-
-    A = poisson_bench_problem.A
-    x = rng.standard_normal(A.shape[1])
-    numpy_eng, scipy_eng = get_engine("numpy"), get_engine("scipy")
-    ref = numpy_eng.matvec(A, x)
-    got = scipy_eng.matvec(A, x)  # warm the cached view before timing
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
-
-    ref_seconds = _best_of(lambda: numpy_eng.matvec(A, x), rounds=20)
-    benchmark.pedantic(lambda: scipy_eng.matvec(A, x), rounds=20, iterations=5)
-    benchmark.extra_info["n"] = A.shape[0]
-    benchmark.extra_info["nnz"] = A.nnz
-    # The compiled win shrinks with the matrix (call overhead dominates tiny
-    # problems); the stated floor applies from the default scale up.
-    speedup = _record_speedup(benchmark, ref_seconds, TIER_MICRO_FLOOR,
-                              assert_floor=(scale != "tiny"))
-    print(f"\nscipy matvec: {speedup:.2f}x vs numpy (n={A.shape[0]})")
-
-
-@needs_scipy_tier
-def test_kernel_tier_matmat(benchmark, poisson_bench_problem, rng, scale):
-    from repro.sparse.kernels import get_engine
-
-    A = poisson_bench_problem.A
-    X = np.asfortranarray(rng.standard_normal((A.shape[1], 8)))
-    numpy_eng, scipy_eng = get_engine("numpy"), get_engine("scipy")
-    np.testing.assert_allclose(scipy_eng.matmat(A, X), numpy_eng.matmat(A, X),
-                               rtol=1e-12, atol=1e-14)
-
-    ref_seconds = _best_of(lambda: numpy_eng.matmat(A, X), rounds=10)
-    benchmark.pedantic(lambda: scipy_eng.matmat(A, X), rounds=10, iterations=5)
-    benchmark.extra_info["n"] = A.shape[0]
-    benchmark.extra_info["block_width"] = 8
-    speedup = _record_speedup(benchmark, ref_seconds, TIER_MICRO_FLOOR,
-                              assert_floor=(scale != "tiny"))
-    print(f"\nscipy matmat (B=8): {speedup:.2f}x vs numpy")
-
-
-@needs_scipy_tier
-def test_kernel_tier_trisolve(benchmark, poisson_bench_problem, rng, scale):
-    """Level-scheduled reference vs SuperLU's prepared ``gstrs`` solve on a
-    real ILU(0) lower factor."""
-    from repro.precond.ilu import ILU0Preconditioner
-    from repro.sparse.kernels import get_engine
-
-    A = poisson_bench_problem.A
-    L, _ = ILU0Preconditioner(A).factors
-    b = rng.standard_normal(A.shape[0])
-    numpy_eng, scipy_eng = get_engine("numpy"), get_engine("scipy")
-    np.testing.assert_allclose(scipy_eng.trisolve(L, b),
-                               numpy_eng.trisolve(L, b), rtol=1e-12)
-
-    ref_seconds = _best_of(lambda: numpy_eng.trisolve(L, b), rounds=10)
-    benchmark.pedantic(lambda: scipy_eng.trisolve(L, b), rounds=10, iterations=5)
-    benchmark.extra_info["n"] = A.shape[0]
-    benchmark.extra_info["levels"] = L.num_levels
-    speedup = _record_speedup(benchmark, ref_seconds, TIER_MICRO_FLOOR,
-                              assert_floor=(scale != "tiny"))
-    print(f"\nscipy trisolve: {speedup:.2f}x vs numpy "
-          f"({L.num_levels} levels, n={A.shape[0]})")
-
-
-@needs_scipy_tier
-def test_kernel_tier_campaign_end_to_end(benchmark, poisson_bench_problem,
-                                         stride, scale):
-    """A whole injection campaign per tier, identical spec, default backend.
-
-    The campaign also spends time in orthogonalization and least-squares
-    updates that no kernel tier accelerates, so the asserted floor is the
-    measured end-to-end dividend, not the microbenchmark multiple.  The
-    trial-identity contract across tiers is asserted by
-    ``tests/test_kernel_engines.py``; here both runs must agree on statuses.
-    """
-    from repro import api
-    from repro.specs import CampaignSpec, ExecutionSpec
-
-    p = poisson_bench_problem
-    def spec(tier):
-        return CampaignSpec(inner_iterations=25, max_outer=60,
-                            stride=max(stride * 10, 60),
-                            exec=ExecutionSpec(kernels=tier))
-
-    numpy_result = api.run_campaign(p, spec("numpy"))
-    ref_seconds = _best_of(lambda: api.run_campaign(p, spec("numpy")), rounds=2)
-    scipy_result = benchmark.pedantic(
-        lambda: api.run_campaign(p, spec("scipy")), rounds=3, iterations=1)
-
-    statuses = [t.status for t in numpy_result.trials]
-    assert [t.status for t in scipy_result.trials] == statuses
-    benchmark.extra_info["trials"] = len(statuses)
-    speedup = _record_speedup(benchmark, ref_seconds, TIER_CAMPAIGN_FLOOR,
-                              assert_floor=(scale not in ("tiny",)))
-    print(f"\nscipy-tier campaign: {speedup:.2f}x vs numpy "
-          f"({len(statuses)} trials)")

@@ -1,15 +1,15 @@
-"""Preconditioner setup/apply cost benchmarks (the PR 2 engine numbers).
+"""Preconditioner setup/apply cost benchmarks.
 
 Times the construction and per-application cost of every bundled
 preconditioner on the Poisson and convection–diffusion problems at the
-configured scale, records the level-schedule shape of the triangular-solve
-engine in ``extra_info``, and — for the engine-backed preconditioners —
-times a *seed-style reference sweep* (the row-by-row masked formulation the
-level-scheduled engine replaced) in-process, so the recorded
+configured scale, and — for the preconditioners that solve through
+triangular factors — times a *seed-style reference sweep* (the row-by-row
+masked formulation the factors replaced) in-process, so the recorded
 ``speedup_vs_seed_sweep`` stays an honest apples-to-apples number no matter
 how the surrounding code evolves.
 
-Recorded artifact: ``BENCH_PR2_precond.json`` (medium scale).
+Recorded artifact: ``BENCH_PR2_precond.json`` (medium scale, measured when
+the factors solved by level scheduling).
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from repro.precond.jacobi import JacobiPreconditioner
 from repro.precond.polynomial import NeumannPolynomialPreconditioner
 from repro.precond.ssor import GaussSeidelPreconditioner, SSORPreconditioner
 
-#: Scales at which the ISSUE-2 acceptance floor (>= 5x on ILU/SSOR apply) is
-#: asserted.  Tiny/small problems have too few rows per level to guarantee a
-#: stable factor in CI smoke runs; they still record their measurements.
+#: Scales at which the acceptance floor (>= 5x on ILU/SSOR apply) is
+#: asserted.  Tiny/small problems are too short for a stable factor in CI
+#: smoke runs; they still record their measurements.
 SPEEDUP_ASSERT_SCALES = ("medium", "paper")
 SPEEDUP_FLOOR = 5.0
 
@@ -104,15 +104,7 @@ def _best_of(fn, rounds=3):
     return best
 
 
-def _record_engine_info(benchmark, factors):
-    levels = {}
-    for name, factor in factors.items():
-        stats = factor.schedule_stats()
-        levels[name] = {k: stats[k] for k in ("num_levels", "mean_rows_per_level", "mode")}
-    benchmark.extra_info["factors"] = levels
-
-
-def _run_engine_benchmark(benchmark, scale, A, build, seed_apply, problem_name):
+def _run_factor_benchmark(benchmark, scale, A, build, seed_apply, problem_name):
     rng = np.random.default_rng(2014)
     r = rng.standard_normal(A.shape[0])
 
@@ -121,8 +113,8 @@ def _run_engine_benchmark(benchmark, scale, A, build, seed_apply, problem_name):
     z = benchmark(m.apply, r)
 
     seed_seconds = _best_of(lambda: seed_apply(m, r))
-    # The engine's two paths must agree bit for bit, and the seed-style
-    # reference must agree numerically (it sums rows in a different order).
+    # The seed-style reference must agree numerically (it sums rows in a
+    # different order).
     reference = seed_apply(m, r)
     np.testing.assert_allclose(z, reference, rtol=1e-9, atol=1e-12)
 
@@ -141,21 +133,19 @@ def _run_engine_benchmark(benchmark, scale, A, build, seed_apply, problem_name):
           f"{seed_seconds * 1e3:.3f} ms -> {speedup:.1f}x")
     if scale in SPEEDUP_ASSERT_SCALES:
         assert speedup >= SPEEDUP_FLOOR, (
-            f"level-scheduled apply is only {speedup:.2f}x the seed sweep "
+            f"apply is only {speedup:.2f}x the seed sweep "
             f"(floor {SPEEDUP_FLOOR}x)")
-    return m
 
 
 # --------------------------------------------------------------------------- #
-# engine-backed preconditioners: ILU(0), SSOR, Gauss-Seidel
+# triangular-factor preconditioners: ILU(0), SSOR, Gauss-Seidel
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("problem_name", ["poisson", "convdiff"])
 def test_precond_ilu0_apply(benchmark, poisson_bench_problem, convdiff_bench_matrix,
                             scale, problem_name):
     A = poisson_bench_problem.A if problem_name == "poisson" else convdiff_bench_matrix
-    m = _run_engine_benchmark(benchmark, scale, A, lambda: ILU0Preconditioner(A),
-                              _seed_ilu_apply, f"ILU0/{problem_name}")
-    _record_engine_info(benchmark, {"L": m.factors[0], "U": m.factors[1]})
+    _run_factor_benchmark(benchmark, scale, A, lambda: ILU0Preconditioner(A),
+                          _seed_ilu_apply, f"ILU0/{problem_name}")
 
 
 @pytest.mark.parametrize("problem_name", ["poisson", "convdiff"])
@@ -167,10 +157,9 @@ def test_precond_ssor_apply(benchmark, poisson_bench_problem, convdiff_bench_mat
     def seed_apply(m, r):
         return _seed_ssor_apply(m.A, r, m._diag, m.omega)
 
-    m = _run_engine_benchmark(benchmark, scale, A,
-                              lambda: SSORPreconditioner(A, omega=omega),
-                              seed_apply, f"SSOR/{problem_name}")
-    _record_engine_info(benchmark, {"forward": m._forward, "backward": m._backward})
+    _run_factor_benchmark(benchmark, scale, A,
+                          lambda: SSORPreconditioner(A, omega=omega),
+                          seed_apply, f"SSOR/{problem_name}")
 
 
 def test_precond_gauss_seidel_apply(benchmark, poisson_bench_problem, scale):
@@ -179,34 +168,9 @@ def test_precond_gauss_seidel_apply(benchmark, poisson_bench_problem, scale):
     def seed_apply(m, r):
         return _seed_forward_sweep(m.A, r, m._diag)
 
-    m = _run_engine_benchmark(benchmark, scale, A,
-                              lambda: GaussSeidelPreconditioner(A),
-                              seed_apply, "GaussSeidel/poisson")
-    _record_engine_info(benchmark, {"forward": m._factor})
-
-
-def test_precond_trisolve_paths_bit_identical(benchmark, poisson_bench_problem, scale):
-    """The acceptance-criteria bit-identity check at benchmark scale (run as
-    a one-round "benchmark" so ``--benchmark-only`` smoke passes execute it)."""
-    A = poisson_bench_problem.A
-    rng = np.random.default_rng(7)
-    r = rng.standard_normal(A.shape[0])
-
-    def check():
-        for m_level, m_seq in (
-            (ILU0Preconditioner(A, trisolve_mode="level"),
-             ILU0Preconditioner(A, trisolve_mode="sequential")),
-            (SSORPreconditioner(A, trisolve_mode="level"),
-             SSORPreconditioner(A, trisolve_mode="sequential")),
-            (GaussSeidelPreconditioner(A, trisolve_mode="level"),
-             GaussSeidelPreconditioner(A, trisolve_mode="sequential")),
-        ):
-            np.testing.assert_array_equal(m_level.apply(r), m_seq.apply(r))
-        return True
-
-    assert benchmark.pedantic(check, rounds=1, iterations=1)
-    benchmark.extra_info["n"] = A.shape[0]
-    benchmark.extra_info["scale"] = scale
+    _run_factor_benchmark(benchmark, scale, A,
+                          lambda: GaussSeidelPreconditioner(A),
+                          seed_apply, "GaussSeidel/poisson")
 
 
 # --------------------------------------------------------------------------- #

@@ -63,7 +63,6 @@ EXEC_FIELD_PROBES: dict[str, dict[str, Any]] = {
     "backend": {"backend": "sharded"},
     "workers": {"workers": 3},
     "batch_size": {"batch_size": 9},
-    "kernels": {"kernels": "numpy"},
     "trial_timeout": {"trial_timeout": 12.5},
     "max_retries": {"workers": 2, "max_retries": 5},
     "heartbeat_interval": {"workers": 2, "heartbeat_interval": 0.5},

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from typing import Sequence
 
 from repro.experiments.figure2 import figure2_payload
@@ -73,7 +72,6 @@ from repro.registry import names as registry_names
 from repro.registry import resolve_problem, resolve_sink
 from repro.results.events import MultiSink
 from repro.results.store import RunStore, RunStoreError
-from repro.sparse.kernels import KERNEL_CHOICES
 from repro.specs import CampaignSpec, SpecError, apply_overrides, parse_override_value
 
 __all__ = ["main", "build_parser", "run_experiment", "build_campaign_spec"]
@@ -194,12 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="heartbeat_interval", metavar="SECONDS",
                         help="supervisor liveness poll cadence (sharded "
                              "backend; default 0.1)")
-    parser.add_argument("--kernels", default=None,
-                        choices=list(KERNEL_CHOICES),
-                        help="sparse kernel tier for every solve (default: "
-                             "REPRO_KERNELS or numpy; 'auto' picks the best "
-                             "available compiled tier).  Strongest selector: "
-                             "overrides the env var and spec.exec.kernels")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="persist runs into a run store directory: each "
                              "completed trial is appended (and flushed) to "
@@ -423,11 +415,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return service_main(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.kernels is not None:
-        # The flag is the strongest selector in the precedence
-        # spec < REPRO_KERNELS < flag; publishing it as the env var applies
-        # it to every campaign and worker this invocation creates.
-        os.environ["REPRO_KERNELS"] = args.kernels
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     problems = paper_problems(args.scale)
     try:

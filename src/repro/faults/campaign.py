@@ -338,9 +338,10 @@ class FaultCampaign:
     detector_response : str
         Response policy when the detector fires (default ``"zero"``:
         filter the impossible value, as the paper advocates).
-    solver : SolveSpec, optional
+    solver : SolveSpec or dict, optional
         The nested solver's configuration (a ``method="ft_gmres"`` spec, the
-        same field as :attr:`CampaignSpec.solver`).  Its ``tol``,
+        same field as :attr:`CampaignSpec.solver`; a dict is read with
+        :meth:`SolveSpec.from_dict`).  Its ``tol``,
         ``max_outer``, ``inner.maxiter``, ``inner.detector`` and
         ``inner.detector_response`` are twins of the campaign-level
         arguments above: a solver value that is set takes effect, and
@@ -363,12 +364,6 @@ class FaultCampaign:
         Soft per-trial wall-clock budget in seconds.  A trial that finishes
         over budget is quarantined as a ``status="error"`` record instead of
         being reported as a measurement (``None`` disables the check).
-    kernels : str or None
-        Sparse kernel tier for every trial's hot kernels (``"numpy"``/
-        ``"scipy"``/``"auto"``); ``None`` defers to the
-        ``REPRO_KERNELS`` environment variable, else ``"numpy"``.  The
-        problem's matrix is rebound to the tier *before* detectors and
-        preconditioners are resolved, so their factors solve on it too.
     """
 
     def __init__(
@@ -382,19 +377,17 @@ class FaultCampaign:
         mgs_position: str | None = None,
         detector: Detector | str | dict | None = None,
         detector_response: str | None = None,
-        solver: SolveSpec | None = None,
+        solver: SolveSpec | dict | None = None,
         site: str | None = None,
         fault_rate: int | None = None,
         fault_persistence: str | None = None,
         trial_timeout: float | None = None,
-        kernels: str | None = None,
     ):
-        from repro.sparse.kernels import effective_kernels
-
-        self.kernels = effective_kernels(kernels)
-        if (hasattr(problem, "with_engine")
-                and getattr(problem.A, "engine_name", self.kernels) != self.kernels):
-            problem = problem.with_engine(self.kernels)
+        if isinstance(solver, dict):
+            solver = SolveSpec.from_dict(solver, _prefix="solver.")
+        elif solver is not None and not isinstance(solver, SolveSpec):
+            raise TypeError(f"solver must be a SolveSpec, a dict or None; "
+                            f"got {type(solver).__name__}")
         self.problem = problem
         self.fault_classes = resolve_fault_classes(
             fault_classes if fault_classes is not None else dict(PAPER_FAULT_CLASSES))
@@ -489,7 +482,6 @@ class FaultCampaign:
             fault_rate=spec.fault_rate,
             fault_persistence=spec.fault_persistence,
             trial_timeout=spec.exec.trial_timeout,
-            kernels=spec.exec.kernels,
         )
         from repro.results.store import campaign_fingerprint
 

@@ -8,7 +8,6 @@ user-supplied matrix.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,18 +94,6 @@ class TestProblem:
         if estimate_two_norm:
             bounds["two_norm"] = two_norm_estimate(self.A)
         return bounds
-
-    def with_engine(self, engine) -> "TestProblem":
-        """This problem with its matrix on another kernel tier.
-
-        Returns ``self`` when the tier is unchanged; otherwise a shallow
-        replacement whose matrix shares all data arrays with the original
-        (see :meth:`~repro.sparse.csr.CSRMatrix.with_engine`).
-        """
-        A = self.A.with_engine(engine)
-        if A is self.A:
-            return self
-        return dataclasses.replace(self, A=A)
 
 
 def _manufactured_rhs(A: CSRMatrix, seed=0) -> tuple[np.ndarray, np.ndarray]:

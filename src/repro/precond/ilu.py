@@ -10,8 +10,9 @@ Performance architecture: the IKJ elimination keeps only the outer row loop
 and the inherently sequential k-loop in Python — the row-k update is one
 vectorized scatter through a precomputed column→position map — and the
 factors are handed to :class:`~repro.sparse.trisolve.TriangularFactor`
-(unit-lower L, upper U with pivots) so every ``apply`` is a pair of
-level-scheduled substitutions instead of two row-by-row Python sweeps.
+(unit-lower L, upper U with pivots), so every ``apply`` is a pair of
+SuperLU ``gstrs`` triangular solves whose operands were prepared once, when
+the preconditioner was built.
 """
 
 from __future__ import annotations
@@ -46,12 +47,9 @@ class ILU0Preconditioner(Preconditioner):
         missing or zero pivot is replaced by a small multiple of the largest
         row magnitude so factorization always completes (standard shifted
         ILU practice).
-    trisolve_mode : {"auto", "level", "sequential"}
-        Solve path of the triangular engine (the paths are bit-identical;
-        "auto" picks by level-schedule shape).
     """
 
-    def __init__(self, A: CSRMatrix, trisolve_mode: str = "auto"):
+    def __init__(self, A: CSRMatrix):
         self.shape = A.shape
         n = A.shape[0]
         if A.shape[0] != A.shape[1]:
@@ -59,7 +57,6 @@ class ILU0Preconditioner(Preconditioner):
         # Duplicate (i, j) entries are legal CSR input (reductions sum them)
         # but the elimination below needs one stored slot per pattern entry,
         # so collapse duplicates into canonical summed form first.
-        self._engine = getattr(A, "engine", None)
         A = _sum_duplicates(A)
         # Work on a copy of the CSR data; the pattern never changes.
         self.indptr = A.indptr.copy()
@@ -70,7 +67,7 @@ class ILU0Preconditioner(Preconditioner):
         # factorization's structure passes and both triangle splits below.
         row_ids = A.row_ids
         self._factorize(n, row_ids)
-        self._build_factors(n, trisolve_mode, row_ids)
+        self._build_factors(n, row_ids)
 
     def _factorize(self, n: int, row_ids: np.ndarray) -> None:
         indptr, indices = self.indptr, self.indices
@@ -133,8 +130,8 @@ class ILU0Preconditioner(Preconditioner):
             colpos[row_cols] = nnz
         self.data = data[:nnz]
 
-    def _build_factors(self, n: int, mode: str, row_ids: np.ndarray) -> None:
-        """Split the factored data into the L and U triangular engines."""
+    def _build_factors(self, n: int, row_ids: np.ndarray) -> None:
+        """Split the factored data into the L and U triangular factors."""
         l_ptr, l_ind, l_dat = split_triangle(self.indptr, self.indices, self.data, n, "lower",
                                              row_ids=row_ids)
         u_ptr, u_ind, u_dat = split_triangle(self.indptr, self.indices, self.data, n, "upper",
@@ -143,17 +140,14 @@ class ILU0Preconditioner(Preconditioner):
         present = self._diag_ptr >= 0
         stored = self.data[self._diag_ptr[present]]
         pivots[present] = np.where(stored != 0.0, stored, 1.0)
-        # The factors solve on the same kernel tier as the matrix they were
-        # built from, so campaigns that rebind the problem's engine get
-        # compiled substitutions too.
-        self._L = TriangularFactor(n, l_ptr, l_ind, l_dat, diag=None, lower=True, mode=mode,
-                                   check=False, engine=self._engine)
+        self._L = TriangularFactor(n, l_ptr, l_ind, l_dat, diag=None, lower=True,
+                                   check=False)
         self._U = TriangularFactor(n, u_ptr, u_ind, u_dat, diag=pivots, lower=False,
-                                   mode=mode, check=False, engine=self._engine)
+                                   check=False)
 
     @property
     def factors(self) -> tuple[TriangularFactor, TriangularFactor]:
-        """The ``(L, U)`` triangular engines (unit-lower, pivoted upper)."""
+        """The ``(L, U)`` triangular factors (unit-lower, pivoted upper)."""
         return self._L, self._U
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -164,12 +158,11 @@ class ILU0Preconditioner(Preconditioner):
         return self._U.solve(self._L.solve(r))
 
     def apply_block(self, R: np.ndarray) -> np.ndarray:
-        """Solve ``L U Z = R`` for a whole ``(n, B)`` block in two sweeps.
+        """Solve ``L U Z = R`` for a whole ``(n, B)`` block in two solves.
 
-        The triangular engines handle multi-RHS blocks natively (one
-        gather/segment-sum/scatter per level over ``(rows_in_level, B)``
-        slabs), so the sparse index traffic is paid once per level instead of
-        once per level per trial.
+        Each triangular factor solves the whole block in one ``gstrs`` call,
+        so the per-call overhead is paid once per block instead of once per
+        trial.
         """
         R = self._coerce_block(R)
         return self._U.solve(self._L.solve(R))

@@ -1,12 +1,10 @@
 """Gauss–Seidel and SSOR preconditioners.
 
-Both are stationary sweeps over the CSR matrix.  The triangular sweeps run
-through the level-scheduled engine of :mod:`repro.sparse.trisolve`: the
-``(D + L)`` / ``(D/ω + L)`` / ``(D/ω + U)`` factors are split from ``A``
-once at construction (instead of re-slicing ``A.row(i)`` on every apply)
-and each application is one vectorized substitution per dependency level,
-with a bit-identical row-sequential fallback for factors whose level
-structure is too sequential to pay off.
+Both are stationary sweeps over the CSR matrix.  The ``(D + L)`` /
+``(D/ω + L)`` / ``(D/ω + U)`` factors are split from ``A`` once at
+construction as :class:`~repro.sparse.trisolve.TriangularFactor` objects,
+which prepare SuperLU's ``gstrs`` operands then, so each sweep is one
+compiled triangular solve (see :mod:`repro.sparse.trisolve`).
 """
 
 from __future__ import annotations
@@ -30,17 +28,14 @@ class GaussSeidelPreconditioner(Preconditioner):
     ----------
     A : CSRMatrix
         The matrix to sweep over.
-    trisolve_mode : {"auto", "level", "sequential"}
-        Solve path of the triangular engine (the paths are bit-identical).
     """
 
-    def __init__(self, A: CSRMatrix, trisolve_mode: str = "auto"):
+    def __init__(self, A: CSRMatrix):
         self.shape = A.shape
         self.A = A
         diag = A.diagonal()
         self._diag = np.where(diag == 0.0, 1.0, diag)
-        self._factor = TriangularFactor.from_csr(A, "lower", diag=self._diag,
-                                                 mode=trisolve_mode)
+        self._factor = TriangularFactor.from_csr(A, "lower", diag=self._diag)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64).ravel()
@@ -70,11 +65,9 @@ class SSORPreconditioner(Preconditioner):
         The matrix to sweep over.
     omega : float
         Relaxation parameter in ``(0, 2)``.
-    trisolve_mode : {"auto", "level", "sequential"}
-        Solve path of the triangular engine (the paths are bit-identical).
     """
 
-    def __init__(self, A: CSRMatrix, omega: float = 1.0, trisolve_mode: str = "auto"):
+    def __init__(self, A: CSRMatrix, omega: float = 1.0):
         if not 0.0 < omega < 2.0:
             raise ValueError(f"omega must lie in (0, 2), got {omega}")
         self.shape = A.shape
@@ -83,10 +76,8 @@ class SSORPreconditioner(Preconditioner):
         diag = A.diagonal()
         self._diag = np.where(diag == 0.0, 1.0, diag)
         scaled = self._diag / self.omega
-        self._forward = TriangularFactor.from_csr(A, "lower", diag=scaled,
-                                                  mode=trisolve_mode)
-        self._backward = TriangularFactor.from_csr(A, "upper", diag=scaled,
-                                                   mode=trisolve_mode)
+        self._forward = TriangularFactor.from_csr(A, "lower", diag=scaled)
+        self._backward = TriangularFactor.from_csr(A, "upper", diag=scaled)
         self._mid_scale = (2.0 - self.omega) / self.omega * self._diag
 
     def apply(self, r: np.ndarray) -> np.ndarray:

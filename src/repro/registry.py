@@ -33,6 +33,7 @@ names, always listing what *is* registered in the namespace.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -53,12 +54,11 @@ __all__ = [
     "resolve_fault_classes",
     "resolve_problem",
     "resolve_sink",
-    "resolve_kernels",
 ]
 
 #: The registered component namespaces.
 NAMESPACES = ("solver", "preconditioner", "detector", "fault_model",
-              "problem", "backend", "sink", "kernels")
+              "problem", "backend", "sink")
 
 
 class RegistryError(ValueError):
@@ -194,6 +194,25 @@ class Registry:
             # A wrong keyword reads as "unexpected keyword argument 'omega'";
             # re-raise with the component named so config typos are findable.
             raise RegistryError(f"invalid options for {namespace} {name!r}: {exc}") from exc
+
+    def check(self, namespace: str, spec: Any) -> None:
+        """Bind a string/dict spec's arguments without building anything.
+
+        The colon arguments and keywords are bound against the registered
+        factory's signature, so a misspelled option or a colon argument the
+        component does not take fails where the spec is written down, not
+        where it is resolved.  Values are not checked, and a name that is
+        not registered passes: resolving it raises, listing what is.
+        """
+        name, params = parse_spec(spec)
+        entry = self._space(namespace).get(name)
+        if entry is None:
+            return
+        params = _bind_positional(entry, params)
+        try:
+            inspect.signature(entry.factory).bind(None, **params)
+        except TypeError as exc:
+            raise RegistryError(f"invalid options for {namespace} {name!r}: {exc}") from None
 
 
 def parse_spec(spec: Any) -> tuple[str, dict[str, Any]]:
@@ -497,30 +516,27 @@ def _build_block_jacobi(ctx, block_size=32):
         block_size=int(block_size))
 
 
-@register("preconditioner", "gauss_seidel", aliases=("gs",),
-          positional=("trisolve_mode",))
-def _build_gauss_seidel(ctx, trisolve_mode="auto"):
+@register("preconditioner", "gauss_seidel", aliases=("gs",))
+def _build_gauss_seidel(ctx):
     from repro.precond.ssor import GaussSeidelPreconditioner
 
     return GaussSeidelPreconditioner(
-        ctx.require_matrix("preconditioner 'gauss_seidel'"),
-        trisolve_mode=trisolve_mode)
+        ctx.require_matrix("preconditioner 'gauss_seidel'"))
 
 
 @register("preconditioner", "ssor", positional=("omega",))
-def _build_ssor(ctx, omega=1.0, trisolve_mode="auto"):
+def _build_ssor(ctx, omega=1.0):
     from repro.precond.ssor import SSORPreconditioner
 
     return SSORPreconditioner(ctx.require_matrix("preconditioner 'ssor'"),
-                              omega=float(omega), trisolve_mode=trisolve_mode)
+                              omega=float(omega))
 
 
-@register("preconditioner", "ilu0", positional=("trisolve_mode",))
-def _build_ilu0(ctx, trisolve_mode="auto"):
+@register("preconditioner", "ilu0")
+def _build_ilu0(ctx):
     from repro.precond.ilu import ILU0Preconditioner
 
-    return ILU0Preconditioner(ctx.require_matrix("preconditioner 'ilu0'"),
-                              trisolve_mode=trisolve_mode)
+    return ILU0Preconditioner(ctx.require_matrix("preconditioner 'ilu0'"))
 
 
 @register("preconditioner", "neumann", positional=("degree",))
@@ -730,43 +746,3 @@ def _build_console_sink(ctx, every=1):
     from repro.results.events import ConsoleSink
 
     return ConsoleSink(every=int(every))
-
-
-# ----------------------------- kernels -------------------------------- #
-# Sparse kernel tiers (see repro.sparse.kernels).  Factories return the
-# stateless engine singleton; unavailable tiers raise a RegistryError with
-# an install hint rather than resolving to a broken engine.
-def _register_kernel_tier(name: str, *, compiled: bool,
-                          description: str) -> None:
-    @register("kernels", name, compiled=compiled, description=description)
-    def _build_engine(ctx, _name=name):
-        from repro.sparse.kernels import resolve_engine
-
-        try:
-            return resolve_engine(_name)
-        except ValueError as exc:
-            raise RegistryError(str(exc)) from exc
-
-
-_register_kernel_tier(
-    "numpy", compiled=False,
-    description="pure-NumPy reference kernels (bit-exact, always available)")
-_register_kernel_tier(
-    "scipy", compiled=True,
-    description="scipy.sparse compiled C kernels over zero-copy views")
-_register_kernel_tier(
-    "auto", compiled=True,
-    description="best available tier: scipy, else numpy")
-
-
-def resolve_kernels(spec: Any, **ctx_kwargs: Any) -> Any:
-    """Resolve a kernel-tier spec to a ``KernelEngine`` via the registry."""
-    from repro.sparse.kernels import KernelEngine
-
-    if isinstance(spec, KernelEngine):
-        return spec
-    if spec is None:
-        from repro.sparse.kernels import default_kernels
-
-        spec = default_kernels()
-    return resolve("kernels", spec, ResolveContext(**ctx_kwargs))

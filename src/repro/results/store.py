@@ -127,7 +127,7 @@ def read_trial_file(path: str) -> tuple[list[tuple[int, Any]], int, bool]:
 #: * ``problem`` — the problem *name* is mixed into the hash separately, so a
 #:   spec with ``problem=None`` run on an explicit problem object and the
 #:   equivalent named spec resolve to the same stored run;
-#: * ``exec`` — execution knobs (backend, workers, batch size, kernels, ...)
+#: * ``exec`` — execution knobs (backend, workers, batch size, ...)
 #:   are documented not to change results, so reruns under any backend find
 #:   and resume the same run.
 FINGERPRINT_EXCLUDED_FIELDS = ("problem", "exec")

@@ -397,7 +397,7 @@ class CampaignScheduler:
                 if record.pid is not None:
                     _terminate_pid(record.pid, self.drain_grace)
                 self._transition(record.job_id, status="queued", pid=None,
-                                 started_at=None)
+                                 started_at=None, error=None)
             elif record.status == "queued" and record.cancel_requested:
                 self._transition(record.job_id, status="cancelled",
                                  cancel_requested=False,
@@ -469,8 +469,10 @@ class CampaignScheduler:
             )
             proc.start()
             self._running[record.job_id] = proc
+            # No error reset here: a worker that fails at once may already
+            # have written its error (queued records never carry a stale one).
             self._transition(record.job_id, status="running", pid=proc.pid,
-                             started_at=_utc_now(), error=None)
+                             started_at=_utc_now())
 
     # ------------------------------------------------------------------ #
     def drain(self) -> int:

@@ -1,23 +1,61 @@
 """Compressed Sparse Row (CSR) matrix.
 
 CSR is the compute format: the sparse matrix–vector product (SpMV) used by
-every Krylov iteration dispatches through a pluggable
-:class:`~repro.sparse.kernels.KernelEngine`.  The default ``numpy`` tier
-implements SpMV with vectorized NumPy reductions (``np.add.reduceat`` over
-the row pointer), which is the fastest pure-NumPy formulation for matrices
-whose rows are short and uniform — exactly the finite-difference and
-circuit matrices in the paper's evaluation — and stays the bit-exact
-reference; the ``scipy`` tier swaps in compiled kernels over the same
-arrays (see :mod:`repro.sparse.kernels`).
+every Krylov iteration is implemented here with vectorized NumPy reductions
+(``np.add.reduceat`` over the row pointer), the fastest pure-NumPy
+formulation for matrices whose rows are short and uniform — exactly the
+finite-difference and circuit matrices in the paper's evaluation.  The
+products stay off scipy on purpose: every forked service job worker would
+otherwise pay a fresh ``scipy.sparse`` import (see the README's *Sparse
+kernels* section).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.kernels import as_kernel_block, as_kernel_vector, resolve_engine
-
 __all__ = ["CSRMatrix"]
+
+
+def _convert_vector(x) -> np.ndarray:
+    """The slow path: densify/retype/flatten an operand (one copy).
+
+    Kept as a separate function so the no-copy regression test can count
+    how often the hot loop falls off the fast path (it must be zero).
+    """
+    return np.asarray(x, dtype=np.float64).ravel()
+
+
+def as_kernel_vector(x) -> np.ndarray:
+    """Normalize a vector operand once, at the kernel boundary.
+
+    Conforming inputs — 1-D, float64, C-contiguous ndarrays, which is what
+    every solver hot loop produces — pass through untouched (no copy, no
+    ``asarray`` dispatch).  Anything else (lists, wrong dtypes, strided
+    views, ``(n, 1)`` columns) is converted exactly as the kernels always
+    converted it, but in one clearly-identified place.
+    """
+    if (type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64
+            and x.flags.c_contiguous):
+        return x
+    return _convert_vector(x)
+
+
+def _convert_block(X) -> np.ndarray:
+    """Slow-path counterpart of :func:`_convert_vector` for 2-D blocks."""
+    return np.asarray(X, dtype=np.float64)
+
+
+def as_kernel_block(X) -> np.ndarray:
+    """Normalize a 2-D block operand at the kernel boundary.
+
+    Fortran-ordered float64 blocks (the batched engine's layout) pass
+    through untouched — contiguity is *not* forced.  Dimensionality/shape
+    checks stay with the caller, which owns the error message.
+    """
+    if type(X) is np.ndarray and X.dtype == np.float64:
+        return X
+    return _convert_block(X)
 
 
 class CSRMatrix:
@@ -33,11 +71,6 @@ class CSRMatrix:
         Column indices of the stored entries, length ``nnz``.
     data : array_like of float
         Stored values, length ``nnz``.
-    engine : str, KernelEngine or None
-        The kernel tier computing this matrix's products: a tier name
-        (``"numpy"``/``"scipy"``/``"auto"``), a built engine, or
-        ``None`` for the ambient default (``$REPRO_KERNELS``, else
-        ``"numpy"``).  See :mod:`repro.sparse.kernels`.
 
     Notes
     -----
@@ -47,71 +80,26 @@ class CSRMatrix:
     canonical constructor :meth:`from_coo` additionally collapses duplicates.
     """
 
-    def __init__(self, shape, indptr, indices, data, *, check: bool = True,
-                 engine=None):
+    def __init__(self, shape, indptr, indices, data, *, check: bool = True):
         nrows, ncols = int(shape[0]), int(shape[1])
         self.shape = (nrows, ncols)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self._engine = resolve_engine(engine)
         # Lazily built structure caches (see _structure / row_ids).  They
         # depend only on indptr, which is never mutated in place, so they
         # stay valid for the lifetime of the instance.
         self._structure_cache: tuple | None = None
         self._row_ids_cache: np.ndarray | None = None
-        # Per-engine prepared state (e.g. the scipy tier's zero-copy views),
-        # keyed by engine name; engines stay stateless singletons.
-        self._kernel_cache: dict = {}
         if check:
             self._validate()
 
     def __getstate__(self) -> dict:
-        """Pickle without the derived caches (workers rebuild them lazily).
-
-        The engine is pickled by tier name — engine objects may hold
-        unpicklable compiled state, and the receiving process re-resolves
-        its own singleton.
-        """
+        """Pickle without the derived caches (workers rebuild them lazily)."""
         state = self.__dict__.copy()
         state["_structure_cache"] = None
         state["_row_ids_cache"] = None
-        state["_kernel_cache"] = {}
-        state["_engine"] = self._engine.name
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        state["_engine"] = resolve_engine(state["_engine"])
-        self.__dict__.update(state)
-
-    # ------------------------------------------------------------------ #
-    # kernel engine
-    # ------------------------------------------------------------------ #
-    @property
-    def engine(self):
-        """The :class:`~repro.sparse.kernels.KernelEngine` computing products."""
-        return self._engine
-
-    @property
-    def engine_name(self) -> str:
-        """The kernel tier name (``"numpy"`` or ``"scipy"``)."""
-        return self._engine.name
-
-    def with_engine(self, engine) -> "CSRMatrix":
-        """This matrix on another kernel tier, sharing all data arrays.
-
-        Returns ``self`` when the tier is unchanged; otherwise a new
-        :class:`CSRMatrix` sharing ``indptr``/``indices``/``data`` (and the
-        derived structure caches) with this one — no numerical data is
-        copied.
-        """
-        resolved = resolve_engine(engine)
-        if resolved is self._engine:
-            return self
-        other = CSRMatrix.__new__(CSRMatrix)
-        other.__dict__.update(self.__dict__)
-        other._engine = resolved
-        return other
 
     # ------------------------------------------------------------------ #
     # construction / validation
@@ -278,9 +266,9 @@ class CSRMatrix:
                          values=self.data.copy())
 
     def copy(self) -> "CSRMatrix":
-        """Deep copy (on the same kernel engine)."""
+        """Deep copy."""
         return CSRMatrix(self.shape, self.indptr.copy(), self.indices.copy(),
-                         self.data.copy(), check=False, engine=self._engine)
+                         self.data.copy(), check=False)
 
     # ------------------------------------------------------------------ #
     # numerical kernels
@@ -288,28 +276,44 @@ class CSRMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Sparse matrix–vector product ``y = A @ x`` (the GMRES hot kernel).
 
-        Normalization happens once, here at the engine boundary: conforming
-        float64 vectors pass straight to the engine with no copy, anything
-        else is converted exactly once per call.  The default ``numpy``
-        engine forms the products ``data * x[indices]`` in one vectorized
-        pass and reduces per row with ``np.add.reduceat``; rows with no
-        stored entries produce exactly 0.
+        Normalization happens once, here at the kernel boundary: conforming
+        float64 vectors pass straight to the kernel with no copy, anything
+        else is converted exactly once per call.  The kernel forms the
+        products ``data * x[indices]`` in one vectorized pass and reduces
+        per row with ``np.add.reduceat``; rows with no stored entries
+        produce exactly 0.
         """
         x = as_kernel_vector(x)
         if x.shape[0] != self.shape[1]:
             raise ValueError(
                 f"dimension mismatch: matrix has {self.shape[1]} columns, vector has {x.shape[0]}"
             )
-        return self._engine.matvec(self, x)
+        return self._matvec(x)
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        """The 1-D product kernel on a normalized, shape-checked vector."""
+        if self.nnz == 0:
+            return np.zeros(self.shape[0], dtype=np.float64)
+        products = self.data * x[self.indices]
+        starts, nonempty, all_nonempty = self._structure()
+        if all_nonempty:
+            return np.add.reduceat(products, starts)
+        y = np.zeros(self.shape[0], dtype=np.float64)
+        y[nonempty] = np.add.reduceat(products, starts)
+        return y
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Transpose matrix–vector product ``y = A.T @ x``."""
+        """Transpose matrix–vector product ``y = A.T @ x`` (a scatter-add)."""
         x = as_kernel_vector(x)
         if x.shape[0] != self.shape[0]:
             raise ValueError(
                 f"dimension mismatch: matrix has {self.shape[0]} rows, vector has {x.shape[0]}"
             )
-        return self._engine.rmatvec(self, x)
+        y = np.zeros(self.shape[1], dtype=np.float64)
+        if self.nnz == 0:
+            return y
+        np.add.at(y, self.indices, self.data * x[self.row_ids])
+        return y
 
     #: Above this many elements in the ``(nnz, B)`` product block, ``matmat``
     #: sweeps columns through the cache-resident 1-D kernel instead of
@@ -340,7 +344,21 @@ class CSRMatrix:
             raise ValueError(
                 f"dimension mismatch: matrix has {self.shape[1]} columns, block has {X.shape[0]} rows"
             )
-        return self._engine.matmat(self, X)
+        nrows, ncols = self.shape[0], X.shape[1]
+        if self.nnz == 0:
+            return np.zeros((nrows, ncols), dtype=np.float64)
+        if self.nnz * ncols > self._MATMAT_BLOCK_LIMIT:
+            Y = np.empty((nrows, ncols), dtype=np.float64)
+            for j in range(ncols):
+                Y[:, j] = self._matvec(np.ascontiguousarray(X[:, j]))
+            return Y
+        products = self.data[:, None] * X[self.indices, :]
+        starts, nonempty, all_nonempty = self._structure()
+        if all_nonempty:
+            return np.add.reduceat(products, starts, axis=0)
+        Y = np.zeros((nrows, ncols), dtype=np.float64)
+        Y[nonempty, :] = np.add.reduceat(products, starts, axis=0)
+        return Y
 
     def rmatmat(self, X: np.ndarray) -> np.ndarray:
         """Transpose matrix–matrix product ``Y = A.T @ X`` for a dense block."""
@@ -351,7 +369,11 @@ class CSRMatrix:
             raise ValueError(
                 f"dimension mismatch: matrix has {self.shape[0]} rows, block has {X.shape[0]} rows"
             )
-        return self._engine.rmatmat(self, X)
+        Y = np.zeros((self.shape[1], X.shape[1]), dtype=np.float64)
+        if self.nnz == 0:
+            return Y
+        np.add.at(Y, self.indices, self.data[:, None] * X[self.row_ids, :])
+        return Y
 
     def __matmul__(self, x):
         """``A @ x``: 1-D operands dispatch to :meth:`matvec`, 2-D to :meth:`matmat`."""

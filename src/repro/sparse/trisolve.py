@@ -1,42 +1,35 @@
-"""Level-scheduled sparse triangular solves.
+"""Sparse triangular solves through SuperLU.
 
 A sparse triangular solve is the kernel behind every stationary
 preconditioner (Gauss–Seidel, SSOR) and behind applying an incomplete LU
-factorization.  Row ``i`` of a lower-triangular solve depends only on the
-rows named by its strictly-lower column indices, so the rows fall into
-*dependency levels*: level 0 holds the rows with no off-diagonal entries,
-level ``k`` the rows whose deepest dependency sits at level ``k-1``.  All
-rows inside one level are independent and can be solved in a single
-vectorized gather/segment-sum/scatter, turning ``n`` Python iterations per
-solve into one iteration per level (Saad, *Iterative Methods for Sparse
-Linear Systems*, ch. 11; "level scheduling").
+factorization.  :class:`TriangularFactor` is the unit of currency: CSR data
+split at construction into a strict triangle plus a dense diagonal (or an
+implicit unit diagonal).  Preconditioners build their factors once in
+``__init__`` and call :meth:`TriangularFactor.solve` per application.
 
-For the paper's 2-D grid problems the level structure is the diagonal
-wavefront of the grid — ``O(sqrt(n))`` levels of ``O(sqrt(n))`` rows — so
-the level-scheduled path replaces ~n-iteration sweeps with ~2·sqrt(n)
-vectorized steps.  For pathologically sequential structures (a tridiagonal
-matrix has one row per level) the engine falls back to a row-sequential
-sweep that performs the *bit-identical* floating-point operations; the two
-paths are interchangeable and the test suite asserts their equality.
+Every factor solves through SuperLU's compiled ``gstrs`` routine, the one
+:func:`scipy.sparse.linalg.spsolve_triangular` calls.  Everything that
+function prepares on *every* call — assembling the full triangle,
+transposing the CSR input to CSC, scaling to a unit diagonal, splitting into
+SuperLU's L/U operands and casting the index arrays — runs once, when the
+factor is built, so a solve of a vector or of an ``(n, B)`` block is one
+``gstrs`` call plus the inverse-diagonal scaling.  scipy is imported then
+and not when the package loads, so a process that builds no factor never
+pays for the import.
 
-:class:`TriangularFactor` is the unit of currency: CSR data split at
-construction into a strict triangle plus a dense diagonal (or an implicit
-unit diagonal), with the level schedule computed once and reused by every
-solve.  Preconditioners build their factors once in ``__init__`` and call
-:meth:`TriangularFactor.solve` per application.
+Some factors cannot use ``gstrs``: one whose diagonal holds a zero or a
+non-finite value, an empty one, and any factor when scipy lacks the private
+``_superlu`` module.  They solve by row-sequential substitution, which
+lets a zero pivot produce Inf/NaN in the solution rather than an error.
+That substitution is also the reference the test suite holds ``gstrs`` to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.kernels import NUMPY_ENGINE, resolve_engine
+__all__ = ["TriangularFactor", "split_triangle"]
 
-__all__ = ["TriangularFactor", "split_triangle", "SEQUENTIAL_LEVEL_THRESHOLD"]
-
-#: Below this mean number of rows per level the vectorized path's slicing
-#: overhead exceeds its gain and ``mode="auto"`` picks the sequential sweep.
-SEQUENTIAL_LEVEL_THRESHOLD = 4.0
 
 def split_triangle(indptr, indices, data, n: int, part: str, row_ids=None):
     """Extract the strict lower or upper triangle of square CSR arrays.
@@ -61,6 +54,11 @@ def split_triangle(indptr, indices, data, n: int, part: str, row_ids=None):
     return out_indptr, indices[keep], data[keep]
 
 
+#: Shared zero-offset index for the single-segment ``np.add.reduceat`` calls
+#: of the sequential substitution (keeps each row's reduction allocation-free).
+_SEG0 = np.zeros(1, dtype=np.int64)
+
+
 class TriangularFactor:
     """A sparse triangular matrix prepared for repeated fast solves.
 
@@ -77,30 +75,15 @@ class TriangularFactor:
         means a unit diagonal (no division), e.g. the L factor of ILU.
     lower : bool
         Orientation; decides forward vs backward substitution.
-    mode : {"auto", "level", "sequential"}
-        Default solve path.  ``"auto"`` picks the level-scheduled kernel
-        unless the schedule is too sequential to pay off (fewer than
-        :data:`SEQUENTIAL_LEVEL_THRESHOLD` rows per level on average).
     check : bool
         Verify the strict-triangle invariant (an O(nnz) pass).  Callers
         whose arrays come from :func:`split_triangle` pass ``False`` —
         strictness holds by construction.
-    engine : str, KernelEngine or None
-        The kernel tier computing default solves (see
-        :mod:`repro.sparse.kernels`); ``None`` resolves the ambient default.
-        Explicit ``mode=`` overrides on :meth:`solve` always run the numpy
-        reference paths — the documented level/sequential bit-identity
-        contract is a property of the reference kernels.
     """
 
     def __init__(self, n, indptr, indices, data, diag=None, *, lower: bool = True,
-                 mode: str = "auto", check: bool = True, engine=None):
-        if mode not in ("auto", "level", "sequential"):
-            raise ValueError(f"mode must be 'auto', 'level' or 'sequential', got {mode!r}")
+                 check: bool = True):
         self.n = int(n)
-        self._engine = resolve_engine(engine)
-        self._kernel_cache: dict = {}
-        self._ws = None
         self.lower = bool(lower)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
@@ -120,25 +103,21 @@ class TriangularFactor:
                 raise ValueError(f"diag must have length {self.n}, got {self.diag.shape[0]}")
         if check:
             self._check_strict()
-        self._build_schedule()
-        if mode == "auto":
-            mode = "level" if self.mean_rows_per_level >= SEQUENTIAL_LEVEL_THRESHOLD \
-                else "sequential"
-        self.mode = mode
+        #: ``(gstrs, operands, inverse diagonal)``, or ``None`` when this
+        #: factor solves by sequential substitution.
+        self._gstrs = self._prepare_gstrs()
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_csr(cls, A, part: str = "lower", diag=None, *, unit_diagonal: bool = False,
-                 mode: str = "auto", engine=None) -> "TriangularFactor":
+    def from_csr(cls, A, part: str = "lower", diag=None, *,
+                 unit_diagonal: bool = False) -> "TriangularFactor":
         """Build a factor from the triangle of a square :class:`CSRMatrix`.
 
         ``diag=None`` extracts the diagonal of ``A`` (missing entries are 0
         and will poison the solve — pass a corrected diagonal when the
         matrix may lack one).  ``unit_diagonal=True`` ignores ``diag``.
-        ``engine=None`` inherits ``A``'s kernel engine, so preconditioners
-        built from an engine-bound matrix solve on the same tier.
         """
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"triangular factors require a square matrix, got {A.shape}")
@@ -149,10 +128,7 @@ class TriangularFactor:
             d = None
         else:
             d = A.diagonal() if diag is None else diag
-        if engine is None:
-            engine = getattr(A, "engine", None)
-        return cls(n, indptr, indices, data, d, lower=(part == "lower"), mode=mode,
-                   check=False, engine=engine)
+        return cls(n, indptr, indices, data, d, lower=(part == "lower"), check=False)
 
     def _check_strict(self) -> None:
         if self.indices.size == 0:
@@ -171,77 +147,64 @@ class TriangularFactor:
         if self.indices.min() < 0 or self.indices.max() >= self.n:
             raise IndexError("column index out of bounds")
 
-    def _build_schedule(self) -> None:
-        """Compute dependency levels and the level-permuted entry arrays.
+    def _prepare_gstrs(self):
+        """The once-per-factor ``gstrs`` arguments, or ``None``.
 
-        Runs once per factor; the per-row Python loop here is setup cost
-        amortized over every subsequent solve.
+        This performs, ahead of time, exactly what
+        ``scipy.sparse.linalg.spsolve_triangular`` does on *every* call:
+        assemble the full triangle, transpose the CSR input to CSC
+        (``trans="T"``), scale the columns to a unit diagonal, split into
+        SuperLU's L/U operands and cast the index arrays — leaving one
+        compiled ``gstrs`` call (plus the inverse-diagonal scaling) per
+        solve.  ``None`` (an empty factor, a zero or non-finite diagonal
+        entry, no ``_superlu`` module) selects the sequential substitution.
         """
-        n, indptr, indices = self.n, self.indptr, self.indices
-        # The one sequential pass of the whole engine: plain-list traversal
-        # of the entries is markedly cheaper than per-row numpy calls for
-        # the short rows typical of the paper's matrices.
-        ip = indptr.tolist()
-        ind = indices.tolist()
-        lv = [0] * n
-        order = range(n) if self.lower else range(n - 1, -1, -1)
-        for i in order:
-            deepest = -1
-            for p in range(ip[i], ip[i + 1]):
-                d = lv[ind[p]]
-                if d > deepest:
-                    deepest = d
-            lv[i] = deepest + 1
-        level = np.asarray(lv, dtype=np.int64) if n else np.zeros(0, dtype=np.int64)
-        self.num_levels = int(level.max()) + 1 if n else 0
-        self.levels = level
-        # Rows grouped by level; within a level keep the natural sweep order
-        # (ascending for forward, descending for backward substitution) so
-        # the permutation is deterministic and cache-friendly.
-        if self.lower:
-            rows = np.argsort(level, kind="stable")
+        n = self.n
+        if n == 0:
+            return None
+        if self.unit_diagonal:
+            diag = np.ones(n, dtype=np.float64)
+            invdiag = None
         else:
-            rows = (n - 1) - np.argsort(level[::-1], kind="stable")
-        counts = np.bincount(level, minlength=self.num_levels) if n else \
-            np.zeros(0, dtype=np.int64)
-        level_ptr = np.zeros(self.num_levels + 1, dtype=np.int64)
-        np.cumsum(counts, out=level_ptr[1:])
-        # Permute the CSR entries into level order once, so each level's
-        # gather/segment-sum works on one contiguous slice.
-        row_counts = (indptr[1:] - indptr[:-1])[rows]
-        perm_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=perm_indptr[1:])
-        total = int(perm_indptr[-1])
-        if total:
-            entry_idx = (np.arange(total, dtype=np.int64)
-                         + np.repeat(indptr[rows] - perm_indptr[:-1], row_counts))
-            self._perm_indices = indices[entry_idx]
-            self._perm_data = self.data[entry_idx]
+            diag = self.diag
+            if not np.all(np.isfinite(diag)) or np.any(diag == 0.0):
+                return None  # poisoned diagonal: keep substitution semantics
+            invdiag = 1.0 / diag
+        try:
+            from scipy.sparse.linalg._dsolve._superlu import gstrs
+        except ImportError:  # private API moved: substitute
+            return None
+        import scipy.sparse as sp
+
+        # Full triangle (strict part + diagonal) as CSR, then the
+        # spsolve_triangular recipe: CSR input → work on its transpose in
+        # CSC with trans="T", orientation flipped.
+        strict = sp.csr_array((self.data, self.indices, self.indptr), shape=(n, n),
+                              copy=False)
+        T = (strict + sp.diags_array(diag, format="csr")).T  # csc_array
+        lower = not self.lower
+        if invdiag is not None:
+            T = (T.T @ sp.diags_array(invdiag)).T
+        T.sum_duplicates()
+        if lower:
+            L, U = T, sp.csc_array((n, n), dtype=np.float64)
         else:
-            self._perm_indices = np.zeros(0, dtype=np.int64)
-            self._perm_data = np.zeros(0, dtype=np.float64)
-        self._rows = rows
-        self._level_ptr = level_ptr
-        self._perm_indptr = perm_indptr
-        self.mean_rows_per_level = float(n) / self.num_levels if self.num_levels else 0.0
+            L = sp.eye_array(n, dtype=np.float64, format="csc")
+            U = T
+            U.setdiag(0)
+        operands = (n, L.nnz, L.data, L.indices.astype(np.intc), L.indptr.astype(np.intc),
+                    n, U.nnz, U.data, U.indices.astype(np.intc), U.indptr.astype(np.intc))
+        return gstrs, operands, invdiag
 
     # ------------------------------------------------------------------ #
     # solves
     # ------------------------------------------------------------------ #
-    def solve(self, b: np.ndarray, mode: str | None = None) -> np.ndarray:
-        """Solve ``T x = b`` by substitution; returns a fresh array.
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``T x = b``; returns a fresh array.
 
         ``b`` may be a vector of length ``n`` or a multi-RHS block of shape
-        ``(n, B)`` — every level's gather/segment-sum/scatter generalizes to
-        ``(rows_in_level, B)`` slabs, and because ``np.add.reduceat`` reduces
-        each column in the same sequential order as the 1-D kernel, column
-        ``b`` of a block solve is *bit-identical* to ``solve(b[:, b])``.
-
-        ``mode`` overrides the factor's default path; the level-scheduled
-        and row-sequential paths produce bit-identical results.  Default
-        solves (``mode=None``) dispatch to the factor's kernel engine; an
-        explicit ``mode`` always runs the corresponding numpy reference
-        path, which is what the bit-identity contract is stated for.
+        ``(n, B)``; a block is solved in the same single ``gstrs`` call, and
+        column ``j`` of the result equals ``solve(b[:, j])``.
         """
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2):
@@ -250,84 +213,34 @@ class TriangularFactor:
             raise ValueError(
                 f"b has {b.shape[0]} rows, expected {self.n} "
                 f"(a length-{self.n} vector or a ({self.n}, B) block)")
-        if mode is None:
-            return self._engine.trisolve(self, b)
-        if mode == "sequential":
-            return self._solve_sequential(b)
-        if mode != "level":
-            raise ValueError(f"mode must be 'level' or 'sequential', got {mode!r}")
-        return self._solve_levels(b)
+        prepared = self._gstrs
+        if prepared is None:
+            return self._substitute(b)
+        gstrs, operands, invdiag = prepared
+        x, info = gstrs("T", *operands, b.copy())
+        if info:  # pragma: no cover - zero diagonals are screened at build
+            return self._substitute(b)
+        if invdiag is not None:
+            x *= invdiag if x.ndim == 1 else invdiag[:, None]
+        return x
 
-    def _level_workspace(self) -> tuple:
-        """Preallocated buffers for the reference 1-D level solve.
-
-        Sized once per factor to the widest level: ``(gather, products,
-        row-values, diagonal)`` scratch, sliced per level so the hot loop
-        performs zero allocations.  Built lazily — factors that only ever
-        run block solves or compiled tiers never pay for it.
-        """
-        ws = self._ws
-        if ws is None:
-            level_entry = self._perm_indptr[self._level_ptr]
-            max_entries = int(np.diff(level_entry).max()) if self.num_levels else 0
-            max_rows = int(np.diff(self._level_ptr).max()) if self.num_levels else 0
-            ws = self._ws = (
-                np.empty(max_entries, dtype=np.float64),
-                np.empty(max_entries, dtype=np.float64),
-                np.empty(max_rows, dtype=np.float64),
-                np.empty(max_rows, dtype=np.float64),
-            )
-        return ws
-
-    def _solve_levels(self, b: np.ndarray) -> np.ndarray:
-        """One vectorized gather + segment sum + scatter per dependency level.
-
-        Handles vectors and ``(n, B)`` blocks with the same code: the gathers
-        pick whole rows of ``x``, the segment sum runs along axis 0, and the
-        diagonal scaling broadcasts across the block axis.  (Implemented by
-        the reference :class:`~repro.sparse.kernels.NumpyEngine`; kept as a
-        method because the equivalence suites exercise the paths by name.)
-        """
-        return NUMPY_ENGINE.trisolve_levels(self, b)
-
-    def _solve_sequential(self, b: np.ndarray) -> np.ndarray:
-        """Row-by-row substitution, bit-identical to the level path."""
-        return NUMPY_ENGINE.trisolve_sequential(self, b)
-
-    # ------------------------------------------------------------------ #
-    # kernel engine / pickling
-    # ------------------------------------------------------------------ #
-    @property
-    def engine(self):
-        """The :class:`~repro.sparse.kernels.KernelEngine` for default solves."""
-        return self._engine
-
-    @property
-    def engine_name(self) -> str:
-        """The kernel tier name (``"numpy"`` or ``"scipy"``)."""
-        return self._engine.name
-
-    def with_engine(self, engine) -> "TriangularFactor":
-        """This factor on another kernel tier, sharing all data and schedule."""
-        resolved = resolve_engine(engine)
-        if resolved is self._engine:
-            return self
-        other = TriangularFactor.__new__(TriangularFactor)
-        other.__dict__.update(self.__dict__)
-        other._engine = resolved
-        return other
-
-    def __getstate__(self) -> dict:
-        """Pickle by tier name, without per-engine caches and workspaces."""
-        state = self.__dict__.copy()
-        state["_kernel_cache"] = {}
-        state["_ws"] = None
-        state["_engine"] = self._engine.name
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state["_engine"] = resolve_engine(state["_engine"])
-        self.__dict__.update(state)
+    def _substitute(self, b: np.ndarray) -> np.ndarray:
+        """Row-by-row substitution: the fallback path and the tests' reference."""
+        x = b.copy()
+        block = x.ndim == 2
+        indptr, indices, data = self.indptr, self.indices, self.data
+        coeff = data[:, None] if block else data
+        diag, unit = self.diag, self.unit_diagonal
+        order = range(self.n) if self.lower else range(self.n - 1, -1, -1)
+        for i in order:
+            start, stop = indptr[i], indptr[i + 1]
+            if stop > start:
+                prods = coeff[start:stop] * x[indices[start:stop]]
+                val = x[i] - np.add.reduceat(prods, _SEG0, axis=0)[0]
+            else:
+                val = x[i]
+            x[i] = val if unit else val / diag[i]
+        return x
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -336,16 +249,6 @@ class TriangularFactor:
     def nnz(self) -> int:
         """Stored strict-triangle entries (the diagonal is held densely)."""
         return int(self.data.shape[0])
-
-    def schedule_stats(self) -> dict:
-        """Level-schedule shape, for benchmarks and reports."""
-        return {
-            "n": self.n,
-            "nnz": self.nnz,
-            "num_levels": self.num_levels,
-            "mean_rows_per_level": round(self.mean_rows_per_level, 3),
-            "mode": self.mode,
-        }
 
     def to_csr(self):
         """The full triangle (strict part + diagonal) as a :class:`CSRMatrix`.
@@ -367,5 +270,5 @@ class TriangularFactor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "lower" if self.lower else "upper"
-        return (f"TriangularFactor(n={self.n}, nnz={self.nnz}, {kind}, "
-                f"levels={self.num_levels}, mode={self.mode!r})")
+        path = "gstrs" if self._gstrs is not None else "sequential"
+        return f"TriangularFactor(n={self.n}, nnz={self.nnz}, {kind}, {path})"

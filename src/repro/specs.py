@@ -103,7 +103,12 @@ def _check_float(field_path: str, value: Any, *, minimum: float | None = None,
 
 def _check_component(field_path: str, value: Any, *,
                      allow_none: bool = True) -> Any:
-    """A component spec field: string, dict-with-name, built instance, or None."""
+    """A component spec field: string, dict-with-name, built instance, or None.
+
+    The field's name is its registry namespace.  A string or dict spec's
+    colon arguments and keywords must bind to the registered factory's
+    signature (see :meth:`repro.registry.Registry.check`).
+    """
     if value is None:
         if not allow_none:
             raise SpecError(field_path, "may not be null")
@@ -111,14 +116,20 @@ def _check_component(field_path: str, value: Any, *,
     if isinstance(value, str):
         if not value.strip():
             raise SpecError(field_path, "component name may not be empty")
-        return value
-    if isinstance(value, dict):
+    elif isinstance(value, dict):
         if "name" not in value:
             raise SpecError(field_path,
                             f"dict component spec needs a 'name' key, got {sorted(value)}")
-        return dict(value)
-    # Built instances (Preconditioner, Detector, ...) pass through; they are
-    # resolved by identity and serialized via their ``to_spec`` method.
+    else:
+        # Built instances (Preconditioner, Detector, ...) pass through; they
+        # are resolved by identity and serialized via their ``to_spec``.
+        return value
+    from repro.registry import RegistryError, registry
+
+    try:
+        registry.check(field_path, value)
+    except RegistryError as exc:
+        raise SpecError(field_path, str(exc)) from None
     return value
 
 
@@ -428,18 +439,11 @@ class ExecutionSpec(_SpecBase):
     backend, ``workers``/``max_retries``/``heartbeat_interval`` only to the
     sharded one — with errors that say which knob to drop or which backend
     to pick (see :func:`repro.exec.executor.resolve_backend`).
-
-    ``kernels`` selects the sparse kernel tier (``"numpy"``/``"scipy"``/
-    ``"auto"``; see :mod:`repro.sparse.kernels`).  Like every other
-    execution knob it is excluded from the campaign fingerprint — runs
-    checkpoint/resume across backends and tiers — and it sits at the bottom
-    of the selection precedence ``spec < REPRO_KERNELS < explicit flag``.
     """
 
     backend: str | None = None
     workers: int | None = None
     batch_size: int | None = None
-    kernels: str | None = None
     #: Per-trial time budget in seconds.  Enforcement depends on the backend:
     #: the ``sharded`` supervisor *hard*-enforces the budget — a worker whose
     #: current trial exceeds it is SIGKILL-ed and the trial recorded as
@@ -456,12 +460,10 @@ class ExecutionSpec(_SpecBase):
 
     def __post_init__(self) -> None:
         from repro.exec.executor import BACKENDS, BackendKnobError, resolve_backend
-        from repro.sparse.kernels import KERNEL_CHOICES
 
         _check_choice("backend", self.backend, BACKENDS, allow_none=True)
         _check_int("workers", self.workers, minimum=0, allow_none=True)
         _check_int("batch_size", self.batch_size, minimum=1, allow_none=True)
-        _check_choice("kernels", self.kernels, KERNEL_CHOICES, allow_none=True)
         _check_float("trial_timeout", self.trial_timeout, minimum=0.0, allow_none=True)
         if self.trial_timeout is not None and self.trial_timeout <= 0.0:
             raise SpecError("trial_timeout", f"must be > 0, got {self.trial_timeout}")

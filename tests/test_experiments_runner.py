@@ -165,6 +165,26 @@ class TestSpecDrivenCLI:
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--set", "exec.kernels=scipy"], "exec.kernels"),
+        (["--kernels", "numpy"], "--kernels"),
+        (["--set", "solver.inner.preconditioner=ilu0:zz"],
+         "solver.inner.preconditioner"),
+    ])
+    def test_removed_kernel_tier_and_unbindable_components_exit_2(
+            self, capsys, argv, named):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--scale", "tiny"] + argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_config_file_naming_the_kernel_tier_exits_2(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, {"exec": {"kernels": "numpy"}})
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--scale", "tiny", "--config", path])
+        assert excinfo.value.code == 2
+        assert "exec.kernels" in capsys.readouterr().err
+
     def test_unknown_detector_is_a_clean_cli_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["fig3", "--scale", "tiny", "--stride", "20",

@@ -9,6 +9,7 @@ from repro.faults.campaign import FaultCampaign, sweep_injection_locations
 from repro.faults.models import ScalingFault
 from repro.gallery.problems import poisson_problem
 from repro.results.events import CollectingSink
+from repro.specs import SolveSpec, SpecError
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,22 @@ class TestCampaignConfig:
     def test_invalid_detector(self, tiny_problem):
         with pytest.raises(ValueError):
             FaultCampaign(tiny_problem, detector="magic")
+
+    def test_solver_dict_is_read_as_a_solve_spec(self, tiny_problem):
+        spec = {"method": "ft_gmres", "max_outer": 7,
+                "inner": {"method": "gmres", "tol": 0.0, "maxiter": 4}}
+        campaign = FaultCampaign(tiny_problem, solver=spec)
+        assert campaign.solver == FaultCampaign(
+            tiny_problem, solver=SolveSpec.from_dict(spec)).solver
+        assert (campaign.max_outer, campaign.inner_iterations) == (7, 4)
+        with pytest.raises(SpecError) as excinfo:
+            FaultCampaign(tiny_problem, solver={
+                "method": "ft_gmres", "inner": {"method": "gmres", "maxiter": 0}})
+        assert excinfo.value.field == "solver.inner.maxiter"
+
+    def test_solver_of_another_type_raises_type_error(self, tiny_problem):
+        with pytest.raises(TypeError, match="solver"):
+            FaultCampaign(tiny_problem, solver="ft_gmres")
 
     def test_invalid_stride(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=4, max_outer=20)

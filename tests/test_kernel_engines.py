@@ -1,21 +1,40 @@
-"""Cross-tier equivalence suite for the pluggable sparse kernel engines.
+"""The one sparse-kernel path: NumPy CSR products, SuperLU triangular solves.
 
-The contract under test (see :mod:`repro.sparse.kernels`):
+The contract under test:
 
-* the ``numpy`` tier is the bit-exact reference and the default;
-* ``rmatvec``/``rmatmat`` are bit-identical across tiers (scatter-add in
-  index order, same as ``np.add.at``);
-* ``matvec``/``matmat``/``trisolve`` on compiled tiers agree with the
-  reference to ``<= 1e-14`` relative;
-* campaign runs are trial-identical across tiers: statuses and iteration
-  counts match exactly, residual norms to 1e-6 relative (restarted
-  iteration amplifies the per-kernel rounding differences).
+* the NumPy products agree with :mod:`scipy.sparse`'s compiled products, an
+  independent reference: ``matvec``/``matmat`` to ``<= 1e-14`` of each
+  row's reduction magnitude, ``rmatvec``/``rmatmat`` bit for bit (both
+  scatter-add in index order);
+* :meth:`TriangularFactor.solve` runs SuperLU's ``gstrs`` on operands
+  prepared once per factor, and agrees with the row-sequential
+  substitution (``_substitute``, the reference) to ``<= 1e-14`` of the
+  solve's componentwise error scale, for vectors and ``(n, B)`` blocks;
+* factors ``gstrs`` cannot take — a zero or non-finite diagonal entry,
+  ``n == 0``, a scipy without the private ``_superlu`` module — solve by
+  that substitution, bit for bit, Inf/NaN included;
+* scipy is imported when the first factor is built, never by
+  ``import repro`` or by a solve that builds no factor;
+* matrices and factors survive pickling bit for bit, solve path included;
+* the products' boundary normalization never copies in a solver hot loop;
+* the kernel tiers that once chose between these paths are unknown names
+  at every boundary;
+* :class:`KernelProfile` timing leaves results bit-identical.
+
+Test ids keep the ``numpy``/``scipy`` names of those tiers: a parameter
+names a solve path (:func:`solve_path`), a matrix's origin
+(:func:`from_source`) or the reference implementation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,58 +42,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import repro.sparse.kernels as kernels_mod
+import repro.sparse.csr as csr_mod
 from repro.gallery.poisson import poisson2d
-from repro.gallery.problems import poisson_problem
-from repro.registry import RegistryError, names, resolve_kernels
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.kernels import (
-    KERNEL_CHOICES,
-    KERNEL_TIERS,
-    KernelEngine,
-    NumpyEngine,
-    as_kernel_vector,
-    available_kernels,
-    default_kernels,
-    effective_kernels,
-    get_engine,
-    have_scipy,
-    resolve_engine,
-)
+from repro.registry import RegistryError, names, resolve
+from repro.sparse.csr import CSRMatrix, as_kernel_vector
 from repro.sparse.trisolve import TriangularFactor
-from repro.specs import CampaignSpec, ExecutionSpec, SpecError
+from repro.specs import CampaignSpec, ExecutionSpec, SpecError, apply_overrides
 
-needs_scipy = pytest.mark.skipif(not have_scipy(), reason="scipy not installed")
-
-#: The compiled tiers present in this environment (empty → tests skip).
-COMPILED_TIERS = [t for t in ("scipy",) if t in available_kernels()]
-
-#: Bit-identical kernels across every tier.
-EXACT_KERNELS = ("rmatvec", "rmatmat")
-#: Kernels allowed the stated relative tolerance on compiled tiers.
-TOL_KERNELS = ("matvec", "matmat")
 CONTRACT_RTOL = 1e-14
 
+#: The private scipy module whose ``gstrs`` the factors call.
+SUPERLU_MODULE = "scipy.sparse.linalg._dsolve._superlu"
 
-def assert_contract(kind: str, ref: np.ndarray, got: np.ndarray,
-                    bound: np.ndarray | None = None) -> None:
-    """Assert one kernel's half of the equivalence contract.
+
+def assert_contract(ref: np.ndarray, got: np.ndarray, bound: np.ndarray) -> None:
+    """Assert ``|got - ref| <= 1e-14 * bound`` componentwise.
 
     ``bound`` is the componentwise scale of the kernel's rounding error: for
     a product, the magnitude sum ``|A| @ |x|`` of each row's reduction (see
     :func:`trisolve_bound` for a triangular solve).  Rows that cancel
-    catastrophically have ``ref`` near zero while the reduction error scales
-    with ``bound``, so the relative contract is stated against the reduction
-    magnitude, not the (possibly vanishing) result.
+    catastrophically have ``ref`` near zero while the rounding error scales
+    with ``bound``, so the relative contract is stated against that scale,
+    not the (possibly vanishing) result.
     """
-    if kind in EXACT_KERNELS:
-        np.testing.assert_array_equal(got, ref)
-    elif bound is not None:
-        err = np.abs(got - ref)
-        assert np.all(err <= CONTRACT_RTOL * bound), \
-            f"{kind}: max err {err.max():.3e} exceeds contract"
-    else:
-        np.testing.assert_allclose(got, ref, rtol=CONTRACT_RTOL, atol=0.0)
+    err = np.abs(got - ref)
+    assert np.all(err <= CONTRACT_RTOL * bound), \
+        f"max err {err.max():.3e} exceeds contract"
 
 
 def trisolve_bound(F: TriangularFactor, x: np.ndarray) -> np.ndarray:
@@ -97,8 +90,21 @@ def trisolve_bound(F: TriangularFactor, x: np.ndarray) -> np.ndarray:
     return bound
 
 
+def solve_path(F: TriangularFactor) -> str:
+    """The path a factor solves by: ``"scipy"`` (SuperLU ``gstrs``) or
+    ``"numpy"`` (the row-sequential substitution)."""
+    return "numpy" if F._gstrs is None else "scipy"
+
+
+def from_source(A: CSRMatrix, source: str) -> CSRMatrix:
+    """``A`` as the NumPy gallery built it (``"numpy"``), or imported from a
+    ``scipy.sparse`` matrix, whose int32 index arrays the constructor
+    normalizes (``"scipy"``)."""
+    return A if source == "numpy" else CSRMatrix.from_scipy(A.to_scipy())
+
+
 # ----------------------------------------------------------------------------
-# strategies: CSR matrices with empty rows, duplicates-free sorted layout
+# strategies
 # ----------------------------------------------------------------------------
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -127,7 +133,7 @@ def triangular_factors(draw, max_dim=12):
     dense = np.where(mask, dense, 0.0)
     dense = np.tril(dense, k=-1) if lower else np.triu(dense, k=1)
     # Diagonal dominance keeps the substitution well-conditioned, so the
-    # cross-tier comparison measures kernel rounding, not error growth.
+    # comparison measures kernel rounding, not error growth.
     diag = 1.0 + np.abs(dense).sum(axis=1)
     A = CSRMatrix.from_dense(dense + np.diag(diag))
     return TriangularFactor.from_csr(A, part="lower" if lower else "upper",
@@ -144,292 +150,270 @@ def small_csr(rng) -> CSRMatrix:
 
 
 # ----------------------------------------------------------------------------
-# tier discovery, selection and registry surface
+# the removed kernel tiers are unknown names at every boundary
 # ----------------------------------------------------------------------------
 
-class TestTierSelection:
-    def test_numpy_is_default(self, monkeypatch):
-        monkeypatch.delenv(kernels_mod.KERNELS_ENV_VAR, raising=False)
-        assert default_kernels() == "numpy"
-        assert effective_kernels() == "numpy"
-        assert CSRMatrix.identity(3).engine_name == "numpy"
-
-    def test_available_starts_with_reference(self):
-        tiers = available_kernels()
-        assert tiers[0] == "numpy"
-        assert set(tiers) <= set(KERNEL_TIERS)
-
-    @needs_scipy
-    def test_scipy_available_here(self):
-        assert "scipy" in available_kernels()
-
-    def test_get_engine_rejects_auto_and_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            get_engine("auto")
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            get_engine("fortran")
-
-    def test_get_engine_singletons(self):
-        assert get_engine("numpy") is get_engine("numpy")
-        assert isinstance(get_engine("numpy"), NumpyEngine)
-
-    @needs_scipy
-    def test_auto_resolves_to_best_available(self):
-        assert resolve_engine("auto").name == "scipy"
-        assert effective_kernels("auto") == "scipy"
-
-    def test_resolve_engine_passthrough_and_errors(self):
-        eng = get_engine("numpy")
-        assert resolve_engine(eng) is eng
-        with pytest.raises(TypeError, match="tier name"):
-            resolve_engine(3.14)
-
-    def test_effective_kernels_precedence(self, monkeypatch):
-        # spec < REPRO_KERNELS < explicit flag, "numpy" when all unset.
-        monkeypatch.delenv(kernels_mod.KERNELS_ENV_VAR, raising=False)
-        assert effective_kernels(None) == "numpy"
-        assert effective_kernels("numpy") == "numpy"
-        monkeypatch.setenv(kernels_mod.KERNELS_ENV_VAR, "numpy")
-        assert effective_kernels("auto") == "numpy"
-        if have_scipy():
-            monkeypatch.setenv(kernels_mod.KERNELS_ENV_VAR, "scipy")
-            assert effective_kernels("numpy") == "scipy"
-            assert effective_kernels("scipy", flag="numpy") == "numpy"
-        monkeypatch.delenv(kernels_mod.KERNELS_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            effective_kernels("cuda")
-
-
 class TestRegistryNamespace:
-    def test_tiers_registered(self):
-        assert set(names("kernels")) == set(KERNEL_CHOICES) == {"numpy", "scipy", "auto"}
-
-    def test_resolve_kernels_returns_engine(self):
-        eng = resolve_kernels("numpy")
-        assert isinstance(eng, KernelEngine)
-        assert eng.name == "numpy"
-
-    @needs_scipy
-    def test_resolve_kernels_scipy(self):
-        assert resolve_kernels("scipy").name == "scipy"
-
-    def test_resolve_kernels_passthrough_and_default(self, monkeypatch):
-        eng = get_engine("numpy")
-        assert resolve_kernels(eng) is eng
-        monkeypatch.delenv(kernels_mod.KERNELS_ENV_VAR, raising=False)
-        assert resolve_kernels(None).name == "numpy"
-
     def test_missing_tier_raises_registry_error(self):
-        """The deleted numba tier is an unknown name at every boundary."""
-        with pytest.raises(RegistryError, match="numba"):
-            resolve_kernels("numba")
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            effective_kernels(flag="numba")
-        with pytest.raises(SpecError, match="kernels"):
-            ExecutionSpec(kernels="numba")
+        """The ``kernels`` namespace is gone: listing it or resolving a tier
+        in it raises, naming the namespaces that are left."""
+        with pytest.raises(RegistryError, match="namespace 'kernels'"):
+            names("kernels")
+        with pytest.raises(RegistryError, match="namespace 'kernels'"):
+            resolve("kernels", "numba")
 
 
 class TestSpecIntegration:
     def test_exec_spec_accepts_and_validates(self):
-        assert ExecutionSpec().kernels is None
-        assert ExecutionSpec(kernels="scipy").kernels == "scipy"
-        with pytest.raises(ValueError, match="kernels"):
-            ExecutionSpec(kernels="cython")
+        """ExecutionSpec has six fields; ``kernels`` is rejected from a
+        keyword, a dict, a coerced section or an override, naming
+        ``exec.kernels``."""
+        assert [f.name for f in dataclasses.fields(ExecutionSpec)] == [
+            "backend", "workers", "batch_size", "trial_timeout", "max_retries",
+            "heartbeat_interval"]
+        with pytest.raises(TypeError, match="kernels"):
+            ExecutionSpec(kernels="scipy")
+        builds = [
+            lambda: CampaignSpec.from_dict({"exec": {"kernels": "scipy"}}),
+            lambda: CampaignSpec.coerce(CampaignSpec(), exec={"kernels": "numpy"}),
+            lambda: apply_overrides(CampaignSpec(), {"exec.kernels": "auto"}),
+        ]
+        for build in builds:
+            with pytest.raises(SpecError) as excinfo:
+                build()
+            assert excinfo.value.field == "exec.kernels"
 
     def test_exec_spec_json_round_trip(self):
-        spec = CampaignSpec(exec=ExecutionSpec(kernels="scipy"))
+        """The exec section round-trips through JSON with no ``kernels`` key;
+        a stored spec that still names one is rejected."""
+        spec = CampaignSpec(exec=ExecutionSpec(backend="sharded", workers=2))
         blob = spec.to_json()
-        assert json.loads(blob)["exec"]["kernels"] == "scipy"
-        assert CampaignSpec.from_json(blob).exec.kernels == "scipy"
-
-    def test_kernels_excluded_from_fingerprint(self):
-        from repro.results.store import campaign_fingerprint
-
-        a = CampaignSpec(exec=ExecutionSpec(kernels="scipy"))
-        b = CampaignSpec(exec=ExecutionSpec(kernels=None))
-        assert campaign_fingerprint(a, "poisson") == campaign_fingerprint(b, "poisson")
+        assert "kernels" not in json.loads(blob)["exec"]
+        assert CampaignSpec.from_json(blob) == spec
+        stale = json.loads(blob)
+        stale["exec"]["kernels"] = "scipy"
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_json(json.dumps(stale))
+        assert excinfo.value.field == "exec.kernels"
 
 
 # ----------------------------------------------------------------------------
-# engine attachment: construction, with_engine, pickling, zero-copy views
+# what a matrix or factor carries into a worker process
 # ----------------------------------------------------------------------------
 
 class TestEngineAttachment:
-    def test_with_engine_same_is_identity(self, small_csr):
-        # (small_csr carries the ambient default tier, whatever it is.)
-        assert small_csr.with_engine(small_csr.engine_name) is small_csr
+    """A pickled matrix keeps its arrays and a pickled factor keeps its solve
+    path and prepared operands, so a copy's results equal the original's."""
 
-    @needs_scipy
-    def test_with_engine_shares_arrays(self, small_csr):
-        base = small_csr.with_engine("numpy")
-        other = base.with_engine("scipy")
-        assert other is not base
-        assert other.engine_name == "scipy"
-        assert base.engine_name == "numpy"
-        for attr in ("indptr", "indices", "data"):
-            assert np.shares_memory(getattr(other, attr), getattr(base, attr))
-
-    @needs_scipy
-    def test_scipy_view_is_zero_copy(self, small_csr):
-        A = small_csr.with_engine("scipy")
-        A.matvec(np.ones(A.shape[1]))  # builds and caches the view
-        view, _ = A._kernel_cache["scipy"]
-        assert np.shares_memory(view.data, A.data)
-        assert np.shares_memory(view.indices, A.indices)
-        assert np.shares_memory(view.indptr, A.indptr)
-
-    @pytest.mark.parametrize("tier", ["numpy"] + COMPILED_TIERS)
-    def test_csr_pickle_round_trip(self, small_csr, tier):
-        A = small_csr.with_engine(tier)
+    @pytest.mark.parametrize("source", ["numpy", "scipy"])
+    def test_csr_pickle_round_trip(self, small_csr, source):
+        A = from_source(small_csr, source)
         x = np.linspace(-1.0, 1.0, A.shape[1])
         expect = A.matvec(x)
         B = pickle.loads(pickle.dumps(A))
-        assert B.engine_name == tier
         np.testing.assert_array_equal(B.matvec(x), expect)
 
-    @pytest.mark.parametrize("tier", ["numpy"] + COMPILED_TIERS)
-    def test_factor_pickle_round_trip(self, tier):
-        F = TriangularFactor.from_csr(poisson2d(5), part="lower",
-                                      engine=tier)
+    @pytest.mark.parametrize("path", ["numpy", "scipy"])
+    def test_factor_pickle_round_trip(self, path, monkeypatch):
+        if path == "numpy":
+            monkeypatch.setitem(sys.modules, SUPERLU_MODULE, None)
+        F = TriangularFactor.from_csr(poisson2d(5), part="lower")
+        assert solve_path(F) == path
         b = np.linspace(1.0, 2.0, F.n)
         expect = F.solve(b)
         G = pickle.loads(pickle.dumps(F))
-        assert G.engine_name == tier
+        assert solve_path(G) == path
         np.testing.assert_array_equal(G.solve(b), expect)
 
-    def test_factor_inherits_matrix_engine(self):
-        for tier in ["numpy"] + COMPILED_TIERS:
-            A = poisson2d(4).with_engine(tier)
-            F = TriangularFactor.from_csr(A, part="lower")
-            assert F.engine_name == tier
-
-    @needs_scipy
-    def test_ilu_factors_inherit_engine(self):
-        from repro.precond.ilu import ILU0Preconditioner
-
-        M = ILU0Preconditioner(poisson2d(5).with_engine("scipy"))
-        L, U = M.factors
-        assert L.engine_name == "scipy"
-        assert U.engine_name == "scipy"
-
 
 # ----------------------------------------------------------------------------
-# cross-tier kernel equivalence (hypothesis + directed edge cases)
+# the NumPy products against scipy.sparse's compiled products
 # ----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("tier", COMPILED_TIERS)
+@pytest.mark.parametrize("reference", ["scipy"])
 class TestCrossTierProducts:
     @given(A=csr_matrices())
     @settings(max_examples=40, deadline=None)
-    def test_matvec_and_rmatvec(self, tier, A):
-        eng = get_engine(tier)
+    def test_matvec_and_rmatvec(self, reference, A):
+        S = A.to_scipy()
         x = np.linspace(-1.0, 1.0, A.shape[1])
         xt = np.linspace(-1.0, 1.0, A.shape[0])
         bound = np.abs(A.todense()) @ np.abs(x)
-        assert_contract("matvec", A.matvec(x), eng.matvec(A, x), bound)
-        assert_contract("rmatvec", A.rmatvec(xt), eng.rmatvec(A, xt))
+        assert_contract(S @ x, A.matvec(x), bound)
+        np.testing.assert_array_equal(A.rmatvec(xt), S.T @ xt)
 
     @given(A=csr_matrices(), B=st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)
-    def test_matmat_and_rmatmat(self, tier, A, B):
-        eng = get_engine(tier)
+    def test_matmat_and_rmatmat(self, reference, A, B):
+        S = A.to_scipy()
         X = np.linspace(-1.0, 1.0, A.shape[1] * B).reshape(A.shape[1], B)
         Xt = np.linspace(-1.0, 1.0, A.shape[0] * B).reshape(A.shape[0], B)
         bound = np.abs(A.todense()) @ np.abs(X)
-        assert_contract("matmat", A.matmat(X), eng.matmat(A, X), bound)
-        assert_contract("rmatmat", A.rmatmat(Xt), eng.rmatmat(A, Xt))
+        assert_contract(S @ X, A.matmat(X), bound)
+        np.testing.assert_array_equal(A.rmatmat(Xt), S.T @ Xt)
 
-    def test_empty_matrix(self, tier):
+    def test_empty_matrix(self, reference):
         A = CSRMatrix((4, 3), [0, 0, 0, 0, 0], [], [])
-        eng = get_engine(tier)
-        np.testing.assert_array_equal(eng.matvec(A, np.ones(3)), np.zeros(4))
-        np.testing.assert_array_equal(eng.rmatvec(A, np.ones(4)), np.zeros(3))
-        np.testing.assert_array_equal(eng.matmat(A, np.ones((3, 2))),
-                                      np.zeros((4, 2)))
+        S = A.to_scipy()
+        np.testing.assert_array_equal(A.matvec(np.ones(3)), S @ np.ones(3))
+        np.testing.assert_array_equal(A.rmatvec(np.ones(4)), S.T @ np.ones(4))
+        np.testing.assert_array_equal(A.matmat(np.ones((3, 2))),
+                                      S @ np.ones((3, 2)))
 
-    def test_fortran_ordered_block(self, tier, small_csr):
-        """The batched engine hands kernels Fortran-ordered blocks."""
-        eng = get_engine(tier)
+    def test_fortran_ordered_block(self, reference, small_csr):
+        """The batched engine hands the products Fortran-ordered blocks."""
         X = np.asfortranarray(
             np.linspace(-1.0, 1.0, small_csr.shape[1] * 4).reshape(-1, 4))
         assert not X.flags.c_contiguous
         bound = np.abs(small_csr.todense()) @ np.abs(X)
-        assert_contract("matmat", small_csr.matmat(X),
-                        eng.matmat(small_csr, X), bound)
+        assert_contract(small_csr.to_scipy() @ X, small_csr.matmat(X), bound)
 
-    def test_single_column_matmat_matches_matvec(self, tier, small_csr):
-        """A B=1 block must agree with matvec up to the stated tolerance."""
-        eng = get_engine(tier)
+    def test_single_column_matmat_matches_matvec(self, reference, small_csr):
+        """A B=1 block agrees with the reference matvec to the tolerance."""
         x = np.linspace(-2.0, 2.0, small_csr.shape[1])
-        ref = small_csr.matvec(x)
-        got = eng.matmat(small_csr, x[:, None])[:, 0]
-        np.testing.assert_allclose(got, ref, rtol=CONTRACT_RTOL, atol=0.0)
+        got = small_csr.matmat(x[:, None])[:, 0]
+        np.testing.assert_allclose(got, small_csr.to_scipy() @ x,
+                                   rtol=CONTRACT_RTOL, atol=0.0)
 
 
-@pytest.mark.parametrize("tier", COMPILED_TIERS)
+# ----------------------------------------------------------------------------
+# SuperLU gstrs (the ``scipy`` path) against the sequential reference
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", ["scipy"])
 class TestCrossTierTrisolve:
     @given(F=triangular_factors())
     @settings(max_examples=40, deadline=None)
-    def test_vector_solve(self, tier, F):
-        eng = get_engine(tier)
+    def test_vector_solve(self, path, F):
+        assert solve_path(F) == path
         b = np.linspace(-1.0, 1.0, F.n)
-        ref = F.solve(b, mode="level")
-        got = eng.trisolve(F, b)
-        assert_contract("trisolve", ref, got, bound=trisolve_bound(F, ref))
+        ref = F._substitute(b)
+        assert_contract(ref, F.solve(b), trisolve_bound(F, ref))
 
     @given(F=triangular_factors(), B=st.integers(min_value=1, max_value=4))
     @settings(max_examples=25, deadline=None)
-    def test_block_solve(self, tier, F, B):
-        eng = get_engine(tier)
+    def test_block_solve(self, path, F, B):
+        assert solve_path(F) == path
         b = np.linspace(-1.0, 1.0, F.n * B).reshape(F.n, B)
-        ref = F.solve(b, mode="level")
-        got = eng.trisolve(F, b)
-        assert_contract("trisolve", ref, got, bound=trisolve_bound(F, ref))
+        ref = F._substitute(b)
+        got = F.solve(b)
+        assert got.shape == b.shape
+        assert_contract(ref, got, trisolve_bound(F, ref))
 
-    def test_sequential_fallback_levels(self, tier):
-        """A dense chain factor (one row per level) hits the sequential
-        reference path on the numpy tier; compiled tiers must still agree."""
+    def test_sequential_fallback_levels(self, path):
+        """A dense chain factor — every row depends on the one before, one
+        row per dependency level, the case a level schedule can only run
+        sequentially — through gstrs."""
         n = 12
         dense = np.tril(np.ones((n, n))) + np.diag(np.arange(2.0, n + 2.0))
-        F = TriangularFactor.from_csr(CSRMatrix.from_dense(dense),
-                                      part="lower")
-        assert F.mode == "sequential"
+        F = TriangularFactor.from_csr(CSRMatrix.from_dense(dense), part="lower")
+        assert solve_path(F) == path
         b = np.linspace(1.0, 3.0, n)
-        ref = F.solve(b, mode="sequential")
-        np.testing.assert_allclose(get_engine(tier).trisolve(F, b),
-                                   ref, rtol=CONTRACT_RTOL, atol=1e-15)
-
-    def test_unit_diagonal(self, tier):
-        A = poisson2d(5)
-        F = TriangularFactor.from_csr(A, part="lower", unit_diagonal=True)
-        b = np.linspace(-1.0, 1.0, F.n)
-        np.testing.assert_allclose(get_engine(tier).trisolve(F, b),
-                                   F.solve(b, mode="level"),
+        np.testing.assert_allclose(F.solve(b), F._substitute(b),
                                    rtol=CONTRACT_RTOL, atol=1e-15)
 
+    def test_unit_diagonal(self, path):
+        F = TriangularFactor.from_csr(poisson2d(5), part="lower", unit_diagonal=True)
+        assert solve_path(F) == path
+        b = np.linspace(-1.0, 1.0, F.n)
+        np.testing.assert_allclose(F.solve(b), F._substitute(b),
+                                   rtol=CONTRACT_RTOL, atol=1e-15)
 
-@needs_scipy
+    def test_operands_prepared_once(self, path, monkeypatch):
+        """Solves reuse the operands built with the factor: no scipy
+        preparation runs per solve, and the input is never written."""
+        F = TriangularFactor.from_csr(poisson2d(5), part="upper")
+        assert solve_path(F) == path
+        prepared = F._gstrs
+
+        def rebuild(self):
+            raise AssertionError("gstrs operands rebuilt during a solve")
+
+        monkeypatch.setattr(TriangularFactor, "_prepare_gstrs", rebuild)
+        b = np.linspace(1.0, 2.0, F.n)
+        keep = b.copy()
+        F.solve(b)
+        F.solve(np.column_stack([b, 2.0 * b]))
+        assert F._gstrs is prepared
+        np.testing.assert_array_equal(b, keep)
+
+
 class TestScipyTrisolveFallback:
+    """Factors ``gstrs`` cannot take solve by the sequential substitution."""
+
     def test_zero_diagonal_keeps_reference_semantics(self):
-        """A poisoned diagonal must fall back to the numpy path so Inf/NaN
-        propagation matches the reference bit for bit."""
+        """A poisoned diagonal falls back to the substitution, so Inf/NaN
+        propagation is the reference's, bit for bit."""
         dense = np.array([[2.0, 0.0], [1.0, 0.0]])
-        F = TriangularFactor.from_csr(CSRMatrix.from_dense(dense),
-                                      part="lower", engine="scipy")
+        F = TriangularFactor.from_csr(CSRMatrix.from_dense(dense), part="lower")
+        assert solve_path(F) == "numpy"
         b = np.array([4.0, 1.0])
         with np.errstate(divide="ignore"):
-            ref = F.solve(b, mode="level")
+            ref = F._substitute(b)
             got = F.solve(b)
         assert not np.all(np.isfinite(ref))
         np.testing.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_nonfinite_diagonal(self, poison):
+        A = poisson2d(3)
+        diag = A.diagonal()
+        diag[4] = poison
+        F = TriangularFactor.from_csr(A, part="upper", diag=diag)
+        assert solve_path(F) == "numpy"
+        B = np.linspace(1.0, 2.0, 2 * F.n).reshape(F.n, 2)
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(F.solve(B), F._substitute(B))
+
     def test_empty_factor(self):
-        F = TriangularFactor(0, [0], [], [], np.empty(0), engine="scipy")
+        F = TriangularFactor(0, [0], [], [], np.empty(0))
+        assert solve_path(F) == "numpy"
         assert F.solve(np.empty(0)).shape == (0,)
+
+    def test_missing_superlu_module(self, monkeypatch):
+        """Without the private ``_superlu`` module every factor substitutes."""
+        monkeypatch.setitem(sys.modules, SUPERLU_MODULE, None)
+        F = TriangularFactor.from_csr(poisson2d(4), part="lower")
+        assert solve_path(F) == "numpy"
+        b = np.linspace(-1.0, 1.0, F.n)
+        np.testing.assert_array_equal(F.solve(b), F._substitute(b))
 
 
 # ----------------------------------------------------------------------------
-# boundary normalization: the no-copy regression (satellite 6)
+# the import boundary: scipy loads with the first factor, not with the package
+# ----------------------------------------------------------------------------
+
+class TestImportBoundary:
+    def test_scipy_loads_only_when_a_factor_is_built(self):
+        """``import repro`` and an unpreconditioned campaign leave scipy
+        unloaded (a forked service job worker would otherwise pay the
+        import); an ILU(0)-preconditioned solve imports it."""
+        script = textwrap.dedent("""
+            import sys
+            import repro
+            from repro import api
+
+            assert "scipy" not in sys.modules, "import repro"
+            api.run_campaign(spec={"problem": "poisson:10", "inner_iterations": 5,
+                                   "max_outer": 20, "stride": 20,
+                                   "exec": {"backend": "serial"}})
+            assert "scipy" not in sys.modules, "unpreconditioned campaign"
+            problem = repro.poisson_problem(grid_n=10)
+            result = api.solve(problem.A, problem.b,
+                               {"method": "gmres", "preconditioner": "ilu0"})
+            assert result.converged
+            assert "scipy.sparse.linalg" in sys.modules, "ILU(0) solve"
+        """)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+# ----------------------------------------------------------------------------
+# boundary normalization: the no-copy regression
 # ----------------------------------------------------------------------------
 
 class TestBoundaryNormalization:
@@ -455,36 +439,38 @@ class TestBoundaryNormalization:
         with pytest.raises(ValueError, match="dimension mismatch"):
             small_csr.matvec(np.ones(small_csr.shape[1] + 1))
 
-    @pytest.mark.parametrize("tier", ["numpy"] + COMPILED_TIERS)
-    def test_gmres_hot_loop_never_copies(self, tier, monkeypatch):
+    @pytest.mark.parametrize("source", ["numpy", "scipy"])
+    def test_gmres_hot_loop_never_copies(self, source, monkeypatch):
         """The solver hot loop must stay on the no-copy fast path: zero
-        trips through the slow-path converter during a whole solve."""
+        trips through the slow-path converter during a whole solve, whether
+        the matrix was built here or imported from scipy.sparse."""
         from repro.core.gmres import gmres
 
         calls = []
-        real = kernels_mod._convert_vector
+        real = csr_mod._convert_vector
 
         def counting(x):
             calls.append(type(x).__name__)
             return real(x)
 
-        monkeypatch.setattr(kernels_mod, "_convert_vector", counting)
-        A = poisson2d(8).with_engine(tier)
+        monkeypatch.setattr(csr_mod, "_convert_vector", counting)
+        A = from_source(poisson2d(8), source)
+        assert A.indices.dtype == np.int64
         b = np.ones(A.shape[0])
         result = gmres(A, b, tol=1e-10, maxiter=120, restart=30)
         assert result.converged
         assert calls == []
 
-    @pytest.mark.parametrize("tier", ["numpy"] + COMPILED_TIERS)
-    def test_preconditioned_hot_loop_never_copies(self, tier, monkeypatch):
+    @pytest.mark.parametrize("source", ["numpy", "scipy"])
+    def test_preconditioned_hot_loop_never_copies(self, source, monkeypatch):
         from repro.core.gmres import gmres
         from repro.precond.ilu import ILU0Preconditioner
 
         calls = []
-        real = kernels_mod._convert_vector
-        monkeypatch.setattr(kernels_mod, "_convert_vector",
+        real = csr_mod._convert_vector
+        monkeypatch.setattr(csr_mod, "_convert_vector",
                             lambda x: calls.append(1) or real(x))
-        A = poisson2d(8).with_engine(tier)
+        A = from_source(poisson2d(8), source)
         M = ILU0Preconditioner(A)
         b = np.ones(A.shape[0])
         result = gmres(A, b, preconditioner=M, tol=1e-10, maxiter=60)
@@ -493,61 +479,7 @@ class TestBoundaryNormalization:
 
 
 # ----------------------------------------------------------------------------
-# end-to-end: solves and campaigns are trial-identical per the contract
-# ----------------------------------------------------------------------------
-
-class TestEndToEnd:
-    @pytest.mark.parametrize("tier", COMPILED_TIERS)
-    def test_gmres_matches_reference_tier(self, tier):
-        from repro.core.gmres import gmres
-
-        b = np.ones(poisson2d(8).shape[0])
-        ref = gmres(poisson2d(8), b, tol=1e-10, maxiter=120, restart=30)
-        got = gmres(poisson2d(8).with_engine(tier), b, tol=1e-10,
-                    maxiter=120, restart=30)
-        assert got.status == ref.status
-        assert got.iterations == ref.iterations
-        np.testing.assert_allclose(got.x, ref.x, rtol=1e-8)
-
-    @needs_scipy
-    def test_campaign_trial_identity_across_tiers(self, poisson_problem_tiny):
-        """Statuses and iteration counts match exactly across tiers;
-        residual norms to 1e-6 relative (the restarted iteration amplifies
-        the 1e-16 per-kernel differences; measured worst case ~7e-8)."""
-        from repro import api
-
-        spec = CampaignSpec(inner_iterations=5, max_outer=20, stride=10)
-        spec_sp = spec.replace(exec=ExecutionSpec(kernels="scipy"))
-        r_np = api.run_campaign(poisson_problem_tiny, spec)
-        r_sp = api.run_campaign(poisson_problem_tiny, spec_sp)
-        assert len(r_np.trials) == len(r_sp.trials)
-        for a, b in zip(r_np.trials, r_sp.trials):
-            assert a.fault_class == b.fault_class
-            assert a.status == b.status
-            assert a.outer_iterations == b.outer_iterations
-            assert a.residual_norm == pytest.approx(b.residual_norm,
-                                                    rel=1e-6)
-
-    def test_numpy_tier_campaign_bit_identical_to_default(
-            self, poisson_problem_tiny, monkeypatch):
-        """Explicitly selecting "numpy" is indistinguishable from the
-        engine-less default — same trials, bit for bit."""
-        from repro import api
-
-        monkeypatch.delenv(kernels_mod.KERNELS_ENV_VAR, raising=False)
-        spec = CampaignSpec(inner_iterations=5, max_outer=10, stride=25)
-        r_default = api.run_campaign(poisson_problem_tiny, spec)
-        r_numpy = api.run_campaign(
-            poisson_problem_tiny,
-            spec.replace(exec=ExecutionSpec(kernels="numpy")))
-        for a, b in zip(r_default.trials, r_numpy.trials):
-            assert a.status == b.status
-            assert a.residual_norm == b.residual_norm
-            assert a.outer_iterations == b.outer_iterations
-
-
-# ----------------------------------------------------------------------------
-# per-phase timing counters (satellite: kernel profiling)
+# per-phase timing counters
 # ----------------------------------------------------------------------------
 
 class TestKernelProfile:

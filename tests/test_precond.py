@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.precond.jacobi import BlockJacobiPreconditioner, JacobiPreconditioner
 from repro.precond.polynomial import NeumannPolynomialPreconditioner
 from repro.precond.ssor import GaussSeidelPreconditioner, SSORPreconditioner
 from repro.sparse.csr import CSRMatrix
+from repro.specs import SolveSpec, SpecError
 
 
 class TestIdentity:
@@ -160,7 +163,9 @@ class TestILU0:
 
 
 class TestTrisolvePaths:
-    """The level-scheduled and row-sequential engine paths are interchangeable."""
+    """A stationary preconditioner's solves give the same bits whichever way
+    its factors are reached: a vector through ``apply``, a column of a block
+    through ``apply_block``, or a copy that went through pickle."""
 
     @pytest.mark.parametrize("cls,kwargs", [
         (GaussSeidelPreconditioner, {}),
@@ -170,47 +175,51 @@ class TestTrisolvePaths:
     def test_apply_bit_identical_across_paths(self, poisson_medium, nonsym_small, rng,
                                               cls, kwargs):
         for A in (poisson_medium, nonsym_small):
-            fast = cls(A, trisolve_mode="level", **kwargs)
-            slow = cls(A, trisolve_mode="sequential", **kwargs)
-            r = rng.standard_normal(A.shape[0])
-            np.testing.assert_array_equal(fast.apply(r), slow.apply(r))
+            m = cls(A, **kwargs)
+            R = rng.standard_normal((A.shape[0], 3))
+            Z = m.apply_block(R)
+            for j in range(R.shape[1]):
+                np.testing.assert_array_equal(Z[:, j], m.apply(R[:, j]))
 
     @pytest.mark.parametrize("cls", [GaussSeidelPreconditioner, SSORPreconditioner,
                                      ILU0Preconditioner])
     def test_gmres_history_unchanged_across_paths(self, poisson_medium, rng, cls):
-        """Preconditioned GMRES convergence histories do not depend on which
-        engine path the preconditioner solves through."""
+        """Preconditioned GMRES histories are the same with the
+        preconditioner as built and with an unpickled copy of it."""
         b = rng.standard_normal(poisson_medium.shape[0])
-        res_level = gmres(poisson_medium, b, tol=1e-8, maxiter=300,
-                          preconditioner=cls(poisson_medium, trisolve_mode="level"))
-        res_seq = gmres(poisson_medium, b, tol=1e-8, maxiter=300,
-                        preconditioner=cls(poisson_medium, trisolve_mode="sequential"))
-        assert res_level.converged and res_seq.converged
-        assert res_level.iterations == res_seq.iterations
-        np.testing.assert_array_equal(res_level.history.as_array(),
-                                      res_seq.history.as_array())
-        np.testing.assert_array_equal(res_level.x, res_seq.x)
+        m = cls(poisson_medium)
+        res_here = gmres(poisson_medium, b, tol=1e-8, maxiter=300, preconditioner=m)
+        res_copy = gmres(poisson_medium, b, tol=1e-8, maxiter=300,
+                         preconditioner=pickle.loads(pickle.dumps(m)))
+        assert res_here.converged and res_copy.converged
+        assert res_here.iterations == res_copy.iterations
+        np.testing.assert_array_equal(res_here.history.as_array(),
+                                      res_copy.history.as_array())
+        np.testing.assert_array_equal(res_here.x, res_copy.x)
 
     def test_fgmres_history_unchanged_across_paths(self, poisson_medium, rng):
+        """FGMRES histories are the same with ILU(0) inner solves through
+        ``apply`` and through one-column ``apply_block`` blocks."""
         from repro.core.fgmres import fgmres
 
         b = rng.standard_normal(poisson_medium.shape[0])
-        results = []
-        for mode in ("level", "sequential"):
-            ilu = ILU0Preconditioner(poisson_medium, trisolve_mode=mode)
-            results.append(fgmres(poisson_medium, b,
-                                  inner_solver=lambda q, j: ilu.apply(q),
-                                  tol=1e-9, max_outer=100))
-        level, seq = results
-        assert level.converged and seq.converged
-        assert level.iterations == seq.iterations
-        np.testing.assert_array_equal(level.history.as_array(),
-                                      seq.history.as_array())
-        np.testing.assert_array_equal(level.x, seq.x)
+        ilu = ILU0Preconditioner(poisson_medium)
+        vector, block = [
+            fgmres(poisson_medium, b, inner_solver=inner, tol=1e-9, max_outer=100)
+            for inner in (lambda q, j: ilu.apply(q),
+                          lambda q, j: ilu.apply_block(q[:, None])[:, 0])]
+        assert vector.converged and block.converged
+        assert vector.iterations == block.iterations
+        np.testing.assert_array_equal(vector.history.as_array(),
+                                      block.history.as_array())
+        np.testing.assert_array_equal(vector.x, block.x)
 
     def test_invalid_mode_rejected(self, poisson_small):
-        with pytest.raises(ValueError):
+        """The removed ``trisolve_mode`` is rejected wherever it is named."""
+        with pytest.raises(TypeError, match="trisolve_mode"):
             GaussSeidelPreconditioner(poisson_small, trisolve_mode="banana")
+        with pytest.raises(SpecError, match="preconditioner"):
+            SolveSpec(preconditioner={"name": "gauss_seidel", "trisolve_mode": "banana"})
 
     def test_factors_built_once_in_init(self, poisson_small):
         """Applies reuse the factors built at construction (no re-splitting)."""

@@ -458,6 +458,18 @@ class TestCampaignScheduler:
         assert final.status == "failed"
         assert "no-such-problem" in final.error
 
+    def test_stored_job_naming_a_removed_field_fails_naming_it(self, tmp_path):
+        """A job queued before ``exec.kernels`` was removed fails when it
+        runs, with the error naming the field."""
+        jobs = JobStore(tmp_path)
+        record, _ = jobs.submit(BASE)
+        record.spec = dict(record.spec, exec={"kernels": "scipy"})
+        jobs.write(record)
+        scheduler = CampaignScheduler(jobs, max_jobs=1)
+        (final,) = _drive(scheduler, jobs, [record.job_id])
+        assert final.status == "failed"
+        assert "SpecError: exec.kernels" in final.error
+
     def test_cancel_queued_job_never_launches(self, tmp_path):
         jobs = JobStore(tmp_path)
         record, _ = jobs.submit(BASE)
@@ -644,6 +656,22 @@ class TestServiceHTTP:
             with pytest.raises(ServiceError) as err:
                 client.result(final["job_id"])
             assert err.value.status == 409
+        finally:
+            _stop_daemon(proc)
+
+    def test_removed_and_unbindable_specs_answer_400(self, tmp_path):
+        proc, client = _start_daemon(tmp_path)
+        try:
+            for body, named in (
+                    (dict(BASE, exec={"kernels": "scipy"}), "exec.kernels"),
+                    (dict(BASE, solver={"method": "ft_gmres", "inner": {
+                        "method": "gmres", "preconditioner": "ilu0:level"}}),
+                     "solver.inner.preconditioner")):
+                with pytest.raises(ServiceError) as err:
+                    client.submit(body)
+                assert err.value.status == 400
+                assert named in str(err.value)
+            assert client.jobs() == []
         finally:
             _stop_daemon(proc)
 

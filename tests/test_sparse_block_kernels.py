@@ -192,9 +192,8 @@ def triangular_cases(draw, max_dim=9, max_width=4):
                    elements=st.floats(min_value=0.5, max_value=4.0)))
     width = draw(st.integers(min_value=1, max_value=max_width))
     B = draw(hnp.arrays(np.float64, (n, width), elements=finite_floats))
-    mode = draw(st.sampled_from(["level", "sequential"]))
     factor = TriangularFactor(n, strict.indptr, strict.indices, strict.data,
-                              diag, lower=lower, mode=mode)
+                              diag, lower=lower)
     return factor, np.asarray(B, order=draw(st.sampled_from(["C", "F"])))
 
 
@@ -207,13 +206,6 @@ class TestTriangularMultiRHS:
         assert X.shape == B.shape
         for j in range(B.shape[1]):
             assert np.array_equal(X[:, j], factor.solve(B[:, j]))
-
-    @given(triangular_cases())
-    @settings(max_examples=40, deadline=None)
-    def test_level_and_sequential_agree_on_blocks(self, case):
-        factor, B = case
-        assert np.array_equal(factor.solve(B, mode="level"),
-                              factor.solve(B, mode="sequential"))
 
     def test_block_solve_matches_scipy(self):
         scipy_linalg = pytest.importorskip("scipy.linalg")

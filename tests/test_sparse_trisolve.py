@@ -1,11 +1,12 @@
-"""Tests for the level-scheduled triangular solve engine.
+"""Tests for the triangular solves behind the ILU(0)/GS/SSOR preconditioners.
 
-Covers the :class:`TriangularFactor` substitution kernels (vectorized
-level-scheduled path and row-sequential fallback, asserted bit-identical),
-the CSR triangle splitter, and the refactored ILU(0) factors — checked
-against ``scipy.sparse.linalg.spsolve_triangular`` / ``splu`` on random
-sparse, Poisson, convection–diffusion, and circuit matrices, including the
-empty-row / missing-diagonal / zero-pivot edge cases.
+Covers :class:`TriangularFactor` (SuperLU ``gstrs`` solves with a
+row-sequential fallback; their agreement is asserted in
+``tests/test_kernel_engines.py``), the CSR triangle splitter, and the ILU(0)
+factors — checked against ``scipy.sparse.linalg.spsolve_triangular`` /
+``splu`` on random sparse, Poisson, convection–diffusion, and circuit
+matrices, including the empty-row / missing-diagonal / zero-pivot edge
+cases.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ from repro.gallery.convection_diffusion import convection_diffusion_2d
 from repro.gallery.poisson import poisson1d, poisson2d
 from repro.precond.ilu import ILU0Preconditioner
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.trisolve import (
-    SEQUENTIAL_LEVEL_THRESHOLD,
-    TriangularFactor,
-    split_triangle,
-)
+from repro.sparse.trisolve import TriangularFactor, split_triangle
 
 
 # ----------------------------------------------------------------------------
@@ -52,16 +49,16 @@ def triangular_systems(draw, max_dim=24):
     return dense, lower, unit, b
 
 
-def factor_from_dense(dense, lower, unit, mode="auto"):
+def factor_from_dense(dense, lower, unit):
     A = CSRMatrix.from_dense(dense)
     part = "lower" if lower else "upper"
     if unit:
-        return TriangularFactor.from_csr(A, part, unit_diagonal=True, mode=mode)
-    return TriangularFactor.from_csr(A, part, mode=mode)
+        return TriangularFactor.from_csr(A, part, unit_diagonal=True)
+    return TriangularFactor.from_csr(A, part)
 
 
 # ----------------------------------------------------------------------------
-# property-based: solves match scipy, paths match bit-for-bit
+# property-based: solves match scipy
 # ----------------------------------------------------------------------------
 
 class TestSolveProperties:
@@ -74,14 +71,6 @@ class TestSolveProperties:
         ref = spla.spsolve_triangular(sp.csr_matrix(dense), b, lower=lower,
                                       unit_diagonal=unit)
         np.testing.assert_allclose(x, ref, rtol=1e-9, atol=1e-9)
-
-    @given(triangular_systems())
-    @settings(max_examples=80, deadline=None)
-    def test_level_and_sequential_paths_bit_identical(self, system):
-        dense, lower, unit, b = system
-        factor = factor_from_dense(dense, lower, unit)
-        np.testing.assert_array_equal(factor.solve(b, mode="level"),
-                                      factor.solve(b, mode="sequential"))
 
     @given(triangular_systems())
     @settings(max_examples=40, deadline=None)
@@ -123,37 +112,19 @@ class TestGalleryMatrices:
         tri.setdiag(diag)
         ref = spla.spsolve_triangular(tri, b, lower=(part == "lower"))
         np.testing.assert_allclose(x, ref, rtol=1e-9, atol=1e-9)
-        # The two numpy reference paths are bit-identical (the default solve
-        # may dispatch to a compiled tier under REPRO_KERNELS, which carries
-        # the relative contract instead — see tests/test_kernel_engines.py).
-        np.testing.assert_array_equal(factor.solve(b, mode="level"),
-                                      factor.solve(b, mode="sequential"))
-
-    def test_poisson_level_structure_is_wavefront(self):
-        """On a 2-D grid the levels are the anti-diagonal wavefronts."""
-        grid = 8
-        A = poisson2d(grid)
-        factor = TriangularFactor.from_csr(A, "lower", diag=A.diagonal())
-        # Row (i, j) of the grid has level i + j: 2*grid - 1 levels in total.
-        assert factor.num_levels == 2 * grid - 1
-        ij = np.arange(grid * grid)
-        np.testing.assert_array_equal(factor.levels, ij // grid + ij % grid)
-        assert factor.mode == "level"
 
     def test_tridiagonal_is_fully_sequential(self):
+        """A bidiagonal triangle: every row depends on the one before."""
         A = poisson1d(32)
         factor = TriangularFactor.from_csr(A, "lower", diag=A.diagonal())
-        assert factor.num_levels == 32
-        assert factor.mean_rows_per_level == 1.0
-        assert factor.mode == "sequential"  # auto fallback
         b = np.random.default_rng(3).standard_normal(32)
-        np.testing.assert_array_equal(factor.solve(b, mode="level"),
-                                      factor.solve(b, mode="sequential"))
+        np.testing.assert_allclose(np.tril(A.todense()) @ factor.solve(b), b,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_diagonal_matrix_is_one_level(self):
+        """No row depends on another (a single dependency level)."""
         A = CSRMatrix.identity(9).scale(4.0)
         factor = TriangularFactor.from_csr(A, "lower", diag=A.diagonal())
-        assert factor.num_levels == 1
         np.testing.assert_allclose(factor.solve(np.ones(9)), np.full(9, 0.25))
 
 
@@ -216,8 +187,6 @@ class TestEdgeCases:
         expected = b / 2.0
         expected[3] = (b[3] - 2.0 * expected[1]) / 2.0
         np.testing.assert_allclose(x, expected)
-        np.testing.assert_array_equal(factor.solve(b, mode="level"),
-                                      factor.solve(b, mode="sequential"))
 
     def test_missing_diagonal_with_replacement(self):
         """A structurally missing diagonal is handled by the explicit diag."""
@@ -275,10 +244,6 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             factor.solve(np.ones(3))
         with pytest.raises(ValueError):
-            factor.solve(np.ones(2), mode="banana")
-        with pytest.raises(ValueError):
-            TriangularFactor(2, [0, 0, 1], [0], [1.0], diag=np.ones(2), mode="banana")
-        with pytest.raises(ValueError):
             TriangularFactor(2, [0, 0, 1], [0], [1.0], diag=np.ones(3))
         with pytest.raises(ValueError):
             TriangularFactor(2, [0, 1], [0], [1.0], diag=np.ones(2))
@@ -286,7 +251,6 @@ class TestEdgeCases:
     def test_empty_matrix(self):
         factor = TriangularFactor(0, [0], [], [], diag=np.zeros(0))
         assert factor.solve(np.zeros(0)).shape == (0,)
-        assert factor.num_levels == 0
 
     def test_split_triangle_parts(self):
         rng = np.random.default_rng(11)
@@ -301,12 +265,9 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             split_triangle(A.indptr, A.indices, A.data, 7, "diag")
 
-    def test_schedule_stats_and_repr(self):
+    def test_repr_names_the_solve_path(self):
         A = poisson2d(6)
         factor = TriangularFactor.from_csr(A, "lower", diag=A.diagonal())
-        stats = factor.schedule_stats()
-        assert stats["n"] == 36
-        assert stats["num_levels"] == factor.num_levels
-        assert stats["mode"] in ("level", "sequential")
-        assert "TriangularFactor" in repr(factor)
-        assert SEQUENTIAL_LEVEL_THRESHOLD > 1.0
+        assert repr(factor) == "TriangularFactor(n=36, nnz=60, lower, gstrs)"
+        poisoned = TriangularFactor.from_csr(A, "upper", diag=np.zeros(36))
+        assert repr(poisoned).endswith("upper, sequential)")

@@ -334,6 +334,56 @@ class TestSpecValidation:
             CampaignSpec.from_json("{not json")
 
 
+class TestComponentArgumentsBind:
+    """A component spec's colon arguments and keywords bind to its
+    registered factory when the spec is built, not when it is resolved."""
+
+    @pytest.mark.parametrize("spec", [
+        "ilu0:level",
+        "gauss_seidel:sequential",
+        {"name": "ssor", "trisolve_mode": "level"},
+        {"name": "ssor:1.2", "omega": 1.5},
+        "ssor:1.2:level",
+    ], ids=["ilu0-colon", "gs-colon", "ssor-keyword", "ssor-twice", "ssor-colons"])
+    def test_unbindable_preconditioner_rejected(self, spec):
+        with pytest.raises(SpecError) as excinfo:
+            SolveSpec(preconditioner=spec)
+        assert excinfo.value.field == "preconditioner"
+
+    def test_nested_path_named(self):
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict({"solver": {
+                "method": "ft_gmres",
+                "inner": {"method": "gmres", "preconditioner": "ilu0:zz"}}})
+        assert excinfo.value.field == "solver.inner.preconditioner"
+        with pytest.raises(SpecError) as excinfo:
+            apply_overrides(CampaignSpec(),
+                            {"solver.inner.preconditioner": "ilu0:zz"})
+        assert excinfo.value.field == "solver.inner.preconditioner"
+
+    def test_detector_and_problem_arguments_bind(self):
+        with pytest.raises(SpecError, match="detector"):
+            CampaignSpec(detector="null:a")
+        with pytest.raises(SpecError, match="detector"):
+            SolveSpec(detector={"name": "bound", "methd": "two_norm"})
+        with pytest.raises(SpecError, match="problem"):
+            CampaignSpec(problem="poisson:10:3")
+
+    def test_bindable_specs_accepted(self):
+        SolveSpec(preconditioner="ssor:1.2", detector="bound:two_norm")
+        SolveSpec(preconditioner={"name": "ssor", "omega": 1.5},
+                  detector={"name": "norm_growth", "factor": 10.0})
+        CampaignSpec(problem={"name": "circuit", "n_nodes": 50, "seed": 3},
+                     detector="composite")
+
+    def test_unregistered_names_fail_when_resolved(self):
+        """Binding needs a registered factory; an unknown name still builds
+        and raises, listing what is registered, when it is resolved."""
+        spec = CampaignSpec(problem="no-such-problem:9")
+        with pytest.raises(RegistryError, match="poisson"):
+            resolve_problem(spec.problem)
+
+
 class TestExecutionSpecKnobs:
     def test_batch_size_with_sharded_rejected(self):
         with pytest.raises(SpecError, match="batch_size"):
