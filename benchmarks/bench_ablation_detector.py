@@ -38,8 +38,9 @@ def test_ablation_detector_threshold(benchmark, poisson_bench_problem, stride, s
                 campaign = FaultCampaign(
                     problem, inner_iterations=25, max_outer=100,
                     fault_classes={label: ScalingFault(factor)},
-                    mgs_position="first", detector=detector, detector_response="zero")
-                result = campaign.run(locations=range(0, 50, max(stride, 5)))
+                    mgs_position="first", detector=detector, detector_response="zero",
+                    locations=tuple(range(0, 50, max(stride, 5))))
+                result = campaign.run()
                 rates[(bound_name, label)] = (result.detection_rate(label),
                                               result.max_increase(label))
         return rates

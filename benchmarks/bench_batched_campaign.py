@@ -3,7 +3,7 @@
 Runs the Figure-3(a)-style sweep (Poisson, SDC on the first MGS coefficient,
 the paper's Hessenberg-bound detector with the filtering response) once
 through the serial backend and once through the trial-batched lockstep
-backend of :class:`repro.exec.CampaignExecutor`, asserting that the batched
+backend (``exec={"backend": "batched"}``), asserting that the batched
 result is equivalent to the serial one (identical per-trial iteration counts
 and classification, residual norms within 1e-10) and that the batched
 backend actually delivers its speedup.
@@ -33,7 +33,7 @@ import time
 
 import pytest
 
-from repro.experiments.figure34 import run_fault_sweep
+from repro.api import run_campaign
 
 #: Asserted lower bound on the batched-vs-serial wall-time ratio per scale.
 #: tiny/small: interpreter-overhead domain -> the 1.5x keep-or-delete margin
@@ -47,8 +47,8 @@ SPEEDUP_FLOORS = {"tiny": 1.5, "small": 1.5, "medium": 1.4, "paper": 1.1}
 BATCH_SIZE = 64
 
 
-def _sweep(problem, stride, detector="bound", **kwargs):
-    return run_fault_sweep(
+def _sweep(problem, stride, detector="bound", **execution):
+    return run_campaign(
         problem,
         mgs_position="first",
         detector=detector,
@@ -57,7 +57,7 @@ def _sweep(problem, stride, detector="bound", **kwargs):
         max_outer=100,
         outer_tol=1e-8,
         stride=stride,
-        **kwargs,
+        exec=execution,
     )
 
 

@@ -1,8 +1,8 @@
 """Benchmark ``scaling``: parallel campaign execution vs the serial baseline.
 
 Runs the Figure-3(a) sweep (Poisson, SDC on the first MGS coefficient) once
-serially and once per configured worker count through the sharded backend of
-:class:`repro.exec.CampaignExecutor`, asserting that the parallel result is
+serially and once per configured worker count through the sharded backend
+(``exec={"workers": N}``), asserting that the parallel result is
 trial-for-trial identical to the serial one and recording the wall-time
 speedup in ``benchmark.extra_info`` so the BENCH_*.json trajectory captures
 the scaling behaviour of the machine that ran it.
@@ -19,11 +19,11 @@ import time
 
 import pytest
 
-from repro.experiments.figure34 import run_fault_sweep
+from repro.api import run_campaign
 
 
 def _sweep(problem, stride, *, backend="serial", workers=1):
-    return run_fault_sweep(
+    return run_campaign(
         problem,
         mgs_position="first",
         detector=None,
@@ -31,8 +31,7 @@ def _sweep(problem, stride, *, backend="serial", workers=1):
         max_outer=100,
         outer_tol=1e-8,
         stride=stride,
-        backend=backend,
-        workers=workers,
+        exec={"backend": backend, "workers": workers},
     )
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure34 import run_fault_sweep
+from repro.api import run_campaign
 
 
 def _run_panel(problem, mgs_position, stride, max_outer=100, workers=1):
-    return run_fault_sweep(
+    return run_campaign(
         problem,
         mgs_position=mgs_position,
         detector=None,
@@ -27,7 +27,7 @@ def _run_panel(problem, mgs_position, stride, max_outer=100, workers=1):
         max_outer=max_outer,
         outer_tol=1e-8,
         stride=stride,
-        workers=workers,
+        exec={"workers": workers},
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure34 import run_fault_sweep
+from repro.api import run_campaign
 
 
 def _report(campaign, label):
@@ -40,7 +40,7 @@ def _record(benchmark, campaign):
 def test_figure4_circuit_sdc_sweep(benchmark, circuit_bench_problem, stride, scale,
                                    circuit_max_outer, workers, mgs_position):
     campaign = benchmark.pedantic(
-        lambda: run_fault_sweep(
+        lambda: run_campaign(
             circuit_bench_problem,
             mgs_position=mgs_position,
             detector=None,
@@ -48,7 +48,7 @@ def test_figure4_circuit_sdc_sweep(benchmark, circuit_bench_problem, stride, sca
             max_outer=circuit_max_outer,
             outer_tol=1e-8,
             stride=stride,
-            workers=workers,
+            exec={"workers": workers},
         ),
         rounds=1, iterations=1)
     benchmark.extra_info["workers"] = workers

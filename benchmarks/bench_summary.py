@@ -26,8 +26,10 @@ def _sweep(problem, detector, stride, max_outer, workers=1):
         mgs_position="first",
         detector=detector,
         detector_response="zero",
+        stride=stride,
+        exec={"workers": workers},
     )
-    return campaign.run(stride=stride, workers=workers)
+    return campaign.run()
 
 
 def test_summary_detector_effect_poisson(benchmark, poisson_bench_problem, stride, scale,
@@ -85,10 +87,10 @@ def test_summary_early_fault_vulnerability(benchmark, poisson_bench_problem,
             campaign = FaultCampaign(problem, inner_iterations=25, max_outer=max_outer,
                                      outer_tol=1e-8, mgs_position="first", detector=None)
             baseline = campaign.run_failure_free().outer_iterations
-            early = campaign.run(locations=range(0, 25, max(stride // 2, 1)))
+            early = campaign.run_plan(campaign.plan(range(0, 25, max(stride // 2, 1))))
             late_start = max(baseline - 1, 1) * 25
-            late = campaign.run(locations=range(late_start, late_start + 25,
-                                                max(stride // 2, 1)))
+            late = campaign.run_plan(campaign.plan(range(late_start, late_start + 25,
+                                                         max(stride // 2, 1))))
             results[label] = (baseline, early, late)
         return results
 

@@ -71,9 +71,8 @@ from repro.faults import (
     PAPER_FAULT_CLASSES,
     Sandbox,
     FaultCampaign,
-    sweep_injection_locations,
 )
-from repro.exec import CampaignExecutor, TrialSpec
+from repro.exec import TrialSpec
 from repro.precond import (
     IdentityPreconditioner,
     JacobiPreconditioner,
@@ -138,9 +137,7 @@ __all__ = [
     "PAPER_FAULT_CLASSES",
     "Sandbox",
     "FaultCampaign",
-    "sweep_injection_locations",
     # parallel execution engine
-    "CampaignExecutor",
     "TrialSpec",
     # config-first public API
     "api",

@@ -65,7 +65,6 @@ EXEC_FIELD_PROBES: dict[str, dict[str, Any]] = {
     "batch_size": {"batch_size": 9},
     "trial_timeout": {"trial_timeout": 12.5},
     "max_retries": {"workers": 2, "max_retries": 5},
-    "heartbeat_interval": {"workers": 2, "heartbeat_interval": 0.5},
 }
 
 

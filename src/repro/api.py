@@ -20,7 +20,7 @@ return results sharing the common ``to_dict()``/``summary()`` schema
 The facades are thin by design: they hand the spec to the same functions a
 direct call uses (``gmres``/``fgmres`` through
 :meth:`~repro.specs.SolveSpec.gmres_kwargs`/:meth:`~repro.specs.SolveSpec.fgmres_kwargs`,
-``ft_gmres(spec=...)``, ``FaultCampaign(solver=...)``), so a spec-driven
+``ft_gmres(spec=...)``, ``FaultCampaign(problem, spec)``), so a spec-driven
 solve is bit-identical to the equivalent direct call (asserted in the
 equivalence suite).
 
@@ -38,12 +38,12 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.core.status import NestedSolverResult, SolverResult
-from repro.exec.executor import resolve_backend
 from repro.faults.campaign import CampaignResult, FaultCampaign, TrialRecord
 from repro.registry import ResolveContext, registry, resolve_problem, resolve_sink
 from repro.results.events import ensure_sink
 from repro.results.query import TrialQuery
-from repro.results.store import RunManifest, RunStore, RunStoreError
+from repro.results.store import (RunManifest, RunStore, RunStoreError,
+                                 campaign_fingerprint)
 from repro.specs import (CampaignSpec, ExecutionSpec, ServiceSpec, SolveSpec,
                          SpecError)
 
@@ -159,10 +159,9 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
         ``to_dict()``/``summary()`` schema), stamped with provenance
         (``repro_version``, ``seed``, ``spec_hash``).
     """
-    spec = CampaignSpec.coerce(spec, **overrides)
     if problem is not None and not hasattr(problem, "A"):
         problem = resolve_problem(problem)
-    campaign = FaultCampaign.from_spec(spec, problem=problem)
+    campaign = FaultCampaign(problem, spec, **overrides)
     # A sink built here from a registered spec is owned here and closed on
     # the way out; caller-supplied instances stay the caller's to close.
     owns_sink = isinstance(sink, (str, dict, tuple))
@@ -171,15 +170,8 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
         if store is None:
             if resume or run_id is not None:
                 raise RunStoreError("resume=/run_id= require store=")
-            return campaign.run(
-                locations=(list(spec.locations) if spec.locations is not None
-                           else None),
-                stride=spec.stride,
-                sink=sink,
-                chaos=chaos,
-                **spec.exec.executor_kwargs(),
-            )
-        return _run_stored_campaign(campaign, spec, RunStore.coerce(store),
+            return campaign.run_plan(campaign.plan(), sink=sink, chaos=chaos)
+        return _run_stored_campaign(campaign, RunStore.coerce(store),
                                     run_id=run_id, resume=resume,
                                     sink=sink, chaos=chaos)
     finally:
@@ -205,15 +197,10 @@ def iter_trials(problem: Any = None, spec: Any = None,
     ------
     TrialRecord
     """
-    spec = CampaignSpec.coerce(spec, **overrides)
     if problem is not None and not hasattr(problem, "A"):
         problem = resolve_problem(problem)
-    campaign = FaultCampaign.from_spec(spec, problem=problem)
-    plan = campaign.plan(
-        locations=list(spec.locations) if spec.locations is not None else None,
-        stride=spec.stride)
-    exec_kwargs = spec.exec.executor_kwargs()
-    for _, record in campaign.iter_records(plan.specs, **exec_kwargs):
+    campaign = FaultCampaign(problem, spec, **overrides)
+    for _, record in campaign.iter_records(campaign.plan().specs):
         yield record
 
 
@@ -240,11 +227,12 @@ def serve(store: Any, spec: Any = None, **overrides: Any) -> int:
 # ---------------------------------------------------------------------- #
 # store-backed execution (checkpoint / resume)
 # ---------------------------------------------------------------------- #
-def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
-                         store: RunStore, *, run_id: str | None, resume: bool,
-                         sink: Any, chaos: Any = None) -> CampaignResult:
+def _run_stored_campaign(campaign: FaultCampaign, store: RunStore, *,
+                         run_id: str | None, resume: bool, sink: Any,
+                         chaos: Any = None) -> CampaignResult:
     """Execute a campaign with trial-granularity checkpointing in a store."""
-    fingerprint = campaign.provenance["spec_hash"]
+    # Raises SpecError for a spec holding a component with no hashable form.
+    fingerprint = campaign_fingerprint(campaign.spec, campaign.problem.name)
     if run_id is None:
         run_id = f"{campaign.problem.name}-{fingerprint[:8]}"
 
@@ -275,12 +263,10 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
             raise RunStoreError(
                 f"run {run_id!r} already exists in {store.root}; pass "
                 f"resume=True to continue it or choose another run_id")
-        plan = campaign.plan(
-            locations=list(spec.locations) if spec.locations is not None else None,
-            stride=spec.stride)
+        plan = campaign.plan()
         manifest = RunManifest(
             run_id=run_id,
-            spec=spec.replace(problem=None).to_dict(),
+            spec=campaign.spec.replace(problem=None).to_dict(),
             spec_hash=fingerprint,
             problem_name=campaign.problem.name,
             repro_version=campaign.provenance["repro_version"],
@@ -299,7 +285,7 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
     done_indices = {index for index, _ in completed}
     remaining = [s for s in plan.specs if s.index not in done_indices]
 
-    if remaining and resolve_backend(**spec.exec.executor_kwargs()) == "sharded":
+    if remaining and campaign.backend == "sharded":
         # Supervised execution: the shard workers persist their own records
         # durably (crash-survivably) into <run>/shard-<k>/ — a flat writer
         # here would double-store every trial.  The manifest still goes
@@ -310,8 +296,7 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
             completed=completed, event_data={"run_id": run_id},
             run_dir=store.run_path(run_id), chaos=chaos,
             on_supervisor_state=lambda state: store.update_manifest_extra(
-                run_id, supervisor=state),
-            **spec.exec.executor_kwargs())
+                run_id, supervisor=state))
     elif remaining:
         writer = store.create_run(manifest, resume=bool(completed) or resume)
         try:
@@ -320,8 +305,7 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
                 # Persist first, observe second (run_plan's contract): an
                 # interrupt raised by a sink never loses a completed trial.
                 on_record=writer.append, completed=completed,
-                event_data={"run_id": run_id}, chaos=chaos,
-                **spec.exec.executor_kwargs())
+                event_data={"run_id": run_id}, chaos=chaos)
         finally:
             writer.close()
     else:

@@ -1,16 +1,16 @@
-"""Parallel execution engine for fault campaigns.
+"""Execution backends for fault campaigns.
 
 The paper's headline artifacts are sweeps of *independent* nested solves;
-this package schedules them over serial/batched/sharded backends with one
-campaign per worker and deterministic result ordering.  See
-:class:`repro.exec.executor.CampaignExecutor`.
+a campaign runs them on the serial, batched or sharded backend its spec's
+``exec`` section selects (:func:`repro.exec.executor.resolve_backend`), with
+one campaign per worker and deterministic result ordering.  See
+:meth:`repro.faults.campaign.FaultCampaign.iter_records`.
 """
 
 from repro.exec.executor import (
     BACKENDS,
     BACKEND_KNOBS,
     DEFAULT_BATCH_SIZE,
-    CampaignExecutor,
     resolve_backend,
     resolve_workers,
 )
@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_MAX_RETRIES",
     "EXIT_DRAINED",
-    "CampaignExecutor",
     "ShardedSupervisor",
     "SupervisorDrained",
     "TrialSpec",

@@ -1,7 +1,9 @@
 """Crash-supervised sharded campaign execution.
 
 This is the ``"sharded"`` backend of :mod:`repro.exec.executor`, its only
-multi-process path.  A worker that segfaults, is OOM-killed, or wedges
+multi-process path (run by
+:meth:`~repro.faults.campaign.FaultCampaign.iter_records`).  A worker that
+segfaults, is OOM-killed, or wedges
 inside a sparse kernel must not take the whole campaign down with it, and
 ``trial_timeout`` must hold even when a trial never finishes, so this
 module supervises instead of trusting:
@@ -204,9 +206,6 @@ class ShardedSupervisor:
     max_retries : int, optional
         Crashes one trial may cause before poison quarantine (default
         :data:`DEFAULT_MAX_RETRIES`).
-    heartbeat_interval : float, optional
-        Supervisor poll cadence in seconds (default
-        :data:`DEFAULT_HEARTBEAT_INTERVAL`).
     trial_timeout : float, optional
         Hard per-trial budget; defaults to ``campaign.trial_timeout``.  A
         worker whose heartbeat shows its current trial past the budget is
@@ -223,7 +222,6 @@ class ShardedSupervisor:
     """
 
     def __init__(self, campaign, *, shards: int, max_retries: int | None = None,
-                 heartbeat_interval: float | None = None,
                  trial_timeout: float | None = None,
                  run_dir: str | None = None, chaos=None,
                  on_state=None, backoff_base: float = 0.05,
@@ -237,12 +235,6 @@ class ShardedSupervisor:
         if self.max_retries <= 0:
             raise ValueError(
                 f"max_retries must be positive, got {self.max_retries}")
-        self.heartbeat_interval = (DEFAULT_HEARTBEAT_INTERVAL
-                                   if heartbeat_interval is None
-                                   else float(heartbeat_interval))
-        if self.heartbeat_interval <= 0:
-            raise ValueError(f"heartbeat_interval must be positive, "
-                             f"got {self.heartbeat_interval}")
         self.trial_timeout = (campaign.trial_timeout if trial_timeout is None
                               else trial_timeout)
         self.run_dir = run_dir
@@ -329,7 +321,7 @@ class ShardedSupervisor:
                 if all(shard.done for shard in shards):
                     break
                 if not progressed:
-                    time.sleep(min(self.heartbeat_interval, 0.05))
+                    time.sleep(min(DEFAULT_HEARTBEAT_INTERVAL, 0.05))
         finally:
             for shard in shards:
                 proc = shard.proc
@@ -423,7 +415,7 @@ class ShardedSupervisor:
             return
         if int(index) in shard.recorded:
             return  # already durable: the worker is past it
-        grace = max(2 * self.heartbeat_interval, 0.05)
+        grace = max(2 * DEFAULT_HEARTBEAT_INTERVAL, 0.05)
         # Timeout policing compares against the worker's wall-clock
         # heartbeat stamp; never part of trial identity.
         if time.time() - float(started) > self.trial_timeout + grace:  # repro: allow(RPR002)

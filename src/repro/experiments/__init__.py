@@ -17,7 +17,7 @@ Each module corresponds to one artifact of the paper's evaluation section
 from repro.experiments.report import format_table, ascii_series_plot, format_markdown_table
 from repro.experiments.table1 import matrix_properties, table1_rows, PAPER_TABLE1
 from repro.experiments.figure2 import hessenberg_structure, figure2_comparison
-from repro.experiments.figure34 import FigureSweep, run_fault_sweep, figure3, figure4
+from repro.experiments.figure34 import FigureSweep, figure3, figure4
 from repro.experiments.summary import detector_comparison, summarize_campaign
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "hessenberg_structure",
     "figure2_comparison",
     "FigureSweep",
-    "run_fault_sweep",
     "figure3",
     "figure4",
     "detector_comparison",

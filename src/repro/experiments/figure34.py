@@ -8,9 +8,11 @@ single SDC event is injected at every possible aggregate inner iteration:
   (b) fault on the last MGS iteration.
 * Figure 4: the circuit (nonsymmetric) problem; same two panels.
 
-:func:`run_fault_sweep` produces one panel set (one
-:class:`~repro.faults.campaign.CampaignResult`); :class:`FigureSweep` bundles
-the "first" and "last" campaigns of a figure together with rendering helpers.
+One panel set (one :class:`~repro.faults.campaign.CampaignResult`) is one
+:class:`~repro.specs.CampaignSpec` run through :func:`repro.api.run_campaign`;
+:class:`FigureSweep` bundles the "first" and "last" campaigns of a figure
+together with rendering helpers, and :func:`figure3`/:func:`figure4` run
+both panels.
 """
 
 from __future__ import annotations
@@ -18,88 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api import run_campaign
-from repro.core.detectors import Detector
 from repro.experiments.report import (ascii_series_plot, campaign_class_table,
                                       format_table)
 from repro.faults.campaign import CampaignResult
-from repro.faults.models import FaultModel
 from repro.gallery.problems import TestProblem, circuit_problem, poisson_problem
 from repro.specs import CampaignSpec
 
-__all__ = ["run_fault_sweep", "load_fault_sweep", "sweep_run_id", "FigureSweep",
-           "figure3", "figure4"]
-
-
-def run_fault_sweep(
-    problem: TestProblem,
-    spec: CampaignSpec | dict | None = None,
-    *,
-    mgs_position: str | None = None,
-    detector: Detector | str | dict | None = None,
-    detector_response: str | None = None,
-    fault_classes: dict[str, FaultModel] | str | None = None,
-    inner_iterations: int | None = None,
-    max_outer: int | None = None,
-    outer_tol: float | None = None,
-    stride: int | None = None,
-    locations=None,
-    backend: str | None = None,
-    workers: int | None = None,
-    batch_size: int | None = None,
-    sink=None,
-    store=None,
-    run_id: str | None = None,
-    resume: bool = False,
-) -> CampaignResult:
-    """Run one injection sweep (one sub-figure of Figure 3 or 4).
-
-    The sweep is a :class:`~repro.specs.CampaignSpec` run through
-    :func:`repro.api.run_campaign`; pass ``spec`` directly, or use the
-    keyword arguments (which mirror :class:`~repro.faults.campaign.FaultCampaign`,
-    defaults from the CampaignSpec field defaults; ``stride=1`` is the
-    paper's exhaustive sweep).  Keywords override ``spec`` fields when both
-    are given.  ``backend``/``workers``/``batch_size`` configure the
-    execution engine (see :class:`repro.exec.CampaignExecutor`); results are
-    equivalent to a serial run for any setting (identical for the sharded
-    backend, identical counts/statuses with residuals to ~1e-10 for the
-    trial-batched backend).
-
-    ``sink``/``store``/``run_id``/``resume`` are forwarded to
-    :func:`repro.api.run_campaign`: the sweep streams lifecycle events (its
-    only progress report) to the sink, checkpoints each trial into the
-    store, and resumes an interrupted sweep from it; :func:`load_fault_sweep`
-    rebuilds a completed sweep with zero new solves.
-    """
-    spec = CampaignSpec.coerce(spec)
-    if spec.problem is not None:
-        from repro.specs import SpecError
-
-        raise SpecError("problem",
-                        "run_fault_sweep received both a problem argument and "
-                        "spec.problem; drop spec.problem (or use "
-                        "repro.api.run_campaign, which takes either)")
-    fields = {
-        "mgs_position": mgs_position,
-        "detector": detector,
-        "detector_response": detector_response,
-        "fault_classes": fault_classes,
-        "inner_iterations": inner_iterations,
-        "max_outer": max_outer,
-        "outer_tol": outer_tol,
-        "stride": stride,
-        "locations": tuple(locations) if locations is not None else None,
-    }
-    overrides = {key: value for key, value in fields.items() if value is not None}
-    exec_fields = {"backend": backend, "workers": workers,
-                   "batch_size": batch_size}
-    exec_overrides = {key: value for key, value in exec_fields.items()
-                      if value is not None}
-    if exec_overrides:
-        overrides["exec"] = spec.exec.replace(**exec_overrides)
-    if overrides:
-        spec = spec.replace(**overrides)
-    return run_campaign(problem, spec, sink=sink, store=store, run_id=run_id,
-                        resume=resume)
+__all__ = ["load_fault_sweep", "sweep_run_id", "FigureSweep", "figure3", "figure4"]
 
 
 def sweep_run_id(spec: "CampaignSpec", problem_name: str, label: str) -> str:
@@ -168,8 +95,8 @@ class FigureSweep:
 
 
 def _figure(problem: TestProblem, **kwargs) -> FigureSweep:
-    first = run_fault_sweep(problem, mgs_position="first", **kwargs)
-    last = run_fault_sweep(problem, mgs_position="last", **kwargs)
+    first = run_campaign(problem, mgs_position="first", **kwargs)
+    last = run_campaign(problem, mgs_position="last", **kwargs)
     return FigureSweep(problem_name=problem.name, first=first, last=last,
                        metadata={"options": dict(kwargs)})
 
@@ -187,7 +114,9 @@ def figure3(grid_n: int = 100, stride: int = 1, detector=None, **kwargs) -> Figu
     detector : {"bound", None} or Detector
         Detector configuration for the inner solves.
     **kwargs
-        Forwarded to :func:`run_fault_sweep`.
+        Forwarded to :func:`repro.api.run_campaign`: more
+        :class:`~repro.specs.CampaignSpec` fields (``exec={"workers": 2}``,
+        ``max_outer=200``, ...) and its ``sink``/``store`` keywords.
     """
     problem = poisson_problem(grid_n)
     return _figure(problem, stride=stride, detector=detector, **kwargs)
@@ -205,7 +134,9 @@ def figure4(n_nodes: int = 25187, stride: int = 1, detector=None, **kwargs) -> F
     detector : {"bound", None} or Detector
         Detector configuration for the inner solves.
     **kwargs
-        Forwarded to :func:`run_fault_sweep`.
+        Forwarded to :func:`repro.api.run_campaign`: more
+        :class:`~repro.specs.CampaignSpec` fields (``exec={"workers": 2}``,
+        ``max_outer=200``, ...) and its ``sink``/``store`` keywords.
     """
     problem = circuit_problem(n_nodes)
     return _figure(problem, stride=stride, detector=detector, **kwargs)

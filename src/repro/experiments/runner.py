@@ -11,8 +11,9 @@ Regenerates the paper's artifacts without going through pytest:
     repro summary --scale small --stride 5
     repro all --scale tiny --stride 10
 
-The sweep experiments are driven by a :class:`~repro.specs.CampaignSpec`,
-which can come from a JSON file and be patched field-by-field:
+Each sweep panel is one :class:`~repro.specs.CampaignSpec` run through
+:func:`repro.api.run_campaign`; the spec can come from a JSON file and be
+patched field-by-field:
 
 .. code-block:: bash
 
@@ -59,9 +60,9 @@ import argparse
 import json
 from typing import Sequence
 
+from repro.api import run_campaign
 from repro.experiments.figure2 import figure2_payload
-from repro.experiments.figure34 import (FigureSweep, load_fault_sweep,
-                                        run_fault_sweep, sweep_run_id)
+from repro.experiments.figure34 import FigureSweep, load_fault_sweep, sweep_run_id
 from repro.experiments.report import format_table
 from repro.experiments.summary import detector_comparison, summarize_campaign
 from repro.experiments.table1 import table1_rows
@@ -113,7 +114,6 @@ SPEC_FLAG_DESTS = {
     "workers": "exec.workers",
     "batch_size": "exec.batch_size",
     "max_retries": "exec.max_retries",
-    "heartbeat_interval": "exec.heartbeat_interval",
 }
 
 
@@ -188,10 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker crashes one trial may cause before it "
                              "is quarantined as a poison error record "
                              "(sharded backend; default 3)")
-    parser.add_argument("--heartbeat-interval", type=float, default=None,
-                        dest="heartbeat_interval", metavar="SECONDS",
-                        help="supervisor liveness poll cadence (sharded "
-                             "backend; default 0.1)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="persist runs into a run store directory: each "
                              "completed trial is appended (and flushed) to "
@@ -293,8 +289,8 @@ def _run_or_load_sweep(problem, panel_spec: CampaignSpec, label: str, args):
         return load_fault_sweep(store, panel_spec, problem.name, label)
     run_id = (sweep_run_id(panel_spec, problem.name, label)
               if store is not None else None)
-    return run_fault_sweep(problem, panel_spec, sink=_sink_from(args),
-                           store=store, run_id=run_id, resume=args.resume)
+    return run_campaign(problem, panel_spec, sink=_sink_from(args),
+                        store=store, run_id=run_id, resume=args.resume)
 
 
 def _print_table1(problems, scale: str, args) -> None:

@@ -49,7 +49,6 @@ from repro.faults.campaign import (
     CampaignResult,
     FaultCampaign,
     TrialRecord,
-    sweep_injection_locations,
 )
 from repro.faults.chaos import ChaosError, ChaosPolicy
 
@@ -82,5 +81,4 @@ __all__ = [
     "ChaosPolicy",
     "FaultCampaign",
     "TrialRecord",
-    "sweep_injection_locations",
 ]

@@ -6,6 +6,11 @@ location) pair, injecting exactly one SDC event per run into the chosen
 Hessenberg coefficient.  The result is the set of series plotted in the
 paper: "number of outer iterations to convergence" versus "aggregate inner
 solve iteration that faults".
+
+A :class:`~repro.specs.CampaignSpec` is the campaign's only configuration:
+:class:`FaultCampaign` is built from one (or from its fields as keywords),
+keeps it as ``campaign.spec``, and :meth:`FaultCampaign.run` sweeps its
+``locations`` at its ``stride`` on its ``exec`` backend.
 """
 
 from __future__ import annotations
@@ -15,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.detectors import Detector
 from repro.core.fgmres import OuterState
 from repro.core.ftgmres import ft_gmres
 from repro.core.status import NestedSolverResult
+from repro.exec.executor import DEFAULT_BATCH_SIZE, resolve_backend, resolve_workers
 from repro.faults.injector import FaultInjector
-from repro.faults.models import FaultModel, PAPER_FAULT_CLASSES
+from repro.faults.models import FaultModel
 from repro.faults.schedule import InjectionSchedule
 from repro.gallery.problems import TestProblem
 from repro.registry import (
@@ -31,11 +36,11 @@ from repro.registry import (
 )
 from repro.results.events import Event, ensure_sink
 from repro.results.query import TrialQuery
+from repro.results.store import campaign_fingerprint
 from repro.specs import CampaignSpec, SolveSpec, SpecError
 from repro.utils.timer import Timer
 
-__all__ = ["TrialRecord", "CampaignResult", "CampaignPlan", "FaultCampaign",
-           "sweep_injection_locations"]
+__all__ = ["TrialRecord", "CampaignResult", "CampaignPlan", "FaultCampaign"]
 
 
 def _repro_version() -> str:
@@ -43,10 +48,8 @@ def _repro_version() -> str:
 
     return __version__
 
-#: Single source of truth for campaign defaults: the :class:`CampaignSpec`
-#: field defaults.  Both :class:`FaultCampaign` and
-#: :func:`sweep_injection_locations` fill their ``None`` sentinels from here,
-#: so the numbers cannot drift between the declarative and keyword APIs.
+#: The campaign defaults (the :class:`CampaignSpec` field defaults), which
+#: tell :func:`_merged_solver` whether a campaign-level twin was set.
 _DEFAULTS = CampaignSpec()
 
 
@@ -317,105 +320,55 @@ class FaultCampaign:
 
     Parameters
     ----------
-    problem : TestProblem
+    problem : TestProblem, optional
         The linear system to solve (see :mod:`repro.gallery.problems`).
-    inner_iterations : int
-        Fixed inner GMRES iteration count per outer iteration (paper: 25).
-    max_outer : int
-        Outer-iteration budget; trials that need more are reported as
-        non-converged at this count.
-    outer_tol : float
-        Outer relative residual tolerance.
-    fault_classes : dict[str, FaultModel]
-        The corruption models to sweep (default: the paper's three classes).
-    mgs_position : {"first", "last"}
-        Which Modified Gram–Schmidt coefficient to corrupt (Figures 3a/4a use
-        "first", 3b/4b use "last").
-    detector : Detector, registry spec, or None
-        ``"bound"`` enables the paper's Hessenberg-bound detector (built from
-        ``||A||_F``); ``None`` disables detection; any other registered
-        detector spec (string or dict, see :mod:`repro.registry`) also works.
-    detector_response : str
-        Response policy when the detector fires (default ``"zero"``:
-        filter the impossible value, as the paper advocates).
-    solver : SolveSpec or dict, optional
-        The nested solver's configuration (a ``method="ft_gmres"`` spec, the
-        same field as :attr:`CampaignSpec.solver`; a dict is read with
-        :meth:`SolveSpec.from_dict`).  Its ``tol``,
-        ``max_outer``, ``inner.maxiter``, ``inner.detector`` and
-        ``inner.detector_response`` are twins of the campaign-level
-        arguments above: a solver value that is set takes effect, and
-        setting both twins to different values raises
-        :class:`~repro.specs.SpecError`.  The resolved, merged spec is kept
-        as :attr:`solver`.
-    site : str
-        Injection site (default ``"hessenberg"``); a comma-separated list
-        (``"spmv,precond"``) or ``"*"`` targets several sites at once.
-    fault_rate : int or None
-        ``None`` (default) reproduces the paper's single-SDC-per-solve
-        methodology.  An integer N switches every trial to a
-        :class:`~repro.faults.schedule.FaultRateSchedule`: up to N faults
-        per nested solve, fired at the trial's injection location of
-        consecutive inner solves (cadence = ``inner_iterations``).
-    fault_persistence : str or None
-        Persistence of each scheduled fault (``"transient"`` — the default —
-        ``"sticky"``, or ``"persistent"``), tracked per site.
-    trial_timeout : float or None
-        Soft per-trial wall-clock budget in seconds.  A trial that finishes
-        over budget is quarantined as a ``status="error"`` record instead of
-        being reported as a measurement (``None`` disables the check).
+        Exactly one of this argument and ``spec.problem`` (a gallery
+        registry spec like ``"poisson:30"``) must be given.
+    spec : CampaignSpec or dict, optional
+        The campaign's configuration (default: the paper's).  A dict is
+        validated through :meth:`CampaignSpec.from_dict`.
+    **fields
+        :class:`~repro.specs.CampaignSpec` fields, overriding ``spec``'s:
+        ``FaultCampaign(problem, inner_iterations=10, detector="bound")``
+        builds the same campaign as
+        ``FaultCampaign(problem, CampaignSpec(inner_iterations=10,
+        detector="bound"))``.  Invalid values raise
+        :class:`~repro.specs.SpecError` naming the field.
+
+    The spec is kept as :attr:`spec`, and :meth:`run` runs what it says: its
+    ``locations`` (default: every location the failure-free solve reaches)
+    at its ``stride``, on its ``exec`` backend.  The nested solver's merged
+    configuration (see :attr:`CampaignSpec.solver` for the five twin fields)
+    is kept as :attr:`solver`, its components resolved against the problem.
     """
 
-    def __init__(
-        self,
-        problem: TestProblem,
-        *,
-        inner_iterations: int | None = None,
-        max_outer: int | None = None,
-        outer_tol: float | None = None,
-        fault_classes: dict[str, FaultModel] | str | None = None,
-        mgs_position: str | None = None,
-        detector: Detector | str | dict | None = None,
-        detector_response: str | None = None,
-        solver: SolveSpec | dict | None = None,
-        site: str | None = None,
-        fault_rate: int | None = None,
-        fault_persistence: str | None = None,
-        trial_timeout: float | None = None,
-    ):
-        if isinstance(solver, dict):
-            solver = SolveSpec.from_dict(solver, _prefix="solver.")
-        elif solver is not None and not isinstance(solver, SolveSpec):
-            raise TypeError(f"solver must be a SolveSpec, a dict or None; "
-                            f"got {type(solver).__name__}")
+    def __init__(self, problem: TestProblem | None = None,
+                 spec: CampaignSpec | dict | None = None, **fields):
+        spec = CampaignSpec.coerce(spec, **fields)
+        if (problem is None) == (spec.problem is None):
+            raise ValueError(
+                "exactly one of the problem argument and spec.problem must be "
+                "given" if problem is not None else
+                "no problem to sweep: pass a TestProblem or set spec.problem "
+                "to a gallery spec (e.g. 'poisson:30')")
+        if problem is None:
+            problem = resolve_problem(spec.problem)
+        #: The campaign's configuration (what :meth:`run` runs).
+        self.spec = spec
         self.problem = problem
-        self.fault_classes = resolve_fault_classes(
-            fault_classes if fault_classes is not None else dict(PAPER_FAULT_CLASSES))
-        mgs_position = mgs_position if mgs_position is not None else _DEFAULTS.mgs_position
-        if mgs_position not in ("first", "last"):
-            raise ValueError(f"mgs_position must be 'first' or 'last', got {mgs_position!r}")
-        self.mgs_position = mgs_position
-        self.site = site if site is not None else _DEFAULTS.site
-        if fault_rate is not None and int(fault_rate) < 1:
-            raise ValueError(f"fault_rate must be positive, got {fault_rate}")
-        self.fault_rate = int(fault_rate) if fault_rate is not None else None
-        self.fault_persistence = str(fault_persistence if fault_persistence is not None
-                                     else _DEFAULTS.fault_persistence)
-        if trial_timeout is not None and float(trial_timeout) <= 0:
-            raise ValueError(f"trial_timeout must be positive, got {trial_timeout}")
-        self.trial_timeout = float(trial_timeout) if trial_timeout is not None else None
+        self.fault_classes = resolve_fault_classes(spec.fault_classes)
+        self.mgs_position = spec.mgs_position
+        self.site = spec.site
+        self.fault_rate = spec.fault_rate
+        self.fault_persistence = spec.fault_persistence
+        #: Soft per-trial wall-clock budget in seconds (``spec.exec``): a
+        #: trial that finishes over it is quarantined as a
+        #: ``status="error"`` record; the sharded supervisor also enforces
+        #: it as a hard timeout.
+        self.trial_timeout = spec.exec.trial_timeout
 
-        # ``None`` sentinels defer to the CampaignSpec field defaults — the
-        # one place the paper's 25/100/1e-8 configuration is written down.
-        solver = _merged_solver(
-            solver,
-            inner_iterations=int(inner_iterations if inner_iterations is not None
-                                 else _DEFAULTS.inner_iterations),
-            max_outer=int(max_outer if max_outer is not None else _DEFAULTS.max_outer),
-            outer_tol=float(outer_tol if outer_tol is not None else _DEFAULTS.outer_tol),
-            detector=detector,
-            detector_response=(detector_response if detector_response is not None
-                               else _DEFAULTS.detector_response))
+        solver = _merged_solver(spec.solver, **{name: getattr(spec, name)
+                                                for name, _ in _SOLVER_TWINS})
         inner = solver.inner
         self.inner_iterations = int(inner.maxiter)
         self.max_outer = int(solver.max_outer)
@@ -431,13 +384,15 @@ class FaultCampaign:
             inner=inner.replace(detector=self.detector,
                                 preconditioner=resolve_preconditioner(inner.preconditioner,
                                                                       A=problem.A)))
+        try:
+            fingerprint = campaign_fingerprint(spec, problem.name)
+        except SpecError:
+            fingerprint = None  # a built component without to_spec() has no hash
         #: Provenance stamped onto every record this campaign produces.
-        #: ``spec_hash`` stays ``None`` for keyword-constructed campaigns and
-        #: is filled by :meth:`from_spec` (only a spec has a hashable form).
         self.provenance = {
             "repro_version": _repro_version(),
             "seed": getattr(problem, "seed", None),
-            "spec_hash": None,
+            "spec_hash": fingerprint,
         }
         #: The failure-free solve's outer state, which prefix-shared trials
         #: resume from (see :meth:`_resume_state`); ``None`` until solved.
@@ -447,46 +402,8 @@ class FaultCampaign:
     @classmethod
     def from_spec(cls, spec: CampaignSpec | dict, problem: TestProblem | None = None
                   ) -> "FaultCampaign":
-        """Build a campaign from a declarative :class:`~repro.specs.CampaignSpec`.
-
-        Parameters
-        ----------
-        spec : CampaignSpec or dict
-            The campaign description.  Dicts are validated through
-            :meth:`CampaignSpec.from_dict` first.
-        problem : TestProblem, optional
-            The system to sweep.  Exactly one of this argument and
-            ``spec.problem`` (a gallery registry spec like ``"poisson:30"``)
-            must be given.
-        """
-        spec = CampaignSpec.coerce(spec)
-        if (problem is None) == (spec.problem is None):
-            raise ValueError(
-                "exactly one of the problem argument and spec.problem must be "
-                "given" if problem is not None else
-                "no problem to sweep: pass a TestProblem or set spec.problem "
-                "to a gallery spec (e.g. 'poisson:30')")
-        if problem is None:
-            problem = resolve_problem(spec.problem)
-        campaign = cls(
-            problem,
-            inner_iterations=spec.inner_iterations,
-            max_outer=spec.max_outer,
-            outer_tol=spec.outer_tol,
-            fault_classes=spec.fault_classes,
-            mgs_position=spec.mgs_position,
-            detector=spec.detector,
-            detector_response=spec.detector_response,
-            solver=spec.solver,
-            site=spec.site,
-            fault_rate=spec.fault_rate,
-            fault_persistence=spec.fault_persistence,
-            trial_timeout=spec.exec.trial_timeout,
-        )
-        from repro.results.store import campaign_fingerprint
-
-        campaign.provenance["spec_hash"] = campaign_fingerprint(spec, problem.name)
-        return campaign
+        """The campaign ``FaultCampaign(problem, spec)``."""
+        return cls(problem, spec)
 
     def run_failure_free(self) -> NestedSolverResult:
         """Run the nested solver without any fault injection."""
@@ -724,10 +641,11 @@ class FaultCampaign:
 
         return batched_support_reason(self.solver, self.site)
 
-    def iter_specs_batched(self, specs, *, batch_size: int | None = None):
+    def iter_specs_batched(self, specs):
         """Stream ``(index, record)`` pairs from the lockstep batched engine.
 
-        Trials advance ``batch_size`` at a time (see
+        Trials advance ``spec.exec.batch_size`` at a time (default
+        :data:`~repro.exec.executor.DEFAULT_BATCH_SIZE`; see
         :mod:`repro.core.batched`): each lane runs the serial outer loop from
         the outer state :meth:`run_spec` would start it from
         (:meth:`_resume_state`), and each round solves the inner systems of
@@ -753,12 +671,7 @@ class FaultCampaign:
                 f"campaign configuration not supported by the batched backend "
                 f"({reason}); use backend='serial' (or 'sharded')")
         specs = list(specs)
-        if batch_size is None:
-            from repro.exec.executor import DEFAULT_BATCH_SIZE
-
-            batch_size = DEFAULT_BATCH_SIZE
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        batch_size = self.spec.exec.batch_size or DEFAULT_BATCH_SIZE
         # Strided batch composition: batch i takes specs[i::num_batches], so
         # every batch spans the whole injection-location range.  A lane's
         # residual bits depend on its batch-mates (the lockstep reductions
@@ -812,16 +725,23 @@ class FaultCampaign:
     # ------------------------------------------------------------------ #
     # planning and streaming execution
     # ------------------------------------------------------------------ #
-    def plan(self, locations=None, stride: int = 1, *,
+    def plan(self, locations=None, stride: int | None = None, *,
              baseline: tuple[int, float] | None = None) -> "CampaignPlan":
         """Freeze the campaign's work list: baseline + locations + specs.
 
+        ``locations`` and ``stride`` default (``None``) to the spec's: the
+        spec's ``locations``, else every ``stride``-th location the
+        failure-free solve reaches (``failure_free_outer *
+        inner_iterations``, exactly as in the paper at ``stride=1``).
         ``baseline`` short-circuits the failure-free reference solve with
         known ``(failure_free_outer, failure_free_residual)`` numbers — the
         run store uses this on resume, so resuming a complete run solves
         nothing (:meth:`run_plan` solves the baseline once if trials are
         left that can resume from its outer state).
         """
+        if locations is None:
+            locations = self.spec.locations
+        stride = self.spec.stride if stride is None else stride
         if stride <= 0:
             raise ValueError(f"stride must be positive, got {stride}")
         if baseline is None:
@@ -855,10 +775,10 @@ class FaultCampaign:
         """The record with this campaign's provenance fields set."""
         return dataclasses.replace(record, **self.provenance)
 
-    def run_plan(self, plan: "CampaignPlan", *, specs=None,
-                 sink=None, executor=None, on_record=None, completed=(),
-                 event_data: dict | None = None,
-                 **executor_kwargs) -> CampaignResult:
+    def run_plan(self, plan: "CampaignPlan", *, specs=None, sink=None,
+                 on_record=None, completed=(), event_data: dict | None = None,
+                 run_dir: str | None = None, chaos=None,
+                 on_supervisor_state=None) -> CampaignResult:
         """Execute (the remainder of) a plan and assemble the result.
 
         The one implementation of the campaign lifecycle — event emission,
@@ -884,9 +804,8 @@ class FaultCampaign:
         event_data : dict, optional
             Extra payload merged into the ``campaign_started`` and
             ``campaign_completed`` events (e.g. the store ``run_id``).
-        **executor_kwargs
-            :class:`~repro.exec.executor.CampaignExecutor` knobs (ignored
-            when ``executor`` is given).
+        run_dir, chaos, on_supervisor_state
+            Passed to :meth:`iter_records` (the sharded backend's).
         """
         sink = ensure_sink(sink)
         result = self.result_scaffold(plan)
@@ -909,8 +828,9 @@ class FaultCampaign:
             # inherit it through fork) resume from its outer state.
             self._solve_baseline()
         if todo:
-            for index, record in self.iter_records(todo, executor=executor,
-                                                   **executor_kwargs):
+            for index, record in self.iter_records(
+                    todo, run_dir=run_dir, chaos=chaos,
+                    on_supervisor_state=on_supervisor_state):
                 if on_record is not None:
                     on_record(index, record)
                 pairs.append((index, record))
@@ -926,54 +846,58 @@ class FaultCampaign:
                             data={"total_trials": total, **extra}))
         return result
 
-    def iter_records(self, specs, *, executor=None, **executor_kwargs):
+    @property
+    def backend(self) -> str:
+        """The backend :meth:`iter_records` runs on, resolved from
+        ``spec.exec`` (see :func:`~repro.exec.executor.resolve_backend`)."""
+        return resolve_backend(**self.spec.exec.executor_kwargs())
+
+    def iter_records(self, specs, *, run_dir: str | None = None, chaos=None,
+                     on_supervisor_state=None):
         """Stream provenance-stamped ``(index, record)`` pairs as trials finish.
 
-        Completion order (lazy over serial, per batch on batched, as shard
-        records land on sharded); the caller reassembles canonical order by
-        index.  This is the one execution path under :meth:`run`,
+        The one execution path under :meth:`run`,
         :func:`repro.api.iter_trials`, and the run store's incremental
-        checkpointing.
+        checkpointing.  It runs on :attr:`backend`: lazily one by one on
+        ``"serial"``, per completed batch on ``"batched"``
+        (:meth:`iter_specs_batched`), and as shard records land on
+        ``"sharded"`` (:class:`~repro.exec.supervisor.ShardedSupervisor`,
+        which takes ``run_dir`` for its durable shard stores — an ephemeral
+        temp dir when omitted — the ``chaos`` policy of
+        :mod:`repro.faults.chaos`, and ``on_supervisor_state``, called
+        whenever its retry/quarantine bookkeeping changes).  Records arrive
+        in completion order; ``spec.index`` values must be unique, and the
+        caller reassembles canonical order by them.  Closing the generator
+        early stops the shard workers.
         """
-        from repro.exec.executor import CampaignExecutor
+        specs = list(specs)
+        if len({spec.index for spec in specs}) != len(specs):
+            raise ValueError("trial spec indices must be unique")
+        if not specs:
+            return
+        backend = self.backend
+        if backend == "sharded":
+            from repro.exec.supervisor import ShardedSupervisor
 
-        if executor is None:
-            executor = CampaignExecutor(self, **executor_kwargs)
-        for index, record in executor.iter_records(specs):
-            yield index, self.stamp(record)
+            records = ShardedSupervisor(
+                self, shards=resolve_workers(self.spec.exec.workers),
+                max_retries=self.spec.exec.max_retries, run_dir=run_dir,
+                chaos=chaos, on_state=on_supervisor_state).iter_records(specs)
+        elif backend == "batched":
+            records = self.iter_specs_batched(specs)
+        else:
+            records = ((spec.index, self.run_spec_safe(spec)) for spec in specs)
+        try:
+            for index, record in records:
+                yield index, self.stamp(record)
+        finally:
+            records.close()
 
-    def run(self, locations=None, stride: int = 1, *,
-            backend: str | None = None, workers: int | None = None,
-            batch_size: int | None = None, executor=None, sink=None,
-            **executor_kwargs) -> CampaignResult:
-        """Run the full campaign.
+    def run(self, *, sink=None) -> CampaignResult:
+        """Run the campaign its spec describes: ``run_plan(plan(), sink=sink)``.
 
         Parameters
         ----------
-        locations : sequence of int, optional
-            Aggregate inner-iteration indices to fault.  Defaults to every
-            index reachable in the failure-free run
-            (``failure_free_outer * inner_iterations``), exactly as in the
-            paper.
-        stride : int
-            Keep every ``stride``-th default location (used by the fast
-            benchmark configurations; ``stride=1`` reproduces the paper).
-        backend : {"serial", "batched", "sharded"}, optional
-            Execution backend; ``None`` auto-selects ``"batched"`` when
-            ``batch_size`` is given and ``"sharded"`` when the resolved
-            worker count exceeds 1.  ``"batched"`` advances trials in
-            lockstep through shared block kernels in this process — the
-            right choice on single-CPU hosts.  ``"sharded"`` runs
-            crash-supervised worker processes (see
-            :class:`repro.exec.supervisor.ShardedSupervisor`).
-        workers : int, optional
-            Shard worker count (default: the ``REPRO_WORKERS`` environment
-            variable, then 1; ``0`` means one per CPU).
-        batch_size : int, optional
-            Trials advanced in lockstep per batch (batched backend only).
-        executor : CampaignExecutor, optional
-            A pre-built executor; overrides ``backend``/``workers``/
-            ``batch_size``.
         sink : EventSink, callable, or registered sink spec, optional
             Receives campaign lifecycle events (``campaign_started``,
             ``baseline_completed``, ``trial_completed`` with the record
@@ -991,51 +915,8 @@ class FaultCampaign:
             campaign would, on every backend.  A fault model that keeps its
             own random state across trials still accumulates it, and sees
             per-shard history under the sharded backend; sweep such models
-            with ``backend="serial"``.
+            with ``exec={"backend": "serial"}``.
         """
         from repro.registry import resolve_sink
 
-        return self.run_plan(self.plan(locations=locations, stride=stride),
-                             sink=resolve_sink(sink),
-                             backend=backend, workers=workers,
-                             batch_size=batch_size, executor=executor,
-                             **executor_kwargs)
-
-
-def sweep_injection_locations(
-    problem: TestProblem,
-    *,
-    fault_classes: dict[str, FaultModel] | str | None = None,
-    mgs_position: str | None = None,
-    detector=None,
-    inner_iterations: int | None = None,
-    max_outer: int | None = None,
-    outer_tol: float | None = None,
-    stride: int | None = None,
-    locations=None,
-    backend: str | None = None,
-    workers: int | None = None,
-    batch_size: int | None = None,
-    sink=None,
-) -> CampaignResult:
-    """Functional convenience wrapper around :class:`FaultCampaign`.
-
-    Equivalent to constructing a campaign with the given options and calling
-    :meth:`FaultCampaign.run` (including the parallel/batched-execution
-    knobs).  Defaults (``None``) come from the :class:`~repro.specs.CampaignSpec`
-    field defaults — the same single source :class:`FaultCampaign` uses — so
-    the two entry points cannot drift apart.
-    """
-    campaign = FaultCampaign(
-        problem,
-        inner_iterations=inner_iterations,
-        max_outer=max_outer,
-        outer_tol=outer_tol,
-        fault_classes=fault_classes,
-        mgs_position=mgs_position,
-        detector=detector,
-    )
-    return campaign.run(locations=locations,
-                        stride=stride if stride is not None else _DEFAULTS.stride,
-                        backend=backend, workers=workers,
-                        batch_size=batch_size, sink=sink)
+        return self.run_plan(self.plan(), sink=resolve_sink(sink))

@@ -4,9 +4,10 @@ The paper's fault models corrupt *arithmetic*; this module corrupts the
 *execution machinery* — it is how the test suite and the CI ``chaos-smoke``
 job prove that :class:`~repro.exec.supervisor.ShardedSupervisor` turns
 worker murder into nothing worse than a retry.  A :class:`ChaosPolicy` is
-handed to the executor (``CampaignExecutor(..., chaos=...)`` or
-``run_campaign(..., chaos=...)``) and rides into every shard worker, where
-it fires at scheduled trial indices:
+handed to a sharded campaign (``run_campaign(..., chaos=...)``, or
+``campaign.iter_records(specs, chaos=...)``/``campaign.run_plan(plan,
+chaos=...)``) and rides into every shard worker, where it fires at
+scheduled trial indices:
 
 * ``kill_before`` — SIGKILL the worker right before the trial's solve (the
   OOM-killer / segfault scenario);
@@ -103,7 +104,7 @@ class ChaosPolicy:
             return False
         if self.state_dir is None:
             raise RuntimeError(
-                "ChaosPolicy is unbound; the executor binds it to the run "
+                "ChaosPolicy is unbound; the supervisor binds it to the run "
                 "directory (call bound_to() when using it directly)")
         for attempt in range(times):
             marker = os.path.join(self.state_dir, f"{tag}-{index}-{attempt}")

@@ -1,7 +1,7 @@
 """Component registries: one place where string/dict specs become objects.
 
 Every configurable axis of the reproduction — solver family, preconditioner,
-SDC detector, fault model, gallery problem, execution backend — is registered
+SDC detector, fault model, gallery problem, event sink — is registered
 here under a short name, so a *spec* like ``"ilu0"``,
 ``{"name": "ssor", "omega": 1.2}`` or ``"bound:two_norm"`` resolves to a
 built component uniformly everywhere: in :func:`repro.api.solve`, in the
@@ -34,7 +34,7 @@ names, always listing what *is* registered in the namespace.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 __all__ = [
@@ -58,7 +58,7 @@ __all__ = [
 
 #: The registered component namespaces.
 NAMESPACES = ("solver", "preconditioner", "detector", "fault_model",
-              "problem", "backend", "sink")
+              "problem", "sink")
 
 
 class RegistryError(ValueError):
@@ -98,7 +98,6 @@ class _Entry:
     factory: Callable[..., Any]
     positional: tuple[str, ...] = ()
     aliases: tuple[str, ...] = ()
-    metadata: dict[str, Any] = field(default_factory=dict)
 
 
 class Registry:
@@ -119,9 +118,8 @@ class Registry:
 
     def register(self, namespace: str, name: str, *,
                  aliases: Iterable[str] = (),
-                 positional: Iterable[str] = (),
-                 **metadata: Any) -> Callable[[Callable[..., Any]],
-                                              Callable[..., Any]]:
+                 positional: Iterable[str] = ()) -> Callable[[Callable[..., Any]],
+                                                            Callable[..., Any]]:
         """Decorator registering ``factory(ctx, **params)`` under ``name``.
 
         Parameters
@@ -136,16 +134,12 @@ class Registry:
             Parameter names that colon-separated string arguments map onto,
             in order (``"bound:two_norm"`` → ``method="two_norm"`` when
             ``positional=("method",)``).
-        **metadata
-            Free-form entry metadata (e.g. backend knob compatibility),
-            retrievable via :meth:`entry`.
         """
         space = self._space(namespace)
 
         def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
             entry = _Entry(name=name, factory=factory,
-                           positional=tuple(positional), aliases=tuple(aliases),
-                           metadata=dict(metadata))
+                           positional=tuple(positional), aliases=tuple(aliases))
             for key in (name, *aliases):
                 if key in space:
                     raise RegistryError(
@@ -170,10 +164,6 @@ class Registry:
                 f"{self.names(namespace)}"
             ) from None
 
-    def metadata(self, namespace: str, name: str) -> dict[str, Any]:
-        """The metadata dict attached at registration time."""
-        return dict(self.entry(namespace, name).metadata)
-
     # ------------------------------------------------------------------ #
     def resolve(self, namespace: str, spec: Any,
                 ctx: ResolveContext | None = None) -> Any:
@@ -190,9 +180,12 @@ class Registry:
         params = _bind_positional(entry, params)
         try:
             return entry.factory(ctx if ctx is not None else ResolveContext(), **params)
-        except TypeError as exc:
-            # A wrong keyword reads as "unexpected keyword argument 'omega'";
-            # re-raise with the component named so config typos are findable.
+        except RegistryError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # A wrong keyword reads as "unexpected keyword argument 'omega'",
+            # a bad value (``poisson:abc``) as the factory's ValueError;
+            # re-raise with the component named so config errors are findable.
             raise RegistryError(f"invalid options for {namespace} {name!r}: {exc}") from exc
 
     def check(self, namespace: str, spec: Any) -> None:
@@ -678,26 +671,6 @@ def _run_cg(ctx, *, A, b, x0, spec, injector=None, events=None):
         kwargs["preconditioner"] = resolve_preconditioner(
             kwargs["preconditioner"], A=A)
     return cg(A, b, x0, events=events, **kwargs)
-
-
-# ----------------------------- backends ------------------------------- #
-# One entry per row of :data:`repro.exec.executor.BACKEND_KNOBS`, carrying
-# the knobs :func:`repro.exec.executor.resolve_backend` lets it take; the
-# factory returns the metadata (backends are dispatch strategies, not built
-# objects).
-def _register_backends() -> None:
-    from repro.exec.executor import BACKEND_KNOBS
-
-    for name, knob_set in BACKEND_KNOBS.items():
-        knobs = tuple(sorted(knob_set))
-        parallel = "workers" in knobs
-
-        @register("backend", name, parallel=parallel, knobs=knobs)
-        def _backend_info(ctx, _name=name, _parallel=parallel, _knobs=knobs):
-            return {"name": _name, "parallel": _parallel, "knobs": _knobs}
-
-
-_register_backends()
 
 
 # ------------------------------- sinks -------------------------------- #

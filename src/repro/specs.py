@@ -101,13 +101,14 @@ def _check_float(field_path: str, value: Any, *, minimum: float | None = None,
     return value
 
 
-def _check_component(field_path: str, value: Any, *,
+def _check_component(field_path: str, value: Any, *, namespace: str | None = None,
                      allow_none: bool = True) -> Any:
     """A component spec field: string, dict-with-name, built instance, or None.
 
-    The field's name is its registry namespace.  A string or dict spec's
-    colon arguments and keywords must bind to the registered factory's
-    signature (see :meth:`repro.registry.Registry.check`).
+    ``namespace`` is the field's registry namespace (default: the field's
+    name).  A string or dict spec's colon arguments and keywords must bind
+    to the registered factory's signature (see
+    :meth:`repro.registry.Registry.check`).
     """
     if value is None:
         if not allow_none:
@@ -127,7 +128,7 @@ def _check_component(field_path: str, value: Any, *,
     from repro.registry import RegistryError, registry
 
     try:
-        registry.check(field_path, value)
+        registry.check(namespace or field_path, value)
     except RegistryError as exc:
         raise SpecError(field_path, str(exc)) from None
     return value
@@ -436,9 +437,11 @@ class ExecutionSpec(_SpecBase):
     sharded backend's worker-process count; left unset it comes from
     ``REPRO_WORKERS`` when the campaign runs.  Knob/backend combinations are
     validated *up front* — ``batch_size`` only applies to the batched
-    backend, ``workers``/``max_retries``/``heartbeat_interval`` only to the
-    sharded one — with errors that say which knob to drop or which backend
-    to pick (see :func:`repro.exec.executor.resolve_backend`).
+    backend, ``workers``/``max_retries`` only to the sharded one — with
+    errors that say which knob to drop or which backend to pick (see
+    :func:`repro.exec.executor.resolve_backend`).  A
+    :class:`~repro.faults.campaign.FaultCampaign` runs on the backend its
+    spec's ``exec`` selects.
     """
 
     backend: str | None = None
@@ -454,9 +457,6 @@ class ExecutionSpec(_SpecBase):
     #: How many times a trial may crash its sharded worker before it is
     #: quarantined as a poison ``"error"`` record (sharded backend only).
     max_retries: int | None = None
-    #: Seconds between supervisor liveness polls of the shard heartbeat
-    #: files (sharded backend only).
-    heartbeat_interval: float | None = None
 
     def __post_init__(self) -> None:
         from repro.exec.executor import BACKENDS, BackendKnobError, resolve_backend
@@ -468,11 +468,6 @@ class ExecutionSpec(_SpecBase):
         if self.trial_timeout is not None and self.trial_timeout <= 0.0:
             raise SpecError("trial_timeout", f"must be > 0, got {self.trial_timeout}")
         _check_int("max_retries", self.max_retries, minimum=1, allow_none=True)
-        _check_float("heartbeat_interval", self.heartbeat_interval,
-                     minimum=0.0, allow_none=True)
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0.0:
-            raise SpecError("heartbeat_interval",
-                            f"must be > 0, got {self.heartbeat_interval}")
         # Validity never depends on REPRO_WORKERS: an unset worker count
         # validates as 1, the environment's fallback.
         knobs = dict(self.executor_kwargs(),
@@ -493,10 +488,10 @@ class ExecutionSpec(_SpecBase):
         return self._compact_dict()
 
     def executor_kwargs(self) -> dict[str, Any]:
-        """Keyword arguments for :class:`repro.exec.executor.CampaignExecutor`."""
+        """The backend knobs, as keyword arguments for
+        :func:`repro.exec.executor.resolve_backend`."""
         return {"backend": self.backend, "workers": self.workers,
-                "batch_size": self.batch_size, "max_retries": self.max_retries,
-                "heartbeat_interval": self.heartbeat_interval}
+                "batch_size": self.batch_size, "max_retries": self.max_retries}
 
 
 # ---------------------------------------------------------------------- #
@@ -506,10 +501,17 @@ class ExecutionSpec(_SpecBase):
 class CampaignSpec(_SpecBase):
     """Declarative configuration of a whole fault-injection campaign.
 
-    The field defaults here are *the* campaign defaults: both
-    :class:`~repro.faults.campaign.FaultCampaign` and
-    :func:`~repro.faults.campaign.sweep_injection_locations` derive their
-    keyword defaults from this class, so the numbers cannot drift apart.
+    This is a campaign's only configuration: a
+    :class:`~repro.faults.campaign.FaultCampaign` is built from one (or
+    from its fields as keywords) and runs what it says — its
+    ``locations`` (default: every location the failure-free solve
+    reaches, at ``stride``) on its ``exec`` backend.
+
+    ``fault_classes`` is ``"paper"`` (the paper's three scaling classes) or
+    a dict mapping labels to fault-model registry specs or built
+    :class:`~repro.faults.models.FaultModel` instances; a spec's arguments
+    are bound to the model's factory when the spec is built, so a misspelled
+    option is a :class:`SpecError` naming ``fault_classes.<label>``.
 
     ``problem`` is a gallery spec (``"poisson:30"``,
     ``{"name": "circuit", "n_nodes": 800}``) or ``None`` when the problem
@@ -555,6 +557,10 @@ class CampaignSpec(_SpecBase):
             raise SpecError("fault_classes",
                             f"expected 'paper' or a dict of label -> fault-model "
                             f"spec, got {self.fault_classes!r}")
+        if isinstance(self.fault_classes, dict):
+            for label, model in self.fault_classes.items():
+                _check_component(f"fault_classes.{label}", model,
+                                 namespace="fault_model", allow_none=False)
         _check_choice("mgs_position", self.mgs_position, MGS_POSITIONS)
         _check_component("detector", self.detector)
         _check_choice("detector_response", self.detector_response, DETECTOR_RESPONSES)

@@ -2,10 +2,12 @@
 
 The acceptance contract of the config-first redesign:
 
-* the direct entry points (``gmres``/``fgmres``/``ft_gmres``/``FaultCampaign.run``/
-  ``sweep_injection_locations``/``run_fault_sweep``) produce **bit-identical**
-  results to the spec-driven :func:`repro.api.solve`/:func:`repro.api.run_campaign`
-  paths (they share one execution path; this suite asserts it stays that way);
+* the direct entry points (``gmres``/``fgmres``/``ft_gmres``/``FaultCampaign.run``)
+  produce **bit-identical** results to the spec-driven
+  :func:`repro.api.solve`/:func:`repro.api.run_campaign` paths (they share one
+  execution path; this suite asserts it stays that way, and
+  ``tests/test_campaign_entry_points.py`` holds the campaign entry points to
+  each other over generated specs);
 * a campaign defined purely as a JSON spec file runs through
   ``repro.api.run_campaign`` on all four backends with trial-for-trial
   identical results;
@@ -28,7 +30,7 @@ from repro.baselines.cg import cg
 from repro.core.fgmres import fgmres
 from repro.core.ftgmres import ft_gmres
 from repro.core.gmres import gmres
-from repro.faults.campaign import FaultCampaign, sweep_injection_locations
+from repro.faults.campaign import FaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ScalingFault
 from repro.faults.schedule import InjectionSchedule
@@ -138,38 +140,13 @@ class TestCampaignEquivalence:
     def campaign_args(self):
         return dict(inner_iterations=6, max_outer=30, stride=11)
 
-    def test_matches_sweep_injection_locations(self, poisson, campaign_args):
-        legacy = sweep_injection_locations(poisson, detector="bound", **campaign_args)
-        spec = api.run_campaign(poisson, CampaignSpec(
-            detector="bound",
-            inner_iterations=campaign_args["inner_iterations"],
-            max_outer=campaign_args["max_outer"],
-            stride=campaign_args["stride"]))
-        assert legacy.failure_free_outer == spec.failure_free_outer
-        assert legacy.trials == spec.trials
-
     def test_matches_fault_campaign_run(self, poisson, campaign_args):
-        campaign = FaultCampaign(poisson,
-                                 inner_iterations=campaign_args["inner_iterations"],
-                                 max_outer=campaign_args["max_outer"])
-        legacy = campaign.run(stride=campaign_args["stride"])
+        legacy = FaultCampaign(poisson, **campaign_args).run()
         spec = api.run_campaign(poisson, {
             "inner_iterations": campaign_args["inner_iterations"],
             "max_outer": campaign_args["max_outer"],
             "stride": campaign_args["stride"]})
         assert legacy.trials == spec.trials
-
-    def test_run_fault_sweep_kwargs_and_spec_agree(self, poisson, campaign_args):
-        from repro.experiments.figure34 import run_fault_sweep
-
-        by_kwargs = run_fault_sweep(poisson, mgs_position="last",
-                                    detector="bound", **campaign_args)
-        by_spec = run_fault_sweep(poisson, CampaignSpec(
-            mgs_position="last", detector="bound",
-            inner_iterations=campaign_args["inner_iterations"],
-            max_outer=campaign_args["max_outer"],
-            stride=campaign_args["stride"]))
-        assert by_kwargs.trials == by_spec.trials
 
     def test_problem_spec_and_problem_object_agree(self, campaign_args):
         by_object = api.run_campaign(poisson_problem(grid_n=8),
@@ -195,7 +172,8 @@ class TestCampaignEquivalence:
         assert campaign.inner_iterations == 7
         assert campaign.solver.inner.maxiter == 7
         legacy = FaultCampaign(poisson, inner_iterations=7, max_outer=30)
-        assert campaign.run(stride=9).trials == legacy.run(stride=9).trials
+        assert (campaign.run_plan(campaign.plan(stride=9)).trials
+                == legacy.run_plan(legacy.plan(stride=9)).trials)
 
     def test_solver_outer_budget_takes_effect(self, poisson):
         spec = CampaignSpec(solver=SolveSpec(method="ft_gmres", max_outer=20))
@@ -276,8 +254,8 @@ class TestCampaignEquivalence:
         assert campaign.detector_response == "flag"
         legacy = FaultCampaign(poisson, inner_iterations=5, max_outer=25,
                                detector="bound", detector_response="flag")
-        assert (campaign.run(locations=[1]).trials
-                == legacy.run(locations=[1]).trials)
+        assert (campaign.run_plan(campaign.plan(locations=[1])).trials
+                == legacy.run_plan(legacy.plan(locations=[1])).trials)
         # The same holds when the detector itself is set campaign-level.
         split = CampaignSpec(
             inner_iterations=5, max_outer=25, detector="bound",
@@ -303,13 +281,6 @@ class TestCampaignEquivalence:
                                                            method="two_norm")
         assert campaign.detector.bound < hessenberg_bound(problem.A,
                                                           method="frobenius")
-
-    def test_run_fault_sweep_rejects_conflicting_problem_spec(self, poisson):
-        from repro.experiments.figure34 import run_fault_sweep
-        from repro.specs import SpecError
-
-        with pytest.raises(SpecError, match="problem"):
-            run_fault_sweep(poisson, CampaignSpec(problem="circuit:50"))
 
     def test_conflicting_detectors_rejected(self, poisson):
         from repro.specs import SpecError

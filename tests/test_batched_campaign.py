@@ -23,7 +23,6 @@ from repro.core.batched import (
 )
 from repro.core.ftgmres import ft_gmres
 from repro.core.least_squares import IncrementalGivensQR, givens_rotation
-from repro.exec.executor import CampaignExecutor
 from repro.faults.campaign import FaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.faults.models import (
@@ -62,6 +61,15 @@ def assert_records_equivalent(serial, batched, rtol=1e-10):
         else:
             assert abs(s.residual_norm - b.residual_norm) <= \
                 rtol * max(1.0, abs(s.residual_norm))
+
+
+def run_with(campaign, **fields):
+    """Run ``campaign``'s spec with ``fields`` replaced."""
+    return FaultCampaign(campaign.problem, campaign.spec, **fields).run()
+
+
+#: The ``exec`` section of a batched run at the default batch size.
+BATCHED = {"backend": "batched"}
 
 
 def event_signature(events):
@@ -143,14 +151,15 @@ class TestBatchedGivensRotation:
 # --------------------------------------------------------------------------- #
 class TestCampaignEquivalence:
     def test_detector_campaign_matches_serial(self, detector_campaign):
-        serial = detector_campaign.run(stride=7)
-        batched = detector_campaign.run(stride=7, backend="batched", batch_size=8)
+        serial = run_with(detector_campaign, stride=7)
+        batched = run_with(detector_campaign, stride=7,
+                           exec={"backend": "batched", "batch_size": 8})
         assert_records_equivalent(serial, batched)
 
     def test_no_detector_campaign_matches_serial(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=50)
-        serial = campaign.run(stride=7)
-        batched = campaign.run(stride=7, backend="batched")
+        serial = run_with(campaign, stride=7)
+        batched = run_with(campaign, stride=7, exec=BATCHED)
         assert_records_equivalent(serial, batched)
 
     def test_batch_size_only_perturbs_within_tolerance(self, detector_campaign):
@@ -161,28 +170,28 @@ class TestCampaignEquivalence:
         its blocking by operand shape), so residuals agree to the same
         ~1e-10 contract as against serial rather than bit-for-bit.
         """
-        serial = detector_campaign.run(stride=9)
-        reference = detector_campaign.run(stride=9, backend="batched", batch_size=64)
-        assert detector_campaign.run(stride=9, backend="batched",
-                                     batch_size=64).trials == reference.trials
+        serial = run_with(detector_campaign, stride=9)
+        wide = {"backend": "batched", "batch_size": 64}
+        reference = run_with(detector_campaign, stride=9, exec=wide)
+        assert run_with(detector_campaign, stride=9, exec=wide).trials == reference.trials
         for batch_size in (1, 3, 7):
-            again = detector_campaign.run(stride=9, backend="batched",
-                                          batch_size=batch_size)
+            again = run_with(detector_campaign, stride=9,
+                             exec={"backend": "batched", "batch_size": batch_size})
             assert_records_equivalent(serial, again)
 
     def test_mgs_last_position(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=50,
                                  mgs_position="last", detector="bound",
                                  detector_response="zero")
-        assert_records_equivalent(campaign.run(stride=9),
-                                  campaign.run(stride=9, backend="batched"))
+        assert_records_equivalent(run_with(campaign, stride=9),
+                                  run_with(campaign, stride=9, exec=BATCHED))
 
     def test_nonsymmetric_circuit_problem(self):
         problem = circuit_problem(200)
         campaign = FaultCampaign(problem, inner_iterations=10, max_outer=60,
                                  detector="bound", detector_response="zero")
-        assert_records_equivalent(campaign.run(stride=17),
-                                  campaign.run(stride=17, backend="batched"))
+        assert_records_equivalent(run_with(campaign, stride=17),
+                                  run_with(campaign, stride=17, exec=BATCHED))
 
     @pytest.mark.parametrize("site", ["hessenberg", "spmv"])
     def test_rate_schedule_campaign(self, tiny_problem, site):
@@ -192,16 +201,16 @@ class TestCampaignEquivalence:
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
                                  detector="bound", detector_response="zero",
                                  site=site, fault_rate=2)
-        serial = campaign.run(stride=11)
+        serial = run_with(campaign, stride=11)
         assert any(t.faults_injected == 2 for t in serial.trials)
-        assert_records_equivalent(serial, campaign.run(stride=11, backend="batched"))
+        assert_records_equivalent(serial, run_with(campaign, stride=11, exec=BATCHED))
 
     @pytest.mark.parametrize("response", ["flag", "clamp", "recompute"])
     def test_detector_responses(self, tiny_problem, response):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
                                  detector="bound", detector_response=response)
-        assert_records_equivalent(campaign.run(stride=11),
-                                  campaign.run(stride=11, backend="batched"))
+        assert_records_equivalent(run_with(campaign, stride=11),
+                                  run_with(campaign, stride=11, exec=BATCHED))
 
 
 class TestCommonPathExits:
@@ -209,17 +218,17 @@ class TestCommonPathExits:
         """A loose tolerance makes every trial converge at outer iteration 1."""
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=50,
                                  outer_tol=1e-1)
-        serial = campaign.run(stride=7)
+        serial = run_with(campaign, stride=7)
         assert any(t.outer_iterations == 1 for t in serial.trials)
-        assert_records_equivalent(serial, campaign.run(stride=7, backend="batched"))
+        assert_records_equivalent(serial, run_with(campaign, stride=7, exec=BATCHED))
 
     def test_happy_breakdown_mid_batch(self):
         """On the identity matrix every inner solve breaks down at step 1."""
         problem = TestProblem(name="identity", A=CSRMatrix.identity(30),
                               b=np.ones(30), spd=True)
         campaign = FaultCampaign(problem, inner_iterations=5, max_outer=10)
-        serial = campaign.run(locations=[0, 1, 2, 3])
-        batched = campaign.run(locations=[0, 1, 2, 3], backend="batched")
+        serial = run_with(campaign, locations=(0, 1, 2, 3))
+        batched = run_with(campaign, locations=(0, 1, 2, 3), exec=BATCHED)
         assert_records_equivalent(serial, batched)
 
     def test_nan_trial_continues_while_batch_mates_converge(self, tiny_problem):
@@ -235,8 +244,8 @@ class TestCommonPathExits:
                                  fault_classes=classes)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            serial = campaign.run(stride=9)
-            batched = campaign.run(stride=9, backend="batched")
+            serial = run_with(campaign, stride=9)
+            batched = run_with(campaign, stride=9, exec=BATCHED)
         assert not [t for t in serial.trials + batched.trials if t.is_error]
         assert_records_equivalent(serial, batched)
 
@@ -249,9 +258,9 @@ class TestCommonPathExits:
         campaign = FaultCampaign(poisson_problem(grid_n=10), inner_iterations=10,
                                  max_outer=60, detector="bound", detector_response="flag",
                                  solver=SolveSpec(method="ft_gmres", inner=inner))
-        serial = campaign.run(locations=[46])
+        serial = run_with(campaign, locations=(46,))
         assert serial.trials[0].faults_detected > 0
-        assert_records_equivalent(serial, campaign.run(locations=[46], backend="batched"))
+        assert_records_equivalent(serial, run_with(campaign, locations=(46,), exec=BATCHED))
 
     def test_chaotic_large_fault_is_serial_exact(self, tiny_problem):
         """Huge (1e150-scale) faults without a filtering detector are peeled
@@ -259,8 +268,8 @@ class TestCommonPathExits:
         campaign = FaultCampaign(
             tiny_problem, inner_iterations=10, max_outer=30,
             fault_classes={"large": PAPER_FAULT_CLASSES["large"]})
-        serial = campaign.run(stride=9)
-        batched = campaign.run(stride=9, backend="batched")
+        serial = run_with(campaign, stride=9)
+        batched = run_with(campaign, stride=9, exec=BATCHED)
         assert batched.trials == serial.trials  # exact, not just equivalent
 
 
@@ -400,7 +409,9 @@ def _one_batch(campaign, locations, monkeypatch, fault_class="large"):
     campaign.plan(locations=())  # the baseline the lanes resume from
     specs = [spec for spec in campaign.trial_specs(locations)
              if spec.fault_class == fault_class]
-    records = dict(campaign.iter_specs_batched(specs, batch_size=len(specs)))
+    # The campaigns here leave exec.batch_size at its default, which is wider
+    # than any spec list below: one batch.
+    records = dict(campaign.iter_specs_batched(specs))
     assert len(records) == len(lanes) == len(specs)
     serial = []
     for spec in specs:
@@ -469,8 +480,8 @@ class TestResumedLanes:
             solver=SolveSpec(method="ft_gmres", orthogonalization="cgs2",
                              detector="bound", detector_response="clamp"))
         assert campaign.batched_unsupported_reason() is None
-        assert_records_equivalent(campaign.run(stride=7),
-                                  campaign.run(stride=7, backend="batched"))
+        assert_records_equivalent(run_with(campaign, stride=7),
+                                  run_with(campaign, stride=7, exec=BATCHED))
 
     def test_stateful_outer_detector_rejected(self, tiny_problem):
         campaign = FaultCampaign(
@@ -495,7 +506,7 @@ class TestGating:
                                              orthogonalization="cgs2")))
         assert campaign.batched_unsupported_reason() is not None
         with pytest.raises(ValueError, match="not supported by the batched"):
-            campaign.run(stride=11, backend="batched")
+            run_with(campaign, stride=11, exec=BATCHED)
 
     def test_raise_response_rejected(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
@@ -537,32 +548,34 @@ class TestExecutorIntegration:
         assert "batched" in BACKENDS
 
     def test_executor_runs_batched(self, detector_campaign):
-        executor = CampaignExecutor(detector_campaign, backend="batched",
-                                    batch_size=4)
-        specs = detector_campaign.trial_specs([1, 12, 23])
-        records = executor.run(specs)
+        campaign = FaultCampaign(detector_campaign.problem, detector_campaign.spec,
+                                 exec={"backend": "batched", "batch_size": 4})
+        specs = campaign.trial_specs([1, 12, 23])
+        records = [record for _, record in sorted(campaign.iter_records(specs))]
         assert [r.fault_class for r in records] == [s.fault_class for s in specs]
 
     def test_spec_order_defines_output_order(self, detector_campaign):
-        executor = CampaignExecutor(detector_campaign, backend="batched")
-        specs = detector_campaign.trial_specs([1, 12])
-        assert executor.run(list(reversed(specs))) == executor.run(specs)
+        campaign = FaultCampaign(detector_campaign.problem, detector_campaign.spec,
+                                 exec=BATCHED)
+        plan = campaign.plan(locations=(1, 12))
+        assert (campaign.run_plan(plan, specs=list(reversed(plan.specs))).trials
+                == campaign.run_plan(plan).trials)
 
     def test_progress_reaches_total(self, detector_campaign):
         sink = CollectingSink()
-        result = detector_campaign.run(stride=11, backend="batched", batch_size=2,
-                                       sink=sink)
+        result = FaultCampaign(detector_campaign.problem, detector_campaign.spec,
+                               stride=11, exec={"backend": "batched", "batch_size": 2}
+                               ).run(sink=sink)
         progress = [(e.data["done"], e.data["total"])
                     for e in sink.of_kind("trial_completed")]
         assert [done for done, _ in progress] == list(range(1, len(result.trials) + 1))
         assert {total for _, total in progress} == {len(result.trials)}
 
     def test_invalid_batch_size(self, detector_campaign):
-        with pytest.raises(ValueError):
-            CampaignExecutor(detector_campaign, backend="batched", batch_size=0)
-        with pytest.raises(ValueError):
-            list(detector_campaign.iter_specs_batched(
-                detector_campaign.trial_specs([1]), batch_size=-1))
+        for batch_size in (0, -1):
+            with pytest.raises(ValueError):
+                FaultCampaign(detector_campaign.problem, detector_campaign.spec,
+                              exec={"backend": "batched", "batch_size": batch_size})
 
     def test_empty_specs(self, detector_campaign):
         assert list(detector_campaign.iter_specs_batched([])) == []
@@ -571,9 +584,9 @@ class TestExecutorIntegration:
         """The soft ``trial_timeout`` holds lockstep lanes to their
         amortized share, so both backends quarantine every trial alike."""
         campaign = FaultCampaign(poisson_problem(grid_n=8), inner_iterations=10,
-                                 max_outer=30, trial_timeout=1e-9)
-        serial = campaign.run(stride=6)
-        batched = campaign.run(stride=6, backend="batched")
+                                 max_outer=30, stride=6, exec={"trial_timeout": 1e-9})
+        serial = campaign.run()
+        batched = run_with(campaign, exec={"trial_timeout": 1e-9, **BATCHED})
         assert len(serial.trials) == 21
         assert all(t.is_error and t.error.startswith("soft timeout")
                    for t in serial.trials + batched.trials)

@@ -1,17 +1,17 @@
-"""Tests for the campaign execution engine (:mod:`repro.exec`).
+"""Tests for the campaign execution backends (:mod:`repro.exec`).
 
 The engine's central promise: a sharded campaign run is trial-for-trial
 identical to a serial one — same :class:`TrialRecord` values, same order —
 for every worker count and shard layout.  :func:`resolve_backend` is the one
-place the execution knobs become a backend; its table is pinned here.
+place the execution knobs become a backend; its table is pinned here, and a
+campaign runs on the backend its spec's ``exec`` section resolves to.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exec.executor import (BackendKnobError, CampaignExecutor,
-                                 resolve_backend, resolve_workers)
+from repro.exec.executor import BackendKnobError, resolve_backend, resolve_workers
 from repro.exec.spec import TrialSpec
 from repro.faults.campaign import FaultCampaign
 from repro.gallery.problems import poisson_problem
@@ -32,7 +32,12 @@ def campaign(tiny_problem):
 
 @pytest.fixture(scope="module")
 def serial_result(campaign):
-    return campaign.run(stride=11)
+    return _run(campaign, stride=11)
+
+
+def _run(campaign, **fields):
+    """Run ``campaign``'s spec with some fields replaced."""
+    return FaultCampaign(campaign.problem, campaign.spec, **fields).run()
 
 
 class TestWorkerResolution:
@@ -86,7 +91,8 @@ class TestResolveBackend:
         else:
             monkeypatch.setenv("REPRO_WORKERS", env)
         assert resolve_backend(**knobs) == expected
-        assert CampaignExecutor(campaign, **knobs).backend == expected
+        assert FaultCampaign(campaign.problem, campaign.spec,
+                             exec=knobs).backend == expected
         ExecutionSpec(**knobs)  # the spec layer accepts every row
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -101,7 +107,7 @@ class TestResolveBackend:
             apply_overrides(CampaignSpec(), {"exec.backend": backend})
         assert info.value.field == "exec.backend"
         with pytest.raises(BackendKnobError, match="backend must be one of"):
-            CampaignExecutor(campaign, backend=backend, workers=2)
+            resolve_backend(backend, workers=2)
 
     @pytest.mark.parametrize("key", ["chunksize", "shards"])
     def test_removed_knobs_rejected(self, key):
@@ -145,7 +151,7 @@ class TestDeterministicParallelism:
 
     @pytest.mark.parametrize("backend", ["sharded"])
     def test_backend_matches_serial(self, campaign, serial_result, backend):
-        parallel = campaign.run(stride=11, backend=backend, workers=2)
+        parallel = _run(campaign, stride=11, exec={"backend": backend, "workers": 2})
         assert parallel.trials == serial_result.trials
         assert parallel.failure_free_outer == serial_result.failure_free_outer
         assert parallel.failure_free_residual == serial_result.failure_free_residual
@@ -156,117 +162,116 @@ class TestDeterministicParallelism:
         so serial and sharded runs agree too."""
         def fresh():
             return FaultCampaign(tiny_problem, inner_iterations=10, max_outer=50,
-                                 detector="norm_growth", detector_response="flag")
+                                 detector="norm_growth", detector_response="flag",
+                                 stride=11)
 
         campaign = fresh()
-        serial = campaign.run(stride=11)
+        serial = campaign.run()
         locations = range(0, serial.failure_free_outer * 10, 11)
         specs = campaign.trial_specs(locations)
         assert [fresh().run_spec(spec) for spec in specs] == serial.trials
         assert any(t.faults_detected for t in serial.trials)
-        parallel = campaign.run(stride=11, backend="sharded", workers=2)
+        parallel = _run(campaign, exec={"backend": "sharded", "workers": 2})
         assert parallel.trials == serial.trials
 
     def test_single_trial_chunks_match_serial(self, campaign):
         """One trial per shard maximizes completion reordering; the
         canonical order must survive it."""
-        serial = campaign.run(locations=[1, 12])
-        parallel = campaign.run(locations=[1, 12], backend="sharded",
-                                workers=len(serial.trials))
+        serial = _run(campaign, locations=(1, 12))
+        parallel = _run(campaign, locations=(1, 12),
+                        exec={"backend": "sharded", "workers": len(serial.trials)})
         assert parallel.trials == serial.trials
 
     def test_workers_env_knob_respected(self, campaign, serial_result, monkeypatch):
         """REPRO_WORKERS alone selects the sharded backend."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert CampaignExecutor(campaign).backend == "sharded"
-        parallel = campaign.run(stride=11)
+        assert campaign.backend == "sharded"
+        parallel = _run(campaign, stride=11)
         assert parallel.trials == serial_result.trials
 
 
 class TestExecutorMechanics:
     def test_progress_reaches_total(self, campaign):
         sink = CollectingSink()
-        result = campaign.run(stride=17, backend="sharded", workers=2, sink=sink)
+        result = FaultCampaign(campaign.problem, campaign.spec, stride=17,
+                               exec={"backend": "sharded", "workers": 2}).run(sink=sink)
         progress = [(e.data["done"], e.data["total"])
                     for e in sink.of_kind("trial_completed")]
         assert [done for done, _ in progress] == list(range(1, len(result.trials) + 1))
         assert {total for _, total in progress} == {len(result.trials)}
 
     def test_empty_spec_list(self, campaign):
-        executor = CampaignExecutor(campaign)
-        assert executor.run([]) == []
+        assert list(campaign.iter_records([])) == []
 
     def test_duplicate_indices_rejected(self, campaign):
-        executor = CampaignExecutor(campaign)
         specs = [TrialSpec(0, "large", 1), TrialSpec(0, "large", 2)]
         with pytest.raises(ValueError):
-            executor.run(specs)
+            list(campaign.iter_records(specs))
 
     def test_unknown_fault_class(self, campaign):
         with pytest.raises(KeyError):
             campaign.run_spec(TrialSpec(0, "no-such-class", 1))
 
     def test_invalid_chunksize(self, campaign):
-        """chunksize is no longer an executor knob at all."""
-        with pytest.raises(TypeError, match="chunksize"):
-            CampaignExecutor(campaign, chunksize=0)
+        """chunksize is no longer an execution knob at all."""
+        with pytest.raises(SpecError) as info:
+            FaultCampaign(campaign.problem, campaign.spec, exec={"chunksize": 0})
+        assert info.value.field == "exec.chunksize"
 
     def test_batch_size_with_pool_backend_rejected(self, campaign):
         """Knobs the backend would silently ignore are errors up front."""
         with pytest.raises(ValueError, match="batch_size"):
-            CampaignExecutor(campaign, backend="sharded", batch_size=8)
+            resolve_backend("sharded", batch_size=8)
 
     def test_parallel_workers_with_serial_rejected(self, campaign):
         with pytest.raises(ValueError, match="workers"):
-            CampaignExecutor(campaign, backend="serial", workers=4)
+            resolve_backend("serial", workers=4)
 
     def test_chunksize_with_batched_rejected(self, campaign):
-        with pytest.raises(TypeError, match="chunksize"):
-            CampaignExecutor(campaign, backend="batched", chunksize=2)
+        with pytest.raises(SpecError) as info:
+            FaultCampaign(campaign.problem, campaign.spec,
+                          exec={"backend": "batched", "chunksize": 2})
+        assert info.value.field == "exec.chunksize"
 
     def test_workers_one_accepted_everywhere(self, campaign):
-        assert CampaignExecutor(campaign, backend="serial", workers=1).backend == "serial"
-        assert CampaignExecutor(campaign, backend="batched", workers=1).backend == "batched"
+        assert resolve_backend("serial", workers=1) == "serial"
+        assert resolve_backend("batched", workers=1) == "batched"
 
     def test_batch_size_auto_selects_batched(self, campaign):
-        executor = CampaignExecutor(campaign, batch_size=4)
-        assert executor.backend == "batched"
-        assert executor.batch_size == 4
+        batched = FaultCampaign(campaign.problem, campaign.spec, exec={"batch_size": 4})
+        assert batched.backend == "batched"
+        assert batched.spec.exec.batch_size == 4
 
     def test_ambiguous_auto_backend_rejected(self, campaign):
         with pytest.raises(ValueError, match="batch_size"):
-            CampaignExecutor(campaign, workers=4, batch_size=4)
+            ExecutionSpec(workers=4, batch_size=4)
         with pytest.raises(BackendKnobError, match="mutually exclusive"):
             resolve_backend(batch_size=8, workers=2)
 
     def test_env_workers_do_not_trip_serial_validation(self, campaign, monkeypatch):
         """REPRO_WORKERS is a default, not an explicit knob; serial ignores it."""
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        executor = CampaignExecutor(campaign, backend="serial")
-        assert executor.backend == "serial"
+        serial = FaultCampaign(campaign.problem, campaign.spec, exec={"backend": "serial"})
+        assert serial.backend == "serial"
 
     def test_env_workers_do_not_veto_explicit_batch_size(self, campaign, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        executor = CampaignExecutor(campaign, batch_size=8)
-        assert executor.backend == "batched"
-        assert executor.batch_size == 8
+        batched = FaultCampaign(campaign.problem, campaign.spec, exec={"batch_size": 8})
+        assert batched.backend == "batched"
+        assert batched.spec.exec.batch_size == 8
 
     def test_workers_zero_means_one_per_cpu(self, campaign):
         """workers=0 must stay accepted even when it resolves to 1 CPU."""
-        executor = CampaignExecutor(campaign, workers=0)
-        assert executor.workers >= 1
-        assert executor.backend == ("sharded" if executor.workers > 1 else "serial")
-
-    def test_non_campaign_config_rejected(self):
-        with pytest.raises(TypeError):
-            CampaignExecutor(object())
+        workers = resolve_workers(0)
+        assert workers >= 1
+        assert (FaultCampaign(campaign.problem, campaign.spec, exec={"workers": 0}).backend
+                == ("sharded" if workers > 1 else "serial"))
 
     def test_spec_order_defines_output_order(self, campaign):
         """Reversed input specs still come back sorted by spec.index."""
-        specs = campaign.trial_specs([1, 26])
-        executor = CampaignExecutor(campaign)
-        forward = executor.run(specs)
-        backward = executor.run(list(reversed(specs)))
+        plan = campaign.plan(locations=(1, 26))
+        forward = campaign.run_plan(plan).trials
+        backward = campaign.run_plan(plan, specs=list(reversed(plan.specs))).trials
         assert forward == backward
 
 
@@ -281,9 +286,9 @@ class TestWorkerIsolation:
         for backend, knobs in (("sharded", {"workers": 2}), ("serial", {})):
             campaign = FaultCampaign(tiny_problem, inner_iterations=10,
                                      max_outer=50,
-                                     detector=NormGrowthDetector(factor=1e6))
-            executor = CampaignExecutor(campaign, backend=backend, **knobs)
-            executor.run(campaign.trial_specs([1, 12]))
+                                     detector=NormGrowthDetector(factor=1e6),
+                                     exec={"backend": backend, **knobs})
+            list(campaign.iter_records(campaign.trial_specs([1, 12])))
             references[backend] = campaign.detector._reference
         assert references["sharded"] == 0.0
         assert references["serial"] > 0.0
@@ -295,10 +300,11 @@ class TestWorkerIsolation:
         custom = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=50,
                                solver=SolveSpec(method="ft_gmres",
                                                 inner=SolveSpec(method="gmres", tol=0.0,
-                                                                orthogonalization="cgs2")))
+                                                                orthogonalization="cgs2")),
+                               stride=13)
         assert custom.solver.inner.orthogonalization == "cgs2"
-        serial = custom.run(stride=13)
-        parallel = custom.run(stride=13, backend="sharded", workers=2)
+        serial = custom.run()
+        parallel = _run(custom, exec={"backend": "sharded", "workers": 2})
         assert parallel.trials == serial.trials
 
     def test_trial_specs_accepts_iterator(self, campaign):

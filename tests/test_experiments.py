@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import run_campaign
 from repro.experiments.figure2 import figure2_comparison, hessenberg_structure, pattern_string
-from repro.experiments.figure34 import FigureSweep, run_fault_sweep
+from repro.experiments.figure34 import FigureSweep
 from repro.experiments.report import ascii_series_plot, format_markdown_table, format_table
 from repro.experiments.summary import (
     detector_comparison,
@@ -141,9 +142,9 @@ class TestFigure34AndSummary:
 
         common = dict(inner_iterations=6, max_outer=30, stride=6,
                       fault_classes={"large": ScalingFault(1e150)})
-        without = run_fault_sweep(problem, mgs_position="first", detector=None, **common)
-        with_det = run_fault_sweep(problem, mgs_position="first", detector="bound",
-                                   detector_response="zero", **common)
+        without = run_campaign(problem, mgs_position="first", detector=None, **common)
+        with_det = run_campaign(problem, mgs_position="first", detector="bound",
+                                detector_response="zero", **common)
         return without, with_det
 
     def test_sweep_results_shape(self, sweeps):

@@ -185,6 +185,31 @@ class TestSpecDrivenCLI:
         assert excinfo.value.code == 2
         assert "exec.kernels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--set", "exec.heartbeat_interval=0.1"], "exec.heartbeat_interval"),
+        (["--heartbeat-interval", "0.1"], "--heartbeat-interval"),
+        (["--set", "problem=poisson:abc"], "problem 'poisson'"),
+        (["--set", "problem=poisson:-3"], "problem 'poisson'"),
+        (["--set", "detector=bound:nope"], "detector 'bound'"),
+        (["--set", 'fault_classes={"a": {"name": "scaling", "facto": 2.0}}'],
+         "fault_classes.a"),
+    ])
+    def test_removed_heartbeat_and_bad_component_values_exit_2(self, capsys,
+                                                               argv, named):
+        """A removed knob, a component argument its factory rejects, and a
+        fault class whose options do not bind are configuration errors."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--scale", "tiny", "--stride", "30"] + argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_config_file_naming_the_heartbeat_interval_exits_2(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, {"exec": {"heartbeat_interval": 0.1}})
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--scale", "tiny", "--config", path])
+        assert excinfo.value.code == 2
+        assert "exec.heartbeat_interval" in capsys.readouterr().err
+
     def test_unknown_detector_is_a_clean_cli_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["fig3", "--scale", "tiny", "--stride", "20",

@@ -47,6 +47,14 @@ from repro.registry import resolve_fault_model
 from repro.specs import CampaignSpec, ExecutionSpec, SolveSpec, SpecError
 
 
+def run_with(campaign, **fields):
+    """Run ``campaign``'s spec with ``fields`` replaced."""
+    return FaultCampaign(campaign.problem, campaign.spec, **fields).run()
+
+
+SHARDED = {"backend": "sharded", "workers": 2}
+
+
 @pytest.fixture(scope="module")
 def tiny_problem():
     return poisson_problem(grid_n=8, seed=7)
@@ -364,8 +372,8 @@ class TestEverySiteInjects:
             mgs_position=mgs_position,
             solver=SolveSpec(method="ft_gmres", inner=SolveSpec(
                 method="gmres", tol=0.0,
-                preconditioner=JacobiPreconditioner(problem.A))))
-        trials = campaign.run(stride=13).trials
+                preconditioner=JacobiPreconditioner(problem.A))), stride=13)
+        trials = campaign.run().trials
         assert trials
         assert [t.faults_injected for t in trials] == [1] * len(trials)
 
@@ -378,15 +386,14 @@ class TestSiteCampaignsAcrossBackends:
     def site_campaign(self, request):
         problem = poisson_problem(grid_n=8, seed=7)
         return FaultCampaign(problem, inner_iterations=10, max_outer=30,
-                             site=request.param)
+                             site=request.param, stride=11)
 
     def test_serial_is_deterministic(self, site_campaign):
-        assert site_campaign.run(stride=11).trials == \
-            site_campaign.run(stride=11).trials
+        assert site_campaign.run().trials == site_campaign.run().trials
 
     def test_sharded_matches_serial(self, site_campaign):
-        serial = site_campaign.run(stride=11)
-        sharded = site_campaign.run(stride=11, backend="sharded", workers=2)
+        serial = site_campaign.run()
+        sharded = run_with(site_campaign, exec=SHARDED)
         assert sharded.trials == serial.trials
 
     @pytest.fixture(scope="class")
@@ -396,24 +403,25 @@ class TestSiteCampaignsAcrossBackends:
             problem, inner_iterations=10, max_outer=30, site="precond",
             solver=SolveSpec(method="ft_gmres", inner=SolveSpec(
                 method="gmres", tol=0.0,
-                preconditioner=JacobiPreconditioner(problem.A))))
+                preconditioner=JacobiPreconditioner(problem.A))), stride=17)
 
     @pytest.mark.parametrize("backend", ["sharded"])
     def test_precond_site_matches_serial(self, precond_campaign, backend):
-        serial = precond_campaign.run(stride=17)
+        serial = precond_campaign.run()
         assert all(t.faults_injected >= 1 for t in serial.trials)
-        parallel = precond_campaign.run(stride=17, backend=backend, workers=2)
+        parallel = run_with(precond_campaign, exec={"backend": backend, "workers": 2})
         assert parallel.trials == serial.trials
 
     def test_injections_fire_at_every_site(self, site_campaign):
-        result = site_campaign.run(stride=11)
+        result = site_campaign.run()
         assert all(t.faults_injected >= 1 for t in result.trials)
 
     def test_batched_spmv_meets_equivalence_contract(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10,
-                                 max_outer=30, site="spmv", detector="bound")
-        serial = campaign.run(stride=11)
-        batched = campaign.run(stride=11, backend="batched", batch_size=4)
+                                 max_outer=30, site="spmv", detector="bound",
+                                 stride=11)
+        serial = campaign.run()
+        batched = run_with(campaign, exec={"backend": "batched", "batch_size": 4})
         for s, b in zip(serial.trials, batched.trials):
             assert (s.fault_class, s.aggregate_inner_iteration) == \
                 (b.fault_class, b.aggregate_inner_iteration)
@@ -427,8 +435,8 @@ class TestSiteCampaignsAcrossBackends:
 
     def test_multi_site_campaign_runs(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10,
-                                 max_outer=30, site="spmv,givens,orth")
-        result = campaign.run(stride=17)
+                                 max_outer=30, site="spmv,givens,orth", stride=17)
+        result = campaign.run()
         assert all(t.faults_injected >= 1 for t in result.trials)
 
 
@@ -469,8 +477,8 @@ class CountingFault(ScalingFault):
 class TestCrashIsolation:
     def test_exception_becomes_error_record(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
-                                 fault_classes={"boom": ExplodingFault()})
-        result = campaign.run(stride=17)
+                                 fault_classes={"boom": ExplodingFault()}, stride=17)
+        result = campaign.run()
         assert result.trials, "sweep produced no trials"
         for record in result.trials:
             assert record.is_error
@@ -495,8 +503,9 @@ class TestCrashIsolation:
     def test_sharded_backend_isolates_crashes(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
                                  fault_classes={"boom": ExplodingFault(),
-                                                "ok": ScalingFault(1e-300)})
-        result = campaign.run(stride=17, backend="sharded", workers=2)
+                                                "ok": ScalingFault(1e-300)},
+                                 stride=17, exec=SHARDED)
+        result = campaign.run()
         by_class = {}
         for t in result.trials:
             by_class.setdefault(t.fault_class, []).append(t)
@@ -505,7 +514,7 @@ class TestCrashIsolation:
 
     def test_soft_timeout_quarantines_trial(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
-                                 trial_timeout=1e-9)
+                                 exec={"trial_timeout": 1e-9})
         record = campaign.run_spec_safe(TrialSpec(0, "large", 3))
         assert record.is_error
         assert "soft timeout" in record.error
@@ -672,7 +681,8 @@ class TestSpecPlumbing:
     def test_config_round_trip_carries_new_knobs(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10,
                                  max_outer=30, site="spmv", fault_rate=2,
-                                 fault_persistence="sticky", trial_timeout=60.0)
+                                 fault_persistence="sticky",
+                                 exec={"trial_timeout": 60.0})
         rebuilt = pickle.loads(pickle.dumps(campaign))
         assert rebuilt.site == campaign.site
         assert rebuilt.fault_rate == campaign.fault_rate

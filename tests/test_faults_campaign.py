@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults.campaign import FaultCampaign, sweep_injection_locations
+from repro.api import run_campaign
+from repro.faults.campaign import FaultCampaign
 from repro.faults.models import ScalingFault
 from repro.gallery.problems import poisson_problem
 from repro.results.events import CollectingSink
@@ -24,8 +25,8 @@ def tiny_campaign_result(tiny_problem):
     campaign = FaultCampaign(tiny_problem, inner_iterations=6, max_outer=30,
                              fault_classes={"large": ScalingFault(1e150),
                                             "near_zero": ScalingFault(1e-300)},
-                             mgs_position="first", detector=None)
-    return campaign.run(stride=5)
+                             mgs_position="first", detector=None, stride=5)
+    return campaign.run()
 
 
 class TestCampaignConfig:
@@ -49,14 +50,17 @@ class TestCampaignConfig:
                 "method": "ft_gmres", "inner": {"method": "gmres", "maxiter": 0}})
         assert excinfo.value.field == "solver.inner.maxiter"
 
-    def test_solver_of_another_type_raises_type_error(self, tiny_problem):
-        with pytest.raises(TypeError, match="solver"):
+    def test_solver_of_another_type_raises_spec_error(self, tiny_problem):
+        with pytest.raises(SpecError) as excinfo:
             FaultCampaign(tiny_problem, solver="ft_gmres")
+        assert excinfo.value.field == "solver"
 
     def test_invalid_stride(self, tiny_problem):
+        with pytest.raises(ValueError):
+            FaultCampaign(tiny_problem, inner_iterations=4, max_outer=20, stride=0)
         campaign = FaultCampaign(tiny_problem, inner_iterations=4, max_outer=20)
         with pytest.raises(ValueError):
-            campaign.run(stride=0)
+            campaign.plan(stride=0)
 
     def test_bound_detector_resolved(self, tiny_problem):
         from repro.core.detectors import HessenbergBoundDetector
@@ -128,22 +132,24 @@ class TestCampaignRun:
 
     def test_explicit_locations(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=6, max_outer=30,
-                                 fault_classes={"large": ScalingFault(1e150)})
-        res = campaign.run(locations=[0, 4, 9])
+                                 fault_classes={"large": ScalingFault(1e150)},
+                                 locations=(0, 4, 9))
+        res = campaign.run()
         assert sorted({t.aggregate_inner_iteration for t in res.trials}) == [0, 4, 9]
 
     def test_progress_callback(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=6, max_outer=30,
-                                 fault_classes={"large": ScalingFault(1e150)})
+                                 fault_classes={"large": ScalingFault(1e150)},
+                                 locations=(0, 5))
         sink = CollectingSink()
-        campaign.run(locations=[0, 5], sink=sink)
+        campaign.run(sink=sink)
         assert [(e.data["done"], e.data["total"])
                 for e in sink.of_kind("trial_completed")] == [(1, 2), (2, 2)]
 
     def test_functional_wrapper(self, tiny_problem):
-        res = sweep_injection_locations(tiny_problem, inner_iterations=6, max_outer=30,
-                                        fault_classes={"large": ScalingFault(1e150)},
-                                        locations=[0, 3])
+        res = run_campaign(tiny_problem, inner_iterations=6, max_outer=30,
+                           fault_classes={"large": ScalingFault(1e150)},
+                           locations=(0, 3))
         assert len(res.trials) == 2
         assert res.problem_name == tiny_problem.name
 

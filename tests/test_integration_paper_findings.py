@@ -95,8 +95,10 @@ class TestClaimDetection:
     def test_detection_pattern(self, poisson):
         campaign_kwargs = dict(inner_iterations=INNER, max_outer=60, detector="bound",
                                detector_response="zero")
-        campaign = FaultCampaign(poisson, mgs_position="first", **campaign_kwargs)
-        result = campaign.run(locations=[0, 3, INNER + 2, 2 * INNER + 5])
+        campaign = FaultCampaign(poisson, mgs_position="first",
+                                 locations=(0, 3, INNER + 2, 2 * INNER + 5),
+                                 **campaign_kwargs)
+        result = campaign.run()
         assert result.detection_rate("large") == 1.0
         assert result.detection_rate("slightly_smaller") == 0.0
         assert result.detection_rate("near_zero") == 0.0
@@ -117,11 +119,11 @@ class TestClaimDetection:
         detector_kwargs = dict(inner_iterations=INNER, max_outer=60, detector="bound",
                                detector_response="zero")
         big_flip = FaultCampaign(poisson, fault_classes={"exp": BitFlipFault(bit=62)},
-                                 **detector_kwargs)
-        res_big = big_flip.run(locations=[2])
+                                 locations=(2,), **detector_kwargs)
+        res_big = big_flip.run()
         small_flip = FaultCampaign(poisson, fault_classes={"mant": BitFlipFault(bit=2)},
-                                   **detector_kwargs)
-        res_small = small_flip.run(locations=[2])
+                                   locations=(2,), **detector_kwargs)
+        res_small = small_flip.run()
         assert res_big.detection_rate("exp") == 1.0
         assert res_small.detection_rate("mant") == 0.0
         assert res_small.trials[0].converged
@@ -131,14 +133,14 @@ class TestClaimDetectorLimitsDamage:
     """Section VII-E: with the filter, the worst-case penalty shrinks."""
 
     def test_worst_case_with_detector_not_worse(self, poisson):
-        locations = list(range(0, 2 * INNER, 2))
+        locations = tuple(range(0, 2 * INNER, 2))
         without = FaultCampaign(poisson, inner_iterations=INNER, max_outer=60,
                                 fault_classes={"large": ScalingFault(1e150)},
-                                detector=None).run(locations=locations)
+                                detector=None, locations=locations).run()
         with_det = FaultCampaign(poisson, inner_iterations=INNER, max_outer=60,
                                  fault_classes={"large": ScalingFault(1e150)},
-                                 detector="bound", detector_response="zero").run(
-            locations=locations)
+                                 detector="bound", detector_response="zero",
+                                 locations=locations).run()
         assert with_det.max_increase("large") <= without.max_increase("large")
         assert with_det.failure_free_outer == without.failure_free_outer
 

@@ -165,12 +165,11 @@ class TestRegistryNamespace:
 
 class TestSpecIntegration:
     def test_exec_spec_accepts_and_validates(self):
-        """ExecutionSpec has six fields; ``kernels`` is rejected from a
+        """ExecutionSpec has five fields; ``kernels`` is rejected from a
         keyword, a dict, a coerced section or an override, naming
         ``exec.kernels``."""
         assert [f.name for f in dataclasses.fields(ExecutionSpec)] == [
-            "backend", "workers", "batch_size", "trial_timeout", "max_retries",
-            "heartbeat_interval"]
+            "backend", "workers", "batch_size", "trial_timeout", "max_retries"]
         with pytest.raises(TypeError, match="kernels"):
             ExecutionSpec(kernels="scipy")
         builds = [

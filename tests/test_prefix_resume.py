@@ -101,7 +101,7 @@ def _assert_trials_match(campaign, locations, *, resumes=True):
         return result
 
     campaign._solve = spy
-    result = campaign.run(locations=locations)
+    result = campaign.run_plan(campaign.plan(locations=locations))
     resumed = list(solves)
     for record in result.trials:
         model = campaign.fault_classes[record.fault_class]
@@ -213,8 +213,8 @@ def test_max_outer_below_the_baselines_count(problems):
 
 
 def test_sharded_trials_equal_serial(problems):
-    campaign = _campaign(problems[1], fault_rate=2)
-    serial = campaign.run(stride=7)
-    sharded = _campaign(problems[1], fault_rate=2).run(stride=7, workers=2)
+    serial = _campaign(problems[1], fault_rate=2, stride=7).run()
+    sharded = _campaign(problems[1], fault_rate=2, stride=7,
+                        exec={"workers": 2}).run()
     assert sharded.trials == serial.trials
     assert len(serial.trials) > 10

@@ -61,7 +61,13 @@ def campaign(problem):
 
 @pytest.fixture
 def result(campaign):
-    return campaign.run(locations=[0, 2, 4])
+    return sweep(campaign, (0, 2, 4))
+
+
+def sweep(campaign, locations, *, sink=None, **fields):
+    """Run ``campaign``'s spec at ``locations`` (and other replaced fields)."""
+    return FaultCampaign(campaign.problem, campaign.spec, locations=locations,
+                         **fields).run(sink=sink)
 
 
 # ====================================================================== #
@@ -179,7 +185,7 @@ class TestStreamingContract:
 class TestCampaignEvents:
     def test_lifecycle_events(self, campaign):
         sink = CollectingSink()
-        result = campaign.run(locations=[0, 3], sink=sink)
+        result = sweep(campaign, (0, 3), sink=sink)
         kinds = [e.kind for e in sink]
         assert kinds[0] == "campaign_started"
         assert kinds[1] == "baseline_completed"
@@ -193,14 +199,14 @@ class TestCampaignEvents:
         assert record in result.trials
 
     def test_sink_does_not_change_results(self, campaign):
-        with_sink = campaign.run(locations=[0, 3], sink=CollectingSink())
-        without = campaign.run(locations=[0, 3])
+        with_sink = sweep(campaign, (0, 3), sink=CollectingSink())
+        without = sweep(campaign, (0, 3))
         assert with_sink.trials == without.trials
 
     def test_sink_list_may_mix_specs_and_callables(self, campaign):
         seen = []
         memory = resolve_sink("memory")
-        result = campaign.run(locations=[1], sink=["memory", seen.append, memory])
+        result = sweep(campaign, (1,), sink=["memory", seen.append, memory])
         assert [e.kind for e in memory] == [e.kind for e in seen]
         assert len(memory.of_kind("trial_completed")) == len(result.trials)
 
@@ -220,7 +226,7 @@ class TestCampaignEvents:
 
     def test_registered_sink_specs(self, campaign, tmp_path):
         jsonl = resolve_sink(f"jsonl:{tmp_path}/ev/")
-        campaign.run(locations=[1], sink=jsonl)
+        sweep(campaign, (1,), sink=jsonl)
         jsonl.close()
         lines = (tmp_path / "ev" / "events.jsonl").read_text().splitlines()
         kinds = [json.loads(l)["kind"] for l in lines]
@@ -340,7 +346,7 @@ class TestProvenanceAndTiming:
         ("batched", {"batch_size": 2}),
     ])
     def test_all_backends_record_wall_time(self, campaign, backend, knobs):
-        result = campaign.run(locations=[0, 2, 5], backend=backend, **knobs)
+        result = sweep(campaign, (0, 2, 5), exec={"backend": backend, **knobs})
         assert all(t.elapsed > 0.0 for t in result.trials)
 
 

@@ -470,6 +470,18 @@ class TestCampaignScheduler:
         assert final.status == "failed"
         assert "SpecError: exec.kernels" in final.error
 
+    def test_stored_job_naming_the_heartbeat_interval_fails_naming_it(self, tmp_path):
+        """A job queued before ``exec.heartbeat_interval`` was removed fails
+        when it runs, with the error naming the field."""
+        jobs = JobStore(tmp_path)
+        record, _ = jobs.submit(BASE)
+        record.spec = dict(record.spec, exec={"heartbeat_interval": 0.1})
+        jobs.write(record)
+        scheduler = CampaignScheduler(jobs, max_jobs=1)
+        (final,) = _drive(scheduler, jobs, [record.job_id])
+        assert final.status == "failed"
+        assert "SpecError: exec.heartbeat_interval" in final.error
+
     def test_cancel_queued_job_never_launches(self, tmp_path):
         jobs = JobStore(tmp_path)
         record, _ = jobs.submit(BASE)
@@ -667,6 +679,22 @@ class TestServiceHTTP:
                     (dict(BASE, solver={"method": "ft_gmres", "inner": {
                         "method": "gmres", "preconditioner": "ilu0:level"}}),
                      "solver.inner.preconditioner")):
+                with pytest.raises(ServiceError) as err:
+                    client.submit(body)
+                assert err.value.status == 400
+                assert named in str(err.value)
+            assert client.jobs() == []
+        finally:
+            _stop_daemon(proc)
+
+    def test_heartbeat_interval_and_unbindable_fault_class_answer_400(self, tmp_path):
+        proc, client = _start_daemon(tmp_path)
+        try:
+            for body, named in (
+                    (dict(BASE, exec={"heartbeat_interval": 0.1}),
+                     "exec.heartbeat_interval"),
+                    (dict(BASE, fault_classes={"a": {"name": "scaling", "facto": 2.0}}),
+                     "fault_classes.a")):
                 with pytest.raises(ServiceError) as err:
                     client.submit(body)
                 assert err.value.status == 400

@@ -159,12 +159,6 @@ class TestRegistryResolution:
         problem = resolve_problem(sizes[name])
         assert isinstance(problem, TestProblem)
 
-    def test_every_backend_name_resolves_with_knob_metadata(self):
-        assert tuple(sorted(names("backend"))) == tuple(sorted(BACKENDS))
-        for name in names("backend"):
-            knobs = registry.metadata("backend", name)["knobs"]
-            assert frozenset(knobs) == BACKEND_KNOBS[name]
-
     def test_every_solver_name_registered(self):
         assert set(names("solver")) == set(SOLVER_METHODS)
 
@@ -384,6 +378,64 @@ class TestComponentArgumentsBind:
             resolve_problem(spec.problem)
 
 
+class TestFaultClassesBind:
+    """Each fault-class value binds to its registered fault model when the
+    campaign spec is built; a failure names ``fault_classes.<label>``."""
+
+    @pytest.mark.parametrize("model", [
+        {"name": "scaling", "facto": 2.0},
+        "bitflip:1:2:3",
+        "",
+        None,
+    ], ids=["misspelled-keyword", "extra-colon-arguments", "empty", "null"])
+    def test_unbindable_fault_class_rejected(self, model):
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict({"fault_classes": {"a": model}})
+        assert excinfo.value.field == "fault_classes.a"
+
+    def test_every_spec_route_names_the_label(self):
+        bad = {"a": {"name": "scaling", "factor": 2.0},
+               "b": {"name": "scaling", "facto": 2.0}}
+        for build in (lambda: CampaignSpec(fault_classes=bad),
+                      lambda: CampaignSpec.coerce(CampaignSpec(), fault_classes=bad),
+                      lambda: apply_overrides(CampaignSpec(), {"fault_classes": bad}),
+                      lambda: CampaignSpec.from_json(json.dumps({"fault_classes": bad}))):
+            with pytest.raises(SpecError) as excinfo:
+                build()
+            assert excinfo.value.field == "fault_classes.b"
+
+    def test_bindable_and_built_models_accepted(self):
+        from repro.faults.models import ScalingFault
+
+        spec = CampaignSpec(fault_classes={"a": "bitflip:3", "b": ScalingFault(2.0),
+                                           "c": {"name": "scaling", "factor": 1e150}})
+        assert set(spec.fault_classes) == {"a", "b", "c"}
+        # An unregistered name still builds; resolving it lists what is.
+        unknown = CampaignSpec(fault_classes={"a": "no-such-model"})
+        with pytest.raises(RegistryError, match="scaling"):
+            resolve_fault_classes(unknown.fault_classes)
+
+
+class TestFactoryValueErrors:
+    """A factory that rejects an argument's value raises RegistryError
+    naming the component, as it does for an unknown keyword."""
+
+    @pytest.mark.parametrize("namespace, spec, named", [
+        ("problem", "poisson:abc", "problem 'poisson'"),
+        ("problem", "poisson:-3", "problem 'poisson'"),
+        ("detector", "bound:nope", "detector 'bound'"),
+    ])
+    def test_bad_value_is_a_registry_error(self, namespace, spec, named):
+        ctx = ResolveContext(A=poisson_problem(4).A)
+        with pytest.raises(RegistryError, match=named):
+            registry.resolve(namespace, spec, ctx)
+
+    def test_factory_registry_errors_pass_through_unwrapped(self):
+        with pytest.raises(RegistryError) as excinfo:
+            resolve_detector({"name": "composite", "members": []})
+        assert "invalid options" not in str(excinfo.value)
+
+
 class TestExecutionSpecKnobs:
     def test_batch_size_with_sharded_rejected(self):
         with pytest.raises(SpecError, match="batch_size"):
@@ -408,7 +460,7 @@ class TestExecutionSpecKnobs:
 
     def test_valid_combinations_accepted(self):
         ExecutionSpec(backend="sharded", workers=4, max_retries=2)
-        ExecutionSpec(workers=2, heartbeat_interval=0.5)
+        ExecutionSpec(workers=2)
         ExecutionSpec(backend="batched", batch_size=16)
         ExecutionSpec()
 
@@ -419,6 +471,22 @@ class TestExecutionSpecKnobs:
             with pytest.raises(SpecError, match="max_retries"):
                 ExecutionSpec(max_retries=2)
             assert ExecutionSpec(workers=2, max_retries=2).max_retries == 2
+
+    def test_heartbeat_interval_is_gone(self):
+        """The supervisor polls at its fixed cadence; a spec naming the
+        removed knob fails naming it, on every spec route."""
+        for build in (
+                lambda: CampaignSpec.from_dict({"exec": {"heartbeat_interval": 0.1}}),
+                lambda: CampaignSpec.from_json('{"exec": {"heartbeat_interval": 0.1}}'),
+                lambda: CampaignSpec.coerce(CampaignSpec(),
+                                            exec={"heartbeat_interval": 0.1}),
+                lambda: apply_overrides(CampaignSpec(),
+                                        {"exec.heartbeat_interval": 0.1})):
+            with pytest.raises(SpecError) as excinfo:
+                build()
+            assert excinfo.value.field == "exec.heartbeat_interval"
+        assert "heartbeat_interval" not in {knob for knobs in BACKEND_KNOBS.values()
+                                            for knob in knobs}
 
     def test_resolve_backend_direct(self):
         assert resolve_backend(workers=4) == "sharded"

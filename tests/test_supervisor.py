@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import run_campaign
-from repro.exec.executor import BackendKnobError, CampaignExecutor
+from repro.exec.executor import BackendKnobError, resolve_backend
 from repro.exec.spec import TrialSpec
 from repro.exec.supervisor import (
     DEFAULT_MAX_RETRIES,
@@ -478,34 +478,29 @@ class TestQueryReliability:
 # ---------------------------------------------------------------------- #
 class TestPlumbing:
     def test_execution_spec_round_trip(self):
-        spec = ExecutionSpec(backend="sharded", workers=4, max_retries=2,
-                             heartbeat_interval=0.05)
+        spec = ExecutionSpec(backend="sharded", workers=4, max_retries=2)
         assert ExecutionSpec.from_dict(spec.to_dict()) == spec
         kwargs = spec.executor_kwargs()
         assert kwargs["workers"] == 4
         assert kwargs["max_retries"] == 2
-        assert kwargs["heartbeat_interval"] == 0.05
 
     def test_shards_auto_selects_sharded_backend(self):
         """The shard count is ``workers``: more than one selects sharded."""
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
-                                 max_outer=30)
-        executor = CampaignExecutor(campaign, workers=2)
-        assert executor.backend == "sharded"
-        assert executor.workers == 2
+                                 max_outer=30, exec={"workers": 2})
+        assert campaign.backend == "sharded"
+        assert campaign.spec.exec.workers == 2
 
     def test_knob_conflicts_rejected(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
-                                 max_outer=30)
         with pytest.raises(BackendKnobError, match="mutually exclusive"):
-            CampaignExecutor(campaign, workers=2, batch_size=4)
+            resolve_backend(workers=2, batch_size=4)
         with pytest.raises(BackendKnobError, match="sharded"):
-            CampaignExecutor(campaign, backend="batched", workers=2)
+            resolve_backend("batched", workers=2)
         with pytest.raises(BackendKnobError, match="sharded"):
-            CampaignExecutor(campaign, max_retries=3)
+            resolve_backend(max_retries=3)
         with pytest.raises(BackendKnobError, match="sharded"):
-            CampaignExecutor(campaign, backend="serial", heartbeat_interval=0.1)
+            resolve_backend("serial", max_retries=3)
 
     def test_spec_layer_rejects_conflicts_too(self):
         with pytest.raises(SpecError):
@@ -513,26 +508,18 @@ class TestPlumbing:
         with pytest.raises(SpecError):
             ExecutionSpec(workers=-1)
         with pytest.raises(SpecError):
-            ExecutionSpec(backend="sharded", heartbeat_interval=0.0)
-
-    def test_registry_metadata(self):
-        from repro.registry import registry
-
-        assert registry.metadata("backend", "sharded")["knobs"] == (
-            "heartbeat_interval", "max_retries", "workers")
+            ExecutionSpec.from_dict({"backend": "sharded", "heartbeat_interval": 0.0})
 
     def test_runner_flags_map_to_exec_spec(self):
         from repro.experiments.runner import build_parser, build_campaign_spec
 
         parser = build_parser()
         args = parser.parse_args(
-            ["fig3", "--workers", "3", "--max-retries", "2",
-             "--heartbeat-interval", "0.2", "--backend", "sharded"])
+            ["fig3", "--workers", "3", "--max-retries", "2", "--backend", "sharded"])
         spec = build_campaign_spec(args)
         assert spec.exec.backend == "sharded"
         assert spec.exec.workers == 3
         assert spec.exec.max_retries == 2
-        assert spec.exec.heartbeat_interval == 0.2
 
     def test_campaign_spec_accepts_supervisor_knobs(self):
         spec = CampaignSpec.coerce(dict(BASE, exec={"workers": 2,
