@@ -244,16 +244,10 @@ def _run_stored_campaign(campaign: FaultCampaign, store: RunStore, *,
                 f"run {run_id!r} was produced by a different campaign "
                 f"(stored spec hash {manifest.spec_hash}, this campaign "
                 f"{fingerprint}); choose another run_id")
-        recovered = store.recover(run_id)  # also truncates torn tails
-        # Error-supersede dedupe per index, then drop error records (worker
-        # crash, timeout, poison): those indices count as *not done*, so the
-        # resumed run re-executes exactly the casualties.  The re-run's
-        # record supersedes the stored error record on read — in either
-        # file order, since a resume may land the new record in a
-        # lower-numbered shard than the stale error.
-        completed = [(index, record)
-                     for index, record in store._latest_records(run_id, recovered)
-                     if getattr(record, "status", None) != "error"]
+        # Error records (worker crash, timeout, poison) leave their indices
+        # *not done*, so the resumed run re-executes exactly the casualties.
+        completed = [(index, record) for index, record in store.recover(run_id)
+                     if not record.is_error]
         plan = campaign.plan(
             locations=manifest.locations,
             baseline=(manifest.failure_free_outer,
@@ -282,38 +276,16 @@ def _run_stored_campaign(campaign: FaultCampaign, store: RunStore, *,
             created_at=_utc_now(),
         )
 
-    done_indices = {index for index, _ in completed}
-    remaining = [s for s in plan.specs if s.index not in done_indices]
-
-    if remaining and campaign.backend == "sharded":
-        # Supervised execution: the shard workers persist their own records
-        # durably (crash-survivably) into <run>/shard-<k>/ — a flat writer
-        # here would double-store every trial.  The manifest still goes
-        # down first so an interrupted run can identify itself on resume.
-        store.write_manifest(manifest, resume=bool(completed) or resume)
-        result = campaign.run_plan(
-            plan, specs=remaining, sink=sink,
-            completed=completed, event_data={"run_id": run_id},
-            run_dir=store.run_path(run_id), chaos=chaos,
-            on_supervisor_state=lambda state: store.update_manifest_extra(
-                run_id, supervisor=state))
-    elif remaining:
-        writer = store.create_run(manifest, resume=bool(completed) or resume)
-        try:
-            result = campaign.run_plan(
-                plan, specs=remaining, sink=sink,
-                # Persist first, observe second (run_plan's contract): an
-                # interrupt raised by a sink never loses a completed trial.
-                on_record=writer.append, completed=completed,
-                event_data={"run_id": run_id}, chaos=chaos)
-        finally:
-            writer.close()
-    else:
-        if not store.exists(run_id):
-            # A zero-trial campaign still persists its manifest.
-            store.create_run(manifest, resume=resume).close()
-        result = campaign.run_plan(plan, specs=(), sink=sink, completed=completed,
-                                   event_data={"run_id": run_id})
+    # The manifest goes down first, so an interrupted run identifies itself
+    # on resume; iter_records persists every trial before the sink sees it.
+    store.write_manifest(manifest, resume=resume)
+    done = {index for index, _ in completed}
+    result = campaign.run_plan(
+        plan, specs=[spec for spec in plan.specs if spec.index not in done],
+        sink=sink, completed=completed, event_data={"run_id": run_id},
+        run_dir=store.run_path(run_id), chaos=chaos,
+        on_supervisor_state=lambda state: store.update_manifest_extra(
+            run_id, supervisor=state))
     store.finalize(run_id)
     # Compact shard directories into the flat layout now that the run is
     # complete (a no-op for unsharded runs); an interrupted run never gets

@@ -11,10 +11,11 @@ module supervises instead of trusting:
 * the trial list is partitioned into ``shards`` contiguous blocks
   (:func:`partition_shards`), each run by a dedicated worker **process**;
 * every worker appends finished trials to its own durable shard store
-  (``<run_dir>/shard-<k>/trials.jsonl`` — the exact line format of the flat
-  :class:`~repro.results.store.RunStore` layout, so shard stores merge on
-  read) and refreshes a heartbeat file once per trial;
-* the supervisor tails the shard files (yielding records as they land),
+  (``<run_dir>/shard-<k>/trials.jsonl``) through the store's
+  :class:`~repro.results.store.RunWriter`, so shard stores merge on read,
+  and refreshes a heartbeat file once per trial;
+* the supervisor tails the shard files with the store's
+  :func:`~repro.results.store.read_trial_file` (yielding records as they land),
   SIGKILLs a worker whose heartbeat shows its current trial past the hard
   ``trial_timeout``, restarts crashed workers with exponential backoff, and
   counts per-trial crash blame — a trial that takes its worker down
@@ -28,8 +29,8 @@ module supervises instead of trusting:
 
 Communication is file-only (trial files + heartbeats); nothing is lost when
 a worker dies mid-anything — a torn trailing line is truncated away once
-the writer is confirmed dead, exactly like
-:meth:`~repro.results.store.RunStore.recover`.
+the writer is confirmed dead, by the store's
+:func:`~repro.results.store.recover_trial_file`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import sys
 import tempfile
 import time
 
-from repro.results.store import read_trial_file, shard_dir_name
+from repro.results.store import (RunWriter, read_trial_file, recover_trial_file,
+                                 shard_dir_name, trials_path)
 from repro.utils.io import atomic_write_json
 
 __all__ = ["DEFAULT_HEARTBEAT_INTERVAL", "DEFAULT_MAX_RETRIES", "EXIT_DRAINED",
@@ -58,7 +60,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 0.1
 #: Worker exit code meaning "drained at a trial boundary" (not a crash).
 EXIT_DRAINED = 96
 
-_TRIALS = "trials.jsonl"  # must match the repro.results.store layout
 _HEARTBEAT = "heartbeat.json"
 
 
@@ -126,11 +127,10 @@ def _shard_worker(campaign, specs, shard_dir: str, retries, chaos) -> None:
         drain["requested"] = True
 
     signal.signal(signal.SIGTERM, _on_term)
-    trial_path = os.path.join(shard_dir, _TRIALS)
     heartbeat_path = os.path.join(shard_dir, _HEARTBEAT)
     done = 0
     total = len(specs)
-    with open(trial_path, "ab") as handle:
+    with RunWriter(shard_dir) as writer:
         for spec in specs:
             if drain["requested"]:
                 sys.exit(EXIT_DRAINED)
@@ -150,17 +150,9 @@ def _shard_worker(campaign, specs, shard_dir: str, retries, chaos) -> None:
             attempts = int(retries.get(spec.index, 0)) if retries else 0
             if attempts:
                 record = dataclasses.replace(record, retries=attempts)
-            line = (json.dumps({"index": int(spec.index), **record.to_dict()})
-                    + "\n").encode("utf-8")
-            if chaos is not None and chaos.should_tear(spec.index):
-                # Crash mid-append: a flushed partial line with no newline —
-                # the exact torn-tail signature recover()/the supervisor heal.
-                handle.write(line[: max(1, (2 * len(line)) // 3)])
-                handle.flush()
-                os.fsync(handle.fileno())
-                os.kill(os.getpid(), signal.SIGKILL)
-            handle.write(line)
-            handle.flush()
+            if chaos is not None:
+                chaos.on_append(spec.index, writer.path, record)
+            writer.append(spec.index, record)
             done += 1
             if chaos is not None:
                 chaos.on_trial_appended(spec.index)
@@ -179,7 +171,7 @@ class _Shard:
         self.specs = list(specs)
         self.by_index = {spec.index: spec for spec in self.specs}
         self.dir = shard_dir
-        self.trial_path = os.path.join(shard_dir, _TRIALS)
+        self.trial_path = trials_path(shard_dir)
         self.heartbeat_path = os.path.join(shard_dir, _HEARTBEAT)
         self.proc = None
         self.offset: int | None = None  # tail position in the trial file
@@ -357,11 +349,7 @@ class ShardedSupervisor:
             # First spawn: heal any prior-session torn tail and start the
             # tail offset past prior records (a resume's already-superseded
             # error records must not be re-yielded as this session's work).
-            _, valid_bytes, torn = read_trial_file(shard.trial_path)
-            if torn:
-                with open(shard.trial_path, "rb+") as handle:
-                    handle.truncate(valid_bytes)
-            shard.offset = valid_bytes
+            _, shard.offset, _ = recover_trial_file(shard.trial_path)
         try:
             # A stale heartbeat (from a dead worker or prior session) must
             # never feed the timeout police.
@@ -392,8 +380,7 @@ class ShardedSupervisor:
         proc.join()
         exitcode = proc.exitcode
         shard.proc = None
-        yield from self._collect(shard)
-        self._truncate_partial(shard)
+        yield from self._collect(shard, heal=True)
         if exitcode in (0, EXIT_DRAINED):
             if exitcode == EXIT_DRAINED or not self._pending(shard):
                 # Finished its block, or drained (remainder left for resume).
@@ -481,57 +468,29 @@ class ShardedSupervisor:
     # ------------------------------------------------------------------ #
     # durable-record plumbing
     # ------------------------------------------------------------------ #
-    def _collect(self, shard: _Shard):
-        """Yield records appended to the shard file since the last tail."""
-        from repro.faults.campaign import TrialRecord
+    def _collect(self, shard: _Shard, *, heal: bool = False):
+        """Yield records appended to the shard file since the last tail.
 
+        An incomplete final line waits for the next tail while its writer
+        lives; with ``heal`` (only ever with the writer dead) it is cut off.
+        """
         if shard.offset is None:
             return
-        try:
-            size = os.path.getsize(shard.trial_path)
-        except OSError:
-            return
-        if size <= shard.offset:
-            return
-        with open(shard.trial_path, "rb") as handle:
-            handle.seek(shard.offset)
-            data = handle.read()
-        pos = 0
-        while True:
-            newline = data.find(b"\n", pos)
-            if newline < 0:
-                break  # incomplete tail: wait (or truncate once dead)
-            row = json.loads(data[pos:newline].decode("utf-8"))
-            pos = newline + 1
-            index = int(row.pop("index"))
-            record = TrialRecord.from_dict(row)
+        read = recover_trial_file if heal else read_trial_file
+        pairs, shard.offset, _ = read(shard.trial_path, shard.offset)
+        for index, record in pairs:
             shard.recorded.add(index)
             if index not in shard.yielded:
                 shard.yielded.add(index)
                 yield index, record
-        shard.offset += pos
-
-    def _truncate_partial(self, shard: _Shard) -> None:
-        """Heal a torn tail (only ever called with the writer dead)."""
-        if shard.offset is None:
-            return
-        try:
-            size = os.path.getsize(shard.trial_path)
-        except OSError:
-            return
-        if size > shard.offset:
-            with open(shard.trial_path, "rb+") as handle:
-                handle.truncate(shard.offset)
 
     def _append_error(self, shard: _Shard, spec, message: str,
                       retries: int = 0):
         """Append a supervisor-produced error record; yield it via the tail."""
         record = self.campaign.stamp(
             self.campaign.error_record(spec, message, retries=retries))
-        row = {"index": int(spec.index), **record.to_dict()}
-        with open(shard.trial_path, "ab") as handle:
-            handle.write((json.dumps(row) + "\n").encode("utf-8"))
-            handle.flush()
+        with RunWriter(shard.dir) as writer:
+            writer.append(spec.index, record)
         yield from self._collect(shard)
 
     # ------------------------------------------------------------------ #
@@ -562,8 +521,7 @@ class ShardedSupervisor:
             proc.join()
             shard.proc = None
         for shard in shards:
-            yield from self._collect(shard)
-            self._truncate_partial(shard)
+            yield from self._collect(shard, heal=True)
 
     def _emit_state(self) -> None:
         if self.on_state is not None:

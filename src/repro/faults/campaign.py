@@ -36,7 +36,7 @@ from repro.registry import (
 )
 from repro.results.events import Event, ensure_sink
 from repro.results.query import TrialQuery
-from repro.results.store import campaign_fingerprint
+from repro.results.store import RunWriter, campaign_fingerprint
 from repro.specs import CampaignSpec, SolveSpec, SpecError
 from repro.utils.timer import Timer
 
@@ -776,7 +776,7 @@ class FaultCampaign:
         return dataclasses.replace(record, **self.provenance)
 
     def run_plan(self, plan: "CampaignPlan", *, specs=None, sink=None,
-                 on_record=None, completed=(), event_data: dict | None = None,
+                 completed=(), event_data: dict | None = None,
                  run_dir: str | None = None, chaos=None,
                  on_supervisor_state=None) -> CampaignResult:
         """Execute (the remainder of) a plan and assemble the result.
@@ -795,17 +795,14 @@ class FaultCampaign:
             ``trial_completed`` events, whose ``data["done"]`` counts
             ``completed`` trials too and reaches ``data["total"]``
             (``len(plan.specs)``) on the last one.
-        on_record : callable, optional
-            ``on_record(index, record)`` invoked for each completed trial
-            *before* any observer sees it — the store's persistence hook, so
-            an interrupt raised by a sink never loses a completed trial.
         completed : sequence of (index, record)
             Already-finished trials (from a resumed store) counted as done.
         event_data : dict, optional
             Extra payload merged into the ``campaign_started`` and
             ``campaign_completed`` events (e.g. the store ``run_id``).
         run_dir, chaos, on_supervisor_state
-            Passed to :meth:`iter_records` (the sharded backend's).
+            Passed to :meth:`iter_records`, which persists every record in
+            the run directory ``run_dir`` before the sink sees it.
         """
         sink = ensure_sink(sink)
         result = self.result_scaffold(plan)
@@ -827,18 +824,13 @@ class FaultCampaign:
             # baseline once, here, so the trials (even sharded workers, which
             # inherit it through fork) resume from its outer state.
             self._solve_baseline()
-        if todo:
-            for index, record in self.iter_records(
-                    todo, run_dir=run_dir, chaos=chaos,
-                    on_supervisor_state=on_supervisor_state):
-                if on_record is not None:
-                    on_record(index, record)
-                pairs.append((index, record))
-                if sink is not None:
-                    sink.emit(Event("trial_completed", where="campaign",
-                                    trial_index=index,
-                                    data={"done": len(pairs), "total": total,
-                                          "record": record.to_dict()}))
+        for index, record in self.iter_records(todo, run_dir=run_dir, chaos=chaos,
+                                               on_supervisor_state=on_supervisor_state):
+            pairs.append((index, record))
+            if sink is not None:
+                sink.emit(Event("trial_completed", where="campaign", trial_index=index,
+                                data={"done": len(pairs), "total": total,
+                                      "record": record.to_dict()}))
         pairs.sort(key=lambda pair: pair[0])
         result.trials.extend(record for _, record in pairs)
         if sink is not None:
@@ -862,13 +854,21 @@ class FaultCampaign:
         ``"serial"``, per completed batch on ``"batched"``
         (:meth:`iter_specs_batched`), and as shard records land on
         ``"sharded"`` (:class:`~repro.exec.supervisor.ShardedSupervisor`,
-        which takes ``run_dir`` for its durable shard stores — an ephemeral
-        temp dir when omitted — the ``chaos`` policy of
-        :mod:`repro.faults.chaos`, and ``on_supervisor_state``, called
-        whenever its retry/quarantine bookkeeping changes).  Records arrive
-        in completion order; ``spec.index`` values must be unique, and the
-        caller reassembles canonical order by them.  Closing the generator
-        early stops the shard workers.
+        which also takes the ``chaos`` policy of :mod:`repro.faults.chaos`
+        and ``on_supervisor_state``, called whenever its retry/quarantine
+        bookkeeping changes).  Records arrive in completion order;
+        ``spec.index`` values must be unique, and the caller reassembles
+        canonical order by them.  Closing the generator early stops the
+        shard workers.
+
+        Persist first, observe second: with ``run_dir`` (a run-store run
+        directory) every record is durable before it is yielded, so an
+        interrupt raised by whoever consumes the stream never loses a
+        completed trial.  The in-process backends append it to
+        ``<run_dir>/trials.jsonl`` through a
+        :class:`~repro.results.store.RunWriter`; the sharded workers append
+        to their own ``<run_dir>/shard-<k>/`` files (an ephemeral temp dir
+        when ``run_dir`` is omitted).
         """
         specs = list(specs)
         if len({spec.index for spec in specs}) != len(specs):
@@ -876,6 +876,7 @@ class FaultCampaign:
         if not specs:
             return
         backend = self.backend
+        writer = None
         if backend == "sharded":
             from repro.exec.supervisor import ShardedSupervisor
 
@@ -883,15 +884,21 @@ class FaultCampaign:
                 self, shards=resolve_workers(self.spec.exec.workers),
                 max_retries=self.spec.exec.max_retries, run_dir=run_dir,
                 chaos=chaos, on_state=on_supervisor_state).iter_records(specs)
-        elif backend == "batched":
-            records = self.iter_specs_batched(specs)
         else:
-            records = ((spec.index, self.run_spec_safe(spec)) for spec in specs)
+            records = (self.iter_specs_batched(specs) if backend == "batched" else
+                       ((spec.index, self.run_spec_safe(spec)) for spec in specs))
+            if run_dir is not None:
+                writer = RunWriter(run_dir)
         try:
             for index, record in records:
-                yield index, self.stamp(record)
+                record = self.stamp(record)
+                if writer is not None:
+                    writer.append(index, record)
+                yield index, record
         finally:
             records.close()
+            if writer is not None:
+                writer.close()
 
     def run(self, *, sink=None) -> CampaignResult:
         """Run the campaign its spec describes: ``run_plan(plan(), sink=sink)``.

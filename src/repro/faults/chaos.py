@@ -35,6 +35,8 @@ import signal
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.results.store import encode_trial
+
 __all__ = ["ChaosError", "ChaosPolicy"]
 
 _STATE_DIR = "chaos"
@@ -134,9 +136,18 @@ class ChaosPolicy:
         if self._fire("kill", self.kill_before, index):
             os.kill(os.getpid(), signal.SIGKILL)
 
-    def should_tear(self, index: int) -> bool:
-        """Whether this append should tear (the worker SIGKILLs itself)."""
-        return self._fire("tear", self.kill_during_append, index)
+    def on_append(self, index: int, path: str, record) -> None:
+        """Tear the append of ``record`` to the trials file ``path`` if
+        scheduled: flush part of its line with no newline, then SIGKILL —
+        the torn-tail signature the supervisor and ``recover`` heal."""
+        if not self._fire("tear", self.kill_during_append, index):
+            return
+        line = encode_trial(index, record)
+        with open(path, "ab") as handle:
+            handle.write(line[: max(1, (2 * len(line)) // 3)])
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.kill(os.getpid(), signal.SIGKILL)
 
     def on_trial_appended(self, index: int) -> None:
         """Fire kills scheduled right after the record became durable."""

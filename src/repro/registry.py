@@ -188,14 +188,15 @@ class Registry:
             # re-raise with the component named so config errors are findable.
             raise RegistryError(f"invalid options for {namespace} {name!r}: {exc}") from exc
 
-    def check(self, namespace: str, spec: Any) -> None:
-        """Bind a string/dict spec's arguments without building anything.
+    def check(self, namespace: str, spec: Any, *, build: bool = False) -> None:
+        """Bind a string/dict spec's arguments; with ``build``, also build it.
 
         The colon arguments and keywords are bound against the registered
         factory's signature, so a misspelled option or a colon argument the
         component does not take fails where the spec is written down, not
-        where it is resolved.  Values are not checked, and a name that is
-        not registered passes: resolving it raises, listing what is.
+        where it is resolved.  Values are checked only by ``build=True``, for
+        namespaces whose factories need no context (fault models).  A name
+        that is not registered passes: resolving it raises, listing what is.
         """
         name, params = parse_spec(spec)
         entry = self._space(namespace).get(name)
@@ -206,6 +207,8 @@ class Registry:
             inspect.signature(entry.factory).bind(None, **params)
         except TypeError as exc:
             raise RegistryError(f"invalid options for {namespace} {name!r}: {exc}") from None
+        if build:
+            self.resolve(namespace, spec)
 
 
 def parse_spec(spec: Any) -> tuple[str, dict[str, Any]]:

@@ -14,6 +14,18 @@ Layout (one directory per run under the store root)::
       artifacts/
         <name>.json       # non-campaign artifacts (Table I rows, Figure 2)
 
+The trial log
+-------------
+This module alone knows the trials-file format: :func:`encode_trial` writes
+a trial's line, :func:`read_trial_file` reads a file (or its tail from a
+byte offset), :func:`recover_trial_file` cuts a torn tail off, and
+:func:`trials_path` names a run's or shard's file.  A :class:`RunWriter`
+appends every line: to the flat file for the serial and batched backends
+(:meth:`~repro.faults.campaign.FaultCampaign.iter_records`), and to
+``shard-<k>/trials.jsonl`` in each sharded worker and for the supervisor's
+timeout and poison records; :meth:`RunStore.merge_shards` rewrites the flat
+file when a sharded run completes.
+
 Durability contract
 -------------------
 ``trials.jsonl`` is append-only and flushed per record, so a crash (or
@@ -55,10 +67,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.results.query import TrialQuery
-from repro.utils.io import atomic_write_json
+from repro.utils.io import atomic_write_json, atomic_write_text
 
 __all__ = ["RunStoreError", "RunManifest", "RunWriter", "RunStore", "StoreLock",
-           "campaign_fingerprint", "read_trial_file", "shard_dir_name",
+           "campaign_fingerprint", "encode_trial", "read_trial_file",
+           "recover_trial_file", "trials_path", "shard_dir_name",
            "FINGERPRINT_EXCLUDED_FIELDS"]
 
 _MANIFEST = "manifest.json"
@@ -77,47 +90,70 @@ def shard_dir_name(shard: int) -> str:
     return f"shard-{int(shard)}"
 
 
-def read_trial_file(path: str) -> tuple[list[tuple[int, Any]], int, bool]:
-    """Parse one trials JSONL file (flat or shard).
+def trials_path(directory: str) -> str:
+    """The trials file of a run or shard directory."""
+    return os.path.join(directory, _TRIALS)
+
+
+def encode_trial(index: int, record) -> bytes:
+    """One stored trial (a TrialRecord) as its JSON line, newline included."""
+    return (json.dumps({"index": int(index), **record.to_dict()}) + "\n").encode("utf-8")
+
+
+def read_trial_file(path: str, offset: int = 0) -> tuple[list[tuple[int, Any]], int, bool]:
+    """Parse one trials file (flat or shard) from byte ``offset`` on.
 
     Returns ``(pairs, valid_bytes, torn)``: the parsed ``(index,
     TrialRecord)`` pairs in file order, the byte offset just past the last
-    complete parseable line (``os.truncate`` at this offset is the recovery
-    operation), and whether a torn tail — an unterminated or corrupt *final*
-    line, the expected signature of a crash mid-append — follows it.
-    Corruption before the final line raises :class:`RunStoreError`; a
-    missing file reads as empty.
+    complete parseable line (where the next read of a growing file starts,
+    and where :func:`recover_trial_file` cuts), and whether a torn tail — an
+    unterminated or corrupt *final* line, the signature of a crash (or of a
+    live writer) mid-append — follows it.  Corruption before the final line
+    raises :class:`RunStoreError`; a missing file reads as empty.
     """
     from repro.faults.campaign import TrialRecord
 
     try:
         with open(path, "rb") as handle:
+            handle.seek(offset)
             data = handle.read()
     except FileNotFoundError:
-        return [], 0, False
+        return [], offset, False
     pairs: list[tuple[int, Any]] = []
     pos = 0
-    lineno = 0
     torn = False
     while pos < len(data):
         newline = data.find(b"\n", pos)
         if newline < 0:
             torn = True  # unterminated tail: crash mid-append
             break
-        lineno += 1
         try:
             row = json.loads(data[pos:newline].decode("utf-8"))
             index = int(row.pop("index"))
             record = TrialRecord.from_dict(row)
         except (ValueError, TypeError, KeyError, UnicodeDecodeError) as exc:
             if newline + 1 < len(data):
-                raise RunStoreError(
-                    f"corrupt trial record at {path}:{lineno}: {exc}") from None
+                raise RunStoreError(f"corrupt trial record at {path} "
+                                    f"byte {offset + pos}: {exc}") from None
             torn = True  # corrupt final line: same crash signature
             break
         pairs.append((index, record))
         pos = newline + 1
-    return pairs, pos, torn
+    return pairs, offset + pos, torn
+
+
+def recover_trial_file(path: str, offset: int = 0) -> tuple[list[tuple[int, Any]], int, bool]:
+    """:func:`read_trial_file`, then cut a torn tail off the file.
+
+    The file then ends with a complete line, so appends resume cleanly.  Only
+    call it with the file's writer dead: a live writer's half-written line
+    would be cut away under it.
+    """
+    pairs, valid_bytes, torn = read_trial_file(path, offset)
+    if torn:
+        with open(path, "rb+") as handle:
+            handle.truncate(valid_bytes)
+    return pairs, valid_bytes, torn
 
 
 #: CampaignSpec fields deliberately excluded from :func:`campaign_fingerprint`.
@@ -207,21 +243,19 @@ class RunManifest:
 
 
 class RunWriter:
-    """Appends trial records to one run, flushed per record.
+    """Appends trial records to the trials file of a run or shard directory.
 
-    The write happens *before* any observer sees the record (the campaign
-    layer emits its ``trial_completed`` event after appending), so an
-    interrupt during observation never loses a persisted trial.
+    Each record is one :func:`encode_trial` line, flushed before
+    :meth:`append` returns.
     """
 
-    def __init__(self, path: str):
-        self.path = path
-        self._handle = open(path, "a", encoding="utf-8")
+    def __init__(self, directory: str):
+        self.path = trials_path(directory)
+        self._handle = open(self.path, "ab")
 
     def append(self, index: int, record) -> None:
         """Persist one completed trial (``record`` is a TrialRecord)."""
-        row = {"index": int(index), **record.to_dict()}
-        self._handle.write(json.dumps(row) + "\n")
+        self._handle.write(encode_trial(index, record))
         self._handle.flush()
 
     def close(self) -> None:
@@ -394,24 +428,13 @@ class RunStore:
     # ------------------------------------------------------------------ #
     # manifests
     # ------------------------------------------------------------------ #
-    def create_run(self, manifest: RunManifest, *, resume: bool = False) -> RunWriter:
-        """Create (or on ``resume=True`` reopen) a run; return its writer.
-
-        A fresh create refuses to overwrite an existing run — stored trials
-        are evidence, not cache.  Reopening verifies nothing (the caller
-        checks the fingerprint first via :meth:`manifest`).
-        """
-        self.write_manifest(manifest, resume=resume)
-        return RunWriter(os.path.join(self.run_path(manifest.run_id), _TRIALS))
-
     def write_manifest(self, manifest: RunManifest, *, resume: bool = False) -> None:
-        """Persist a run's manifest without opening a flat trial writer.
+        """Persist a new run's manifest (its directory is created too).
 
-        The sharded supervisor appends trial records to per-shard files, so
-        it needs the manifest (identity, baseline, resume contract) on disk
-        without the flat ``trials.jsonl`` handle :meth:`create_run` returns.
-        Overwrite rules match :meth:`create_run`: a fresh write refuses an
-        existing run, and ``resume=True`` keeps the stored manifest.
+        A fresh write refuses to overwrite an existing run — stored trials
+        are evidence, not cache — and ``resume=True`` keeps the stored
+        manifest (the caller checks the fingerprint first via
+        :meth:`manifest`).  Trials are appended through a :class:`RunWriter`.
         """
         path = self.run_path(manifest.run_id)
         if self.exists(manifest.run_id) and not resume:
@@ -487,15 +510,15 @@ class RunStore:
         return os.path.join(self.run_path(run_id), shard_dir_name(shard))
 
     def _trial_paths(self, run_id: str) -> list[str]:
-        """Every trials file of a run: the flat file, then shards in order."""
-        paths = []
-        flat = os.path.join(self.run_path(run_id), _TRIALS)
-        if os.path.isfile(flat):
-            paths.append(flat)
-        for shard in self.shard_ids(run_id):
-            shard_file = os.path.join(self.shard_path(run_id, shard), _TRIALS)
-            if os.path.isfile(shard_file):
-                paths.append(shard_file)
+        """Every trials file of a run: the flat file, then shards in order.
+
+        Raises :class:`RunStoreError` if the whole run is missing.
+        """
+        dirs = [self.run_path(run_id)] + [self.shard_path(run_id, shard)
+                                          for shard in self.shard_ids(run_id)]
+        paths = [path for path in map(trials_path, dirs) if os.path.isfile(path)]
+        if not paths:
+            self.manifest(run_id)
         return paths
 
     def read_trials(self, run_id: str) -> tuple[list[tuple[int, Any]], bool]:
@@ -508,38 +531,23 @@ class RunStore:
         mid-append) — such lines are skipped.  Corruption anywhere else
         raises :class:`RunStoreError`.
         """
-        paths = self._trial_paths(run_id)
-        if not paths:
-            self.manifest(run_id)  # raises if the whole run is missing
-            return [], False
-        pairs: list[tuple[int, Any]] = []
-        torn_any = False
-        for path in paths:
-            file_pairs, _, torn = read_trial_file(path)
-            pairs.extend(file_pairs)
-            torn_any = torn_any or torn
-        return pairs, torn_any
+        reads = [read_trial_file(path) for path in self._trial_paths(run_id)]
+        return ([pair for pairs, _, _ in reads for pair in pairs],
+                any(torn for _, _, torn in reads))
 
     def recover(self, run_id: str) -> list[tuple[int, Any]]:
-        """Read trials and truncate torn tails so appends can resume.
+        """Cut torn tails so appends can resume; return the latest records.
 
         Shard-aware: each trials file (flat and per-shard) is truncated
         *independently* back to its last complete record — a SIGKILL-ed
-        shard worker tears only its own file.  Returns the surviving
-        ``(index, TrialRecord)`` pairs across all files.
+        shard worker tears only its own file.  Returns one ``(index,
+        TrialRecord)`` pair per stored index, in index order, deduped by
+        :meth:`_latest_records`; an index whose latest record is an error
+        record is still missing for a resume.
         """
-        paths = self._trial_paths(run_id)
-        if not paths:
-            self.manifest(run_id)
-            return []
-        pairs: list[tuple[int, Any]] = []
-        for path in paths:
-            file_pairs, valid_bytes, torn = read_trial_file(path)
-            if torn:
-                with open(path, "rb+") as handle:
-                    handle.truncate(valid_bytes)
-            pairs.extend(file_pairs)
-        return pairs
+        return self._latest_records(run_id, [
+            pair for path in self._trial_paths(run_id)
+            for pair in recover_trial_file(path)[0]])
 
     def _latest_records(self, run_id: str,
                         pairs: list[tuple[int, Any]]) -> list[tuple[int, Any]]:
@@ -594,7 +602,7 @@ class RunStore:
             if not shard_ks:
                 return 0
             manifest = self.manifest(run_id)
-            latest = self._latest_records(run_id, self.recover(run_id))
+            latest = self.recover(run_id)
             for index, record in latest:
                 stamped = getattr(record, "spec_hash", None)
                 if (stamped is not None and manifest.spec_hash
@@ -604,13 +612,8 @@ class RunStore:
                         f"produced by a different campaign (record spec hash "
                         f"{stamped}, manifest {manifest.spec_hash}); refusing "
                         f"to merge")
-            path = os.path.join(self.run_path(run_id), _TRIALS)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for index, record in latest:
-                    handle.write(json.dumps({"index": index,
-                                             **record.to_dict()}) + "\n")
-            os.replace(tmp, path)
+            atomic_write_text(trials_path(self.run_path(run_id)), b"".join(
+                encode_trial(index, record) for index, record in latest).decode("utf-8"))
             for shard in shard_ks:
                 shutil.rmtree(self.shard_path(run_id, shard),
                               ignore_errors=True)

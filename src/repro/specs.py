@@ -102,13 +102,13 @@ def _check_float(field_path: str, value: Any, *, minimum: float | None = None,
 
 
 def _check_component(field_path: str, value: Any, *, namespace: str | None = None,
-                     allow_none: bool = True) -> Any:
+                     allow_none: bool = True, build: bool = False) -> Any:
     """A component spec field: string, dict-with-name, built instance, or None.
 
     ``namespace`` is the field's registry namespace (default: the field's
     name).  A string or dict spec's colon arguments and keywords must bind
-    to the registered factory's signature (see
-    :meth:`repro.registry.Registry.check`).
+    to the registered factory's signature, and with ``build`` its factory
+    must accept their values (see :meth:`repro.registry.Registry.check`).
     """
     if value is None:
         if not allow_none:
@@ -128,7 +128,7 @@ def _check_component(field_path: str, value: Any, *, namespace: str | None = Non
     from repro.registry import RegistryError, registry
 
     try:
-        registry.check(namespace or field_path, value)
+        registry.check(namespace or field_path, value, build=build)
     except RegistryError as exc:
         raise SpecError(field_path, str(exc)) from None
     return value
@@ -509,9 +509,10 @@ class CampaignSpec(_SpecBase):
 
     ``fault_classes`` is ``"paper"`` (the paper's three scaling classes) or
     a dict mapping labels to fault-model registry specs or built
-    :class:`~repro.faults.models.FaultModel` instances; a spec's arguments
-    are bound to the model's factory when the spec is built, so a misspelled
-    option is a :class:`SpecError` naming ``fault_classes.<label>``.
+    :class:`~repro.faults.models.FaultModel` instances; a registered spec
+    is built through the model's factory when the spec is built, so a
+    misspelled option or a value the factory rejects (``"bitflip:999"``) is
+    a :class:`SpecError` naming ``fault_classes.<label>``.
 
     ``problem`` is a gallery spec (``"poisson:30"``,
     ``{"name": "circuit", "n_nodes": 800}``) or ``None`` when the problem
@@ -560,7 +561,7 @@ class CampaignSpec(_SpecBase):
         if isinstance(self.fault_classes, dict):
             for label, model in self.fault_classes.items():
                 _check_component(f"fault_classes.{label}", model,
-                                 namespace="fault_model", allow_none=False)
+                                 namespace="fault_model", allow_none=False, build=True)
         _check_choice("mgs_position", self.mgs_position, MGS_POSITIONS)
         _check_component("detector", self.detector)
         _check_choice("detector_response", self.detector_response, DETECTOR_RESPONSES)

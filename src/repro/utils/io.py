@@ -18,8 +18,9 @@ durability-critical modules so that this helper stays the single
 blessed pattern.
 
 Append-only JSONL streams (``trials.jsonl``, event logs) are a different
-contract — torn *tails* there are tolerated and trimmed by
-``read_trial_file`` — and intentionally do not use this helper.
+contract — torn *tails* there are tolerated and cut off by
+``repro.results.store.recover_trial_file`` — and intentionally do not use
+this helper.
 """
 
 from __future__ import annotations

@@ -612,7 +612,7 @@ class TestManifestLockRegression:
 
     def test_concurrent_update_manifest_extra_loses_no_keys(self, tmp_path):
         store = RunStore(tmp_path)
-        store.create_run(self._manifest()).close()
+        store.write_manifest(self._manifest())
         errors = []
 
         def update(i):

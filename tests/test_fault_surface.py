@@ -563,7 +563,8 @@ class TestCrashIsolation:
 
     def test_duplicate_success_records_still_rejected(self, tiny_problem,
                                                       tmp_path):
-        from repro.results.store import (RunManifest, RunStore, RunStoreError)
+        from repro.results.store import (RunManifest, RunStore, RunStoreError,
+                                         RunWriter)
 
         store = RunStore(tmp_path)
         manifest = RunManifest(
@@ -579,7 +580,8 @@ class TestCrashIsolation:
             outer_iterations=5, total_inner_iterations=50, converged=True,
             status="converged", residual_norm=1e-9, faults_injected=1,
             faults_detected=0, detector_enabled=False)
-        writer = store.create_run(manifest)
+        store.write_manifest(manifest)
+        writer = RunWriter(store.run_path(manifest.run_id))
         writer.append(0, good)
         writer.append(0, good)  # a raced writer, not a resumed casualty
         writer.close()
@@ -587,7 +589,7 @@ class TestCrashIsolation:
             store.completed_indices("dup")
 
     def test_error_then_success_duplicates_allowed(self, tmp_path):
-        from repro.results.store import RunManifest, RunStore
+        from repro.results.store import RunManifest, RunStore, RunWriter
 
         store = RunStore(tmp_path)
         manifest = RunManifest(
@@ -607,7 +609,8 @@ class TestCrashIsolation:
                                    total_inner_iterations=50, converged=True,
                                    status="converged", residual_norm=1e-9,
                                    error=None)
-        writer = store.create_run(manifest)
+        store.write_manifest(manifest)
+        writer = RunWriter(store.run_path(manifest.run_id))
         writer.append(0, bad)
         writer.append(0, good)
         writer.close()

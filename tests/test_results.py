@@ -44,6 +44,7 @@ from repro.results.store import (
     RunManifest,
     RunStore,
     RunStoreError,
+    RunWriter,
     campaign_fingerprint,
 )
 from repro.specs import CampaignSpec, SolveSpec, spec_hash
@@ -368,7 +369,7 @@ class TestRunStore:
 
     def test_manifest_round_trip(self, tmp_path):
         store = RunStore(tmp_path)
-        store.create_run(self._manifest()).close()
+        store.write_manifest(self._manifest())
         manifest = store.manifest("r1")
         assert manifest.to_dict() == self._manifest().to_dict()
         assert store.run_ids() == ["r1"]
@@ -376,9 +377,9 @@ class TestRunStore:
 
     def test_fresh_create_refuses_overwrite(self, tmp_path):
         store = RunStore(tmp_path)
-        store.create_run(self._manifest()).close()
+        store.write_manifest(self._manifest())
         with pytest.raises(RunStoreError, match="already exists"):
-            store.create_run(self._manifest())
+            store.write_manifest(self._manifest())
 
     def test_missing_run_raises_with_inventory(self, tmp_path):
         store = RunStore(tmp_path)
@@ -391,7 +392,8 @@ class TestRunStore:
 
     def test_append_read_and_finalize(self, tmp_path):
         store = RunStore(tmp_path)
-        with store.create_run(self._manifest()) as writer:
+        store.write_manifest(self._manifest())
+        with RunWriter(store.run_path("r1")) as writer:
             writer.append(0, self._record(0))
             writer.append(1, self._record(1))
         pairs, torn = store.read_trials("r1")
@@ -405,7 +407,8 @@ class TestRunStore:
 
     def test_torn_tail_detected_and_recovered(self, tmp_path):
         store = RunStore(tmp_path)
-        with store.create_run(self._manifest()) as writer:
+        store.write_manifest(self._manifest())
+        with RunWriter(store.run_path("r1")) as writer:
             writer.append(0, self._record(0))
         trials_path = os.path.join(store.run_path("r1"), "trials.jsonl")
         with open(trials_path, "a", encoding="utf-8") as handle:
@@ -415,14 +418,15 @@ class TestRunStore:
         recovered = store.recover("r1")
         assert len(recovered) == 1
         # the file is clean again: appends after recovery parse fine
-        with store.create_run(self._manifest(), resume=True) as writer:
+        with RunWriter(store.run_path("r1")) as writer:
             writer.append(1, self._record(1))
         pairs, torn = store.read_trials("r1")
         assert not torn and len(pairs) == 2
 
     def test_corruption_before_the_tail_raises(self, tmp_path):
         store = RunStore(tmp_path)
-        with store.create_run(self._manifest()) as writer:
+        store.write_manifest(self._manifest())
+        with RunWriter(store.run_path("r1")) as writer:
             writer.append(0, self._record(0))
         trials_path = os.path.join(store.run_path("r1"), "trials.jsonl")
         content = open(trials_path).read()
@@ -433,7 +437,8 @@ class TestRunStore:
 
     def test_load_result_requires_completeness(self, tmp_path):
         store = RunStore(tmp_path)
-        with store.create_run(self._manifest(total=2)) as writer:
+        store.write_manifest(self._manifest(total=2))
+        with RunWriter(store.run_path("r1")) as writer:
             writer.append(0, self._record(0))
         with pytest.raises(RunStoreError, match="incomplete"):
             store.load_result("r1")
@@ -443,7 +448,8 @@ class TestRunStore:
 
     def test_query_over_stored_run(self, tmp_path):
         store = RunStore(tmp_path)
-        with store.create_run(self._manifest()) as writer:
+        store.write_manifest(self._manifest())
+        with RunWriter(store.run_path("r1")) as writer:
             writer.append(1, self._record(1))  # completion order != canonical
             writer.append(0, self._record(0))
         q = store.query("r1")

@@ -694,7 +694,8 @@ class TestServiceHTTP:
                     (dict(BASE, exec={"heartbeat_interval": 0.1}),
                      "exec.heartbeat_interval"),
                     (dict(BASE, fault_classes={"a": {"name": "scaling", "facto": 2.0}}),
-                     "fault_classes.a")):
+                     "fault_classes.a"),
+                    (dict(BASE, fault_classes={"a": "bitflip:999"}), "fault_classes.a")):
                 with pytest.raises(ServiceError) as err:
                     client.submit(body)
                 assert err.value.status == 400

@@ -379,15 +379,19 @@ class TestComponentArgumentsBind:
 
 
 class TestFaultClassesBind:
-    """Each fault-class value binds to its registered fault model when the
-    campaign spec is built; a failure names ``fault_classes.<label>``."""
+    """Each fault-class value binds to its registered fault model, and is
+    built by it, when the campaign spec is built; a failure names
+    ``fault_classes.<label>``."""
 
     @pytest.mark.parametrize("model", [
         {"name": "scaling", "facto": 2.0},
         "bitflip:1:2:3",
         "",
         None,
-    ], ids=["misspelled-keyword", "extra-colon-arguments", "empty", "null"])
+        "bitflip:999",
+        {"name": "burst", "width": "x"},
+    ], ids=["misspelled-keyword", "extra-colon-arguments", "empty", "null",
+            "value-the-factory-rejects", "non-integer-value"])
     def test_unbindable_fault_class_rejected(self, model):
         with pytest.raises(SpecError) as excinfo:
             CampaignSpec.from_dict({"fault_classes": {"a": model}})
