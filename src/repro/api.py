@@ -212,7 +212,8 @@ def serve(store: Any, spec: Any = None, **overrides: Any) -> int:
     concurrently through :func:`run_campaign`'s store/resume path, and
     streams live events to subscribers.  ``spec`` is a
     :class:`~repro.specs.ServiceSpec` (or dict / keyword fields — ``host``,
-    ``port``, ``max_jobs``, ``poll_interval``, ``drain_grace``).
+    ``port``, ``max_jobs``, ``drain_grace``).  The scheduler has no timer: a
+    submit, a cancel or a worker exit wakes it.
 
     Blocks until stopped (SIGTERM/SIGINT drains running campaigns and
     re-queues them for the next daemon); returns the process exit status.
@@ -220,8 +221,8 @@ def serve(store: Any, spec: Any = None, **overrides: Any) -> int:
     """
     from repro.service.server import ServiceDaemon
 
-    return ServiceDaemon(RunStore.coerce(store),
-                         ServiceSpec.coerce(spec, **overrides)).serve()
+    spec = ServiceSpec.coerce(spec, **overrides)  # before the store is made
+    return ServiceDaemon(RunStore.coerce(store), spec).serve()
 
 
 # ---------------------------------------------------------------------- #

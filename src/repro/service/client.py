@@ -167,8 +167,6 @@ def build_service_parser() -> argparse.ArgumentParser:
                             "recorded in DIR/_jobs/daemon.json)")
     serve.add_argument("--max-jobs", type=int, default=None, dest="max_jobs",
                        help="campaigns run concurrently (default 2)")
-    serve.add_argument("--poll-interval", type=float, default=None,
-                       dest="poll_interval", metavar="SECONDS")
     serve.add_argument("--drain-grace", type=float, default=None,
                        dest="drain_grace", metavar="SECONDS",
                        help="shutdown budget for workers to drain at a trial "
@@ -223,8 +221,7 @@ def _cmd_serve(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError("config", f"cannot read {args.config}: {exc}") from None
     overrides = {name: getattr(args, name)
-                 for name in ("host", "port", "max_jobs", "poll_interval",
-                              "drain_grace")
+                 for name in ("host", "port", "max_jobs", "drain_grace")
                  if getattr(args, name) is not None}
     spec = ServiceSpec.coerce(raw or None, **overrides)
     try:

@@ -27,6 +27,10 @@ the sharded supervisor when the spec asks for it — so worker crashes and
 daemon restarts resume exactly the missing trials, never re-solving
 completed ones (the store raises on duplicate successful records, so this
 property is *checked*, not assumed).
+
+The scheduler keeps no timer: it sleeps until a submit or cancel
+(:meth:`CampaignScheduler.notify`, called by HTTP threads) or a worker's
+exit (its process sentinel) wakes it.
 """
 
 from __future__ import annotations
@@ -34,12 +38,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import queue
 import re
 import signal
 import sys
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.results.store import RunStore, StoreLock
 from repro.specs import CampaignSpec, ExecutionSpec, SpecError, spec_hash
@@ -167,17 +173,18 @@ class JobStore:
         """Atomic record rewrite (tmp + replace; same contract as manifests)."""
         atomic_write_json(self.path(record.job_id), record.to_dict(), indent=2)
 
-    def list(self) -> list[JobRecord]:
-        """Every job record, FIFO by (created_at, job_id)."""
+    def list(self, job_ids: Iterable[str] | None = None) -> list[JobRecord]:
+        """Every job record, or those of ``job_ids``, FIFO by (created_at, job_id)."""
+        if job_ids is None:
+            # skips daemon.json, lock files and tmp files
+            job_ids = [match.group(1) for match in
+                       map(_JOB_FILE_RE.match, os.listdir(self.dir)) if match]
         records = []
-        for name in os.listdir(self.dir):
-            match = _JOB_FILE_RE.match(name)
-            if not match:
-                continue  # daemon.json, lock files, tmp files
+        for job_id in job_ids:
             try:
-                records.append(self.read(match.group(1)))
+                records.append(self.read(job_id))
             except JobError:
-                continue  # a record mid-replace; the next poll sees it
+                continue  # corrupt or deleted: skip it
         return sorted(records, key=lambda r: (r.created_at, r.job_id))
 
     def submit(self, spec) -> tuple[JobRecord, bool]:
@@ -227,9 +234,9 @@ class JobStore:
 
         Only the *scheduler* transitions state in response — the HTTP thread
         setting ``status`` directly could race the scheduler's own
-        queued→running transition — so this just raises the flag; the next
-        scheduler tick drains a running worker (SIGTERM at a trial boundary)
-        or retires a queued job.
+        queued→running transition — so this just raises the flag; the
+        scheduler, once notified, drains a running worker (SIGTERM at a trial
+        boundary) or retires a queued job.
         """
         with self.lock():
             record = self.read(job_id)
@@ -353,10 +360,16 @@ def _terminate_pid(pid: int, grace: float) -> None:
 class CampaignScheduler:
     """Runs queued jobs as forked workers, at most ``max_jobs`` at a time.
 
-    Single-threaded by design: the daemon calls :meth:`tick` from its main
-    loop, and *only* the scheduler transitions job state (HTTP threads
-    submit and raise flags).  Each tick reaps finished workers, polices
-    cancel flags, and launches queued jobs FIFO.
+    Single-threaded by design: the daemon's main loop alternates
+    :meth:`tick` and :meth:`wait`, and *only* the scheduler transitions job
+    state (HTTP threads submit and raise flags, then :meth:`notify` it).  A
+    round reaps finished workers, polices cancel flags, and launches queued
+    jobs FIFO; :meth:`wait` then sleeps until a notify or a worker exit.
+
+    Open jobs are tracked in memory: the first round scans ``_jobs/`` once,
+    and later rounds read only the records of notified jobs and of jobs
+    still queued or running, so a round costs O(open jobs), not O(every job
+    the store has run).  The job files stay the durable truth.
     """
 
     def __init__(self, jobs: JobStore, *, max_jobs: int = 2,
@@ -371,6 +384,16 @@ class CampaignScheduler:
         self._mp = multiprocessing.get_context("fork")
         self._running: dict[str, object] = {}
         self._signalled: set[str] = set()
+        #: Ids of queued/running jobs as of the last round; None before the
+        #: first round's scan.
+        self._open: set[str] | None = None
+        self._inbox: queue.SimpleQueue[str] = queue.SimpleQueue()
+        self._wake_r, self._wake_w = os.pipe()
+        # The pipe lives as long as the scheduler, so a late notify from an
+        # HTTP thread can never write to a closed (and reused) descriptor.
+        for fd in (self._wake_r, self._wake_w):
+            os.set_blocking(fd, False)
+            weakref.finalize(self, os.close, fd)
 
     @property
     def running(self) -> int:
@@ -403,11 +426,37 @@ class CampaignScheduler:
                                  cancel_requested=False,
                                  finished_at=_utc_now())
 
+    def notify(self, job_id: str | None = None) -> None:
+        """Wake :meth:`wait`, handing over a job whose record changed.
+
+        Safe from any thread and from signal handlers.  The id travels
+        through a queue and the pipe carries only the wake, so a full pipe
+        (a wake already pending) loses nothing.
+        """
+        if job_id is not None:
+            self._inbox.put(job_id)
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass
+
+    def wait(self) -> None:
+        """Block until a :meth:`notify` or a worker exit; no timeout."""
+        from multiprocessing.connection import wait
+
+        wait([self._wake_r, *(proc.sentinel for proc in self._running.values())])
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
     def tick(self) -> None:
         """One scheduler round: reap, police cancels, launch."""
         self._reap()
-        self._police_cancels()
-        self._launch()
+        records = self._open_records()
+        self._police_cancels(records)
+        self._launch(records)
 
     # ------------------------------------------------------------------ #
     def _reap(self) -> None:
@@ -429,7 +478,7 @@ class CampaignScheduler:
                                  cancel_requested=False,
                                  finished_at=_utc_now())
             elif exitcode in (EXIT_DRAINED, -signal.SIGTERM):
-                # Drained from outside (not a cancel): resume on a later tick.
+                # Drained from outside (not a cancel): this round relaunches it.
                 self._transition(job_id, status="queued", pid=None,
                                  started_at=None)
             else:
@@ -437,8 +486,20 @@ class CampaignScheduler:
                 self._transition(job_id, status="failed", pid=None,
                                  error=error, finished_at=_utc_now())
 
-    def _police_cancels(self) -> None:
-        for record in self.jobs.list():
+    def _open_records(self) -> list[JobRecord]:
+        """The queued and running job records, FIFO by (created_at, job_id)."""
+        notified = set()
+        while not self._inbox.empty():  # this thread is the only consumer
+            notified.add(self._inbox.get_nowait())
+        # The first round scans _jobs/; later rounds read only open jobs.
+        records = self.jobs.list(None if self._open is None
+                                 else self._open | notified)
+        records = [record for record in records if not record.terminal]
+        self._open = {record.job_id for record in records}
+        return records
+
+    def _police_cancels(self, records: list[JobRecord]) -> None:
+        for record in records:
             if not record.cancel_requested:
                 continue
             proc = self._running.get(record.job_id)
@@ -451,10 +512,8 @@ class CampaignScheduler:
                                  cancel_requested=False,
                                  finished_at=_utc_now())
 
-    def _launch(self) -> None:
-        if len(self._running) >= self.max_jobs:
-            return
-        for record in self.jobs.list():
+    def _launch(self, records: list[JobRecord]) -> None:
+        for record in records:
             if len(self._running) >= self.max_jobs:
                 return
             if (record.status != "queued" or record.cancel_requested

@@ -2,10 +2,11 @@
 
 Stdlib only (:mod:`http.server` + :mod:`socketserver`): a
 ``ThreadingHTTPServer`` answers requests from a background thread while the
-:class:`~repro.service.scheduler.CampaignScheduler` ticks in the main
-thread.  All state lives in the store — job records under ``_jobs/``, trial
-results in the ordinary run layout — so the daemon itself is disposable:
-SIGKILL it, restart it, and every job resumes from its persisted trials.
+:class:`~repro.service.scheduler.CampaignScheduler` runs in the main thread,
+asleep until a submit, a cancel or a worker exit wakes it.  All state lives
+in the store — job records under ``_jobs/``, trial results in the ordinary
+run layout — so the daemon itself is disposable: SIGKILL it, restart it,
+and every job resumes from its persisted trials.
 
 Endpoints
 ---------
@@ -119,6 +120,7 @@ class ServiceDaemon:
     def request_stop(self) -> None:
         """Ask the serve loop to drain and exit (thread/signal safe)."""
         self._stop.set()
+        self.scheduler.notify()
 
     def job_progress(self, run_id: str) -> dict | None:
         """Live ``{"trials_done", "total_trials"}`` of a job's run, if started."""
@@ -188,7 +190,7 @@ class ServiceDaemon:
     def _install_handlers(self) -> None:
         def _on_signal(signum, frame):
             self._signalled = signum
-            self._stop.set()
+            self.request_stop()
 
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -225,7 +227,7 @@ class ServiceDaemon:
             self.scheduler.recover()
             while not self._stop.is_set():
                 self.scheduler.tick()
-                self._stop.wait(self.spec.poll_interval)
+                self.scheduler.wait()
             drained = self.scheduler.drain()
             if not quiet:
                 print(f"[repro serve] drained {drained} running job(s); "
@@ -350,7 +352,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             except SpecError as exc:
                 self._error(400, str(exc))
                 return
+            # Published before the scheduler can publish "running"; notified
+            # before the reply, so a client that hangs up still gets its job
+            # run.  A deduped submit may have re-queued a failed job.
             self.daemon._publish(record)
+            self.daemon.scheduler.notify(record.job_id)
             self._json(201 if created else 200, record.to_dict())
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
@@ -365,6 +371,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except JobError as exc:
             self._error(404, str(exc))
             return
+        self.daemon.scheduler.notify(record.job_id)
         try:
             code = 200 if record.terminal else 202
             self._json(code, record.to_dict())
@@ -400,7 +407,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
         self._stream_start()
         try:
-            for event in tail_jsonl(path, poll_interval=0.1, stop=_terminal):
+            for event in tail_jsonl(path, stop=_terminal):
                 self._stream_line(event)
             final = daemon.jobs.read(job_id).to_dict()
             final["progress"] = daemon.job_progress(record.run_id)

@@ -669,12 +669,12 @@ class ServiceSpec(_SpecBase):
 
     The service (:mod:`repro.service`) binds an HTTP/JSONL API to
     ``host:port`` (``port=0`` binds an ephemeral port; the bound address is
-    recorded in ``<store>/_jobs/daemon.json``), runs at most ``max_jobs``
-    campaigns concurrently, and polls its scheduler every ``poll_interval``
-    seconds.  On shutdown (SIGTERM/SIGINT) running campaigns get
-    ``drain_grace`` seconds to drain at a trial boundary before they are
-    killed; either way their jobs re-queue and a restarted daemon resumes
-    exactly the missing trials.
+    recorded in ``<store>/_jobs/daemon.json``) and runs at most
+    ``max_jobs`` campaigns concurrently.  Its scheduler has no timer: a
+    submit, a cancel or a worker exit wakes it.  On shutdown (SIGTERM/SIGINT)
+    running campaigns get ``drain_grace`` seconds to drain at a trial
+    boundary before they are killed; either way their jobs re-queue and a
+    restarted daemon resumes exactly the missing trials.
 
     Like every execution-layer knob, none of these fields participate in
     job or campaign fingerprints.
@@ -683,7 +683,6 @@ class ServiceSpec(_SpecBase):
     host: str = "127.0.0.1"
     port: int = 8765
     max_jobs: int = 2
-    poll_interval: float = 0.05
     drain_grace: float = 10.0
 
     def __post_init__(self) -> None:
@@ -693,20 +692,17 @@ class ServiceSpec(_SpecBase):
         if self.port > 65535:
             raise SpecError("port", f"must be <= 65535, got {self.port}")
         _check_int("max_jobs", self.max_jobs, minimum=1)
-        _check_float("poll_interval", self.poll_interval, minimum=0.0)
-        if self.poll_interval <= 0.0:
-            raise SpecError("poll_interval", f"must be > 0, got {self.poll_interval}")
         _check_float("drain_grace", self.drain_grace, minimum=0.0)
 
     @classmethod
     def coerce(cls, spec: Any = None, **overrides: Any) -> "ServiceSpec":
         """Build a ServiceSpec from a spec, a dict, or keyword fields."""
-        if spec is None:
-            return cls.from_dict(overrides) if overrides else cls()
         if isinstance(spec, cls):
-            return spec.replace(**overrides) if overrides else spec
-        if isinstance(spec, dict):
-            return cls.from_dict({**spec, **overrides})
+            if not overrides:
+                return spec
+            spec = spec.to_dict()  # overrides are checked like any dict key
+        if spec is None or isinstance(spec, dict):
+            return cls.from_dict({**(spec or {}), **overrides})
         raise SpecError("service", f"expected a ServiceSpec or dict, "
                                    f"got {type(spec).__name__}")
 

@@ -429,7 +429,8 @@ class TestRunStore:
         with RunWriter(store.run_path("r1")) as writer:
             writer.append(0, self._record(0))
         trials_path = os.path.join(store.run_path("r1"), "trials.jsonl")
-        content = open(trials_path).read()
+        with open(trials_path, encoding="utf-8") as handle:
+            content = handle.read()
         with open(trials_path, "w", encoding="utf-8") as handle:
             handle.write("GARBAGE\n" + content)
         with pytest.raises(RunStoreError, match="corrupt trial record"):

@@ -294,7 +294,8 @@ class TestRunnerStoreIntegration:
         assert manifest_status == "complete"
         # rewind the run to "interrupted": drop trials, mark it running
         trials_path = os.path.join(store.run_path(run_id), "trials.jsonl")
-        lines = open(trials_path).read().splitlines(keepends=True)
+        with open(trials_path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines(keepends=True)
         with open(trials_path, "w", encoding="utf-8") as handle:
             handle.writelines(lines[:1])
         manifest = store.manifest(run_id)
@@ -310,7 +311,8 @@ class TestRunnerStoreIntegration:
         events_dir = str(tmp_path / "events") + os.sep
         assert runner_mod.main(self.ARGS + ["--sink", f"jsonl:{events_dir}"]) == 0
         capsys.readouterr()
-        lines = open(os.path.join(events_dir, "events.jsonl")).read().splitlines()
+        with open(os.path.join(events_dir, "events.jsonl"), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         kinds = {json.loads(line)["kind"] for line in lines}
         assert {"campaign_started", "baseline_completed", "trial_completed",
                 "campaign_completed"} <= kinds

@@ -27,8 +27,9 @@ from repro.api import run_campaign
 from repro.results.events import Event, JsonlEventSink
 from repro.results.store import RunStore, StoreLock
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.scheduler import (CampaignScheduler, JobError, JobStore,
-                                     job_fingerprint)
+from repro.service.scheduler import (CampaignScheduler, JobError, JobRecord,
+                                     JobStore, job_fingerprint)
+from repro.service.server import ServiceDaemon
 from repro.service.streams import (BroadcastSink, run_events_path, tail_jsonl)
 from repro.specs import CampaignSpec, ServiceSpec, SpecError
 
@@ -39,6 +40,8 @@ BASE = dict(problem="poisson:8", inner_iterations=10, max_outer=30, stride=6)
 TRIO = (dict(BASE, stride=2),
         dict(BASE, stride=2, inner_iterations=12),
         dict(BASE, stride=2, max_outer=40))
+#: A campaign of 3 trials that runs in ~10 ms; ``locations`` makes it distinct.
+TINY = dict(problem="poisson:4", locations=[1])
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -135,10 +138,23 @@ class TestServiceSpec:
     @pytest.mark.parametrize("bad", [
         {"host": ""}, {"port": -1}, {"port": 70000}, {"max_jobs": 0},
         {"poll_interval": 0.0}, {"drain_grace": -1.0}, {"bogus": 1},
+        {"poll_interval": 0.05},
     ])
     def test_validation(self, bad):
         with pytest.raises(SpecError):
             ServiceSpec.from_dict(bad)
+
+    def test_removed_poll_interval_is_a_spec_error(self, tmp_path):
+        """The scheduler has no timer, so its knob is gone everywhere."""
+        from repro import api
+
+        for build in (lambda: ServiceSpec.coerce(poll_interval=0.05),
+                      lambda: ServiceSpec.coerce(ServiceSpec(), poll_interval=0.05),
+                      lambda: api.serve(tmp_path / "store", poll_interval=0.05)):
+            with pytest.raises(SpecError) as excinfo:
+                build()
+            assert excinfo.value.field == "poll_interval"
+        assert not (tmp_path / "store").exists()
 
     def test_coerce(self):
         assert ServiceSpec.coerce(None) == ServiceSpec()
@@ -500,6 +516,69 @@ class TestCampaignScheduler:
         scheduler.recover()
         assert jobs.read(record.job_id).status == "queued"
 
+    def test_round_reads_only_open_and_notified_records(self, tmp_path,
+                                                        monkeypatch):
+        """After the first round's scan, finished jobs are never re-read."""
+        jobs = JobStore(tmp_path)
+        for n in range(200):
+            jobs.write(JobRecord(job_id=f"{n:016x}", spec={},
+                                 run_id=f"job-{n:016x}", status="completed",
+                                 created_at=f"2026-01-01T00:00:{n % 60:02d}Z"))
+        scheduler = CampaignScheduler(jobs, max_jobs=1)
+        scheduler.tick()
+        reads: list[str] = []
+        read = jobs.read
+        monkeypatch.setattr(jobs, "read",
+                            lambda job_id: reads.append(job_id) or read(job_id))
+        scheduler.tick()
+        assert reads == []
+        # a cancel handed over by notify is read and acted on, nothing else
+        record, _ = jobs.submit(BASE)
+        jobs.request_cancel(record.job_id)
+        reads.clear()
+        scheduler.notify(record.job_id)
+        scheduler.tick()
+        assert set(reads) == {record.job_id}
+        assert read(record.job_id).status == "cancelled"
+        assert scheduler.running == 0
+
+
+# ---------------------------------------------------------------------- #
+# the daemon in-process: it sleeps until something happens
+# ---------------------------------------------------------------------- #
+class TestEventDrivenDaemon:
+    def test_idle_daemon_does_not_tick_and_wakes_on_submit(self, tmp_path):
+        daemon = ServiceDaemon(tmp_path, port=0)
+        ticks: list[float] = []
+        tick = daemon.scheduler.tick
+
+        def _counting_tick():
+            ticks.append(time.monotonic())
+            tick()
+
+        daemon.scheduler.tick = _counting_tick
+        thread = threading.Thread(target=daemon.serve, kwargs={"quiet": True},
+                                  daemon=True)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 60
+            while not ticks and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert ticks, "the daemon never ran its first round"
+            time.sleep(1.0)
+            assert len(ticks) == 1  # idle: nothing woke the scheduler
+            host, port = daemon.address
+            client = ServiceClient(f"http://{host}:{port}")
+            record = client.submit(TINY)
+            final = client.wait(record["job_id"], timeout=120)
+            assert final["status"] == "completed"
+            assert len(ticks) >= 3  # the submit and the worker's exit
+        finally:
+            daemon.request_stop()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not os.path.exists(os.path.join(daemon.jobs.dir, "daemon.json"))
+
 
 # ---------------------------------------------------------------------- #
 # the daemon over HTTP (subprocess)
@@ -620,6 +699,40 @@ class TestServiceHTTP:
         finally:
             _stop_daemon(proc)
 
+    def test_concurrent_distinct_submissions_are_never_lost(self, tmp_path):
+        """16 distinct jobs POSTed at once from 8 threads all complete."""
+        store = RunStore(tmp_path)
+        specs = [dict(TINY, locations=[k]) for k in range(16)]
+        proc, client = _start_daemon(tmp_path, max_jobs=2)
+        try:
+            job_ids: list[str] = []
+            barrier = threading.Barrier(8)
+
+            def _post(pair):
+                barrier.wait()
+                for spec in pair:
+                    job_ids.append(ServiceClient(client.url).submit(spec)["job_id"])
+
+            threads = [threading.Thread(target=_post, args=(specs[2 * n:2 * n + 2],))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(set(job_ids)) == 16
+            deadline = time.monotonic() + 120
+            for job_id in job_ids:
+                remaining = max(deadline - time.monotonic(), 0.1)
+                assert client.wait(job_id, timeout=remaining,
+                                   poll_interval=0.05)["status"] == "completed"
+        finally:
+            _stop_daemon(proc)
+        for spec in specs[:2]:
+            job_id = job_fingerprint(CampaignSpec.coerce(spec))
+            serial = run_campaign(spec=dict(spec, exec={"backend": "serial"}))
+            assert store.load_result(f"job-{job_id}").trials == serial.trials
+
     def test_http_error_paths(self, tmp_path):
         proc, client = _start_daemon(tmp_path)
         try:
@@ -640,6 +753,7 @@ class TestServiceHTTP:
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as raw:
                 urllib.request.urlopen(request, timeout=30)
+            raw.value.close()
             assert raw.value.code == 400
 
             # Malformed framing is answered, never dropped or left hanging;
@@ -817,6 +931,20 @@ class TestServiceCLI:
 
         args = build_parser().parse_args(["table1", "--scale", "tiny"])
         assert args.experiments == ["table1"]
+
+    def test_removed_poll_interval_exits_2(self, tmp_path):
+        config = tmp_path / "service.json"
+        config.write_text(json.dumps({"port": 0, "poll_interval": 0.05}))
+        for extra in (["--poll-interval", "0.05"], ["--config", str(config)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--store",
+                 str(tmp_path / "store"), "--port", "0", *extra],
+                env=_env(), timeout=60, capture_output=True, text=True)
+            assert proc.returncode == 2, proc.stderr
+            assert "poll" in proc.stderr
+        assert "--poll-interval" not in subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--help"], env=_env(),
+            timeout=120, capture_output=True, text=True).stdout
 
     def test_api_serve_facade_exists(self):
         from repro import api
