@@ -7,9 +7,6 @@ triangular factors — times a *seed-style reference sweep* (the row-by-row
 masked formulation the factors replaced) in-process, so the recorded
 ``speedup_vs_seed_sweep`` stays an honest apples-to-apples number no matter
 how the surrounding code evolves.
-
-Recorded artifact: ``BENCH_PR2_precond.json`` (medium scale, measured when
-the factors solved by level scheduling).
 """
 
 from __future__ import annotations

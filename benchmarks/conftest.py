@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one artifact of the paper's evaluation (see the
-experiment index in DESIGN.md).  Because the paper's exhaustive sweeps take
+Every benchmark regenerates one artifact of the paper's evaluation (see
+:mod:`repro.experiments`).  Because the paper's exhaustive sweeps take
 minutes at full scale, the harness exposes two knobs through environment
 variables:
 

@@ -1,17 +1,15 @@
 #!/usr/bin/env python
-"""Solver comparison: layered FT-GMRES vs flat GMRES vs detect-and-rollback.
+"""Solver comparison: layered FT-GMRES vs flat GMRES.
 
-The paper positions its "run through" philosophy against two alternatives:
-solving with a single (unprotected) GMRES, and the detect/roll-back style of
-Chen's Online-ABFT.  This example subjects all three to the same single SDC
-event and compares iterations, extra operator applications, and outcome, on
-both of the paper's problem classes.
+The paper positions its "run through" philosophy against solving with a
+single (unprotected) GMRES.  This example subjects both to the same single
+SDC event and compares iterations and outcome, on both of the paper's
+problem classes.
 
-The two Krylov strategies are driven through the one :func:`repro.api.solve`
-facade — the *same* call with a different ``method`` in the spec — which is
-the point of the config-first API: strategy comparisons are spec edits, not
-new plumbing.  (The rollback baseline keeps its dedicated entry point: its
-verification/checkpoint machinery is outside the spec surface.)
+Both strategies are driven through the one :func:`repro.api.solve` facade —
+the *same* call with a different ``method`` in the spec — which is the point
+of the config-first API: strategy comparisons are spec edits, not new
+plumbing.
 
 Run with:  python examples/solver_comparison.py [grid_n] [circuit_n]
 """
@@ -23,7 +21,6 @@ import sys
 import numpy as np
 
 from repro import ScalingFault, FaultInjector, InjectionSchedule, solve
-from repro.baselines.chen import gmres_with_rollback
 from repro.experiments.report import format_table
 from repro.gallery.problems import circuit_problem, poisson_problem
 
@@ -68,19 +65,6 @@ def run_case(problem, max_total_iterations: int = 600):
         f"{flat_faulty.residual_norm / norm_b:.1e}",
         flat_faulty.status.value,
     ])
-
-    # 3. GMRES with periodic verification and rollback (Online-ABFT style).
-    rollback = gmres_with_rollback(problem.A, problem.b, tol=1e-8,
-                                   maxiter=max_total_iterations, check_interval=25,
-                                   injector=make_injector())
-    rows.append([
-        "GMRES + verify/rollback",
-        "-",
-        f"{rollback.result.iterations} iters "
-        f"(+{rollback.extra_matvecs} verify matvecs, {rollback.rollbacks} rollbacks)",
-        f"{rollback.result.residual_norm / norm_b:.1e}",
-        rollback.result.status.value,
-    ])
     return rows
 
 
@@ -97,9 +81,7 @@ def main(grid_n: int = 25, circuit_n: int = 800) -> None:
     print(" * the nested solver absorbs the fault at the cost of at most a couple of outer")
     print("   iterations and needs no verification traffic or checkpointed state;")
     print(" * the flat solver also eventually converges but pays for the corrupted Krylov")
-    print("   space inside a single long recurrence;")
-    print(" * the rollback scheme recovers too, but spends extra reliable matvecs on")
-    print("   verification even in failure-free runs.")
+    print("   space inside a single long recurrence.")
 
 
 if __name__ == "__main__":

@@ -44,9 +44,7 @@ from repro.core import (
 )
 from repro.baselines import cg
 from repro.gallery import (
-    poisson1d,
     poisson2d,
-    poisson3d,
     convection_diffusion_2d,
     mult_dcop_surrogate,
     poisson_problem,
@@ -69,7 +67,6 @@ from repro.faults import (
     ScalingFault,
     BitFlipFault,
     PAPER_FAULT_CLASSES,
-    Sandbox,
     FaultCampaign,
 )
 from repro.exec import TrialSpec
@@ -115,9 +112,7 @@ __all__ = [
     "frobenius_norm",
     "two_norm_estimate",
     "hessenberg_bound",
-    "poisson1d",
     "poisson2d",
-    "poisson3d",
     "convection_diffusion_2d",
     "mult_dcop_surrogate",
     "poisson_problem",
@@ -135,7 +130,6 @@ __all__ = [
     "ScalingFault",
     "BitFlipFault",
     "PAPER_FAULT_CLASSES",
-    "Sandbox",
     "FaultCampaign",
     # parallel execution engine
     "TrialSpec",

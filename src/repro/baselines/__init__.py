@@ -1,21 +1,10 @@
-"""Baseline solvers and detection schemes the paper compares against.
+"""Baseline solvers the paper compares against.
 
 * :func:`repro.baselines.cg.cg` — Conjugate Gradient, the solver the paper
   notes could be used for the SPD Poisson problem (and cannot be used for
   the nonsymmetric circuit problem).
-* :func:`repro.baselines.chen.gmres_with_rollback` — a checkpoint/rollback
-  scheme in the spirit of Chen's Online-ABFT (reference [18] of the paper):
-  it periodically verifies the solver's residual invariant with an extra
-  reliable residual computation and rolls back to the last verified state
-  when the invariant is violated.  This is the "detect, then roll back"
-  approach the paper contrasts with its "run through" philosophy.
-* :func:`repro.baselines.scipy_wrappers.scipy_gmres` — a thin wrapper around
-  ``scipy.sparse.linalg.gmres`` used by the test suite to cross-validate our
-  GMRES implementation.
 """
 
 from repro.baselines.cg import cg
-from repro.baselines.chen import gmres_with_rollback, RollbackResult
-from repro.baselines.scipy_wrappers import scipy_gmres
 
-__all__ = ["cg", "gmres_with_rollback", "RollbackResult", "scipy_gmres"]
+__all__ = ["cg"]

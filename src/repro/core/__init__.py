@@ -9,7 +9,8 @@ Public entry points:
   preconditioner/inner-solver, rank-revealing breakdown handling
   (the paper's "trichotomy").
 * :func:`repro.core.ftgmres.ft_gmres` — the paper's nested FT-GMRES solver:
-  reliable FGMRES outside, unreliable GMRES inside a sandbox.
+  reliable FGMRES outside, unreliable GMRES inside; only the inner
+  solves receive the fault injector.
 * :class:`repro.core.detectors.HessenbergBoundDetector` — the cheap invariant
   check ``|h_ij| <= ||A||_F``.
 """
@@ -17,7 +18,6 @@ Public entry points:
 from repro.core.status import SolverStatus, SolverResult, NestedSolverResult, ConvergenceHistory
 from repro.core.hessenberg import HessenbergMatrix
 from repro.core.arnoldi import ArnoldiContext, arnoldi_step, arnoldi_process
-from repro.core.householder import householder_arnoldi
 from repro.core.least_squares import (
     IncrementalGivensQR,
     LeastSquaresPolicy,
@@ -53,7 +53,6 @@ __all__ = [
     "ArnoldiContext",
     "arnoldi_step",
     "arnoldi_process",
-    "householder_arnoldi",
     "IncrementalGivensQR",
     "LeastSquaresPolicy",
     "solve_projected_lsq",

@@ -1,10 +1,12 @@
 """FT-GMRES: the paper's fault-tolerant inner–outer (nested) solver.
 
 The outer iteration is Flexible GMRES executed reliably; the inner solves
-are plain GMRES executed *unreliably* inside a sandbox (Section IV): they may
-experience silent data corruption, and they only promise to return something
-in finite time.  The outer iteration "rolls forward" through whatever the
-inner solves return and drives convergence with reliably computed residuals.
+are plain GMRES executed *unreliably* (Section IV): they may experience
+silent data corruption, and they only promise to return something in finite
+time.  The split is structural: the fault injector is handed to the inner
+solves and to nothing else, so no outer operation can be corrupted.  The
+outer iteration "rolls forward" through whatever the inner solves return
+and drives convergence with reliably computed residuals.
 
 The experiment harness injects exactly one SDC event per nested solve into
 one Hessenberg coefficient of one inner solve, which is how Figures 3 and 4
@@ -39,7 +41,6 @@ def ft_gmres(
     max_outer: int | None = None,
     inner_iterations: int | None = None,
     injector=None,
-    sandbox=None,
     events=None,
     profile=None,
     state: OuterState | None = None,
@@ -68,12 +69,10 @@ def ft_gmres(
     inner_iterations : int, optional
         Fixed iteration count of every inner GMRES solve (paper: 25).
     injector : FaultInjector, optional
-        Fault injector passed to the *inner* solves only — the outer
-        iteration always runs reliably, which is the sandbox model.
-    sandbox : Sandbox, optional
-        Explicit sandbox marking the unreliable region.  When omitted but an
-        injector is supplied, a fresh sandbox is created; the injector is
-        activated only while an inner solve is running inside it.
+        Fault injector passed to the *inner* solves only: the outer FGMRES
+        never receives it, so the outer iteration always runs reliably
+        (the paper's Section IV model).  Every consult carries the inner
+        solve's ``inner_solve_index``, which equals its ``outer_iteration``.
     events : EventSink, callable, or list of them, optional
         Receives every event of the whole nested solve the moment it is
         recorded (anything :func:`~repro.results.events.ensure_sink`
@@ -123,13 +122,6 @@ def ft_gmres(
     inner_kwargs["preconditioner"] = resolve_preconditioner(inner_kwargs["preconditioner"],
                                                             A=A)
 
-    if sandbox is None and injector is not None:
-        from repro.faults.sandbox import Sandbox
-
-        sandbox = Sandbox(name="ft-gmres-inner")
-    if sandbox is not None and injector is not None and hasattr(injector, "attach_sandbox"):
-        injector.attach_sandbox(sandbox)
-
     # One event list for the outer solve and every inner solve: fgmres
     # records into state.events and each inner solve appends there too
     # (fgmres is blocked inside an inner solve while that solve records),
@@ -142,26 +134,17 @@ def ft_gmres(
 
     def inner_solver(q_j: np.ndarray, outer_iteration: int) -> np.ndarray:
         """One unreliable inner solve: approximately solve ``A z = q_j``."""
-        offset = outer_iteration * inner_budget
-
-        def run() -> SolverResult:
-            return gmres(
-                A,
-                q_j,
-                injector=injector,
-                events=inner_sink,
-                profile=profile,
-                outer_iteration=outer_iteration,
-                inner_solve_index=outer_iteration,
-                iteration_offset=offset,
-                **inner_kwargs,
-            )
-
-        if sandbox is not None:
-            with sandbox:
-                result = run()
-        else:
-            result = run()
+        result = gmres(
+            A,
+            q_j,
+            injector=injector,
+            events=inner_sink,
+            profile=profile,
+            outer_iteration=outer_iteration,
+            inner_solve_index=outer_iteration,
+            iteration_offset=outer_iteration * inner_budget,
+            **inner_kwargs,
+        )
         inner_results.append(result)
         return result.x
 

@@ -357,12 +357,16 @@ class ShardedSupervisor:
         except OSError:
             pass
         retries = {index: count for index, count in self.retries.items()}
-        shard.proc = self._mp.Process(
+        proc = self._mp.Process(
             target=_shard_worker,
             args=(self.campaign, pending, shard.dir, retries, chaos),
             daemon=True,
         )
-        shard.proc.start()
+        # Only a started process becomes the shard's: iter_records' cleanup
+        # joins every shard.proc, and joining one whose start() raised would
+        # replace that error with "can only join a started process".
+        proc.start()
+        shard.proc = proc
 
     def _poll(self, shard: _Shard, chaos):
         """One supervision step for one shard (a generator of records)."""

@@ -1,7 +1,7 @@
 """Experiment drivers that regenerate the paper's tables and figures.
 
 Each module corresponds to one artifact of the paper's evaluation section
-(see DESIGN.md's experiment index):
+(the README's *Quickstart* shows the ``repro`` commands that print them):
 
 * :mod:`repro.experiments.table1`   — Table I, sample-matrix properties;
 * :mod:`repro.experiments.figure2`  — Figure 2, Hessenberg vs tridiagonal
@@ -14,7 +14,7 @@ Each module corresponds to one artifact of the paper's evaluation section
   plots used by the examples and benchmark output.
 """
 
-from repro.experiments.report import format_table, ascii_series_plot, format_markdown_table
+from repro.experiments.report import format_table, ascii_series_plot
 from repro.experiments.table1 import matrix_properties, table1_rows, PAPER_TABLE1
 from repro.experiments.figure2 import hessenberg_structure, figure2_comparison
 from repro.experiments.figure34 import FigureSweep, figure3, figure4
@@ -23,7 +23,6 @@ from repro.experiments.summary import detector_comparison, summarize_campaign
 __all__ = [
     "format_table",
     "ascii_series_plot",
-    "format_markdown_table",
     "matrix_properties",
     "table1_rows",
     "PAPER_TABLE1",

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["format_table", "format_markdown_table", "ascii_series_plot",
-           "campaign_class_table"]
+__all__ = ["format_table", "ascii_series_plot", "campaign_class_table"]
 
 
 def _stringify(value) -> str:
@@ -51,20 +50,6 @@ def format_table(headers, rows, title: str | None = None) -> str:
     lines.append(sep.join("-" * w for w in widths))
     for row in str_rows:
         lines.append(sep.join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_markdown_table(headers, rows, title: str | None = None) -> str:
-    """Render a GitHub-flavoured Markdown table (used to fill EXPERIMENTS.md)."""
-    headers = [str(h) for h in headers]
-    lines = []
-    if title:
-        lines.append(f"**{title}**")
-        lines.append("")
-    lines.append("| " + " | ".join(headers) + " |")
-    lines.append("|" + "|".join(["---"] * len(headers)) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(_stringify(v) for v in row) + " |")
     return "\n".join(lines)
 
 

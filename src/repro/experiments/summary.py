@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from repro.faults.campaign import CampaignResult
 
-__all__ = ["summarize_campaign", "detector_comparison", "worst_case_increase",
-           "median_increase", "fraction_no_penalty"]
+__all__ = ["summarize_campaign", "detector_comparison", "worst_case_increase"]
 
 
 def worst_case_increase(campaign: CampaignResult, fault_classes=None) -> int:
@@ -36,21 +35,6 @@ def worst_case_increase(campaign: CampaignResult, fault_classes=None) -> int:
     if not query:
         return 0
     return max(int(query.max("outer_iterations")) - campaign.failure_free_outer, 0)
-
-
-def median_increase(campaign: CampaignResult, fault_class: str) -> float:
-    """Median increase in outer iterations for one fault class."""
-    query = campaign.query().filter(fault_class=fault_class)
-    if not query:
-        return 0.0
-    return query.median("outer_iterations") - campaign.failure_free_outer
-
-
-def fraction_no_penalty(campaign: CampaignResult, fault_class: str) -> float:
-    """Fraction of trials that converged in the failure-free outer count."""
-    baseline = campaign.failure_free_outer
-    return (campaign.query().filter(fault_class=fault_class)
-            .rate(lambda t: t.outer_iterations <= baseline))
 
 
 def summarize_campaign(campaign: CampaignResult) -> dict:

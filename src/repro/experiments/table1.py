@@ -6,8 +6,8 @@ positive definiteness, condition number, and the two "potential fault
 detectors" ``||A||_2`` and ``||A||_F``.  :func:`matrix_properties` computes
 all of these for any :class:`~repro.gallery.problems.TestProblem`;
 :func:`table1_rows` lays them out in the paper's row order; and
-:data:`PAPER_TABLE1` records the paper's published values so EXPERIMENTS.md
-can show them side by side.
+:data:`PAPER_TABLE1` records the paper's published values, which
+``benchmarks/bench_table1.py`` prints beside the computed ones.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.sparse.csr import CSRMatrix
 __all__ = ["matrix_properties", "table1_rows", "condition_estimate", "PAPER_TABLE1"]
 
 
-#: Values published in the paper's Table I (for comparison in EXPERIMENTS.md).
+#: Values published in the paper's Table I (for comparison with the computed ones).
 PAPER_TABLE1 = {
     "poisson": {
         "rows": 10000,

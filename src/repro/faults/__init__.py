@@ -12,9 +12,8 @@ a chosen class.  This package generalizes that methodology:
   (site, aggregate inner iteration, MGS position, transient/sticky/persistent);
 * :mod:`repro.faults.injector`  — the object solvers consult at every
   injection site (kernel outputs included: the ``spmv`` and ``precond``
-  sites corrupt the operator and preconditioner products);
-* :mod:`repro.faults.sandbox`   — the sandbox reliability model: injectors
-  attached to a sandbox only act while the sandbox is active;
+  sites corrupt the operator and preconditioner products).  FT-GMRES hands
+  it to the inner solves only, which is the paper's reliability model;
 * :mod:`repro.faults.bitflip`   — IEEE-754 bit manipulation helpers;
 * :mod:`repro.faults.campaign`  — sweep drivers that run a solver over every
   injection location and fault class (the engine behind Figures 3 and 4);
@@ -22,7 +21,7 @@ a chosen class.  This package generalizes that methodology:
   kills, hangs, torn store appends) for the sharded supervisor's tests.
 """
 
-from repro.faults.bitflip import flip_bit, flip_bit_in_array, random_bit_flip
+from repro.faults.bitflip import flip_bit, random_bit_flip
 from repro.faults.models import (
     FaultModel,
     ScalingFault,
@@ -43,8 +42,7 @@ from repro.faults.schedule import (
     InjectionSchedule,
     Persistence,
 )
-from repro.faults.injector import FaultInjector, NullInjector
-from repro.faults.sandbox import Sandbox, reliable_region
+from repro.faults.injector import FaultInjector
 from repro.faults.campaign import (
     CampaignResult,
     FaultCampaign,
@@ -54,7 +52,6 @@ from repro.faults.chaos import ChaosError, ChaosPolicy
 
 __all__ = [
     "flip_bit",
-    "flip_bit_in_array",
     "random_bit_flip",
     "FaultModel",
     "ScalingFault",
@@ -73,9 +70,6 @@ __all__ = [
     "FaultRateSchedule",
     "Persistence",
     "FaultInjector",
-    "NullInjector",
-    "Sandbox",
-    "reliable_region",
     "CampaignResult",
     "ChaosError",
     "ChaosPolicy",

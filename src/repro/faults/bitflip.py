@@ -17,8 +17,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["flip_bit", "flip_bit_in_array", "random_bit_flip", "MANTISSA_BITS", "EXPONENT_BITS",
-           "SIGN_BIT"]
+__all__ = ["flip_bit", "random_bit_flip", "MANTISSA_BITS", "EXPONENT_BITS", "SIGN_BIT"]
 
 #: Bit positions of the float64 mantissa (0-51).
 MANTISSA_BITS = tuple(range(0, 52))
@@ -49,27 +48,6 @@ def flip_bit(value: float, bit: int) -> float:
     as_int = np.float64(value).view(np.uint64)
     flipped = as_int ^ np.uint64(1 << bit)
     return float(flipped.view(np.float64))
-
-
-def flip_bit_in_array(arr: np.ndarray, index: int, bit: int) -> None:
-    """Flip one bit of one element of a float64 array, in place.
-
-    Parameters
-    ----------
-    arr : numpy.ndarray
-        A float64 array (any shape); modified in place.
-    index : int
-        Flat index of the element to corrupt.
-    bit : int
-        Bit position in ``[0, 63]``.
-    """
-    arr = np.asarray(arr)
-    if arr.dtype != np.float64:
-        raise TypeError(f"array must be float64, got {arr.dtype}")
-    flat = arr.reshape(-1)
-    if not 0 <= index < flat.shape[0]:
-        raise IndexError(f"index {index} outside array of size {flat.shape[0]}")
-    flat[index] = flip_bit(float(flat[index]), bit)
 
 
 def random_bit_flip(value: float, rng=None, bits=None) -> tuple[float, int]:

@@ -200,7 +200,7 @@ class CampaignResult:
         return self.query().filter(converged=False).records()
 
     def summary(self) -> dict:
-        """Aggregate statistics keyed by fault class (used by EXPERIMENTS.md).
+        """Aggregate statistics keyed by fault class (the Figures 3/4 footer table).
 
         Besides the paper's convergence statistics, each class reports its
         reliability totals — ``errors`` (crashed/timed-out/quarantined

@@ -4,10 +4,12 @@ A :class:`FaultInjector` combines
 
 * a :class:`~repro.faults.models.FaultModel` (what the corruption looks like),
 * an :class:`~repro.faults.schedule.InjectionSchedule` (when/where it strikes),
-* optionally a :class:`~repro.faults.sandbox.Sandbox` (corruption only occurs
-  while the sandbox is active — the unreliable phase), and
 * book-keeping: every corruption is recorded so experiments can verify that
   exactly one SDC event occurred per trial.
+
+An injector corrupts whatever solve consults it.  Confining faults to the
+unreliable phase is the caller's job: :func:`~repro.core.ftgmres.ft_gmres`
+hands its injector to the inner solves only.
 
 The solver-facing protocol is two methods, ``corrupt_scalar`` and
 ``corrupt_vector``; both receive the full injection context as keyword
@@ -24,10 +26,9 @@ import numpy as np
 
 from repro.faults.models import FaultModel
 from repro.faults.schedule import InjectionSchedule, Persistence
-from repro.faults.sandbox import Sandbox
 from repro.utils.rng import as_generator
 
-__all__ = ["InjectionRecord", "FaultInjector", "NullInjector"]
+__all__ = ["InjectionRecord", "FaultInjector"]
 
 
 @dataclass(frozen=True)
@@ -55,20 +56,14 @@ class FaultInjector:
         The corruption applied to eligible values.
     schedule : InjectionSchedule
         Eligibility predicate.
-    sandbox : Sandbox, optional
-        If given, corruption only happens while the sandbox is active.  The
-        nested FT-GMRES driver attaches its inner-solve sandbox automatically.
     vector_index : int, optional
         For vector sites, the element to corrupt (random when omitted).
     rng : seed or Generator, optional
         Randomness source for random element selection.
-    enabled : bool
-        Master switch; a disabled injector never corrupts anything.
     """
 
     def __init__(self, model: FaultModel, schedule: InjectionSchedule,
-                 sandbox: Sandbox | None = None, vector_index: int | None = None,
-                 rng=None, enabled: bool = True):
+                 vector_index: int | None = None, rng=None):
         if not isinstance(model, FaultModel):
             raise TypeError(f"model must be a FaultModel, got {type(model).__name__}")
         if not isinstance(schedule, InjectionSchedule):
@@ -77,9 +72,7 @@ class FaultInjector:
             )
         self.model = model
         self.schedule = schedule
-        self.sandbox = sandbox
         self.vector_index = vector_index
-        self.enabled = bool(enabled)
         self._rng = as_generator(rng)
         self.records: list[InjectionRecord] = []
         # Persistence windows are tracked per site, so a sticky fault at one
@@ -92,13 +85,6 @@ class FaultInjector:
         # per site"; this records the (site, aggregate iteration) points that
         # have already fired.
         self._fired_points: set[tuple[str, int]] = set()
-
-    # ------------------------------------------------------------------ #
-    # wiring
-    # ------------------------------------------------------------------ #
-    def attach_sandbox(self, sandbox: Sandbox) -> None:
-        """Attach (or replace) the sandbox gating this injector."""
-        self.sandbox = sandbox
 
     def reset(self) -> None:
         """Forget all prior corruptions so the injector can be reused."""
@@ -131,10 +117,6 @@ class FaultInjector:
         return self.schedule.can_match_step(**context)
 
     def _may_fire(self, site: str, context: dict) -> bool:
-        if not self.enabled:
-            return False
-        if self.sandbox is not None and not self.sandbox.active:
-            return False
         if not self.schedule.matches(site, **context):
             return False
         persistence = self.schedule.persistence
@@ -205,26 +187,3 @@ class FaultInjector:
         out.reshape(-1)[index] = self.model.corrupt(original)
         self._record(site, original, float(out.reshape(-1)[index]), context, vector_index=index)
         return out
-
-
-class NullInjector:
-    """An injector that never corrupts anything (failure-free baseline runs)."""
-
-    records: list = []
-    injections_performed = 0
-
-    def attach_sandbox(self, sandbox) -> None:  # pragma: no cover - trivial
-        """Accepted for interface compatibility; has no effect."""
-
-    def armed(self, **context) -> bool:
-        """Never armed: the solvers skip every consult."""
-        return False
-
-    def corrupt_scalar(self, site: str, value: float, **context) -> float:
-        return value
-
-    def corrupt_vector(self, site: str, vec, **context):
-        return vec
-
-    def reset(self) -> None:  # pragma: no cover - trivial
-        """Nothing to reset."""

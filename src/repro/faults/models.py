@@ -399,7 +399,7 @@ class StuckAtFault(FaultModel):
 
 
 #: The paper's three corruption classes (Section VII-B-1), keyed by the label
-#: used throughout the experiment harness and EXPERIMENTS.md.
+#: used throughout the experiment harness and the Figures 3/4 reports.
 PAPER_FAULT_CLASSES: dict[str, ScalingFault] = {
     "large": ScalingFault(1e150),
     "slightly_smaller": ScalingFault(10.0 ** -0.5),

@@ -7,36 +7,23 @@ The paper evaluates on two matrices:
 * ``mult_dcop_03`` from the UF Sparse Matrix Collection (25,187 rows,
   nonsymmetric circuit-simulation matrix, condition number ≈ 7.3e13) — not
   redistributable offline, so :func:`mult_dcop_surrogate` builds a synthetic
-  circuit-like matrix with the same structural properties (see DESIGN.md for
-  the substitution rationale).
+  circuit-like matrix with the same structural properties (see
+  :mod:`repro.gallery.circuit` for the substitution rationale).
 
-Additional generators (convection–diffusion, random sparse, diagonally
-dominant, tridiagonal, Helmholtz-like) support the wider test suite and the
-ablation benchmarks.
+:func:`convection_diffusion_2d` adds a nonsymmetric PDE matrix for the
+preconditioner benchmarks.
 """
 
-from repro.gallery.poisson import poisson1d, poisson2d, poisson3d
+from repro.gallery.poisson import poisson2d
 from repro.gallery.convection_diffusion import convection_diffusion_2d
 from repro.gallery.circuit import circuit_network, mult_dcop_surrogate
-from repro.gallery.random_sparse import (
-    random_sparse,
-    diagonally_dominant,
-    tridiagonal,
-    spd_random,
-)
 from repro.gallery.problems import TestProblem, paper_problems, poisson_problem, circuit_problem
 
 __all__ = [
-    "poisson1d",
     "poisson2d",
-    "poisson3d",
     "convection_diffusion_2d",
     "circuit_network",
     "mult_dcop_surrogate",
-    "random_sparse",
-    "diagonally_dominant",
-    "tridiagonal",
-    "spd_random",
     "TestProblem",
     "paper_problems",
     "poisson_problem",

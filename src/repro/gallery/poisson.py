@@ -14,29 +14,7 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import require_positive_int
 
-__all__ = ["poisson1d", "poisson2d", "poisson3d"]
-
-
-def poisson1d(n: int) -> CSRMatrix:
-    """1-D Poisson (second-difference) matrix: tridiagonal ``[-1, 2, -1]``.
-
-    Parameters
-    ----------
-    n : int
-        Number of interior grid points (matrix dimension).
-    """
-    n = require_positive_int(n, "n")
-    idx = np.arange(n, dtype=np.int64)
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(n, 2.0)]
-    if n > 1:
-        rows += [idx[:-1], idx[1:]]
-        cols += [idx[1:], idx[:-1]]
-        vals += [np.full(n - 1, -1.0), np.full(n - 1, -1.0)]
-    coo = COOMatrix((n, n), rows=np.concatenate(rows), cols=np.concatenate(cols),
-                    values=np.concatenate(vals))
-    return coo.tocsr()
+__all__ = ["poisson2d"]
 
 
 def poisson2d(n: int) -> CSRMatrix:
@@ -73,40 +51,6 @@ def poisson2d(n: int) -> CSRMatrix:
     # North neighbour (iy < n-1)
     mask = iy < n - 1
     rows.append(i[mask]); cols.append(i[mask] + n); vals.append(np.full(mask.sum(), -1.0))
-
-    coo = COOMatrix((N, N), rows=np.concatenate(rows), cols=np.concatenate(cols),
-                    values=np.concatenate(vals))
-    return coo.tocsr()
-
-
-def poisson3d(n: int) -> CSRMatrix:
-    """3-D Poisson 7-point stencil on an ``n x n x n`` grid (``n^3`` rows).
-
-    Diagonal 6, off-diagonals -1 for the six neighbours; SPD.  Used by the
-    wider test suite and scaling benchmarks, not by the paper itself.
-    """
-    n = require_positive_int(n, "n")
-    N = n * n * n
-    i = np.arange(N, dtype=np.int64)
-    ix = i % n
-    iy = (i // n) % n
-    iz = i // (n * n)
-
-    rows = [i]
-    cols = [i]
-    vals = [np.full(N, 6.0)]
-
-    for mask, offset in (
-        (ix > 0, -1),
-        (ix < n - 1, +1),
-        (iy > 0, -n),
-        (iy < n - 1, +n),
-        (iz > 0, -n * n),
-        (iz < n - 1, +n * n),
-    ):
-        rows.append(i[mask])
-        cols.append(i[mask] + offset)
-        vals.append(np.full(int(mask.sum()), -1.0))
 
     coo = COOMatrix((N, N), rows=np.concatenate(rows), cols=np.concatenate(cols),
                     values=np.concatenate(vals))

@@ -6,7 +6,7 @@ matrix:
     M^{-1} = (I + N + N^2 + ... + N^degree) D^{-1},   N = I - D^{-1} A.
 
 Entirely made of SpMVs and vector updates, so it shares GMRES's performance
-profile and is a natural "unreliable inner operator" for the sandbox
+profile and is a natural "unreliable inner operator" for the fault
 experiments (its application is pure floating-point data flow).
 """
 

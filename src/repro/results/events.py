@@ -85,7 +85,6 @@ SOLVER_EVENT_KINDS = frozenset({
     "lsq_fallback",
     "lsq_nonfinite",
     "rank_deficient",
-    "rollback_detection",
     "spurious_breakdown",
 })
 CAMPAIGN_EVENT_KINDS = frozenset({

@@ -24,8 +24,6 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.linear_operator import LinearOperator, aslinearoperator, MatrixFreeOperator
 from repro.sparse.norms import (
     frobenius_norm,
-    one_norm,
-    inf_norm,
     two_norm_estimate,
     hessenberg_bound,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "MatrixFreeOperator",
     "aslinearoperator",
     "frobenius_norm",
-    "one_norm",
-    "inf_norm",
     "two_norm_estimate",
     "hessenberg_bound",
 ]

@@ -6,7 +6,7 @@ The paper's detector (Section V) relies on the chain of inequalities
 
 so the library provides both the Frobenius norm (cheap, one pass over the
 stored entries) and a power-method estimate of the 2-norm (the largest
-singular value), plus the induced 1- and infinity-norms for completeness.
+singular value).
 :func:`hessenberg_bound` packages the paper's recommended choice.
 """
 
@@ -20,8 +20,6 @@ from repro.utils.rng import as_generator
 
 __all__ = [
     "frobenius_norm",
-    "one_norm",
-    "inf_norm",
     "two_norm_estimate",
     "hessenberg_bound",
 ]
@@ -41,33 +39,6 @@ def frobenius_norm(A) -> float:
         data = np.asarray(A.data, dtype=np.float64).ravel()
         return float(np.sqrt(np.sum(data * data)))
     raise TypeError(f"cannot compute the Frobenius norm of a {type(A).__name__}")
-
-
-def one_norm(A) -> float:
-    """Induced 1-norm: the maximum absolute column sum."""
-    if isinstance(A, CSRMatrix):
-        colsums = np.zeros(A.shape[1], dtype=np.float64)
-        np.add.at(colsums, A.indices, np.abs(A.data))
-        return float(colsums.max()) if colsums.size else 0.0
-    dense = np.asarray(A.todense() if hasattr(A, "todense") else A, dtype=np.float64)
-    dense = np.atleast_2d(dense)
-    return float(np.abs(dense).sum(axis=0).max()) if dense.size else 0.0
-
-
-def inf_norm(A) -> float:
-    """Induced infinity-norm: the maximum absolute row sum."""
-    if isinstance(A, CSRMatrix):
-        if A.nnz == 0:
-            return 0.0
-        absdata = np.abs(A.data)
-        rowsums = np.zeros(A.shape[0], dtype=np.float64)
-        lengths = np.diff(A.indptr)
-        nonempty = lengths > 0
-        rowsums[nonempty] = np.add.reduceat(absdata, A.indptr[:-1][nonempty])
-        return float(rowsums.max()) if rowsums.size else 0.0
-    dense = np.asarray(A.todense() if hasattr(A, "todense") else A, dtype=np.float64)
-    dense = np.atleast_2d(dense)
-    return float(np.abs(dense).sum(axis=1).max()) if dense.size else 0.0
 
 
 def two_norm_estimate(A, tol: float = 1e-8, maxiter: int = 200, seed=0) -> float:

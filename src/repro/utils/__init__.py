@@ -7,20 +7,15 @@ other subpackage can use them without circular imports.
 from repro.utils.validation import (
     as_dense_vector,
     check_square,
-    check_matching_shapes,
     require_positive_int,
-    require_nonnegative,
 )
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator
 from repro.utils.timer import Timer
 
 __all__ = [
     "as_dense_vector",
     "check_square",
-    "check_matching_shapes",
     "require_positive_int",
-    "require_nonnegative",
     "as_generator",
-    "spawn_generators",
     "Timer",
 ]

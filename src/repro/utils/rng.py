@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn_generators"]
+__all__ = ["as_generator"]
 
 
 def as_generator(seed_or_rng=None) -> np.random.Generator:
@@ -22,19 +22,3 @@ def as_generator(seed_or_rng=None) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-def spawn_generators(seed_or_rng, count: int) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent child generators.
-
-    Used by fault campaigns to give each trial its own stream so trials can
-    be reordered or run in parallel without changing results.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = as_generator(seed_or_rng)
-    seeds = root.spawn(count) if hasattr(root, "spawn") else None
-    if seeds is not None:
-        return list(seeds)
-    # Fallback for very old NumPy: derive child seeds from the root stream.
-    return [np.random.default_rng(int(root.integers(0, 2**63 - 1))) for _ in range(count)]

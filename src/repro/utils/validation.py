@@ -12,9 +12,7 @@ import numpy as np
 __all__ = [
     "as_dense_vector",
     "check_square",
-    "check_matching_shapes",
     "require_positive_int",
-    "require_nonnegative",
 ]
 
 
@@ -57,25 +55,9 @@ def check_square(shape: tuple[int, int], name: str = "matrix") -> int:
     return nrows
 
 
-def check_matching_shapes(op_shape: tuple[int, int], b: np.ndarray, name: str = "b") -> None:
-    """Validate that a right-hand side is compatible with an operator shape."""
-    if b.shape[0] != op_shape[0]:
-        raise ValueError(
-            f"{name} has length {b.shape[0]} but the operator has {op_shape[0]} rows"
-        )
-
-
 def require_positive_int(value, name: str) -> int:
     """Validate that ``value`` is a positive integer and return it as ``int``."""
     ivalue = int(value)
     if ivalue != value or ivalue <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return ivalue
-
-
-def require_nonnegative(value, name: str) -> float:
-    """Validate that ``value`` is a finite non-negative float and return it."""
-    fvalue = float(value)
-    if not np.isfinite(fvalue) or fvalue < 0:
-        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
-    return fvalue

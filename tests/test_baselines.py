@@ -1,4 +1,4 @@
-"""Unit tests for the baseline solvers (CG, rollback GMRES, SciPy wrapper)."""
+"""Unit tests for the CG baseline and the SciPy GMRES cross-check."""
 
 from __future__ import annotations
 
@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from repro.baselines.cg import cg
-from repro.baselines.chen import gmres_with_rollback
-from repro.baselines.scipy_wrappers import scipy_gmres
 from repro.core.gmres import gmres
 from repro.core.status import SolverStatus
-from repro.faults.injector import FaultInjector
-from repro.faults.models import ScalingFault
-from repro.faults.schedule import InjectionSchedule
 from repro.precond.jacobi import JacobiPreconditioner
+
+from reference import scipy_gmres
 
 
 class TestCG:
@@ -70,51 +67,6 @@ class TestCG:
         result = cg(poisson_medium, b, tol=1e-10, maxiter=600,
                     preconditioner=lambda r: inv_diag * r)
         assert result.converged
-
-
-class TestRollbackGMRES:
-    def test_failure_free_converges(self, poisson_medium, rng):
-        b = rng.standard_normal(poisson_medium.shape[0])
-        protected = gmres_with_rollback(poisson_medium, b, tol=1e-9, maxiter=600,
-                                        check_interval=25)
-        assert protected.converged
-        assert protected.rollbacks == 0
-        assert protected.verifications >= 1
-        assert protected.extra_matvecs == protected.verifications
-
-    def test_detects_and_rolls_back_persistent_corruption(self, poisson_medium, rng):
-        """A persistent subdiag corruption breaks the residual invariant; the
-        verification step must catch it (detections > 0)."""
-        b = rng.standard_normal(poisson_medium.shape[0])
-        injector = FaultInjector(
-            ScalingFault(1e3),
-            InjectionSchedule(site="subdiag", mgs_position=None, persistence="persistent"),
-        )
-        protected = gmres_with_rollback(poisson_medium, b, tol=1e-9, maxiter=200,
-                                        check_interval=10, invariant_tol=1e-6,
-                                        max_rollbacks=3, injector=injector)
-        assert protected.detections > 0
-        # With a *persistent* fault the scheme eventually gives up loudly.
-        assert protected.result.status in (SolverStatus.FAULT_DETECTED,
-                                           SolverStatus.MAX_ITERATIONS,
-                                           SolverStatus.CONVERGED)
-
-    def test_transient_fault_recovered(self, poisson_medium, rng):
-        b = rng.standard_normal(poisson_medium.shape[0])
-        injector = FaultInjector(
-            ScalingFault(1e150),
-            InjectionSchedule(site="hessenberg", aggregate_inner_iteration=None,
-                              mgs_position="first", persistence="transient"),
-        )
-        protected = gmres_with_rollback(poisson_medium, b, tol=1e-9, maxiter=600,
-                                        check_interval=20, injector=injector)
-        assert injector.injections_performed == 1
-        assert protected.converged
-
-    def test_invalid_check_interval(self, poisson_small):
-        with pytest.raises(ValueError):
-            gmres_with_rollback(poisson_small, np.ones(poisson_small.shape[0]),
-                                check_interval=0)
 
 
 class TestScipyWrapper:

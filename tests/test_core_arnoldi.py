@@ -271,12 +271,14 @@ class TestNoHookFastPath:
         assert np.array_equal(fast.x, hooked.x)
 
     def test_null_injector_is_never_armed(self, poisson_problem_tiny):
-        """An idle injector costs nothing: NullInjector is consulted nowhere."""
+        """An idle injector costs nothing: one never armed is consulted nowhere."""
         from repro.core.gmres import gmres
-        from repro.faults.injector import NullInjector
 
-        class CountingNull(NullInjector):
+        class CountingNull:
             consults = 0
+
+            def armed(self, **context):
+                return False
 
             def corrupt_scalar(self, site, value, **context):
                 self.consults += 1

@@ -10,10 +10,33 @@ from repro.core.detectors import HessenbergBoundDetector
 from repro.core.status import SolverStatus
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ScalingFault
-from repro.faults.schedule import InjectionSchedule
-from repro.faults.sandbox import Sandbox
+from repro.faults.schedule import KNOWN_SITES, InjectionSchedule
 from repro.sparse.norms import frobenius_norm
 from repro.specs import SolveSpec
+
+#: Sites whose consults go through ``corrupt_scalar``; the rest are vectors.
+SCALAR_SITES = ("hessenberg", "subdiag", "givens")
+
+
+class _ConsultRecorder:
+    """Forwards to a :class:`FaultInjector` and records every consult's
+    kind and context (``armed``, ``corrupt_scalar``, ``corrupt_vector``)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.consults = []
+
+    def armed(self, **context):
+        self.consults.append(("armed", context))
+        return self.inner.armed(**context)
+
+    def corrupt_scalar(self, site, value, **context):
+        self.consults.append(("corrupt_scalar", context))
+        return self.inner.corrupt_scalar(site, value, **context)
+
+    def corrupt_vector(self, site, vec, **context):
+        self.consults.append(("corrupt_vector", context))
+        return self.inner.corrupt_vector(site, vec, **context)
 
 
 class TestFailureFree:
@@ -108,19 +131,42 @@ class TestWithFaults:
         assert record.inner_iteration == 3        # 13 % 10
         assert record.mgs_index == 0              # first MGS position
 
-    def test_faults_only_inside_sandbox(self, poisson_problem_tiny):
-        """The sandbox model: the injector is inert outside inner solves."""
+    @pytest.mark.parametrize("site", KNOWN_SITES)
+    def test_outer_iteration_never_consults_injector(self, poisson_problem_tiny, site):
+        """The paper's Section IV model: only the inner solves are unreliable.
+
+        Every consult the injector sees comes from an inner solve, whose
+        ``inner_solve_index`` is the outer iteration that launched it; the
+        outer FGMRES never consults it at any site.
+        """
         p = poisson_problem_tiny
-        injector = self._injector(1e150, 0)
-        sandbox = Sandbox("test-inner")
-        ft_gmres(p.A, p.b, inner_iterations=10, max_outer=40, injector=injector,
-                 sandbox=sandbox)
-        assert injector.sandbox is sandbox
-        assert sandbox.entries > 0
-        assert not sandbox.active  # deactivated after the solve
-        # Trying to corrupt outside the sandbox has no effect now.
-        assert injector.corrupt_scalar("hessenberg", 1.0, aggregate_inner_iteration=0,
-                                       mgs_index=0, mgs_length=1) == 1.0
+        recorder = _ConsultRecorder(FaultInjector(
+            ScalingFault(10.0),
+            InjectionSchedule(site=site, aggregate_inner_iteration=13)))
+        spec = SolveSpec.from_dict({
+            "method": "ft_gmres", "max_outer": 40,
+            "inner": {"method": "gmres", "tol": 0.0, "maxiter": 10,
+                      "preconditioner": "jacobi"}})
+        result = ft_gmres(p.A, p.b, spec=spec, injector=recorder)
+        assert result.converged
+        assert recorder.inner.injections_performed == 1
+        kinds = {kind for kind, _ in recorder.consults}
+        assert {"armed", "corrupt_scalar" if site in SCALAR_SITES
+                else "corrupt_vector"} <= kinds
+        for kind, context in recorder.consults:
+            assert context["inner_solve_index"] >= 0, (kind, context)
+            assert context["inner_solve_index"] == context["outer_iteration"], (kind, context)
+        solves = {context["inner_solve_index"] for _, context in recorder.consults}
+        assert solves == set(range(result.outer_iterations))
+
+    def test_reliability_needs_no_sandbox_keyword(self, poisson_problem_tiny):
+        """The split is structural: neither the solver nor the injector takes
+        a ``sandbox`` to gate faults."""
+        p = poisson_problem_tiny
+        with pytest.raises(TypeError):
+            ft_gmres(p.A, p.b, inner_iterations=10, sandbox=object())
+        with pytest.raises(TypeError):
+            FaultInjector(ScalingFault(2.0), InjectionSchedule(), sandbox=object())
 
     def test_detector_limits_damage(self, poisson_problem_tiny):
         """With the bound detector + filtering, large faults cost no more than

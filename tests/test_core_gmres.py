@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.scipy_wrappers import scipy_gmres
 from repro.core.detectors import HessenbergBoundDetector
 from repro.core.exceptions import FaultDetectedError
 from repro.core.gmres import gmres
@@ -16,6 +15,8 @@ from repro.faults.schedule import InjectionSchedule
 from repro.precond.jacobi import JacobiPreconditioner
 from repro.sparse.norms import frobenius_norm
 from repro.specs import SolveSpec
+
+from reference import scipy_gmres
 
 
 class TestBasicConvergence:

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.arnoldi import arnoldi_process
-from repro.core.householder import householder_arnoldi
 from repro.sparse.norms import frobenius_norm, two_norm_estimate
+
+from reference import householder_arnoldi
 
 
 class TestFactorization:

@@ -12,7 +12,6 @@ from repro.faults.bitflip import (
     MANTISSA_BITS,
     SIGN_BIT,
     flip_bit,
-    flip_bit_in_array,
     random_bit_flip,
 )
 from repro.faults.models import (
@@ -54,18 +53,6 @@ class TestBitFlip:
             flip_bit(1.0, 64)
         with pytest.raises(ValueError):
             flip_bit(1.0, -1)
-
-    def test_flip_in_array_inplace(self):
-        arr = np.array([1.0, 2.0, 3.0])
-        flip_bit_in_array(arr, 1, SIGN_BIT)
-        np.testing.assert_array_equal(arr, [1.0, -2.0, 3.0])
-
-    def test_flip_in_array_validation(self):
-        arr = np.array([1.0, 2.0])
-        with pytest.raises(IndexError):
-            flip_bit_in_array(arr, 5, 0)
-        with pytest.raises(TypeError):
-            flip_bit_in_array(np.array([1, 2], dtype=np.int64), 0, 0)
 
     def test_random_bit_flip_deterministic_with_seed(self):
         v1, b1 = random_bit_flip(2.5, rng=7)

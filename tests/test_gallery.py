@@ -7,10 +7,13 @@ import pytest
 
 from repro.gallery.circuit import circuit_network, mult_dcop_surrogate
 from repro.gallery.convection_diffusion import convection_diffusion_2d
-from repro.gallery.poisson import poisson1d, poisson2d, poisson3d
+from repro.gallery.poisson import poisson2d
 from repro.gallery.problems import TestProblem, circuit_problem, paper_problems, poisson_problem
-from repro.gallery.random_sparse import (
+
+from reference import (
     diagonally_dominant,
+    poisson1d,
+    poisson3d,
     random_sparse,
     spd_random,
     tridiagonal,

@@ -127,7 +127,7 @@ class TestILU0:
     def test_exact_for_tridiagonal(self, rng):
         # ILU(0) of a tridiagonal matrix is an exact LU factorization
         # (no fill-in is discarded), so applying it solves the system.
-        from repro.gallery.poisson import poisson1d
+        from reference import poisson1d
 
         A = poisson1d(20)
         m = ILU0Preconditioner(A)

@@ -19,7 +19,6 @@ import pytest
 
 from repro.api import iter_trials, run_campaign
 from repro.baselines.cg import cg
-from repro.baselines.chen import gmres_with_rollback
 from repro.core.exceptions import FaultDetectedError
 from repro.core.fgmres import fgmres
 from repro.core.gmres import gmres
@@ -140,9 +139,6 @@ STREAM_CASES = {
     # p^T A p = 0 on the first step: CG records a breakdown.
     "cg": lambda p, events: cg(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]),
                                events=events),
-    "gmres_with_rollback": lambda p, events: gmres_with_rollback(
-        p.A, p.b, tol=1e-10, maxiter=200, check_interval=10, injector=_injector(),
-        events=events).result,
 }
 
 

@@ -10,8 +10,6 @@ from repro.sparse.linear_operator import MatrixFreeOperator
 from repro.sparse.norms import (
     frobenius_norm,
     hessenberg_bound,
-    inf_norm,
-    one_norm,
     two_norm_estimate,
 )
 
@@ -38,27 +36,6 @@ class TestFrobenius:
     def test_empty_matrix(self):
         m = CSRMatrix((3, 3), [0, 0, 0, 0], [], [])
         assert frobenius_norm(m) == 0.0
-
-
-class TestInducedNorms:
-    def test_one_norm_matches_numpy(self, rng):
-        dense = rng.standard_normal((10, 12))
-        dense[np.abs(dense) < 0.3] = 0.0
-        m = CSRMatrix.from_dense(dense)
-        assert one_norm(m) == pytest.approx(np.linalg.norm(dense, 1), rel=1e-13)
-        assert one_norm(dense) == pytest.approx(np.linalg.norm(dense, 1), rel=1e-13)
-
-    def test_inf_norm_matches_numpy(self, rng):
-        dense = rng.standard_normal((10, 12))
-        dense[np.abs(dense) < 0.3] = 0.0
-        m = CSRMatrix.from_dense(dense)
-        assert inf_norm(m) == pytest.approx(np.linalg.norm(dense, np.inf), rel=1e-13)
-        assert inf_norm(dense) == pytest.approx(np.linalg.norm(dense, np.inf), rel=1e-13)
-
-    def test_empty(self):
-        m = CSRMatrix((2, 2), [0, 0, 0], [], [])
-        assert one_norm(m) == 0.0
-        assert inf_norm(m) == 0.0
 
 
 class TestTwoNormEstimate:

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 
 from repro.gallery.circuit import mult_dcop_surrogate
 from repro.gallery.convection_diffusion import convection_diffusion_2d
-from repro.gallery.poisson import poisson1d, poisson2d
+from repro.gallery.poisson import poisson2d
 from repro.precond.ilu import ILU0Preconditioner
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.trisolve import TriangularFactor, split_triangle
+
+from reference import poisson1d
 
 
 # ----------------------------------------------------------------------------

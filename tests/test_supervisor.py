@@ -258,6 +258,39 @@ class TestHardTimeout:
 
 
 # ---------------------------------------------------------------------- #
+# a shard that fails to start
+# ---------------------------------------------------------------------- #
+def _sharded_campaign_error(queue) -> None:
+    """Run a sharded campaign and report how it ended (a forked child's main)."""
+    try:
+        run_campaign(spec=spec_with(workers=2))
+    except BaseException as exc:  # noqa: BLE001 - the parent asserts on it
+        queue.put(f"{type(exc).__name__}: {exc}")
+    else:
+        queue.put("completed")
+
+
+class TestShardStartFailure:
+    def test_daemonic_parent_reports_why_no_shard_started(self):
+        """A daemonic process may not have children: the campaign fails with
+        that cause, not with the cleanup's "can only join a started process".
+        The service's job workers are daemonic forks (``_launch``)."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.SimpleQueue()
+        proc = ctx.Process(target=_sharded_campaign_error, args=(queue,),
+                           daemon=True)
+        proc.start()
+        proc.join(timeout=120)
+        assert not proc.is_alive()
+        assert not queue.empty()
+        outcome = queue.get()
+        assert "daemonic processes are not allowed to have children" in outcome
+        assert "can only join" not in outcome
+
+
+# ---------------------------------------------------------------------- #
 # drain
 # ---------------------------------------------------------------------- #
 class TestDrain:

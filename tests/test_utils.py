@@ -7,13 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator
 from repro.utils.timer import Timer
 from repro.utils.validation import (
     as_dense_vector,
-    check_matching_shapes,
     check_square,
-    require_nonnegative,
     require_positive_int,
 )
 
@@ -59,11 +57,6 @@ class TestShapeChecks:
         with pytest.raises(ValueError):
             check_square((5,))
 
-    def test_check_matching_shapes(self):
-        check_matching_shapes((4, 4), np.zeros(4))
-        with pytest.raises(ValueError, match="rows"):
-            check_matching_shapes((4, 4), np.zeros(3))
-
 
 class TestScalarValidators:
     def test_positive_int(self):
@@ -73,15 +66,6 @@ class TestScalarValidators:
     def test_positive_int_rejects(self, bad):
         with pytest.raises(ValueError):
             require_positive_int(bad, "x")
-
-    def test_nonnegative(self):
-        assert require_nonnegative(0.0, "x") == 0.0
-        assert require_nonnegative(1.5, "x") == 1.5
-
-    @pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
-    def test_nonnegative_rejects(self, bad):
-        with pytest.raises(ValueError):
-            require_nonnegative(bad, "x")
 
 
 class TestRng:
@@ -93,17 +77,6 @@ class TestRng:
     def test_as_generator_passthrough(self):
         gen = np.random.default_rng(0)
         assert as_generator(gen) is gen
-
-    def test_spawn_generators_independent(self):
-        children = spawn_generators(0, 3)
-        assert len(children) == 3
-        draws = [g.standard_normal(4) for g in children]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_spawn_generators_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
 
 
 class TestTimer:
