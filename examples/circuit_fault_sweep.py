@@ -14,15 +14,23 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.figure34 import figure4
+from repro.api import run_campaign
+from repro.experiments.figure34 import FigureSweep
 from repro.experiments.summary import summarize_campaign
+from repro.gallery.problems import circuit_problem
+from repro.specs import CampaignSpec
 
 
 def main(n_nodes: int = 1500, stride: int = 10) -> None:
     print(f"Running the Figure 4 sweep on a {n_nodes}-node circuit surrogate, "
           f"injection-location stride {stride} ...")
-    figure = figure4(n_nodes=n_nodes, stride=stride, detector=None,
-                     inner_iterations=25, max_outer=120)
+    problem = circuit_problem(n_nodes)
+    panels = {}
+    for position in ("first", "last"):
+        spec = CampaignSpec(mgs_position=position, stride=stride, max_outer=120)
+        panels[position] = run_campaign(problem, spec)
+    figure = FigureSweep(problem_name=problem.name,
+                         first=panels["first"], last=panels["last"])
     print()
     print(figure.render(width=70, height=12))
 

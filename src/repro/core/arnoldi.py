@@ -331,9 +331,11 @@ def arnoldi_step(
         Modified Gram–Schmidt (the paper's choice), classical Gram–Schmidt,
         or re-orthogonalized classical Gram–Schmidt.
     apply_operator : callable, optional
-        Override for the operator application (used by FGMRES, where the
-        "operator" for column ``j`` is ``A @ M_j^{-1}``).  Receives the basis
-        vector, returns the vector to orthogonalize.
+        Override for the operator application, used by
+        :func:`~repro.core.gmres.gmres` for a right-preconditioned operator
+        ``A @ M^{-1}`` (with the ``precond`` injection site) and for its
+        profiled products.  Receives the basis vector, returns the vector to
+        orthogonalize.
     workspace : numpy.ndarray, optional
         Length-``n`` float64 scratch for the fast MGS path's axpy buffer.
         Callers that run many steps per solve (GMRES cycles) allocate it

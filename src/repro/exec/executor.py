@@ -34,10 +34,9 @@ Design invariants:
   sharded campaign is trial-for-trial identical to a serial one regardless
   of completion order (asserted in the test suite).  Every trial starts
   from reset detectors, so stateful ones (e.g. ``NormGrowthDetector``) are
-  covered too.  A fault model that keeps its own random state *across*
-  trials still accumulates it — each worker starts from the parent
-  campaign's state and sees per-shard history — and should be swept
-  serially.
+  covered too, and fault models keep no state: a random bit comes from the
+  trial's injector, seeded from the problem seed and the trial's location,
+  so it is the same on every backend and on resume.
 * **Streaming completion.**  Records stream as trials complete on every
   backend (lazily on serial, per completed batch on batched, as shard
   records land on sharded) — the primitive under ``run()``, the

@@ -11,22 +11,19 @@ single SDC event is injected at every possible aggregate inner iteration:
 One panel set (one :class:`~repro.faults.campaign.CampaignResult`) is one
 :class:`~repro.specs.CampaignSpec` run through :func:`repro.api.run_campaign`;
 :class:`FigureSweep` bundles the "first" and "last" campaigns of a figure
-together with rendering helpers, and :func:`figure3`/:func:`figure4` run
-both panels.
+together with rendering helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.api import run_campaign
 from repro.experiments.report import (ascii_series_plot, campaign_class_table,
                                       format_table)
 from repro.faults.campaign import CampaignResult
-from repro.gallery.problems import TestProblem, circuit_problem, poisson_problem
 from repro.specs import CampaignSpec
 
-__all__ = ["load_fault_sweep", "sweep_run_id", "FigureSweep", "figure3", "figure4"]
+__all__ = ["load_fault_sweep", "sweep_run_id", "FigureSweep"]
 
 
 def sweep_run_id(spec: "CampaignSpec", problem_name: str, label: str) -> str:
@@ -65,7 +62,6 @@ class FigureSweep:
     problem_name: str
     first: CampaignResult
     last: CampaignResult
-    metadata: dict = field(default_factory=dict)
 
     def panels(self) -> dict[str, CampaignResult]:
         """The two sub-figures keyed by MGS position."""
@@ -92,51 +88,3 @@ class FigureSweep:
                 ))
             chunks.append(format_table(*campaign_class_table(campaign)))
         return "\n\n".join(chunks)
-
-
-def _figure(problem: TestProblem, **kwargs) -> FigureSweep:
-    first = run_campaign(problem, mgs_position="first", **kwargs)
-    last = run_campaign(problem, mgs_position="last", **kwargs)
-    return FigureSweep(problem_name=problem.name, first=first, last=last,
-                       metadata={"options": dict(kwargs)})
-
-
-def figure3(grid_n: int = 100, stride: int = 1, detector=None, **kwargs) -> FigureSweep:
-    """Reproduce Figure 3 (Poisson / SPD problem).
-
-    Parameters
-    ----------
-    grid_n : int
-        Poisson grid size per side (100 reproduces the paper's 10,000-row
-        matrix; smaller values give the fast configurations).
-    stride : int
-        Injection-location subsampling (1 = exhaustive, as in the paper).
-    detector : {"bound", None} or Detector
-        Detector configuration for the inner solves.
-    **kwargs
-        Forwarded to :func:`repro.api.run_campaign`: more
-        :class:`~repro.specs.CampaignSpec` fields (``exec={"workers": 2}``,
-        ``max_outer=200``, ...) and its ``sink``/``store`` keywords.
-    """
-    problem = poisson_problem(grid_n)
-    return _figure(problem, stride=stride, detector=detector, **kwargs)
-
-
-def figure4(n_nodes: int = 25187, stride: int = 1, detector=None, **kwargs) -> FigureSweep:
-    """Reproduce Figure 4 (circuit / nonsymmetric ill-conditioned problem).
-
-    Parameters
-    ----------
-    n_nodes : int
-        Circuit-surrogate dimension (25187 matches the real matrix's size).
-    stride : int
-        Injection-location subsampling.
-    detector : {"bound", None} or Detector
-        Detector configuration for the inner solves.
-    **kwargs
-        Forwarded to :func:`repro.api.run_campaign`: more
-        :class:`~repro.specs.CampaignSpec` fields (``exec={"workers": 2}``,
-        ``max_outer=200``, ...) and its ``sink``/``store`` keywords.
-    """
-    problem = circuit_problem(n_nodes)
-    return _figure(problem, stride=stride, detector=detector, **kwargs)

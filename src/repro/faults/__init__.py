@@ -7,7 +7,10 @@ a chosen class.  This package generalizes that methodology:
 
 * :mod:`repro.faults.models`    — what a corrupted value looks like
   (multiplicative scaling — the paper's three classes — plus bit flips,
-  absolute overwrites, offsets, zeroing, NaN/Inf);
+  absolute overwrites, offsets, zeroing, NaN/Inf).  A model is a pure
+  function ``corrupt(value, rng)``: a random bit comes from the trial's
+  generator, which a campaign seeds from the problem seed and the trial's
+  location, so it reproduces on every backend and on resume;
 * :mod:`repro.faults.schedule`  — when and where the corruption strikes
   (site, aggregate inner iteration, MGS position, transient/sticky/persistent);
 * :mod:`repro.faults.injector`  — the object solvers consult at every

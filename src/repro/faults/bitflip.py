@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.rng import as_generator
-
 __all__ = ["flip_bit", "random_bit_flip", "MANTISSA_BITS", "EXPONENT_BITS", "SIGN_BIT"]
 
 #: Bit positions of the float64 mantissa (0-51).
@@ -50,15 +48,16 @@ def flip_bit(value: float, bit: int) -> float:
     return float(flipped.view(np.float64))
 
 
-def random_bit_flip(value: float, rng=None, bits=None) -> tuple[float, int]:
+def random_bit_flip(value: float, rng: np.random.Generator,
+                    bits=None) -> tuple[float, int]:
     """Flip a uniformly random bit of ``value``.
 
     Parameters
     ----------
     value : float
         The original value.
-    rng : seed or numpy.random.Generator, optional
-        Randomness source.
+    rng : numpy.random.Generator
+        Randomness source (required: a flip never draws from OS entropy).
     bits : sequence of int, optional
         Restrict the flip to these bit positions (e.g. ``EXPONENT_BITS``).
 
@@ -67,7 +66,8 @@ def random_bit_flip(value: float, rng=None, bits=None) -> tuple[float, int]:
     (new_value, bit) : tuple
         The perturbed value and the bit that was flipped.
     """
-    rng = as_generator(rng)
+    if rng is None:
+        raise TypeError("random_bit_flip needs a numpy Generator")
     candidates = np.asarray(bits if bits is not None else np.arange(64), dtype=np.int64)
     bit = int(rng.choice(candidates))
     return flip_bit(value, bit), bit

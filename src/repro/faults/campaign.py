@@ -493,12 +493,14 @@ class FaultCampaign:
                         aggregate_inner_iteration: int) -> FaultInjector:
         """The trial's injector, with *deterministic* per-trial randomness.
 
-        Vector-site corruption (``spmv``/``precond``/``orth``/``basis``)
-        picks the corrupted element from the injector's rng.  Seeding that
-        rng from the campaign seed and the trial's sweep location makes
-        vector-site campaigns trial-identical across the serial, batched and
-        sharded backends — and across reruns, which is what the store's
-        resume contract requires.
+        The injector's generator is the trial's only random source: it picks
+        the corrupted element at a vector site (``spmv``/``precond``/
+        ``orth``/``basis``) and every random bit a fault model draws
+        (``bitflip`` without ``bit``, ``multibit`` without ``bits``).  Seeding
+        it from the problem seed and the trial's sweep location makes such
+        campaigns trial-identical across reruns and across the serial,
+        batched and sharded backends — which is what the store's resume
+        contract requires.
         """
         seed = self.provenance.get("seed")
         entropy = (0 if seed is None else int(seed) & 0xFFFFFFFF,
@@ -919,10 +921,9 @@ class FaultCampaign:
             regardless of backend.  Every trial (and the baseline) starts
             from reset detectors, so a stateful detector such as
             :class:`NormGrowthDetector` gives each trial the record a fresh
-            campaign would, on every backend.  A fault model that keeps its
-            own random state across trials still accumulates it, and sees
-            per-shard history under the sharded backend; sweep such models
-            with ``exec={"backend": "serial"}``.
+            campaign would, on every backend.  Fault models keep no state:
+            a random bit comes from the trial's generator (see
+            :meth:`_trial_injector`), so it is the same on every backend.
         """
         from repro.registry import resolve_sink
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.faults.models import FaultModel
 from repro.faults.schedule import InjectionSchedule, Persistence
-from repro.utils.rng import as_generator
 
 __all__ = ["InjectionRecord", "FaultInjector"]
 
@@ -59,7 +58,9 @@ class FaultInjector:
     vector_index : int, optional
         For vector sites, the element to corrupt (random when omitted).
     rng : seed or Generator, optional
-        Randomness source for random element selection.
+        The trial's only randomness source: it picks the random element of a
+        vector site and is passed to every ``model.corrupt(value, rng)``.
+        Omitted, it is seeded with 0, never from OS entropy.
     """
 
     def __init__(self, model: FaultModel, schedule: InjectionSchedule,
@@ -73,7 +74,7 @@ class FaultInjector:
         self.model = model
         self.schedule = schedule
         self.vector_index = vector_index
-        self._rng = as_generator(rng)
+        self._rng = np.random.default_rng(0 if rng is None else rng)
         self.records: list[InjectionRecord] = []
         # Persistence windows are tracked per site, so a sticky fault at one
         # site (say spmv) never consumes the window of another (precond) —
@@ -167,7 +168,7 @@ class FaultInjector:
         """Return ``value``, corrupted if this call is scheduled to fault."""
         if not self._may_fire(site, context):
             return value
-        corrupted = self.model.corrupt(float(value))
+        corrupted = self.model.corrupt(float(value), self._rng)
         self._record(site, value, corrupted, context)
         return corrupted
 
@@ -184,6 +185,6 @@ class FaultInjector:
         index = int(np.clip(index, 0, vec.size - 1))
         out = vec.copy()
         original = float(out.reshape(-1)[index])
-        out.reshape(-1)[index] = self.model.corrupt(original)
+        out.reshape(-1)[index] = self.model.corrupt(original, self._rng)
         self._record(site, original, float(out.reshape(-1)[index]), context, vector_index=index)
         return out

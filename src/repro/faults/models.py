@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.faults.bitflip import flip_bit, random_bit_flip
-from repro.utils.rng import as_generator
 
 __all__ = [
     "FaultModel",
@@ -39,40 +38,20 @@ __all__ = [
 class FaultModel:
     """Base class for fault models.
 
-    A model is a deterministic (or seeded) transformation of a correct value
-    into a corrupted one.  Models are stateless with respect to the solve;
-    all "when does the fault strike" logic lives in the schedule/injector.
+    A model is a pure function of the correct value and the trial's random
+    generator: ``corrupt(value, rng)`` keeps no state between calls.  All
+    "when does the fault strike" logic lives in the schedule/injector, and
+    the generator is the injector's, which a campaign seeds from the problem
+    seed and the trial's location — so a model that draws (a random bit)
+    corrupts a trial the same way on every backend and on resume.  Models
+    that draw nothing ignore ``rng``; custom subclasses must accept it.
     """
 
     name = "fault"
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng: np.random.Generator | None = None) -> float:
         """Return the corrupted version of a scalar ``value``."""
         raise NotImplementedError
-
-    def corrupt_vector(self, vec: np.ndarray, index: int | None = None, rng=None) -> np.ndarray:
-        """Return a copy of ``vec`` with one element corrupted.
-
-        Parameters
-        ----------
-        vec : numpy.ndarray
-            The correct vector.
-        index : int, optional
-            Element to corrupt; a random element is chosen when omitted.
-        rng : seed or Generator, optional
-            Randomness source for the random-element choice.
-        """
-        vec = np.asarray(vec, dtype=np.float64)
-        out = vec.copy()
-        if out.size == 0:
-            return out
-        if index is None:
-            index = int(as_generator(rng).integers(0, out.size))
-        if not 0 <= index < out.size:
-            raise IndexError(f"index {index} outside vector of size {out.size}")
-        flat = out.reshape(-1)
-        flat[index] = self.corrupt(float(flat[index]))
-        return out
 
     def describe(self) -> str:
         """One-line human-readable description (used in reports)."""
@@ -108,7 +87,7 @@ class ScalingFault(FaultModel):
     def __init__(self, factor: float):
         self.factor = float(factor)
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng=None) -> float:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             return float(np.float64(value) * np.float64(self.factor))
 
@@ -130,7 +109,7 @@ class AbsoluteFault(FaultModel):
     def __init__(self, replacement: float):
         self.replacement = float(replacement)
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng=None) -> float:
         return self.replacement
 
     def describe(self) -> str:
@@ -148,7 +127,7 @@ class AdditiveFault(FaultModel):
     def __init__(self, delta: float):
         self.delta = float(delta)
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng=None) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.float64(value) + np.float64(self.delta))
 
@@ -204,6 +183,15 @@ class InfFault(AbsoluteFault):
         return {"name": "inf"}
 
 
+def _trial_generator(rng, model: FaultModel) -> np.random.Generator:
+    """The generator a random-bit model draws from: the trial's, never OS
+    entropy."""
+    if rng is None:
+        raise TypeError(f"{model.describe()} draws from the trial's generator; "
+                        f"call corrupt(value, rng)")
+    return rng
+
+
 class BitFlipFault(FaultModel):
     """Flip one bit of the IEEE-754 representation.
 
@@ -212,31 +200,24 @@ class BitFlipFault(FaultModel):
     bit : int, optional
         Bit position (0 = least-significant mantissa bit, 63 = sign).  When
         omitted, a uniformly random bit is flipped per corruption, drawn from
-        ``rng``.
+        the ``rng`` that :meth:`corrupt` receives (which is then required).
     bits : sequence of int, optional
         Candidate bit positions for the random choice (e.g. only exponent
         bits).  Ignored when ``bit`` is given.
-    rng : seed or Generator, optional
-        Randomness source for random bit selection.
     """
 
     name = "bitflip"
 
-    def __init__(self, bit: int | None = None, bits=None, rng=None):
+    def __init__(self, bit: int | None = None, bits=None):
         if bit is not None and not 0 <= bit <= 63:
             raise ValueError(f"bit must be in [0, 63], got {bit}")
         self.bit = bit
         self.bits = tuple(bits) if bits is not None else None
-        self._rng = as_generator(rng)
-        self.last_bit: int | None = None
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng=None) -> float:
         if self.bit is not None:
-            self.last_bit = self.bit
             return flip_bit(value, self.bit)
-        corrupted, bit = random_bit_flip(value, rng=self._rng, bits=self.bits)
-        self.last_bit = bit
-        return corrupted
+        return random_bit_flip(value, _trial_generator(rng, self), bits=self.bits)[0]
 
     def describe(self) -> str:
         return f"bit flip (bit={'random' if self.bit is None else self.bit})"
@@ -256,22 +237,19 @@ class MultiBitFault(FaultModel):
     Models a multi-bit upset (e.g. a charged particle clipping adjacent
     cells of a register).  Deterministic when explicit ``bits`` are given;
     otherwise ``num_bits`` distinct random positions are drawn per
-    corruption.
+    corruption from the ``rng`` that :meth:`corrupt` receives.
 
     Parameters
     ----------
     num_bits : int
         How many distinct bits to flip when ``bits`` is omitted.
     bits : sequence of int, optional
-        Explicit bit positions to flip (makes the model deterministic —
-        what the cross-backend identity tests require).
-    rng : seed or Generator, optional
-        Randomness source for random bit selection.
+        Explicit bit positions to flip.
     """
 
     name = "multibit"
 
-    def __init__(self, num_bits: int = 2, bits=None, rng=None):
+    def __init__(self, num_bits: int = 2, bits=None):
         num_bits = int(num_bits)
         if bits is not None:
             bits = tuple(int(b) for b in bits)
@@ -284,19 +262,15 @@ class MultiBitFault(FaultModel):
             raise ValueError(f"num_bits must be in [1, 64], got {num_bits}")
         self.num_bits = num_bits
         self.bits = bits
-        self._rng = as_generator(rng)
-        self.last_bits: tuple[int, ...] | None = None
 
-    def corrupt(self, value: float) -> float:
-        if self.bits is not None:
-            chosen = self.bits
-        else:
-            chosen = tuple(int(b) for b in
-                           self._rng.choice(64, size=self.num_bits, replace=False))
+    def corrupt(self, value: float, rng=None) -> float:
+        chosen = self.bits
+        if chosen is None:
+            chosen = _trial_generator(rng, self).choice(64, size=self.num_bits,
+                                                        replace=False)
         out = float(value)
         for bit in chosen:
-            out = flip_bit(out, bit)
-        self.last_bits = chosen
+            out = flip_bit(out, int(bit))
         return out
 
     def describe(self) -> str:
@@ -342,7 +316,7 @@ class BurstFault(FaultModel):
         """The bit positions the burst flips."""
         return tuple(range(self.start_bit, min(self.start_bit + self.width, 64)))
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng=None) -> float:
         out = float(value)
         for bit in self.bits:
             out = flip_bit(out, bit)
@@ -382,7 +356,7 @@ class StuckAtFault(FaultModel):
         self.bit = bit
         self.value = value
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng=None) -> float:
         as_int = np.float64(value).view(np.uint64)
         mask = np.uint64(1 << self.bit)
         if self.value:

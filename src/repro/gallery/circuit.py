@@ -17,8 +17,8 @@ same *qualitative* profile from a modified-nodal-analysis (MNA) model:
   gives structural full rank.
 
 If the real matrix is available, wrap it in a
-:class:`~repro.gallery.problems.TestProblem` and pass that to the experiment
-harness instead (``repro.experiments.figure34`` accepts any problem).
+:class:`~repro.gallery.problems.TestProblem` and pass that to
+:func:`repro.api.run_campaign` instead (a sweep accepts any problem).
 """
 
 from __future__ import annotations

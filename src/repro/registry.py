@@ -587,18 +587,17 @@ def _build_inf_fault(ctx):
 
 
 @register("fault_model", "bitflip", positional=("bit",))
-def _build_bitflip_fault(ctx, bit=None, bits=None, rng=None):
+def _build_bitflip_fault(ctx, bit=None, bits=None):
     from repro.faults.models import BitFlipFault
 
-    return BitFlipFault(bit=int(bit) if bit is not None else None,
-                        bits=bits, rng=rng)
+    return BitFlipFault(bit=int(bit) if bit is not None else None, bits=bits)
 
 
 @register("fault_model", "multibit", positional=("num_bits",))
-def _build_multibit_fault(ctx, num_bits=2, bits=None, rng=None):
+def _build_multibit_fault(ctx, num_bits=2, bits=None):
     from repro.faults.models import MultiBitFault
 
-    return MultiBitFault(num_bits=int(num_bits), bits=bits, rng=rng)
+    return MultiBitFault(num_bits=int(num_bits), bits=bits)
 
 
 @register("fault_model", "burst", positional=("start_bit", "width"))

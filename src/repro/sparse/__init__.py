@@ -5,7 +5,7 @@ subpackage rebuilds the pieces the algorithms actually need, from scratch:
 
 * :class:`~repro.sparse.coo.COOMatrix` — coordinate-format builder.
 * :class:`~repro.sparse.csr.CSRMatrix` — compressed-sparse-row storage with
-  NumPy sparse products (``matvec``, ``rmatvec``, ``matmat``, ``rmatmat``;
+  NumPy sparse products (``matvec``, ``rmatvec``, ``matmat``;
   the matrix–vector product is the dominant kernel of GMRES) and the
   ``add``/``scale``/``diagonal`` helpers.
 * :class:`~repro.sparse.linear_operator.LinearOperator` — the abstraction the

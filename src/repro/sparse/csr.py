@@ -360,21 +360,6 @@ class CSRMatrix:
         Y[nonempty, :] = np.add.reduceat(products, starts, axis=0)
         return Y
 
-    def rmatmat(self, X: np.ndarray) -> np.ndarray:
-        """Transpose matrix–matrix product ``Y = A.T @ X`` for a dense block."""
-        X = as_kernel_block(X)
-        if X.ndim != 2:
-            raise ValueError(f"rmatmat expects a 2-D block, got shape {X.shape}")
-        if X.shape[0] != self.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: matrix has {self.shape[0]} rows, block has {X.shape[0]} rows"
-            )
-        Y = np.zeros((self.shape[1], X.shape[1]), dtype=np.float64)
-        if self.nnz == 0:
-            return Y
-        np.add.at(Y, self.indices, self.data[:, None] * X[self.row_ids, :])
-        return Y
-
     def __matmul__(self, x):
         """``A @ x``: 1-D operands dispatch to :meth:`matvec`, 2-D to :meth:`matmat`."""
         arr = np.asarray(x)

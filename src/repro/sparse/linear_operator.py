@@ -62,21 +62,6 @@ class LinearOperator:
             Y[:, j] = self.matvec(X[:, j])
         return Y
 
-    def rmatmat(self, X: np.ndarray) -> np.ndarray:
-        """Return ``A.T @ X`` for a dense block (column-at-a-time default)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"rmatmat expects a 2-D block, got shape {X.shape}")
-        if X.shape[0] != self.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: operator has {self.shape[0]} rows, "
-                f"block has {X.shape[0]} rows"
-            )
-        Y = np.empty((self.shape[1], X.shape[1]), dtype=np.float64, order="F")
-        for j in range(X.shape[1]):
-            Y[:, j] = self.rmatvec(X[:, j])
-        return Y
-
     def __matmul__(self, x):
         arr = np.asarray(x)
         if arr.ndim == 2:
@@ -114,12 +99,6 @@ class _DenseOperator(LinearOperator):
             raise ValueError(f"matmat expects a 2-D block, got shape {X.shape}")
         return self.array @ X
 
-    def rmatmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"rmatmat expects a 2-D block, got shape {X.shape}")
-        return self.array.T @ X
-
 
 class _CSROperator(LinearOperator):
     """Wrap a :class:`repro.sparse.csr.CSRMatrix`."""
@@ -136,9 +115,6 @@ class _CSROperator(LinearOperator):
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.csr.matmat(X)
-
-    def rmatmat(self, X: np.ndarray) -> np.ndarray:
-        return self.csr.rmatmat(X)
 
 
 class _ScipyOperator(LinearOperator):
@@ -161,7 +137,7 @@ class _ScipyOperator(LinearOperator):
         if x.ndim > 1 and min(x.shape) > 1:
             raise ValueError(
                 f"matvec/rmatvec expect a vector, got a block of shape {x.shape}; "
-                "use matmat/rmatmat for block operands"
+                "use matmat for block operands"
             )
         return x.ravel()
 
@@ -187,17 +163,6 @@ class _ScipyOperator(LinearOperator):
                 f"expected {(self.shape[0], X.shape[1])}"
             )
         return Y
-
-    def rmatmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"rmatmat expects a 2-D block, got shape {X.shape}")
-        if X.shape[0] != self.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: operator has {self.shape[0]} rows, "
-                f"block has {X.shape[0]} rows"
-            )
-        return np.asarray(self.mat.T @ X, dtype=np.float64)
 
 
 class MatrixFreeOperator(LinearOperator):

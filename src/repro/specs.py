@@ -180,6 +180,17 @@ def _construct_with_prefix(cls: Callable[..., _SpecT], data: Mapping[str, Any],
         raise
 
 
+def _nested_spec(spec: Any, name: str, cls: Any, *, allow_none: bool = True) -> None:
+    """Validate a nested spec field, converting a dict in place (its errors
+    name the dotted path, ``exec.workers``)."""
+    value = getattr(spec, name)
+    if isinstance(value, dict):
+        object.__setattr__(spec, name, cls.from_dict(value, _prefix=f"{name}."))
+    elif not (isinstance(value, cls) or (value is None and allow_none)):
+        raise SpecError(name, f"expected a dict or {cls.__name__}, "
+                              f"got {type(value).__name__}")
+
+
 class _SpecBase:
     """Shared JSON plumbing for the frozen spec dataclasses."""
 
@@ -290,6 +301,7 @@ class SolveSpec(_SpecBase):
         _check_choice("detector_response", self.detector_response, DETECTOR_RESPONSES,
                       allow_none=True)
         _check_choice("bound_method", self.bound_method, BOUND_METHODS)
+        _nested_spec(self, "inner", SolveSpec)
 
         if self.method == "gmres":
             self._forbid("max_outer", "rank_tol", "inner")
@@ -298,9 +310,6 @@ class SolveSpec(_SpecBase):
         elif self.method == "ft_gmres":
             self._forbid("restart", "maxiter", "preconditioner")
             if self.inner is not None:
-                if not isinstance(self.inner, SolveSpec):
-                    raise SpecError("inner", f"expected a SolveSpec or dict, "
-                                             f"got {type(self.inner).__name__}")
                 if self.inner.method != "gmres":
                     raise SpecError("inner.method",
                                     "the FT-GMRES inner solver is GMRES; "
@@ -326,8 +335,6 @@ class SolveSpec(_SpecBase):
         if spec is None:
             return cls.from_dict(overrides) if overrides else cls()
         if isinstance(spec, cls):
-            if isinstance(overrides.get("inner"), dict):
-                overrides["inner"] = cls.from_dict(overrides["inner"], _prefix="inner.")
             return spec.replace(**overrides) if overrides else spec
         if isinstance(spec, str):
             return cls.from_dict({"method": spec, **overrides})
@@ -342,10 +349,6 @@ class SolveSpec(_SpecBase):
         if not isinstance(data, dict):
             raise SpecError(_prefix or "solve", f"expected a dict, got {type(data).__name__}")
         _reject_unknown_keys(cls, data, _prefix)
-        data = dict(data)
-        inner = data.get("inner")
-        if isinstance(inner, dict):
-            data["inner"] = cls.from_dict(inner, _prefix=f"{_prefix}inner.")
         return _construct_with_prefix(cls, data, _prefix)
 
     def to_dict(self) -> dict[str, Any]:
@@ -586,17 +589,12 @@ class CampaignSpec(_SpecBase):
             locs = tuple(_check_int(f"locations[{i}]", loc, minimum=0)
                          for i, loc in enumerate(self.locations))
             object.__setattr__(self, "locations", locs)
-        if self.solver is not None:
-            if not isinstance(self.solver, SolveSpec):
-                raise SpecError("solver", f"expected a SolveSpec or dict, "
-                                          f"got {type(self.solver).__name__}")
-            if self.solver.method != "ft_gmres":
-                raise SpecError("solver.method",
-                                "campaigns run the nested FT-GMRES solver; "
-                                f"got {self.solver.method!r}")
-        if not isinstance(self.exec, ExecutionSpec):
-            raise SpecError("exec", f"expected an ExecutionSpec or dict, "
-                                    f"got {type(self.exec).__name__}")
+        _nested_spec(self, "solver", SolveSpec)
+        if self.solver is not None and self.solver.method != "ft_gmres":
+            raise SpecError("solver.method",
+                            "campaigns run the nested FT-GMRES solver; "
+                            f"got {self.solver.method!r}")
+        _nested_spec(self, "exec", ExecutionSpec, allow_none=False)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -605,14 +603,6 @@ class CampaignSpec(_SpecBase):
         if spec is None:
             return cls.from_dict(overrides) if overrides else cls()
         if isinstance(spec, cls):
-            if isinstance(overrides.get("solver"), dict):
-                overrides["solver"] = SolveSpec.from_dict(overrides["solver"],
-                                                          _prefix="solver.")
-            if isinstance(overrides.get("exec"), dict):
-                overrides["exec"] = ExecutionSpec.from_dict(overrides["exec"],
-                                                            _prefix="exec.")
-            if isinstance(overrides.get("locations"), list):
-                overrides["locations"] = tuple(overrides["locations"])
             return spec.replace(**overrides) if overrides else spec
         if isinstance(spec, dict):
             return cls.from_dict({**spec, **overrides})
@@ -625,15 +615,6 @@ class CampaignSpec(_SpecBase):
         if not isinstance(data, dict):
             raise SpecError("campaign", f"expected a dict, got {type(data).__name__}")
         _reject_unknown_keys(cls, data, "")
-        data = dict(data)
-        solver = data.get("solver")
-        if isinstance(solver, dict):
-            data["solver"] = SolveSpec.from_dict(solver, _prefix="solver.")
-        execution = data.get("exec")
-        if isinstance(execution, dict):
-            data["exec"] = ExecutionSpec.from_dict(execution, _prefix="exec.")
-        if isinstance(data.get("locations"), list):
-            data["locations"] = tuple(data["locations"])
         return cls(**data)
 
     def to_dict(self) -> dict[str, Any]:

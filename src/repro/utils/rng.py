@@ -1,7 +1,7 @@
 """Deterministic random-number-generator plumbing.
 
-Every stochastic component in the library (matrix gallery, fault campaigns,
-bit-flip models) accepts either an integer seed, an existing
+The stochastic parts of the library (the matrix gallery, norm estimates
+and the Figure 2 experiment) accept either an integer seed, an existing
 ``numpy.random.Generator``, or ``None``.  These helpers normalize that input
 so experiment scripts are reproducible by construction.
 """

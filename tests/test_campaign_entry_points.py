@@ -4,14 +4,19 @@ A :class:`~repro.specs.CampaignSpec` is a campaign's only configuration, so
 every way to run one must agree on every spec: a spec-built
 :class:`~repro.faults.campaign.FaultCampaign`, the same campaign built from
 the spec's fields as keywords, :func:`repro.api.run_campaign` and
-:func:`repro.api.iter_trials` give equal records on the serial backend and
-with two shard workers, and the batched backend meets its documented
-contract (equal counts, statuses and classification; residuals to 1e-10).
+:func:`repro.api.iter_trials` give equal records on the serial backend, with
+two shard workers and on a stored run resumed after losing half its trials,
+and the batched backend meets its documented contract (equal counts,
+statuses and classification; residuals to 1e-10).  Fault models that draw
+random bits are on the spec axis: their bits come from each trial's
+generator, so they are held to the same identity.
 """
 
 from __future__ import annotations
 
 import inspect
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,10 +26,15 @@ from hypothesis import strategies as st
 from repro import api
 from repro.faults.campaign import FaultCampaign
 from repro.gallery.problems import poisson_problem
-from repro.results.store import campaign_fingerprint
+from repro.results.store import campaign_fingerprint, trials_path
 from repro.specs import CampaignSpec
 
 PROBLEM = poisson_problem(grid_n=6)  # 36 unknowns, a few outer iterations
+
+#: The paper's classes, and models that draw random bits from the trial's
+#: generator (a random bit, three random bits, a random exponent bit).
+FAULT_CLASSES = ["paper", {"a": "bitflip"}, {"a": "multibit:3"},
+                 {"a": {"name": "bitflip", "bits": list(range(52, 63))}}]
 
 
 @st.composite
@@ -39,6 +49,7 @@ def campaign_fields(draw):
         "mgs_position": draw(st.sampled_from(["first", "last"])),
         "site": draw(st.sampled_from(["hessenberg", "spmv"])),
         "fault_rate": draw(st.sampled_from([None, 2])),
+        "fault_classes": draw(st.sampled_from(FAULT_CLASSES)),
         "locations": tuple(draw(st.lists(st.integers(0, 30), min_size=1,
                                          max_size=2, unique=True))),
     }
@@ -82,6 +93,25 @@ def test_campaign_entry_points_agree(fields):
     assert FaultCampaign(PROBLEM, spec, exec={"workers": 2}).run().trials == serial
     assert_within_batched_contract(
         serial, FaultCampaign(PROBLEM, spec, exec={"backend": "batched"}).run().trials)
+    with tempfile.TemporaryDirectory() as store:
+        assert api.run_campaign(PROBLEM, spec, store=store, run_id="r").trials == serial
+        path = trials_path(os.path.join(store, "r"))
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines[: len(lines) // 2])
+        resumed = api.run_campaign(PROBLEM, spec, store=store, run_id="r", resume=True)
+        assert resumed.trials == serial
+
+
+def test_random_bit_campaign_repeats():
+    """Random bits come from each trial's generator (problem seed x
+    location), never from OS entropy: two serial runs agree."""
+    spec = CampaignSpec(fault_classes={"a": "bitflip", "b": "multibit"},
+                        inner_iterations=5, max_outer=40, stride=2)
+    first = FaultCampaign(PROBLEM, spec).run().trials
+    assert len(first) > 20
+    assert FaultCampaign(PROBLEM, spec).run().trials == first
 
 
 class TestOneConfiguration:

@@ -193,11 +193,14 @@ class TestSpecDrivenCLI:
         (["--set", "detector=bound:nope"], "detector 'bound'"),
         (["--set", 'fault_classes={"a": {"name": "scaling", "facto": 2.0}}'],
          "fault_classes.a"),
+        (["--set", 'fault_classes={"a": {"name": "bitflip", "rng": 5}}'],
+         "fault_classes.a"),
     ])
     def test_removed_heartbeat_and_bad_component_values_exit_2(self, capsys,
                                                                argv, named):
         """A removed knob, a component argument its factory rejects, and a
-        fault class whose options do not bind are configuration errors."""
+        fault class whose options do not bind (a fault model's removed
+        ``rng``) are configuration errors."""
         with pytest.raises(SystemExit) as excinfo:
             main(["fig3", "--scale", "tiny", "--stride", "30"] + argv)
         assert excinfo.value.code == 2

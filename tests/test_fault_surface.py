@@ -452,7 +452,7 @@ class ExplodingFault(FaultModel):
         self.armed = True
         self.corruptions = 0
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng=None) -> float:
         if self.armed:
             raise RuntimeError("simulated worker crash")
         self.corruptions += 1
@@ -469,9 +469,9 @@ class CountingFault(ScalingFault):
         super().__init__(10.0 ** -0.5)
         self.corruptions = 0
 
-    def corrupt(self, value: float) -> float:
+    def corrupt(self, value: float, rng=None) -> float:
         self.corruptions += 1
-        return super().corrupt(value)
+        return super().corrupt(value, rng)
 
 
 class TestCrashIsolation:

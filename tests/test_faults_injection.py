@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.faults.injector import FaultInjector
-from repro.faults.models import ScalingFault, ZeroFault
+from repro.faults.models import BitFlipFault, ScalingFault, ZeroFault
 from repro.faults.schedule import InjectionSchedule, Persistence
 
 
@@ -134,6 +134,42 @@ class TestInjector:
         out = inj.corrupt_vector("spmv", np.array([1.0, 2.0, 3.0, 4.0]), **ctx())
         np.testing.assert_array_equal(out, [1.0, 2.0, 0.0, 4.0])
         assert inj.records[0].vector_index == 2
+
+    def test_vector_random_index_is_seeded(self):
+        """The random element comes from the injector's generator: a seed,
+        or the fixed default when none is given — never OS entropy."""
+        vec = np.arange(1.0, 11.0)
+
+        def corrupted_index(**kwargs):
+            inj = FaultInjector(ScalingFault(10.0),
+                                InjectionSchedule(site="spmv", mgs_position=None), **kwargs)
+            out = inj.corrupt_vector("spmv", vec, **ctx())
+            assert np.count_nonzero(out != vec) == 1
+            return inj.records[0].vector_index
+
+        assert corrupted_index(rng=5) == corrupted_index(rng=5)
+        assert corrupted_index() == corrupted_index(rng=None) == corrupted_index(rng=0)
+
+    def test_vector_index_clipped_to_vector(self):
+        inj = FaultInjector(ZeroFault(), InjectionSchedule(site="spmv", mgs_position=None),
+                            vector_index=7)
+        out = inj.corrupt_vector("spmv", np.ones(3), **ctx())
+        np.testing.assert_array_equal(out, [1.0, 1.0, 0.0])
+        assert inj.records[0].vector_index == 2
+
+    def test_empty_vector_passes_through(self):
+        inj = FaultInjector(ZeroFault(), InjectionSchedule(site="spmv", mgs_position=None))
+        assert inj.corrupt_vector("spmv", np.array([]), **ctx()).size == 0
+        assert inj.injections_performed == 0
+
+    def test_model_draws_from_the_injector_generator(self):
+        """A random-bit model gets the injector's generator on every corruption."""
+        def corrupted(seed):
+            inj = FaultInjector(BitFlipFault(), InjectionSchedule(mgs_position=None),
+                                rng=seed)
+            return inj.corrupt_scalar("hessenberg", 3.14, **ctx())
+
+        assert corrupted(5) == corrupted(5) != 3.14
 
     def test_vector_not_copied_when_not_firing(self):
         inj = FaultInjector(ZeroFault(), InjectionSchedule(site="spmv"))

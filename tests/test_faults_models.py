@@ -19,6 +19,7 @@ from repro.faults.models import (
     AdditiveFault,
     BitFlipFault,
     InfFault,
+    MultiBitFault,
     NaNFault,
     PAPER_FAULT_CLASSES,
     ScalingFault,
@@ -55,13 +56,17 @@ class TestBitFlip:
             flip_bit(1.0, -1)
 
     def test_random_bit_flip_deterministic_with_seed(self):
-        v1, b1 = random_bit_flip(2.5, rng=7)
-        v2, b2 = random_bit_flip(2.5, rng=7)
+        v1, b1 = random_bit_flip(2.5, np.random.default_rng(7))
+        v2, b2 = random_bit_flip(2.5, np.random.default_rng(7))
         assert v1 == v2 and b1 == b2
 
     def test_random_bit_flip_restricted_bits(self):
-        _, bit = random_bit_flip(2.5, rng=3, bits=EXPONENT_BITS)
+        _, bit = random_bit_flip(2.5, np.random.default_rng(3), bits=EXPONENT_BITS)
         assert bit in EXPONENT_BITS
+
+    def test_random_bit_flip_needs_a_generator(self):
+        with pytest.raises(TypeError, match="Generator"):
+            random_bit_flip(2.5, None)
 
     def test_bit_partition(self):
         assert len(MANTISSA_BITS) + len(EXPONENT_BITS) + 1 == 64
@@ -107,14 +112,37 @@ class TestOtherModels:
 
     def test_bitflip_fixed_bit(self):
         model = BitFlipFault(bit=SIGN_BIT)
-        assert model.corrupt(4.0) == -4.0
-        assert model.last_bit == SIGN_BIT
+        assert model.corrupt(4.0) == -4.0  # draws nothing: no generator needed
+        assert model.corrupt(4.0, np.random.default_rng(0)) == -4.0
 
     def test_bitflip_random_bit_seeded(self):
-        a = BitFlipFault(rng=11)
-        b = BitFlipFault(rng=11)
-        assert a.corrupt(3.14) == b.corrupt(3.14)
-        assert a.last_bit == b.last_bit
+        """A random flip is a function of the value and the generator only."""
+        model = BitFlipFault()
+        a = model.corrupt(3.14, np.random.default_rng(11))
+        b = BitFlipFault().corrupt(3.14, np.random.default_rng(11))
+        assert a == b == model.corrupt(3.14, np.random.default_rng(11))
+        changed = np.float64(a).view(np.uint64) ^ np.float64(3.14).view(np.uint64)
+        assert bin(int(changed)).count("1") == 1
+
+    def test_multibit_random_bits_seeded(self):
+        model = MultiBitFault(num_bits=3)
+        a = model.corrupt(3.14, np.random.default_rng(11))
+        assert a == model.corrupt(3.14, np.random.default_rng(11))
+        changed = np.float64(a).view(np.uint64) ^ np.float64(3.14).view(np.uint64)
+        assert bin(int(changed)).count("1") == 3
+
+    @pytest.mark.parametrize("model", [BitFlipFault(), BitFlipFault(bits=EXPONENT_BITS),
+                                       MultiBitFault(num_bits=2)],
+                             ids=["bitflip", "bitflip-bits", "multibit"])
+    def test_random_bits_need_the_trial_generator(self, model):
+        with pytest.raises(TypeError, match="generator"):
+            model.corrupt(3.14)
+
+    def test_models_take_no_generator_of_their_own(self):
+        with pytest.raises(TypeError):
+            BitFlipFault(rng=5)
+        with pytest.raises(TypeError):
+            MultiBitFault(rng=5)
 
     def test_bitflip_bit_validated(self):
         with pytest.raises(ValueError):
@@ -124,28 +152,3 @@ class TestOtherModels:
         for model in (AbsoluteFault(1.0), AdditiveFault(1.0), ZeroFault(), NaNFault(),
                       InfFault(), BitFlipFault(bit=3)):
             assert isinstance(model.describe(), str) and model.describe()
-
-
-class TestCorruptVector:
-    def test_specific_index(self):
-        model = ScalingFault(10.0)
-        vec = np.array([1.0, 2.0, 3.0])
-        out = model.corrupt_vector(vec, index=1)
-        np.testing.assert_array_equal(out, [1.0, 20.0, 3.0])
-        np.testing.assert_array_equal(vec, [1.0, 2.0, 3.0])  # original untouched
-
-    def test_random_index_seeded(self):
-        model = ScalingFault(10.0)
-        vec = np.arange(1.0, 11.0)
-        out1 = model.corrupt_vector(vec, rng=5)
-        out2 = model.corrupt_vector(vec, rng=5)
-        np.testing.assert_array_equal(out1, out2)
-        assert np.count_nonzero(out1 != vec) == 1
-
-    def test_index_validated(self):
-        with pytest.raises(IndexError):
-            ScalingFault(2.0).corrupt_vector(np.ones(3), index=7)
-
-    def test_empty_vector(self):
-        out = ScalingFault(2.0).corrupt_vector(np.array([]))
-        assert out.size == 0

@@ -809,7 +809,9 @@ class TestServiceHTTP:
                      "exec.heartbeat_interval"),
                     (dict(BASE, fault_classes={"a": {"name": "scaling", "facto": 2.0}}),
                      "fault_classes.a"),
-                    (dict(BASE, fault_classes={"a": "bitflip:999"}), "fault_classes.a")):
+                    (dict(BASE, fault_classes={"a": "bitflip:999"}), "fault_classes.a"),
+                    (dict(BASE, fault_classes={"a": {"name": "bitflip", "rng": 5}}),
+                     "fault_classes.a")):
                 with pytest.raises(ServiceError) as err:
                     client.submit(body)
                 assert err.value.status == 400

@@ -1,4 +1,4 @@
-"""Block (multi-RHS) sparse kernels: matmat/rmatmat, multi-RHS triangular
+"""Block (multi-RHS) sparse kernels: matmat, multi-RHS triangular
 solves, operator matmat defaults, and block preconditioner application.
 
 The batched campaign engine leans on two properties established here:
@@ -68,21 +68,10 @@ class TestCSRMatmat:
         for j in range(X.shape[1]):
             assert np.array_equal(Y[:, j], A.matvec(X[:, j]))
 
-    @given(csr_and_block())
-    @settings(max_examples=60, deadline=None)
-    def test_rmatmat_matches_scipy(self, case):
-        A, X = case
-        # rmatmat takes a block with as many rows as A.
-        R = np.ascontiguousarray(np.tile(X[: 1, :], (A.shape[0], 1)))
-        Y = A.rmatmat(R)
-        assert Y.shape == (A.shape[1], R.shape[1])
-        np.testing.assert_allclose(Y, A.to_scipy().T @ R, rtol=1e-12, atol=1e-9)
-
     def test_single_column_matches_matvec(self):
         A = poisson2d(5)
         x = np.linspace(-1.0, 1.0, A.shape[1])
         assert np.array_equal(A.matmat(x[:, None])[:, 0], A.matvec(x))
-        assert np.array_equal(A.rmatmat(x[:, None])[:, 0], A.rmatvec(x))
 
     def test_both_matmat_paths_agree(self):
         """The single-pass and the column-sweep kernels are interchangeable."""
@@ -115,8 +104,6 @@ class TestCSRMatmat:
         with pytest.raises(ValueError):
             A.matmat(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            A.rmatmat(np.ones((3, 2)))
-        with pytest.raises(ValueError):
             A.matmat(np.ones((A.shape[1], 2, 2)))
 
 
@@ -126,14 +113,12 @@ class TestOperatorMatmat:
         op = aslinearoperator(A)
         X = np.random.default_rng(0).standard_normal((A.shape[1], 3))
         assert np.array_equal(op.matmat(X), A.matmat(X))
-        assert np.array_equal(op.rmatmat(np.ascontiguousarray(X)), A.rmatmat(X))
 
     def test_dense_operator_block(self):
         M = np.arange(12.0).reshape(3, 4)
         op = aslinearoperator(M)
         X = np.ones((4, 2))
         np.testing.assert_allclose(op.matmat(X), M @ X)
-        np.testing.assert_allclose(op.rmatmat(np.ones((3, 2))), M.T @ np.ones((3, 2)))
 
     def test_scipy_operator_block_no_densify_no_flatten(self):
         """Block operands must survive the scipy wrapper with shape intact."""
@@ -145,8 +130,6 @@ class TestOperatorMatmat:
         assert isinstance(Y, np.ndarray) and type(Y) is np.ndarray
         assert Y.shape == (7, 3)
         np.testing.assert_allclose(Y, A @ X)
-        Yt = op.rmatmat(np.ones((7, 2)))
-        assert Yt.shape == (5, 2)
         # The 1-D entry points now refuse blocks instead of silently
         # ravel()-ing them into a length n*B vector.
         with pytest.raises(ValueError):

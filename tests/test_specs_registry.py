@@ -319,6 +319,33 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="solver.method"):
             CampaignSpec(solver=SolveSpec(method="gmres"))
 
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: CampaignSpec(exec={"workers": 2}),
+         CampaignSpec(exec=ExecutionSpec(workers=2))),
+        (lambda: CampaignSpec(solver={"method": "ft_gmres"}),
+         CampaignSpec(solver=SolveSpec(method="ft_gmres"))),
+        (lambda: SolveSpec(method="ft_gmres", inner={"method": "gmres", "maxiter": 5}),
+         SolveSpec(method="ft_gmres", inner=SolveSpec(method="gmres", maxiter=5))),
+        (lambda: CampaignSpec().replace(exec={"backend": "serial"}),
+         CampaignSpec(exec=ExecutionSpec(backend="serial"))),
+        (lambda: CampaignSpec(exec={"workers": -1}), "exec.workers"),
+        (lambda: CampaignSpec(solver={"method": "ft_gmres", "inner": {"maxiter": 0}}),
+         "solver.inner.maxiter"),
+        (lambda: SolveSpec(method="ft_gmres", inner={"maxitr": 3}), "inner.maxitr"),
+        (lambda: CampaignSpec().replace(exec={"backend": "gpu"}), "exec.backend"),
+        (lambda: CampaignSpec(exec=None), "exec"),
+    ], ids=["campaign-exec", "campaign-solver", "solve-inner", "replace-exec",
+            "bad-exec", "bad-solver-inner", "bad-inner", "bad-replace-exec", "null-exec"])
+    def test_nested_specs_accept_dicts(self, build, expected):
+        """A nested spec may be given as a dict wherever it is a field; a bad
+        one names its dotted path."""
+        if isinstance(expected, str):
+            with pytest.raises(SpecError) as excinfo:
+                build()
+            assert excinfo.value.field == expected
+        else:
+            assert build() == expected
+
     def test_bool_is_not_an_int(self):
         with pytest.raises(SpecError, match="stride"):
             CampaignSpec(stride=True)
@@ -390,8 +417,9 @@ class TestFaultClassesBind:
         None,
         "bitflip:999",
         {"name": "burst", "width": "x"},
+        {"name": "bitflip", "rng": 5},
     ], ids=["misspelled-keyword", "extra-colon-arguments", "empty", "null",
-            "value-the-factory-rejects", "non-integer-value"])
+            "value-the-factory-rejects", "non-integer-value", "removed-rng-option"])
     def test_unbindable_fault_class_rejected(self, model):
         with pytest.raises(SpecError) as excinfo:
             CampaignSpec.from_dict({"fault_classes": {"a": model}})
