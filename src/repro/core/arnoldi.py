@@ -39,12 +39,15 @@ position; the subdiagonal, like the vector sites, is one value per step.
 
 Arm-at-step: each step first asks the injector (:meth:`ArnoldiContext.arm`)
 whether any of its sites can fire.  An unarmed step makes no injector
-consults and runs the BLAS orthogonalization loop; a paper trial's single
-fault arms one step out of the whole nested solve.
+consults: an MGS coefficient costs one BLAS dot and two in-place ufunc
+calls, each norm is ``math.sqrt(w.dot(w))`` (``np.linalg.norm``'s own
+formula), and a vectorized detector screens the step's values in one call.
+A paper trial's single fault arms one step out of the whole nested solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,6 +235,17 @@ class ArnoldiContext:
         s = self.inject_scalar("givens", s, iteration=it, mgs_index=1, mgs_length=2)
         return c, s
 
+    def consult_coefficient(self, site: str, value: float, iteration: int, mgs_index: int,
+                            mgs_length: int, recompute=None, scale: float = 1.0) -> float:
+        """One orthogonalization coefficient on the hooked path: offered to
+        the injector at the ``hessenberg`` site when the step is armed, then
+        screened under ``site`` (see :meth:`screen_scalar`)."""
+        if self.armed:
+            value = self.inject_scalar("hessenberg", value, iteration=iteration,
+                                       mgs_index=mgs_index, mgs_length=mgs_length)
+        return self.screen_scalar(site, value, iteration=iteration, mgs_index=mgs_index,
+                                  recompute=recompute, scale=scale)
+
     @property
     def givens_hook(self):
         """The current step's ``givens_hook`` for the Givens QR update.
@@ -337,10 +351,9 @@ def arnoldi_step(
         profiled products.  Receives the basis vector, returns the vector to
         orthogonalize.
     workspace : numpy.ndarray, optional
-        Length-``n`` float64 scratch for the fast MGS path's axpy buffer.
-        Callers that run many steps per solve (GMRES cycles) allocate it
-        once instead of paying one ``np.empty_like`` per step; contents are
-        clobbered.  Ignored by the hooked and CGS paths.
+        Length-``n`` float64 scratch for the MGS axpy buffer.  Callers that
+        run many steps per solve (GMRES cycles) allocate it once instead of
+        paying one allocation per step; contents are clobbered.
 
     Faulted data legitimately turn non-finite (NaN/Inf propagation is the
     documented contract), so the solvers run their steps under
@@ -353,7 +366,8 @@ def arnoldi_step(
         The ``j+2`` Hessenberg entries ``h_{1..j+2, j+1}`` (last entry is the
         subdiagonal norm).
     q_next : numpy.ndarray or None
-        The new unit basis vector, or ``None`` on (happy) breakdown.
+        The new unit basis vector (column ``j+1`` of ``basis``), or ``None``
+        on (happy) breakdown.
     breakdown : bool
         True when ``h_{j+1,j}`` is numerically zero.
     """
@@ -362,13 +376,12 @@ def arnoldi_step(
             f"orthogonalization must be 'mgs', 'cgs' or 'cgs2', got {orthogonalization!r}"
         )
     # Arm-at-step: the injector decides once whether this step can fault.
-    # An unarmed step makes no injector consults and runs the BLAS loop; a
-    # vectorized detector then screens every value of the step in one call.
-    # Anything flagged, an armed step, or a stateful detector takes the
-    # hooked path, which replays the step from the untouched post-spmv
-    # vector ``v``.  Both paths perform the identical sequence of
-    # floating-point operations (asserted bit for bit in the test suite), so
-    # a replay's responses and events are exactly the hooked path's.
+    # An unarmed step makes no injector consults; a vectorized detector then
+    # screens every value of the step in one call.  Anything flagged, an
+    # armed step, or a stateful detector takes the hooked path, which
+    # replays the step from the untouched post-spmv vector ``v`` through the
+    # same loop with its consults switched on, so a replay's responses and
+    # events are exactly the hooked path's.
     armed = ctx.arm(j)
     detector = ctx.detector
 
@@ -380,104 +393,101 @@ def arnoldi_step(
     ctx.matvecs += 1
 
     Q = basis[:, : j + 1]
-    passes = 2 if orthogonalization == "cgs2" else 1
+    scratch = workspace if workspace is not None else np.empty(v.shape[0])
     hooked = armed or (detector is not None and not detector.vectorized)
     if not hooked:
-        # The column shares its buffer with one more screened value: the
-        # norm of ``v``, which the hooked path checks first.
-        screen = np.zeros(j + 3, dtype=np.float64)
-        h_col = screen[: j + 2]
-        w = v.copy()
-        if orthogonalization == "mgs":
-            # The dot products and updates go straight to BLAS; a reused
-            # scratch buffer avoids one temporary allocation per
-            # coefficient (and, with a per-solve workspace, per step).
-            scratch = workspace if workspace is not None else np.empty_like(w)
-            for i in range(j + 1):
-                q_i = Q[:, i]
-                h = np.dot(q_i, w)
-                h_col[i] = h
-                np.multiply(q_i, h, out=scratch)
-                np.subtract(w, scratch, out=w)
-        else:
-            coeff_passes = []
-            for _ in range(passes):
-                coeffs = Q.T @ w
-                w = w - Q @ coeffs
-                h_col[: j + 1] += coeffs
-                coeff_passes.append(coeffs)
-        norm_v = float(np.linalg.norm(w))
-        h_col[j + 1] = norm_v
+        h_col, norm_v, w, screen = _orthogonalize(Q, v, orthogonalization, scratch,
+                                                  screened=detector is not None)
         if detector is not None:
-            # Everything the hooked path checks one value at a time: the
-            # spmv vector (by its norm), each pass's coefficients and the
-            # subdiagonal norm.
-            screen[j + 2] = np.linalg.norm(v)
-            if passes == 2:
-                screen = np.concatenate((*coeff_passes, screen[j + 1:]))
             hooked = bool(detector.flag_values(screen).any())
-
     if hooked:
         if armed:
             v = ctx.inject_vector("spmv", v, iteration=j)
         ctx.screen_vector("spmv", v, iteration=j)
-        h_col = np.zeros(j + 2, dtype=np.float64)
-        w = v.copy()
-        if orthogonalization == "mgs":
-            for i in range(j + 1):
-                q_i = Q[:, i]
-                h = float(np.dot(q_i, w))
-                if armed:
-                    h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                          mgs_length=j + 1)
-                h = ctx.screen_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                      recompute=lambda q_i=q_i, w=w: np.dot(q_i, w))
-                h_col[i] = h
-                w = w - h * q_i
-        else:
-            # Classical Gram-Schmidt: all coefficients from the original vector.
-            for _ in range(passes):
-                coeffs = Q.T @ w
-                for i in range(j + 1):
-                    h = float(coeffs[i])
-                    if armed:
-                        h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                              mgs_length=j + 1)
-                    h = ctx.screen_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                          recompute=lambda i=i: np.dot(Q[:, i], w))
-                    coeffs[i] = h
-                w = w - Q @ coeffs
-                h_col[: j + 1] += coeffs
-        # The orthogonalized-but-unnormalized vector is its own site: a
-        # fault here lands *after* the coefficients were computed cleanly,
-        # a different propagation path than spmv or hessenberg corruption.
-        if armed:
-            w = ctx.inject_vector("orth", w, iteration=j)
-        norm_v = float(np.linalg.norm(w))
-        if armed:
-            norm_v = ctx.inject_scalar("subdiag", norm_v, iteration=j)
-        norm_v = ctx.screen_scalar("subdiag", norm_v, iteration=j, mgs_index=j + 1,
-                                   recompute=lambda: np.linalg.norm(w))
-        h_col[j + 1] = norm_v
+        h_col, norm_v, w, _ = _orthogonalize(Q, v, orthogonalization, scratch, ctx=ctx, j=j)
 
-    scale = max(np.abs(h_col[: j + 1]).max() if j + 1 > 0 else 0.0, 1.0)
-    if not np.isfinite(norm_v) or norm_v <= HAPPY_BREAKDOWN_TOL * scale:
-        if np.isfinite(norm_v):
-            ctx.record("happy_breakdown", where="subdiag",
-                       outer_iteration=ctx.outer_iteration, inner_iteration=j,
-                       value=norm_v)
-            return h_col, None, True
-        # A non-finite norm is not a breakdown; return the poisoned vector so
-        # the caller's NaN handling (or the detector) deals with it.
-        q_next = np.full_like(w, np.nan)
-        basis[:, j + 1] = q_next
+    if not math.isfinite(norm_v):
+        # A non-finite norm is not a breakdown; poison the next basis vector
+        # so the caller's NaN handling (or the detector) deals with it.
+        q_next = basis[:, j + 1]
+        q_next.fill(np.nan)
         return h_col, q_next, False
+    # The test is relative to max(|h_ij|, 1).  Twice sqrt(sum h_ij^2)
+    # bounds max |h_ij| from above despite rounding, so the exact reduction
+    # runs only for a norm that bound cannot clear.  A NaN coefficient makes
+    # the bound NaN, which vetoes the breakdown as the exact scale would.
+    coeffs = h_col[: j + 1]
+    if (norm_v <= HAPPY_BREAKDOWN_TOL * 2.0 * max(math.sqrt(coeffs.dot(coeffs)), 1.0)
+            and norm_v <= HAPPY_BREAKDOWN_TOL * max(np.abs(coeffs).max(), 1.0)):
+        ctx.record("happy_breakdown", where="subdiag",
+                   outer_iteration=ctx.outer_iteration, inner_iteration=j,
+                   value=norm_v)
+        return h_col, None, True
 
-    q_next = w / norm_v
+    q_next = np.divide(w, norm_v, out=basis[:, j + 1])
     if armed:
         q_next = ctx.inject_vector("basis", q_next, iteration=j)
-    basis[:, j + 1] = q_next
+        basis[:, j + 1] = q_next
     return h_col, q_next, False
+
+
+def _orthogonalize(Q, v, orthogonalization, scratch, ctx=None, j=-1, screened=False):
+    """Orthogonalize ``v`` against the columns of ``Q``: one Arnoldi step's loop.
+
+    Returns ``(h_col, norm_w, w, screen)``: the Hessenberg column (the
+    coefficients, then ``norm_w = ||w||``), that norm, the orthogonalized
+    vector ``w`` and, when ``screened``, every value a vectorized detector
+    checks for the step (each pass's coefficients, ``norm_w``, then
+    ``||v||``).  Without ``ctx`` an MGS coefficient costs one BLAS dot and
+    two in-place ufunc calls.  With it (the hooked path) every coefficient
+    and the ``orth`` and ``subdiag`` sites are offered to the armed step's
+    injector and screened one value at a time.  Both perform the identical
+    floating-point operations.
+    """
+    w = v.copy()
+    k = Q.shape[1]
+    # ||v|| of the contiguous copy: np.linalg.norm's own formula and operand.
+    spmv_norm = math.sqrt(w.dot(w)) if screened else 0.0
+    if orthogonalization == "mgs":
+        coeffs = []
+        for q_i in Q.T:
+            h = q_i.dot(w)
+            if ctx is not None:
+                h = ctx.consult_coefficient("hessenberg", float(h), j, len(coeffs), k,
+                                            recompute=lambda q_i=q_i: q_i.dot(w))
+            coeffs.append(h)
+            np.multiply(q_i, h, out=scratch)
+            np.subtract(w, scratch, out=w)
+    else:
+        passes = []
+        for _ in range(2 if orthogonalization == "cgs2" else 1):
+            coeffs = Q.T @ w
+            if ctx is not None:
+                for i in range(k):
+                    coeffs[i] = ctx.consult_coefficient(
+                        "hessenberg", float(coeffs[i]), j, i, k,
+                        recompute=lambda i=i: Q[:, i].dot(w))
+            w = w - Q @ coeffs
+            passes.append(coeffs)
+    # The orthogonalized-but-unnormalized vector is its own site: a fault
+    # here lands *after* the coefficients were computed cleanly, a
+    # different propagation path than spmv or hessenberg corruption.
+    if ctx is not None and ctx.armed:
+        w = ctx.inject_vector("orth", w, iteration=j)
+    norm_w = math.sqrt(w.dot(w))
+    if ctx is not None:
+        if ctx.armed:
+            norm_w = ctx.inject_scalar("subdiag", norm_w, iteration=j)
+        norm_w = ctx.screen_scalar("subdiag", norm_w, iteration=j, mgs_index=k,
+                                   recompute=lambda: math.sqrt(w.dot(w)))
+    if orthogonalization == "mgs":
+        screen = np.array([*coeffs, norm_w, spmv_norm])
+        return screen[: k + 1], norm_w, w, screen
+    h_col = np.zeros(k + 1)
+    for coeffs in passes:
+        h_col[:k] += coeffs
+    h_col[k] = norm_w
+    return h_col, norm_w, w, np.concatenate((*passes, (norm_w, spmv_norm)))
 
 
 # ---------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ GMRES matter for fault tolerance and are implemented here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
@@ -284,6 +285,7 @@ def fgmres_steps(
                          f"{state.hess.max_columns}; max_outer is {max_outer}")
     Q, Z, hess, history = state.Q, state.Z, state.hess, state.history
     matvecs = 1 + start  # the initial residual, then one per outer iteration
+    scratch = np.empty(n)  # the MGS axpy buffer
 
     status = SolverStatus.MAX_ITERATIONS
     k = start
@@ -312,7 +314,7 @@ def fgmres_steps(
         matvecs += 1
         if armed:
             v = ctx.inject_vector("spmv", v, iteration=j)
-        z_norm = float(np.linalg.norm(z_j))
+        z_norm = math.sqrt(z_j.dot(z_j))
         h_col = np.zeros(j + 2, dtype=np.float64)
         # With no detector attached and the step unarmed the per-coefficient
         # hooks are pure overhead (they return the value unchanged), so the
@@ -320,37 +322,28 @@ def fgmres_steps(
         # Arnoldi branch.  Both branches perform the identical floating-point
         # operations (asserted bit-for-bit in the tests).
         hooked = armed or detector is not None
+        w = v.copy()
         if orthogonalization == "mgs":
-            w = v.copy()
-            for i in range(j + 1):
-                h = float(np.dot(Q[:, i], w))
+            for i, q_i in enumerate(Q.T[: j + 1]):
+                h = q_i.dot(w)
                 if hooked:
-                    if armed:
-                        h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                              mgs_length=j + 1)
-                    h = ctx.screen_scalar("outer_hessenberg", h, iteration=j, mgs_index=i,
-                                          scale=z_norm)
+                    h = ctx.consult_coefficient("outer_hessenberg", float(h), j, i, j + 1,
+                                                scale=z_norm)
                 h_col[i] = h
-                w -= h * Q[:, i]
+                np.subtract(w, np.multiply(h, q_i, out=scratch), out=w)
         else:
-            passes = 2 if orthogonalization == "cgs2" else 1
-            w = v.copy()
-            for _ in range(passes):
+            for _ in range(2 if orthogonalization == "cgs2" else 1):
                 coeffs = Q[:, : j + 1].T @ w
                 if hooked:
                     for i in range(j + 1):
-                        h = float(coeffs[i])
-                        if armed:
-                            h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                                  mgs_length=j + 1)
-                        coeffs[i] = ctx.screen_scalar("outer_hessenberg", h, iteration=j,
-                                                      mgs_index=i, scale=z_norm)
+                        coeffs[i] = ctx.consult_coefficient(
+                            "outer_hessenberg", float(coeffs[i]), j, i, j + 1, scale=z_norm)
                 w = w - Q[:, : j + 1] @ coeffs
                 h_col[: j + 1] += coeffs
 
         if armed:
             w = ctx.inject_vector("orth", w, iteration=j)
-        h_sub = float(np.linalg.norm(w))
+        h_sub = math.sqrt(w.dot(w))
         if armed:
             h_sub = ctx.inject_scalar("subdiag", h_sub, iteration=j)
         h_col[j + 1] = h_sub
@@ -359,7 +352,7 @@ def fgmres_steps(
         history.append(resid_est)
 
         # ----- breakdown trichotomy (Section VI-C) --------------------------
-        scale = max(float(np.abs(h_col[: j + 1]).max()) if j + 1 > 0 else 0.0, 1.0)
+        scale = max(float(np.abs(h_col[: j + 1]).max()), 1.0)
         if h_sub <= BREAKDOWN_TOL * scale:
             if hess.is_rank_deficient(tol=rank_tol):
                 ctx.record("rank_deficient", where="hessenberg", outer_iteration=j,
@@ -370,9 +363,9 @@ def fgmres_steps(
                 status = SolverStatus.HAPPY_BREAKDOWN
             break
 
-        Q[:, j + 1] = w / h_sub
+        np.divide(w, h_sub, out=Q[:, j + 1])
 
-        if np.isfinite(resid_est) and resid_est <= target:
+        if math.isfinite(resid_est) and resid_est <= target:
             status = SolverStatus.CONVERGED
             break
     state.marks.append(len(ctx.events))

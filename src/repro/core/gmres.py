@@ -15,6 +15,7 @@ Gram–Schmidt), extended with:
 
 from __future__ import annotations
 
+import math
 from time import perf_counter as _perf_counter
 
 import numpy as np
@@ -191,22 +192,23 @@ def gmres(
     # Initial residual (reliable).
     r = b - op.matvec(x)
     ctx.matvecs += 1
-    residual_norm = float(np.linalg.norm(r))
+    residual_norm = math.sqrt(r.dot(r))
     history.append(residual_norm)
     if residual_norm <= target:
         return SolverResult(x, SolverStatus.CONVERGED, 0, residual_norm, history,
                             ctx.events, ctx.matvecs, profile=profile)
 
     while total_iterations < maxiter:
-        beta = float(np.linalg.norm(r))
-        if not np.isfinite(beta) or beta == 0.0:
+        beta = residual_norm  # ||r|| of the current residual
+        if not math.isfinite(beta) or beta == 0.0:
             status = SolverStatus.STAGNATED if beta == 0.0 else SolverStatus.MAX_ITERATIONS
             break
         cycle_len = min(m, maxiter - total_iterations)
         # Fortran order makes every basis column contiguous, which is what
         # the BLAS-level dot/axpy kernels of the orthogonalization want.
-        basis = np.zeros((n, cycle_len + 1), dtype=np.float64, order="F")
-        basis[:, 0] = r / beta
+        # Uninitialized: a step writes column j + 1 before anything reads it.
+        basis = np.empty((n, cycle_len + 1), dtype=np.float64, order="F")
+        np.divide(r, beta, out=basis[:, 0])
         hess = HessenbergMatrix(cycle_len, beta)
 
         k = 0
@@ -234,7 +236,7 @@ def gmres(
             if breakdown:
                 cycle_status = SolverStatus.HAPPY_BREAKDOWN
                 break
-            if np.isfinite(resid_est) and resid_est <= target:
+            if math.isfinite(resid_est) and resid_est <= target:
                 cycle_status = SolverStatus.CONVERGED
                 break
 
@@ -259,7 +261,7 @@ def gmres(
         # True residual for the next cycle / convergence confirmation.
         r = b - op.matvec(x)
         ctx.matvecs += 1
-        residual_norm = float(np.linalg.norm(r))
+        residual_norm = math.sqrt(r.dot(r))
 
         if cycle_status is SolverStatus.HAPPY_BREAKDOWN:
             # In exact, fault-free arithmetic a happy breakdown means the exact

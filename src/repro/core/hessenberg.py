@@ -74,10 +74,12 @@ class HessenbergMatrix:
             The updated least-squares residual norm ``|g_{k+1}|`` — GMRES's
             monotone residual estimate.
         """
-        j = self.k
+        j = self._qr.k
         if j >= self.max_columns:
             raise RuntimeError("HessenbergMatrix is full; increase max_columns")
-        column = np.asarray(column, dtype=np.float64).ravel()
+        if not (isinstance(column, np.ndarray) and column.ndim == 1
+                and column.dtype == np.float64):
+            column = np.asarray(column, dtype=np.float64).ravel()
         if column.shape[0] != j + 2:
             raise ValueError(
                 f"column {j} must have {j + 2} entries, got {column.shape[0]}"

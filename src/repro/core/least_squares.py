@@ -25,6 +25,7 @@ let you verify that claim (see ``benchmarks/bench_ablation_lsq.py``).
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -72,14 +73,14 @@ def givens_rotation(a: float, b: float) -> tuple[float, float]:
         return 1.0, 0.0
     if a == 0.0:
         return 0.0, 1.0
-    if not (np.isfinite(a) and np.isfinite(b)):
-        return float("nan"), float("nan")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.nan, math.nan
     if abs(b) > abs(a):
         t = a / b
-        s = 1.0 / np.sqrt(1.0 + t * t)
+        s = 1.0 / math.sqrt(1.0 + t * t)
         return s * t, s
     t = b / a
-    c = 1.0 / np.sqrt(1.0 + t * t)
+    c = 1.0 / math.sqrt(1.0 + t * t)
     return c, c * t
 
 
@@ -164,11 +165,13 @@ class IncrementalGivensQR:
         if j >= self.max_columns:
             raise RuntimeError("IncrementalGivensQR is full; increase max_columns")
         cs, sn = self._cs, self._sn
-        r = [float(v) for v in column]
+        r = column.tolist() if isinstance(column, np.ndarray) else [float(v) for v in column]
         if len(r) != j + 2:
             raise ValueError(f"column {j} must have {j + 2} entries, got {len(r)}")
 
-        # Reuse the previous rotations on the new column.
+        # Reuse the previous rotations on the new column (Python floats
+        # throughout: the same IEEE-754 operations as NumPy scalars, without
+        # their dispatch).
         for i in range(j):
             c, s = cs[i], sn[i]
             r_i, r_i1 = r[i], r[i + 1]
@@ -183,7 +186,7 @@ class IncrementalGivensQR:
             # propagates in the real algorithm (it no longer zeroes r[j+1]
             # exactly, but the factorization stores 0 there regardless, which
             # is the silent part of the corruption).
-            c, s = givens_hook(float(c), float(s))
+            c, s = givens_hook(c, s)
             c, s = float(c), float(s)
         cs[j], sn[j] = c, s
         r[j] = c * r[j] + s * r[j + 1]
@@ -193,10 +196,10 @@ class IncrementalGivensQR:
         # Apply the new rotation to the right-hand side g.
         g_j = self._g_pre[j] = float(self._g[j])
         self._g[j] = c * g_j
-        self._g[j + 1] = -s * g_j
+        self._g[j + 1] = g_next = -s * g_j
 
         self.k = j + 1
-        return abs(float(self._g[j + 1]))
+        return abs(g_next)
 
     def prefix(self, k: int, max_columns: int) -> "IncrementalGivensQR":
         """A copy of the factorization as it stood after its first ``k`` columns.
@@ -247,8 +250,7 @@ def solve_triangular(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     y = np.zeros(k, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(k - 1, -1, -1):
-            acc = rhs[i] - np.dot(R[i, i + 1 : k], y[i + 1 : k])
-            y[i] = acc / R[i, i]
+            y[i] = (rhs[i] - R[i, i + 1 : k].dot(y[i + 1 : k])) / R[i, i]
     return y
 
 

@@ -217,6 +217,11 @@ class ServiceDaemon:
         self._claim_store()
         self._install_handlers()
         try:
+            # Every campaign's first default_rng imports numpy.random lazily;
+            # importing it here, before the first fork, lets each job worker
+            # inherit it instead of paying for it.  Not at module level:
+            # other commands load this module without serving.
+            import numpy.random  # noqa: F401
             self._start_http()
             self._write_daemon_info()
             host, port = self.address

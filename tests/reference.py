@@ -16,6 +16,13 @@ import ...`` (``tests/`` is on ``sys.path`` under pytest).
 * :func:`poisson1d`, :func:`poisson3d`, :func:`random_sparse`,
   :func:`diagonally_dominant`, :func:`tridiagonal` and :func:`spd_random` —
   matrices with spectra the paper's two problems do not cover.
+* :func:`reference_arnoldi_step`, :func:`reference_givens_rotation`,
+  :class:`ReferenceGivensQR`, :func:`reference_solve_triangular`,
+  :func:`reference_gmres` and :func:`reference_fgmres` — the inner solve's
+  unarmed arithmetic (and FGMRES's outer step) written with plain NumPy
+  calls (``np.dot``, ``w - h * q``, ``np.linalg.norm``, ``np.sqrt``, NumPy
+  scalars in the Givens recurrence): the bit-for-bit oracle for the
+  library's lean hot loop.
 """
 
 from __future__ import annotations
@@ -357,3 +364,178 @@ def spd_random(n: int, density: float = 0.1, shift: float = 1.0, seed=0) -> CSRM
     # Drop tiny fill-in so the CSR stays reasonably sparse for small tests.
     tol = 1e-14 * max(1.0, np.abs(spd).max())
     return CSRMatrix.from_dense(spd, tol=tol)
+
+
+# ---------------------------------------------------------------------- #
+# the inner solve's arithmetic in plain NumPy (bit-for-bit oracle)
+# ---------------------------------------------------------------------- #
+def reference_breakdown(h_col: np.ndarray, norm_v: float, tol: float = 1e-14) -> bool:
+    """The happy-breakdown test: ``norm_v <= tol * max(max |h_ij|, 1)``.
+
+    A NaN coefficient makes the scale NaN, which vetoes the breakdown.
+    """
+    scale = max(np.abs(h_col[:-1]).max(), 1.0)
+    return bool(np.isfinite(norm_v) and norm_v <= tol * scale)
+
+
+def reference_arnoldi_step(matvec, basis: np.ndarray, j: int):
+    """The unarmed MGS Arnoldi step: ``(h_col, q_next, breakdown)``.
+
+    Writes column ``j + 1`` of ``basis`` unless the step breaks down; a
+    non-finite norm poisons it with NaN.
+    """
+    v = matvec(basis[:, j])
+    Q = basis[:, : j + 1]
+    h_col = np.zeros(j + 2)
+    w = v.copy()
+    for i in range(j + 1):
+        q_i = Q[:, i]
+        h = np.dot(q_i, w)
+        h_col[i] = h
+        w = w - h * q_i
+    norm_v = float(np.linalg.norm(w))
+    h_col[j + 1] = norm_v
+    if not np.isfinite(norm_v):
+        q_next = np.full_like(w, np.nan)
+        basis[:, j + 1] = q_next
+        return h_col, q_next, False
+    if reference_breakdown(h_col, norm_v):
+        return h_col, None, True
+    q_next = w / norm_v
+    basis[:, j + 1] = q_next
+    return h_col, q_next, False
+
+
+def reference_givens_rotation(a: float, b: float):
+    """``(c, s)`` with ``[c s; -s c] [a; b] = [r; 0]``, NumPy scalars inside."""
+    if b == 0.0:
+        return 1.0, 0.0
+    if a == 0.0:
+        return 0.0, 1.0
+    if not (np.isfinite(a) and np.isfinite(b)):
+        return float("nan"), float("nan")
+    if abs(b) > abs(a):
+        t = a / b
+        s = 1.0 / np.sqrt(1.0 + t * t)
+        return s * t, s
+    t = b / a
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c, c * t
+
+
+class ReferenceGivensQR:
+    """Incremental Givens QR of a growing Hessenberg matrix (no hooks)."""
+
+    def __init__(self, max_columns: int, beta: float):
+        self.k = 0
+        self.R = np.zeros((max_columns + 1, max_columns))
+        self.g = np.zeros(max_columns + 1)
+        self.g[0] = float(beta)
+        self.cs = [0.0] * max_columns
+        self.sn = [0.0] * max_columns
+
+    def add_column(self, column) -> float:
+        """Rotate column ``k`` in; returns the residual estimate ``|g_{k+1}|``."""
+        j = self.k
+        r = [float(v) for v in column]
+        for i in range(j):
+            c, s = self.cs[i], self.sn[i]
+            r_i, r_i1 = r[i], r[i + 1]
+            r[i] = c * r_i + s * r_i1
+            r[i + 1] = -s * r_i + c * r_i1
+        c, s = reference_givens_rotation(r[j], r[j + 1])
+        self.cs[j], self.sn[j] = c, s
+        r[j] = c * r[j] + s * r[j + 1]
+        r[j + 1] = 0.0
+        self.R[: j + 2, j] = r
+        g_j = float(self.g[j])
+        self.g[j] = c * g_j
+        self.g[j + 1] = -s * g_j
+        self.k = j + 1
+        return abs(float(self.g[j + 1]))
+
+
+def reference_solve_triangular(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Back-substitution for ``R y = rhs``; a zero pivot gives Inf/NaN."""
+    k = R.shape[1]
+    y = np.zeros(k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(k - 1, -1, -1):
+            acc = rhs[i] - np.dot(R[i, i + 1 : k], y[i + 1 : k])
+            y[i] = acc / R[i, i]
+    return y
+
+
+def reference_gmres(matvec, b: np.ndarray, restart: int, maxiter: int):
+    """Restarted GMRES with ``tol=0``, no detector and no preconditioner.
+
+    Returns ``(x, history)``, where ``history`` is ``||r_0||`` followed by
+    every residual estimate.  Raises ``AssertionError`` on a breakdown: the
+    library then re-checks the true residual, which this sketch leaves out.
+    """
+    n = b.shape[0]
+    x = np.zeros(n)
+    r = b - matvec(x)
+    history = [float(np.linalg.norm(r))]
+    total = 0
+    while total < maxiter:
+        beta = float(np.linalg.norm(r))
+        cycle_len = min(restart, maxiter - total)
+        basis = np.zeros((n, cycle_len + 1), order="F")
+        basis[:, 0] = r / beta
+        qr = ReferenceGivensQR(cycle_len, beta)
+        for j in range(cycle_len):
+            h_col, _, breakdown = reference_arnoldi_step(matvec, basis, j)
+            assert not breakdown
+            history.append(qr.add_column(h_col))
+        total += cycle_len
+        y = reference_solve_triangular(qr.R[:cycle_len, :cycle_len], qr.g[:cycle_len])
+        x = x + basis[:, :cycle_len] @ y
+        r = b - matvec(x)
+    return x, history
+
+
+def reference_fgmres(matvec, b: np.ndarray, inner, max_outer: int, tol: float,
+                     breakdown_tol: float = 1e-12):
+    """Flexible GMRES's outer loop with the STANDARD least-squares policy.
+
+    No detector or injector, and finite inner results.  Returns
+    ``(x, history, H, qr)``.
+    """
+    n = b.shape[0]
+    x = np.zeros(n)
+    r = b - matvec(x)
+    beta = float(np.linalg.norm(r))
+    target = tol * float(np.linalg.norm(b))
+    Q = np.zeros((n, max_outer + 1), order="F")
+    Z = np.zeros((n, max_outer), order="F")
+    Q[:, 0] = r / beta
+    H = np.zeros((max_outer + 1, max_outer))
+    qr = ReferenceGivensQR(max_outer, beta)
+    history = [beta]
+    k = 0
+    for j in range(max_outer):
+        z_j = inner(Q[:, j])
+        Z[:, j] = z_j
+        v = matvec(z_j)
+        h_col = np.zeros(j + 2)
+        w = v.copy()
+        for i in range(j + 1):
+            h = float(np.dot(Q[:, i], w))
+            h_col[i] = h
+            w -= h * Q[:, i]
+        h_sub = float(np.linalg.norm(w))
+        h_col[j + 1] = h_sub
+        H[: j + 2, j] = h_col
+        resid_est = qr.add_column(h_col)
+        k = j + 1
+        history.append(resid_est)
+        scale = max(float(np.abs(h_col[: j + 1]).max()), 1.0)
+        if h_sub <= breakdown_tol * scale:
+            break
+        Q[:, j + 1] = w / h_sub
+        if np.isfinite(resid_est) and resid_est <= target:
+            break
+    y = reference_solve_triangular(qr.R[:k, :k], qr.g[:k])
+    return x + Z[:, :k] @ y, history, H[: k + 1, :k], qr
+

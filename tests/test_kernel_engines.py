@@ -15,6 +15,8 @@ The contract under test:
   that substitution, bit for bit, Inf/NaN included;
 * scipy is imported when the first factor is built, never by
   ``import repro`` or by a solve that builds no factor;
+* ``numpy.random`` is imported by ``ServiceDaemon.serve`` before its
+  first fork, never by ``import repro`` or the service modules;
 * matrices and factors survive pickling bit for bit, solve path included;
 * the products' boundary normalization never copies in a solver hot loop;
 * the kernel tiers that once chose between these paths are unknown names
@@ -401,12 +403,50 @@ class TestImportBoundary:
             assert result.converged
             assert "scipy.sparse.linalg" in sys.modules, "ILU(0) solve"
         """)
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        _run_isolated(script)
+
+    def test_numpy_random_loads_with_the_daemon_only(self, tmp_path):
+        """``import repro``, the service modules and the runner's service
+        command lookup leave ``numpy.random`` unloaded (every CLI command
+        pays for them); ``ServiceDaemon.serve`` imports it before its first
+        scheduler round, so forked job workers inherit it."""
+        script = textwrap.dedent(f"""
+            import sys
+            import threading
+            import repro
+            from repro.experiments import runner
+            from repro.service import ServiceDaemon
+
+            assert "repro.service.server" in sys.modules
+            assert runner._service_commands()
+            assert "numpy.random" not in sys.modules, "import repro.service"
+            daemon = ServiceDaemon({str(tmp_path)!r}, port=0)
+            loaded = []
+            tick = daemon.scheduler.tick
+
+            def first_tick():
+                loaded.append("numpy.random" in sys.modules)
+                daemon.request_stop()
+                tick()
+
+            daemon.scheduler.tick = first_tick
+            thread = threading.Thread(target=daemon.serve, kwargs={{"quiet": True}})
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "the daemon did not stop"
+            assert loaded == [True], loaded
+        """)
+        _run_isolated(script)
+
+
+def _run_isolated(script: str) -> None:
+    """Run ``script`` in a fresh interpreter with this checkout's ``src/``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ----------------------------------------------------------------------------
