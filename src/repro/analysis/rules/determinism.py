@@ -6,9 +6,10 @@ only while everything feeding a trial's outcome is a pure function of the
 campaign seed and the trial index.  This rule patrols the modules on that
 path (``repro/core/``, ``repro/faults/``, ``repro/exec/``) and flags:
 
-* ``time.time()`` — wall clock reads (the supervisor's heartbeat/timeout
-  bookkeeping is legitimate infrastructure wall-clock and carries
-  ``# repro: allow(RPR002)`` pragmas);
+* ``time.time()`` — wall clock reads (infrastructure that times things,
+  such as the supervisor's hard-timeout deadlines, reads
+  ``time.monotonic()``, which this rule leaves alone; a wall-clock read that
+  is truly infrastructure may carry a ``# repro: allow(RPR002)`` pragma);
 * unseeded randomness: any ``random.*`` call, module-level
   ``np.random.<fn>(...)`` draws, and ``np.random.default_rng()`` with no
   seed (the blessed pattern is ``default_rng((seed, trial_index))`` — see

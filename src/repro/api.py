@@ -149,8 +149,8 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
     chaos : ChaosPolicy, optional
         Infrastructure fault injection for the ``"sharded"`` backend — test
         and CI instrumentation that kills/hangs shard workers and tears
-        store appends (see :mod:`repro.faults.chaos`).  Ignored by the
-        in-process backends.
+        their record messages (see :mod:`repro.faults.chaos`).  Ignored by
+        the in-process backends.
 
     Returns
     -------
@@ -185,7 +185,7 @@ def iter_trials(problem: Any = None, spec: Any = None,
 
     A lazy generator over the serial backend (each record is yielded before
     the next trial starts); per completed batch on the batched backend, and
-    as shard records land on the sharded backend (in completion order).
+    as shard workers send them on the sharded backend (in completion order).
     Each record is provenance-stamped.  Closing the generator early shuts
     the execution backend down cleanly.
 
@@ -288,9 +288,9 @@ def _run_stored_campaign(campaign: FaultCampaign, store: RunStore, *,
         on_supervisor_state=lambda state: store.update_manifest_extra(
             run_id, supervisor=state))
     store.finalize(run_id)
-    # Compact shard directories into the flat layout now that the run is
-    # complete (a no-op for unsharded runs); an interrupted run never gets
-    # here, so its shard files stay put for resume.
+    # A run begun by an older release may hold shard directories: compact
+    # them into the flat layout now that the run is complete (a no-op for
+    # every run this release writes).
     store.merge_shards(run_id)
     return result
 

@@ -16,7 +16,6 @@ from repro.exec.executor import (
 )
 from repro.exec.spec import TrialSpec
 from repro.exec.supervisor import (
-    DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_MAX_RETRIES,
     EXIT_DRAINED,
     ShardedSupervisor,
@@ -28,7 +27,6 @@ __all__ = [
     "BACKENDS",
     "BACKEND_KNOBS",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_MAX_RETRIES",
     "EXIT_DRAINED",
     "ShardedSupervisor",

@@ -14,10 +14,10 @@ section (:class:`~repro.specs.ExecutionSpec`):
   the backend that wins on a single-core host.
 * ``"sharded"`` — the multi-process engine (:mod:`repro.exec.supervisor`):
   the trial range is partitioned into ``workers`` contiguous shards, each
-  run by a dedicated worker process writing its own durable shard store;
-  the supervisor watches heartbeats, SIGKILLs workers stuck past
-  ``trial_timeout``, restarts crashed workers with bounded retries, and
-  quarantines poison trials.
+  run by a dedicated worker process that sends its records to the
+  supervisor over a pipe; the supervisor, the run's only writer, SIGKILLs
+  workers stuck past ``trial_timeout``, restarts crashed workers with
+  bounded retries, and quarantines poison trials.
 
 :func:`resolve_backend` is the one place that turns the execution knobs
 into a backend; :class:`~repro.specs.ExecutionSpec` validation and the
@@ -39,7 +39,7 @@ Design invariants:
   so it is the same on every backend and on resume.
 * **Streaming completion.**  Records stream as trials complete on every
   backend (lazily on serial, per completed batch on batched, as shard
-  records land on sharded) — the primitive under ``run()``, the
+  workers send them on sharded) — the primitive under ``run()``, the
   ``iter_trials()`` facade, and the run store's incremental checkpointing.
   Progress reaches observers only as ``trial_completed`` events on a
   campaign's sink (see

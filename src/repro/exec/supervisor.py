@@ -10,33 +10,34 @@ module supervises instead of trusting:
 
 * the trial list is partitioned into ``shards`` contiguous blocks
   (:func:`partition_shards`), each run by a dedicated worker **process**;
-* every worker appends finished trials to its own durable shard store
-  (``<run_dir>/shard-<k>/trials.jsonl``) through the store's
-  :class:`~repro.results.store.RunWriter`, so shard stores merge on read,
-  and refreshes a heartbeat file once per trial;
-* the supervisor tails the shard files with the store's
-  :func:`~repro.results.store.read_trial_file` (yielding records as they land),
-  SIGKILLs a worker whose heartbeat shows its current trial past the hard
-  ``trial_timeout``, restarts crashed workers with exponential backoff, and
-  counts per-trial crash blame — a trial that takes its worker down
-  ``max_retries`` times is quarantined as a ``status="error"`` record whose
-  message starts with ``"poison"`` instead of wedging the shard forever;
+* every worker sends the supervisor, over its own one-way pipe, the index of
+  each trial it starts and then the finished record.  The supervisor yields
+  the records, and ``FaultCampaign.iter_records`` persists them through the
+  run's one :class:`~repro.results.store.RunWriter`: a worker never touches
+  the store, so one that outlives its supervisor dies on its next send (a
+  broken pipe) without writing anything;
+* the supervisor blocks in :func:`multiprocessing.connection.wait` on the
+  pipes, the workers' sentinels and a self-pipe, with a timeout only while a
+  hard ``trial_timeout`` deadline or a restart backoff is pending.  It
+  SIGKILLs a worker whose current trial is past the budget, restarts
+  crashed workers with exponential backoff, and counts per-trial crash
+  blame — a trial that takes its worker down ``max_retries`` times is
+  quarantined as a ``status="error"`` record whose message starts with
+  ``"poison"`` instead of wedging the shard forever;
 * SIGTERM (or :meth:`ShardedSupervisor.request_drain`) drains gracefully:
   workers finish their current trial and exit at the next trial boundary,
-  every durable record is collected, and :class:`SupervisorDrained` is
+  every record they sent is yielded, and :class:`SupervisorDrained` is
   raised so the caller checkpoints — ``resume=True`` re-runs exactly the
   casualties.
 
-Communication is file-only (trial files + heartbeats); nothing is lost when
-a worker dies mid-anything — a torn trailing line is truncated away once
-the writer is confirmed dead, by the store's
-:func:`~repro.results.store.recover_trial_file`.
+A worker's death shows as end-of-file on its pipe, after every message it
+finished sending; a message torn by a SIGKILL reads as end-of-file too, so
+the trial it carried is blamed like any other in-flight trial.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import shutil
@@ -44,31 +45,32 @@ import signal
 import sys
 import tempfile
 import time
+import weakref
+from multiprocessing.connection import wait
 
-from repro.results.store import (RunWriter, read_trial_file, recover_trial_file,
-                                 shard_dir_name, trials_path)
-from repro.utils.io import atomic_write_json
-
-__all__ = ["DEFAULT_HEARTBEAT_INTERVAL", "DEFAULT_MAX_RETRIES", "EXIT_DRAINED",
-           "ShardedSupervisor", "SupervisorDrained", "partition_shards",
-           "read_heartbeat", "write_heartbeat"]
+__all__ = ["DEFAULT_MAX_RETRIES", "EXIT_DRAINED", "ShardedSupervisor",
+           "SupervisorDrained", "partition_shards"]
 
 #: Crashes a single trial may cause before it is quarantined as poison.
 DEFAULT_MAX_RETRIES = 3
-#: Seconds between supervisor liveness polls of the shard heartbeats.
-DEFAULT_HEARTBEAT_INTERVAL = 0.1
 #: Worker exit code meaning "drained at a trial boundary" (not a crash).
 EXIT_DRAINED = 96
 
-_HEARTBEAT = "heartbeat.json"
+#: Seconds before a crashed shard's first restart; each further restart of
+#: the shard doubles it, up to :data:`_BACKOFF_CAP`.
+_BACKOFF_BASE = 0.05
+_BACKOFF_CAP = 2.0
+#: Seconds a drain waits for workers to reach a trial boundary before
+#: SIGKILLing them.
+_DRAIN_GRACE = 10.0
 
 
 class SupervisorDrained(RuntimeError):
     """The supervised campaign was drained (SIGTERM / ``request_drain``).
 
-    Every record durable at drain time was yielded before this was raised;
-    the un-run remainder stays un-run so a store-backed campaign resumes
-    exactly the casualties.
+    Every record a worker finished before the drain was yielded before this
+    was raised; the un-run remainder stays un-run so a store-backed campaign
+    resumes exactly the casualties.
     """
 
 
@@ -94,92 +96,68 @@ def partition_shards(specs, shards: int) -> list[list]:
     return blocks
 
 
-def write_heartbeat(path: str, payload: dict) -> None:
-    """Atomically replace a heartbeat file (readers never see a tear)."""
-    atomic_write_json(path, payload)
-
-
-def read_heartbeat(path: str) -> dict | None:
-    """A heartbeat payload, or ``None`` when absent/unreadable."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (FileNotFoundError, ValueError):
-        return None
-
-
 # ---------------------------------------------------------------------- #
 # the worker (module level so it works under any start method)
 # ---------------------------------------------------------------------- #
-def _shard_worker(campaign, specs, shard_dir: str, retries, chaos) -> None:
-    """Run one shard's trials, appending each to the shard's trial file.
+def _shard_worker(campaign, specs, conn, retries, chaos, readers) -> None:
+    """Run one shard's trials, sending each record to the supervisor.
 
-    Per trial: refresh the heartbeat (the supervisor's liveness/timeout
-    signal), run the solve with PR 7's crash isolation, append the finished
-    record as one flushed JSONL line.  SIGTERM requests a drain — the
+    Per trial: send the trial's index (the supervisor's blame and
+    hard-timeout clock start on it), run the solve with the campaign's crash
+    isolation, send ``(index, record)``.  SIGTERM requests a drain — the
     current trial finishes, then the worker exits :data:`EXIT_DRAINED` at
-    the trial boundary.  ``chaos`` (test instrumentation) may kill this
-    process, raise, delay heartbeats, or tear the trailing append.
+    the trial boundary.  ``readers`` are the supervisor's pipe ends this
+    process inherited; closing them leaves the supervisor the only reader,
+    so a send after its death fails.  ``chaos`` (test instrumentation) may
+    kill this process, raise, hang, or tear a record's message.
     """
+    for reader in readers:
+        reader.close()
     drain = {"requested": False}
 
     def _on_term(signum, frame):  # noqa: ARG001 - signal handler signature
         drain["requested"] = True
 
     signal.signal(signal.SIGTERM, _on_term)
-    heartbeat_path = os.path.join(shard_dir, _HEARTBEAT)
-    done = 0
-    total = len(specs)
-    with RunWriter(shard_dir) as writer:
+    try:
         for spec in specs:
             if drain["requested"]:
                 sys.exit(EXIT_DRAINED)
-            if chaos is not None:
-                chaos.on_heartbeat(spec.index)
-            # Heartbeat timestamps are infrastructure liveness, not trial
-            # identity — the one legitimate wall-clock read in a worker.
-            now = time.time()  # repro: allow(RPR002)
-            write_heartbeat(heartbeat_path, {
-                "pid": os.getpid(), "current_index": int(spec.index),
-                "started_at": now, "done": done, "total": total,
-                "updated_at": now,
-            })
+            conn.send(spec.index)
             if chaos is not None:
                 chaos.on_trial_start(spec.index)
-            record = campaign.stamp(campaign.run_spec_safe(spec))
-            attempts = int(retries.get(spec.index, 0)) if retries else 0
-            if attempts:
-                record = dataclasses.replace(record, retries=attempts)
+            record = campaign.run_spec_safe(spec)
+            if retries.get(spec.index):
+                record = dataclasses.replace(record, retries=retries[spec.index])
             if chaos is not None:
-                chaos.on_append(spec.index, writer.path, record)
-            writer.append(spec.index, record)
-            done += 1
+                chaos.on_send(conn, spec.index, record)
+            conn.send((spec.index, record))
             if chaos is not None:
-                chaos.on_trial_appended(spec.index)
+                chaos.on_trial_sent(spec.index)
+    except BrokenPipeError:
+        sys.exit(1)  # the supervisor is gone, and nothing may outlive it
     sys.exit(0)
 
 
 class _Shard:
     """Supervisor-side bookkeeping for one worker process."""
 
-    __slots__ = ("id", "specs", "by_index", "dir", "trial_path",
-                 "heartbeat_path", "proc", "offset", "recorded", "yielded",
-                 "done", "restarts", "restart_at", "timeout_kill")
+    __slots__ = ("specs", "by_index", "proc", "conn", "current", "due",
+                 "recorded", "done", "restarts", "timeout_kill")
 
-    def __init__(self, shard_id: int, specs, shard_dir: str):
-        self.id = shard_id
+    def __init__(self, specs):
         self.specs = list(specs)
         self.by_index = {spec.index: spec for spec in self.specs}
-        self.dir = shard_dir
-        self.trial_path = trials_path(shard_dir)
-        self.heartbeat_path = os.path.join(shard_dir, _HEARTBEAT)
         self.proc = None
-        self.offset: int | None = None  # tail position in the trial file
-        self.recorded: set[int] = set()  # durable indices from this session
-        self.yielded: set[int] = set()
+        self.conn = None  # the read end of the worker's pipe
+        self.current: int | None = None  # the trial the worker last started
+        #: When the supervisor must act without a message: the current
+        #: trial's hard-timeout deadline while a worker runs, the restart
+        #: time while none does (``time.monotonic()``; None: never).
+        self.due: float | None = None
+        self.recorded: set[int] = set()  # indices yielded this session
         self.done = False
         self.restarts = 0
-        self.restart_at = 0.0
         self.timeout_kill: int | None = None
 
 
@@ -188,6 +166,10 @@ class _Shard:
 # ---------------------------------------------------------------------- #
 class ShardedSupervisor:
     """Supervises shard worker processes for one campaign execution.
+
+    The hard per-trial budget is ``campaign.trial_timeout``: a worker whose
+    current trial runs past it is SIGKILL-ed and the trial recorded as a
+    hard-timeout error.
 
     Parameters
     ----------
@@ -198,13 +180,9 @@ class ShardedSupervisor:
     max_retries : int, optional
         Crashes one trial may cause before poison quarantine (default
         :data:`DEFAULT_MAX_RETRIES`).
-    trial_timeout : float, optional
-        Hard per-trial budget; defaults to ``campaign.trial_timeout``.  A
-        worker whose heartbeat shows its current trial past the budget is
-        SIGKILL-ed and the trial recorded as a hard-timeout error.
     run_dir : str, optional
-        Directory for the ``shard-<k>/`` stores (a RunStore run directory,
-        or an ephemeral temp dir when omitted).
+        The run directory, where ``chaos`` keeps its firing markers (a
+        temporary directory when omitted).
     chaos : ChaosPolicy, optional
         Infrastructure fault injection (:mod:`repro.faults.chaos`).
     on_state : callable, optional
@@ -214,10 +192,7 @@ class ShardedSupervisor:
     """
 
     def __init__(self, campaign, *, shards: int, max_retries: int | None = None,
-                 trial_timeout: float | None = None,
-                 run_dir: str | None = None, chaos=None,
-                 on_state=None, backoff_base: float = 0.05,
-                 backoff_cap: float = 2.0, drain_grace: float = 10.0):
+                 run_dir: str | None = None, chaos=None, on_state=None):
         if shards <= 0:
             raise ValueError(f"shards must be positive, got {shards}")
         self.campaign = campaign
@@ -227,20 +202,24 @@ class ShardedSupervisor:
         if self.max_retries <= 0:
             raise ValueError(
                 f"max_retries must be positive, got {self.max_retries}")
-        self.trial_timeout = (campaign.trial_timeout if trial_timeout is None
-                              else trial_timeout)
+        self.trial_timeout = campaign.trial_timeout
         self.run_dir = run_dir
         self.chaos = chaos
         self.on_state = on_state
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-        self.drain_grace = float(drain_grace)
         #: Per-trial crash counts (``{trial index: crashes}``).
         self.retries: dict[int, int] = {}
         #: Indices quarantined as poison this session.
         self.quarantined: set[int] = set()
         self._drain_requested = False
         self._drain_signal = False
+        # A flag alone cannot wake the wait (PEP 475 retries an interrupted
+        # select), so a drain request also writes to this self-pipe.  It
+        # lives as long as the supervisor: a late request from another
+        # thread never writes to a closed (and reused) descriptor.
+        self._wake_r, self._wake_w = os.pipe()
+        for fd in (self._wake_r, self._wake_w):
+            os.set_blocking(fd, False)
+            weakref.finalize(self, os.close, fd)
         try:
             # fork: workers inherit the built campaign cheaply; fall back to
             # the platform default where fork is unavailable.
@@ -250,8 +229,15 @@ class ShardedSupervisor:
 
     # ------------------------------------------------------------------ #
     def request_drain(self) -> None:
-        """Ask the supervisor to drain gracefully (programmatic SIGTERM)."""
+        """Ask the supervisor to drain gracefully (programmatic SIGTERM).
+
+        Safe from any thread and from signal handlers.
+        """
         self._drain_requested = True
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # a wake is already pending
 
     def state(self) -> dict:
         """JSON-ready retry/quarantine bookkeeping (manifest payload)."""
@@ -266,28 +252,21 @@ class ShardedSupervisor:
         """Supervise the shards; yield ``(index, record)`` as trials land.
 
         The generator is the supervisor: consuming it drives spawning,
-        heartbeat/timeout policing, restarts, and quarantine.  Raises
+        timeout policing, restarts, and quarantine.  Raises
         :class:`SupervisorDrained` after a graceful drain.
         """
         specs = list(specs)
         if not specs:
             return
-        own_dir = None
-        run_dir = self.run_dir
-        if run_dir is None:
-            # Storeless campaign: the shard stores still need a durable
-            # home (they are the crash-survival mechanism), just not a
-            # permanent one.
-            own_dir = tempfile.mkdtemp(prefix="repro-shards-")
-            run_dir = own_dir
-        chaos = (self.chaos.bound_to(run_dir)
-                 if self.chaos is not None else None)
-        shard_count = min(self.shards, len(specs))
-        shards = []
-        for shard_id, block in enumerate(partition_shards(specs, shard_count)):
-            shard_dir = os.path.join(run_dir, shard_dir_name(shard_id))
-            os.makedirs(shard_dir, exist_ok=True)
-            shards.append(_Shard(shard_id, block, shard_dir))
+        chaos, chaos_home = self.chaos, None
+        if chaos is not None:
+            # The firing markers need a directory every worker shares.
+            home = self.run_dir
+            if home is None:
+                home = chaos_home = tempfile.mkdtemp(prefix="repro-chaos-")
+            chaos = chaos.bound_to(home)
+        shards = [_Shard(block) for block in
+                  partition_shards(specs, min(self.shards, len(specs)))]
         previous_handler = None
         handler_installed = False
         try:
@@ -298,30 +277,25 @@ class ShardedSupervisor:
             except ValueError:
                 pass  # not the main thread: request_drain() still works
             for shard in shards:
-                self._spawn(shard, chaos)
-            while True:
+                self._spawn(shard, shards, chaos)
+            while not all(shard.done for shard in shards):
                 if self._drain_requested:
                     yield from self._drain(shards)
                     raise SupervisorDrained(
-                        "supervised campaign drained; durable records were "
+                        "supervised campaign drained; finished records were "
                         "yielded, resume re-runs the remainder")
-                progressed = False
+                ready = self._wait(shards)
                 for shard in shards:
-                    for item in self._poll(shard, chaos):
-                        progressed = True
-                        yield item
-                if all(shard.done for shard in shards):
-                    break
-                if not progressed:
-                    time.sleep(min(DEFAULT_HEARTBEAT_INTERVAL, 0.05))
+                    yield from self._step(shard, shards, ready, chaos)
         finally:
             for shard in shards:
-                proc = shard.proc
-                if proc is not None:
-                    if proc.is_alive():
-                        proc.kill()
-                    proc.join()
+                if shard.proc is not None:
+                    shard.proc.kill()
+                    shard.proc.join()
                     shard.proc = None
+                if shard.conn is not None:
+                    shard.conn.close()
+                    shard.conn = None
             if handler_installed:
                 signal.signal(signal.SIGTERM, previous_handler)
                 if self._drain_signal:
@@ -330,8 +304,52 @@ class ShardedSupervisor:
                     # (`timeout --signal=TERM` in CI sees exit 143) now that
                     # every checkpoint is durable.
                     os.kill(os.getpid(), signal.SIGTERM)
-            if own_dir is not None:
-                shutil.rmtree(own_dir, ignore_errors=True)
+            if chaos_home is not None:
+                shutil.rmtree(chaos_home, ignore_errors=True)
+
+    # ------------------------------------------------------------------ #
+    # the event loop
+    # ------------------------------------------------------------------ #
+    def _wait(self, shards) -> list:
+        """Block until a message, a worker exit, a drain request, or the
+        earliest ``due`` time; the ready pipes and sentinels."""
+        running = [shard for shard in shards if shard.proc is not None]
+        due = [shard.due for shard in shards
+               if shard.due is not None and not shard.done]
+        timeout = (None if not due
+                   else max(0.0, min(due) - time.monotonic()))
+        ready = wait([self._wake_r]
+                     + [shard.conn for shard in running]
+                     + [shard.proc.sentinel for shard in running], timeout)
+        if self._wake_r in ready:
+            try:
+                while os.read(self._wake_r, 4096):
+                    pass
+            except BlockingIOError:
+                pass
+        return ready
+
+    def _step(self, shard: _Shard, shards, ready, chaos):
+        """Act on one shard after a wait (a generator of records)."""
+        if shard.done:
+            return
+        proc = shard.proc
+        if proc is None:
+            if time.monotonic() >= shard.due:
+                self._spawn(shard, shards, chaos)
+            return
+        exited = proc.sentinel in ready
+        if exited or shard.conn in ready:
+            eof = yield from self._receive(shard)
+            if eof or exited:
+                yield from self._reap(shard)
+        elif shard.due is not None and time.monotonic() >= shard.due:
+            proc.kill()
+            # Remember whom we shot: the crash handler records the hard
+            # timeout instead of charging the trial a crash retry (the
+            # budget verdict is final; only an explicit resume re-runs it).
+            shard.timeout_kill = shard.current
+            yield from self._reap(shard)
 
     # ------------------------------------------------------------------ #
     # shard lifecycle
@@ -340,51 +358,54 @@ class ShardedSupervisor:
         return [spec for spec in shard.specs
                 if spec.index not in shard.recorded]
 
-    def _spawn(self, shard: _Shard, chaos) -> None:
+    def _spawn(self, shard: _Shard, shards, chaos) -> None:
         pending = self._pending(shard)
         if not pending:
             shard.done = True
             return
-        if shard.offset is None:
-            # First spawn: heal any prior-session torn tail and start the
-            # tail offset past prior records (a resume's already-superseded
-            # error records must not be re-yielded as this session's work).
-            _, shard.offset, _ = recover_trial_file(shard.trial_path)
-        try:
-            # A stale heartbeat (from a dead worker or prior session) must
-            # never feed the timeout police.
-            os.unlink(shard.heartbeat_path)
-        except OSError:
-            pass
-        retries = {index: count for index, count in self.retries.items()}
+        shard.conn, sender = self._mp.Pipe(duplex=False)
+        shard.current = shard.due = None
+        readers = [other.conn for other in shards if other.conn is not None]
         proc = self._mp.Process(
             target=_shard_worker,
-            args=(self.campaign, pending, shard.dir, retries, chaos),
+            args=(self.campaign, pending, sender, dict(self.retries), chaos,
+                  readers),
             daemon=True,
         )
+        try:
+            proc.start()
+        finally:
+            sender.close()  # the worker holds the only send end
         # Only a started process becomes the shard's: iter_records' cleanup
         # joins every shard.proc, and joining one whose start() raised would
         # replace that error with "can only join a started process".
-        proc.start()
         shard.proc = proc
 
-    def _poll(self, shard: _Shard, chaos):
-        """One supervision step for one shard (a generator of records)."""
-        if shard.done:
-            return
-        yield from self._collect(shard)
-        proc = shard.proc
-        if proc is None:
-            if time.monotonic() >= shard.restart_at:
-                self._spawn(shard, chaos)
-            return
-        if proc.is_alive():
-            self._check_timeout(shard)
-            return
-        proc.join()
-        exitcode = proc.exitcode
-        shard.proc = None
-        yield from self._collect(shard, heal=True)
+    def _receive(self, shard: _Shard):
+        """Yield the records waiting in a shard's pipe (a generator).
+
+        Returns True once the pipe reads end-of-file: the worker is gone, and
+        a message its death tore is discarded with it.
+        """
+        try:
+            while shard.conn.poll():
+                message = shard.conn.recv()
+                if isinstance(message, tuple):  # a finished trial
+                    index, record = message
+                    shard.recorded.add(index)
+                    shard.due = None
+                    yield index, record
+                else:  # the index of the trial the worker starts
+                    shard.current = message
+                    shard.due = (None if self.trial_timeout is None
+                                 else time.monotonic() + self.trial_timeout)
+        except (EOFError, OSError):
+            return True
+        return False
+
+    def _reap(self, shard: _Shard):
+        """Collect an exited (or killed) worker and judge its exit."""
+        exitcode = yield from self._retire(shard)
         if exitcode in (0, EXIT_DRAINED):
             if exitcode == EXIT_DRAINED or not self._pending(shard):
                 # Finished its block, or drained (remainder left for resume).
@@ -394,37 +415,23 @@ class ShardedSupervisor:
             return
         yield from self._handle_crash(shard)
 
-    def _check_timeout(self, shard: _Shard) -> None:
-        if self.trial_timeout is None:
-            return
-        heartbeat = read_heartbeat(shard.heartbeat_path)
-        if heartbeat is None:
-            return
-        index = heartbeat.get("current_index")
-        started = heartbeat.get("started_at")
-        if index is None or started is None:
-            return
-        if int(index) in shard.recorded:
-            return  # already durable: the worker is past it
-        grace = max(2 * DEFAULT_HEARTBEAT_INTERVAL, 0.05)
-        # Timeout policing compares against the worker's wall-clock
-        # heartbeat stamp; never part of trial identity.
-        if time.time() - float(started) > self.trial_timeout + grace:  # repro: allow(RPR002)
-            proc = shard.proc
-            if proc is not None and proc.is_alive():
-                proc.kill()
-                proc.join()
-            # Remember whom we shot: the crash handler records the hard
-            # timeout instead of charging the trial a crash retry (the
-            # budget verdict is final; only an explicit resume re-runs it).
-            shard.timeout_kill = int(index)
+    def _retire(self, shard: _Shard):
+        """Join a shard's worker and yield what its pipe still holds; returns
+        the exit code.  Once the worker has exited every message it sent is
+        in the pipe."""
+        proc = shard.proc
+        proc.join()
+        yield from self._receive(shard)
+        shard.conn.close()
+        shard.proc = shard.conn = None
+        return proc.exitcode
 
     def _handle_crash(self, shard: _Shard):
         if shard.timeout_kill is not None:
             index = shard.timeout_kill
             shard.timeout_kill = None
-            if index not in shard.recorded and index in shard.by_index:
-                yield from self._append_error(
+            if index not in shard.recorded:
+                yield self._error(
                     shard, shard.by_index[index],
                     f"hard timeout: trial exceeded trial_timeout="
                     f"{self.trial_timeout:.3f}s; worker killed",
@@ -432,16 +439,14 @@ class ShardedSupervisor:
             self._schedule_restart(shard)
             return
         blame = None
-        heartbeat = read_heartbeat(shard.heartbeat_path)
-        if heartbeat is not None:
-            index = heartbeat.get("current_index")
-            if index is not None and int(index) not in shard.recorded:
-                # Died with this trial in flight.  (If the index is already
-                # durable the worker died *between* trials — e.g. killed
-                # right after the append landed — and no trial is to blame.)
-                blame = int(index)
+        if shard.current is not None:
+            if shard.current not in shard.recorded:
+                # Died with this trial in flight.  (If its record arrived the
+                # worker died *between* trials — e.g. killed right after the
+                # send — and no trial is to blame.)
+                blame = shard.current
         else:
-            # Died before the first heartbeat: blame the first pending trial
+            # Died before starting a trial: blame the first pending trial
             # (the one it was about to start).
             pending = self._pending(shard)
             if pending:
@@ -451,12 +456,11 @@ class ShardedSupervisor:
             self.retries[blame] = count
             if count >= self.max_retries and blame not in self.quarantined:
                 self.quarantined.add(blame)
-                if blame in shard.by_index:
-                    yield from self._append_error(
-                        shard, shard.by_index[blame],
-                        f"poison: trial crashed its worker {count} time(s) "
-                        f"(max_retries={self.max_retries}); quarantined",
-                        retries=count)
+                yield self._error(
+                    shard, shard.by_index[blame],
+                    f"poison: trial crashed its worker {count} time(s) "
+                    f"(max_retries={self.max_retries}); quarantined",
+                    retries=count)
             self._emit_state()
         self._schedule_restart(shard)
 
@@ -465,67 +469,44 @@ class ShardedSupervisor:
             shard.done = True
             return
         shard.restarts += 1
-        backoff = min(self.backoff_base * (2 ** (shard.restarts - 1)),
-                      self.backoff_cap)
-        shard.restart_at = time.monotonic() + backoff
+        backoff = min(_BACKOFF_BASE * (2 ** (shard.restarts - 1)), _BACKOFF_CAP)
+        shard.due = time.monotonic() + backoff
 
-    # ------------------------------------------------------------------ #
-    # durable-record plumbing
-    # ------------------------------------------------------------------ #
-    def _collect(self, shard: _Shard, *, heal: bool = False):
-        """Yield records appended to the shard file since the last tail.
-
-        An incomplete final line waits for the next tail while its writer
-        lives; with ``heal`` (only ever with the writer dead) it is cut off.
-        """
-        if shard.offset is None:
-            return
-        read = recover_trial_file if heal else read_trial_file
-        pairs, shard.offset, _ = read(shard.trial_path, shard.offset)
-        for index, record in pairs:
-            shard.recorded.add(index)
-            if index not in shard.yielded:
-                shard.yielded.add(index)
-                yield index, record
-
-    def _append_error(self, shard: _Shard, spec, message: str,
-                      retries: int = 0):
-        """Append a supervisor-produced error record; yield it via the tail."""
-        record = self.campaign.stamp(
-            self.campaign.error_record(spec, message, retries=retries))
-        with RunWriter(shard.dir) as writer:
-            writer.append(spec.index, record)
-        yield from self._collect(shard)
+    def _error(self, shard: _Shard, spec, message: str, retries: int = 0):
+        """A supervisor-produced error record for ``spec``, as ``(index, record)``."""
+        shard.recorded.add(spec.index)
+        return spec.index, self.campaign.error_record(spec, message,
+                                                      retries=retries)
 
     # ------------------------------------------------------------------ #
     # drain
     # ------------------------------------------------------------------ #
     def _on_sigterm(self, signum, frame):  # noqa: ARG002 - handler signature
-        self._drain_requested = True
         self._drain_signal = True
+        self.request_drain()
 
     def _drain(self, shards):
-        """Checkpoint every shard: SIGTERM workers, collect, heal tails."""
-        for shard in shards:
-            proc = shard.proc
-            if proc is not None and proc.is_alive():
-                proc.terminate()  # workers exit EXIT_DRAINED at the boundary
-        deadline = time.monotonic() + self.drain_grace
-        while time.monotonic() < deadline:
-            if not any(shard.proc is not None and shard.proc.is_alive()
-                       for shard in shards):
+        """Checkpoint every shard: SIGTERM workers, yield what they send."""
+        running = [shard for shard in shards if shard.proc is not None]
+        for shard in running:
+            shard.proc.terminate()  # workers exit EXIT_DRAINED at the boundary
+        deadline = time.monotonic() + _DRAIN_GRACE
+        while running:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 break
-            time.sleep(0.02)
-        for shard in shards:
-            proc = shard.proc
-            if proc is None:
-                continue
-            if proc.is_alive():
-                proc.kill()  # stuck mid-trial past the grace: no mercy
-            proc.join()
-            shard.proc = None
-        for shard in shards:
-            yield from self._collect(shard, heal=True)
+            ready = wait([shard.conn for shard in running]
+                         + [shard.proc.sentinel for shard in running], remaining)
+            for shard in list(running):
+                exited = shard.proc.sentinel in ready
+                if exited or shard.conn in ready:
+                    eof = yield from self._receive(shard)
+                    if eof or exited:
+                        yield from self._retire(shard)
+                        running.remove(shard)
+        for shard in running:
+            shard.proc.kill()  # stuck mid-trial past the grace: no mercy
+            yield from self._retire(shard)
 
     def _emit_state(self) -> None:
         if self.on_state is not None:

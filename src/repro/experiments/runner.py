@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "lockstep through shared block kernels in one "
                              "process and is the right choice on single-CPU "
                              "hosts; 'sharded' spreads trials over supervised, "
-                             "crash-isolated worker processes (heartbeats, hard "
+                             "crash-isolated worker processes (hard "
                              "timeouts, retries, poison quarantine) and wins "
                              "when spare CPU cores are available")
     parser.add_argument("--batch-size", type=int, default=None, dest="batch_size",

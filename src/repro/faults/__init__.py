@@ -21,7 +21,7 @@ a chosen class.  This package generalizes that methodology:
 * :mod:`repro.faults.campaign`  — sweep drivers that run a solver over every
   injection location and fault class (the engine behind Figures 3 and 4);
 * :mod:`repro.faults.chaos`     — infrastructure fault injection (worker
-  kills, hangs, torn store appends) for the sharded supervisor's tests.
+  kills, hangs, torn record messages) for the sharded supervisor's tests.
 """
 
 from repro.faults.bitflip import flip_bit, random_bit_flip

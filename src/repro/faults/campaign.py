@@ -854,8 +854,8 @@ class FaultCampaign:
         :func:`repro.api.iter_trials`, and the run store's incremental
         checkpointing.  It runs on :attr:`backend`: lazily one by one on
         ``"serial"``, per completed batch on ``"batched"``
-        (:meth:`iter_specs_batched`), and as shard records land on
-        ``"sharded"`` (:class:`~repro.exec.supervisor.ShardedSupervisor`,
+        (:meth:`iter_specs_batched`), and as shard workers send their records
+        on ``"sharded"`` (:class:`~repro.exec.supervisor.ShardedSupervisor`,
         which also takes the ``chaos`` policy of :mod:`repro.faults.chaos`
         and ``on_supervisor_state``, called whenever its retry/quarantine
         bookkeeping changes).  Records arrive in completion order;
@@ -866,11 +866,9 @@ class FaultCampaign:
         Persist first, observe second: with ``run_dir`` (a run-store run
         directory) every record is durable before it is yielded, so an
         interrupt raised by whoever consumes the stream never loses a
-        completed trial.  The in-process backends append it to
-        ``<run_dir>/trials.jsonl`` through a
-        :class:`~repro.results.store.RunWriter`; the sharded workers append
-        to their own ``<run_dir>/shard-<k>/`` files (an ephemeral temp dir
-        when ``run_dir`` is omitted).
+        completed trial.  On every backend this process alone appends the
+        records, to ``<run_dir>/trials.jsonl`` through one
+        :class:`~repro.results.store.RunWriter`.
         """
         specs = list(specs)
         if len({spec.index for spec in specs}) != len(specs):
@@ -878,7 +876,6 @@ class FaultCampaign:
         if not specs:
             return
         backend = self.backend
-        writer = None
         if backend == "sharded":
             from repro.exec.supervisor import ShardedSupervisor
 
@@ -886,11 +883,11 @@ class FaultCampaign:
                 self, shards=resolve_workers(self.spec.exec.workers),
                 max_retries=self.spec.exec.max_retries, run_dir=run_dir,
                 chaos=chaos, on_state=on_supervisor_state).iter_records(specs)
+        elif backend == "batched":
+            records = self.iter_specs_batched(specs)
         else:
-            records = (self.iter_specs_batched(specs) if backend == "batched" else
-                       ((spec.index, self.run_spec_safe(spec)) for spec in specs))
-            if run_dir is not None:
-                writer = RunWriter(run_dir)
+            records = ((spec.index, self.run_spec_safe(spec)) for spec in specs)
+        writer = None if run_dir is None else RunWriter(run_dir)
         try:
             for index, record in records:
                 record = self.stamp(record)

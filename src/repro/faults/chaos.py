@@ -13,29 +13,29 @@ scheduled trial indices:
   OOM-killer / segfault scenario);
 * ``raise_before`` — raise :class:`ChaosError` outside the solve's crash
   isolation (an infrastructure bug, not a trial error);
-* ``kill_during_append`` — flush a torn partial line, then SIGKILL (crash
-  mid-append: exercises tail healing);
-* ``kill_after_append`` — SIGKILL right after the record is durable
+* ``kill_during_append`` — write part of the record's message to the
+  supervisor's pipe, then SIGKILL (a crash mid-send: the supervisor reads
+  the torn message as end-of-file);
+* ``kill_after_append`` — SIGKILL right after the record was sent
   (exercises the no-blame / no-duplicate path);
-* ``hang_before`` — sleep before the solve (exercises the hard timeout);
-* ``heartbeat_delay`` — stall every heartbeat write.
+* ``hang_before`` — sleep before the solve (exercises the hard timeout).
 
 Each scheduled firing is **one-shot across worker restarts**: firings are
 claimed through ``O_EXCL`` marker files in a state directory shared by all
-workers of the run (the supervisor binds it under the run directory via
-:meth:`ChaosPolicy.bound_to`), so "kill trial 3's worker twice" means
-exactly twice no matter how many times the worker respawns — which is
-precisely how a test drives a trial to poison quarantine.
+workers of the run (the supervisor binds it under the run directory, or a
+temporary one, via :meth:`ChaosPolicy.bound_to`), so "kill trial 3's worker
+twice" means exactly twice no matter how many times the worker respawns —
+which is precisely how a test drives a trial to poison quarantine.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import struct
 import time
 from dataclasses import dataclass, field, replace
-
-from repro.results.store import encode_trial
 
 __all__ = ["ChaosError", "ChaosPolicy"]
 
@@ -76,8 +76,6 @@ class ChaosPolicy:
     kill_after_append: dict = field(default_factory=dict)
     #: ``{trial index: seconds}`` — sleep before the solve (one-shot).
     hang_before: dict = field(default_factory=dict)
-    #: Seconds every heartbeat write is stalled (0 = no delay).
-    heartbeat_delay: float = 0.0
     #: Where firing markers live; ``None`` until :meth:`bound_to`.
     state_dir: str | None = None
 
@@ -88,9 +86,6 @@ class ChaosPolicy:
         object.__setattr__(self, "hang_before",
                            {int(k): float(v)
                             for k, v in dict(self.hang_before or {}).items()})
-        if self.heartbeat_delay < 0:
-            raise ValueError(f"heartbeat_delay must be >= 0, "
-                             f"got {self.heartbeat_delay}")
 
     # ------------------------------------------------------------------ #
     def bound_to(self, run_dir: str) -> "ChaosPolicy":
@@ -121,11 +116,6 @@ class ChaosPolicy:
     # ------------------------------------------------------------------ #
     # hooks called from inside the shard worker
     # ------------------------------------------------------------------ #
-    def on_heartbeat(self, index: int) -> None:
-        """Stall the heartbeat write (slow-disk / overloaded-host chaos)."""
-        if self.heartbeat_delay:
-            time.sleep(self.heartbeat_delay)
-
     def on_trial_start(self, index: int) -> None:
         """Fire hang/raise/kill faults scheduled right before the solve."""
         if self.hang_before.get(int(index)) and self._fire(
@@ -136,20 +126,18 @@ class ChaosPolicy:
         if self._fire("kill", self.kill_before, index):
             os.kill(os.getpid(), signal.SIGKILL)
 
-    def on_append(self, index: int, path: str, record) -> None:
-        """Tear the append of ``record`` to the trials file ``path`` if
-        scheduled: flush part of its line with no newline, then SIGKILL —
-        the torn-tail signature the supervisor and ``recover`` heal."""
+    def on_send(self, conn, index: int, record) -> None:
+        """Tear the message carrying ``record`` to the supervisor if
+        scheduled: write the first two thirds of the frame ``conn.send``
+        would write (a 4-byte length, then the pickle), then SIGKILL."""
         if not self._fire("tear", self.kill_during_append, index):
             return
-        line = encode_trial(index, record)
-        with open(path, "ab") as handle:
-            handle.write(line[: max(1, (2 * len(line)) // 3)])
-            handle.flush()
-            os.fsync(handle.fileno())
+        payload = pickle.dumps((index, record))
+        frame = struct.pack("!i", len(payload)) + payload
+        os.write(conn.fileno(), frame[: (2 * len(frame)) // 3])
         os.kill(os.getpid(), signal.SIGKILL)
 
-    def on_trial_appended(self, index: int) -> None:
-        """Fire kills scheduled right after the record became durable."""
+    def on_trial_sent(self, index: int) -> None:
+        """Fire kills scheduled right after the record was sent."""
         if self._fire("after", self.kill_after_append, index):
             os.kill(os.getpid(), signal.SIGKILL)

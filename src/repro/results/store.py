@@ -8,9 +8,9 @@ Layout (one directory per run under the store root)::
                           # baseline numbers, resolved locations, status
         trials.jsonl      # one TrialRecord per line, appended + flushed as
                           # each trial completes, in COMPLETION order
-        shard-<k>/        # sharded-supervisor runs: one store shard per
-          trials.jsonl    # worker process, merged on read (and compacted
-          heartbeat.json  # into the flat layout by merge_shards)
+        shard-<k>/        # legacy, read-only: a sharded run begun by an
+          trials.jsonl    # older release (merged on read, compacted into
+                          # the flat layout by merge_shards)
       artifacts/
         <name>.json       # non-campaign artifacts (Table I rows, Figure 2)
 
@@ -19,35 +19,35 @@ The trial log
 This module alone knows the trials-file format: :func:`encode_trial` writes
 a trial's line, :func:`read_trial_file` reads a file (or its tail from a
 byte offset), :func:`recover_trial_file` cuts a torn tail off, and
-:func:`trials_path` names a run's or shard's file.  A :class:`RunWriter`
-appends every line: to the flat file for the serial and batched backends
-(:meth:`~repro.faults.campaign.FaultCampaign.iter_records`), and to
-``shard-<k>/trials.jsonl`` in each sharded worker and for the supervisor's
-timeout and poison records; :meth:`RunStore.merge_shards` rewrites the flat
-file when a sharded run completes.
+:func:`trials_path` names a run's or shard's file.  One :class:`RunWriter`
+appends every line of a run to its flat file, in the process that runs the
+campaign, on every backend
+(:meth:`~repro.faults.campaign.FaultCampaign.iter_records`; the sharded
+backend's workers send their records to that process over pipes).
 
 Durability contract
 -------------------
 ``trials.jsonl`` is append-only and flushed per record, so a crash (or
-SIGTERM, or a SIGKILL-ed shard worker) at any point loses at most the record
-being written.  A torn final line is expected after a crash:
+SIGTERM, or SIGKILL) at any point loses at most the record being written.
+A torn final line is expected after a crash:
 :meth:`RunStore.read_trials` detects it, reports it, and
-:meth:`RunStore.recover` truncates the file (each shard file independently)
-back to its last complete record so appending can resume.  A corrupt line
+:meth:`RunStore.recover` truncates the file (and each legacy shard file
+independently) back to its last complete record so appending can resume.  A corrupt line
 *before* the final one is real corruption and raises :class:`RunStoreError`.
 
-Shard layout
-------------
-The sharded supervisor (:mod:`repro.exec.supervisor`) gives every worker
-process its own ``shard-<k>/trials.jsonl`` so crash recovery never has two
-writers on one file.  All read paths (:meth:`RunStore.read_trials`,
+Legacy shard layout
+-------------------
+Older releases had every sharded worker process append to its own
+``shard-<k>/trials.jsonl`` (beside a ``heartbeat.json``).  Nothing writes
+that layout any more, but runs that have it still load, resume and merge:
+all read paths (:meth:`RunStore.read_trials`,
 :meth:`~RunStore.load_result`, :meth:`~RunStore.query`,
 :meth:`~RunStore.completed_indices`) merge the flat file and every shard
 file transparently, deduping through the error-supersede rules; a resumed
-run may re-partition casualties across *different* shards, so a stale error
-record and its superseding measurement can appear in either file order.
-Once a run is complete, :meth:`RunStore.merge_shards` compacts the shards
-into the flat layout (idempotent, fingerprint-verified).
+run may have re-partitioned casualties across *different* shards, so a stale
+error record and its superseding measurement can appear in either file
+order.  Once such a run is complete, :meth:`RunStore.merge_shards` compacts
+the shards into the flat layout (idempotent, fingerprint-verified).
 
 Resume contract
 ---------------
@@ -243,7 +243,7 @@ class RunManifest:
 
 
 class RunWriter:
-    """Appends trial records to the trials file of a run or shard directory.
+    """Appends trial records to the trials file of a run directory.
 
     Each record is one :func:`encode_trial` line, flushed before
     :meth:`append` returns.
@@ -460,7 +460,7 @@ class RunStore:
 
         The supervisor's retry/quarantine accounting persists here, so a
         resumed campaign (and post-mortem analysis) can see how flaky the
-        infrastructure was without scanning shard files.
+        infrastructure was without scanning trial files.
         """
         with self._manifest_lock(run_id):
             manifest = self.manifest(run_id)
@@ -538,9 +538,9 @@ class RunStore:
     def recover(self, run_id: str) -> list[tuple[int, Any]]:
         """Cut torn tails so appends can resume; return the latest records.
 
-        Shard-aware: each trials file (flat and per-shard) is truncated
-        *independently* back to its last complete record — a SIGKILL-ed
-        shard worker tears only its own file.  Returns one ``(index,
+        Shard-aware: each trials file (flat and legacy per-shard) is
+        truncated *independently* back to its last complete record — in a
+        legacy run a SIGKILL-ed shard worker tore only its own file.  Returns one ``(index,
         TrialRecord)`` pair per stored index, in index order, deduped by
         :meth:`_latest_records`; an index whose latest record is an error
         record is still missing for a resume.
@@ -555,8 +555,8 @@ class RunStore:
 
         A resumed or sharded run legitimately holds several records for one
         index: an attempt that crashed or timed out left an ``"error"``
-        record and a later attempt superseded it.  Because a resume may
-        re-partition the remaining indices across *different* shards, the
+        record and a later attempt superseded it.  Because a legacy resume
+        may re-partition the remaining indices across *different* shards, the
         error record and the superseding measurement can appear in either
         read order — the successful record wins regardless.  Two
         *successful* records for one index still raise: that signature means
@@ -594,9 +594,8 @@ class RunStore:
         import shutil
 
         # The whole read-shards -> rewrite-flat-file -> delete-shards cycle
-        # runs under the store lock: a second merge (or a straggler shard
-        # writer on a resumed run) racing this window could resurrect
-        # deleted shards or clobber the compacted file.
+        # runs under the store lock: a second merge racing this window could
+        # resurrect deleted shards or clobber the compacted file.
         with self._manifest_lock(run_id):
             shard_ks = self.shard_ids(run_id)
             if not shard_ks:

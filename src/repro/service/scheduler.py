@@ -26,7 +26,9 @@ through the ordinary ``run_campaign(store=, resume=True)`` path — including
 the sharded supervisor when the spec asks for it — so worker crashes and
 daemon restarts resume exactly the missing trials, never re-solving
 completed ones (the store raises on duplicate successful records, so this
-property is *checked*, not assumed).
+property is *checked*, not assumed).  Job workers are not daemonic
+processes, so a sharded job's worker may fork its shard workers; the
+scheduler itself reaps, drains and recovers them.
 
 The scheduler keeps no timer: it sleeps until a submit or cancel
 (:meth:`CampaignScheduler.notify`, called by HTTP threads) or a worker's
@@ -192,9 +194,10 @@ class JobStore:
 
         Content-addressed and idempotent under the advisory lock: a job that
         already exists bumps its ``submissions`` counter instead of forking
-        a second run; ``failed``/``cancelled`` jobs re-queue (retry
-        semantics — the stored run resumes), ``queued``/``running``/
-        ``completed`` jobs are returned as-is.
+        a second run; ``failed``/``cancelled`` jobs re-queue with the
+        resubmitted spec (retry semantics — the fingerprint leaves only the
+        execution knobs free, so the stored run resumes), ``queued``/
+        ``running``/``completed`` jobs are returned as-is.
         """
         spec = CampaignSpec.coerce(spec)
         job_id = job_fingerprint(spec)
@@ -203,6 +206,7 @@ class JobStore:
                 record = self.read(job_id)
                 record.submissions += 1
                 if record.status in ("failed", "cancelled"):
+                    record.spec = spec.to_dict()
                     record.status = "queued"
                     record.error = None
                     record.pid = None
@@ -524,7 +528,6 @@ class CampaignScheduler:
                 args=(self.jobs.store.root, record.job_id, record.run_id,
                       record.spec),
                 name=f"repro-job-{record.job_id}",
-                daemon=True,
             )
             proc.start()
             self._running[record.job_id] = proc

@@ -1,8 +1,8 @@
 """Durable file-write helpers.
 
-Every durable JSON record in the repository — run manifests, shard
-heartbeats, service job records, the daemon pidfile — must reach disk
-through :func:`atomic_write_json`.  The pattern is the classic POSIX
+Every durable JSON record in the repository — run manifests, service job
+records, the daemon pidfile — must reach disk through
+:func:`atomic_write_json`.  The pattern is the classic POSIX
 atomic replace:
 
 1. serialize into a same-directory temporary file (``<path>.<pid>.tmp``),

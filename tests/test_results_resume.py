@@ -214,19 +214,20 @@ class TestCrashResumeDeterminism:
     def test_repro_workers_alone_shards_a_stored_run(self, problem, reference,
                                                      tmp_path, monkeypatch):
         """REPRO_WORKERS=2 with no exec knobs selects the sharded backend on
-        the stored path too: an interrupted run leaves its shard stores
-        under its run directory, and the resume completes it identically."""
+        the stored path too: an interrupted run keeps its records in the
+        run's own trial file, with no shard directory, and the resume
+        completes it identically."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
         store = RunStore(tmp_path)
         with pytest.raises(_InterruptAfter):
             run_campaign(problem, dict(SPEC), store=store, run_id="r",
                          sink=_Bomb(2))
-        assert store.shard_ids("r")
+        assert store.shard_ids("r") == []
         assert len(store.completed_indices("r")) >= 2
         resumed = run_campaign(problem, dict(SPEC), store=store, run_id="r",
                                resume=True)
         assert resumed.trials == reference.trials
-        assert store.shard_ids("r") == []  # compacted once complete
+        assert store.shard_ids("r") == []
         assert store.load_result("r").trials == reference.trials
 
     def test_resume_rejects_a_different_spec(self, problem, tmp_path):

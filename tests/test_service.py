@@ -23,9 +23,11 @@ import urllib.request
 
 import pytest
 
+import repro.exec.supervisor as supervisor
 from repro.api import run_campaign
+from repro.faults.campaign import FaultCampaign
 from repro.results.events import Event, JsonlEventSink
-from repro.results.store import RunStore, StoreLock
+from repro.results.store import RunStore, RunStoreError, StoreLock
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import (CampaignScheduler, JobError, JobRecord,
                                      JobStore, job_fingerprint)
@@ -42,6 +44,9 @@ TRIO = (dict(BASE, stride=2),
         dict(BASE, stride=2, max_outer=40))
 #: A campaign of 3 trials that runs in ~10 ms; ``locations`` makes it distinct.
 TINY = dict(problem="poisson:4", locations=[1])
+#: BASE on two shard workers: the same job (``exec`` is not part of a job's
+#: identity), run by the sharded supervisor inside the job worker.
+SHARDED = dict(BASE, exec={"workers": 2})
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -215,6 +220,29 @@ class TestJobStore:
         jobs.update(record.job_id, status="completed")
         again, _ = jobs.submit(BASE)
         assert again.status == "completed"
+
+    @pytest.mark.parametrize("status", ["failed", "cancelled"])
+    def test_resubmit_requeues_with_the_new_spec(self, tmp_path, status):
+        """A job that failed on its execution knobs is retried on the ones
+        it is resubmitted with (they are all its identity leaves free)."""
+        jobs = JobStore(tmp_path)
+        record, _ = jobs.submit(dict(BASE, exec={"backend": "sharded",
+                                                  "workers": 2}))
+        jobs.update(record.job_id, status=status)
+        requeued, _ = jobs.submit(dict(BASE, exec={}))
+        assert requeued.job_id == record.job_id
+        assert requeued.status == "queued"
+        assert jobs.read(record.job_id).spec == CampaignSpec.coerce(BASE).to_dict()
+
+    @pytest.mark.parametrize("status", ["queued", "running", "completed"])
+    def test_resubmit_keeps_the_spec_of_an_open_or_completed_job(self, tmp_path,
+                                                                 status):
+        jobs = JobStore(tmp_path)
+        record, _ = jobs.submit(SHARDED)
+        jobs.update(record.job_id, status=status)
+        again, _ = jobs.submit(BASE)
+        assert again.status == status
+        assert jobs.read(record.job_id).spec == record.spec
 
     def test_read_unknown_and_update_unknown_field(self, tmp_path):
         jobs = JobStore(tmp_path)
@@ -541,6 +569,93 @@ class TestCampaignScheduler:
         assert set(reads) == {record.job_id}
         assert read(record.job_id).status == "cancelled"
         assert scheduler.running == 0
+
+
+# ---------------------------------------------------------------------- #
+# sharded jobs: the job worker forks the supervisor's shard workers
+# ---------------------------------------------------------------------- #
+def _stored(store: RunStore, run_id: str) -> int:
+    """How many trials a job's run holds so far (0 before it exists)."""
+    try:
+        return len(store.completed_indices(run_id))
+    except RunStoreError:
+        return 0
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestShardedJobs:
+    def test_sharded_job_completes_trial_identical_to_serial(self, tmp_path):
+        store = RunStore(tmp_path)
+        jobs = JobStore(store)
+        record, _ = jobs.submit(SHARDED)
+        (final,) = _drive(CampaignScheduler(jobs, max_jobs=1), jobs,
+                          [record.job_id])
+        assert final.status == "completed", final.error
+        serial = run_campaign(spec=dict(BASE, exec={"backend": "serial"}))
+        assert store.load_result(record.run_id).trials == serial.trials
+
+    @pytest.mark.parametrize("stop", ["cancel", "drain"])
+    def test_stopped_sharded_job_leaves_no_shard_and_resumes(
+            self, stop, tmp_path, monkeypatch):
+        """Cancelling the job, or draining the daemon, stops its shard
+        workers with it; the resubmitted (or restarted) job resumes to the
+        serial result."""
+        store = RunStore(tmp_path / "store")
+        jobs = JobStore(store)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        shard_worker = supervisor._shard_worker
+        run_spec_safe = FaultCampaign.run_spec_safe
+
+        def recording_worker(*args):
+            (pids / str(os.getpid())).touch()
+            shard_worker(*args)
+
+        def slow_trial(self, spec):  # keeps the job running while it stops
+            time.sleep(0.1)
+            return run_spec_safe(self, spec)
+
+        # Both patches reach the forked job worker and its shard workers.
+        monkeypatch.setattr(supervisor, "_shard_worker", recording_worker)
+        monkeypatch.setattr(FaultCampaign, "run_spec_safe", slow_trial)
+        record, _ = jobs.submit(SHARDED)
+        scheduler = CampaignScheduler(jobs, max_jobs=1)
+        scheduler.tick()
+        deadline = time.monotonic() + 120
+        while _stored(store, record.run_id) < 2:
+            scheduler.tick()
+            state = jobs.read(record.job_id)
+            assert state.status == "running", (state.status, state.error)
+            assert time.monotonic() < deadline, "the job never made progress"
+            time.sleep(0.02)
+        if stop == "cancel":
+            jobs.request_cancel(record.job_id)
+            scheduler.notify(record.job_id)
+            (final,) = _drive(scheduler, jobs, [record.job_id])
+            assert final.status == "cancelled"
+        else:
+            assert scheduler.drain() == 1
+            assert jobs.read(record.job_id).status == "queued"
+        shard_pids = [int(path.name) for path in pids.iterdir()]
+        assert len(shard_pids) == 2
+        assert not [pid for pid in shard_pids if _alive(pid)]
+        assert 2 <= _stored(store, record.run_id) < \
+            store.manifest(record.run_id).total_trials
+        monkeypatch.undo()
+        if stop == "cancel":
+            assert jobs.submit(SHARDED)[0].status == "queued"
+        (final,) = _drive(CampaignScheduler(jobs, max_jobs=1), jobs,
+                          [record.job_id])
+        assert final.status == "completed", final.error
+        serial = run_campaign(spec=dict(BASE, exec={"backend": "serial"}))
+        assert store.load_result(record.run_id).trials == serial.trials
 
 
 # ---------------------------------------------------------------------- #

@@ -1,11 +1,12 @@
-"""The sharded supervisor, its chaos harness, and the shard store layout.
+"""The sharded supervisor, its chaos harness, and the legacy shard layout.
 
 The acceptance bar: a sharded campaign whose workers are murdered mid-run
 by :class:`~repro.faults.chaos.ChaosPolicy` completes via supervisor
-restarts with zero lost and zero duplicated trials, its merged result
+restarts with zero lost and zero duplicated trials, its result
 trial-identical to an undisturbed serial reference; a poison trial is
 quarantined as an error record after ``max_retries`` without wedging its
-shard.
+shard.  The supervisor is the only writer of a run: workers that outlive
+it write nothing, so its run stays resumable.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from repro.exec.supervisor import (
     ShardedSupervisor,
     SupervisorDrained,
     partition_shards,
-    read_heartbeat,
-    write_heartbeat,
 )
 from repro.faults.campaign import FaultCampaign, TrialRecord
 from repro.faults.chaos import ChaosError, ChaosPolicy
@@ -40,7 +39,7 @@ from repro.results.store import (
     RunStore,
     RunStoreError,
     read_trial_file,
-    shard_dir_name,
+    trials_path,
 )
 from repro.specs import CampaignSpec, ExecutionSpec, SpecError
 
@@ -104,20 +103,6 @@ class TestPartitionShards:
 
 
 # ---------------------------------------------------------------------- #
-# heartbeats
-# ---------------------------------------------------------------------- #
-class TestHeartbeats:
-    def test_round_trip_and_tolerant_read(self, tmp_path):
-        path = str(tmp_path / "heartbeat.json")
-        assert read_heartbeat(path) is None
-        write_heartbeat(path, {"pid": 1, "current_index": 7})
-        assert read_heartbeat(path)["current_index"] == 7
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{torn")
-        assert read_heartbeat(path) is None  # unreadable, never raises
-
-
-# ---------------------------------------------------------------------- #
 # chaos kill-points: merged result must be trial-identical to serial
 # ---------------------------------------------------------------------- #
 FIRST, MID, LAST = 0, 10, 20  # trial indices in the 21-trial campaign
@@ -171,7 +156,7 @@ class TestChaosKillPoints:
         assert result.query().retry_count() == 0
 
     def test_storeless_sharded_campaign(self, serial_reference):
-        """Without a store the shard files live in an ephemeral temp dir."""
+        """Without a store the chaos markers live in a temporary directory."""
         result = run_campaign(spec=spec_with(workers=2),
                               chaos=ChaosPolicy(kill_before={MID: 1}))
         assert result.trials == serial_reference.trials
@@ -274,7 +259,7 @@ class TestShardStartFailure:
     def test_daemonic_parent_reports_why_no_shard_started(self):
         """A daemonic process may not have children: the campaign fails with
         that cause, not with the cleanup's "can only join a started process".
-        The service's job workers are daemonic forks (``_launch``)."""
+        (The service forks its job workers non-daemonic, so they can.)"""
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
@@ -294,30 +279,35 @@ class TestShardStartFailure:
 # drain
 # ---------------------------------------------------------------------- #
 class TestDrain:
-    def test_programmatic_drain_checkpoints_every_shard(self, tmp_path):
+    def test_programmatic_drain_checkpoints_every_shard(self, tmp_path,
+                                                         monkeypatch):
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
-                                 max_outer=30)
+                                 max_outer=30, exec={"workers": 2})
         plan = campaign.plan(stride=6)
+        supervisors = []
+        init = ShardedSupervisor.__init__
+
+        def capture(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            supervisors.append(self)
+
+        monkeypatch.setattr(ShardedSupervisor, "__init__", capture)
         # Each shard (indices 0-10 and 11-20) stalls on its fourth trial, so
         # the drain lands mid-campaign however fast the solves are.
-        supervisor = ShardedSupervisor(campaign, shards=2, run_dir=str(tmp_path),
-                                       chaos=ChaosPolicy(hang_before={3: 1.0, 14: 1.0}))
+        records = campaign.iter_records(
+            plan.specs, run_dir=str(tmp_path),
+            chaos=ChaosPolicy(hang_before={3: 1.0, 14: 1.0}))
         yielded = []
         with pytest.raises(SupervisorDrained):
-            for index, _ in supervisor.iter_records(plan.specs):
+            for index, _ in records:
                 yielded.append(index)
                 if len(yielded) == 4:
-                    supervisor.request_drain()
+                    supervisors[0].request_drain()
         assert 4 <= len(yielded) < len(plan.specs)
-        durable = []
-        for shard in (0, 1):
-            path = os.path.join(str(tmp_path), shard_dir_name(shard),
-                                "trials.jsonl")
-            pairs, _, torn = read_trial_file(path)
-            assert not torn  # drain healed any partial tail
-            durable.extend(index for index, _ in pairs)
+        pairs, _, torn = read_trial_file(trials_path(str(tmp_path)))
+        assert not torn
         # exactly the yielded records are durable: nothing lost, nothing extra
-        assert sorted(durable) == sorted(yielded)
+        assert sorted(index for index, _ in pairs) == sorted(yielded)
 
     def test_sigterm_drains_and_resume_reruns_only_casualties(self, tmp_path):
         """SIGTERM mid-campaign = graceful checkpoint + exit; resume finishes."""
@@ -357,7 +347,103 @@ run_campaign(spec=spec, store=store_dir, run_id="drain", sink=on_event)
 
 
 # ---------------------------------------------------------------------- #
-# the shard store layout
+# one writer per run: the supervisor persists, workers only send
+# ---------------------------------------------------------------------- #
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    return env
+
+
+def _files(directory: str) -> dict[str, int]:
+    """``{relative path: size}`` of every file under ``directory``."""
+    return {os.path.relpath(os.path.join(root, name), directory):
+            os.path.getsize(os.path.join(root, name))
+            for root, _, names in os.walk(directory) for name in names}
+
+
+#: A 210-trial sharded campaign whose process SIGKILLs itself once 10
+#: trials are stored, leaving its two workers orphaned mid-block.
+_ORPHAN_SPEC = {"problem": "poisson:12", "inner_iterations": 10,
+                "max_outer": 30, "stride": 1}
+_ORPHAN_SCRIPT = f"""
+import os, signal, sys
+from repro.api import run_campaign
+
+def on_event(event):
+    if event.kind == "trial_completed" and event.data["done"] == 10:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+run_campaign(spec=dict({_ORPHAN_SPEC!r}, exec={{"workers": 2}}),
+             store=sys.argv[1], run_id="orphans", sink=on_event)
+"""
+
+
+class TestOneWriter:
+    def test_sharded_run_writes_only_the_flat_trial_file(self, tmp_path):
+        """No ``shard-<k>/`` directory and no ``heartbeat.json``, mid-run or
+        after: the run directory holds what a serial run's does."""
+        store = RunStore(tmp_path)
+        seen: list[dict] = []
+
+        def look(event):
+            if event.kind == "trial_completed":
+                seen.append(_files(store.run_path("r")))
+
+        result = run_campaign(spec=spec_with(workers=2), store=store,
+                              run_id="r", sink=look)
+        assert len(seen) == len(result.trials)
+        for files in seen + [_files(store.run_path("r"))]:
+            assert not [path for path in files
+                        if path.startswith("shard-")
+                        or os.path.basename(path) == "heartbeat.json"]
+        assert store.load_result("r").trials == result.trials
+
+    def test_storeless_run_without_chaos_makes_no_temporary_directory(
+            self, serial_reference, monkeypatch):
+        made = []
+        mkdtemp = tempfile.mkdtemp
+        monkeypatch.setattr(tempfile, "mkdtemp",
+                            lambda *a, **k: made.append(mkdtemp(*a, **k)) or made[-1])
+        result = run_campaign(spec=spec_with(workers=2))
+        assert result.trials == serial_reference.trials
+        assert made == []
+
+    def test_sigkilled_supervisor_leaves_a_resumable_run(self, tmp_path):
+        """The orphaned workers die on their next send and never write: an
+        immediate resume completes, and the run equals the serial one."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT, str(tmp_path)],
+            env=_src_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        assert proc.wait(timeout=120) == -signal.SIGKILL
+        store = RunStore(tmp_path)
+        run_dir = store.run_path("orphans")
+        at_kill = _files(run_dir)
+        stored_at_kill, _, _ = read_trial_file(trials_path(run_dir))
+        rerun = []
+        resumed = run_campaign(
+            spec=dict(_ORPHAN_SPEC, exec={"workers": 2}), store=store,
+            run_id="orphans", resume=True,
+            sink=lambda e: rerun.append(e) if e.kind == "trial_completed" else None)
+        serial = run_campaign(spec=dict(_ORPHAN_SPEC, exec={"backend": "serial"}))
+        assert resumed.trials == serial.trials
+        assert store.load_result("orphans").trials == serial.trials
+        # Nothing but the resume wrote after the kill: the trial file holds
+        # the lines stored at the kill plus one per re-run trial, and no
+        # other file grew.
+        final, _, torn = read_trial_file(trials_path(run_dir))
+        assert not torn
+        assert len(final) == len(stored_at_kill) + len(rerun)
+        files = _files(run_dir)
+        for path in set(files) - {"manifest.json", "trials.jsonl"}:
+            assert files[path] == at_kill.get(path, 0), path
+
+
+# ---------------------------------------------------------------------- #
+# the legacy shard store layout (runs written by older releases)
 # ---------------------------------------------------------------------- #
 def _record(index: int, *, status: str = "converged",
             spec_hash: str | None = "hash", error: str | None = None,
@@ -484,8 +570,6 @@ class TestChaosPolicy:
     def test_schedules_validate(self):
         with pytest.raises(ValueError, match="times must be >= 1"):
             ChaosPolicy(kill_before={0: 0})
-        with pytest.raises(ValueError, match="heartbeat_delay"):
-            ChaosPolicy(heartbeat_delay=-1.0)
 
 
 # ---------------------------------------------------------------------- #
