@@ -53,7 +53,7 @@ CAMPAIGN_FIELD_PROBES: dict[str, Any] = {
     "fault_persistence": "sticky",
     "stride": 2,
     "locations": (1, 2),
-    "solver": {"method": "ft_gmres", "tol": 1e-9},
+    "solver": {"method": "ft_gmres", "orthogonalization": "cgs2"},
     "exec": {"backend": "batched"},
 }
 

@@ -245,6 +245,7 @@ def _run_stored_campaign(campaign: FaultCampaign, store: RunStore, *,
                 f"run {run_id!r} was produced by a different campaign "
                 f"(stored spec hash {manifest.spec_hash}, this campaign "
                 f"{fingerprint}); choose another run_id")
+        manifest.check_seed(campaign.provenance["seed"])
         # Error records (worker crash, timeout, poison) leave their indices
         # *not done*, so the resumed run re-executes exactly the casualties.
         completed = [(index, record) for index, record in store.recover(run_id)

@@ -486,7 +486,6 @@ class _BatchedNestedSolve:
         self.inner_budget = inner["maxiter"]
         self.inner_tol = float(inner["tol"])
         self.inner_policy = LeastSquaresPolicy.coerce(inner["lsq_policy"])
-        self.inner_lsq_tol = inner["lsq_tol"]
         self.detector: HessenbergBoundDetector | None = inner["detector"]
         self.response = inner["detector_response"]
         self.precond_block = _resolve_block_preconditioner(inner["preconditioner"], n)
@@ -717,8 +716,7 @@ class _BatchedNestedSolve:
             for pos in np.flatnonzero(alive):
                 y, info = solve_projected_lsq(
                     qr.lane_R(pos), qr.lane_g(pos), policy=self.inner_policy,
-                    tol=self.inner_lsq_tol, H=H_arr[: m + 1, :m, pos],
-                    beta=float(beta[pos]))
+                    H=H_arr[: m + 1, :m, pos], beta=float(beta[pos]))
                 Y[:, pos] = y
                 fallback[pos] = bool(info.get("fallback"))
                 finite_y[pos] = bool(info.get("finite", True))

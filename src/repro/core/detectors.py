@@ -185,58 +185,38 @@ class HessenbergBoundDetector(Detector):
     bound : float
         An upper bound on ``||A||_2`` — typically ``||A||_F`` (Eq. (3)) or a
         power-method estimate of ``||A||_2``.  Must be positive and finite.
-    slack : float
-        Multiplicative slack applied to the bound to absorb rounding error
-        (default 1.0, i.e. the bound is used as-is, exactly as in the paper:
-        rounding error cannot push a correct ``h_ij`` past ``||A||_F`` by any
-        meaningful margin because the Frobenius norm already overestimates
-        the 2-norm).
-    check_nonfinite : bool
-        Also flag NaN/Inf (default True); a corrupted value of ``1e308 * 10``
-        overflows to Inf and would otherwise compare as "not greater" on some
-        platforms' NaN semantics.
+        It is used as-is, exactly as in the paper: rounding error cannot
+        push a correct ``h_ij`` past ``||A||_F`` by any meaningful margin,
+        because the Frobenius norm already overestimates the 2-norm.  NaN
+        and Inf are always flagged.
     """
 
     name = "hessenberg_bound"
     vectorized = True
 
-    def __init__(self, bound: float, slack: float = 1.0, check_nonfinite: bool = True):
+    def __init__(self, bound: float):
         bound = float(bound)
         if not np.isfinite(bound) or bound <= 0.0:
             raise ValueError(f"bound must be a positive finite number, got {bound}")
-        if slack <= 0.0:
-            raise ValueError(f"slack must be positive, got {slack}")
         self.bound = bound
-        self.slack = float(slack)
-        self.check_nonfinite = bool(check_nonfinite)
-
-    @property
-    def effective_bound(self) -> float:
-        """The threshold actually compared against (``bound * slack``)."""
-        return self.bound * self.slack
 
     def to_spec(self) -> dict:
-        spec = {"name": "bound", "bound": self.bound}
-        if self.slack != 1.0:
-            spec["slack"] = self.slack
-        if not self.check_nonfinite:
-            spec["check_nonfinite"] = False
-        return spec
+        return {"name": "bound", "bound": self.bound}
 
     def check_scalar(self, value: float, site: str = "") -> DetectionResult:
         v = float(value)
-        if self.check_nonfinite and not np.isfinite(v):
+        if not np.isfinite(v):
             return DetectionResult(True, self.name,
-                                   f"non-finite value at {site or 'hessenberg'}", v, self.effective_bound)
-        if abs(v) > self.effective_bound:
+                                   f"non-finite value at {site or 'hessenberg'}", v, self.bound)
+        if abs(v) > self.bound:
             return DetectionResult(
                 True,
                 self.name,
-                f"|{v:.6e}| exceeds bound {self.effective_bound:.6e} at {site or 'hessenberg'}",
+                f"|{v:.6e}| exceeds bound {self.bound:.6e} at {site or 'hessenberg'}",
                 v,
-                self.effective_bound,
+                self.bound,
             )
-        return DetectionResult(False, self.name, "", v, self.effective_bound)
+        return DetectionResult(False, self.name, "", v, self.bound)
 
     def flag_values(self, values: np.ndarray) -> np.ndarray:
         """The bound test with a relative guard band just below the bound.
@@ -244,13 +224,12 @@ class HessenbergBoundDetector(Detector):
         A mask that rounded the other way at the bound cusp would silently
         miss a detection :meth:`check_scalar` records; the band only costs
         a scalar re-check of values within ~1e-12 of the bound.  NaN fails
-        the ``<=`` test, so non-finite values are flagged too (even with
-        ``check_nonfinite=False``, which is merely conservative).
+        the ``<=`` test, so non-finite values are flagged too.
         """
-        return ~(np.abs(values) <= self.effective_bound * (1.0 - 1e-12))
+        return ~(np.abs(values) <= self.bound * (1.0 - 1e-12))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HessenbergBoundDetector(bound={self.bound:.6e}, slack={self.slack})"
+        return f"HessenbergBoundDetector(bound={self.bound:.6e})"
 
 
 class NormGrowthDetector(Detector):

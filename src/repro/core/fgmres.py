@@ -102,11 +102,8 @@ def fgmres(
     max_outer: int = 50,
     orthogonalization: str = "mgs",
     lsq_policy=LeastSquaresPolicy.RANK_REVEALING,
-    lsq_tol: float | None = None,
-    rank_tol: float | None = None,
     detector: Detector | str | None = None,
     detector_response: str = "flag",
-    bound_method: str = "frobenius",
     injector=None,
     events=None,
     state: OuterState | None = None,
@@ -138,10 +135,6 @@ def fgmres(
         Policy for the projected least-squares solve.  The paper recommends
         the rank-revealing policy for the fault-tolerant outer solver, which
         is therefore the default here (plain GMRES defaults to STANDARD).
-    lsq_tol : float, optional
-        Truncation tolerance for the rank-revealing least-squares solve.
-    rank_tol : float, optional
-        Tolerance for the rank test in the breakdown trichotomy.
     detector : Detector, registry spec, or None
         Invariant detector for the *outer* Hessenberg entries.  String/dict
         specs (``"bound"``, ``"bound:two_norm"``) resolve through
@@ -155,8 +148,6 @@ def fgmres(
         ``h_ij / ||z_j||``: ``"clamp"`` answers with
         ``sign(h_ij) * bound * ||z_j||``, and ``"recompute"`` keeps ``h_ij``
         (the outer phase is reliable, so there is nothing to recompute).
-    bound_method : {"frobenius", "two_norm", "exact"}
-        Norm used when ``detector`` is a spec that computes a bound from ``A``.
     injector : FaultInjector, optional
         Fault injector consulted at the outer iteration's named sites:
         ``"spmv"`` (operator product), ``"hessenberg"`` (each
@@ -189,8 +180,7 @@ def fgmres(
     """
     steps = fgmres_steps(A, b, x0, tol=tol, max_outer=max_outer,
                          orthogonalization=orthogonalization, lsq_policy=lsq_policy,
-                         lsq_tol=lsq_tol, rank_tol=rank_tol, detector=detector,
-                         detector_response=detector_response, bound_method=bound_method,
+                         detector=detector, detector_response=detector_response,
                          injector=injector, events=events, state=state)
     # Faulted inner results and outer fault studies propagate NaN/Inf by
     # contract; see the error-state note on repro.core.gmres.gmres.  The
@@ -214,11 +204,8 @@ def fgmres_steps(
     max_outer: int = 50,
     orthogonalization: str = "mgs",
     lsq_policy=LeastSquaresPolicy.RANK_REVEALING,
-    lsq_tol: float | None = None,
-    rank_tol: float | None = None,
     detector: Detector | str | None = None,
     detector_response: str = "flag",
-    bound_method: str = "frobenius",
     injector=None,
     events=None,
     state: OuterState | None = None,
@@ -245,7 +232,7 @@ def fgmres_steps(
     policy = LeastSquaresPolicy.coerce(lsq_policy)
     if orthogonalization not in ("mgs", "cgs", "cgs2"):
         raise ValueError(f"unknown orthogonalization {orthogonalization!r}")
-    detector = resolve_detector(detector, A=A, bound_method=bound_method)
+    detector = resolve_detector(detector, A=A)
 
     if state is None:
         state = OuterState()
@@ -354,7 +341,7 @@ def fgmres_steps(
         # ----- breakdown trichotomy (Section VI-C) --------------------------
         scale = max(float(np.abs(h_col[: j + 1]).max()), 1.0)
         if h_sub <= BREAKDOWN_TOL * scale:
-            if hess.is_rank_deficient(tol=rank_tol):
+            if hess.is_rank_deficient():
                 ctx.record("rank_deficient", where="hessenberg", outer_iteration=j,
                            smallest_singular_value=hess.smallest_singular_value())
                 status = SolverStatus.RANK_DEFICIENT
@@ -372,7 +359,7 @@ def fgmres_steps(
 
     # ----- solution update from the flexible basis Z ------------------------
     if k > 0:
-        y, lsq_info = hess.solve_y(policy=policy, tol=lsq_tol)
+        y, lsq_info = hess.solve_y(policy=policy)
         if lsq_info.get("fallback"):
             ctx.record("lsq_fallback", where="least_squares", outer_iteration=k)
         x = x + Z[:, :k] @ y

@@ -117,8 +117,7 @@ def ft_gmres(
     # would recompute the detector bound (or re-factor the preconditioner) on
     # every one of them.
     for kwargs in (inner_kwargs, outer_kwargs):
-        kwargs["detector"] = resolve_detector(kwargs["detector"], A=A,
-                                              bound_method=kwargs["bound_method"])
+        kwargs["detector"] = resolve_detector(kwargs["detector"], A=A)
     inner_kwargs["preconditioner"] = resolve_preconditioner(inner_kwargs["preconditioner"],
                                                             A=A)
 

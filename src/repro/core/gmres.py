@@ -47,10 +47,8 @@ def gmres(
     preconditioner=None,
     orthogonalization: str = "mgs",
     lsq_policy=LeastSquaresPolicy.STANDARD,
-    lsq_tol: float | None = None,
     detector: Detector | str | None = None,
     detector_response: str = "flag",
-    bound_method: str = "frobenius",
     injector=None,
     events=None,
     profile=None,
@@ -85,18 +83,14 @@ def gmres(
         Orthogonalization variant; the paper uses Modified Gram–Schmidt.
     lsq_policy : LeastSquaresPolicy or str
         Policy for the projected least-squares solve (Section VI-D).
-    lsq_tol : float, optional
-        Singular-value truncation tolerance for the rank-revealing policies.
     detector : Detector, registry spec, or None
         SDC detector applied to every Hessenberg coefficient.  The string
-        ``"bound"`` builds a :class:`HessenbergBoundDetector` from ``A``
-        using ``bound_method``; any other registered detector spec
-        (``"nonfinite"``, ``{"name": "norm_growth", "factor": 1e4}``, ...)
-        also resolves here.
+        ``"bound"`` builds a :class:`HessenbergBoundDetector` from ``A``'s
+        Frobenius norm (``"bound:two_norm"`` from an estimate of its
+        2-norm); any other registered detector spec (``"nonfinite"``,
+        ``{"name": "norm_growth", "factor": 1e4}``, ...) also resolves here.
     detector_response : {"flag", "zero", "clamp", "recompute", "raise"}
         Response applied when the detector flags a value.
-    bound_method : {"frobenius", "two_norm", "exact"}
-        Norm used when ``detector="bound"``.
     injector : FaultInjector, optional
         Fault injector with access to the named sites (see
         :mod:`repro.core.arnoldi`).
@@ -135,7 +129,7 @@ def gmres(
         raise ValueError(f"restart must be positive, got {restart}")
     m = min(m, maxiter)
     policy = LeastSquaresPolicy.coerce(lsq_policy)
-    det = resolve_detector(detector, A=A, bound_method=bound_method)
+    det = resolve_detector(detector, A=A)
     apply_precond = resolve_preconditioner_apply(preconditioner, n=n, A=A)
 
     history = ConvergenceHistory()
@@ -244,7 +238,7 @@ def gmres(
         if k > 0:
             if profile is not None:
                 lsq_start = _perf_counter()
-            y, lsq_info = hess.solve_y(policy=policy, tol=lsq_tol)
+            y, lsq_info = hess.solve_y(policy=policy)
             if profile is not None:
                 profile.add("lsq", _perf_counter() - lsq_start)
             if lsq_info.get("fallback"):

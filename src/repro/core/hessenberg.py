@@ -3,12 +3,8 @@
 GMRES builds ``H`` one column per iteration; :class:`HessenbergMatrix` stores
 the growing matrix, maintains the incremental Givens-rotation QR
 factorization that Saad and Schultz use to solve the projected least-squares
-problem in O(k) extra work per iteration, and exposes the structural and
-rank queries the paper relies on:
-
-* the tridiagonal-vs-Hessenberg structure check behind Figure 2,
-* the rank(-deficiency) test behind FGMRES's trichotomy (Section VI-C),
-* the per-entry bound check used by the SDC detector.
+problem in O(k) extra work per iteration, and answers the rank(-deficiency)
+test behind FGMRES's trichotomy (Section VI-C).
 """
 
 from __future__ import annotations
@@ -116,8 +112,7 @@ class HessenbergMatrix:
         """The rotated right-hand side ``Q^T (beta e1)``, length ``k+1``."""
         return self._qr.g
 
-    def solve_y(self, policy=LeastSquaresPolicy.STANDARD, tol: float | None = None
-                ) -> tuple[np.ndarray, dict]:
+    def solve_y(self, policy=LeastSquaresPolicy.STANDARD) -> tuple[np.ndarray, dict]:
         """Solve for the update coefficients from the maintained factorization.
 
         The STANDARD policy back-substitutes the incrementally maintained
@@ -127,58 +122,20 @@ class HessenbergMatrix:
         """
         policy = LeastSquaresPolicy.coerce(policy)
         H = self.H if policy is not LeastSquaresPolicy.STANDARD else None
-        return self._qr.solve(policy=policy, tol=tol, H=H, beta=self.beta)
+        return self._qr.solve(policy=policy, H=H, beta=self.beta)
 
     @property
     def square(self) -> np.ndarray:
         """The leading ``k x k`` square block ``H(1:k, 1:k)``."""
         return self._H[: self.k, : self.k]
 
-    def entry(self, i: int, j: int) -> float:
-        """``H[i, j]`` with bounds checking (0-based)."""
-        if not (0 <= i <= self.k and 0 <= j < self.k):
-            raise IndexError(f"entry ({i}, {j}) outside current {self.k + 1}x{self.k} Hessenberg")
-        return float(self._H[i, j])
-
     def least_squares_residual(self) -> float:
         """Current GMRES residual estimate ``|g_{k+1}|``."""
         return self._qr.residual_estimate()
 
     # ------------------------------------------------------------------ #
-    # analysis used by the paper
+    # the rank test of FGMRES's trichotomy
     # ------------------------------------------------------------------ #
-    def max_abs_entry(self) -> float:
-        """Largest magnitude among all stored Hessenberg entries."""
-        if self.k == 0:
-            return 0.0
-        return float(np.abs(self.H).max())
-
-    def violates_bound(self, bound: float) -> bool:
-        """True if any stored entry exceeds the theoretical bound."""
-        return self.max_abs_entry() > float(bound)
-
-    def bandwidth(self, tol: float = 1e-10) -> int:
-        """Number of nonzero superdiagonals (0 means tridiagonal or lower).
-
-        For an SPD input matrix the Arnoldi Hessenberg matrix is tridiagonal
-        (one superdiagonal); for a general nonsymmetric matrix it is full
-        upper Hessenberg.  This is the quantity visualized in Figure 2.
-        """
-        H = self.H
-        if self.k == 0:
-            return 0
-        scale = max(np.abs(H).max(), 1.0)
-        band = 0
-        for j in range(self.k):
-            rows = np.flatnonzero(np.abs(H[: j + 2, j]) > tol * scale)
-            if rows.size:
-                band = max(band, j - int(rows.min()))
-        return band
-
-    def is_tridiagonal(self, tol: float = 1e-10) -> bool:
-        """True if the stored Hessenberg matrix is numerically tridiagonal."""
-        return self.bandwidth(tol=tol) <= 1
-
     def smallest_singular_value(self) -> float:
         """Smallest singular value of the square block ``H(1:k, 1:k)``."""
         if self.k == 0:
@@ -186,15 +143,10 @@ class HessenbergMatrix:
         s = np.linalg.svd(self.square, compute_uv=False)
         return float(s[-1])
 
-    def numerical_rank(self, tol: float | None = None) -> int:
-        """Numerical rank of ``H(1:k, 1:k)``.
-
-        Parameters
-        ----------
-        tol : float, optional
-            Singular values below ``tol * sigma_max`` count as zero.  The
-            default is ``k * eps``, matching ``numpy.linalg.matrix_rank``.
-        """
+    def numerical_rank(self) -> int:
+        """Numerical rank of ``H(1:k, 1:k)``: singular values below
+        ``k * eps * sigma_max`` count as zero, as in
+        ``numpy.linalg.matrix_rank``."""
         if self.k == 0:
             return 0
         square = self.square
@@ -204,11 +156,10 @@ class HessenbergMatrix:
         s = np.linalg.svd(square, compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
-        if tol is None:
-            tol = self.k * np.finfo(np.float64).eps
+        tol = self.k * np.finfo(np.float64).eps
         return int(np.count_nonzero(s > tol * s[0]))
 
-    def is_rank_deficient(self, tol: float | None = None) -> bool:
+    def is_rank_deficient(self) -> bool:
         """True if ``H(1:k, 1:k)`` is numerically rank deficient.
 
         This is the third branch of FGMRES's trichotomy.  (We use a small
@@ -217,7 +168,7 @@ class HessenbergMatrix:
         k is at most the restart length so the O(k^3) SVD is negligible next
         to the SpMV and orthogonalization costs.)
         """
-        return self.numerical_rank(tol=tol) < self.k
+        return self.numerical_rank() < self.k
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HessenbergMatrix(k={self.k}, max_columns={self.max_columns})"

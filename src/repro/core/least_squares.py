@@ -220,9 +220,8 @@ class IncrementalGivensQR:
         return out
 
     # ------------------------------------------------------------------ #
-    def solve(self, policy=LeastSquaresPolicy.STANDARD, tol: float | None = None,
-              H: np.ndarray | None = None, beta: float | None = None
-              ) -> tuple[np.ndarray, dict]:
+    def solve(self, policy=LeastSquaresPolicy.STANDARD, H: np.ndarray | None = None,
+              beta: float | None = None) -> tuple[np.ndarray, dict]:
         """Solve the projected least-squares problem from the maintained state.
 
         Equivalent to ``solve_projected_lsq(self.R, self.g, ...)`` — the
@@ -230,7 +229,7 @@ class IncrementalGivensQR:
         by the rank-revealing policies (see :func:`solve_projected_lsq`).
         """
         return solve_projected_lsq(
-            self.R, self.g, policy=policy, tol=tol, H=H,
+            self.R, self.g, policy=policy, H=H,
             beta=self.beta if beta is None else beta,
         )
 
@@ -321,7 +320,6 @@ def solve_projected_lsq(
     R: np.ndarray,
     g: np.ndarray,
     policy=LeastSquaresPolicy.STANDARD,
-    tol: float | None = None,
     H: np.ndarray | None = None,
     beta: float | None = None,
 ) -> tuple[np.ndarray, dict]:
@@ -335,9 +333,8 @@ def solve_projected_lsq(
         The rotated right-hand side (length ``k`` or ``k+1``; only the first
         ``k`` entries are used by the triangular solve).
     policy : LeastSquaresPolicy or str
-        Which of the three policies to apply.
-    tol : float, optional
-        Truncation tolerance for the rank-revealing solves.
+        Which of the three policies to apply.  The rank-revealing solves
+        truncate at :func:`solve_rank_revealing`'s default tolerance.
     H : numpy.ndarray, optional
         The full ``(k+1) x k`` Hessenberg matrix.  When provided, the
         rank-revealing policy solves the original problem
@@ -373,24 +370,24 @@ def solve_projected_lsq(
         if np.all(np.isfinite(y)):
             return y, info
         info["fallback"] = True
-        y, rank = _rank_revealing_dispatch(R, rhs, H, beta, tol)
+        y, rank = _rank_revealing_dispatch(R, rhs, H, beta)
         info["rank"] = rank
         info["finite"] = bool(np.all(np.isfinite(y)))
         return y, info
 
     # RANK_REVEALING
-    y, rank = _rank_revealing_dispatch(R, rhs, H, beta, tol)
+    y, rank = _rank_revealing_dispatch(R, rhs, H, beta)
     info["rank"] = rank
     info["finite"] = bool(np.all(np.isfinite(y)))
     return y, info
 
 
-def _rank_revealing_dispatch(R, rhs, H, beta, tol) -> tuple[np.ndarray, int]:
+def _rank_revealing_dispatch(R, rhs, H, beta) -> tuple[np.ndarray, int]:
     """Solve rank-revealing either on the triangular factor or the full H."""
     if H is not None:
         if beta is None:
             raise ValueError("beta must be provided when solving with the full Hessenberg matrix")
         e1 = np.zeros(H.shape[0], dtype=np.float64)
         e1[0] = float(beta)
-        return solve_rank_revealing(H, e1, tol=tol)
-    return solve_rank_revealing(R, rhs, tol=tol)
+        return solve_rank_revealing(H, e1)
+    return solve_rank_revealing(R, rhs)

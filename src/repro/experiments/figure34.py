@@ -41,18 +41,21 @@ def sweep_run_id(spec: "CampaignSpec", problem_name: str, label: str) -> str:
     return f"{label}-{campaign_fingerprint(spec, problem_name)[:8]}"
 
 
-def load_fault_sweep(store, spec: "CampaignSpec", problem_name: str,
+def load_fault_sweep(store, spec: "CampaignSpec", problem,
                      label: str) -> CampaignResult:
-    """Rebuild one stored sweep — zero new solves.
+    """Rebuild one stored sweep of ``problem`` — zero new solves.
 
     The run is located by its deterministic :func:`sweep_run_id`; a missing
-    or incomplete run raises :class:`~repro.results.store.RunStoreError`
-    telling the user to run (or resume) with the store first.
+    or incomplete run, or one stored for a problem of another seed, raises
+    :class:`~repro.results.store.RunStoreError` telling the user to run (or
+    resume) with the store first.
     """
     from repro.results.store import RunStore
 
-    return RunStore.coerce(store).load_result(
-        sweep_run_id(spec, problem_name, label))
+    store = RunStore.coerce(store)
+    run_id = sweep_run_id(spec, problem.name, label)
+    store.manifest(run_id).check_seed(getattr(problem, "seed", None))
+    return store.load_result(run_id)
 
 
 @dataclass

@@ -23,11 +23,14 @@ patched field-by-field:
     # dotted-path overrides on top of flags/config
     repro fig3 --scale small \\
         --set exec.backend=batched --set exec.batch_size=16 \\
-        --set solver.inner.maxiter=25 --set detector=bound
+        --set solver.inner.preconditioner=ilu0 --set detector=bound
 
 Precedence (last wins): CampaignSpec defaults < ``--config`` file < explicit
 flags (``--stride``/``--detector``/``--inner-iterations``/``--workers``/
-``--backend``/``--batch-size``) < ``--set`` overrides.  Each subcommand
+``--backend``/``--batch-size``) < ``--set`` overrides.  The outer tolerance
+and budget, the inner iterations and the inner detector are campaign
+fields (``--set outer_tol=1e-7``); ``--set solver.tol=...`` and the other
+solver paths to them are configuration errors.  Each subcommand
 prints the same report as the corresponding benchmark in ``benchmarks/``
 (tables and ASCII series plots).  The ``--scale`` choices match
 ``REPRO_BENCH_SCALE`` (``tiny``/``small``/``medium``/``paper``).
@@ -137,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="PATH=VALUE",
                         help="dotted CampaignSpec override applied last, e.g. "
                              "--set exec.backend=batched --set "
-                             "solver.inner.maxiter=25 (values parse as JSON, "
-                             "falling back to plain strings); repeatable")
+                             "solver.inner.preconditioner=ilu0 (values parse "
+                             "as JSON, falling back to plain strings); "
+                             "repeatable")
     parser.add_argument("--stride", type=int, default=None,
                         help=f"injection-location stride for the sweeps "
                              f"(1 = exhaustive; default {DEFAULT_STRIDE})")
@@ -233,13 +237,10 @@ def build_campaign_spec(args, *, problem_key: str = "poisson") -> CampaignSpec:
     spec = CampaignSpec.from_dict(raw) if raw else CampaignSpec()
 
     flag_overrides: dict = {}
-    # The per-problem outer budget is a fallback, applied only when no other
-    # layer (config, config's solver spec, or a --set override) chooses an
-    # outer budget — it must never manufacture a budget conflict.
+    # The per-problem outer budget is a fallback, applied only when neither
+    # the config nor a --set override chooses max_outer.
     set_paths = {item.partition("=")[0].strip() for item in args.overrides}
-    config_solver = raw.get("solver") if isinstance(raw.get("solver"), dict) else {}
-    if ("max_outer" not in raw and config_solver.get("max_outer") is None
-            and not {"max_outer", "solver.max_outer"} & set_paths):
+    if "max_outer" not in raw and "max_outer" not in set_paths:
         flag_overrides["max_outer"] = MAX_OUTER[problem_key]
     if args.stride is None and "stride" not in raw:
         flag_overrides["stride"] = DEFAULT_STRIDE
@@ -286,7 +287,7 @@ def _run_or_load_sweep(problem, panel_spec: CampaignSpec, label: str, args):
     """One stored-aware sweep panel: run, resume, or reload from the store."""
     store = _store_from(args)
     if args.from_store:
-        return load_fault_sweep(store, panel_spec, problem.name, label)
+        return load_fault_sweep(store, panel_spec, problem, label)
     run_id = (sweep_run_id(panel_spec, problem.name, label)
               if store is not None else None)
     return run_campaign(problem, panel_spec, sink=_sink_from(args),

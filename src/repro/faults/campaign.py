@@ -48,10 +48,6 @@ def _repro_version() -> str:
 
     return __version__
 
-#: The campaign defaults (the :class:`CampaignSpec` field defaults), which
-#: tell :func:`_merged_solver` whether a campaign-level twin was set.
-_DEFAULTS = CampaignSpec()
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -276,45 +272,6 @@ class CampaignPlan:
     specs: list
 
 
-#: The campaign fields with a twin inside the nested-solver spec, as
-#: (campaign field, solver-spec field path) pairs.
-_SOLVER_TWINS = (("outer_tol", "tol"), ("max_outer", "max_outer"),
-                 ("inner_iterations", "inner.maxiter"), ("detector", "inner.detector"),
-                 ("detector_response", "inner.detector_response"))
-
-
-def _merged_solver(solver: SolveSpec | None, **campaign) -> SolveSpec:
-    """The campaign's nested-solver spec with its campaign-level twins merged in.
-
-    ``campaign`` holds the five twin fields of :data:`_SOLVER_TWINS`.  A
-    solver value that is set (differs from the :class:`SolveSpec` default)
-    takes effect; a campaign value that was *also* set (differs from the
-    :class:`CampaignSpec` default) and disagrees is a configuration error
-    naming the solver field, rather than something to clobber silently.
-    """
-    if solver is None:
-        solver = SolveSpec(method="ft_gmres")
-    elif solver.method != "ft_gmres":
-        raise SpecError("solver.method", "campaigns run the nested FT-GMRES solver; "
-                                         f"got {solver.method!r}")
-    unset = SolveSpec()
-    inner = solver.inner if solver.inner is not None else unset
-    for name, path in _SOLVER_TWINS:
-        field_name = path.rpartition(".")[2]
-        value = getattr(inner if path.startswith("inner.") else solver, field_name)
-        if value == getattr(unset, field_name):
-            continue
-        if campaign[name] != getattr(_DEFAULTS, name) and campaign[name] != value:
-            raise SpecError(f"solver.{path}",
-                            f"conflicts with {name}={campaign[name]!r}; set only one of them")
-        campaign[name] = value
-    return solver.replace(
-        tol=campaign["outer_tol"], max_outer=campaign["max_outer"],
-        inner=solver.inner_spec.replace(maxiter=campaign["inner_iterations"],
-                                        detector=campaign["detector"],
-                                        detector_response=campaign["detector_response"]))
-
-
 class FaultCampaign:
     """Sweep single-SDC injections over every inner-iteration location.
 
@@ -337,9 +294,10 @@ class FaultCampaign:
 
     The spec is kept as :attr:`spec`, and :meth:`run` runs what it says: its
     ``locations`` (default: every location the failure-free solve reaches)
-    at its ``stride``, on its ``exec`` backend.  The nested solver's merged
-    configuration (see :attr:`CampaignSpec.solver` for the five twin fields)
-    is kept as :attr:`solver`, its components resolved against the problem.
+    at its ``stride``, on its ``exec`` backend.  The nested solver is
+    ``spec.solver`` with the campaign's outer tolerance and budget, inner
+    iterations and inner detector put in; it is kept as :attr:`solver`, its
+    components resolved against the problem.
     """
 
     def __init__(self, problem: TestProblem | None = None,
@@ -367,21 +325,20 @@ class FaultCampaign:
         #: it as a hard timeout.
         self.trial_timeout = spec.exec.trial_timeout
 
-        solver = _merged_solver(spec.solver, **{name: getattr(spec, name)
-                                                for name, _ in _SOLVER_TWINS})
-        inner = solver.inner
-        self.inner_iterations = int(inner.maxiter)
-        self.max_outer = int(solver.max_outer)
-        self.outer_tol = float(solver.tol)
-        self.detector_response = inner.detector_response
-        self.detector = resolve_detector(inner.detector, A=problem.A,
-                                         bound_method=inner.bound_method)
-        #: The nested solver's spec: the merged configuration with its
-        #: components resolved against the problem, so no trial re-resolves.
+        self.inner_iterations = spec.inner_iterations
+        self.max_outer = spec.max_outer
+        self.outer_tol = spec.outer_tol
+        self.detector_response = spec.detector_response
+        self.detector = resolve_detector(spec.detector, A=problem.A)
+        solver = spec.solver if spec.solver is not None else SolveSpec(method="ft_gmres")
+        inner = solver.inner_spec
+        #: The nested solver's spec, its components resolved against the
+        #: problem so no trial re-resolves them.
         self.solver = solver.replace(
-            detector=resolve_detector(solver.detector, A=problem.A,
-                                      bound_method=solver.bound_method),
-            inner=inner.replace(detector=self.detector,
+            tol=spec.outer_tol, max_outer=spec.max_outer,
+            detector=resolve_detector(solver.detector, A=problem.A),
+            inner=inner.replace(maxiter=spec.inner_iterations, detector=self.detector,
+                                detector_response=spec.detector_response,
                                 preconditioner=resolve_preconditioner(inner.preconditioner,
                                                                       A=problem.A)))
         try:
@@ -727,14 +684,14 @@ class FaultCampaign:
     # ------------------------------------------------------------------ #
     # planning and streaming execution
     # ------------------------------------------------------------------ #
-    def plan(self, locations=None, stride: int | None = None, *,
+    def plan(self, locations=None, *,
              baseline: tuple[int, float] | None = None) -> "CampaignPlan":
         """Freeze the campaign's work list: baseline + locations + specs.
 
-        ``locations`` and ``stride`` default (``None``) to the spec's: the
-        spec's ``locations``, else every ``stride``-th location the
-        failure-free solve reaches (``failure_free_outer *
-        inner_iterations``, exactly as in the paper at ``stride=1``).
+        ``locations`` defaults (``None``) to the spec's ``locations``, else
+        every ``spec.stride``-th location the failure-free solve reaches
+        (``failure_free_outer * inner_iterations``, exactly as in the paper
+        at ``stride=1``).
         ``baseline`` short-circuits the failure-free reference solve with
         known ``(failure_free_outer, failure_free_residual)`` numbers — the
         run store uses this on resume, so resuming a complete run solves
@@ -743,16 +700,13 @@ class FaultCampaign:
         """
         if locations is None:
             locations = self.spec.locations
-        stride = self.spec.stride if stride is None else stride
-        if stride <= 0:
-            raise ValueError(f"stride must be positive, got {stride}")
         if baseline is None:
             reference = self._solve_baseline()
             baseline = (reference.outer_iterations, reference.residual_norm)
         failure_free_outer, failure_free_residual = baseline
         if locations is None:
             total_locations = max(failure_free_outer, 1) * self.inner_iterations
-            locations = range(0, total_locations, stride)
+            locations = range(0, total_locations, self.spec.stride)
         locations = tuple(int(loc) for loc in locations)
         return CampaignPlan(
             locations=locations,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.faults.models import FaultModel
-from repro.faults.schedule import InjectionSchedule, Persistence
+from repro.faults.schedule import STICKY_COUNT, InjectionSchedule, Persistence
 
 __all__ = ["InjectionRecord", "FaultInjector"]
 
@@ -134,7 +134,7 @@ class FaultInjector:
         if persistence is Persistence.STICKY:
             if site not in self._sticky_started:
                 self._sticky_started.add(site)
-                self._sticky_remaining[site] = self.schedule.sticky_count
+                self._sticky_remaining[site] = STICKY_COUNT
             if self._sticky_remaining[site] <= 0:
                 return False
             return True

@@ -15,12 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = ["Persistence", "InjectionSchedule", "FaultRateSchedule", "KNOWN_SITES"]
+__all__ = ["Persistence", "InjectionSchedule", "FaultRateSchedule", "KNOWN_SITES",
+           "STICKY_COUNT"]
 
 #: Every injection site the solvers consult (see repro.core.arnoldi's site
 #: table).  Schedules validate their ``site`` field against this set so a
 #: typo'd site fails loudly instead of silently never firing.
 KNOWN_SITES = ("hessenberg", "subdiag", "spmv", "precond", "givens", "orth", "basis")
+
+#: How many matching invocations a sticky fault corrupts, counted from its
+#: first firing (per site).
+STICKY_COUNT = 3
 
 
 class Persistence(Enum):
@@ -67,10 +72,9 @@ class InjectionSchedule:
         Figure 3a/4a), ``"last"`` (Figure 3b/4b), an explicit 0-based index,
         or ``None`` for any position.
     persistence : Persistence or str
-        Transient (default, the paper's model), sticky, or persistent.
-    sticky_count : int
-        For sticky faults, how many matching invocations are corrupted
-        (counted from the first firing).
+        Transient (default, the paper's model), sticky (the first
+        :data:`STICKY_COUNT` matching invocations from the first firing), or
+        persistent.
     max_injections : int or None
         Hard cap on the number of corruptions regardless of persistence
         (transient implies 1).  ``None`` means unlimited.
@@ -82,7 +86,6 @@ class InjectionSchedule:
     inner_iteration: int | None = None
     mgs_position: str | int | None = "first"
     persistence: Persistence | str = Persistence.TRANSIENT
-    sticky_count: int = 3
     max_injections: int | None = None
 
     #: Rate schedules override this: a transient fault then means "once per
@@ -106,8 +109,6 @@ class InjectionSchedule:
                 f"mgs_position must be 'first', 'last', an integer, or None, "
                 f"got {self.mgs_position!r}"
             )
-        if self.sticky_count <= 0:
-            raise ValueError(f"sticky_count must be positive, got {self.sticky_count}")
         if self.persistence is Persistence.TRANSIENT:
             self.max_injections = 1 if self.max_injections is None else min(1, self.max_injections)
 
@@ -197,7 +198,7 @@ class FaultRateSchedule(InjectionSchedule):
 
     Persistence applies *per scheduled point, per site*: a transient rate
     fault corrupts each scheduled (site, iteration) point once; a sticky
-    one corrupts ``sticky_count`` eligible calls from each point's first
+    one corrupts :data:`STICKY_COUNT` eligible calls from each point's first
     firing, tracked separately for every site (per-site persistence — a
     stuck spmv lane does not consume a precond fault's window).
 

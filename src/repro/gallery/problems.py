@@ -126,9 +126,14 @@ def poisson_problem(grid_n: int = 100, seed: int = 7) -> TestProblem:
     )
 
 
-def circuit_problem(n_nodes: int = 25187, seed: int = 20140519,
-                    jacobi_equilibrate: bool = True) -> TestProblem:
+def circuit_problem(n_nodes: int = 25187, seed: int = 20140519) -> TestProblem:
     """The nonsymmetric ill-conditioned problem: ``mult_dcop_03`` surrogate.
+
+    The matrix is symmetrically scaled by the inverse square roots of its
+    diagonal magnitudes (Jacobi equilibration) before the problem is built.
+    Circuit simulators do the same before handing systems to a Krylov
+    solver; it keeps the problem solvable by unpreconditioned GMRES while
+    remaining nonsymmetric and badly conditioned.
 
     Parameters
     ----------
@@ -136,18 +141,10 @@ def circuit_problem(n_nodes: int = 25187, seed: int = 20140519,
         Matrix dimension; defaults to the size of the real matrix.
     seed : int
         Seed for the synthetic circuit.
-    jacobi_equilibrate : bool
-        If True (default), symmetrically scale the matrix by the inverse
-        square roots of its diagonal magnitudes before building the problem.
-        Circuit simulators do the same before handing systems to a Krylov
-        solver; it keeps the problem solvable by unpreconditioned GMRES while
-        remaining nonsymmetric and badly conditioned.
     """
     A = mult_dcop_surrogate(n_nodes, seed=seed)
-    if jacobi_equilibrate:
-        diag = A.diagonal()
-        scale = 1.0 / np.sqrt(np.maximum(np.abs(diag), 1e-300))
-        A = _diagonal_scale(A, scale, scale)
+    scale = 1.0 / np.sqrt(np.maximum(np.abs(A.diagonal()), 1e-300))
+    A = _diagonal_scale(A, scale, scale)
     b, x_exact = _manufactured_rhs(A, seed=seed)
     return TestProblem(
         name=f"mult_dcop_surrogate-{n_nodes}",

@@ -75,14 +75,10 @@ class ResolveContext:
         The system matrix/operator of the solve being configured.
     n : int, optional
         System dimension (when known independently of ``A``).
-    bound_method : str
-        Norm used when a detector bound must be computed from ``A``
-        (``"frobenius"``, ``"two_norm"`` or ``"exact"``).
     """
 
     A: Any = None
     n: int | None = None
-    bound_method: str = "frobenius"
 
     def require_matrix(self, what: str) -> Any:
         """``A`` or a :class:`RegistryError` naming the component that needs it."""
@@ -294,8 +290,7 @@ def names(namespace: str) -> list[str]:
 # ====================================================================== #
 # high-level resolvers (instance passthrough + namespace dispatch)
 # ====================================================================== #
-def resolve_detector(spec: Any, *, A: Any = None,
-                     bound_method: str = "frobenius") -> Any:
+def resolve_detector(spec: Any, *, A: Any = None) -> Any:
     """A Detector instance, ``None``, or a registered detector spec.
 
     This is the single replacement for the previously duplicated
@@ -315,7 +310,7 @@ def resolve_detector(spec: Any, *, A: Any = None,
         raise TypeError(
             f"detector must be a Detector, a registered detector spec "
             f"(one of {names('detector')}), or None; got {type(spec).__name__}")
-    return resolve("detector", spec, ResolveContext(A=A, bound_method=bound_method))
+    return resolve("detector", spec, ResolveContext(A=A))
 
 
 def resolve_preconditioner(spec: Any, *, A: Any = None,
@@ -431,26 +426,21 @@ def resolve_sink(spec: Any) -> Any:
 # ---------------------------- detectors ------------------------------- #
 @register("detector", "bound", aliases=("hessenberg_bound",),
           positional=("method",))
-def _build_bound_detector(ctx, method=None, bound=None, slack=1.0,
-                          check_nonfinite=True):
+def _build_bound_detector(ctx, method="frobenius", bound=None):
     """The paper's invariant detector ``|h_ij| <= ||A||``.
 
     ``bound`` short-circuits the norm computation (used when re-building a
     detector from a serialized instance); otherwise the bound is computed
-    from the context matrix with ``method`` (default: the context's
-    ``bound_method``, i.e. whatever the solver's ``bound_method=`` keyword
-    says — exactly the legacy behavior).
+    from the context matrix with ``method``: ``||A||_F`` (Eq. (3)),
+    ``"two_norm"`` for an estimate of ``||A||_2`` or ``"exact"``.
     """
     from repro.core.detectors import HessenbergBoundDetector
 
     if bound is None:
         from repro.sparse.norms import hessenberg_bound
 
-        A = ctx.require_matrix("detector 'bound'")
-        bound = hessenberg_bound(A, method=method if method is not None
-                                 else ctx.bound_method)
-    return HessenbergBoundDetector(float(bound), slack=float(slack),
-                                   check_nonfinite=bool(check_nonfinite))
+        bound = hessenberg_bound(ctx.require_matrix("detector 'bound'"), method=method)
+    return HessenbergBoundDetector(float(bound))
 
 
 @register("detector", "null")
@@ -480,9 +470,7 @@ def _build_composite_detector(ctx, members=()):
 
     if not members:
         raise RegistryError("detector 'composite' requires a non-empty 'members' list")
-    return CompositeDetector([resolve_detector(m, A=ctx.A,
-                                               bound_method=ctx.bound_method)
-                              for m in members])
+    return CompositeDetector([resolve_detector(m, A=ctx.A) for m in members])
 
 
 # -------------------------- preconditioners --------------------------- #
@@ -623,12 +611,10 @@ def _build_poisson_problem(ctx, grid_n=100, seed=7):
 
 
 @register("problem", "circuit", positional=("n_nodes",))
-def _build_circuit_problem(ctx, n_nodes=25187, seed=20140519,
-                           jacobi_equilibrate=True):
+def _build_circuit_problem(ctx, n_nodes=25187, seed=20140519):
     from repro.gallery.problems import circuit_problem
 
-    return circuit_problem(n_nodes=int(n_nodes), seed=int(seed),
-                           jacobi_equilibrate=bool(jacobi_equilibrate))
+    return circuit_problem(n_nodes=int(n_nodes), seed=int(seed))
 
 
 # ----------------------------- solvers -------------------------------- #
@@ -677,28 +663,21 @@ def _run_cg(ctx, *, A, b, x0, spec, injector=None, events=None):
 
 # ------------------------------- sinks -------------------------------- #
 @register("sink", "jsonl", positional=("path",))
-def _build_jsonl_sink(ctx, path="runs", flush=True):
-    """Append events as JSON lines under ``path`` (``--sink jsonl:runs/``).
-
-    ``flush`` (default on) makes each event durable and visible to live
-    readers as it happens; ``{"name": "jsonl", "flush": false}`` opts into
-    buffered writes.  String forms of the flag ("false"/"0"/"no") coerce,
-    so dict specs read from JSON config files behave either way.
-    """
+def _build_jsonl_sink(ctx, path="runs"):
+    """Append events as JSON lines under ``path`` (``--sink jsonl:runs/``),
+    each flushed as it is written."""
     from repro.results.events import JsonlEventSink
 
-    if isinstance(flush, str):
-        flush = flush.strip().lower() not in ("0", "false", "no", "off")
-    return JsonlEventSink(path, flush=bool(flush))
+    return JsonlEventSink(path)
 
 
-@register("sink", "broadcast", positional=("maxsize",))
-def _build_broadcast_sink(ctx, maxsize=256):
+@register("sink", "broadcast")
+def _build_broadcast_sink(ctx):
     """Fan events out to live subscribers with bounded queues (the campaign
     service's ``GET /events`` bus; see :mod:`repro.service.streams`)."""
     from repro.service.streams import BroadcastSink
 
-    return BroadcastSink(default_maxsize=int(maxsize))
+    return BroadcastSink()
 
 
 @register("sink", "memory", aliases=("collect",))

@@ -239,16 +239,13 @@ class JsonlEventSink(EventSink):
     ``<path>/events.jsonl`` — unless its last component has a file extension
     (``events.jsonl``, ``log.json``), so ``jsonl:runs`` and ``jsonl:runs/``
     mean the same thing and never shadow a run-store directory with a plain
-    file.  The default flush-per-event discipline means a killed process
-    loses at most the event being written — the same crash contract as the
-    run store — and live readers (``tail -f``, the campaign service's
-    ``GET /jobs/<id>/events`` stream) see each event as it happens.  Pass
-    ``flush=False`` to trade that liveness for buffered writes when the
-    firehose of solver-level events is the bottleneck; events then become
-    durable and visible only on buffer fill and :meth:`close`.
+    file.  Flushing every event means a killed process loses at most the
+    event being written — the same crash contract as the run store — and
+    live readers (``tail -f``, the campaign service's
+    ``GET /jobs/<id>/events`` stream) see each event as it happens.
     """
 
-    def __init__(self, path, *, flush: bool = True) -> None:
+    def __init__(self, path) -> None:
         import os
 
         path = str(path)
@@ -262,14 +259,12 @@ class JsonlEventSink(EventSink):
             if parent:
                 os.makedirs(parent, exist_ok=True)
         self.path = path
-        self.flush = bool(flush)
         self._handle = open(path, "a", encoding="utf-8")
 
     def emit(self, event: Event) -> None:
         json.dump(event.to_dict(), self._handle, default=_jsonable)
         self._handle.write("\n")
-        if self.flush:
-            self._handle.flush()
+        self._handle.flush()
 
     def close(self) -> None:
         if not self._handle.closed:

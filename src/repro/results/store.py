@@ -241,6 +241,18 @@ class RunManifest:
         data.setdefault("extra", {})
         return cls(**data)
 
+    def check_seed(self, seed: int | None) -> None:
+        """Raise :class:`RunStoreError` unless the run solved a problem of ``seed``.
+
+        :func:`campaign_fingerprint` names the problem but not its seed, so
+        problems that differ only in their seed share a run id, and their
+        trials must not stand in for each other on resume or reload.
+        """
+        if self.seed != seed:
+            raise RunStoreError(
+                f"run {self.run_id!r} was produced on a problem of seed {self.seed}, "
+                f"not {seed}; choose another run_id or store")
+
 
 class RunWriter:
     """Appends trial records to the trials file of a run directory.
@@ -279,20 +291,20 @@ class StoreLock:
     that does not take the lock (the store's append-only trial files never
     need it).
 
-    Use as a context manager, or ``acquire(blocking=False)`` /
-    ``acquire(timeout=...)`` for try-lock semantics.  ``release`` explicitly
-    unlocks before closing the file so a child process that inherited the
-    open description across ``fork`` cannot keep the lock alive.  On
-    platforms without ``fcntl`` the lock degrades to a no-op (single-host
-    POSIX is the supported service deployment).
+    Use as a context manager, or ``acquire``/``release``; ``acquire``
+    blocks until the lock is free.  ``release`` explicitly unlocks before
+    closing the file so a child process that inherited the open description
+    across ``fork`` cannot keep the lock alive.  On platforms without
+    ``fcntl`` the lock degrades to a no-op (single-host POSIX is the
+    supported service deployment).
     """
 
     def __init__(self, directory, *, name: str = ".lock"):
         self.path = os.path.join(str(directory), name)
         self._handle = None
 
-    def acquire(self, *, blocking: bool = True, timeout: float | None = None) -> bool:
-        """Take the lock; returns False only for a failed non-blocking try."""
+    def acquire(self) -> None:
+        """Take the lock, waiting for another holder to release it."""
         if self._handle is not None:
             raise RunStoreError(f"lock {self.path} is already held by this object")
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
@@ -301,29 +313,13 @@ class StoreLock:
             import fcntl
         except ImportError:  # pragma: no cover - non-POSIX fallback
             self._handle = handle
-            return True
+            return
         try:
-            if blocking and timeout is None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            else:
-                import time as _time
-
-                deadline = _time.monotonic() + (timeout or 0.0)
-                while True:
-                    try:
-                        fcntl.flock(handle.fileno(),
-                                    fcntl.LOCK_EX | fcntl.LOCK_NB)
-                        break
-                    except OSError:
-                        if _time.monotonic() >= deadline:
-                            handle.close()
-                            return False
-                        _time.sleep(0.01)
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         except Exception:
             handle.close()
             raise
         self._handle = handle
-        return True
 
     def release(self) -> None:
         if self._handle is None:
@@ -448,10 +444,13 @@ class RunStore:
     def _manifest_lock(self, run_id: str) -> StoreLock:
         """The lock serializing manifest read-modify-write cycles of a run.
 
-        The supervisor's retry accounting and the service's finalize can
-        race on one manifest from different processes; every RMW
-        (:meth:`update_manifest_extra`, :meth:`finalize`) must run under
-        this lock so concurrent merges never lose keys.
+        A run's own writers (the sharded supervisor's retry accounting and
+        the finalize at its end) all run in the campaign's process, so they
+        never race each other.  The lock guards against a second process
+        working on the same run at once — a ``--resume`` or a service job
+        started on a run id that another invocation is still writing — so
+        every RMW (:meth:`update_manifest_extra`, :meth:`finalize`) runs
+        under it and concurrent merges never lose keys.
         """
         return StoreLock(self.run_path(run_id), name=".manifest.lock")
 

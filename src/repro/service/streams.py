@@ -36,6 +36,9 @@ EVENTS_FILE = "events.jsonl"
 
 _CLOSED = object()  # queue sentinel: the broadcast sink shut down
 
+#: Events a subscriber's queue holds before the producer drops for it.
+SUBSCRIBER_QUEUE = 256
+
 
 def run_events_path(store, run_id: str) -> str:
     """The durable live-event file of one service-managed run."""
@@ -51,9 +54,9 @@ class Subscription:
     accounting — the producer never blocks).
     """
 
-    def __init__(self, sink: "BroadcastSink", maxsize: int):
+    def __init__(self, sink: "BroadcastSink"):
         self._sink = sink
-        self._queue: queue.Queue = queue.Queue(maxsize)
+        self._queue: queue.Queue = queue.Queue(SUBSCRIBER_QUEUE)
         self.dropped = 0
         self.closed = False
 
@@ -104,21 +107,18 @@ class BroadcastSink(EventSink):
 
     Registered as the ``broadcast`` sink; the service daemon uses one as its
     job-lifecycle bus (``GET /events``).  Emit is O(subscribers) and never
-    waits: a full subscriber queue increments that subscription's
-    ``dropped`` counter instead.
+    waits: a full subscriber queue (:data:`SUBSCRIBER_QUEUE` events)
+    increments that subscription's ``dropped`` counter instead.
     """
 
-    def __init__(self, *, default_maxsize: int = 256):
-        self.default_maxsize = int(default_maxsize)
-        if self.default_maxsize < 1:
-            raise ValueError(f"default_maxsize must be >= 1, got {default_maxsize}")
+    def __init__(self):
         self._subs: list[Subscription] = []
         self._lock = threading.Lock()
         self.closed = False
 
-    def subscribe(self, *, maxsize: int | None = None) -> Subscription:
+    def subscribe(self) -> Subscription:
         """A new bounded subscription (closed immediately if the sink is)."""
-        sub = Subscription(self, int(maxsize or self.default_maxsize))
+        sub = Subscription(self)
         with self._lock:
             if self.closed:
                 sub._shutdown()

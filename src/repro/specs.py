@@ -11,12 +11,13 @@ fault campaign is described by plain data — :class:`SolveSpec`,
 :class:`SolveSpec` is the only solver configuration: the solvers take its
 :meth:`~SolveSpec.gmres_kwargs`/:meth:`~SolveSpec.fgmres_kwargs` (which hold
 the per-method defaults), :func:`repro.core.ftgmres.ft_gmres` takes the spec
-itself, and a :class:`~repro.faults.campaign.FaultCampaign` keeps its merged
-nested-solver spec as ``campaign.solver``.
+itself, and a :class:`~repro.faults.campaign.FaultCampaign` keeps the
+nested-solver spec it composes from its campaign fields as
+``campaign.solver``.
 
 Validation errors are :class:`SpecError` (a ``ValueError``) and always name
 the offending field, including its dotted path inside nested specs
-(``"solver.inner.maxiter"``).
+(``"solver.inner.preconditioner"``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "SOLVER_METHODS",
     "ORTHOGONALIZATIONS",
     "DETECTOR_RESPONSES",
-    "BOUND_METHODS",
     "LSQ_POLICIES",
     "MGS_POSITIONS",
     "FAULT_PERSISTENCES",
@@ -52,7 +52,6 @@ __all__ = [
 SOLVER_METHODS = ("gmres", "fgmres", "ft_gmres", "cg")
 ORTHOGONALIZATIONS = ("mgs", "cgs", "cgs2")
 DETECTOR_RESPONSES = ("flag", "zero", "clamp", "recompute", "raise")
-BOUND_METHODS = ("frobenius", "two_norm", "exact")
 LSQ_POLICIES = ("standard", "hybrid", "rank_revealing")
 MGS_POSITIONS = ("first", "last")
 FAULT_PERSISTENCES = ("transient", "sticky", "persistent")
@@ -277,13 +276,10 @@ class SolveSpec(_SpecBase):
     preconditioner: Any = None
     orthogonalization: str = "mgs"
     lsq_policy: str | None = None
-    lsq_tol: float | None = None
-    rank_tol: float | None = None
     detector: Any = None
     #: ``None`` means "the solver's default" (``"flag"``); keeping the unset
     #: state distinct lets campaign composition honor an explicit ``"flag"``.
     detector_response: str | None = None
-    bound_method: str = "frobenius"
     inner: "SolveSpec | None" = None
 
     def __post_init__(self) -> None:
@@ -295,16 +291,13 @@ class SolveSpec(_SpecBase):
         _check_component("preconditioner", self.preconditioner)
         _check_choice("orthogonalization", self.orthogonalization, ORTHOGONALIZATIONS)
         _check_choice("lsq_policy", self.lsq_policy, LSQ_POLICIES, allow_none=True)
-        _check_float("lsq_tol", self.lsq_tol, minimum=0.0, allow_none=True)
-        _check_float("rank_tol", self.rank_tol, minimum=0.0, allow_none=True)
         _check_component("detector", self.detector)
         _check_choice("detector_response", self.detector_response, DETECTOR_RESPONSES,
                       allow_none=True)
-        _check_choice("bound_method", self.bound_method, BOUND_METHODS)
         _nested_spec(self, "inner", SolveSpec)
 
         if self.method == "gmres":
-            self._forbid("max_outer", "rank_tol", "inner")
+            self._forbid("max_outer", "inner")
         elif self.method == "fgmres":
             self._forbid("restart", "maxiter", "preconditioner", "inner")
         elif self.method == "ft_gmres":
@@ -319,9 +312,8 @@ class SolveSpec(_SpecBase):
                                     "the FT-GMRES inner solves never restart "
                                     "(one cycle of maxiter steps each)")
         elif self.method == "cg":
-            self._forbid("restart", "max_outer", "rank_tol", "inner",
-                         "lsq_policy", "lsq_tol", "detector", "orthogonalization",
-                         "detector_response", "bound_method")
+            self._forbid("restart", "max_outer", "inner", "lsq_policy", "detector",
+                         "orthogonalization", "detector_response")
 
     def _forbid(self, *names: str) -> None:
         for name in names:
@@ -386,11 +378,9 @@ class SolveSpec(_SpecBase):
             "preconditioner": self.preconditioner,
             "orthogonalization": self.orthogonalization,
             "lsq_policy": self.lsq_policy if self.lsq_policy is not None else "standard",
-            "lsq_tol": self.lsq_tol,
             "detector": self.detector,
             "detector_response": (self.detector_response
                                   if self.detector_response is not None else "flag"),
-            "bound_method": self.bound_method,
         }
 
     def fgmres_kwargs(self) -> dict[str, Any]:
@@ -408,12 +398,9 @@ class SolveSpec(_SpecBase):
             "orthogonalization": self.orthogonalization,
             "lsq_policy": (self.lsq_policy if self.lsq_policy is not None
                            else "rank_revealing"),
-            "lsq_tol": self.lsq_tol,
-            "rank_tol": self.rank_tol,
             "detector": self.detector,
             "detector_response": (self.detector_response
                                   if self.detector_response is not None else "flag"),
-            "bound_method": self.bound_method,
         }
 
     def cg_kwargs(self) -> dict[str, Any]:
@@ -423,8 +410,9 @@ class SolveSpec(_SpecBase):
                 "preconditioner": self.preconditioner}
 
 
-#: The paper's inner solve: fixed 25 GMRES iterations, no convergence test.
-_PAPER_INNER = SolveSpec(method="gmres", tol=0.0, maxiter=25)
+#: The paper's inner solve: GMRES with no convergence test, run for the
+#: fixed budget of :meth:`SolveSpec.gmres_kwargs` (25 unless ``maxiter`` is set).
+_PAPER_INNER = SolveSpec(method="gmres", tol=0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -500,6 +488,13 @@ class ExecutionSpec(_SpecBase):
 # ---------------------------------------------------------------------- #
 # CampaignSpec
 # ---------------------------------------------------------------------- #
+#: The nested-solver settings that are campaign fields, as (path inside
+#: ``CampaignSpec.solver``, campaign field) pairs.
+_CAMPAIGN_HOMES = (("tol", "outer_tol"), ("max_outer", "max_outer"),
+                   ("inner.maxiter", "inner_iterations"), ("inner.detector", "detector"),
+                   ("inner.detector_response", "detector_response"))
+
+
 @dataclass(frozen=True)
 class CampaignSpec(_SpecBase):
     """Declarative configuration of a whole fault-injection campaign.
@@ -519,15 +514,15 @@ class CampaignSpec(_SpecBase):
 
     ``problem`` is a gallery spec (``"poisson:30"``,
     ``{"name": "circuit", "n_nodes": 800}``) or ``None`` when the problem
-    object is supplied in code.  ``solver`` optionally configures the nested
-    solver (a :class:`SolveSpec` of method ``"ft_gmres"``).  Five campaign
-    fields have a twin inside it: ``outer_tol`` (``solver.tol``),
-    ``max_outer`` (``solver.max_outer``), ``inner_iterations``
-    (``solver.inner.maxiter``), ``detector`` and ``detector_response``
-    (``solver.inner.detector``/``solver.inner.detector_response``).  A
-    solver value that is set takes effect; setting both twins to different
-    values is a :class:`SpecError` naming the solver field (raised when the
-    campaign is built).
+    object is supplied in code.  ``solver`` optionally configures the rest
+    of the nested solver (a :class:`SolveSpec` of method ``"ft_gmres"``:
+    the outer orthogonalization, least-squares policy and detector, and the
+    inner solve's preconditioner, orthogonalization and policy).  Five of
+    its settings are campaign fields, which are their only home: a solver
+    that sets ``tol``, ``max_outer``, ``inner.maxiter``, ``inner.detector``
+    or ``inner.detector_response`` is a :class:`SpecError` naming the path
+    and the field to set instead (``outer_tol``, ``max_outer``,
+    ``inner_iterations``, ``detector``, ``detector_response``).
     """
 
     problem: Any = None
@@ -590,10 +585,18 @@ class CampaignSpec(_SpecBase):
                          for i, loc in enumerate(self.locations))
             object.__setattr__(self, "locations", locs)
         _nested_spec(self, "solver", SolveSpec)
-        if self.solver is not None and self.solver.method != "ft_gmres":
-            raise SpecError("solver.method",
-                            "campaigns run the nested FT-GMRES solver; "
-                            f"got {self.solver.method!r}")
+        if self.solver is not None:
+            if self.solver.method != "ft_gmres":
+                raise SpecError("solver.method",
+                                "campaigns run the nested FT-GMRES solver; "
+                                f"got {self.solver.method!r}")
+            for path, home in _CAMPAIGN_HOMES:
+                parent, _, name = path.rpartition(".")
+                owner = self.solver.inner if parent else self.solver
+                if owner is not None and getattr(owner, name) != _field_default(SolveSpec,
+                                                                                name):
+                    raise SpecError(f"solver.{path}", f"a campaign sets this with its "
+                                                      f"{home} field; set {home} instead")
         _nested_spec(self, "exec", ExecutionSpec, allow_none=False)
 
     # ------------------------------------------------------------------ #
@@ -724,8 +727,8 @@ def parse_override_value(text: str) -> Any:
     """Parse a ``--set`` value: JSON literal when possible, else the raw string.
 
     ``--set exec.backend=batched`` needs no quoting (``batched`` is not valid
-    JSON, so the raw string survives); ``--set solver.inner.maxiter=25``
-    parses as an integer; ``--set detector=null`` clears a field.
+    JSON, so the raw string survives); ``--set max_outer=60`` parses as an
+    integer; ``--set detector=null`` clears a field.
     """
     try:
         return json.loads(text)
@@ -737,10 +740,12 @@ def apply_overrides(spec: _SpecT, assignments: Mapping[str, Any]) -> _SpecT:
     """Apply ``{"dotted.path": value}`` overrides to a (frozen) spec tree.
 
     Each dotted path names a field, descending through nested specs
-    (``exec.backend``, ``solver.inner.maxiter``).  Intermediate specs that
-    are ``None`` are created with their defaults so a path like
-    ``solver.inner.maxiter`` works on a spec that never mentioned a solver.
-    Returns a new spec; raises :class:`SpecError` naming the bad segment.
+    (``exec.backend``, ``solver.inner.preconditioner``).  Intermediate specs
+    that are ``None`` are created with their defaults (an inner solve is the
+    paper's, with no ``maxiter`` of its own) so a path like
+    ``solver.inner.preconditioner`` works on a spec that never mentioned a
+    solver.  Returns a new spec; raises :class:`SpecError` naming the bad
+    segment.
     """
     for path, value in assignments.items():
         spec = _apply_one(spec, path.split("."), path, value)

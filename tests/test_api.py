@@ -162,136 +162,149 @@ class TestCampaignEquivalence:
             api.run_campaign(spec=CampaignSpec())
 
     def test_solver_inner_maxiter_takes_effect(self, poisson):
-        """The advertised `--set solver.inner.maxiter=N` override must not be
-        silently clobbered by the campaign-level default."""
-        from repro.specs import apply_overrides
+        """The inner budget is never silently clobbered: its one home,
+        ``inner_iterations``, is the solver's inner ``maxiter``, and
+        ``--set solver.inner.maxiter=N`` is refused, naming that home."""
+        from repro.specs import SpecError, apply_overrides
 
-        spec = apply_overrides(CampaignSpec(max_outer=30),
-                               {"solver.inner.maxiter": 7})
+        with pytest.raises(SpecError, match="set inner_iterations instead") as excinfo:
+            apply_overrides(CampaignSpec(max_outer=30), {"solver.inner.maxiter": 7})
+        assert excinfo.value.field == "solver.inner.maxiter"
+        spec = apply_overrides(CampaignSpec(max_outer=30), {"inner_iterations": 7})
         campaign = FaultCampaign.from_spec(spec, problem=poisson)
         assert campaign.inner_iterations == 7
         assert campaign.solver.inner.maxiter == 7
-        legacy = FaultCampaign(poisson, inner_iterations=7, max_outer=30)
-        assert (campaign.run_plan(campaign.plan(stride=9)).trials
-                == legacy.run_plan(legacy.plan(stride=9)).trials)
+        assert campaign.solver.gmres_kwargs()["maxiter"] == 7
+        run = campaign.run_plan(campaign.plan(locations=range(0, 60, 9))).trials
+        assert {t.total_inner_iterations % 7 for t in run} == {0}
 
     def test_solver_outer_budget_takes_effect(self, poisson):
-        spec = CampaignSpec(solver=SolveSpec(method="ft_gmres", max_outer=20))
-        campaign = FaultCampaign.from_spec(spec, problem=poisson)
-        assert campaign.max_outer == 20
-        assert campaign.solver.fgmres_kwargs()["max_outer"] == 20
-
-    def test_solver_outer_tol_takes_effect(self, poisson):
-        """`solver.tol` is the outer tolerance, like `solver.max_outer` is the
-        outer budget; a conflicting `outer_tol` is rejected, not ignored."""
         from repro.specs import SpecError
 
-        spec = CampaignSpec.from_dict({"inner_iterations": 3,
-                                       "solver": {"method": "ft_gmres", "tol": 1e-3}})
+        campaign = FaultCampaign.from_spec(CampaignSpec(max_outer=20), problem=poisson)
+        assert campaign.max_outer == 20
+        assert campaign.solver.fgmres_kwargs()["max_outer"] == 20
+        with pytest.raises(SpecError, match="set max_outer instead"):
+            CampaignSpec(solver=SolveSpec(method="ft_gmres", max_outer=20))
+
+    def test_solver_outer_tol_takes_effect(self, poisson):
+        """``outer_tol`` is the outer tolerance's one home; ``solver.tol`` is
+        rejected, not ignored, even when it agrees."""
+        from repro.specs import SpecError
+
+        spec = CampaignSpec.from_dict({"inner_iterations": 3, "outer_tol": 1e-3})
         campaign = FaultCampaign.from_spec(spec, problem=poisson)
         assert campaign.outer_tol == 1e-3
         assert campaign.solver.fgmres_kwargs()["tol"] == 1e-3
         loose = campaign.run_failure_free()
         tight = FaultCampaign(poisson, inner_iterations=3).run_failure_free()
         assert loose.outer_iterations < tight.outer_iterations
-        conflicting = CampaignSpec(outer_tol=1e-6,
-                                   solver=SolveSpec(method="ft_gmres", tol=1e-7))
-        with pytest.raises(SpecError, match="solver.tol"):
-            FaultCampaign.from_spec(conflicting, problem=poisson)
+        for tol in (1e-7, 1e-3):
+            with pytest.raises(SpecError, match="set outer_tol instead") as excinfo:
+                CampaignSpec.from_dict({"outer_tol": 1e-3,
+                                        "solver": {"method": "ft_gmres", "tol": tol}})
+            assert excinfo.value.field == "solver.tol"
 
     def test_conflicting_budgets_rejected(self, poisson):
         from repro.specs import SpecError
 
-        spec = CampaignSpec(inner_iterations=10,
-                            solver=SolveSpec(method="ft_gmres",
-                                             inner=SolveSpec(method="gmres",
-                                                             maxiter=7)))
         with pytest.raises(SpecError, match="solver.inner.maxiter"):
-            FaultCampaign.from_spec(spec, problem=poisson)
+            CampaignSpec(inner_iterations=10,
+                         solver=SolveSpec(method="ft_gmres",
+                                          inner=SolveSpec(method="gmres", maxiter=7)))
 
     def test_conflicting_detector_responses_rejected(self, poisson):
-        """An explicit campaign detector_response is not silently overridden
-        by the solver spec's inner one."""
+        """A campaign's detector_response is not silently overridden by (or
+        merged with) the solver spec's inner one: the inner one is refused."""
         from repro.specs import SpecError
 
-        spec = CampaignSpec.from_dict({
-            "detector": "bound", "detector_response": "clamp",
-            "solver": {"method": "ft_gmres",
-                       "inner": {"method": "gmres", "detector": "bound",
-                                 "detector_response": "flag"}}})
         with pytest.raises(SpecError, match="solver.inner.detector_response"):
-            FaultCampaign.from_spec(spec, problem=poisson)
+            CampaignSpec.from_dict({
+                "detector": "bound", "detector_response": "clamp",
+                "solver": {"method": "ft_gmres",
+                           "inner": {"method": "gmres", "detector_response": "flag"}}})
 
     def test_solver_inner_detector_takes_effect(self, poisson):
-        """An inner detector configured via the solver spec must actually
-        detect (not be clobbered by the campaign-level default of None)."""
-        spec = CampaignSpec(
-            inner_iterations=5, max_outer=25, locations=(1,),
-            solver=SolveSpec(method="ft_gmres",
-                             inner=SolveSpec(method="gmres", tol=0.0,
-                                             detector="bound",
-                                             detector_response="zero")))
+        """The campaign's detector is the inner solves' detector, and it
+        actually detects."""
+        spec = CampaignSpec(inner_iterations=5, max_outer=25, locations=(1,),
+                            detector="bound", detector_response="zero")
+        campaign = FaultCampaign.from_spec(spec, problem=poisson)
+        assert campaign.solver.inner.detector is campaign.detector
         result = api.run_campaign(poisson, spec)
         assert result.detector_enabled
         large = [t for t in result.trials if t.fault_class == "large"]
         assert all(t.faults_detected > 0 for t in large)
-        legacy = api.run_campaign(poisson, CampaignSpec(
-            inner_iterations=5, max_outer=25, locations=(1,),
-            detector="bound", detector_response="zero"))
-        assert result.trials == legacy.trials
 
     def test_solver_inner_explicit_flag_response_honored(self, poisson):
-        """detector_response='flag' set on solver.inner must survive (count
-        detections without filtering), not be swapped for the campaign
-        default 'zero'."""
-        spec = CampaignSpec(
-            inner_iterations=5, max_outer=25, locations=(1,),
-            solver=SolveSpec(method="ft_gmres",
-                             inner=SolveSpec(method="gmres", tol=0.0,
-                                             detector="bound",
-                                             detector_response="flag")))
-        campaign = FaultCampaign.from_spec(spec, problem=poisson)
+        """detector_response='flag' survives (count detections without
+        filtering), not swapped for the campaign default 'zero'."""
+        campaign = FaultCampaign(poisson, inner_iterations=5, max_outer=25,
+                                 detector="bound", detector_response="flag")
         assert campaign.detector_response == "flag"
-        legacy = FaultCampaign(poisson, inner_iterations=5, max_outer=25,
-                               detector="bound", detector_response="flag")
-        assert (campaign.run_plan(campaign.plan(locations=[1])).trials
-                == legacy.run_plan(legacy.plan(locations=[1])).trials)
-        # The same holds when the detector itself is set campaign-level.
-        split = CampaignSpec(
-            inner_iterations=5, max_outer=25, detector="bound",
-            solver=SolveSpec(method="ft_gmres",
-                             inner=SolveSpec(method="gmres", tol=0.0,
-                                             detector_response="flag")))
-        assert FaultCampaign.from_spec(split, problem=poisson).detector_response == "flag"
+        assert campaign.solver.gmres_kwargs()["detector_response"] == "flag"
+        zero = FaultCampaign(poisson, inner_iterations=5, max_outer=25,
+                             detector="bound")
+        assert zero.solver.gmres_kwargs()["detector_response"] == "zero"
+        flagged = campaign.run_plan(campaign.plan(locations=[1])).trials
+        zeroed = zero.run_plan(zero.plan(locations=[1])).trials
+        assert all(t.faults_detected > 0 for t in flagged if t.fault_class == "large")
+        assert flagged != zeroed
 
     def test_solver_inner_bound_method_honored(self):
-        """solver.inner.bound_method must reach a string detector spec: the
-        campaign's 'bound' detector then uses the two-norm bound, exactly as
-        the explicit 'bound:two_norm' spec does — not the Frobenius default."""
+        """The detector spec's argument is the one home of the bound's norm:
+        ``bound:two_norm`` gives the two-norm bound, not the Frobenius
+        default, and ``bound_method`` is no solver field."""
         from repro.sparse.norms import hessenberg_bound
+        from repro.specs import SpecError
 
         problem = poisson_problem(10)
-        inner = SolveSpec(method="gmres", tol=0.0, maxiter=25,
-                          bound_method="two_norm")
-        campaign = FaultCampaign(problem, detector="bound",
-                                 solver=SolveSpec(method="ft_gmres", inner=inner))
-        explicit = FaultCampaign(problem, detector="bound:two_norm")
-        assert campaign.detector.bound == explicit.detector.bound
+        campaign = FaultCampaign(problem, detector="bound:two_norm")
         assert campaign.detector.bound == hessenberg_bound(problem.A,
                                                            method="two_norm")
         assert campaign.detector.bound < hessenberg_bound(problem.A,
                                                           method="frobenius")
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict({"solver": {
+                "method": "ft_gmres",
+                "inner": {"method": "gmres", "bound_method": "two_norm"}}})
+        assert excinfo.value.field == "solver.inner.bound_method"
 
     def test_conflicting_detectors_rejected(self, poisson):
         from repro.specs import SpecError
 
-        spec = CampaignSpec(
-            detector="nonfinite",
-            solver=SolveSpec(method="ft_gmres",
-                             inner=SolveSpec(method="gmres", tol=0.0,
-                                             detector="bound")))
         with pytest.raises(SpecError, match="solver.inner.detector"):
-            FaultCampaign.from_spec(spec, problem=poisson)
+            CampaignSpec(detector="nonfinite",
+                         solver=SolveSpec(method="ft_gmres",
+                                          inner=SolveSpec(method="gmres", tol=0.0,
+                                                          detector="bound")))
+
+    @pytest.mark.parametrize("inner", [None, SolveSpec(method="gmres", tol=0.0,
+                                                       preconditioner="ilu0")],
+                             ids=["default", "ilu0-inner"])
+    def test_campaign_solver_is_the_composed_solve_spec(self, poisson, inner):
+        """``FaultCampaign.solver`` is ``spec.solver`` with the five campaign
+        fields put in, and nothing else changed."""
+        from repro.sparse.norms import hessenberg_bound
+
+        spec = CampaignSpec(inner_iterations=6, max_outer=40, outer_tol=1e-7,
+                            detector="bound", detector_response="clamp",
+                            solver=None if inner is None
+                            else SolveSpec(method="ft_gmres", inner=inner))
+        campaign = FaultCampaign(poisson, spec)
+        expected = SolveSpec(
+            method="ft_gmres", tol=1e-7, max_outer=40,
+            inner=SolveSpec(method="gmres", tol=0.0, maxiter=6,
+                            preconditioner=campaign.solver.inner.preconditioner,
+                            detector=campaign.detector, detector_response="clamp"))
+        assert campaign.solver == expected
+        assert campaign.detector.bound == hessenberg_bound(poisson.A)
+        if inner is None:
+            assert campaign.solver.inner.preconditioner is None
+        else:
+            from repro.precond.ilu import ILU0Preconditioner
+
+            assert isinstance(campaign.solver.inner.preconditioner, ILU0Preconditioner)
 
     def test_cg_resolves_preconditioner_spec(self, poisson):
         from repro.precond.jacobi import JacobiPreconditioner

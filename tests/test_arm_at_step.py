@@ -60,7 +60,6 @@ def schedules(draw):
         "mgs_position": draw(st.one_of(st.none(), st.sampled_from(["first", "last"]),
                                        st.integers(0, 3))),
         "persistence": draw(st.sampled_from(["transient", "sticky", "persistent"])),
-        "sticky_count": draw(st.integers(1, 3)),
     }
     if draw(st.booleans()):
         return FaultRateSchedule(faults_per_solve=draw(st.integers(1, 3)),
@@ -126,10 +125,8 @@ _SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
 
 @st.composite
 def vectorized_detectors(draw):
-    bound = draw(st.floats(min_value=1e-300, max_value=1e300))
-    slack = draw(st.sampled_from([1.0, 0.5, 1.0 + 2.0 ** -40, 3.0]))
-    hessenberg = HessenbergBoundDetector(bound, slack=slack,
-                                         check_nonfinite=draw(st.booleans()))
+    hessenberg = HessenbergBoundDetector(draw(st.floats(min_value=1e-300,
+                                                        max_value=1e300)))
     return draw(st.sampled_from([
         hessenberg, NonFiniteDetector(), NullDetector(),
         CompositeDetector([hessenberg, NonFiniteDetector()]),
@@ -137,8 +134,8 @@ def vectorized_detectors(draw):
 
 
 def _bound_cusp(detector):
-    """The effective bound and its neighbours one ulp away, both signs."""
-    bounds = [getattr(d, "effective_bound", None)
+    """The bound and its neighbours one ulp away, both signs."""
+    bounds = [getattr(d, "bound", None)
               for d in getattr(detector, "detectors", [detector])]
     cusp = []
     for b in filter(None, bounds):
@@ -272,7 +269,7 @@ def test_arm_at_step_matches_always_armed(grid_problem, detector, orth, always_a
                 grid_problem, inner_iterations=6, max_outer=20, detector=spec,
                 detector_response=response, site=site,
                 solver=SolveSpec(method="ft_gmres",
-                                 inner=SolveSpec(method="gmres", tol=0.0, maxiter=6,
+                                 inner=SolveSpec(method="gmres", tol=0.0,
                                                  orthogonalization=orth)),
                 **schedule)
             det = campaign.detector

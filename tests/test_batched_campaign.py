@@ -254,7 +254,7 @@ class TestCommonPathExits:
         46 cancels to exactly zero in the lockstep order but is rounding
         noise (-1.1e-14) serially, where the 1e150 fault fires: the lane
         must be peeled, not left with a fault that scaled zero to zero."""
-        inner = SolveSpec(method="gmres", tol=0.0, maxiter=10, lsq_policy="standard")
+        inner = SolveSpec(method="gmres", tol=0.0, lsq_policy="standard")
         campaign = FaultCampaign(poisson_problem(grid_n=10), inner_iterations=10,
                                  max_outer=60, detector="bound", detector_response="flag",
                                  solver=SolveSpec(method="ft_gmres", inner=inner))

@@ -137,10 +137,10 @@ class TestOneConfiguration:
         from repro.precond.jacobi import JacobiPreconditioner
         from repro.specs import SolveSpec, SpecError
 
-        inner = SolveSpec(method="gmres", tol=0.0, maxiter=5,
+        inner = SolveSpec(method="gmres", tol=0.0,
                           preconditioner=JacobiPreconditioner(PROBLEM.A))
-        campaign = FaultCampaign(PROBLEM, solver=SolveSpec(method="ft_gmres",
-                                                           inner=inner))
+        campaign = FaultCampaign(PROBLEM, inner_iterations=5,
+                                 solver=SolveSpec(method="ft_gmres", inner=inner))
         assert campaign.provenance["spec_hash"] is None
         with pytest.raises(SpecError):
             api.run_campaign(PROBLEM, campaign.spec, store=tmp_path)

@@ -73,16 +73,12 @@ class TestHessenbergBoundDetector:
         assert d.check_scalar(float("nan"))
         assert d.check_scalar(float("inf"))
 
-    def test_nonfinite_check_disabled(self):
-        d = HessenbergBoundDetector(5.0, check_nonfinite=False)
-        res = d.check_scalar(float("inf"))
-        assert res.flagged  # inf still exceeds the bound numerically
-
     def test_slack(self):
-        d = HessenbergBoundDetector(10.0, slack=2.0)
-        assert d.effective_bound == 20.0
-        assert not d.check_scalar(15.0)
-        assert d.check_scalar(25.0)
+        """The bound is the threshold as given: no slack widens it."""
+        d = HessenbergBoundDetector(10.0)
+        assert not d.check_scalar(10.0)
+        assert d.check_scalar(np.nextafter(10.0, np.inf))
+        assert d.check_scalar(-np.nextafter(10.0, np.inf))
 
     def test_vector_check_uses_norm(self):
         d = HessenbergBoundDetector(5.0)
@@ -95,8 +91,15 @@ class TestHessenbergBoundDetector:
             HessenbergBoundDetector(bad)
 
     def test_invalid_slack_rejected(self):
-        with pytest.raises(ValueError):
-            HessenbergBoundDetector(1.0, slack=0.0)
+        """``slack`` and ``check_nonfinite`` are no options of the detector
+        or of its ``bound`` registry spec."""
+        from repro.registry import RegistryError, resolve_detector
+
+        for option in ({"slack": 2.0}, {"check_nonfinite": False}):
+            with pytest.raises(TypeError):
+                HessenbergBoundDetector(1.0, **option)
+            with pytest.raises(RegistryError, match=next(iter(option))):
+                resolve_detector({"name": "bound", "bound": 1.0, **option})
 
     def test_paper_fault_classes(self):
         """Class 1 faults (x1e150) are detectable; classes 2 and 3 are not."""

@@ -267,16 +267,16 @@ class TestOuterDetector:
         assert event.data == {
             "mgs_index": self.STEP, "response": response,
             "aggregate_inner_iteration": self.STEP, "value": 20.0,
-            "bound": detector.effective_bound, "detector": detector.name,
+            "bound": detector.bound, "detector": detector.name,
             "reason": event.data["reason"],
         }
-        assert 20.0 / z_norms[self.STEP] > detector.effective_bound > 20.0
+        assert 20.0 / z_norms[self.STEP] > detector.bound > 20.0
 
         # Each response equals an undetected run whose fault leaves the
         # value the response chose: flag and recompute keep h, zero writes
         # 0, clamp writes sign(h) * bound * ||z_j||.
         kept = {"flag": fault, "recompute": fault, "zero": ZeroFault(),
-                "clamp": AbsoluteFault(detector.effective_bound * z_norms[self.STEP])}
+                "clamp": AbsoluteFault(detector.bound * z_norms[self.STEP])}
         reference, _ = self._solve(problem, kept[response])
         np.testing.assert_array_equal(result.x, reference.x)
         np.testing.assert_array_equal(result.history.as_array(),

@@ -28,7 +28,7 @@ class TestConstruction:
         assert h.k == 0
         assert h.beta == 3.0
         assert h.least_squares_residual() == 3.0
-        assert h.max_abs_entry() == 0.0
+        assert h.H.shape == (1, 0)
 
     def test_column_length_validated(self):
         h = HessenbergMatrix(4, beta=1.0)
@@ -95,31 +95,36 @@ class TestIncrementalQR:
 
 class TestAnalysis:
     def test_entry_accessor(self):
+        """``H`` is the entry accessor: a view of the ``(k+1) x k`` columns
+        added so far."""
         hess = HessenbergMatrix(3, beta=1.0)
         hess.add_column([2.0, 3.0])
-        assert hess.entry(0, 0) == 2.0
-        assert hess.entry(1, 0) == 3.0
+        assert hess.H.tolist() == [[2.0], [3.0]]
         with pytest.raises(IndexError):
-            hess.entry(0, 1)
+            hess.H[0, 1]
 
     def test_bound_violation(self):
+        """The detector's screen over the stored entries finds the one
+        above the bound."""
+        from repro.core.detectors import HessenbergBoundDetector
+
         hess = HessenbergMatrix(2, beta=1.0)
         hess.add_column([5.0, 1.0])
-        assert hess.violates_bound(4.0)
-        assert not hess.violates_bound(6.0)
-        assert hess.max_abs_entry() == 5.0
+        assert HessenbergBoundDetector(4.0).flag_values(hess.H).tolist() == [[True],
+                                                                             [False]]
+        assert not HessenbergBoundDetector(6.0).flag_values(hess.H).any()
 
     def test_spd_hessenberg_is_tridiagonal(self, rng, poisson_small):
         v0 = rng.standard_normal(poisson_small.shape[0])
         hess, _ = build_from_arnoldi(poisson_small, 8, v0)
-        assert hess.is_tridiagonal()
-        assert hess.bandwidth() <= 1
+        scale = np.abs(hess.H).max()
+        assert np.all(np.abs(np.triu(hess.H, 2)) <= 1e-10 * scale)
 
     def test_nonsymmetric_hessenberg_is_not_tridiagonal(self, rng, tridiag_nonsym):
         v0 = rng.standard_normal(tridiag_nonsym.shape[0])
         hess, _ = build_from_arnoldi(tridiag_nonsym, 8, v0)
-        assert not hess.is_tridiagonal()
-        assert hess.bandwidth() > 1
+        scale = np.abs(hess.H).max()
+        assert np.any(np.abs(np.triu(hess.H, 2)) > 1e-10 * scale)
 
     def test_rank_of_well_conditioned_block(self, rng, poisson_small):
         v0 = rng.standard_normal(poisson_small.shape[0])
@@ -145,5 +150,4 @@ class TestAnalysis:
         hess = HessenbergMatrix(3, beta=1.0)
         assert hess.numerical_rank() == 0
         assert hess.smallest_singular_value() == 0.0
-        assert hess.bandwidth() == 0
-        assert hess.is_tridiagonal()
+        assert hess.H.size == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.runner import build_parser, main
+from repro.specs import SolveSpec, SpecError
 
 
 class TestParser:
@@ -106,12 +107,12 @@ class TestSpecDrivenCLI:
         args = build_parser().parse_args(
             ["fig3", "--config", config, "--stride", "3",
              "--set", "stride=7", "--set", "exec.backend=batched",
-             "--set", "exec.batch_size=4", "--set", "solver.inner.maxiter=12"])
+             "--set", "exec.batch_size=4", "--set", "solver.inner.orthogonalization=cgs"])
         spec = build_campaign_spec(args)
         assert spec.stride == 7
         assert spec.exec.backend == "batched"
         assert spec.exec.batch_size == 4
-        assert spec.solver.inner.maxiter == 12
+        assert spec.solver.inner.orthogonalization == "cgs"
 
     def test_config_path_matches_flag_path_end_to_end(self, tmp_path, capsys):
         """A campaign defined purely as JSON prints the identical figure."""
@@ -229,17 +230,68 @@ class TestSpecDrivenCLI:
 
     def test_solver_max_outer_does_not_conflict_with_budget_fallback(self):
         """The runner's per-problem max_outer is a fallback; a user-set
-        solver.max_outer must not trip a spurious conflict (fig4's circuit
-        budget of 200 differs from the CampaignSpec default)."""
+        max_outer beats it without a conflict (fig4's circuit budget of 200
+        differs from the CampaignSpec default), and solver.max_outer is
+        refused as a configuration error naming max_outer, not a conflict."""
         from repro.experiments.runner import build_campaign_spec
         from repro.faults.campaign import FaultCampaign
         from repro.gallery.problems import poisson_problem
 
-        args = build_parser().parse_args(
-            ["fig4", "--set", "solver.max_outer=150"])
+        args = build_parser().parse_args(["fig4", "--set", "max_outer=150"])
         spec = build_campaign_spec(args, problem_key="circuit")
         campaign = FaultCampaign.from_spec(spec, problem=poisson_problem(6))
         assert campaign.max_outer == 150
+        assert campaign.solver.max_outer == 150
+        args = build_parser().parse_args(["fig4", "--set", "solver.max_outer=150"])
+        with pytest.raises(SpecError, match="set max_outer instead") as excinfo:
+            build_campaign_spec(args, problem_key="circuit")
+        assert excinfo.value.field == "solver.max_outer"
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--set", "solver.tol=1e-7"], ("solver.tol", "outer_tol")),
+        (["--set", "solver.max_outer=60"], ("solver.max_outer", "max_outer")),
+        (["--set", "solver.inner.maxiter=25"],
+         ("solver.inner.maxiter", "inner_iterations")),
+        (["--set", "solver.inner.detector=bound"], ("solver.inner.detector", "detector")),
+        (["--set", "solver.inner.detector_response=flag"],
+         ("solver.inner.detector_response", "detector_response")),
+        (["--set", "solver.lsq_tol=1e-3"], ("solver.lsq_tol",)),
+        (["--set", "solver.rank_tol=1e-3"], ("solver.rank_tol",)),
+        (["--set", "solver.bound_method=two_norm"], ("solver.bound_method",)),
+        (["--set", "solver.inner.bound_method=two_norm"],
+         ("solver.inner.bound_method",)),
+        (["--set", 'detector={"name": "bound", "slack": 2}'], ("detector", "slack")),
+        (["--set", 'detector={"name": "bound", "check_nonfinite": false}'],
+         ("detector", "check_nonfinite")),
+        (["--set", 'problem={"name": "circuit", "n_nodes": 50, '
+                   '"jacobi_equilibrate": false}'], ("problem", "jacobi_equilibrate")),
+    ], ids=["tol", "max_outer", "inner-maxiter", "inner-detector",
+            "inner-detector_response", "lsq_tol", "rank_tol", "bound_method",
+            "inner-bound_method", "slack", "check_nonfinite", "jacobi_equilibrate"])
+    def test_solver_twins_and_removed_settings_exit_2(self, capsys, argv, named):
+        """A solver twin of a campaign field, and a setting that no longer
+        exists, are configuration errors naming the path (and, for a twin,
+        the campaign field to set instead)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--scale", "tiny", "--stride", "30"] + argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in named)
+
+    def test_inner_iterations_flag_composes_with_an_inner_override(self, capsys):
+        """``--inner-iterations`` and ``--set solver.inner.*`` set different
+        things: the created inner solve carries no budget of its own, so
+        they do not conflict, and the run is the one with both applied."""
+        from repro.experiments.runner import build_campaign_spec
+
+        argv = ["fig3", "--scale", "tiny", "--stride", "30", "--inner-iterations", "10",
+                "--set", "solver.inner.orthogonalization=cgs"]
+        spec = build_campaign_spec(build_parser().parse_args(argv))
+        assert spec.inner_iterations == 10
+        assert spec.solver.inner == SolveSpec(method="gmres", tol=0.0,
+                                              orthogonalization="cgs")
+        assert main(argv) == 0
+        assert "failure-free outer iterations" in capsys.readouterr().out
 
     def test_executor_knob_conflict_is_a_clean_cli_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

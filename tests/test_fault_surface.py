@@ -237,19 +237,18 @@ class TestFaultRateSchedule:
         injector = FaultInjector(
             ScalingFault(2.0),
             InjectionSchedule(site="spmv,precond", persistence="sticky",
-                              sticky_count=2, max_injections=10,
-                              mgs_position=None),
+                              max_injections=10, mgs_position=None),
             vector_index=0)
         vec = np.ones(4)
         fired = {"spmv": 0, "precond": 0}
-        for site in ("spmv", "spmv", "spmv", "precond", "precond", "precond"):
+        for site in ("spmv",) * 4 + ("precond",) * 4:
             out = injector.corrupt_vector(site, vec,
                                           aggregate_inner_iteration=0)
             if out is not vec:
                 fired[site] += 1
-        # Each site gets its own sticky window of 2; spmv exhausting its
-        # window must not consume precond's.
-        assert fired == {"spmv": 2, "precond": 2}
+        # Each site gets its own sticky window of STICKY_COUNT (3); spmv
+        # exhausting its window must not consume precond's.
+        assert fired == {"spmv": 3, "precond": 3}
 
 
 # --------------------------------------------------------------------------- #

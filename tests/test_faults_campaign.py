@@ -39,12 +39,19 @@ class TestCampaignConfig:
             FaultCampaign(tiny_problem, detector="magic")
 
     def test_solver_dict_is_read_as_a_solve_spec(self, tiny_problem):
-        spec = {"method": "ft_gmres", "max_outer": 7,
-                "inner": {"method": "gmres", "tol": 0.0, "maxiter": 4}}
-        campaign = FaultCampaign(tiny_problem, solver=spec)
+        spec = {"method": "ft_gmres", "orthogonalization": "cgs2",
+                "inner": {"method": "gmres", "tol": 0.0, "orthogonalization": "cgs"}}
+        campaign = FaultCampaign(tiny_problem, max_outer=7, inner_iterations=4,
+                                 solver=spec)
         assert campaign.solver == FaultCampaign(
-            tiny_problem, solver=SolveSpec.from_dict(spec)).solver
-        assert (campaign.max_outer, campaign.inner_iterations) == (7, 4)
+            tiny_problem, max_outer=7, inner_iterations=4,
+            solver=SolveSpec.from_dict(spec)).solver
+        assert (campaign.solver.orthogonalization,
+                campaign.solver.inner.orthogonalization) == ("cgs2", "cgs")
+        assert (campaign.solver.max_outer, campaign.solver.inner.maxiter) == (7, 4)
+        with pytest.raises(SpecError) as excinfo:
+            FaultCampaign(tiny_problem, solver={"method": "ft_gmres", "max_outer": 7})
+        assert excinfo.value.field == "solver.max_outer"
         with pytest.raises(SpecError) as excinfo:
             FaultCampaign(tiny_problem, solver={
                 "method": "ft_gmres", "inner": {"method": "gmres", "maxiter": 0}})
@@ -58,9 +65,6 @@ class TestCampaignConfig:
     def test_invalid_stride(self, tiny_problem):
         with pytest.raises(ValueError):
             FaultCampaign(tiny_problem, inner_iterations=4, max_outer=20, stride=0)
-        campaign = FaultCampaign(tiny_problem, inner_iterations=4, max_outer=20)
-        with pytest.raises(ValueError):
-            campaign.plan(stride=0)
 
     def test_bound_detector_resolved(self, tiny_problem):
         from repro.core.detectors import HessenbergBoundDetector

@@ -7,7 +7,7 @@ import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.models import BitFlipFault, ScalingFault, ZeroFault
-from repro.faults.schedule import InjectionSchedule, Persistence
+from repro.faults.schedule import STICKY_COUNT, InjectionSchedule, Persistence
 
 
 def ctx(**overrides):
@@ -93,11 +93,11 @@ class TestInjector:
         assert inj.injections_performed == 4
 
     def test_sticky_fires_bounded_number(self):
+        assert STICKY_COUNT == 3
         inj = FaultInjector(ScalingFault(2.0),
-                            InjectionSchedule(mgs_position=None, persistence="sticky",
-                                              sticky_count=2))
+                            InjectionSchedule(mgs_position=None, persistence="sticky"))
         results = [inj.corrupt_scalar("hessenberg", 1.0, **ctx()) for _ in range(5)]
-        assert results == [2.0, 2.0, 1.0, 1.0, 1.0]
+        assert results == [2.0, 2.0, 2.0, 1.0, 1.0]
 
     def test_max_injections_cap(self):
         inj = FaultInjector(ScalingFault(2.0),

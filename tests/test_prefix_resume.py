@@ -63,7 +63,7 @@ def baseline_outer(problems):
 def _campaign(problem, site="hessenberg", detector="bound-zero", *, detectors=DETECTORS,
               **kwargs):
     spec, response = detectors[detector]
-    inner = SolveSpec(method="gmres", tol=0.0, maxiter=INNER,
+    inner = SolveSpec(method="gmres", tol=0.0,
                       preconditioner="jacobi" if site == "precond" else None)
     return FaultCampaign(problem, inner_iterations=INNER, detector=spec,
                          detector_response=response, site=site,

@@ -239,6 +239,17 @@ class TestCrashResumeDeterminism:
         with pytest.raises(RunStoreError, match="different campaign"):
             run_campaign(problem, changed, store=store, run_id="r", resume=True)
 
+    def test_resume_rejects_a_problem_of_another_seed(self, problem, tmp_path):
+        """The fingerprint names the problem but not its seed, so a problem
+        that differs only in its seed finds the same run id: resuming it
+        must not hand back the other seed's trials."""
+        store = RunStore(tmp_path)
+        run_campaign(problem, dict(SPEC), store=store, run_id="r")
+        reseeded = poisson_problem(8, seed=9)
+        assert reseeded.name == problem.name and reseeded.seed != problem.seed
+        with pytest.raises(RunStoreError, match="seed 7, not 9"):
+            run_campaign(reseeded, dict(SPEC), store=store, run_id="r", resume=True)
+
     def test_existing_run_without_resume_is_refused(self, problem, tmp_path):
         store = RunStore(tmp_path)
         run_campaign(problem, dict(SPEC), store=store, run_id="r")
@@ -273,6 +284,23 @@ class TestRunnerStoreIntegration:
         assert runner_mod.main(self.ARGS + store_args + ["--from-store"]) == 0
         regenerated = capsys.readouterr().out
         assert regenerated == live
+
+    def test_from_store_rejects_a_problem_of_another_seed(self, tmp_path, capsys):
+        """``--from-store`` must not print another seed's sweep: the run id
+        is the same, the stored manifest's seed is not."""
+        def problem_args(seed):
+            return ["--set", f'problem={{"name": "poisson", "grid_n": 6, "seed": {seed}}}']
+
+        store_args = ["--store", str(tmp_path)]
+        assert runner_mod.main(self.ARGS + store_args + problem_args(7)) == 0
+        capsys.readouterr()
+        assert runner_mod.main(self.ARGS + store_args + problem_args(7)
+                               + ["--from-store"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            runner_mod.main(self.ARGS + store_args + problem_args(9) + ["--from-store"])
+        assert exc.value.code == 2
+        assert "seed 7, not 9" in capsys.readouterr().err
 
     def test_from_store_names_the_missing_run(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

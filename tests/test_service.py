@@ -32,7 +32,8 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import (CampaignScheduler, JobError, JobRecord,
                                      JobStore, job_fingerprint)
 from repro.service.server import ServiceDaemon
-from repro.service.streams import (BroadcastSink, run_events_path, tail_jsonl)
+from repro.service.streams import (SUBSCRIBER_QUEUE, BroadcastSink, run_events_path,
+                                   tail_jsonl)
 from repro.specs import CampaignSpec, ServiceSpec, SpecError
 
 # A tiny campaign: 3 fault classes x 7 locations = 21 trials, ~1 s serial.
@@ -272,26 +273,44 @@ class TestJobStore:
 
 
 class TestStoreLock:
+    @staticmethod
+    def _free(lock):
+        """Whether a raw non-blocking flock on the lock file succeeds."""
+        import fcntl
+
+        with open(lock.path, "a+") as probe:
+            try:
+                fcntl.flock(probe.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                return False
+            fcntl.flock(probe.fileno(), fcntl.LOCK_UN)
+            return True
+
     def test_mutual_exclusion_and_release(self, tmp_path):
         held = StoreLock(tmp_path)
-        assert held.acquire()
-        other = StoreLock(tmp_path)
-        assert other.acquire(blocking=False) is False
+        held.acquire()
+        assert not self._free(held)
         held.release()
-        assert other.acquire(blocking=False) is True
-        other.release()
+        assert self._free(held)
 
-    def test_timeout_waits_then_wins(self, tmp_path):
+    def test_blocked_acquire_waits_then_wins(self, tmp_path):
         held = StoreLock(tmp_path)
         held.acquire()
-        timer = threading.Timer(0.2, held.release)
-        timer.start()
+        won = threading.Event()
+
+        def contend():
+            with StoreLock(tmp_path):
+                won.set()
+
+        thread = threading.Thread(target=contend)
+        thread.start()
         try:
-            other = StoreLock(tmp_path)
-            assert other.acquire(timeout=5.0) is True
-            other.release()
+            assert not won.wait(0.2)  # blocked while the lock is held
         finally:
-            timer.cancel()
+            held.release()
+        assert won.wait(5.0)
+        thread.join(5.0)
+        assert not thread.is_alive()
 
     def test_context_manager_and_reentry_guard(self, tmp_path):
         lock = StoreLock(tmp_path)
@@ -300,7 +319,9 @@ class TestStoreLock:
 
             with pytest.raises(RunStoreError, match="already held"):
                 lock.acquire()
-        assert lock.acquire(blocking=False)
+            assert not self._free(lock)
+        assert self._free(lock)
+        lock.acquire()
         lock.release()
 
 
@@ -345,30 +366,17 @@ class TestJsonlFlushParam:
         finally:
             sink.close()
 
-    def test_flush_false_buffers_until_close(self, tmp_path):
-        path = os.path.join(str(tmp_path), "events.jsonl")
-        sink = JsonlEventSink(path, flush=False)
-        sink.emit(Event("trial_completed", data={"done": 1}))
-        assert os.path.getsize(path) == 0  # buffered
-        sink.close()
-        with open(path) as handle:
-            assert len(handle.readlines()) == 1
+    def test_registry_factory_rejects_flush(self, tmp_path):
+        """Every event is flushed; ``flush`` is no option of the sink."""
+        from repro.registry import RegistryError, resolve_sink
 
-    def test_registry_factory_coerces_flush_strings(self, tmp_path):
-        from repro.registry import resolve_sink
-
-        sink = resolve_sink({"name": "jsonl",
-                             "path": os.path.join(str(tmp_path), "e.jsonl"),
-                             "flush": "false"})
-        try:
-            assert sink.flush is False
-        finally:
-            sink.close()
-        sink = resolve_sink(f"jsonl:{tmp_path}/f.jsonl")
-        try:
-            assert sink.flush is True
-        finally:
-            sink.close()
+        for flush in (False, "false", True):
+            with pytest.raises(RegistryError, match="flush"):
+                resolve_sink({"name": "jsonl",
+                              "path": os.path.join(str(tmp_path), "e.jsonl"),
+                              "flush": flush})
+        with pytest.raises(TypeError):
+            JsonlEventSink(os.path.join(str(tmp_path), "e.jsonl"), flush=False)
 
 
 # ---------------------------------------------------------------------- #
@@ -386,12 +394,12 @@ class TestBroadcastSink:
 
     def test_slow_subscriber_drops_instead_of_blocking(self):
         bus = BroadcastSink()
-        sub = bus.subscribe(maxsize=2)
-        for n in range(5):
+        sub = bus.subscribe()
+        for n in range(SUBSCRIBER_QUEUE + 3):
             bus.emit(Event("job_update", data={"n": n}))
         assert sub.dropped == 3
         bus.close()
-        assert [e.data["n"] for e in sub] == [0, 1]
+        assert [e.data["n"] for e in sub] == list(range(SUBSCRIBER_QUEUE))
 
     def test_unsubscribe_stops_delivery(self):
         bus = BroadcastSink()
@@ -407,12 +415,14 @@ class TestBroadcastSink:
         assert list(bus.subscribe()) == []
 
     def test_registered_as_sink(self):
-        from repro.registry import resolve_sink
+        from repro.registry import RegistryError, resolve_sink
 
-        bus = resolve_sink("broadcast:8")
+        bus = resolve_sink("broadcast")
         assert isinstance(bus, BroadcastSink)
-        assert bus.default_maxsize == 8
         bus.close()
+        # The queue size is fixed (SUBSCRIBER_QUEUE): no colon argument.
+        with pytest.raises(RegistryError, match="colon"):
+            resolve_sink("broadcast:8")
 
 
 class TestTailJsonl:
@@ -907,7 +917,32 @@ class TestServiceHTTP:
                     (dict(BASE, exec={"kernels": "scipy"}), "exec.kernels"),
                     (dict(BASE, solver={"method": "ft_gmres", "inner": {
                         "method": "gmres", "preconditioner": "ilu0:level"}}),
-                     "solver.inner.preconditioner")):
+                     "solver.inner.preconditioner"),
+                    # the five solver twins of campaign fields, agreeing or not
+                    (dict(BASE, outer_tol=1e-6, solver={"method": "ft_gmres",
+                                                        "tol": 1e-7}), "solver.tol"),
+                    (dict(BASE, solver={"method": "ft_gmres", "max_outer": 30}),
+                     "solver.max_outer"),
+                    (dict(BASE, solver={"method": "ft_gmres", "inner": {
+                        "method": "gmres", "maxiter": 10}}), "solver.inner.maxiter"),
+                    (dict(BASE, solver={"method": "ft_gmres", "inner": {
+                        "method": "gmres", "detector": "bound"}}), "solver.inner.detector"),
+                    (dict(BASE, solver={"method": "ft_gmres", "inner": {
+                        "method": "gmres", "detector_response": "flag"}}),
+                     "solver.inner.detector_response"),
+                    # deleted settings
+                    (dict(BASE, solver={"method": "ft_gmres", "lsq_tol": 1e-3}),
+                     "solver.lsq_tol"),
+                    (dict(BASE, solver={"method": "ft_gmres", "rank_tol": 1e-3}),
+                     "solver.rank_tol"),
+                    (dict(BASE, solver={"method": "ft_gmres", "bound_method": "exact"}),
+                     "solver.bound_method"),
+                    (dict(BASE, detector={"name": "bound", "slack": 2}), "slack"),
+                    (dict(BASE, detector={"name": "bound", "check_nonfinite": False}),
+                     "check_nonfinite"),
+                    (dict(BASE, problem={"name": "circuit", "n_nodes": 50,
+                                         "jacobi_equilibrate": False}),
+                     "jacobi_equilibrate")):
                 with pytest.raises(ServiceError) as err:
                     client.submit(body)
                 assert err.value.status == 400

@@ -45,7 +45,6 @@ from repro.registry import (
     resolve_problem,
 )
 from repro.specs import (
-    BOUND_METHODS,
     CampaignSpec,
     DETECTOR_RESPONSES,
     ExecutionSpec,
@@ -175,15 +174,20 @@ class TestHighLevelResolvers:
         with pytest.raises(TypeError):
             resolve_detector(42)
 
-    def test_bound_uses_context_bound_method(self, tiny_problem):
-        fro = resolve_detector("bound", A=tiny_problem.A)
-        two = resolve_detector("bound", A=tiny_problem.A, bound_method="two_norm")
-        assert two.bound < fro.bound  # ||A||_2 <= ||A||_F
-
     def test_bound_colon_argument_overrides_context(self, tiny_problem):
+        """The detector spec's own argument is the one home of the bound's
+        norm: ``bound`` is ||A||_F (Eq. 3), ``bound:two_norm`` an ||A||_2
+        estimate, and the same argument works in the dict form."""
+        from repro.sparse.norms import hessenberg_bound
+
+        fro = resolve_detector("bound", A=tiny_problem.A)
         colon = resolve_detector("bound:two_norm", A=tiny_problem.A)
-        kw = resolve_detector("bound", A=tiny_problem.A, bound_method="two_norm")
-        assert colon.bound == kw.bound
+        keyword = resolve_detector({"name": "bound", "method": "two_norm"},
+                                   A=tiny_problem.A)
+        assert fro.bound == hessenberg_bound(tiny_problem.A, method="frobenius")
+        assert colon.bound == keyword.bound == hessenberg_bound(tiny_problem.A,
+                                                                method="two_norm")
+        assert colon.bound < fro.bound  # ||A||_2 <= ||A||_F
 
     def test_preconditioner_apply_accepts_legacy_types(self, tiny_problem):
         import numpy as np
@@ -218,7 +222,7 @@ class TestComponentToSpecRoundTrip:
         detectors = [
             NullDetector(),
             NonFiniteDetector(),
-            HessenbergBoundDetector(12.5, slack=1.5, check_nonfinite=False),
+            HessenbergBoundDetector(12.5),
             NormGrowthDetector(factor=1e4, floor=1e-200),
             CompositeDetector([NonFiniteDetector(), HessenbergBoundDetector(3.0)]),
         ]
@@ -227,8 +231,6 @@ class TestComponentToSpecRoundTrip:
             assert type(rebuilt) is type(det)
             if isinstance(det, HessenbergBoundDetector):
                 assert rebuilt.bound == det.bound
-                assert rebuilt.slack == det.slack
-                assert rebuilt.check_nonfinite == det.check_nonfinite
 
     def test_fault_models(self):
         from repro.faults.models import (
@@ -345,6 +347,52 @@ class TestSpecValidation:
             assert excinfo.value.field == expected
         else:
             assert build() == expected
+
+    @pytest.mark.parametrize("data, field, named", [
+        ({"solver": {"method": "ft_gmres", "lsq_tol": 1e-3}}, "solver.lsq_tol", "lsq_tol"),
+        ({"solver": {"method": "ft_gmres", "rank_tol": 1e-3}}, "solver.rank_tol",
+         "rank_tol"),
+        ({"solver": {"method": "ft_gmres", "bound_method": "two_norm"}},
+         "solver.bound_method", "bound_method"),
+        ({"solver": {"method": "ft_gmres",
+                     "inner": {"method": "gmres", "bound_method": "exact"}}},
+         "solver.inner.bound_method", "bound_method"),
+        ({"detector": {"name": "bound", "slack": 2}}, "detector", "slack"),
+        ({"detector": {"name": "bound", "check_nonfinite": False}}, "detector",
+         "check_nonfinite"),
+        ({"problem": {"name": "circuit", "n_nodes": 50, "jacobi_equilibrate": False}},
+         "problem", "jacobi_equilibrate"),
+    ], ids=["lsq_tol", "rank_tol", "bound_method", "inner-bound_method", "slack",
+            "check_nonfinite", "jacobi_equilibrate"])
+    def test_deleted_settings_are_spec_errors(self, data, field, named):
+        with pytest.raises(SpecError) as excinfo:
+            CampaignSpec.from_dict(data)
+        assert excinfo.value.field == field
+        assert named in str(excinfo.value)
+
+    @pytest.mark.parametrize("solver, field, home", [
+        ({"tol": 1e-7}, "solver.tol", "outer_tol"),
+        ({"max_outer": 60}, "solver.max_outer", "max_outer"),
+        ({"inner": {"method": "gmres", "maxiter": 25}}, "solver.inner.maxiter",
+         "inner_iterations"),
+        ({"inner": {"method": "gmres", "detector": "bound"}}, "solver.inner.detector",
+         "detector"),
+        ({"inner": {"method": "gmres", "detector_response": "flag"}},
+         "solver.inner.detector_response", "detector_response"),
+    ], ids=["tol", "max_outer", "inner-maxiter", "inner-detector",
+            "inner-detector_response"])
+    def test_solver_twins_are_spec_errors(self, solver, field, home):
+        """Each of the five settings has one home, a campaign field: the
+        solver spec that sets it is refused where the spec is built, naming
+        the path and the field to set instead (even when both agree)."""
+        for build in (lambda: CampaignSpec.from_dict({"solver": {"method": "ft_gmres",
+                                                                 **solver}}),
+                      lambda: CampaignSpec(solver=SolveSpec.from_dict(
+                          {"method": "ft_gmres", **solver}))):
+            with pytest.raises(SpecError) as excinfo:
+                build()
+            assert excinfo.value.field == field
+            assert f"set {home} instead" in str(excinfo.value)
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(SpecError, match="stride"):
@@ -570,7 +618,6 @@ def solve_specs(draw):
         fields["lsq_policy"] = draw(st.one_of(st.none(), st.sampled_from(LSQ_POLICIES)))
         fields["detector"] = draw(detector_specs)
         fields["detector_response"] = draw(st.sampled_from(DETECTOR_RESPONSES))
-        fields["bound_method"] = draw(st.sampled_from(BOUND_METHODS))
     if method == "ft_gmres" and draw(st.booleans()):
         fields["inner"] = SolveSpec(
             method="gmres", tol=0.0,
@@ -677,9 +724,13 @@ class TestOverrides:
         assert parse_override_value("[1, 2]") == [1, 2]
 
     def test_dotted_paths_create_nested_specs(self):
-        spec = apply_overrides(CampaignSpec(), {"solver.inner.maxiter": 12,
+        spec = apply_overrides(CampaignSpec(), {"solver.inner.orthogonalization": "cgs2",
                                                 "exec.backend": "batched"})
-        assert spec.solver.inner.maxiter == 12
+        assert spec.solver.inner.orthogonalization == "cgs2"
+        # The created inner solve is the paper's, with no budget of its own:
+        # inner_iterations stays the campaign's only inner budget.
+        assert spec.solver.inner == SolveSpec(method="gmres", tol=0.0,
+                                              orthogonalization="cgs2")
         assert spec.exec.backend == "batched"
 
     def test_list_values_become_tuples(self):

@@ -282,8 +282,8 @@ class TestDrain:
     def test_programmatic_drain_checkpoints_every_shard(self, tmp_path,
                                                          monkeypatch):
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
-                                 max_outer=30, exec={"workers": 2})
-        plan = campaign.plan(stride=6)
+                                 max_outer=30, stride=6, exec={"workers": 2})
+        plan = campaign.plan()
         supervisors = []
         init = ShardedSupervisor.__init__
 
