@@ -91,7 +91,7 @@ class ArnoldiContext:
         Invariant checker applied to every Hessenberg coefficient.  ``None``
         disables detection.  A ``vectorized`` detector screens an unarmed
         step (spmv norm, coefficients, subdiagonal) in one
-        :meth:`~repro.core.detectors.Detector.flag_values` call.
+        :meth:`~repro.core.detectors.Detector.flags_any` call.
     detector_response : str
         What to do when the detector flags a value:
 
@@ -399,7 +399,7 @@ def arnoldi_step(
         h_col, norm_v, w, screen = _orthogonalize(Q, v, orthogonalization, scratch,
                                                   screened=detector is not None)
         if detector is not None:
-            hooked = bool(detector.flag_values(screen).any())
+            hooked = detector.flags_any(screen)
     if hooked:
         if armed:
             v = ctx.inject_vector("spmv", v, iteration=j)

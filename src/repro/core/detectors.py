@@ -84,12 +84,12 @@ class Detector:
 
     Stateless detectors also provide a *vector predicate*,
     :meth:`flag_values`, and set ``vectorized = True``: the solvers then
-    screen a whole Arnoldi step in one call and fall back to per-value
-    :meth:`check_scalar`/:meth:`check_vector` only when something is
-    flagged.  The predicate must flag every value :meth:`check_scalar`
-    flags, and the 2-norm of every vector :meth:`check_vector` flags; a
-    subclass that changes either check keeps that true or sets
-    ``vectorized = False``.
+    screen a whole Arnoldi step in one :meth:`flags_any` call and fall back
+    to per-value :meth:`check_scalar`/:meth:`check_vector` only when
+    something is flagged.  The predicate must flag every value
+    :meth:`check_scalar` flags, and the 2-norm of every vector
+    :meth:`check_vector` flags; a subclass that changes either check keeps
+    that true or sets ``vectorized = False``.
     """
 
     name = "detector"
@@ -113,6 +113,14 @@ class Detector:
         authoritative.  The default flags everything.
         """
         return np.ones(np.shape(values), dtype=bool)
+
+    def flags_any(self, values: np.ndarray) -> bool:
+        """Whether :meth:`flag_values` flags any of ``values``.
+
+        The unarmed Arnoldi step asks only this and builds no mask.  An
+        override must equal ``flag_values(values).any()`` on every input.
+        """
+        return bool(self.flag_values(values).any())
 
     def check_vector(self, vec: np.ndarray, site: str = "") -> DetectionResult:
         """Return a verdict on a vector (default: check its 2-norm)."""
@@ -228,6 +236,12 @@ class HessenbergBoundDetector(Detector):
         """
         return ~(np.abs(values) <= self.bound * (1.0 - 1e-12))
 
+    def flags_any(self, values: np.ndarray) -> bool:
+        """:meth:`flag_values`'s test as one reduction: a NaN propagates
+        through the maximum and fails the ``<=``, so it still trips."""
+        return not (np.maximum.reduce(np.abs(values), initial=0.0)
+                    <= self.bound * (1.0 - 1e-12))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HessenbergBoundDetector(bound={self.bound:.6e})"
 
@@ -237,31 +251,32 @@ class NormGrowthDetector(Detector):
 
     A heuristic companion to the theory-based bound: it adapts to the data it
     has seen, so it can catch corruption *below* ``||A||_F`` at the cost of
-    potential false positives.  Used only in the detector-ablation benchmark;
-    the paper's detector is :class:`HessenbergBoundDetector`.
+    potential false positives.  Nothing is flagged while the reference is
+    at most 1e-300 (before the first nonzero value).  Used only in the
+    detector-ablation benchmark; the paper's detector is
+    :class:`HessenbergBoundDetector`.
     """
 
     name = "norm_growth"
 
-    def __init__(self, factor: float = 1e3, floor: float = 1e-300):
+    def __init__(self, factor: float = 1e3):
         if factor <= 1.0:
             raise ValueError(f"factor must exceed 1, got {factor}")
         self.factor = float(factor)
-        self.floor = float(floor)
         self._reference = 0.0
 
     def reset(self) -> None:
         self._reference = 0.0
 
     def to_spec(self) -> dict:
-        return {"name": "norm_growth", "factor": self.factor, "floor": self.floor}
+        return {"name": "norm_growth", "factor": self.factor}
 
     def check_scalar(self, value: float, site: str = "") -> DetectionResult:
         v = float(value)
         if not np.isfinite(v):
             return DetectionResult(True, self.name, f"non-finite value at {site}", v)
         magnitude = abs(v)
-        if self._reference > self.floor and magnitude > self.factor * self._reference:
+        if self._reference > 1e-300 and magnitude > self.factor * self._reference:
             result = DetectionResult(
                 True,
                 self.name,

@@ -16,6 +16,7 @@ keeps it as ``campaign.spec``, and :meth:`FaultCampaign.run` sweeps its
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -446,24 +447,30 @@ class FaultCampaign:
             persistence=self.fault_persistence,
         )
 
-    def _trial_injector(self, model: FaultModel,
-                        aggregate_inner_iteration: int) -> FaultInjector:
+    def _trial_injector(self, model: FaultModel, aggregate_inner_iteration: int,
+                        fault_class: str = "") -> FaultInjector:
         """The trial's injector, with *deterministic* per-trial randomness.
 
-        The injector's generator is the trial's only random source: it picks
-        the corrupted element at a vector site (``spmv``/``precond``/
-        ``orth``/``basis``) and every random bit a fault model draws
-        (``bitflip`` without ``bit``, ``multibit`` without ``bits``).  Seeding
-        it from the problem seed and the trial's sweep location makes such
-        campaigns trial-identical across reruns and across the serial,
-        batched and sharded backends — which is what the store's resume
-        contract requires.
+        The injector's two generators are the trial's only random sources.
+        One, seeded from the problem seed and the trial's sweep location,
+        picks the corrupted element at a vector site (``spmv``/``precond``/
+        ``orth``/``basis``), so every class corrupts the same element at a
+        location.  The other, seeded from those and a CRC-32 of the class
+        label, feeds every random bit the fault model draws (``bitflip``
+        without ``bit``, ``multibit`` without ``bits``), so two classes that
+        name the same random-bit model draw different bits.  Neither depends
+        on the process (``hash()`` is salted per process), so such campaigns
+        are trial-identical across reruns and across the serial, batched and
+        sharded backends — which is what the store's resume contract
+        requires.
         """
         seed = self.provenance.get("seed")
         entropy = (0 if seed is None else int(seed) & 0xFFFFFFFF,
                    int(aggregate_inner_iteration))
+        label = zlib.crc32(fault_class.encode("utf-8"))
         return FaultInjector(model, self._trial_schedule(aggregate_inner_iteration),
-                             rng=np.random.default_rng(entropy))
+                             rng=np.random.default_rng(entropy),
+                             model_rng=np.random.default_rng((*entropy, label)))
 
     def run_single(self, fault_class: str, model: FaultModel,
                    aggregate_inner_iteration: int) -> TrialRecord:
@@ -483,7 +490,7 @@ class FaultCampaign:
         the sharded backend — so ``TrialRecord.elapsed`` means the same thing
         on every backend.
         """
-        injector = self._trial_injector(model, aggregate_inner_iteration)
+        injector = self._trial_injector(model, aggregate_inner_iteration, fault_class)
         state = self._resume_state(injector) if resume else None
         timer = Timer()
         with timer:
@@ -640,7 +647,8 @@ class FaultCampaign:
         for start in range(num_batches):
             chunk = specs[start::num_batches]
             injectors = [self._trial_injector(self._model_for(spec.fault_class),
-                                              spec.aggregate_inner_iteration)
+                                              spec.aggregate_inner_iteration,
+                                              spec.fault_class)
                          for spec in chunk]
             states = [self._resume_state(injector) for injector in injectors]
             timer = Timer()
@@ -873,7 +881,7 @@ class FaultCampaign:
             from reset detectors, so a stateful detector such as
             :class:`NormGrowthDetector` gives each trial the record a fresh
             campaign would, on every backend.  Fault models keep no state:
-            a random bit comes from the trial's generator (see
+            a random bit comes from the trial's class-keyed generator (see
             :meth:`_trial_injector`), so it is the same on every backend.
         """
         from repro.registry import resolve_sink

@@ -58,13 +58,16 @@ class FaultInjector:
     vector_index : int, optional
         For vector sites, the element to corrupt (random when omitted).
     rng : seed or Generator, optional
-        The trial's only randomness source: it picks the random element of a
-        vector site and is passed to every ``model.corrupt(value, rng)``.
+        Picks the random element of a vector site, and is passed to every
+        ``model.corrupt(value, rng)`` unless ``model_rng`` is given.
         Omitted, it is seeded with 0, never from OS entropy.
+    model_rng : seed or Generator, optional
+        The generator the model's draws come from instead of ``rng``, so
+        two models can draw different bits at the same element.
     """
 
     def __init__(self, model: FaultModel, schedule: InjectionSchedule,
-                 vector_index: int | None = None, rng=None):
+                 vector_index: int | None = None, rng=None, model_rng=None):
         if not isinstance(model, FaultModel):
             raise TypeError(f"model must be a FaultModel, got {type(model).__name__}")
         if not isinstance(schedule, InjectionSchedule):
@@ -75,6 +78,8 @@ class FaultInjector:
         self.schedule = schedule
         self.vector_index = vector_index
         self._rng = np.random.default_rng(0 if rng is None else rng)
+        self._model_rng = (self._rng if model_rng is None
+                           else np.random.default_rng(model_rng))
         self.records: list[InjectionRecord] = []
         # Persistence windows are tracked per site, so a sticky fault at one
         # site (say spmv) never consumes the window of another (precond) —
@@ -168,7 +173,7 @@ class FaultInjector:
         """Return ``value``, corrupted if this call is scheduled to fault."""
         if not self._may_fire(site, context):
             return value
-        corrupted = self.model.corrupt(float(value), self._rng)
+        corrupted = self.model.corrupt(float(value), self._model_rng)
         self._record(site, value, corrupted, context)
         return corrupted
 
@@ -185,6 +190,6 @@ class FaultInjector:
         index = int(np.clip(index, 0, vec.size - 1))
         out = vec.copy()
         original = float(out.reshape(-1)[index])
-        out.reshape(-1)[index] = self.model.corrupt(original, self._rng)
+        out.reshape(-1)[index] = self.model.corrupt(original, self._model_rng)
         self._record(site, original, float(out.reshape(-1)[index]), context, vector_index=index)
         return out

@@ -10,9 +10,11 @@ Performance architecture: the IKJ elimination keeps only the outer row loop
 and the inherently sequential k-loop in Python — the row-k update is one
 vectorized scatter through a precomputed column→position map — and the
 factors are handed to :class:`~repro.sparse.trisolve.TriangularFactor`
-(unit-lower L, upper U with pivots), so every ``apply`` is a pair of
-SuperLU ``gstrs`` triangular solves whose operands were prepared once, when
-the preconditioner was built.
+(unit-lower L, upper U with pivots).  Every ``apply`` is one SuperLU
+``gstrs`` call over both factors (:func:`~repro.sparse.trisolve.fused_gstrs`)
+plus U's inverse-diagonal scaling, on operands prepared once, when the
+preconditioner was built.  When either factor solves by substitution, or
+the call reports ``info``, ``apply`` chains the two factors' own solves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from repro.precond.base import Preconditioner
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.trisolve import TriangularFactor, split_triangle
+from repro.sparse.trisolve import (TriangularFactor, fused_gstrs, gstrs_solve,
+                                   split_triangle)
 
 __all__ = ["ILU0Preconditioner"]
 
@@ -144,6 +147,7 @@ class ILU0Preconditioner(Preconditioner):
                                    check=False)
         self._U = TriangularFactor(n, u_ptr, u_ind, u_dat, diag=pivots, lower=False,
                                    check=False)
+        self._fused = fused_gstrs(self._L, self._U)
 
     @property
     def factors(self) -> tuple[TriangularFactor, TriangularFactor]:
@@ -155,14 +159,21 @@ class ILU0Preconditioner(Preconditioner):
         r = np.asarray(r, dtype=np.float64).ravel()
         if r.shape[0] != self.n:
             raise ValueError(f"vector length {r.shape[0]} does not match {self.n}")
-        return self._U.solve(self._L.solve(r))
+        return self._solve(r)
 
     def apply_block(self, R: np.ndarray) -> np.ndarray:
-        """Solve ``L U Z = R`` for a whole ``(n, B)`` block in two solves.
+        """Solve ``L U Z = R`` for a whole ``(n, B)`` block in one solve.
 
-        Each triangular factor solves the whole block in one ``gstrs`` call,
+        The block goes through the same single ``gstrs`` call as a vector,
         so the per-call overhead is paid once per block instead of once per
         trial.
         """
-        R = self._coerce_block(R)
-        return self._U.solve(self._L.solve(R))
+        return self._solve(self._coerce_block(R))
+
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        """``U⁻¹ L⁻¹ r`` in one fused call, or by the chained factor solves."""
+        if self._fused is not None:
+            z = gstrs_solve(self._fused, r)
+            if z is not None:
+                return z
+        return self._U.solve(self._L.solve(r))

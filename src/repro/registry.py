@@ -458,10 +458,10 @@ def _build_nonfinite_detector(ctx):
 
 
 @register("detector", "norm_growth", positional=("factor",))
-def _build_norm_growth_detector(ctx, factor=1e3, floor=1e-300):
+def _build_norm_growth_detector(ctx, factor=1e3):
     from repro.core.detectors import NormGrowthDetector
 
-    return NormGrowthDetector(factor=float(factor), floor=float(floor))
+    return NormGrowthDetector(factor=float(factor))
 
 
 @register("detector", "composite")

@@ -88,7 +88,7 @@ def two_norm_estimate(A, tol: float = 1e-8, maxiter: int = 200, seed=0) -> float
     return float(sigma)
 
 
-def hessenberg_bound(A, method: str = "frobenius", **kwargs) -> float:
+def hessenberg_bound(A, method: str = "frobenius") -> float:
     """The paper's upper bound on any Hessenberg entry produced by Arnoldi.
 
     Parameters
@@ -101,8 +101,6 @@ def hessenberg_bound(A, method: str = "frobenius", **kwargs) -> float:
         * ``"two_norm"`` — power-method estimate of ``||A||_2`` (tighter).
         * ``"exact"`` — dense SVD; only sensible for small matrices and used
           in tests to validate the estimates.
-    **kwargs
-        Forwarded to :func:`two_norm_estimate` when applicable.
 
     Returns
     -------
@@ -117,7 +115,7 @@ def hessenberg_bound(A, method: str = "frobenius", **kwargs) -> float:
             "use method='two_norm' for matrix-free operators"
         )
     if method == "two_norm":
-        return two_norm_estimate(A, **kwargs)
+        return two_norm_estimate(A)
     if method == "exact":
         dense = A.todense() if hasattr(A, "todense") else np.asarray(A, dtype=np.float64)
         dense = np.asarray(dense, dtype=np.float64)

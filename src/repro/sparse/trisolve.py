@@ -13,7 +13,9 @@ function prepares on *every* call — assembling the full triangle,
 transposing the CSR input to CSC, scaling to a unit diagonal, splitting into
 SuperLU's L/U operands and casting the index arrays — runs once, when the
 factor is built, so a solve of a vector or of an ``(n, B)`` block is one
-``gstrs`` call plus the inverse-diagonal scaling.  scipy is imported then
+``gstrs`` call plus the inverse-diagonal scaling.  :func:`fused_gstrs`
+pairs a unit-lower factor's operands with an upper factor's, so an LU pair
+(ILU(0)) also solves in one call.  scipy is imported then
 and not when the package loads, so a process that builds no factor never
 pays for the import.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["TriangularFactor", "split_triangle"]
+__all__ = ["TriangularFactor", "fused_gstrs", "gstrs_solve", "split_triangle"]
 
 
 def split_triangle(indptr, indices, data, n: int, part: str, row_ids=None):
@@ -213,16 +215,11 @@ class TriangularFactor:
             raise ValueError(
                 f"b has {b.shape[0]} rows, expected {self.n} "
                 f"(a length-{self.n} vector or a ({self.n}, B) block)")
-        prepared = self._gstrs
-        if prepared is None:
-            return self._substitute(b)
-        gstrs, operands, invdiag = prepared
-        x, info = gstrs("T", *operands, b.copy())
-        if info:  # pragma: no cover - zero diagonals are screened at build
-            return self._substitute(b)
-        if invdiag is not None:
-            x *= invdiag if x.ndim == 1 else invdiag[:, None]
-        return x
+        if self._gstrs is not None:
+            x = gstrs_solve(self._gstrs, b)
+            if x is not None:
+                return x
+        return self._substitute(b)
 
     def _substitute(self, b: np.ndarray) -> np.ndarray:
         """Row-by-row substitution: the fallback path and the tests' reference."""
@@ -272,3 +269,44 @@ class TriangularFactor:
         kind = "lower" if self.lower else "upper"
         path = "gstrs" if self._gstrs is not None else "sequential"
         return f"TriangularFactor(n={self.n}, nnz={self.nnz}, {kind}, {path})"
+
+
+def gstrs_solve(prepared, b: np.ndarray):
+    """One ``gstrs`` call on prepared arguments plus their inverse-diagonal
+    scaling, or ``None`` when the call reports ``info``.
+
+    ``prepared`` is ``(gstrs, operands, inverse diagonal or None)``, as a
+    factor's ``_gstrs`` or :func:`fused_gstrs` holds it; ``b`` is a vector
+    or an ``(n, B)`` block, and is not written.
+    """
+    gstrs, operands, invdiag = prepared
+    x, info = gstrs("T", *operands, b.copy())
+    if info:
+        return None
+    if invdiag is not None:
+        x *= invdiag if x.ndim == 1 else invdiag[:, None]
+    return x
+
+
+def fused_gstrs(lower: TriangularFactor, upper: TriangularFactor):
+    """One ``gstrs`` call's arguments for ``upper⁻¹ lower⁻¹``, or ``None``.
+
+    With ``trans="T"``, ``gstrs`` first solves with the transpose of its U
+    operand, dividing by the diagonal its L operand stores, then runs a
+    unit-diagonal solve with the transpose of its L operand.  A unit-lower
+    factor prepares that U operand (its transposed strict part) and an
+    upper factor prepares that L operand (its transposed, column-scaled
+    ``U D⁻¹``), so the pair solves in one call followed by ``upper``'s
+    inverse-diagonal scaling.  The first stage then divides by the scaled
+    diagonal ``u·(1/u)``, which can differ from 1.0 in its last bit, so the
+    result is not bit-identical to ``upper.solve(lower.solve(b))``.
+    ``None`` when either factor solves by substitution.  Solve with
+    :func:`gstrs_solve`.
+    """
+    if not (lower.lower and lower.unit_diagonal and not upper.lower):
+        raise ValueError("fused_gstrs needs a unit-lower and an upper factor")
+    if lower._gstrs is None or upper._gstrs is None:
+        return None
+    gstrs, lower_operands, _ = lower._gstrs
+    _, upper_operands, invdiag = upper._gstrs
+    return gstrs, upper_operands[:5] + lower_operands[5:], invdiag

@@ -416,7 +416,7 @@ def _one_batch(campaign, locations, monkeypatch, fault_class="large"):
     serial = []
     for spec in specs:
         injector = campaign._trial_injector(campaign.fault_classes[fault_class],
-                                            spec.aggregate_inner_iteration)
+                                            spec.aggregate_inner_iteration, fault_class)
         serial.append((campaign._solve(injector, campaign._resume_state(injector)),
                        injector))
     return lanes, serial, sum(lane_solves)

@@ -9,14 +9,19 @@ two shard workers and on a stored run resumed after losing half its trials,
 and the batched backend meets its documented contract (equal counts,
 statuses and classification; residuals to 1e-10).  Fault models that draw
 random bits are on the spec axis: their bits come from each trial's
-generator, so they are held to the same identity.
+generator, keyed by its class label too, so they are held to the same
+identity.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 
 import numpy as np
 import pytest
@@ -32,9 +37,11 @@ from repro.specs import CampaignSpec
 PROBLEM = poisson_problem(grid_n=6)  # 36 unknowns, a few outer iterations
 
 #: The paper's classes, and models that draw random bits from the trial's
-#: generator (a random bit, three random bits, a random exponent bit).
+#: generator (a random bit, three random bits, a random exponent bit, and two
+#: classes naming the same random-bit model, whose bits differ).
 FAULT_CLASSES = ["paper", {"a": "bitflip"}, {"a": "multibit:3"},
-                 {"a": {"name": "bitflip", "bits": list(range(52, 63))}}]
+                 {"a": {"name": "bitflip", "bits": list(range(52, 63))}},
+                 {"a": "bitflip", "b": "bitflip"}]
 
 
 @st.composite
@@ -112,6 +119,68 @@ def test_random_bit_campaign_repeats():
     first = FaultCampaign(PROBLEM, spec).run().trials
     assert len(first) > 20
     assert FaultCampaign(PROBLEM, spec).run().trials == first
+
+
+class TestPerClassBits:
+    """Each fault class draws its own random bits: the model's generator is
+    keyed by (problem seed, location, class label), while the element a
+    vector site corrupts stays keyed by (problem seed, location)."""
+
+    SPEC = CampaignSpec(fault_classes={"a": "bitflip", "b": "bitflip"},
+                        inner_iterations=5, max_outer=40, stride=2)
+
+    def test_same_model_classes_give_different_records(self):
+        trials = FaultCampaign(PROBLEM, self.SPEC).run().trials
+        a = [t for t in trials if t.fault_class == "a"]
+        b = [t for t in trials if t.fault_class == "b"]
+        assert len(a) == len(b) > 10
+        differ = [dataclasses.replace(x, fault_class="b") != y for x, y in zip(a, b)]
+        assert sum(differ) >= len(a) // 4, f"{sum(differ)} of {len(a)} pairs differ"
+
+    def test_classes_flip_different_bits_of_the_same_element(self):
+        campaign = FaultCampaign(PROBLEM, self.SPEC, site="spmv")
+        vec = np.linspace(1.0, 2.0, PROBLEM.A.shape[0])
+        ctx = {"outer_iteration": 0, "inner_solve_index": 0, "inner_iteration": 0,
+               "mgs_index": -1}
+        flipped = 0
+        for location in range(20):
+            records = []
+            for label in ("a", "b"):
+                injector = campaign._trial_injector(campaign._model_for(label), location,
+                                                    label)
+                injector.corrupt_vector("spmv", vec, aggregate_inner_iteration=location,
+                                        **ctx)
+                records.append(injector.records[0])
+            assert records[0].vector_index == records[1].vector_index
+            flipped += records[0].corrupted != records[1].corrupted
+        assert flipped >= 15, f"only {flipped} of 20 locations drew different bits"
+
+    def test_bits_do_not_depend_on_the_process(self):
+        """Two interpreters with different string-hash salts draw the same
+        bits: the label's digest is a CRC-32, not the salted ``hash()``."""
+        script = textwrap.dedent("""
+            from repro.faults.campaign import FaultCampaign
+            from repro.gallery.problems import poisson_problem
+
+            campaign = FaultCampaign(poisson_problem(grid_n=6),
+                                     fault_classes={"a": "bitflip", "b": "bitflip"})
+            for label in ("a", "b"):
+                injector = campaign._trial_injector(campaign._model_for(label), 3, label)
+                print(injector.corrupt_scalar("hessenberg", 1.5, outer_iteration=0,
+                                              inner_solve_index=0, inner_iteration=3,
+                                              aggregate_inner_iteration=3, mgs_index=0))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = []
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(set(outputs[0].split())) == 2
 
 
 class TestOneConfiguration:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.detectors import (
     CompositeDetector,
@@ -109,6 +111,49 @@ class TestHessenbergBoundDetector:
         assert d.check_scalar(correct * 1e150)          # class 1: detected
         assert not d.check_scalar(correct * 10 ** -0.5)  # class 2: silent
         assert not d.check_scalar(correct * 1e-300)      # class 3: silent
+
+
+_BOUND = 7.5
+_BAND = _BOUND * (1.0 - 1e-12)
+
+
+@st.composite
+def screens(draw):
+    """Step screens mixing ordinary values, NaN, +-Inf and values at the
+    bound: inside its guard band, on either edge of it, and past it."""
+    edges = [_BAND, np.nextafter(_BAND, 0.0), np.nextafter(_BAND, np.inf),
+             _BOUND, np.nextafter(_BOUND, np.inf), 0.5 * (_BAND + _BOUND)]
+    value = st.one_of(
+        st.floats(min_value=-2 * _BOUND, max_value=2 * _BOUND, allow_nan=False),
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+        st.sampled_from(edges).flatmap(lambda v: st.sampled_from([v, -v])),
+    )
+    return np.array(draw(st.lists(value, max_size=30)), dtype=np.float64)
+
+
+class TestFlagsAny:
+    """``flags_any`` is the one-call screen of an unarmed Arnoldi step: it
+    must equal ``flag_values(values).any()`` on every screen."""
+
+    @pytest.mark.parametrize("detector", [
+        NullDetector(), NonFiniteDetector(), HessenbergBoundDetector(_BOUND),
+        CompositeDetector([NonFiniteDetector(), HessenbergBoundDetector(_BOUND)]),
+    ], ids=["null", "nonfinite", "bound", "composite"])
+    @given(values=screens())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_mask(self, detector, values):
+        expect = bool(detector.flag_values(values).any())
+        got = detector.flags_any(values)
+        assert type(got) is bool
+        assert got == expect
+
+    def test_bound_guard_band_and_nan_trip(self):
+        d = HessenbergBoundDetector(_BOUND)
+        assert not d.flags_any(np.array([np.nextafter(_BAND, 0.0), -1.0]))
+        assert d.flags_any(np.array([0.5 * (_BAND + _BOUND)]))
+        assert d.flags_any(np.array([1.0, np.nan, 2.0]))
+        assert d.flags_any(np.array([-np.inf]))
+        assert not d.flags_any(np.empty(0))
 
 
 class TestNormGrowthDetector:

@@ -265,9 +265,12 @@ class TestSpecDrivenCLI:
          ("detector", "check_nonfinite")),
         (["--set", 'problem={"name": "circuit", "n_nodes": 50, '
                    '"jacobi_equilibrate": false}'], ("problem", "jacobi_equilibrate")),
+        (["--set", 'detector={"name": "norm_growth", "floor": 1e-3}'],
+         ("detector", "floor")),
     ], ids=["tol", "max_outer", "inner-maxiter", "inner-detector",
             "inner-detector_response", "lsq_tol", "rank_tol", "bound_method",
-            "inner-bound_method", "slack", "check_nonfinite", "jacobi_equilibrate"])
+            "inner-bound_method", "slack", "check_nonfinite", "jacobi_equilibrate",
+            "norm_growth-floor"])
     def test_solver_twins_and_removed_settings_exit_2(self, capsys, argv, named):
         """A solver twin of a campaign field, and a setting that no longer
         exists, are configuration errors naming the path (and, for a twin,

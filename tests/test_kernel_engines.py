@@ -13,6 +13,10 @@ The contract under test:
 * factors ``gstrs`` cannot take — a zero or non-finite diagonal entry,
   ``n == 0``, a scipy without the private ``_superlu`` module — solve by
   that substitution, bit for bit, Inf/NaN included;
+* an ILU(0) apply is one ``gstrs`` call over both factors, held to the
+  chained substitutions by the same contract on their composed error
+  scale, and falls back to the two factor solves, bit for bit, when either
+  factor cannot take ``gstrs`` or the call reports ``info``;
 * scipy is imported when the first factor is built, never by
   ``import repro`` or by a solve that builds no factor;
 * ``numpy.random`` is imported by ``ServiceDaemon.serve`` before its
@@ -46,9 +50,10 @@ from hypothesis.extra import numpy as hnp
 
 import repro.sparse.csr as csr_mod
 from repro.gallery.poisson import poisson2d
+from repro.precond.ilu import ILU0Preconditioner
 from repro.registry import RegistryError, names, resolve
 from repro.sparse.csr import CSRMatrix, as_kernel_vector
-from repro.sparse.trisolve import TriangularFactor
+from repro.sparse.trisolve import TriangularFactor, fused_gstrs
 from repro.specs import CampaignSpec, ExecutionSpec, SpecError, apply_overrides
 
 CONTRACT_RTOL = 1e-14
@@ -82,14 +87,26 @@ def trisolve_bound(F: TriangularFactor, x: np.ndarray) -> np.ndarray:
     (the factors here have at most 12 rows) and solved by substitution,
     whose terms are all nonnegative, so the bound is too.
     """
+    strict, diag = _comparison_parts(F)
+    rhs = diag.reshape((-1,) + (1,) * (x.ndim - 1)) * np.abs(x) + strict @ np.abs(x)
+    return comparison_solve(F, rhs)
+
+
+def _comparison_parts(F: TriangularFactor) -> tuple[np.ndarray, np.ndarray]:
+    """``|strict part|`` (dense) and ``|D|`` of a factor's comparison matrix."""
     strict = np.zeros((F.n, F.n))
     strict[np.repeat(np.arange(F.n), np.diff(F.indptr)), F.indices] = np.abs(F.data)
-    diag = np.abs(np.ones(F.n) if F.unit_diagonal else F.diag)
-    rhs = diag.reshape((-1,) + (1,) * (x.ndim - 1)) * np.abs(x) + strict @ np.abs(x)
-    bound = np.zeros_like(rhs)
+    return strict, np.abs(np.ones(F.n) if F.unit_diagonal else F.diag)
+
+
+def comparison_solve(F: TriangularFactor, rhs: np.ndarray) -> np.ndarray:
+    """``M(T)^-1 rhs`` for a nonnegative ``rhs``: how an error of ``rhs`` in
+    the right-hand side of ``T x = b`` can grow in ``x``."""
+    strict, diag = _comparison_parts(F)
+    out = np.zeros_like(rhs)
     for i in range(F.n) if F.lower else reversed(range(F.n)):
-        bound[i] = (rhs[i] + strict[i] @ bound) / diag[i]
-    return bound
+        out[i] = (rhs[i] + strict[i] @ out) / diag[i]
+    return out
 
 
 def solve_path(F: TriangularFactor) -> str:
@@ -140,6 +157,19 @@ def triangular_factors(draw, max_dim=12):
     A = CSRMatrix.from_dense(dense + np.diag(diag))
     return TriangularFactor.from_csr(A, part="lower" if lower else "upper",
                                      unit_diagonal=unit)
+
+
+@st.composite
+def ilu_preconditioners(draw, max_dim=12):
+    """ILU(0) of random row-diagonally-dominant matrices (zero pivots
+    cannot occur, so both factors solve through ``gstrs``)."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    mask = draw(hnp.arrays(np.bool_, (n, n), elements=st.booleans()))
+    dense = draw(hnp.arrays(np.float64, (n, n), elements=finite_floats))
+    dense = np.where(mask, dense, 0.0)
+    np.fill_diagonal(dense, 0.0)
+    dense += np.diag(1.0 + np.abs(dense).sum(axis=1))
+    return ILU0Preconditioner(CSRMatrix.from_dense(dense))
 
 
 @pytest.fixture
@@ -335,6 +365,113 @@ class TestCrossTierTrisolve:
         F.solve(np.column_stack([b, 2.0 * b]))
         assert F._gstrs is prepared
         np.testing.assert_array_equal(b, keep)
+
+
+class TestFusedILUApply:
+    """An ILU(0) apply is one ``gstrs`` call over both factors; it agrees
+    with the chained substitutions ``U⁻¹ L⁻¹ r`` to the contract, and falls
+    back to the chained factor solves, bit for bit, whenever a factor
+    cannot take ``gstrs``."""
+
+    @staticmethod
+    def chained(m: ILU0Preconditioner, r: np.ndarray):
+        """The reference solve and its componentwise error scale: U's own
+        rounding plus L's, carried through ``M(U)^-1``."""
+        L, U = m.factors
+        y = L._substitute(r)
+        z = U._substitute(y)
+        return z, trisolve_bound(U, z) + comparison_solve(U, trisolve_bound(L, y))
+
+    @given(m=ilu_preconditioners())
+    @settings(max_examples=40, deadline=None)
+    def test_vector_apply(self, m):
+        assert m._fused is not None
+        r = np.linspace(-1.0, 1.0, m.n)
+        ref, bound = self.chained(m, r)
+        assert_contract(ref, m.apply(r), bound)
+
+    @given(m=ilu_preconditioners(), B=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=25, deadline=None)
+    def test_block_apply(self, m, B):
+        R = np.linspace(-1.0, 1.0, m.n * B).reshape(m.n, B)
+        ref, bound = self.chained(m, R)
+        got = m.apply_block(R)
+        assert got.shape == R.shape
+        assert_contract(ref, got, bound)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_nonfinite_pivot_chains_the_factor_solves(self, poison):
+        A = poisson2d(4)
+        data = A.data.copy()
+        data[np.flatnonzero((A.row_ids == 5) & (A.indices == 5))] = poison
+        m = ILU0Preconditioner(CSRMatrix(A.shape, A.indptr, A.indices, data))
+        L, U = m.factors
+        assert solve_path(L) == "scipy" and solve_path(U) == "numpy"
+        assert m._fused is None
+        R = np.linspace(1.0, 2.0, 2 * m.n).reshape(m.n, 2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.testing.assert_array_equal(m.apply(R[:, 0]), U.solve(L.solve(R[:, 0])))
+            np.testing.assert_array_equal(m.apply_block(R), U.solve(L.solve(R)))
+
+    def test_zero_pivot_factor_is_not_fused(self):
+        """ILU(0) shifts its own zero pivots, so a zero pivot reaches a
+        factor only when one is built directly; it substitutes, unfused."""
+        L, U = ILU0Preconditioner(poisson2d(3)).factors
+        pivots = U.diag.copy()
+        pivots[4] = 0.0
+        zero = TriangularFactor(U.n, U.indptr, U.indices, U.data, diag=pivots,
+                                lower=False, check=False)
+        assert solve_path(zero) == "numpy"
+        assert fused_gstrs(L, zero) is None
+        assert fused_gstrs(L, U) is not None
+        with pytest.raises(ValueError, match="unit-lower"):
+            fused_gstrs(U, L)
+
+    def test_empty_and_missing_superlu_chain(self, monkeypatch):
+        empty = ILU0Preconditioner(CSRMatrix((0, 0), [0], [], []))
+        assert empty._fused is None
+        assert empty.apply(np.empty(0)).shape == (0,)
+        monkeypatch.setitem(sys.modules, SUPERLU_MODULE, None)
+        m = ILU0Preconditioner(poisson2d(4))
+        assert m._fused is None
+        L, U = m.factors
+        r = np.linspace(-1.0, 1.0, m.n)
+        np.testing.assert_array_equal(m.apply(r), U.solve(L.solve(r)))
+
+    def test_info_chains_the_factor_solves(self):
+        """A fused call that reports ``info`` falls back to the chained
+        factor solves, which are the parent's apply bit for bit."""
+        m = ILU0Preconditioner(poisson2d(4))
+        L, U = m.factors
+        _, operands, invdiag = m._fused
+        m._fused = (lambda trans, *args: (np.zeros(m.n), 1), operands, invdiag)
+        r = np.linspace(-1.0, 1.0, m.n)
+        np.testing.assert_array_equal(m.apply(r), U.solve(L.solve(r)))
+
+    def test_operands_prepared_once_and_pickled(self, monkeypatch):
+        """Applies reuse the fused operands built with the preconditioner,
+        never write their input, and a pickled copy applies the same bits."""
+        import repro.precond.ilu as ilu_mod
+
+        m = ILU0Preconditioner(poisson2d(5))
+        prepared = m._fused
+        assert prepared is not None
+
+        def rebuild(*args):
+            raise AssertionError("gstrs operands rebuilt during an apply")
+
+        monkeypatch.setattr(TriangularFactor, "_prepare_gstrs", rebuild)
+        monkeypatch.setattr(ilu_mod, "fused_gstrs", rebuild)
+        r = np.linspace(1.0, 2.0, m.n)
+        keep = r.copy()
+        z = m.apply(r)
+        Z = m.apply_block(np.column_stack([r, 2.0 * r]))
+        assert m._fused is prepared
+        np.testing.assert_array_equal(r, keep)
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy._fused is not None
+        np.testing.assert_array_equal(copy.apply(r), z)
+        np.testing.assert_array_equal(copy.apply_block(np.column_stack([r, 2.0 * r])), Z)
 
 
 class TestScipyTrisolveFallback:

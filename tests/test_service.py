@@ -942,7 +942,9 @@ class TestServiceHTTP:
                      "check_nonfinite"),
                     (dict(BASE, problem={"name": "circuit", "n_nodes": 50,
                                          "jacobi_equilibrate": False}),
-                     "jacobi_equilibrate")):
+                     "jacobi_equilibrate"),
+                    (dict(BASE, detector={"name": "norm_growth", "floor": 1e-3}),
+                     "floor")):
                 with pytest.raises(ServiceError) as err:
                     client.submit(body)
                 assert err.value.status == 400

@@ -82,6 +82,14 @@ class TestHessenbergBound:
         with pytest.raises(ValueError):
             hessenberg_bound(poisson_small, method="bogus")
 
+    def test_two_norm_takes_no_estimator_options(self, poisson_small):
+        """The ``two_norm`` bound is ``two_norm_estimate`` at its defaults;
+        estimator options are not forwarded."""
+        assert (hessenberg_bound(poisson_small, method="two_norm")
+                == two_norm_estimate(poisson_small))
+        with pytest.raises(TypeError, match="maxiter"):
+            hessenberg_bound(poisson_small, method="two_norm", maxiter=5)
+
     def test_frobenius_requires_matrix(self):
         op = MatrixFreeOperator((3, 3), matvec=lambda x: x)
         with pytest.raises(TypeError):

@@ -223,7 +223,7 @@ class TestComponentToSpecRoundTrip:
             NullDetector(),
             NonFiniteDetector(),
             HessenbergBoundDetector(12.5),
-            NormGrowthDetector(factor=1e4, floor=1e-200),
+            NormGrowthDetector(factor=1e4),
             CompositeDetector([NonFiniteDetector(), HessenbergBoundDetector(3.0)]),
         ]
         for det in detectors:
@@ -362,8 +362,9 @@ class TestSpecValidation:
          "check_nonfinite"),
         ({"problem": {"name": "circuit", "n_nodes": 50, "jacobi_equilibrate": False}},
          "problem", "jacobi_equilibrate"),
+        ({"detector": {"name": "norm_growth", "floor": 1e-3}}, "detector", "floor"),
     ], ids=["lsq_tol", "rank_tol", "bound_method", "inner-bound_method", "slack",
-            "check_nonfinite", "jacobi_equilibrate"])
+            "check_nonfinite", "jacobi_equilibrate", "norm_growth-floor"])
     def test_deleted_settings_are_spec_errors(self, data, field, named):
         with pytest.raises(SpecError) as excinfo:
             CampaignSpec.from_dict(data)
